@@ -23,13 +23,12 @@ from .data import (
     DatasetFormatError,
     DomainTag,
     PooledDataset,
-    UnitRecord,
     VariableSchema,
     read_csv,
     validate,
     write_csv,
 )
-from .inference import BootstrapConfig, bootstrap_ci, replicate
+from .inference import BootstrapConfig, BootstrapError, bootstrap_ci, replicate
 from .model1 import EstimationError, estimate_model1
 from .model2 import estimate_model2
 from .models import logistic
@@ -100,7 +99,7 @@ def _ingest(path: str, schema: VariableSchema, columns: dict,
     def col(name):
         return columns.get(name, name)
 
-    records = []
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -115,22 +114,22 @@ def _ingest(path: str, schema: VariableSchema, columns: dict,
                 tag = domains.get(row[col("domain")].strip())
                 if tag is None:
                     raise ValueError(f"unknown domain value {row[col('domain')]!r}")
-                r = int(row[col("r")])
-                x = tuple(float(row[col(c)]) for c in schema.covariate_names)
+                r_val = int(row[col("r")])
+                x_row = [float(row[col(c)]) for c in schema.covariate_names]
                 m_tok = row[col("m")].strip()
                 if m_tok in ("", schema.missing_token):
-                    m = None
+                    m_val = None
                 else:
-                    m = m_tok if schema.m_kind == "categorical" else float(m_tok)
-                y = None
+                    m_val = m_tok if schema.m_kind == "categorical" else float(m_tok)
+                y_val = None
                 if has_y and tag == DomainTag.PRIMARY:
                     y_tok = row[col("y")].strip()
                     if y_tok not in ("", schema.missing_token):
-                        y = float(y_tok)
+                        y_val = float(y_tok)
             except (ValueError, KeyError) as exc:
                 raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
-            records.append(UnitRecord(g=tag, x=x, m=m, y=y, r=r))
-    return PooledDataset(records=tuple(records), schema=schema)
+            rows.append((tag, x_row, m_val, y_val, r_val))
+    return PooledDataset.from_rows(schema, rows)
 
 
 def _load_dataset(args) -> PooledDataset:
@@ -283,13 +282,14 @@ def _cmd_make_fixture(args) -> int:
     with open(out + ".csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["site", "followup", "risk_score", "strain", "recovered"])
-        for i in range(n):
+        for g_i, r_i, x_i, m_i, y_i in zip(g.tolist(), r.tolist(), x.tolist(),
+                                          m_idx.tolist(), y.tolist()):
             writer.writerow([
-                "A" if g[i] == 1 else "B",
-                int(r[i]),
-                repr(float(x[i])),
-                _FIXTURE_LEVELS[m_idx[i]] if r[i] == 1 else "NA",
-                int(y[i]) if (g[i] == 1 and r[i] == 1) else "NA",
+                "A" if g_i == 1 else "B",
+                r_i,
+                repr(x_i),
+                _FIXTURE_LEVELS[m_i] if r_i == 1 else "NA",
+                y_i if (g_i == 1 and r_i == 1) else "NA",
             ])
     with open(out + ".ini", "w") as fh:
         fh.write(
@@ -323,6 +323,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _worker_count(text: str) -> int:
+    """At least 1, and no more than the machine has processors."""
+    return min(_positive_int(text), os.cpu_count() or 1)
+
+
 def _add_schema_flags(sub):
     sub.add_argument("--config", help="schema-map INI for external CSV files")
     sub.add_argument("--covariates", help="comma-separated covariate names")
@@ -352,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     est = subs.add_parser("estimate", help="estimate the outcome mean from a CSV")
     est.add_argument("--data", required=True)
     est.add_argument("--model", choices=list(_ESTIMATORS), required=True)
-    est.add_argument("--bootstrap", type=int, default=0, metavar="K")
+    est.add_argument("--bootstrap", type=_nonnegative_int, default=0, metavar="K")
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--json", help="write the full report as JSON")
     _add_schema_flags(est)
@@ -364,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--n", type=_positive_int, required=True)
     rep.add_argument("--reps", type=_positive_int, required=True)
     rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--workers", type=int, default=1)
+    rep.add_argument("--workers", type=_worker_count, default=1)
     rep.add_argument("--out-prefix", dest="out_prefix")
     rep.set_defaults(func=_cmd_replicate)
 
@@ -374,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     val.set_defaults(func=_cmd_validate)
 
     orc = subs.add_parser("oracle-check", help="randomized identification battery")
-    orc.add_argument("--laws", type=int, default=100)
+    orc.add_argument("--laws", type=_positive_int, default=100)
     orc.add_argument("--seed", type=int, default=0)
     orc.add_argument("--inject-violation", action="store_true",
                      help="add a fixture that violates the selection assumption")
     orc.set_defaults(func=_cmd_oracle_check)
 
     fix = subs.add_parser("make-fixture", help="synthetic observational fixture")
-    fix.add_argument("--n", type=int, default=2000)
+    fix.add_argument("--n", type=_positive_int, default=2000)
     fix.add_argument("--seed", type=int, default=0)
     fix.add_argument("--out-prefix", dest="out_prefix", required=True)
     fix.set_defaults(func=_cmd_make_fixture)
@@ -397,7 +409,7 @@ def main(argv=None) -> int:
     except DatasetFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    except (EstimationError, oracle.OracleError, ValueError) as exc:
+    except (EstimationError, oracle.OracleError, BootstrapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
 

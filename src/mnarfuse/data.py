@@ -6,6 +6,10 @@ recorded, auxiliary variable missing at random).  Missingness of the auxiliary
 variable M and the outcome Y in the primary domain is a single joint
 indicator R: rows with discordant per-column missingness are rejected, not
 repaired.
+
+A dataset is stored as columns, built once when it is read or generated;
+estimators and resampling work on the columns, and the per-row records are
+derived from them on demand.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 MValue = Union[float, str]
 
@@ -66,50 +72,158 @@ class UnitRecord:
     r: int
 
 
-@dataclass(frozen=True)
+def _column(values, dtype) -> np.ndarray:
+    """Read-only array view of a column; the caller's array stays writable."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 class PooledDataset:
-    records: tuple[UnitRecord, ...]
-    schema: VariableSchema
+    """Pooled two-domain dataset stored as columns.
+
+    g: (n,) domain tags 1 (primary) and 2 (auxiliary)
+    x: (n, d) covariates
+    m: (n,) M values; for categorical M the code of the level in m_labels
+    y: (n,) outcomes
+    r: (n,) joint observation indicator of M and Y
+    Missing M and Y are NaN.  m_labels is the schema's level list followed
+    by any level the input held outside it, in order of first appearance, so
+    that `validate` can name it.
+
+    `PooledDataset(records=..., schema=...)` builds the columns from per-row
+    records; `records` derives them back.
+    """
+
+    __slots__ = ("schema", "g", "x", "m", "y", "r", "m_labels")
+
+    def __init__(self, schema: VariableSchema, g=None, x=None, m=None, y=None,
+                 r=None, *, m_labels: Optional[tuple] = None,
+                 records: Optional[Iterable[UnitRecord]] = None):
+        if records is not None:
+            built = PooledDataset.from_rows(
+                schema, ((rec.g, rec.x, rec.m, rec.y, rec.r) for rec in records)
+            )
+            g, x, m, y, r, m_labels = (built.g, built.x, built.m, built.y,
+                                       built.r, built.m_labels)
+        self.schema = schema
+        self.g = _column(g, np.int64)
+        self.x = _column(x, float)
+        self.m = _column(m, float)
+        self.y = _column(y, float)
+        self.r = _column(r, np.int64)
+        self.m_labels = schema.m_levels if m_labels is None else tuple(m_labels)
+        n = self.g.shape[0]
+        if self.x.shape != (n, schema.n_covariates):
+            raise ValueError(
+                f"x has shape {self.x.shape}, expected ({n}, {schema.n_covariates})"
+            )
+        for name in ("g", "m", "y", "r"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"column {name} does not have length {n}")
+
+    @classmethod
+    def from_rows(cls, schema: VariableSchema, rows: Iterable[tuple]) -> "PooledDataset":
+        """Columns from per-row (g, x, m, y, r) Python values: x a covariate
+        sequence, m None, a number or a level label, y None or a number."""
+        rows = list(rows)
+        g, x, m, y, r = zip(*rows) if rows else ((),) * 5
+        labels = list(schema.m_levels)
+        if schema.m_kind == "categorical":
+            codes = {label: i for i, label in enumerate(labels)}
+            m_col = []
+            for value in m:
+                if value is None:
+                    m_col.append(math.nan)
+                    continue
+                if value not in codes:
+                    codes[value] = len(labels)
+                    labels.append(value)
+                m_col.append(codes[value])
+        else:
+            m_col = [math.nan if value is None else value for value in m]
+        return cls(
+            schema,
+            g=np.array(g, dtype=np.int64),
+            x=np.array(x, dtype=float).reshape(len(rows), schema.n_covariates),
+            m=np.array(m_col, dtype=float),
+            y=np.array([math.nan if value is None else value for value in y], dtype=float),
+            r=np.array(r, dtype=np.int64),
+            m_labels=tuple(labels),
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.g.shape[0]
+
+    def __repr__(self) -> str:
+        return f"PooledDataset(n={len(self)}, schema={self.schema!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PooledDataset):
+            return NotImplemented
+        return (
+            self.schema == other.schema
+            and self.m_labels == other.m_labels
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+                for name in ("g", "x", "m", "y", "r")
+            )
+        )
+
+    def take(self, rows: np.ndarray) -> "PooledDataset":
+        """The dataset made of the given rows, in the given order."""
+        return PooledDataset(
+            self.schema, g=self.g[rows], x=self.x[rows], m=self.m[rows],
+            y=self.y[rows], r=self.r[rows], m_labels=self.m_labels,
+        )
+
+    def m_values(self) -> list[Optional[MValue]]:
+        """M of each row as a Python value: None when missing, else the
+        number or the level label."""
+        labels = self.m_labels if self.schema.m_kind == "categorical" else None
+        return [None if m != m else m if labels is None else labels[int(m)]
+                for m in self.m.tolist()]
+
+    @property
+    def records(self) -> tuple[UnitRecord, ...]:
+        """Per-row view of the columns, built on each access."""
+        return tuple(
+            UnitRecord(g=DomainTag(g), x=tuple(x), m=m, y=None if y != y else y, r=r)
+            for g, x, m, y, r in zip(self.g.tolist(), self.x.tolist(), self.m_values(),
+                                     self.y.tolist(), self.r.tolist())
+        )
 
 
 def validate(dataset: PooledDataset) -> list[str]:
     """Return one message per invariant violation; empty list means clean."""
-    schema = dataset.schema
-    violations = []
-    n_primary = n_aux = 0
-    for i, rec in enumerate(dataset.records):
-        if rec.g == DomainTag.PRIMARY:
-            n_primary += 1
-        else:
-            n_aux += 1
-        if rec.r not in (0, 1):
-            violations.append(f"row {i}: R must be 0 or 1, got {rec.r}")
-            continue
-        if len(rec.x) != schema.n_covariates:
-            violations.append(
-                f"row {i}: expected {schema.n_covariates} covariates, got {len(rec.x)}"
-            )
-        if rec.r == 1 and rec.m is None:
-            violations.append(f"row {i}: R=1 but M absent")
-        if rec.r == 0 and rec.m is not None:
-            violations.append(f"row {i}: R=0 but M present")
-        if rec.g == DomainTag.PRIMARY:
-            if rec.r == 1 and rec.y is None:
-                violations.append(f"row {i}: primary-domain R=1 but Y absent")
-            if rec.r == 0 and rec.y is not None:
-                violations.append(f"row {i}: primary-domain R=0 but Y present")
-        else:
-            if rec.y is not None:
-                violations.append(f"row {i}: Y present in auxiliary domain")
-        if rec.m is not None and schema.m_kind == "categorical":
-            if rec.m not in schema.m_levels:
-                violations.append(f"row {i}: unseen M level {rec.m!r}")
-    if n_primary == 0:
+    g, m, r = dataset.g, dataset.m, dataset.r
+    has_m = ~np.isnan(m)
+    has_y = ~np.isnan(dataset.y)
+    primary = g == DomainTag.PRIMARY
+    r1 = r == 1
+    r0 = r == 0
+    r_valid = r0 | r1
+    # (rows, message) in the order the checks of one row are reported
+    checks = [
+        (~r_valid, lambda i: f"R must be 0 or 1, got {r[i]}"),
+        (r1 & ~has_m, lambda i: "R=1 but M absent"),
+        (r0 & has_m, lambda i: "R=0 but M present"),
+        (primary & r1 & ~has_y, lambda i: "primary-domain R=1 but Y absent"),
+        (primary & r0 & has_y, lambda i: "primary-domain R=0 but Y present"),
+        (r_valid & ~primary & has_y, lambda i: "Y present in auxiliary domain"),
+    ]
+    if dataset.schema.m_kind == "categorical":
+        unseen = r_valid & (m >= len(dataset.schema.m_levels))  # NaN compares False
+        checks.append(
+            (unseen, lambda i: f"unseen M level {dataset.m_labels[int(m[i])]!r}")
+        )
+    found = sorted(
+        (i, k) for k, (rows, _) in enumerate(checks) for i in np.flatnonzero(rows).tolist()
+    )
+    violations = [f"row {i}: {checks[k][1](i)}" for i, k in found]
+    if not primary.any():
         violations.append("dataset has no primary-domain records")
-    if n_aux == 0:
+    if primary.all():
         violations.append("dataset has no auxiliary-domain records")
     return violations
 
@@ -123,26 +237,23 @@ def split_by_domain(
     return primary, auxiliary
 
 
-def expand_m(m: MValue, schema: VariableSchema) -> tuple[float, ...]:
-    """Expand an observed M value into its numeric feature block.
+def m_features(m: np.ndarray, schema: VariableSchema) -> np.ndarray:
+    """Expand an M column into its (n, m_dim) numeric feature block.
 
     Categorical M with L levels maps to L-1 indicators with the first level as
-    reference; numeric M passes through as a single feature.
+    reference; numeric M passes through as a single feature.  Missing M stays
+    NaN across the block.
     """
     if schema.m_kind == "numeric":
-        return (float(m),)
-    if m not in schema.m_levels:
-        raise ValueError(f"unseen categorical level {m!r}")
-    idx = schema.m_levels.index(m)
-    return tuple(1.0 if idx == k else 0.0 for k in range(1, len(schema.m_levels)))
-
-
-def one_hot_expand(record: UnitRecord, schema: VariableSchema) -> tuple[float, ...]:
-    """Real covariate row for a record: X features plus expanded M when present."""
-    row = tuple(record.x)
-    if record.m is not None:
-        row = row + expand_m(record.m, schema)
-    return row
+        return m[:, None]
+    observed = ~np.isnan(m)
+    codes = m[observed]
+    n_levels = len(schema.m_levels)
+    if codes.size and codes.max() >= n_levels:
+        raise ValueError("M holds a level outside the schema's level list")
+    out = np.full((m.shape[0], n_levels - 1), np.nan)
+    out[observed] = codes[:, None] == np.arange(1, n_levels)
+    return out
 
 
 def _format_value(v) -> str:
@@ -154,16 +265,17 @@ def _format_value(v) -> str:
 def write_csv(dataset: PooledDataset, path: str) -> None:
     """Write the canonical CSV form: domain, r, covariates, m, y."""
     schema = dataset.schema
+    missing = schema.missing_token
     header = ["domain", "r", *schema.covariate_names, "m", "y"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for rec in dataset.records:
-            row = [int(rec.g), rec.r]
-            row.extend(_format_value(x) for x in rec.x)
-            row.append(schema.missing_token if rec.m is None else _format_value(rec.m))
-            row.append(schema.missing_token if rec.y is None else _format_value(rec.y))
-            writer.writerow(row)
+        for g, r, x, m, y in zip(dataset.g.tolist(), dataset.r.tolist(),
+                                 dataset.x.tolist(), dataset.m_values(),
+                                 dataset.y.tolist()):
+            writer.writerow([g, r, *map(repr, x),
+                             missing if m is None else _format_value(m),
+                             missing if y != y else repr(y)])
 
 
 class DatasetFormatError(ValueError):
@@ -180,7 +292,8 @@ def read_csv(path: str, schema: VariableSchema) -> PooledDataset:
     The domain-2 y column may be absent entirely; the missing token and the
     empty cell are both accepted as missing.
     """
-    records = []
+    d = schema.n_covariates
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -199,22 +312,22 @@ def read_csv(path: str, schema: VariableSchema) -> PooledDataset:
             if not row:
                 continue
             try:
-                g = DomainTag(int(row[0]))
-                r = int(row[1])
-                x = tuple(float(v) for v in row[2 : 2 + schema.n_covariates])
-                m_tok = row[2 + schema.n_covariates]
+                tag = DomainTag(int(row[0]))
+                r_val = int(row[1])
+                x_row = [float(v) for v in row[2 : 2 + d]]
+                m_tok = row[2 + d]
                 if _parse_missing(m_tok, schema.missing_token):
-                    m = None
+                    m_val = None
                 elif schema.m_kind == "categorical":
-                    m = m_tok
+                    m_val = m_tok
                 else:
-                    m = float(m_tok)
-                y = None
+                    m_val = float(m_tok)
+                y_val = None
                 if has_y:
-                    y_tok = row[3 + schema.n_covariates]
+                    y_tok = row[3 + d]
                     if not _parse_missing(y_tok, schema.missing_token):
-                        y = float(y_tok)
+                        y_val = float(y_tok)
             except (ValueError, IndexError) as exc:
                 raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
-            records.append(UnitRecord(g=g, x=x, m=m, y=y, r=r))
-    return PooledDataset(records=tuple(records), schema=schema)
+            rows.append((tag, x_row, m_val, y_val, r_val))
+    return PooledDataset.from_rows(schema, rows)

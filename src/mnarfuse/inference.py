@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -46,22 +47,29 @@ class BootstrapConfig:
     seed: int = 0
     max_failure_fraction: float = 0.2
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"bootstrap k must be at least 1, got {self.k}")
+        if not 0.0 < self.ci_level < 1.0:
+            raise ValueError(f"ci_level must be in (0, 1), got {self.ci_level}")
+        if not 0.0 <= self.max_failure_fraction < 1.0:
+            raise ValueError(
+                f"max_failure_fraction must be in [0, 1), got {self.max_failure_fraction}"
+            )
+
 
 def _resample(dataset: PooledDataset, rng: np.random.Generator,
               stratified: bool) -> PooledDataset:
-    records = dataset.records
     if stratified:
-        picked = []
+        parts = []
         for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY):
-            idx = [i for i, rec in enumerate(records) if rec.g == tag]
-            if idx:
-                draw = rng.integers(0, len(idx), size=len(idx))
-                picked.extend(records[idx[j]] for j in draw)
-        resampled = tuple(picked)
+            idx = np.flatnonzero(dataset.g == tag)
+            if idx.size:
+                parts.append(idx[rng.integers(0, idx.size, size=idx.size)])
+        rows = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
     else:
-        draw = rng.integers(0, len(records), size=len(records))
-        resampled = tuple(records[j] for j in draw)
-    return PooledDataset(records=resampled, schema=dataset.schema)
+        rows = rng.integers(0, len(dataset), size=len(dataset))
+    return dataset.take(rows)
 
 
 def bootstrap_ci(
@@ -73,34 +81,36 @@ def bootstrap_ci(
 
     Resampling is with replacement within each domain (domain sizes are fixed
     design quantities, not random).  Resamples where the estimator raises or
-    returns a non-finite value are dropped and counted; more than
-    max_failure_fraction failures is an error rather than a silently
-    narrower interval.
+    returns a non-finite value are dropped and counted by reason (the
+    exception class name, or "non-finite"); more than max_failure_fraction
+    failures is an error rather than a silently narrower interval.
     """
     if config is None:
         config = BootstrapConfig()
     estimates = []
-    n_failed = 0
+    failures = Counter()
     for b in range(config.k):
         rng = make_rng(config.seed, b)
         resampled = _resample(dataset, rng, config.stratified_by_domain)
         try:
             value = estimator(resampled).beta_hat
-        except Exception:
-            n_failed += 1
+        except Exception as exc:
+            failures[type(exc).__name__] += 1
             continue
         if not math.isfinite(value):
-            n_failed += 1
+            failures["non-finite"] += 1
             continue
         estimates.append(value)
+    n_failed = sum(failures.values())
     if n_failed > config.max_failure_fraction * config.k:
+        reasons = ", ".join(f"{name}: {count}" for name, count in failures.most_common())
         raise BootstrapError(
-            f"{n_failed} of {config.k} bootstrap resamples failed"
+            f"{n_failed} of {config.k} bootstrap resamples failed ({reasons})"
         )
     tail = 0.5 * (1.0 - config.ci_level)
     lo, hi = np.quantile(np.asarray(estimates), [tail, 1.0 - tail])
     return ConfidenceInterval(lo=float(lo), hi=float(hi),
-                              method="percentile-bootstrap", n_failed=n_failed)
+                              method="percentile-bootstrap", failures=dict(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +261,7 @@ def replicate(
             EstimatorSummary(
                 name=name,
                 bias=bias,
-                pct_bias=bias / beta_true.value,
+                pct_bias=bias / beta_true.value if beta_true.value else math.nan,
                 mse=float(np.mean((ok - beta_true.value) ** 2)),
                 variance=float(ok.var(ddof=1)) if n_ok > 1 else 0.0,
                 mean=float(ok.mean()),

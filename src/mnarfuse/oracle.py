@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DomainTag, PooledDataset, UnitRecord, VariableSchema
+from .data import PooledDataset, VariableSchema
 
 _CI_TOL = 1e-12  # conditional-independence cell tolerance
 _RANK_TOL = 1e-10  # singular-value threshold for the completeness condition
@@ -633,22 +633,17 @@ def sample_law(
     xs = np.asarray(law.x_support)[x_idx]
     ms = np.asarray(law.m_support)[m_idx]
     ys = np.asarray(law.y_support)[y_idx]
-    records = []
-    for i in range(n):
-        primary = g_idx[i] == 0
-        observed = r_idx[i] == 1
-        records.append(
-            UnitRecord(
-                g=DomainTag.PRIMARY if primary else DomainTag.AUXILIARY,
-                x=(float(xs[i]),),
-                m=float(ms[i]) if observed else None,
-                y=float(ys[i]) if (primary and observed) else None,
-                r=int(r_idx[i]),
-            )
-        )
-    schema = VariableSchema(covariate_names=("x1",))
+    observed = r_idx == 1
+    dataset = PooledDataset(
+        VariableSchema(covariate_names=("x1",)),
+        g=g_idx + 1,
+        x=xs[:, None],
+        m=np.where(observed, ms, np.nan),
+        y=np.where(observed & (g_idx == 0), ys, np.nan),
+        r=r_idx,
+    )
     latent = np.column_stack([g_idx + 1, xs, ms, ys, r_idx]).astype(float)
-    return PooledDataset(records=tuple(records), schema=schema), latent
+    return dataset, latent
 
 
 def write_law(law: DiscreteFullLaw, path: str) -> None:

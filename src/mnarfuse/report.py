@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .data import DomainTag, PooledDataset, expand_m
+from .data import DomainTag, PooledDataset, m_features
 from .solver import SolverResult
 
 
@@ -16,7 +16,11 @@ class ConfidenceInterval:
     lo: float
     hi: float
     method: str = "percentile-bootstrap"
-    n_failed: int = 0
+    failures: Mapping[str, int] = field(default_factory=dict)  # reason -> count
+
+    @property
+    def n_failed(self) -> int:
+        return sum(self.failures.values())
 
     @property
     def width(self) -> float:
@@ -54,6 +58,7 @@ class EstimateReport:
                 "width": self.ci.width,
                 "method": self.ci.method,
                 "n_failed": self.ci.n_failed,
+                "failures": dict(self.ci.failures),
             }
         return out
 
@@ -77,19 +82,10 @@ class DomainArrays:
 
 
 def domain_arrays(dataset: PooledDataset, tag: DomainTag) -> DomainArrays:
-    schema = dataset.schema
-    m_dim = schema.m_dim
-    recs = [rec for rec in dataset.records if rec.g == tag]
-    n = len(recs)
-    x = np.empty((n, schema.n_covariates))
-    m = np.full((n, m_dim), np.nan)
-    y = np.full(n, np.nan)
-    r = np.empty(n, dtype=int)
-    for i, rec in enumerate(recs):
-        x[i] = rec.x
-        r[i] = rec.r
-        if rec.m is not None:
-            m[i] = expand_m(rec.m, schema)
-        if rec.y is not None:
-            y[i] = rec.y
-    return DomainArrays(x=x, m=m, y=y, r=r)
+    rows = dataset.g == tag
+    return DomainArrays(
+        x=dataset.x[rows],
+        m=m_features(dataset.m[rows], dataset.schema),
+        y=dataset.y[rows],
+        r=dataset.r[rows],
+    )

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DomainTag, PooledDataset, UnitRecord, VariableSchema
+from .data import PooledDataset, VariableSchema
 from .models import logistic
 
 SCALAR_SCHEMA = VariableSchema(covariate_names=("x1",))
@@ -98,24 +98,19 @@ class TruthSidecar:
 @dataclass(frozen=True)
 class TrueBeta:
     value: float
-    provenance: str  # "analytic" or "monte_carlo(n_trials=..., n_per_trial=..., seed=...)"
+    provenance: str  # "analytic" or "quadrature(nodes=...)"
 
 
 def _assemble(g, x, m_latent, y_latent, r) -> tuple[PooledDataset, TruthSidecar]:
-    records = []
-    for i in range(g.size):
-        primary = g[i] == 1
-        observed = r[i] == 1
-        records.append(
-            UnitRecord(
-                g=DomainTag.PRIMARY if primary else DomainTag.AUXILIARY,
-                x=(float(x[i]),),
-                m=float(m_latent[i]) if observed else None,
-                y=float(y_latent[i]) if (primary and observed) else None,
-                r=int(r[i]),
-            )
-        )
-    dataset = PooledDataset(records=tuple(records), schema=SCALAR_SCHEMA)
+    observed = r == 1
+    dataset = PooledDataset(
+        SCALAR_SCHEMA,
+        g=g,
+        x=x[:, None],
+        m=np.where(observed, m_latent, np.nan),
+        y=np.where(observed & (g == 1), y_latent, np.nan),
+        r=r,
+    )
     sidecar = TruthSidecar(g=g.copy(), r=r.copy(), m_latent=m_latent.copy(),
                            y_latent=y_latent.copy())
     return dataset, sidecar
@@ -180,62 +175,35 @@ def generate_model2(design: Model2Design, seed: int) -> tuple[PooledDataset, Tru
     return _assemble(*_model2_arrays(design, rng))
 
 
-_TRUE_BETA_CACHE: dict = {}
-_TRUE_BETA_SEED = 20240229
-_TRUE_BETA_TRIALS = 1000
-_TRUE_BETA_N = 20000
+_QUADRATURE_NODES = 80
 
 
 def true_beta(design) -> TrueBeta:
     """Target value of the outcome mean for a design.
 
-    The M-driven design admits the closed form E[X] + 0.4 E[X^2] = 1.8; the
-    Y-driven design is evaluated by Monte Carlo over the latent outcomes.
+    The M-driven design admits the closed form E[X] + 0.4 E[X^2] = 1.8.  In
+    the Y-driven design the unselected units have M and Y shifted down, so
+    E[Y | G=1] = E[X] - 0.4 E[X^2] - gamma (1 + beta_y3) P(R=0) with
+    X ~ N(0, 1); the expectation over X is a Gauss-Hermite sum, exact for the
+    polynomial terms.
     """
     if isinstance(design, Model1Design):
         return TrueBeta(value=1.8, provenance="analytic")
     if not isinstance(design, Model2Design):
         raise TypeError(f"unknown design {type(design).__name__}")
-    key = (design.setting, design.gamma, design.beta_y3)
-    cached = _TRUE_BETA_CACHE.get(key)
-    if cached is not None:
-        return cached
-    totals = 0.0
-    count = 0
-    for trial in range(_TRUE_BETA_TRIALS):
-        rng = make_rng(_TRUE_BETA_SEED, trial)
-        sized = Model2Design(
-            n=_TRUE_BETA_N,
-            setting=design.setting,
-            gamma=design.gamma,
-            beta_y3=design.beta_y3,
-        )
-        g, _, _, y, _ = _model2_arrays(sized, rng)
-        primary = g == 1
-        totals += float(np.sum(y[primary]))
-        count += int(primary.sum())
-    result = TrueBeta(
-        value=totals / count,
-        provenance=(
-            f"monte_carlo(n_trials={_TRUE_BETA_TRIALS}, "
-            f"n_per_trial={_TRUE_BETA_N}, seed={_TRUE_BETA_SEED})"
-        ),
-    )
-    _TRUE_BETA_CACHE[key] = result
-    return result
+    nodes, weights = np.polynomial.hermite_e.hermegauss(_QUADRATURE_NODES)
+    weights = weights / weights.sum()  # probabilists' nodes: N(0, 1) expectation
+    p_unselected = 1.0 - logistic(_model2_selection_logit(design, nodes))
+    shift = design.gamma * (1.0 + design.beta_y3)
+    value = weights @ (nodes - 0.4 * nodes**2 - shift * p_unselected)
+    return TrueBeta(value=float(value),
+                    provenance=f"quadrature(nodes={_QUADRATURE_NODES})")
 
 
 def write_truth_csv(sidecar: TruthSidecar, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "r", "m_latent", "y_latent"])
-        for i in range(sidecar.g.size):
-            y = sidecar.y_latent[i]
-            writer.writerow(
-                [
-                    int(sidecar.g[i]),
-                    int(sidecar.r[i]),
-                    repr(float(sidecar.m_latent[i])),
-                    "" if np.isnan(y) else repr(float(y)),
-                ]
-            )
+        for g, r, m, y in zip(sidecar.g.tolist(), sidecar.r.tolist(),
+                              sidecar.m_latent.tolist(), sidecar.y_latent.tolist()):
+            writer.writerow([g, r, repr(m), "" if y != y else repr(y)])

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
-from mnarfuse.cli import main
+from mnarfuse.cli import build_parser, main
 
 
 def run(argv):
@@ -124,3 +125,44 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     assert run(["simulate", "--model", "1", "--n", "100", "--seed", "1",
                 "--out", "env.csv"]) == 0
     assert (tmp_path / "env.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--data", "d.csv", "--model", "1", "--bootstrap", "-1"],
+    ["oracle-check", "--laws", "-3"],
+    ["oracle-check", "--laws", "0"],
+    ["make-fixture", "--n", "0", "--out-prefix", "fx"],
+    ["replicate", "--model", "1", "--n", "100", "--reps", "2", "--workers", "0"],
+])
+def test_out_of_range_counts_are_usage_errors(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_workers_clamped_to_cpu_count():
+    # parsing only: no pool is started
+    args = build_parser().parse_args(
+        ["replicate", "--model", "1", "--n", "100", "--reps", "2", "--workers", "100000"])
+    assert args.workers == (os.cpu_count() or 1)
+    args = build_parser().parse_args(
+        ["replicate", "--model", "1", "--n", "100", "--reps", "2", "--workers", "1"])
+    assert args.workers == 1
+
+
+def test_bootstrap_failure_is_a_one_line_error(tmp_path, capsys):
+    # one complete primary row among ten: about a third of the resamples have
+    # no complete case, which is over the failure budget
+    path = tmp_path / "thin.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["domain", "r", "x1", "m", "y"])
+        writer.writerow([1, 1, 0.0, 0.0, 1.0])
+        for _ in range(9):
+            writer.writerow([1, 0, 0.0, "?", "?"])
+        writer.writerow([2, 1, 0.0, 0.0, "?"])
+    assert run(["estimate", "--data", str(path), "--model", "mcar",
+                "--bootstrap", "50"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "EstimationError" in err

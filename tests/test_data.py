@@ -11,7 +11,7 @@ from mnarfuse.data import (
     PooledDataset,
     UnitRecord,
     VariableSchema,
-    expand_m,
+    m_features,
     read_csv,
     split_by_domain,
     validate,
@@ -74,13 +74,19 @@ CAT = VariableSchema(covariate_names=("x1",), m_kind="categorical",
                      m_levels=("A", "B", "C"))
 
 
-def test_expand_m_categorical():
-    assert expand_m("B", CAT) == (1.0, 0.0)
-    assert expand_m("A", CAT) == (0.0, 0.0)
+def test_m_features_categorical():
+    codes = np.array([1.0, 0.0, np.nan, 2.0])  # B, A, missing, C
+    np.testing.assert_array_equal(
+        m_features(codes, CAT),
+        [[1.0, 0.0], [0.0, 0.0], [np.nan, np.nan], [0.0, 1.0]],
+    )
+    with pytest.raises(ValueError):
+        m_features(np.array([3.0]), CAT)
 
 
-def test_expand_m_numeric_passthrough():
-    assert expand_m(2.5, SCHEMA) == (2.5,)
+def test_m_features_numeric_passthrough():
+    np.testing.assert_array_equal(m_features(np.array([2.5, np.nan]), SCHEMA),
+                                  [[2.5], [np.nan]])
 
 
 def test_validate_flags_unseen_level():

@@ -12,7 +12,7 @@ from mnarfuse.inference import (
     replicate,
 )
 from mnarfuse.baselines import mcar_estimate
-from mnarfuse.simulate import Model1Design, generate_model1, make_rng
+from mnarfuse.simulate import Model1Design, TrueBeta, generate_model1, make_rng
 
 SCHEMA = VariableSchema(covariate_names=("x1",))
 
@@ -113,3 +113,45 @@ def test_report_emission(tmp_path):
     report.write_replicates_csv(str(long_path))
     assert summary_path.read_text().count("\n") == 2
     assert long_path.read_text().count("\n") == 4  # header + 3 replicates
+
+
+def test_bootstrap_failures_counted_by_reason():
+    def flaky(dataset):
+        # the primary share of a resample is fixed, so key off its first x
+        first = dataset.x[0, 0]
+        if first < -1.0:
+            raise ValueError("odd resample")
+        report = mcar_estimate(dataset)
+        if first > 2.0:
+            report.beta_hat = float("nan")
+        return report
+
+    ds, _ = generate_model1(Model1Design(n=400), seed=4)
+    ci = bootstrap_ci(ds, flaky, BootstrapConfig(k=200, seed=3,
+                                                 max_failure_fraction=0.5))
+    assert set(ci.failures) == {"ValueError", "non-finite"}
+    assert sum(ci.failures.values()) == ci.n_failed > 0
+    report = mcar_estimate(ds)
+    report.ci = ci
+    assert report.to_dict()["ci"]["failures"] == ci.failures
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"k": 0}, {"ci_level": 0.0}, {"ci_level": 1.0}, {"ci_level": 1.5},
+    {"max_failure_fraction": -0.1}, {"max_failure_fraction": 1.0},
+])
+def test_bootstrap_config_rejects_out_of_range(kwargs):
+    with pytest.raises(ValueError):
+        BootstrapConfig(**kwargs)
+
+
+def test_pct_bias_is_nan_at_zero_truth(tmp_path):
+    report = replicate(Model1Design(n=300), n_reps=3, seed=1,
+                       estimators={"mcar": mcar_estimate},
+                       beta_true=TrueBeta(0.0, "zero"))
+    summary = report.summaries[0]
+    assert np.isnan(summary.pct_bias) and np.isfinite(summary.bias)
+    assert "nan%" in report.to_text()
+    path = tmp_path / "s.csv"
+    report.write_summary_csv(str(path))
+    assert path.read_text().splitlines()[1].split(",")[6] == "nan"

@@ -9,7 +9,9 @@ from mnarfuse.simulate import (
     Model1Design,
     Model2Design,
     generate_model1,
+    _model2_arrays,
     generate_model2,
+    make_rng,
     true_beta,
 )
 
@@ -94,7 +96,17 @@ def test_true_beta_values():
     f = true_beta(Model2Design(n=10, setting="F"))
     assert abs(t.value + 0.659) < 0.01
     assert abs(f.value + 0.615) < 0.01
-    assert "seed" in t.provenance
+    assert t.provenance == "quadrature(nodes=80)"
+
+
+@pytest.mark.parametrize("setting", ["T", "F"])
+def test_model2_true_beta_matches_monte_carlo(setting):
+    # the quadrature value against the simulated primary-domain outcome mean
+    design = Model2Design(n=2_000_000, setting=setting)
+    g, _, _, y, _ = _model2_arrays(design, make_rng(20240229, 0))
+    y1 = y[g == 1]
+    se = y1.std(ddof=1) / np.sqrt(y1.size)
+    assert abs(y1.mean() - true_beta(design).value) < 5 * se
 
 
 def test_generators_reproducible(tmp_path):
