@@ -258,6 +258,16 @@ def _cmd_oracle_check(args) -> int:
 _FIXTURE_LEVELS = ("none", "mild", "severe")
 
 
+def _draw_categories(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
+    """One category index per row of probs, the same draws as calling
+    rng.choice(k, p=row) row by row: one uniform per row, located in the
+    row's normalised CDF from the right."""
+    u = rng.random(probs.shape[0])
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
 def _cmd_make_fixture(args) -> int:
     """Synthetic observational fixture: binary outcome, three-level severity
     marker, one bounded risk score, with renamed columns and a matching
@@ -269,7 +279,7 @@ def _cmd_make_fixture(args) -> int:
     level_logits = np.column_stack([np.zeros(n), 0.8 * x + 0.2, 1.2 * x - 0.4])
     probs = np.exp(level_logits)
     probs /= probs.sum(axis=1, keepdims=True)
-    m_idx = np.array([rng.choice(3, p=p) for p in probs])
+    m_idx = _draw_categories(rng, probs)
     y = (rng.random(n) < logistic(0.5 * x + 0.9 * (m_idx == 1) + 1.6 * (m_idx == 2) - 0.5)).astype(int)
     p_r = np.where(
         g == 1,

@@ -212,6 +212,10 @@ def validate(dataset: PooledDataset) -> list[str]:
         (primary & r0 & has_y, lambda i: "primary-domain R=0 but Y present"),
         (r_valid & ~primary & has_y, lambda i: "Y present in auxiliary domain"),
     ]
+    if dataset.schema.y_kind == "binary":
+        y = dataset.y
+        not_binary = has_y & (y != 0) & (y != 1)
+        checks.append((not_binary, lambda i: f"binary Y must be 0 or 1, got {float(y[i])}"))
     if dataset.schema.m_kind == "categorical":
         unseen = r_valid & (m >= len(dataset.schema.m_levels))  # NaN compares False
         checks.append(

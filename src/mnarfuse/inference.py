@@ -83,24 +83,30 @@ def bootstrap_ci(
     design quantities, not random).  Resamples where the estimator raises or
     returns a non-finite value are dropped and counted by reason (the
     exception class name, or "non-finite"); more than max_failure_fraction
-    failures is an error rather than a silently narrower interval.
+    failures is an error rather than a silently narrower interval.  Refits
+    whose solver stopped without converging are kept in the interval and
+    counted by solver status.
     """
     if config is None:
         config = BootstrapConfig()
     estimates = []
     failures = Counter()
+    nonconverged = Counter()
     for b in range(config.k):
         rng = make_rng(config.seed, b)
         resampled = _resample(dataset, rng, config.stratified_by_domain)
         try:
-            value = estimator(resampled).beta_hat
+            report = estimator(resampled)
         except Exception as exc:
             failures[type(exc).__name__] += 1
             continue
-        if not math.isfinite(value):
+        if not math.isfinite(report.beta_hat):
             failures["non-finite"] += 1
             continue
-        estimates.append(value)
+        estimates.append(report.beta_hat)
+        status = _nonconverged_status(report)
+        if status is not None:
+            nonconverged[status] += 1
     n_failed = sum(failures.values())
     if n_failed > config.max_failure_fraction * config.k:
         reasons = ", ".join(f"{name}: {count}" for name, count in failures.most_common())
@@ -110,7 +116,15 @@ def bootstrap_ci(
     tail = 0.5 * (1.0 - config.ci_level)
     lo, hi = np.quantile(np.asarray(estimates), [tail, 1.0 - tail])
     return ConfidenceInterval(lo=float(lo), hi=float(hi),
-                              method="percentile-bootstrap", failures=dict(failures))
+                              method="percentile-bootstrap", failures=dict(failures),
+                              nonconverged=dict(nonconverged))
+
+
+def _nonconverged_status(report: EstimateReport) -> Optional[str]:
+    """The solver status of a fit that did not converge, else None."""
+    if report.solver is None or report.solver.converged:
+        return None
+    return report.solver.status
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +156,7 @@ class EstimatorSummary:
     mean: float
     n_ok: int
     n_failed: int
+    n_nonconverged: int  # of the n_ok: kept although the solver did not converge
 
 
 @dataclass(frozen=True)
@@ -157,7 +172,7 @@ class ReplicationReport:
     def to_text(self) -> str:
         header = (
             f"{'estimator':<10} {'bias':>10} {'%bias':>10} {'mse':>10} "
-            f"{'var':>10} {'n_ok':>6} {'n_fail':>6}"
+            f"{'var':>10} {'n_ok':>6} {'n_fail':>6} {'n_nonconv':>9}"
         )
         lines = [
             f"design={self.design_label} n={self.n} reps={self.n_reps} "
@@ -167,7 +182,8 @@ class ReplicationReport:
         for s in self.summaries:
             lines.append(
                 f"{s.name:<10} {s.bias:>10.4f} {100 * s.pct_bias:>9.2f}% "
-                f"{s.mse:>10.4f} {s.variance:>10.4f} {s.n_ok:>6d} {s.n_failed:>6d}"
+                f"{s.mse:>10.4f} {s.variance:>10.4f} {s.n_ok:>6d} {s.n_failed:>6d} "
+                f"{s.n_nonconverged:>9d}"
             )
         return "\n".join(lines)
 
@@ -200,14 +216,20 @@ class ReplicationReport:
 
 
 def _run_replicate(design, seed: int, rep: int, estimators: dict) -> dict:
+    """name -> (beta_hat, whether the fit's solver stopped unconverged);
+    beta_hat is NaN where the fit failed."""
     dataset = generate_for(design, int(make_rng(seed, rep).integers(2**31)))
     out = {}
     for name, fn in estimators.items():
         try:
-            value = fn(dataset).beta_hat
+            report = fn(dataset)
         except Exception:
-            value = float("nan")
-        out[name] = value if math.isfinite(value) else float("nan")
+            out[name] = (float("nan"), False)
+            continue
+        if math.isfinite(report.beta_hat):
+            out[name] = (report.beta_hat, _nonconverged_status(report) is not None)
+        else:
+            out[name] = (float("nan"), False)
     return out
 
 
@@ -246,7 +268,10 @@ def replicate(
         rows = [_run_replicate(design, seed, rep, estimators) for rep in range(n_reps)]
 
     estimates = {
-        name: np.array([row[name] for row in rows]) for name in estimators
+        name: np.array([row[name][0] for row in rows]) for name in estimators
+    }
+    nonconverged = {
+        name: np.array([row[name][1] for row in rows]) for name in estimators
     }
     summaries = []
     for name, values in estimates.items():
@@ -254,7 +279,7 @@ def replicate(
         n_ok = ok.size
         if n_ok == 0:
             summaries.append(EstimatorSummary(name, math.nan, math.nan, math.nan,
-                                              math.nan, math.nan, 0, n_reps))
+                                              math.nan, math.nan, 0, n_reps, 0))
             continue
         bias = float(ok.mean() - beta_true.value)
         summaries.append(
@@ -267,6 +292,7 @@ def replicate(
                 mean=float(ok.mean()),
                 n_ok=n_ok,
                 n_failed=n_reps - n_ok,
+                n_nonconverged=int(nonconverged[name].sum()),
             )
         )
     label = f"model{1 if isinstance(design, Model1Design) else 2}-{design.setting}"

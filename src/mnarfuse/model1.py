@@ -1,16 +1,18 @@
-"""IPW estimator for the outcome mean when missingness is driven by the
-possibly-missing auxiliary variable M (conditional on covariates).
+"""The calibration equation shared by the IPW estimators, and the estimator
+for an outcome mean whose missingness is driven by the possibly-missing
+auxiliary variable M (conditional on covariates).
 
-The reciprocal propensity q(x, m; alpha) = 1 / logistic(alpha . b(x, m)) is
-calibrated so that the weighted complete-case average of a user-chosen
+The reciprocal propensity w(theta) = min(1 + exp(-B.theta + offset), w_max)
+is calibrated so that the weighted complete-case average of a user-chosen
 h(x, m) in the primary domain matches the auxiliary-domain regression
-prediction of the same h, then the outcome mean is the q-weighted
-complete-case average of Y over all primary rows.
+prediction of the same h; the outcome mean is then the w-weighted
+complete-case average of Y over all primary rows.  Here B = b(x, m); the
+Y-driven estimator (model2) puts y and its x-interactions into B.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,13 +21,13 @@ from .data import DomainTag, PooledDataset, VariableSchema
 from .models import (
     W_MAX,
     BasisSpec,
-    CoefficientModel,
+    calibration_weights,
     evaluate_basis_matrix,
     fit_logistic,
     solve_least_squares,
 )
-from .report import ConfidenceInterval, DomainArrays, EstimateReport, domain_arrays
-from .solver import MomentSystem, SolverConfig, SolverResult, solve
+from .report import DomainArrays, EstimateReport, domain_arrays
+from .solver import MomentSystem, SolverConfig, solve
 
 
 class EstimationError(ValueError):
@@ -102,97 +104,97 @@ def fit_aux_moment_targets(
         )
     h_cc = evaluate_basis_matrix(h_basis, auxiliary.x[cc], auxiliary.m[cc])
     design = evaluate_basis_matrix(aux_regression_basis, auxiliary.x[cc])
-    names = aux_regression_basis.column_names()
-    coefs = np.column_stack(
-        [solve_least_squares(design, h_cc[:, j], names) for j in range(h_cc.shape[1])]
-    )
+    coefs = solve_least_squares(design, h_cc, aux_regression_basis.column_names())
     design_primary = evaluate_basis_matrix(aux_regression_basis, primary.x)
     return design_primary @ coefs, coefs
 
 
-def _split_m_columns(basis: BasisSpec, m_dim: int) -> np.ndarray:
-    """Boolean mask over output columns marking the ones that reference M."""
-    mask = []
-    for term in basis.terms:
-        width = m_dim if (m_dim > 1 and term.uses_m) else 1
-        mask.extend([term.uses_m] * width)
-    return np.array(mask)
-
-
-def _init_alpha(primary: DomainArrays, basis: BasisSpec, m_dim: int) -> np.ndarray:
+def _init_theta(primary: DomainArrays, basis: BasisSpec, m_dim: int) -> np.ndarray:
     """Initial propensity coefficients: logistic fit of R on the X-only part
-    of the basis over all primary rows; M-referencing coefficients start at 0."""
-    m_mask = _split_m_columns(basis, m_dim)
-    x_terms = BasisSpec(tuple(t for t in basis.terms if not t.uses_m))
-    design = evaluate_basis_matrix(x_terms, primary.x)
-    coef_x = fit_logistic(design, primary.r.astype(float))
-    init = np.zeros(m_mask.size)
-    init[~m_mask] = coef_x
+    of the basis over all primary rows; M and Y coefficients start at 0."""
+    x_only = [not (t.uses_m or t.uses_y) for t in basis.terms]
+    design = evaluate_basis_matrix(
+        BasisSpec(tuple(t for t, keep in zip(basis.terms, x_only) if keep)), primary.x
+    )
+    init = np.zeros(basis.width(m_dim))
+    init[np.repeat(x_only, [t.width(m_dim) for t in basis.terms])] = fit_logistic(
+        design, primary.r.astype(float)
+    )
     return init
 
 
-def estimate_model1(
+def calibrate(
     dataset: PooledDataset,
-    spec: Optional[Model1Spec] = None,
+    basis: BasisSpec,
+    h_basis: BasisSpec,
+    aux_regression_basis: BasisSpec,
+    estimator: str,
     config: Optional[SolverConfig] = None,
     w_max: float = W_MAX,
+    fixed_gamma: float = 0.0,
 ) -> EstimateReport:
-    """Two-step IPW estimate: solve the h-moment system for the propensity
-    coefficients, then average the reweighted complete-case outcomes."""
-    if spec is None:
-        spec = Model1Spec.default(dataset.schema)
+    """Solve h_cc^T w(theta) / n1 = target for the propensity coefficients,
+    then average the w-weighted complete-case outcomes.
+
+    B is `basis` over the primary complete cases (x, m, y), h_cc is `h_basis`
+    there, and the target is the primary-domain mean of the auxiliary
+    regression predictions of h.  fixed_gamma holds a Y tilt fixed through
+    the offset -fixed_gamma * y.  The moment system carries its analytic
+    Jacobian -h_cc^T diag(exp(-B.theta + offset) 1[uncapped]) B / n1.  The
+    nuisance "alpha" is the whole solved theta.
+    """
     if config is None:
         config = SolverConfig()
     primary, auxiliary = _require_domains(dataset)
-    m_dim = dataset.schema.m_dim
     cc = primary.complete
     n1 = primary.n
     n_cc = int(cc.sum())
     if n_cc == 0:
         raise EstimationError("no complete cases in the primary domain")
 
-    preds, aux_coefs = fit_aux_moment_targets(
-        dataset, spec.h_basis, spec.aux_regression_basis
-    )
+    preds, aux_coefs = fit_aux_moment_targets(dataset, h_basis, aux_regression_basis)
     target = preds.mean(axis=0)
 
-    b_cc = evaluate_basis_matrix(spec.propensity_basis, primary.x[cc], primary.m[cc])
-    h_cc = evaluate_basis_matrix(spec.h_basis, primary.x[cc], primary.m[cc])
-    if h_cc.shape[1] < b_cc.shape[1]:
+    x_cc, m_cc, y_cc = primary.x[cc], primary.m[cc], primary.y[cc]
+    design = evaluate_basis_matrix(basis, x_cc, m_cc, y_cc)
+    h_cc = evaluate_basis_matrix(h_basis, x_cc, m_cc)
+    if h_cc.shape[1] < design.shape[1]:
         raise EstimationError(
-            f"h basis has {h_cc.shape[1]} components for {b_cc.shape[1]} "
+            f"h basis has {h_cc.shape[1]} components for {design.shape[1]} "
             "propensity parameters"
         )
+    offset = -fixed_gamma * y_cc if fixed_gamma else 0.0
 
-    def q_of(alpha: np.ndarray) -> np.ndarray:
-        # q = 1 / logistic(eta) = 1 + exp(-eta), capped at w_max
-        eta = b_cc @ alpha
-        q = 1.0 + np.exp(np.minimum(-eta, 700.0))
-        return np.minimum(q, w_max)
+    def residual(theta: np.ndarray) -> np.ndarray:
+        w, _ = calibration_weights(design, theta, offset, w_max)
+        return h_cc.T @ w / n1 - target
 
-    def residual(alpha: np.ndarray) -> np.ndarray:
-        return h_cc.T @ q_of(alpha) / n1 - target
+    def jacobian(theta: np.ndarray) -> np.ndarray:
+        _, slope = calibration_weights(design, theta, offset, w_max)
+        return -(h_cc.T @ (design * slope[:, None])) / n1
 
-    init = _init_alpha(primary, spec.propensity_basis, m_dim)
     result = solve(
         MomentSystem(
             residual=residual,
-            dim_theta=b_cc.shape[1],
-            init=init,
+            dim_theta=design.shape[1],
+            init=_init_theta(primary, basis, dataset.schema.m_dim),
             config=config,
+            jacobian=jacobian,
         )
     )
 
-    q_hat = q_of(result.theta_hat)
-    n_capped = int(np.sum(1.0 + np.exp(np.minimum(-(b_cc @ result.theta_hat), 700.0)) > w_max))
-    beta_hat = float(q_hat @ primary.y[cc] / n1)
-
+    w_hat, _ = calibration_weights(design, result.theta_hat, offset, w_max)
+    n_capped = int(np.sum(w_hat >= w_max))
     warnings = []
     if not result.converged:
         warnings.append(f"moment solver did not converge (status={result.status})")
-    report = EstimateReport(
-        beta_hat=beta_hat,
-        estimator="ipw-model1",
+    if n_capped > 0.1 * n_cc:
+        warnings.append(
+            f"degenerate overlap: {n_capped} of {n_cc} complete-case weights capped"
+        )
+    return EstimateReport(
+        beta_hat=float(w_hat @ y_cc / n1),
+        estimator=estimator,
         nuisance={
             "alpha": result.theta_hat.tolist(),
             "aux_regression": aux_coefs.ravel().tolist(),
@@ -204,12 +206,26 @@ def estimate_model1(
             "n_complete_primary": n_cc,
             "n_complete_auxiliary": int(auxiliary.complete.sum()),
             "weight_cap_count": n_capped,
-            "min_weight": float(q_hat.min()),
-            "max_weight": float(q_hat.max()),
+            "min_weight": float(w_hat.min()),
+            "max_weight": float(w_hat.max()),
         },
         warnings=warnings,
     )
-    return report
+
+
+def estimate_model1(
+    dataset: PooledDataset,
+    spec: Optional[Model1Spec] = None,
+    config: Optional[SolverConfig] = None,
+    w_max: float = W_MAX,
+) -> EstimateReport:
+    """Two-step IPW estimate: solve the h-moment system for the propensity
+    coefficients on b(x, m), then average the reweighted complete-case
+    outcomes."""
+    if spec is None:
+        spec = Model1Spec.default(dataset.schema)
+    return calibrate(dataset, spec.propensity_basis, spec.h_basis,
+                     spec.aux_regression_basis, "ipw-model1", config, w_max)
 
 
 def identify_beta_model1_plugin(

@@ -3,40 +3,41 @@ possibly-missing outcome itself.
 
 The selection probability is parameterized through a baseline propensity
 p(R=1 | X, Y=0) on an X-only basis together with an exponential-tilt odds
-ratio exp(-gamma * Y); the implied reciprocal propensity
-w = 1 + exp(-gamma*y) * exp(-alpha . b(x)) enters the same h-moment
-calibration against the auxiliary domain as the M-driven estimator.  Every
-term in the estimating equations carries the observed-case factor R, so rows
-with missing Y contribute zero and the weight is always computable.
+ratio exp(-gamma * y - sum_j c_j * x_j * y).  The implied reciprocal
+propensity w = 1 + exp(-gamma*y - ... - alpha . b(x)) is the calibration
+weight of model1 with y and its x-interactions appended to the propensity
+basis, so the estimator is that calibration with theta = (alpha, gamma, c).
+Only primary complete cases enter the equations, so the weight is always
+computable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import DomainTag, PooledDataset, VariableSchema
+from .data import PooledDataset, VariableSchema
 from .models import (
     W_MAX,
     BasisSpec,
     CoefficientModel,
-    OddsRatioModel,
+    calibration_weights,
     evaluate_basis_matrix,
-    fit_logistic,
-    model2_weight_vector,
+    fit_logistic,  # noqa: F401  (a lookup site patched by bench/tracing.py)
+    parse_term,
 )
-from .model1 import (
-    EstimationError,
-    Model1Spec,
-    _linear_xm_basis,
-    _polynomial_x_basis,
-    _require_domains,
-    fit_aux_moment_targets,
-)
+from .model1 import _linear_xm_basis, _polynomial_x_basis, calibrate
 from .report import EstimateReport
-from .solver import MomentSystem, SolverConfig, solve
+from .solver import SolverConfig, solve  # noqa: F401  (solve: bench/tracing.py patches it)
+
+
+def _tilted_basis(baseline: BasisSpec, n_or_params: int) -> BasisSpec:
+    """The baseline basis followed by the odds-ratio terms y, x1*y, ...,
+    one per odds-ratio parameter."""
+    tilts = ["y"] + [f"x{j}*y" for j in range(1, n_or_params)]
+    return BasisSpec(baseline.terms + tuple(parse_term(t) for t in tilts))
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,6 @@ class Model2Spec:
         )
 
 
-def _or_model_from(theta_or: np.ndarray) -> OddsRatioModel:
-    return OddsRatioModel(gamma=float(theta_or[0]),
-                          x_interactions=tuple(theta_or[1:]))
-
-
 def estimate_model2(
     dataset: PooledDataset,
     spec: Optional[Model2Spec] = None,
@@ -72,108 +68,42 @@ def estimate_model2(
     """Solve the stacked (alpha, gamma) moment system, then average the
     w-weighted complete-case outcomes.
 
-    With fix_gamma given (e.g. 0 for a MAR-in-X check) the odds-ratio
-    coefficient is held fixed and only alpha is solved for.
+    With fix_gamma given (e.g. 0 for a MAR-in-X check) the odds ratio is
+    exp(-fix_gamma * y), held fixed, and only alpha is solved for.
     """
     if spec is None:
         spec = Model2Spec.default(dataset.schema)
-    if config is None:
-        config = SolverConfig()
-    primary, auxiliary = _require_domains(dataset)
-    cc = primary.complete
-    n1 = primary.n
-    n_cc = int(cc.sum())
-    if n_cc == 0:
-        raise EstimationError("no complete cases in the primary domain")
-
-    preds, aux_coefs = fit_aux_moment_targets(
-        dataset, spec.h_basis, spec.aux_regression_basis
-    )
-    target = preds.mean(axis=0)
-
-    b_cc = evaluate_basis_matrix(spec.baseline_basis, primary.x[cc])
-    h_cc = evaluate_basis_matrix(spec.h_basis, primary.x[cc], primary.m[cc])
-    y_cc = primary.y[cc]
-    x_cc = primary.x[cc]
-    p_alpha = b_cc.shape[1]
-    n_or = 0 if fix_gamma is not None else spec.n_or_params
-    dim_theta = p_alpha + n_or
-    if h_cc.shape[1] < dim_theta:
-        raise EstimationError(
-            f"h basis has {h_cc.shape[1]} components for {dim_theta} parameters"
-        )
-
-    def weights(theta: np.ndarray) -> tuple[np.ndarray, int]:
-        alpha = theta[:p_alpha]
-        if fix_gamma is not None:
-            or_model = OddsRatioModel(gamma=fix_gamma)
-        else:
-            or_model = _or_model_from(theta[p_alpha:])
-        log_excess = or_model.log_or(x_cc, y_cc) - b_cc @ alpha
-        w = 1.0 + np.exp(np.minimum(log_excess, 700.0))
-        n_capped = int(np.sum(w > w_max))
-        return np.minimum(w, w_max), n_capped
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        w, _ = weights(theta)
-        return h_cc.T @ w / n1 - target
-
-    alpha_init = fit_logistic(
-        evaluate_basis_matrix(spec.baseline_basis, primary.x),
-        primary.r.astype(float),
-    )
-    init = np.concatenate([alpha_init, np.zeros(n_or)])
-    result = solve(
-        MomentSystem(residual=residual, dim_theta=dim_theta, init=init, config=config)
-    )
-
-    w_hat, n_capped = weights(result.theta_hat)
-    beta_hat = float(w_hat @ y_cc / n1)
-    alpha_hat = result.theta_hat[:p_alpha]
-    gamma_hat = (
-        fix_gamma if fix_gamma is not None else float(result.theta_hat[p_alpha])
-    )
-
-    warnings = []
-    if not result.converged:
-        warnings.append(f"moment solver did not converge (status={result.status})")
-    if n_capped > 0.1 * n_cc:
-        warnings.append(
-            f"degenerate overlap: {n_capped} of {n_cc} complete-case weights capped"
-        )
-    return EstimateReport(
-        beta_hat=beta_hat,
-        estimator="ipw-model2",
-        nuisance={
-            "alpha": alpha_hat.tolist(),
-            "gamma": gamma_hat,
-            "aux_regression": aux_coefs.ravel().tolist(),
-        },
-        solver=result,
-        diagnostics={
-            "n_primary": n1,
-            "n_auxiliary": auxiliary.n,
-            "n_complete_primary": n_cc,
-            "n_complete_auxiliary": int(auxiliary.complete.sum()),
-            "weight_cap_count": n_capped,
-            "min_weight": float(w_hat.min()),
-            "max_weight": float(w_hat.max()),
-        },
-        warnings=warnings,
-    )
+    basis = spec.baseline_basis
+    if fix_gamma is None:
+        basis = _tilted_basis(basis, spec.n_or_params)
+    report = calibrate(dataset, basis, spec.h_basis, spec.aux_regression_basis,
+                       "ipw-model2", config, w_max, fixed_gamma=fix_gamma or 0.0)
+    theta = report.nuisance["alpha"]
+    p_alpha = spec.baseline_basis.width()
+    report.nuisance = {
+        "alpha": theta[:p_alpha],
+        "gamma": fix_gamma if fix_gamma is not None else theta[p_alpha],
+        "aux_regression": report.nuisance["aux_regression"],
+    }
+    return report
 
 
 def recovered_propensity(
     x_row,
     y: float,
     alpha: CoefficientModel,
-    or_model: OddsRatioModel,
+    gamma: float,
+    x_interactions: Sequence[float] = (),
     w_max: float = W_MAX,
 ) -> float:
-    """Selection probability implied by (baseline propensity, odds ratio).
+    """Selection probability implied by the baseline propensity `alpha` and
+    the odds ratio exp(-gamma * y - sum_j x_interactions[j] * x_{j+1} * y).
 
     Equals the baseline working model exactly at y = 0.
     """
-    x = np.atleast_2d(np.asarray(x_row, dtype=float))
-    w, _ = model2_weight_vector(x, np.array([float(y)]), alpha, or_model, w_max)
+    basis = _tilted_basis(alpha.basis, 1 + len(x_interactions))
+    design = evaluate_basis_matrix(basis, np.atleast_2d(np.asarray(x_row, dtype=float)),
+                                   y=np.array([float(y)]))
+    theta = np.array([*alpha.coefficients, gamma, *x_interactions], dtype=float)
+    w, _ = calibration_weights(design, theta, w_max=w_max)
     return float(1.0 / w[0])

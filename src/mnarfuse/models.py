@@ -2,8 +2,9 @@
 
 A basis is an ordered list of monomial terms over the covariate features, the
 (expanded) auxiliary variable M, and the outcome Y.  Coefficient models pair a
-basis with a coefficient vector and an identity or logistic link; the odds
-ratio model carries the single tilt coefficient on Y.
+basis with a coefficient vector and an identity or logistic link.  The
+calibrated reciprocal propensity of the IPW estimators is
+`calibration_weights`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ class Term:
     @property
     def uses_y(self) -> bool:
         return any(var == "y" for var, _ in self.factors)
+
+    def width(self, m_dim: int = 1) -> int:
+        """Number of output columns: m_dim for an m term when M is categorical."""
+        return m_dim if (m_dim > 1 and self.uses_m) else 1
 
 
 def parse_term(text: str) -> Term:
@@ -95,10 +100,7 @@ class BasisSpec:
 
     def width(self, m_dim: int = 1) -> int:
         """Number of output columns; bare-m terms expand to m_dim columns."""
-        total = 0
-        for t in self.terms:
-            total += m_dim if (m_dim > 1 and t.uses_m) else 1
-        return total
+        return sum(t.width(m_dim) for t in self.terms)
 
     def column_names(self, m_dim: int = 1) -> list[str]:
         names = []
@@ -170,19 +172,6 @@ def evaluate_basis_matrix(
     return np.column_stack(cols)
 
 
-def evaluate_basis(
-    basis: BasisSpec,
-    x_row,
-    m=None,
-    y: Optional[float] = None,
-) -> np.ndarray:
-    """Single-row basis evaluation; returns one value per output column."""
-    x = np.atleast_2d(np.asarray(x_row, dtype=float))
-    m_arr = None if m is None else np.atleast_2d(np.asarray(m, dtype=float))
-    y_arr = None if y is None else np.array([y], dtype=float)
-    return evaluate_basis_matrix(basis, x, m_arr, y_arr)[0]
-
-
 @dataclass(frozen=True)
 class CoefficientModel:
     basis: BasisSpec
@@ -243,23 +232,6 @@ def solve_least_squares(design: np.ndarray, target: np.ndarray,
     return coef
 
 
-def fit_least_squares(
-    basis: BasisSpec,
-    x: np.ndarray,
-    target: np.ndarray,
-    m: Optional[np.ndarray] = None,
-    y: Optional[np.ndarray] = None,
-) -> CoefficientModel:
-    """Ordinary least squares of target on the basis features."""
-    phi = evaluate_basis_matrix(basis, x, m, y)
-    m_dim = 1
-    if m is not None:
-        m_arr = np.asarray(m)
-        m_dim = 1 if m_arr.ndim == 1 else m_arr.shape[1]
-    coef = solve_least_squares(phi, target, basis.column_names(m_dim))
-    return CoefficientModel(basis=basis, coefficients=tuple(coef), link="identity")
-
-
 def logistic(z):
     """1 / (1 + exp(-z)), stable for large |z|."""
     z = np.asarray(z, dtype=float)
@@ -292,60 +264,18 @@ def fit_logistic(design: np.ndarray, outcome: np.ndarray,
     return coef
 
 
-@dataclass(frozen=True)
-class OddsRatioModel:
-    """Parametric tilt between missing- and observed-case outcome laws.
-
-    The working form is OR(x, y) = exp(-gamma * y), anchored at OR(x, 0) = 1.
-    Optional interaction terms in X multiply extra coefficients onto x*y
-    features; off by default.
-    """
-
-    gamma: float
-    x_interactions: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if not math.isfinite(self.gamma):
-            raise ValueError("non-finite gamma")
-
-    @property
-    def n_params(self) -> int:
-        return 1 + len(self.x_interactions)
-
-    def log_or(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        y = np.asarray(y, dtype=float)
-        val = -self.gamma * y
-        for j, c in enumerate(self.x_interactions):
-            val = val - c * x[:, j] * y
-        return val
-
-    def odds_ratio(self, x, y) -> np.ndarray:
-        return np.exp(self.log_or(x, y))
-
-
-def model2_weight_vector(
-    x: np.ndarray,
-    y: np.ndarray,
-    alpha: CoefficientModel,
-    or_model: OddsRatioModel,
+def calibration_weights(
+    design: np.ndarray,
+    theta: np.ndarray,
+    offset=0.0,
     w_max: float = W_MAX,
-) -> tuple[np.ndarray, int]:
-    """Reciprocal propensity w = 1 + OR(x,y) * exp(-alpha linear predictor).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reciprocal propensity w = min(1 + exp(-design.theta + offset), w_max).
 
-    Returns the weights and the number of rows capped at w_max.
+    Also returns the slope -dw/d(design.theta): exp(-design.theta + offset)
+    where w is below the cap, and 0 where the cap binds.
     """
-    eta = alpha.linear_predictor(x)
-    log_excess = or_model.log_or(x, y) - eta
-    w = 1.0 + np.exp(np.minimum(log_excess, 700.0))
-    n_capped = int(np.sum(w > w_max))
-    return np.minimum(w, w_max), n_capped
-
-
-def model2_weight(x_row, y: float, alpha: CoefficientModel,
-                  or_model: OddsRatioModel, w_max: float = W_MAX) -> float:
-    x = np.atleast_2d(np.asarray(x_row, dtype=float))
-    w, _ = model2_weight_vector(x, np.array([y]), alpha, or_model, w_max)
-    return float(w[0])
+    lin = offset - design @ theta
+    e = np.exp(np.minimum(lin, 700.0))
+    w = np.minimum(1.0 + e, w_max)
+    return w, e * ((w < w_max) & (lin < 700.0))

@@ -17,6 +17,8 @@ class ConfidenceInterval:
     hi: float
     method: str = "percentile-bootstrap"
     failures: Mapping[str, int] = field(default_factory=dict)  # reason -> count
+    # solver status -> count of refits kept in the interval without converging
+    nonconverged: Mapping[str, int] = field(default_factory=dict)
 
     @property
     def n_failed(self) -> int:
@@ -50,6 +52,9 @@ class EstimateReport:
                 "status": self.solver.status,
                 "final_residual_norm": self.solver.final_residual_norm,
                 "iterations": self.solver.iterations,
+                "residual_evals": self.solver.residual_evals,
+                "jacobian_evals": self.solver.jacobian_evals,
+                "restarts": self.solver.restarts,
             }
         if self.ci is not None:
             out["ci"] = {
@@ -59,6 +64,7 @@ class EstimateReport:
                 "method": self.ci.method,
                 "n_failed": self.ci.n_failed,
                 "failures": dict(self.ci.failures),
+                "nonconverged": dict(self.ci.nonconverged),
             }
         return out
 

@@ -1,15 +1,16 @@
 """Root finder for stacked sample estimating equations r(theta) = 0.
 
-Just-identified systems are solved by Newton iteration with a
-forward-finite-difference Jacobian and a halving line search on ||r||;
-overdetermined systems by damped Gauss-Newton on 0.5*||r||^2.  Failed
-attempts restart from the initial point perturbed by centered uniform noise.
+Just-identified systems are solved by Newton iteration with a halving line
+search on ||r||; overdetermined systems by damped Gauss-Newton on
+0.5*||r||^2.  The Jacobian is the system's own when it supplies one, else a
+forward finite difference.  Failed attempts restart from the initial point
+perturbed by centered uniform noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,7 +42,10 @@ class SolverResult:
     theta_hat: np.ndarray
     status: str  # "converged" | "max_iter" | "singular"
     final_residual_norm: float
-    iterations: int
+    iterations: int  # of the returned attempt
+    residual_evals: int  # over all attempts, finite-difference ones included
+    jacobian_evals: int  # over all attempts
+    restarts: int  # attempts made after the first
 
     @property
     def converged(self) -> bool:
@@ -54,40 +58,58 @@ class MomentSystem:
     dim_theta: int
     init: np.ndarray
     config: SolverConfig = field(default_factory=SolverConfig)
+    # d residual / d theta, shape (len(r), dim_theta); forward differences if None
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
-def _eval_residual(fn, theta) -> np.ndarray:
-    r = np.asarray(fn(theta), dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise ResidualError(f"non-finite residual at theta={theta.tolist()}")
-    return r
+class _Counted:
+    """The system's residual and Jacobian, counting evaluations."""
+
+    def __init__(self, system: MomentSystem):
+        self.system = system
+        self.residual_evals = 0
+        self.jacobian_evals = 0
+
+    def residual(self, theta) -> np.ndarray:
+        self.residual_evals += 1
+        r = np.asarray(self.system.residual(theta), dtype=float)
+        if not np.all(np.isfinite(r)):
+            raise ResidualError(f"non-finite residual at theta={theta.tolist()}")
+        return r
+
+    def jacobian(self, theta, r0) -> np.ndarray:
+        self.jacobian_evals += 1
+        if self.system.jacobian is not None:
+            return np.asarray(self.system.jacobian(theta), dtype=float)
+        jac = np.empty((r0.size, theta.size))
+        for j in range(theta.size):
+            step = _FD_STEP * (1.0 + abs(theta[j]))
+            bumped = theta.copy()
+            bumped[j] += step
+            jac[:, j] = (self.residual(bumped) - r0) / step
+        return jac
 
 
-def _fd_jacobian(fn, theta, r0) -> np.ndarray:
-    k, p = r0.size, theta.size
-    jac = np.empty((k, p))
-    for j in range(p):
-        step = _FD_STEP * (1.0 + abs(theta[j]))
-        bumped = theta.copy()
-        bumped[j] += step
-        jac[:, j] = (_eval_residual(fn, bumped) - r0) / step
-    return jac
+def _iterate(counted: _Counted, theta0, r0, config: SolverConfig, just_identified: bool):
+    """One Newton / Gauss-Newton run from theta0, where the residual is r0.
+    Returns (theta, r, status, iters).
 
+    The stopping criterion is max|r| for a just-identified system, so it is
+    checked before a Jacobian is built; otherwise it is ||J^T r||.
+    """
 
-def _criterion(r, jac, just_identified) -> float:
-    if just_identified:
-        return float(np.max(np.abs(r)))
-    return float(np.linalg.norm(jac.T @ r))
+    def criterion(r, jac):
+        if just_identified:
+            return float(np.max(np.abs(r)))
+        return float(np.linalg.norm(jac.T @ r))
 
-
-def _iterate(fn, theta0, config: SolverConfig, just_identified: bool):
-    """One Newton / Gauss-Newton run from theta0.  Returns (theta, r, status, iters)."""
-    theta = theta0.copy()
-    r = _eval_residual(fn, theta)
+    theta, r = theta0.copy(), r0
     for it in range(1, config.max_iter + 1):
-        jac = _fd_jacobian(fn, theta, r)
-        if _criterion(r, jac, just_identified) < config.tol:
+        jac = None if just_identified else counted.jacobian(theta, r)
+        if criterion(r, jac) < config.tol:
             return theta, r, "converged", it - 1
+        if jac is None:
+            jac = counted.jacobian(theta, r)
         try:
             if just_identified:
                 step = np.linalg.solve(jac, -r)
@@ -104,7 +126,7 @@ def _iterate(fn, theta0, config: SolverConfig, just_identified: bool):
         for _ in range(_MAX_HALVINGS):
             candidate = theta + scale * step
             try:
-                r_new = _eval_residual(fn, candidate)
+                r_new = counted.residual(candidate)
             except ResidualError:
                 scale *= 0.5
                 continue
@@ -113,18 +135,10 @@ def _iterate(fn, theta0, config: SolverConfig, just_identified: bool):
                 break
             scale *= 0.5
         else:
-            # no decrease found: stalled
-            jac = _fd_jacobian(fn, theta, r)
-            status = (
-                "converged"
-                if _criterion(r, jac, just_identified) < config.tol
-                else "max_iter"
-            )
-            return theta, r, status, it
-    jac = _fd_jacobian(fn, theta, r)
-    status = (
-        "converged" if _criterion(r, jac, just_identified) < config.tol else "max_iter"
-    )
+            # no decrease found: stalled where the criterion already failed
+            return theta, r, "max_iter", it
+    jac = None if just_identified else counted.jacobian(theta, r)
+    status = "converged" if criterion(r, jac) < config.tol else "max_iter"
     return theta, r, status, config.max_iter
 
 
@@ -136,29 +150,30 @@ def solve(system: MomentSystem) -> SolverResult:
     seed, so identical inputs give identical results.
     """
     config = system.config
-    fn = system.residual
+    counted = _Counted(system)
     init = np.asarray(system.init, dtype=float)
     if init.size != system.dim_theta:
         raise ValueError("init length does not match dim_theta")
-    r0 = _eval_residual(fn, init)
-    just_identified = r0.size == system.dim_theta
-    if r0.size < system.dim_theta:
+    r_init = counted.residual(init)
+    just_identified = r_init.size == system.dim_theta
+    if r_init.size < system.dim_theta:
         raise ValueError(
-            f"underdetermined system: {r0.size} residuals for {system.dim_theta} parameters"
+            f"underdetermined system: {r_init.size} residuals for {system.dim_theta} parameters"
         )
 
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     best = None
     for attempt in range(config.n_restarts + 1):
-        if attempt == 0:
-            start = init
-        else:
-            noise = rng.uniform(-1.0, 1.0, size=init.size) * config.restart_scale * (
-                1.0 + np.abs(init)
-            )
-            start = init + noise
         try:
-            theta, r, status, iters = _iterate(fn, start, config, just_identified)
+            if attempt == 0:
+                start, r0 = init, r_init
+            else:
+                noise = rng.uniform(-1.0, 1.0, size=init.size) * config.restart_scale * (
+                    1.0 + np.abs(init)
+                )
+                start = init + noise
+                r0 = counted.residual(start)
+            theta, r, status, iters = _iterate(counted, start, r0, config, just_identified)
         except ResidualError:
             if attempt == 0:
                 raise
@@ -168,10 +183,14 @@ def solve(system: MomentSystem) -> SolverResult:
             status=status,
             final_residual_norm=float(np.linalg.norm(r)),
             iterations=iters,
+            residual_evals=counted.residual_evals,
+            jacobian_evals=counted.jacobian_evals,
+            restarts=attempt,
         )
         if result.converged:
             return result
         if best is None or result.final_residual_norm < best.final_residual_norm:
             best = result
     assert best is not None
-    return best
+    return replace(best, residual_evals=counted.residual_evals,
+                   jacobian_evals=counted.jacobian_evals, restarts=config.n_restarts)

@@ -1,0 +1,192 @@
+"""The calibration equation shared by both IPW estimators: its analytic
+Jacobian, Model 1's equivariance in Y and overlap warning, and the estimates
+of the finite-difference solver it replaced on a fixed seed panel."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mnarfuse import model1
+from mnarfuse.data import DomainTag, PooledDataset, VariableSchema
+from mnarfuse.model1 import Model1Spec, estimate_model1
+from mnarfuse.model2 import Model2Spec, estimate_model2, recovered_propensity
+from mnarfuse.models import W_MAX, BasisSpec, CoefficientModel, evaluate_basis_matrix, logistic
+from mnarfuse.report import domain_arrays
+from mnarfuse.simulate import Model1Design, Model2Design, generate_model1, generate_model2
+from mnarfuse.solver import SolverConfig
+
+CATEGORICAL = VariableSchema(covariate_names=("x1",), m_kind="categorical",
+                             m_levels=("none", "mild", "severe"))
+
+
+def _categorical_dataset(n=600, seed=0):
+    rng = np.random.default_rng(seed)
+    g = np.where(rng.random(n) < 0.5, 1, 2)
+    x = rng.uniform(-1.0, 1.0, n)
+    m = rng.integers(0, 3, n).astype(float)
+    y = 0.5 * x + 0.9 * (m == 1) + 1.6 * (m == 2) + rng.normal(size=n)
+    r = (rng.random(n) < logistic(0.4 + 0.3 * x + 0.8 * (m == 1) - 0.5 * (m == 2))).astype(int)
+    return PooledDataset(CATEGORICAL, g=g, x=x[:, None], m=np.where(r == 1, m, np.nan),
+                         y=np.where((g == 1) & (r == 1), y, np.nan), r=r)
+
+
+def _model2_spec(n_or_params):
+    return Model2Spec(baseline_basis=BasisSpec.parse("1,x1"),
+                      h_basis=BasisSpec.parse("1,x1,m,x1^2"),
+                      aux_regression_basis=BasisSpec.parse("1,x1,x1^2"),
+                      n_or_params=n_or_params)
+
+
+_M1 = generate_model1(Model1Design(n=600), 3)[0]
+_M2 = generate_model2(Model2Design(n=600), 3)[0]
+_CAT = _categorical_dataset()
+
+# name -> (dataset, propensity basis, fixed gamma, w_max, fit)
+CASES = {
+    "model1-numeric": (_M1, Model1Spec.default(_M1.schema).propensity_basis, 0.0, W_MAX,
+                       lambda: estimate_model1(_M1)),
+    "model1-numeric-capped": (_M1, Model1Spec.default(_M1.schema).propensity_basis, 0.0, 3.0,
+                              lambda: estimate_model1(_M1, w_max=3.0)),
+    "model1-categorical": (_CAT, Model1Spec.default(CATEGORICAL).propensity_basis, 0.0, W_MAX,
+                           lambda: estimate_model1(_CAT)),
+    "model2-gamma": (_M2, BasisSpec.parse("1,x1,y"), 0.0, 3.0,
+                     lambda: estimate_model2(_M2, w_max=3.0)),
+    "model2-xy-tilt": (_M2, BasisSpec.parse("1,x1,y,x1*y"), 0.0, W_MAX,
+                       lambda: estimate_model2(_M2, _model2_spec(2))),
+    "model2-fixed-gamma": (_M2, BasisSpec.parse("1,x1"), -0.4, 3.0,
+                           lambda: estimate_model2(_M2, _model2_spec(1), w_max=3.0,
+                                                   fix_gamma=-0.4)),
+}
+_SYSTEMS = {}
+
+
+def _system(case):
+    """The moment system the estimator hands to the solver."""
+    if case not in _SYSTEMS:
+        real_solve = model1.solve
+
+        def capture(system):
+            _SYSTEMS[case] = system
+            return real_solve(system)
+
+        model1.solve = capture
+        try:
+            CASES[case][-1]()
+        finally:
+            model1.solve = real_solve
+    return _SYSTEMS[case]
+
+
+def _linear_predictor(case, theta):
+    """offset - B.theta on the primary complete cases, rebuilt from the case."""
+    dataset, basis, fixed_gamma, _, _ = CASES[case]
+    primary = domain_arrays(dataset, DomainTag.PRIMARY)
+    cc = primary.complete
+    design = evaluate_basis_matrix(basis, primary.x[cc], primary.m[cc], primary.y[cc])
+    return -fixed_gamma * primary.y[cc] - design @ theta
+
+
+def _central_difference(fn, theta, step=1e-6):
+    cols = []
+    for j in range(theta.size):
+        h = step * (1.0 + abs(theta[j]))
+        up, down = theta.copy(), theta.copy()
+        up[j] += h
+        down[j] -= h
+        cols.append((fn(up) - fn(down)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if CASES[c][3] < W_MAX])
+def test_capped_cases_exercise_the_cap_mask(case):
+    w_max = CASES[case][3]
+    weights = 1.0 + np.exp(_linear_predictor(case, _system(case).init))
+    assert np.any(weights > w_max) and np.any(weights < w_max)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_analytic_jacobian_matches_central_differences(case, data):
+    system = _system(case)
+    assert system.jacobian is not None
+    shift = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=system.dim_theta,
+                               max_size=system.dim_theta))
+    theta = system.init + np.array(shift)
+    # keep every row away from the cap's kink, where the residual has no
+    # derivative and a central difference straddles it
+    kink = math.log(CASES[case][3] - 1.0)
+    assume(np.min(np.abs(_linear_predictor(case, theta) - kink)) > 1e-3)
+    analytic = system.jacobian(theta)
+    numeric = _central_difference(system.residual, theta)
+    np.testing.assert_allclose(analytic, numeric, rtol=1e-5,
+                               atol=1e-5 * np.abs(analytic).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(1, 30), setting=st.sampled_from(["T", "F"]),
+       a=st.floats(-10.0, 10.0),
+       b=st.floats(0.1, 5.0).flatmap(lambda v: st.sampled_from([v, -v])))
+def test_model1_is_affine_equivariant_in_y(seed, setting, a, b):
+    # the constant h-moment forces sum(q)/n1 = 1 at the root, so the
+    # weighted mean of a + bY is a + b times the weighted mean of Y
+    dataset = generate_model1(Model1Design(n=500, setting=setting), seed)[0]
+    config = SolverConfig(tol=1e-12)
+    base = estimate_model1(dataset, config=config)
+    assume(base.solver.converged)
+    shifted = PooledDataset(dataset.schema, g=dataset.g, x=dataset.x, m=dataset.m,
+                            y=a + b * dataset.y, r=dataset.r, m_labels=dataset.m_labels)
+    report = estimate_model1(shifted, config=config)
+    assert report.solver.converged
+    assert report.beta_hat == pytest.approx(a + b * base.beta_hat, abs=1e-9)
+
+
+def test_model1_warns_of_degenerate_overlap():
+    capped = estimate_model1(_M1, w_max=2.0)
+    d = capped.diagnostics
+    assert d["weight_cap_count"] > 0.1 * d["n_complete_primary"]
+    assert any(w.startswith("degenerate overlap") for w in capped.warnings)
+    assert not any(w.startswith("degenerate overlap")
+                   for w in estimate_model1(_M1, w_max=3.0).warnings)
+
+
+def test_model2_weights_are_the_recovered_propensities():
+    report = estimate_model2(_M2)
+    alpha = CoefficientModel(BasisSpec.parse("1,x1"), tuple(report.nuisance["alpha"]),
+                             link="logistic")
+    primary = domain_arrays(_M2, DomainTag.PRIMARY)
+    cc = primary.complete
+    weights = np.array([1.0 / recovered_propensity(x, y, alpha, report.nuisance["gamma"])
+                        for x, y in zip(primary.x[cc], primary.y[cc])])
+    assert weights @ primary.y[cc] / primary.n == pytest.approx(report.beta_hat, abs=1e-12)
+
+
+# beta_hat of the forward-difference Newton solver these estimators used
+# before the analytic Jacobian, at n=2000 and tol=1e-12 (seeds 1-5)
+PANEL = {
+    (1, "T"): (1.8189202805354356, 1.7549662586292765, 1.8748341576104792,
+               1.7511545029290752, 1.8924288184157225),
+    (1, "F"): (1.8270494170489369, 1.7073240910543515, 1.7402203975725117,
+               1.7095474472111063, 1.9907802279406646),
+    (2, "T"): (-0.5378718488063914, -0.28716086726841067, -0.6089595315900614,
+               -0.6162676259630792, -0.7036725819085412),
+    (2, "F"): (-0.5326592994874958, -0.19775153045125946, -0.551706649164552,
+               -0.4965243302687338, -0.6346105055686652),
+}
+
+
+@pytest.mark.parametrize("model,setting", list(PANEL))
+def test_same_estimates_as_the_finite_difference_solver(model, setting):
+    config = SolverConfig(tol=1e-12)
+    for seed, expected in enumerate(PANEL[model, setting], start=1):
+        if model == 1:
+            report = estimate_model1(
+                generate_model1(Model1Design(n=2000, setting=setting), seed)[0], config=config)
+        else:
+            report = estimate_model2(
+                generate_model2(Model2Design(n=2000, setting=setting), seed)[0], config=config)
+        assert report.solver.converged
+        assert abs(report.beta_hat - expected) <= 1e-10

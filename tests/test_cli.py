@@ -166,3 +166,48 @@ def test_bootstrap_failure_is_a_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "EstimationError" in err
+
+
+def test_fixture_marker_draw_matches_per_row_choice():
+    # make-fixture's vectorised draw against rng.choice(3, p=row) per row,
+    # the construction it replaced; both generators must end in one state
+    from mnarfuse.cli import _draw_categories
+    from mnarfuse.simulate import make_rng
+
+    for seed in range(3):
+        x = make_rng(seed, 1).uniform(-1.0, 1.0, 2000)
+        probs = np.exp(np.column_stack([np.zeros(x.size), 0.8 * x + 0.2, 1.2 * x - 0.4]))
+        probs /= probs.sum(axis=1, keepdims=True)
+        ref_rng, rng = make_rng(seed, 2), make_rng(seed, 2)
+        reference = np.array([ref_rng.choice(3, p=p) for p in probs])
+        assert np.array_equal(_draw_categories(rng, probs), reference)
+        assert np.array_equal(rng.random(5), ref_rng.random(5))
+
+
+def test_binary_outcome_schema_rejects_other_values(tmp_path, capsys):
+    path = tmp_path / "binary.csv"
+    path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,1\n1,1,0.5,1.0,2\n1,1,0.2,0.0,0.5\n"
+                    "1,0,0.1,?,?\n2,1,0.0,1.0,?\n")
+    assert run(["validate", "--data", str(path), "--y-kind", "binary"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["row 1: binary Y must be 0 or 1, got 2.0",
+                   "row 2: binary Y must be 0 or 1, got 0.5"]
+    assert run(["estimate", "--data", str(path), "--model", "mcar",
+                "--y-kind", "binary"]) == 1
+    assert "row 1: binary Y" in capsys.readouterr().err
+    assert run(["validate", "--data", str(path)]) == 0
+
+
+def test_estimate_json_reports_solver_counters(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    run(["simulate", "--model", "2", "--n", "1000", "--seed", "3", "--out", str(out)])
+    report_path = tmp_path / "r.json"
+    assert run(["estimate", "--data", str(out), "--model", "2", "--bootstrap", "5",
+                "--json", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    solver = report["solver"]
+    assert solver["status"] == "converged" and solver["restarts"] == 0
+    # one Jacobian per Newton step, and the residual at the start and at each step
+    assert solver["jacobian_evals"] == solver["iterations"]
+    assert solver["residual_evals"] >= solver["iterations"] + 1
+    assert report["ci"]["nonconverged"] == {}

@@ -13,7 +13,7 @@ from mnarfuse.model1 import (
     identify_beta_model1_plugin,
 )
 from mnarfuse.model2 import Model2Spec, estimate_model2, recovered_propensity
-from mnarfuse.models import BasisSpec, CoefficientModel, OddsRatioModel, RankDeficientError
+from mnarfuse.models import BasisSpec, CoefficientModel, RankDeficientError
 from mnarfuse.simulate import Model1Design, generate_model1
 
 SCHEMA = VariableSchema(covariate_names=("x1",))
@@ -140,23 +140,21 @@ def _alpha_54():
 
 def test_recovered_propensity_baseline_at_y_zero():
     alpha = _alpha_54()
-    or_model = OddsRatioModel(gamma=0.3)
     for x in (-1.0, 0.0, 1.5):
-        p = recovered_propensity([x], 0.0, alpha, or_model)
+        p = recovered_propensity([x], 0.0, alpha, gamma=0.3, x_interactions=(0.7,))
         assert p == pytest.approx(1.0 / (1.0 + np.exp(-(0.5 + 0.4 * x))))
 
 
 def test_recovered_propensity_gamma_zero_ignores_y():
     alpha = _alpha_54()
-    or_model = OddsRatioModel(gamma=0.0)
-    values = {recovered_propensity([1.0], y, alpha, or_model) for y in (-2.0, 0.0, 3.0)}
+    values = {recovered_propensity([1.0], y, alpha, gamma=0.0) for y in (-2.0, 0.0, 3.0)}
     assert len(values) == 1
 
 
 def test_recovered_propensity_scalar_example():
     # with the simulation sign convention (w - 1 = exp(-gamma*y - alpha.b)),
     # gamma = -0.3 makes the selection probability fall in y
-    p = recovered_propensity([1.0], 2.0, _alpha_54(), OddsRatioModel(gamma=-0.3))
+    p = recovered_propensity([1.0], 2.0, _alpha_54(), gamma=-0.3)
     assert p == pytest.approx(1.0 / (1.0 + np.exp(0.6 - 0.9)), abs=1e-12)
     assert abs(p - 0.5744) < 1e-4
 

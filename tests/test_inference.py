@@ -155,3 +155,35 @@ def test_pct_bias_is_nan_at_zero_truth(tmp_path):
     path = tmp_path / "s.csv"
     report.write_summary_csv(str(path))
     assert path.read_text().splitlines()[1].split(",")[6] == "nan"
+
+
+def test_nonconverged_refits_are_kept_and_counted():
+    # Model 1 on this dataset stops at max_iter with a residual norm of 0.22:
+    # the calibration equation has no root, and nor does it on its resamples
+    from mnarfuse.model1 import estimate_model1
+
+    ds, _ = generate_model1(Model1Design(n=500, setting="F"), seed=37)
+    assert estimate_model1(ds).solver.status == "max_iter"
+    config = BootstrapConfig(k=4, seed=0)
+    ci = bootstrap_ci(ds, estimate_model1, config)
+    assert ci.nonconverged == {"max_iter": 4} and ci.n_failed == 0
+    refits = [estimate_model1(_resample(ds, make_rng(0, b), True)).beta_hat
+              for b in range(config.k)]
+    tail = 0.5 * (1.0 - config.ci_level)
+    assert (ci.lo, ci.hi) == tuple(np.quantile(refits, [tail, 1.0 - tail]))
+    report = estimate_model1(ds)
+    report.ci = ci
+    assert report.to_dict()["ci"]["nonconverged"] == {"max_iter": 4}
+
+
+def test_replicate_counts_nonconverged_fits_among_the_kept():
+    from mnarfuse.model1 import estimate_model1
+
+    report = replicate(Model1Design(n=500, setting="F"), n_reps=12, seed=1,
+                       estimators={"ipw": estimate_model1, "mcar": mcar_estimate},
+                       beta_true=TrueBeta(1.8, "fixed"))
+    by_name = {s.name: s for s in report.summaries}
+    assert (by_name["ipw"].n_ok, by_name["ipw"].n_failed) == (12, 0)
+    assert by_name["ipw"].n_nonconverged == 1
+    assert by_name["mcar"].n_nonconverged == 0
+    assert "n_nonconv" in report.to_text()

@@ -7,32 +7,30 @@ from hypothesis import strategies as st
 
 from mnarfuse.models import (
     BasisSpec,
-    CoefficientModel,
-    OddsRatioModel,
     RankDeficientError,
-    evaluate_basis,
+    calibration_weights,
     evaluate_basis_matrix,
     fit_logistic,
     logistic,
-    model2_weight,
     solve_least_squares,
 )
 
 
 def test_basis_quadratic_point():
     basis = BasisSpec.parse("1,x1,x1^2")
-    np.testing.assert_allclose(evaluate_basis(basis, [2.0]), [1.0, 2.0, 4.0])
+    np.testing.assert_allclose(evaluate_basis_matrix(basis, [[2.0]])[0], [1.0, 2.0, 4.0])
 
 
 def test_basis_with_m():
     basis = BasisSpec.parse("1,x1,m")
-    np.testing.assert_allclose(evaluate_basis(basis, [1.0], m=[3.0]), [1.0, 1.0, 3.0])
+    np.testing.assert_allclose(evaluate_basis_matrix(basis, [[1.0]], m=[3.0])[0],
+                               [1.0, 1.0, 3.0])
 
 
 def test_basis_m_absent_raises():
     basis = BasisSpec.parse("1,m")
     with pytest.raises(ValueError, match="references M"):
-        evaluate_basis(basis, [1.0])
+        evaluate_basis_matrix(basis, [[1.0]])
 
 
 def test_basis_categorical_m_expands():
@@ -104,31 +102,44 @@ def test_logistic_extreme_arguments_stable():
     assert logistic(-800.0) == 0.0
 
 
+def _tilt_weight(x, y, theta, w_max=1e6):
+    """Weight and slope of one row under the basis 1, x1, y with theta =
+    (alpha_0, alpha_1, gamma)."""
+    design = evaluate_basis_matrix(BasisSpec.parse("1,x1,y"), [[x]], y=[y])
+    w, slope = calibration_weights(design, np.asarray(theta, dtype=float), w_max=w_max)
+    return w[0], slope[0]
+
+
 def test_weight_gamma_zero_intercept_zero():
-    alpha = CoefficientModel(BasisSpec.parse("1"), (0.0,), link="logistic")
-    w = model2_weight([0.0], 1.0, alpha, OddsRatioModel(gamma=0.0))
+    w, _ = _tilt_weight(0.0, 1.0, [0.0, 0.0, 0.0])
     assert w == pytest.approx(2.0)
 
 
 def test_weight_gamma_zero_reduces_to_reciprocal_propensity():
-    alpha = CoefficientModel(BasisSpec.parse("1,x1"), (0.5, 0.4), link="logistic")
-    or_model = OddsRatioModel(gamma=0.0)
     for x in (-1.0, 0.0, 2.0):
-        w = model2_weight([x], 5.0, alpha, or_model)
+        w, _ = _tilt_weight(x, 5.0, [0.5, 0.4, 0.0])
         assert w == pytest.approx(1.0 / logistic(0.5 + 0.4 * x))
 
 
 def test_weight_scalar_example():
-    alpha = CoefficientModel(BasisSpec.parse("1,x1"), (0.5, 0.4), link="logistic")
-    w = model2_weight([0.0], 1.0, alpha, OddsRatioModel(gamma=-0.3))
+    w, slope = _tilt_weight(0.0, 1.0, [0.5, 0.4, -0.3])
     assert abs(w - (1.0 + np.exp(0.3 - 0.5))) < 1e-12
     assert abs(w - 1.8187) < 1e-4
+    assert slope == pytest.approx(w - 1.0, abs=1e-15)
 
 
 def test_weight_cap_counted():
-    alpha = CoefficientModel(BasisSpec.parse("1"), (-50.0,), link="logistic")
-    w = model2_weight([0.0], 0.0, alpha, OddsRatioModel(gamma=0.0), w_max=1e6)
+    w, slope = _tilt_weight(0.0, 0.0, [-50.0, 0.0, 0.0], w_max=1e6)
     assert w == 1e6
+    assert slope == 0.0
+
+
+def test_weight_offset_shifts_the_linear_predictor():
+    design = np.array([[1.0, 2.0], [1.0, -1.0]])
+    theta = np.array([0.3, -0.2])
+    shifted, _ = calibration_weights(design, theta, offset=np.array([0.5, -0.25]))
+    direct, _ = calibration_weights(design, theta - np.array([0.0, 0.25]))
+    np.testing.assert_allclose(shifted, direct, rtol=1e-14)
 
 
 def test_fit_logistic_recovers_coefficients():

@@ -114,3 +114,50 @@ def test_scale_robustness():
         ))
         assert result.converged
         np.testing.assert_allclose(result.theta_hat, [7.0], atol=1e-6)
+
+
+_A = np.array([[2.0, 1.0], [1.0, 3.0]])
+_B = np.array([1.0, 2.0])
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "forward-difference"])
+def test_counts_on_a_linear_system(analytic):
+    # one Newton step lands on the root: the residual at the init, one
+    # Jacobian, the residual at the step, and the max|r| test needs no
+    # further Jacobian.  A forward-difference Jacobian costs p = 2 residuals.
+    result = solve(MomentSystem(residual=lambda t: _A @ t - _B, dim_theta=2,
+                                init=np.zeros(2),
+                                jacobian=(lambda t: _A) if analytic else None))
+    assert result.converged and result.iterations == 1
+    np.testing.assert_allclose(result.theta_hat, np.linalg.solve(_A, _B), atol=1e-9)
+    assert (result.residual_evals, result.jacobian_evals, result.restarts) == (
+        (2, 1, 0) if analytic else (4, 1, 0))
+
+
+def test_counts_cover_every_attempt():
+    # a constant residual has no root: each attempt builds one Jacobian, then
+    # its line search halves 30 times without a decrease and stalls
+    result = solve(MomentSystem(residual=lambda t: np.ones(1), dim_theta=1,
+                                init=np.zeros(1), config=SolverConfig(n_restarts=2),
+                                jacobian=lambda t: np.ones((1, 1))))
+    assert (result.status, result.iterations, result.restarts) == ("max_iter", 1, 2)
+    # the start of each attempt, then its 30 line-search trials
+    assert (result.residual_evals, result.jacobian_evals) == (3 * 31, 3)
+
+
+def test_analytic_jacobian_gives_the_forward_difference_iterates():
+    design, outcome = _bernoulli_fixture()
+
+    def score(theta):
+        return design.T @ (outcome - logistic(design @ theta)) / outcome.size
+
+    def score_jacobian(theta):
+        p = logistic(design @ theta)
+        return -(design.T * (p * (1.0 - p))) @ design / outcome.size
+
+    fd = solve(MomentSystem(residual=score, dim_theta=2, init=np.zeros(2)))
+    exact = solve(MomentSystem(residual=score, dim_theta=2, init=np.zeros(2),
+                               jacobian=score_jacobian))
+    assert exact.converged and exact.iterations == fd.iterations
+    np.testing.assert_allclose(exact.theta_hat, fd.theta_hat, atol=1e-9)
+    assert exact.residual_evals == fd.residual_evals - 2 * fd.jacobian_evals
