@@ -101,9 +101,8 @@ class PooledDataset:
                  r=None, *, m_labels: Optional[tuple] = None,
                  records: Optional[Iterable[UnitRecord]] = None):
         if records is not None:
-            built = PooledDataset.from_rows(
-                schema, ((rec.g, rec.x, rec.m, rec.y, rec.r) for rec in records)
-            )
+            rows = [(rec.g, rec.x, rec.m, rec.y, rec.r) for rec in records]
+            built = PooledDataset.from_columns(schema, *(zip(*rows) if rows else ((),) * 5))
             g, x, m, y, r, m_labels = (built.g, built.x, built.m, built.y,
                                        built.r, built.m_labels)
         self.schema = schema
@@ -123,11 +122,12 @@ class PooledDataset:
                 raise ValueError(f"column {name} does not have length {n}")
 
     @classmethod
-    def from_rows(cls, schema: VariableSchema, rows: Iterable[tuple]) -> "PooledDataset":
-        """Columns from per-row (g, x, m, y, r) Python values: x a covariate
-        sequence, m None, a number or a level label, y None or a number."""
-        rows = list(rows)
-        g, x, m, y, r = zip(*rows) if rows else ((),) * 5
+    def from_columns(cls, schema: VariableSchema, g: Sequence, x, m: Sequence,
+                     y: Sequence, r: Sequence) -> "PooledDataset":
+        """Columns from per-column Python values: g domain tags, x an (n, d)
+        array-like, m None, a number or a level label per row, y None or a
+        number per row, r observation indicators.  Categorical labels are
+        coded here and nowhere else."""
         labels = list(schema.m_levels)
         if schema.m_kind == "categorical":
             codes = {label: i for i, label in enumerate(labels)}
@@ -145,7 +145,7 @@ class PooledDataset:
         return cls(
             schema,
             g=np.array(g, dtype=np.int64),
-            x=np.array(x, dtype=float).reshape(len(rows), schema.n_covariates),
+            x=np.asarray(x, dtype=float).reshape(len(g), schema.n_covariates),
             m=np.array(m_col, dtype=float),
             y=np.array([math.nan if value is None else value for value in y], dtype=float),
             r=np.array(r, dtype=np.int64),
@@ -232,15 +232,6 @@ def validate(dataset: PooledDataset) -> list[str]:
     return violations
 
 
-def split_by_domain(
-    dataset: PooledDataset,
-) -> tuple[list[UnitRecord], list[UnitRecord]]:
-    """Order-preserving partition into (primary, auxiliary) records."""
-    primary = [rec for rec in dataset.records if rec.g == DomainTag.PRIMARY]
-    auxiliary = [rec for rec in dataset.records if rec.g == DomainTag.AUXILIARY]
-    return primary, auxiliary
-
-
 def m_features(m: np.ndarray, schema: VariableSchema) -> np.ndarray:
     """Expand an M column into its (n, m_dim) numeric feature block.
 
@@ -286,52 +277,89 @@ class DatasetFormatError(ValueError):
     """Raised when a CSV file cannot be parsed into a valid dataset."""
 
 
-def _parse_missing(token: str, missing_token: str) -> bool:
-    return token == missing_token or token == ""
+NATIVE_DOMAINS = {"1": DomainTag.PRIMARY, "2": DomainTag.AUXILIARY}
 
 
-def read_csv(path: str, schema: VariableSchema) -> PooledDataset:
-    """Read the canonical CSV form back into a dataset.
+def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
+             domains: Optional[dict] = None) -> PooledDataset:
+    """Read a CSV file into a dataset, finding each column by its header.
 
-    The domain-2 y column may be absent entirely; the missing token and the
-    empty cell are both accepted as missing.
+    `columns` maps a canonical name (domain, r, m, y or a covariate name) to
+    the file's header; a name it leaves out is its own header, so the native
+    layout that `write_csv` writes is the identity map.  `domains` maps a
+    domain token to its tag and defaults to NATIVE_DOMAINS.  Extra and
+    reordered columns are accepted, a mapped header may appear only once, and
+    the y column may be absent (every Y missing).  Every row has as many
+    fields as the header; blank lines are skipped.  Domain, M and Y tokens
+    are stripped, and the missing token and the empty cell both mark a
+    missing M or Y.
     """
-    d = schema.n_covariates
-    rows = []
+    columns = columns or {}
+    domains = NATIVE_DOMAINS if domains is None else domains
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty file") from None
-        expected = ["domain", "r", *schema.covariate_names, "m"]
-        has_y = len(header) == len(expected) + 1 and header[-1] == "y"
-        if header[: len(expected)] != expected or (
-            len(header) != len(expected) and not has_y
-        ):
+        header = next(reader, None)
+        if header is None:
+            raise DatasetFormatError(f"{path}: empty file")
+        rows = list(reader)
+    kept = None if all(rows) else [i for i, row in enumerate(rows) if row]
+    if kept is not None:
+        rows = [rows[i] for i in kept]
+
+    def fail(i: int, message: str):
+        line = (i if kept is None else kept[i]) + 2
+        raise DatasetFormatError(f"{path}: line {line}: {message}") from None
+
+    width = len(header)
+    if any(len(row) != width for row in rows):
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        fail(i, f"{len(rows[i])} fields, the header has {width}")
+    fields = list(zip(*rows)) if rows else [()] * width
+    del rows  # the row lists are not needed once transposed
+
+    def column(name: str, convert) -> list:
+        """The named column converted token by token; a token that does not
+        convert is reported with its line."""
+        header_name = columns.get(name, name)
+        count = header.count(header_name)
+        if count == 0:
+            raise DatasetFormatError(f"{path}: missing column {header_name!r}")
+        if count > 1:
             raise DatasetFormatError(
-                f"{path}: header {header} does not match schema columns {expected + ['y']}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                tag = DomainTag(int(row[0]))
-                r_val = int(row[1])
-                x_row = [float(v) for v in row[2 : 2 + d]]
-                m_tok = row[2 + d]
-                if _parse_missing(m_tok, schema.missing_token):
-                    m_val = None
-                elif schema.m_kind == "categorical":
-                    m_val = m_tok
-                else:
-                    m_val = float(m_tok)
-                y_val = None
-                if has_y:
-                    y_tok = row[3 + d]
-                    if not _parse_missing(y_tok, schema.missing_token):
-                        y_val = float(y_tok)
-            except (ValueError, IndexError) as exc:
-                raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
-            rows.append((tag, x_row, m_val, y_val, r_val))
-    return PooledDataset.from_rows(schema, rows)
+                f"{path}: column {header_name!r} appears {count} times in the header")
+        tokens = fields[header.index(header_name)]
+        try:
+            return list(map(convert, tokens))
+        except ValueError:
+            for i, token in enumerate(tokens):
+                try:
+                    convert(token)
+                except ValueError as exc:
+                    fail(i, str(exc))
+            raise
+
+    tags = {token: int(tag) for token, tag in domains.items()}
+
+    def domain(token: str) -> int:
+        tag = tags.get(token.strip())
+        if tag is None:
+            raise ValueError(f"unknown domain value {token!r}")
+        return tag
+
+    missing = {"", schema.missing_token}
+
+    def optional(convert):
+        def read(token: str):
+            token = token.strip()
+            return None if token in missing else convert(token)
+        return read
+
+    g = column("domain", domain)
+    r = column("r", int)
+    x = np.empty((len(g), schema.n_covariates))
+    for j, name in enumerate(schema.covariate_names):
+        x[:, j] = column(name, float)
+    m = column("m", optional(str if schema.m_kind == "categorical" else float))
+    has_y = columns.get("y", "y") in header
+    y = column("y", optional(float)) if has_y else [None] * len(g)
+    return PooledDataset.from_columns(schema, g, x, m, y, r)

@@ -19,8 +19,9 @@ import numpy as np
 
 from .baselines import mar_estimate, mcar_estimate
 from .data import DomainTag, PooledDataset
-from .model1 import estimate_model1
+from .model1 import EstimationError, estimate_model1
 from .model2 import estimate_model2
+from .models import RankDeficientError
 from .report import ConfidenceInterval, EstimateReport
 from .simulate import (
     Model1Design,
@@ -31,8 +32,13 @@ from .simulate import (
     make_rng,
     true_beta,
 )
+from .solver import ResidualError
 
 Estimator = Callable[[PooledDataset], EstimateReport]
+
+# What a fit raises on data it cannot fit; any other exception is a bug and
+# propagates instead of counting as a failed resample or replicate.
+FIT_ERRORS = (EstimationError, RankDeficientError, ResidualError, np.linalg.LinAlgError)
 
 
 class BootstrapError(RuntimeError):
@@ -80,12 +86,12 @@ def bootstrap_ci(
     """Percentile bootstrap interval for the point estimator.
 
     Resampling is with replacement within each domain (domain sizes are fixed
-    design quantities, not random).  Resamples where the estimator raises or
-    returns a non-finite value are dropped and counted by reason (the
-    exception class name, or "non-finite"); more than max_failure_fraction
-    failures is an error rather than a silently narrower interval.  Refits
-    whose solver stopped without converging are kept in the interval and
-    counted by solver status.
+    design quantities, not random).  Resamples where the estimator raises one
+    of FIT_ERRORS or returns a non-finite value are dropped and counted by
+    reason (the exception class name, or "non-finite"); more than
+    max_failure_fraction failures is an error rather than a silently narrower
+    interval.  Refits whose solver stopped without converging are kept in the
+    interval and counted by solver status.
     """
     if config is None:
         config = BootstrapConfig()
@@ -97,7 +103,7 @@ def bootstrap_ci(
         resampled = _resample(dataset, rng, config.stratified_by_domain)
         try:
             report = estimator(resampled)
-        except Exception as exc:
+        except FIT_ERRORS as exc:
             failures[type(exc).__name__] += 1
             continue
         if not math.isfinite(report.beta_hat):
@@ -223,7 +229,7 @@ def _run_replicate(design, seed: int, rep: int, estimators: dict) -> dict:
     for name, fn in estimators.items():
         try:
             report = fn(dataset)
-        except Exception:
+        except FIT_ERRORS:
             out[name] = (float("nan"), False)
             continue
         if math.isfinite(report.beta_hat):

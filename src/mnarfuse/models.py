@@ -184,21 +184,6 @@ class CoefficientModel:
         if not all(math.isfinite(c) for c in self.coefficients):
             raise ValueError("non-finite coefficients")
 
-    def linear_predictor(self, x, m=None, y=None) -> np.ndarray:
-        phi = evaluate_basis_matrix(self.basis, x, m, y)
-        coef = np.asarray(self.coefficients)
-        if phi.shape[1] != coef.size:
-            raise ValueError(
-                f"basis produces {phi.shape[1]} columns but model has {coef.size} coefficients"
-            )
-        return phi @ coef
-
-    def predict(self, x, m=None, y=None) -> np.ndarray:
-        eta = self.linear_predictor(x, m, y)
-        if self.link == "logistic":
-            return logistic(eta)
-        return eta
-
 
 class RankDeficientError(ValueError):
     def __init__(self, column: int, name: str = ""):

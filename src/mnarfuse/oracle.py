@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .data import PooledDataset, VariableSchema
+from .simulate import make_rng
 
 _CI_TOL = 1e-12  # conditional-independence cell tolerance
 _RANK_TOL = 1e-10  # singular-value threshold for the completeness condition
@@ -62,13 +63,14 @@ class DiscreteFullLaw:
     def shape(self) -> tuple[int, int, int]:
         return len(self.x_support), len(self.m_support), len(self.y_support)
 
-    def reference_y_index(self) -> int:
-        """Odds-ratio anchor: the index of y = 0, else the smallest support point."""
-        ys = np.asarray(self.y_support)
-        zeros = np.where(ys == 0.0)[0]
-        if zeros.size:
-            return int(zeros[0])
-        return int(np.argmin(ys))
+
+def reference_y_index(y_support) -> int:
+    """Odds-ratio anchor: the index of y = 0, else the smallest support point."""
+    ys = np.asarray(y_support)
+    zeros = np.where(ys == 0.0)[0]
+    if zeros.size:
+        return int(zeros[0])
+    return int(np.argmin(ys))
 
 
 def brute_force_beta(law: DiscreteFullLaw) -> float:
@@ -110,13 +112,6 @@ class ObservedLaw:
 
     def p_x_g1(self) -> np.ndarray:
         return self.primary_r1.sum(axis=(1, 2)) + self.primary_r0
-
-    def reference_y_index(self) -> int:
-        ys = np.asarray(self.y_support)
-        zeros = np.where(ys == 0.0)[0]
-        if zeros.size:
-            return int(zeros[0])
-        return int(np.argmin(ys))
 
 
 def observed_law(law: DiscreteFullLaw) -> ObservedLaw:
@@ -284,7 +279,7 @@ def recover_odds_ratio(obs: ObservedLaw) -> ORRecovery:
         raise RankConditionError(
             f"completeness impossible: |M support| = {nm} < |Y support| = {ny}"
         )
-    y_ref = obs.reference_y_index()
+    y_ref = reference_y_index(obs.y_support)
     p_x_g1 = obs.p_x_g1()
     or_tilde = np.zeros((nx, ny))
     or_table = np.zeros((nx, ny))
@@ -391,7 +386,7 @@ def verify_or_identities(law: DiscreteFullLaw) -> dict:
     """
     t1 = law.table[0] / law.table[0].sum()  # conditional on G=1: (x, m, y, r)
     nx, nm, ny = law.shape
-    y_ref = law.reference_y_index()
+    y_ref = reference_y_index(law.y_support)
 
     p_xmyr = t1
     p_xy_r = t1.sum(axis=1)  # (x, y, r)
@@ -588,7 +583,7 @@ def run_battery(
             failures.append(BatteryFailure(law_seed, check, value, tolerance))
 
     for i in range(n_laws):
-        rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence([seed, i])))
+        rng = make_rng(seed, i)
         law1 = random_model1_law(rng)
         truth = brute_force_beta(law1)
         expect(i, "identify_model1", abs(identify_model1(observed_law(law1)) - truth),
@@ -624,7 +619,7 @@ def sample_law(
     Returns the dataset and the (n, 5) latent matrix of (g, x, m, y, r)
     values before masking.
     """
-    rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence([seed])))
+    rng = make_rng(seed)
     flat = law.table.ravel()
     counts = rng.multinomial(n, flat)
     cells = np.repeat(np.arange(flat.size), counts)

@@ -14,6 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .simulate import make_rng
+
 _FD_STEP = 1e-6
 _MAX_HALVINGS = 30
 
@@ -161,7 +163,7 @@ def solve(system: MomentSystem) -> SolverResult:
             f"underdetermined system: {r_init.size} residuals for {system.dim_theta} parameters"
         )
 
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    rng = make_rng(config.seed)
     best = None
     for attempt in range(config.n_restarts + 1):
         try:

@@ -211,3 +211,34 @@ def test_estimate_json_reports_solver_counters(tmp_path, capsys):
     assert solver["jacobian_evals"] == solver["iterations"]
     assert solver["residual_evals"] >= solver["iterations"] + 1
     assert report["ci"]["nonconverged"] == {}
+
+
+def _fixture_lines(tmp_path):
+    prefix = str(tmp_path / "fx")
+    assert run(["make-fixture", "--n", "40", "--seed", "2", "--out-prefix", prefix]) == 0
+    with open(prefix + ".csv") as fh:
+        return prefix, fh.read().splitlines()
+
+
+def _rewrite(prefix, lines):
+    with open(prefix + ".csv", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_config_short_row_names_its_line(tmp_path, capsys):
+    prefix, lines = _fixture_lines(tmp_path)
+    lines[5] = lines[5].rsplit(",", 1)[0]  # line 6 loses its last field
+    _rewrite(prefix, lines)
+    assert run(["estimate", "--data", prefix + ".csv", "--config", prefix + ".ini",
+                "--model", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 6" in err
+
+
+def test_config_validate_flags_auxiliary_y(tmp_path, capsys):
+    prefix, lines = _fixture_lines(tmp_path)
+    i = next(i for i, line in enumerate(lines) if line.startswith("B,"))
+    lines[i] = lines[i].rsplit(",", 1)[0] + ",1"
+    _rewrite(prefix, lines)
+    assert run(["validate", "--data", prefix + ".csv", "--config", prefix + ".ini"]) == 1
+    assert f"row {i - 1}: Y present in auxiliary domain" in capsys.readouterr().out

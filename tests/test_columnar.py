@@ -74,6 +74,22 @@ def test_csv_round_trip_gives_an_equal_dataset(tmp_path_factory, schema, data):
     assert read_csv(str(path), schema) == ds
 
 
+@pytest.mark.parametrize("schema", [NUMERIC, CATEGORICAL], ids=["numeric", "categorical"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_renamed_headers_read_back_through_the_column_map(tmp_path_factory, schema, data):
+    ds = data.draw(datasets(schema))
+    native = tmp_path_factory.mktemp("map") / "native.csv"
+    write_csv(ds, str(native))
+    header, *rows = native.read_text().splitlines(keepends=True)
+    columns = {name: f"col {name}" for name in header.strip().split(",")}
+    renamed = native.with_name("renamed.csv")
+    renamed.write_text(",".join(columns.values()) + "\n" + "".join(rows))
+    expected = read_csv(str(native), schema)
+    assert expected == ds
+    assert read_csv(str(renamed), schema, columns) == expected
+
+
 def test_unseen_level_survives_the_record_view():
     rows = (UnitRecord(g=DomainTag.PRIMARY, x=(0.0, 1.0), m="extreme", y=1.0, r=1),
             UnitRecord(g=DomainTag.AUXILIARY, x=(0.0, 1.0), m="mild", y=None, r=1))

@@ -13,10 +13,10 @@ from mnarfuse.data import (
     VariableSchema,
     m_features,
     read_csv,
-    split_by_domain,
     validate,
     write_csv,
 )
+from mnarfuse.report import domain_arrays
 
 SCHEMA = VariableSchema(covariate_names=("x1",))
 
@@ -55,19 +55,20 @@ def test_validate_clean_dataset():
     assert validate(ds) == []
 
 
-def test_split_by_domain_preserves_order():
+def test_domain_arrays_preserve_order():
     rows = (rec(x=(0.0,)), rec(g=DomainTag.AUXILIARY, y=None), rec(x=(5.0,)))
-    primary, aux = split_by_domain(PooledDataset(records=rows, schema=SCHEMA))
-    assert [r.x for r in primary] == [(0.0,), (5.0,)]
-    assert len(aux) == 1
+    ds = PooledDataset(records=rows, schema=SCHEMA)
+    assert domain_arrays(ds, DomainTag.PRIMARY).x.tolist() == [[0.0], [5.0]]
+    assert domain_arrays(ds, DomainTag.AUXILIARY).n == 1
 
 
-def test_split_all_primary_and_empty():
+def test_domain_arrays_all_primary_and_empty():
     ds = PooledDataset(records=(rec(), rec()), schema=SCHEMA)
-    primary, aux = split_by_domain(ds)
-    assert len(primary) == 2 and aux == []
-    primary, aux = split_by_domain(PooledDataset(records=(), schema=SCHEMA))
-    assert primary == [] and aux == []
+    assert domain_arrays(ds, DomainTag.PRIMARY).n == 2
+    assert domain_arrays(ds, DomainTag.AUXILIARY).n == 0
+    empty = PooledDataset(records=(), schema=SCHEMA)
+    assert domain_arrays(empty, DomainTag.PRIMARY).n == 0
+    assert domain_arrays(empty, DomainTag.AUXILIARY).n == 0
 
 
 CAT = VariableSchema(covariate_names=("x1",), m_kind="categorical",
@@ -119,11 +120,52 @@ def test_read_csv_names_bad_line(tmp_path):
         read_csv(str(path), SCHEMA)
 
 
+@pytest.mark.parametrize("bad_row", [
+    "3,1,0.0,1.0,?",  # unknown domain value
+    "01,1,0.0,1.0,2.0",  # a domain token must be a key of the domain map
+    "1,1,0.0,1.0",  # short row
+    "1,1,0.0,1.0,2.0,7",  # long row
+])
+def test_read_csv_names_the_line_after_a_blank_one(tmp_path, bad_row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n\n{bad_row}\n")
+    with pytest.raises(DatasetFormatError, match="line 4"):
+        read_csv(str(path), SCHEMA)
+
+
 def test_read_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("site,r,x1,m,y\n")
     with pytest.raises(DatasetFormatError):
         read_csv(str(path), SCHEMA)
+
+
+def test_read_csv_finds_columns_by_name(tmp_path):
+    ds = PooledDataset(
+        records=(rec(x=(0.25,), m=-1.5, y=3.75), rec(r=0, m=None, y=None),
+                 rec(g=DomainTag.AUXILIARY, x=(1.0,), m=0.125, y=None)),
+        schema=SCHEMA,
+    )
+    canonical = tmp_path / "canonical.csv"
+    write_csv(ds, str(canonical))
+    header, *rows = canonical.read_text().splitlines()
+    order = [4, 0, 3, 2, 1]  # y, domain, m, x1, r
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join(
+        ",".join([label, *(line.split(",")[j] for j in order)])
+        for label, line in zip(["id", *map(str, range(len(rows)))], [header, *rows])
+    ) + "\n")
+    assert read_csv(str(shuffled), SCHEMA) == read_csv(str(canonical), SCHEMA) == ds
+
+
+def test_read_csv_rejects_a_repeated_mapped_header(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("domain,r,x1,m,y,r\n1,1,0.0,1.0,2.0,1\n")
+    with pytest.raises(DatasetFormatError, match="column 'r' appears 2 times"):
+        read_csv(str(path), SCHEMA)
+    # a repeated header that no column maps to is only an extra column
+    path.write_text("note,domain,r,x1,m,y,note\n,1,1,0.0,1.0,2.0,\n")
+    assert len(read_csv(str(path), SCHEMA)) == 1
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)

@@ -12,6 +12,7 @@ from mnarfuse.inference import (
     replicate,
 )
 from mnarfuse.baselines import mcar_estimate
+from mnarfuse.model1 import EstimationError
 from mnarfuse.simulate import Model1Design, TrueBeta, generate_model1, make_rng
 
 SCHEMA = VariableSchema(covariate_names=("x1",))
@@ -53,7 +54,7 @@ def test_bootstrap_failure_budget():
 
     def flaky(dataset):
         calls["n"] += 1
-        raise RuntimeError("solver blew up")
+        raise EstimationError("solver blew up")
 
     with pytest.raises(BootstrapError):
         bootstrap_ci(_repeated_row_dataset(), flaky, BootstrapConfig(k=20, seed=0))
@@ -93,7 +94,7 @@ def test_replicate_worker_count_invariance():
 def test_replicate_failures_counted_and_excluded():
     def sometimes(dataset):
         if len(dataset.records) % 2 == 0:  # always true here; fail via y check
-            raise RuntimeError("boom")
+            raise EstimationError("boom")
 
     report = replicate(Model1Design(n=300), n_reps=4, seed=3,
                        estimators={"bad": sometimes, "mcar": mcar_estimate})
@@ -120,7 +121,7 @@ def test_bootstrap_failures_counted_by_reason():
         # the primary share of a resample is fixed, so key off its first x
         first = dataset.x[0, 0]
         if first < -1.0:
-            raise ValueError("odd resample")
+            raise EstimationError("odd resample")
         report = mcar_estimate(dataset)
         if first > 2.0:
             report.beta_hat = float("nan")
@@ -129,11 +130,22 @@ def test_bootstrap_failures_counted_by_reason():
     ds, _ = generate_model1(Model1Design(n=400), seed=4)
     ci = bootstrap_ci(ds, flaky, BootstrapConfig(k=200, seed=3,
                                                  max_failure_fraction=0.5))
-    assert set(ci.failures) == {"ValueError", "non-finite"}
+    assert set(ci.failures) == {"EstimationError", "non-finite"}
     assert sum(ci.failures.values()) == ci.n_failed > 0
     report = mcar_estimate(ds)
     report.ci = ci
     assert report.to_dict()["ci"]["failures"] == ci.failures
+
+
+def test_programming_errors_propagate_out_of_bootstrap_and_replicate():
+    def broken(dataset):
+        raise TypeError("unsupported operand")
+
+    with pytest.raises(TypeError):
+        bootstrap_ci(_repeated_row_dataset(), broken, BootstrapConfig(k=5, seed=0))
+    with pytest.raises(TypeError):
+        replicate(Model1Design(n=300), n_reps=2, seed=3, estimators={"bad": broken},
+                  beta_true=TrueBeta(1.8, "fixed"))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -158,7 +170,7 @@ def test_pct_bias_is_nan_at_zero_truth(tmp_path):
 
 
 def test_nonconverged_refits_are_kept_and_counted():
-    # Model 1 on this dataset stops at max_iter with a residual norm of 0.22:
+    # Model 1 on this dataset stops at max_iter with a residual norm of 0.2:
     # the calibration equation has no root, and nor does it on its resamples
     from mnarfuse.model1 import estimate_model1
 
