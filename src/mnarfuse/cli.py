@@ -63,16 +63,26 @@ def _load_schema_map(args) -> tuple[VariableSchema, dict, dict]:
     Config layout: a [schema] section (covariates, m_kind, m_levels, y_kind,
     missing_token, domain_primary, domain_auxiliary) and a [columns] section
     mapping canonical names (domain, r, m, y, and each covariate) to the
-    file's column headers.
+    file's column headers.  [schema] option names are case-insensitive;
+    [columns] names keep their case, as covariate names do.
     """
     cfg_schema, columns = {}, {}
     if getattr(args, "config", None):
         parser = configparser.ConfigParser()
-        read = parser.read(args.config)
+        parser.optionxform = str
+        try:
+            read = parser.read(args.config)
+        except configparser.Error as exc:
+            message = " ".join(str(exc).split())  # some configparser messages span lines
+            raise DatasetFormatError(f"config file {args.config}: {message}") from None
         if not read:
             raise DatasetFormatError(f"config file {args.config} not found")
         if parser.has_section("schema"):
-            cfg_schema = dict(parser.items("schema"))
+            items = parser.items("schema")
+            cfg_schema = {key.lower(): value for key, value in items}
+            if len(cfg_schema) < len(items):
+                raise DatasetFormatError(
+                    f"config file {args.config}: an option of [schema] appears twice")
         if parser.has_section("columns"):
             columns = dict(parser.items("columns"))
 
@@ -86,11 +96,12 @@ def _load_schema_map(args) -> tuple[VariableSchema, dict, dict]:
         missing_token=getattr(args, "missing_token", None)
         or cfg_schema.get("missing_token", "?"),
     )
-    domains = {
-        cfg_schema.get("domain_primary", "1"): DomainTag.PRIMARY,
-        cfg_schema.get("domain_auxiliary", "2"): DomainTag.AUXILIARY,
-    }
-    return schema, columns, domains
+    primary = cfg_schema.get("domain_primary", "1")
+    auxiliary = cfg_schema.get("domain_auxiliary", "2")
+    if primary == auxiliary:
+        raise DatasetFormatError(
+            f"domain_primary and domain_auxiliary are both {primary!r}")
+    return schema, columns, {primary: DomainTag.PRIMARY, auxiliary: DomainTag.AUXILIARY}
 
 
 # bench/tracing.py and bench/workloads.py look the reader up under this name.

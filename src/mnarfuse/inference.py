@@ -22,7 +22,7 @@ from .data import DomainTag, PooledDataset
 from .model1 import EstimationError, estimate_model1
 from .model2 import estimate_model2
 from .models import RankDeficientError
-from .report import ConfidenceInterval, EstimateReport
+from .report import ConfidenceInterval, EstimateReport, RefitCounts
 from .simulate import (
     Model1Design,
     Model2Design,
@@ -32,7 +32,7 @@ from .simulate import (
     make_rng,
     true_beta,
 )
-from .solver import ResidualError
+from .solver import ResidualError, SolverResult
 
 Estimator = Callable[[PooledDataset], EstimateReport]
 
@@ -64,18 +64,22 @@ class BootstrapConfig:
             )
 
 
+def _draw(dataset: PooledDataset, rng: np.random.Generator, stratified: bool) -> np.ndarray:
+    """The rows of one resample, drawn with replacement within each domain
+    (primary first) when stratified, else over the whole dataset."""
+    if not stratified:
+        return rng.integers(0, len(dataset), size=len(dataset))
+    parts = []
+    for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY):
+        idx = np.flatnonzero(dataset.g == tag)
+        if idx.size:
+            parts.append(idx[rng.integers(0, idx.size, size=idx.size)])
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+
+
 def _resample(dataset: PooledDataset, rng: np.random.Generator,
               stratified: bool) -> PooledDataset:
-    if stratified:
-        parts = []
-        for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY):
-            idx = np.flatnonzero(dataset.g == tag)
-            if idx.size:
-                parts.append(idx[rng.integers(0, idx.size, size=idx.size)])
-        rows = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
-    else:
-        rows = rng.integers(0, len(dataset), size=len(dataset))
-    return dataset.take(rows)
+    return dataset.take(_draw(dataset, rng, stratified))
 
 
 def bootstrap_ci(
@@ -86,33 +90,54 @@ def bootstrap_ci(
     """Percentile bootstrap interval for the point estimator.
 
     Resampling is with replacement within each domain (domain sizes are fixed
-    design quantities, not random).  Resamples where the estimator raises one
-    of FIT_ERRORS or returns a non-finite value are dropped and counted by
-    reason (the exception class name, or "non-finite"); more than
-    max_failure_fraction failures is an error rather than a silently narrower
-    interval.  Refits whose solver stopped without converging are kept in the
-    interval and counted by solver status.
+    design quantities, not random); resample b draws from make_rng(seed, b).
+    Resamples where the estimator raises one of FIT_ERRORS or returns a
+    non-finite value are dropped and counted by reason (the exception class
+    name, or "non-finite"); more than max_failure_fraction failures is an
+    error rather than a silently narrower interval.  Refits whose solver
+    stopped without converging are kept in the interval and counted by
+    solver status.
+
+    An estimator with a `stacked_refits` attribute (the IPW estimators with
+    their defaults) refits a block of resamples at a time through it; a
+    resample it returns no fit for is refitted by calling the estimator on
+    it, as every resample is for any other estimator.
     """
     if config is None:
         config = BootstrapConfig()
+    stacked = getattr(estimator, "stacked_refits", None)
+    refit_block = None if stacked is None else stacked(dataset)
+    block_size = 1 if refit_block is None else refit_block.block_size
     estimates = []
     failures = Counter()
     nonconverged = Counter()
-    for b in range(config.k):
-        rng = make_rng(config.seed, b)
-        resampled = _resample(dataset, rng, config.stratified_by_domain)
-        try:
-            report = estimator(resampled)
-        except FIT_ERRORS as exc:
-            failures[type(exc).__name__] += 1
-            continue
-        if not math.isfinite(report.beta_hat):
-            failures["non-finite"] += 1
-            continue
-        estimates.append(report.beta_hat)
-        status = _nonconverged_status(report)
-        if status is not None:
-            nonconverged[status] += 1
+    refits = Counter()
+    for first in range(0, config.k, block_size):
+        draws = [_draw(dataset, make_rng(config.seed, b), config.stratified_by_domain)
+                 for b in range(first, min(first + block_size, config.k))]
+        fits = [None] * len(draws) if refit_block is None else refit_block(draws)
+        for rows, fit in zip(draws, fits):
+            if fit is None:
+                refits["per_refit"] += 1
+                try:
+                    report = estimator(dataset.take(rows))
+                except FIT_ERRORS as exc:
+                    failures[type(exc).__name__] += 1
+                    continue
+                beta_hat, solver = report.beta_hat, report.solver
+            else:
+                refits["stacked"] += 1
+                beta_hat, solver = fit
+            if solver is not None:
+                refits["iterations"] += solver.iterations
+                refits["residual_evals"] += solver.residual_evals
+            if not math.isfinite(beta_hat):
+                failures["non-finite"] += 1
+                continue
+            estimates.append(beta_hat)
+            status = _nonconverged_status(solver)
+            if status is not None:
+                nonconverged[status] += 1
     n_failed = sum(failures.values())
     if n_failed > config.max_failure_fraction * config.k:
         reasons = ", ".join(f"{name}: {count}" for name, count in failures.most_common())
@@ -123,14 +148,14 @@ def bootstrap_ci(
     lo, hi = np.quantile(np.asarray(estimates), [tail, 1.0 - tail])
     return ConfidenceInterval(lo=float(lo), hi=float(hi),
                               method="percentile-bootstrap", failures=dict(failures),
-                              nonconverged=dict(nonconverged))
+                              nonconverged=dict(nonconverged), refits=RefitCounts(**refits))
 
 
-def _nonconverged_status(report: EstimateReport) -> Optional[str]:
-    """The solver status of a fit that did not converge, else None."""
-    if report.solver is None or report.solver.converged:
+def _nonconverged_status(solver: Optional[SolverResult]) -> Optional[str]:
+    """The status of a solver that did not converge, else None."""
+    if solver is None or solver.converged:
         return None
-    return report.solver.status
+    return solver.status
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +258,7 @@ def _run_replicate(design, seed: int, rep: int, estimators: dict) -> dict:
             out[name] = (float("nan"), False)
             continue
         if math.isfinite(report.beta_hat):
-            out[name] = (report.beta_hat, _nonconverged_status(report) is not None)
+            out[name] = (report.beta_hat, _nonconverged_status(report.solver) is not None)
         else:
             out[name] = (float("nan"), False)
     return out

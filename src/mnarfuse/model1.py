@@ -12,6 +12,7 @@ Y-driven estimator (model2) puts y and its x-interactions into B.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,9 +26,10 @@ from .models import (
     evaluate_basis_matrix,
     fit_logistic,
     solve_least_squares,
+    weighted_cross_products,
 )
 from .report import DomainArrays, EstimateReport, domain_arrays
-from .solver import MomentSystem, SolverConfig, solve
+from .solver import MomentSystem, SolverConfig, SolverResult, newton_stack, solve
 
 
 class EstimationError(ValueError):
@@ -80,6 +82,16 @@ def _require_domains(dataset: PooledDataset) -> tuple[DomainArrays, DomainArrays
     return primary, auxiliary
 
 
+def _aux_regression_matrices(primary: DomainArrays, auxiliary: DomainArrays,
+                             h_basis: BasisSpec, aux_regression_basis: BasisSpec):
+    """h over the auxiliary complete cases, the X-only regression basis
+    there, and that basis at every primary-domain X."""
+    cc = auxiliary.complete
+    return (evaluate_basis_matrix(h_basis, auxiliary.x[cc], auxiliary.m[cc]),
+            evaluate_basis_matrix(aux_regression_basis, auxiliary.x[cc]),
+            evaluate_basis_matrix(aux_regression_basis, primary.x))
+
+
 def fit_aux_moment_targets(
     dataset: PooledDataset,
     h_basis: BasisSpec,
@@ -93,8 +105,7 @@ def fit_aux_moment_targets(
     coefficient matrix with shape (dim_aux_basis, dim_h)).
     """
     primary, auxiliary = _require_domains(dataset)
-    cc = auxiliary.complete
-    n_cc = int(cc.sum())
+    n_cc = int(auxiliary.complete.sum())
     if n_cc == 0:
         raise EstimationError("no complete cases in the auxiliary domain")
     if n_cc < len(aux_regression_basis.terms):
@@ -102,25 +113,75 @@ def fit_aux_moment_targets(
             f"only {n_cc} auxiliary complete cases for "
             f"{len(aux_regression_basis.terms)} regression terms"
         )
-    h_cc = evaluate_basis_matrix(h_basis, auxiliary.x[cc], auxiliary.m[cc])
-    design = evaluate_basis_matrix(aux_regression_basis, auxiliary.x[cc])
+    h_cc, design, design_primary = _aux_regression_matrices(
+        primary, auxiliary, h_basis, aux_regression_basis)
     coefs = solve_least_squares(design, h_cc, aux_regression_basis.column_names())
-    design_primary = evaluate_basis_matrix(aux_regression_basis, primary.x)
     return design_primary @ coefs, coefs
+
+
+def _init_design(primary: DomainArrays, basis: BasisSpec,
+                 m_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The X-only part of the propensity basis at every primary row, and the
+    mask of its columns among the basis columns."""
+    x_only = [not (t.uses_m or t.uses_y) for t in basis.terms]
+    design = evaluate_basis_matrix(
+        BasisSpec(tuple(t for t, keep in zip(basis.terms, x_only) if keep)), primary.x
+    )
+    return design, np.repeat(x_only, [t.width(m_dim) for t in basis.terms])
 
 
 def _init_theta(primary: DomainArrays, basis: BasisSpec, m_dim: int) -> np.ndarray:
     """Initial propensity coefficients: logistic fit of R on the X-only part
     of the basis over all primary rows; M and Y coefficients start at 0."""
-    x_only = [not (t.uses_m or t.uses_y) for t in basis.terms]
-    design = evaluate_basis_matrix(
-        BasisSpec(tuple(t for t, keep in zip(basis.terms, x_only) if keep)), primary.x
-    )
-    init = np.zeros(basis.width(m_dim))
-    init[np.repeat(x_only, [t.width(m_dim) for t in basis.terms])] = fit_logistic(
-        design, primary.r.astype(float)
-    )
+    design, columns = _init_design(primary, basis, m_dim)
+    init = np.zeros(columns.size)
+    init[columns] = fit_logistic(design, primary.r.astype(float))
     return init
+
+
+def _calibration_matrices(primary: DomainArrays, basis: BasisSpec, h_basis: BasisSpec,
+                          fixed_gamma: float):
+    """B and h over the primary complete cases, their outcomes, and the
+    offset -fixed_gamma * y."""
+    cc = primary.complete
+    x_cc, m_cc, y_cc = primary.x[cc], primary.m[cc], primary.y[cc]
+    design = evaluate_basis_matrix(basis, x_cc, m_cc, y_cc)
+    h_cc = evaluate_basis_matrix(h_basis, x_cc, m_cc)
+    if h_cc.shape[1] < design.shape[1]:
+        raise EstimationError(
+            f"h basis has {h_cc.shape[1]} components for {design.shape[1]} "
+            "propensity parameters"
+        )
+    offset = -fixed_gamma * y_cc if fixed_gamma else 0.0
+    return design, h_cc, y_cc, offset
+
+
+class _Calibration:
+    """The calibration equation h^T (c w(theta)) / n1 = target of a stack of
+    members.  Member k counts row i of the design counts[k, i] times, or
+    once when counts is None, and has its own n1 and target.  Methods take
+    theta (m, p) of the members at the given positions of the stack; the
+    Jacobian is -h^T diag(c * slope) B / n1."""
+
+    def __init__(self, design, h, offset, w_max, counts, n1, target):
+        self.design, self.h, self.offset, self.w_max = design, h, offset, w_max
+        self.counts, self.n1, self.target = counts, n1, target
+        self.h_diag_b = weighted_cross_products(h, design)
+
+    def weights(self, theta, members):
+        """Counted weights c w(theta) and slopes, each (m, n)."""
+        w, slope = calibration_weights(self.design, theta, self.offset, self.w_max)
+        if self.counts is None:
+            return w, slope
+        return w * self.counts[members], slope * self.counts[members]
+
+    def residual(self, theta, members):
+        w, _ = self.weights(theta, members)
+        return w @ self.h / self.n1[members, None] - self.target[members]
+
+    def jacobian(self, theta, members):
+        _, slope = self.weights(theta, members)
+        return -self.h_diag_b(slope) / self.n1[members, None, None]
 
 
 def calibrate(
@@ -153,33 +214,17 @@ def calibrate(
         raise EstimationError("no complete cases in the primary domain")
 
     preds, aux_coefs = fit_aux_moment_targets(dataset, h_basis, aux_regression_basis)
-    target = preds.mean(axis=0)
-
-    x_cc, m_cc, y_cc = primary.x[cc], primary.m[cc], primary.y[cc]
-    design = evaluate_basis_matrix(basis, x_cc, m_cc, y_cc)
-    h_cc = evaluate_basis_matrix(h_basis, x_cc, m_cc)
-    if h_cc.shape[1] < design.shape[1]:
-        raise EstimationError(
-            f"h basis has {h_cc.shape[1]} components for {design.shape[1]} "
-            "propensity parameters"
-        )
-    offset = -fixed_gamma * y_cc if fixed_gamma else 0.0
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        w, _ = calibration_weights(design, theta, offset, w_max)
-        return h_cc.T @ w / n1 - target
-
-    def jacobian(theta: np.ndarray) -> np.ndarray:
-        _, slope = calibration_weights(design, theta, offset, w_max)
-        return -(h_cc.T @ (design * slope[:, None])) / n1
-
+    design, h_cc, y_cc, offset = _calibration_matrices(primary, basis, h_basis, fixed_gamma)
+    equation = _Calibration(design, h_cc, offset, w_max, None, np.array([n1]),
+                            preds.mean(axis=0)[None])
+    only = slice(0, 1)
     result = solve(
         MomentSystem(
-            residual=residual,
+            residual=lambda theta: equation.residual(theta[None], only)[0],
             dim_theta=design.shape[1],
             init=_init_theta(primary, basis, dataset.schema.m_dim),
             config=config,
-            jacobian=jacobian,
+            jacobian=lambda theta: equation.jacobian(theta[None], only)[0],
         )
     )
 
@@ -213,6 +258,87 @@ def calibrate(
     )
 
 
+# A block of stacked refits of a dataset of n rows and p propensity
+# parameters holds _BLOCK_BYTES // (8 n p) refits.  Blocks from 2 to 8 MiB
+# ran about equally fast at n=2000; smaller ones pay the per-call overhead
+# of numpy more often, larger ones fall out of cache.
+_BLOCK_BYTES = 1 << 22
+
+
+class StackedRefits:
+    """`calibrate` with its default solver settings, weight cap and no fixed
+    Y tilt, refitted on resamples of one dataset, a block at a time.
+
+    A resample is given by its draw rows and fitted as the count vector of
+    those rows: a frequency-weighted fit of the dataset's own rows, which is
+    the fit of the resample up to the order of float sums.  The basis
+    matrices are built once, here, by the code the point fit uses; a block
+    then runs the weighted auxiliary regression, the weighted logistic init
+    and one Newton attempt as stacked operations over its members.
+
+    A refit comes back as None, to be refitted on its rows by the caller,
+    when it has an empty domain, too few auxiliary complete cases, a rank
+    deficient design, a singular init, a non-finite residual or beta_hat, a
+    singular step, or does not converge in the first Newton attempt: the
+    per-refit fit then gives the failure reason, the restarts and the solver
+    status.
+    """
+
+    def __init__(self, dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,
+                 aux_regression_basis: BasisSpec):
+        self._n = len(dataset)
+        primary = domain_arrays(dataset, DomainTag.PRIMARY)
+        auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
+        self._primary_rows = np.flatnonzero(dataset.g == DomainTag.PRIMARY)
+        self._aux_rows = np.flatnonzero(dataset.g == DomainTag.AUXILIARY)
+        self._cc, self._aux_cc = primary.complete, auxiliary.complete
+        self._min_aux_cc = max(1, len(aux_regression_basis.terms))
+        self._aux_h, self._aux_design, self._aux_at_primary = _aux_regression_matrices(
+            primary, auxiliary, h_basis, aux_regression_basis)
+        self._design, self._h, self._y, self._offset = _calibration_matrices(
+            primary, basis, h_basis, 0.0)
+        self._init_design, self._init_columns = _init_design(
+            primary, basis, dataset.schema.m_dim)
+        self._r = primary.r.astype(float)
+        self.block_size = max(1, _BLOCK_BYTES // (8 * max(1, self._n) * self._design.shape[1]))
+
+    def __call__(self, draws: list) -> list[Optional[tuple[float, SolverResult]]]:
+        """(beta_hat, solver result) of the refit on each draw, or None."""
+        out: list[Optional[tuple[float, SolverResult]]] = [None] * len(draws)
+        counts = np.array([np.bincount(rows, minlength=self._n) for rows in draws],
+                          dtype=float)
+        primary, auxiliary = counts[:, self._primary_rows], counts[:, self._aux_rows]
+        n1, aux_cc = primary.sum(axis=1), auxiliary[:, self._aux_cc]
+        live = np.flatnonzero((n1 > 0) & (auxiliary.sum(axis=1) > 0)
+                              & (primary[:, self._cc].sum(axis=1) > 0)
+                              & (aux_cc.sum(axis=1) >= self._min_aux_cc))
+        if live.size == 0:
+            return out
+        coefs = solve_least_squares(self._aux_design, self._aux_h, weights=aux_cc[live])
+        target = np.einsum("ka,kaq->kq", primary[live] @ self._aux_at_primary,
+                           coefs) / n1[live, None]
+        init = np.zeros((live.size, self._design.shape[1]))
+        init[:, self._init_columns] = fit_logistic(self._init_design, self._r,
+                                                   weights=primary[live])
+        ok = np.all(np.isfinite(target), axis=1) & np.all(np.isfinite(init), axis=1)
+        live, target, init = live[ok], target[ok], init[ok]
+        if live.size == 0:
+            return out
+        equation = _Calibration(self._design, self._h, self._offset, W_MAX,
+                                primary[live][:, self._cc], n1[live], target)
+        fits = newton_stack(equation.residual, equation.jacobian, init, SolverConfig())
+        done = np.array([fit is not None and fit.converged for fit in fits])
+        members = np.flatnonzero(done)
+        if members.size == 0:
+            return out
+        w, _ = equation.weights(np.array([fits[k].theta_hat for k in members]), members)
+        betas = w @ self._y / n1[live[members]]
+        for k, beta in zip(members.tolist(), betas.tolist()):
+            if math.isfinite(beta):
+                out[live[k]] = (beta, fits[k])
+        return out
+
+
 def estimate_model1(
     dataset: PooledDataset,
     spec: Optional[Model1Spec] = None,
@@ -226,6 +352,17 @@ def estimate_model1(
         spec = Model1Spec.default(dataset.schema)
     return calibrate(dataset, spec.propensity_basis, spec.h_basis,
                      spec.aux_regression_basis, "ipw-model1", config, w_max)
+
+
+def _stacked_model1(dataset: PooledDataset) -> StackedRefits:
+    spec = Model1Spec.default(dataset.schema)
+    return StackedRefits(dataset, spec.propensity_basis, spec.h_basis,
+                         spec.aux_regression_basis)
+
+
+# bootstrap_ci refits the estimator with its defaults through this; a
+# function attribute survives functools.wraps, which copies __dict__.
+estimate_model1.stacked_refits = _stacked_model1
 
 
 def identify_beta_model1_plugin(

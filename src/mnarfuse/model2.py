@@ -28,7 +28,7 @@ from .models import (
     fit_logistic,  # noqa: F401  (a lookup site patched by bench/tracing.py)
     parse_term,
 )
-from .model1 import _linear_xm_basis, _polynomial_x_basis, calibrate
+from .model1 import StackedRefits, _linear_xm_basis, _polynomial_x_basis, calibrate
 from .report import EstimateReport
 from .solver import SolverConfig, solve  # noqa: F401  (solve: bench/tracing.py patches it)
 
@@ -86,6 +86,16 @@ def estimate_model2(
         "aux_regression": report.nuisance["aux_regression"],
     }
     return report
+
+
+def _stacked_model2(dataset: PooledDataset) -> StackedRefits:
+    spec = Model2Spec.default(dataset.schema)
+    return StackedRefits(dataset, _tilted_basis(spec.baseline_basis, spec.n_or_params),
+                         spec.h_basis, spec.aux_regression_basis)
+
+
+# bootstrap_ci refits the estimator with its defaults through this; see model1.
+estimate_model2.stacked_refits = _stacked_model2
 
 
 def recovered_propensity(

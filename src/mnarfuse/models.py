@@ -21,6 +21,9 @@ W_MAX = 1e6
 
 _RANK_TOL = 1e-10
 
+# Largest precomputed table of row-wise outer products (weighted_cross_products).
+_PRODUCT_BYTES = 1 << 22
+
 
 @dataclass(frozen=True)
 class Term:
@@ -192,61 +195,162 @@ class RankDeficientError(ValueError):
         super().__init__(f"design matrix is rank deficient at column {column}{label}")
 
 
-def _check_full_rank(design: np.ndarray, names: Optional[list[str]] = None) -> None:
-    # Diagonal of the (unpivoted) QR factor vanishes at the first column that
-    # is linearly dependent on its predecessors.
-    r = np.linalg.qr(design, mode="r")
-    diag = np.abs(np.diag(r))
-    scale = max(np.abs(design).max(), 1.0) * max(design.shape)
-    bad = np.where(diag <= _RANK_TOL * scale)[0]
-    if design.shape[0] < design.shape[1]:
-        bad = np.array([design.shape[0]]) if bad.size == 0 else bad
-    if bad.size:
+def _weighted_qr(design: np.ndarray, weights: Optional[np.ndarray], mode: str):
+    """QR factors of each member's design: the rows scaled by the root of the
+    member's frequency weights, or the design itself when weights is None."""
+    if weights is None:
+        factors = np.linalg.qr(design, mode=mode)
+        return factors[None] if mode == "r" else tuple(f[None] for f in factors)
+    return np.linalg.qr(np.sqrt(weights)[:, :, None] * design, mode=mode)
+
+
+def _dependent_columns(design: np.ndarray, weights: Optional[np.ndarray],
+                       r: np.ndarray) -> np.ndarray:
+    """For each member, the first column of the design that depends linearly
+    on its predecessors, or -1.
+
+    The diagonal of the (unpivoted) QR factor r vanishes at such a column,
+    relative to max|design| over the rows in use times their number; with
+    fewer rows than columns, every column from column `rows` on is.  A
+    member with frequency weights gets the test of the design with each row
+    repeated as often as its weight says.
+    """
+    n, p = design.shape
+    if weights is None:
+        rows, top = np.array([n]), np.abs(design).max(initial=0.0)
+    else:
+        rows = weights.sum(axis=1)
+        top = ((weights > 0) * np.abs(design).max(axis=1)).max(axis=1, initial=0.0)
+    limit = _RANK_TOL * np.maximum(top, 1.0) * np.maximum(rows, p)
+    diag = np.zeros((rows.size, p))
+    diag[:, :min(n, p)] = np.diagonal(r, axis1=1, axis2=2)
+    bad = (np.abs(diag) <= limit[:, None]) | (np.arange(p) >= rows[:, None])
+    return np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+
+
+def _raise_if_dependent(bad: np.ndarray, names: Optional[list[str]] = None) -> None:
+    if bad[0] >= 0:
         j = int(bad[0])
-        name = names[j] if names and j < len(names) else ""
-        raise RankDeficientError(j, name)
+        raise RankDeficientError(j, names[j] if names and j < len(names) else "")
+
+
+def weighted_cross_products(a: np.ndarray, b: np.ndarray):
+    """The function mapping weights (K, n) to the stack of
+    a^T diag(weights[k]) b, shape (K, q, p), for a (n, q) and b (n, p).
+
+    While they fit in _PRODUCT_BYTES, the outer products of the rows of a and
+    b are formed once, and each call is one matrix product of the weights
+    with them, which is fast for a stack.  Beyond that each call scales a by
+    the weights, which takes no more memory than one copy of a per member.
+    """
+    (n, q), p = a.shape, b.shape[1]
+    if n * q * p * 8 > _PRODUCT_BYTES:
+        return lambda weights: (a.T * weights[:, None, :]) @ b
+    a_t, b_t = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    products = (a_t[:, None, :] * b_t[None, :, :]).reshape(-1, n).T
+    return lambda weights: (weights @ products).reshape(-1, q, p)
+
+
+def solve_linear(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a[k] x[k] = b[k] for each member of a stack, a (K, p, p) and
+    b (K, p).  A member whose matrix is singular gets NaN and is flagged in
+    the returned mask, without failing the others."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        singular = np.zeros(len(a), dtype=bool)
+        for k in range(len(a)):
+            try:
+                x[k] = np.linalg.solve(a[k], b[k])
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return x, singular
 
 
 def solve_least_squares(design: np.ndarray, target: np.ndarray,
-                        names: Optional[list[str]] = None) -> np.ndarray:
-    """Least-squares coefficients; raises RankDeficientError on a singular design."""
+                        names: Optional[list[str]] = None,
+                        weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Least-squares coefficients by QR; raises RankDeficientError on a
+    singular design.
+
+    With (K, n) frequency weights, the K weighted fits are solved together
+    and their coefficients are stacked on a new first axis; a fit whose
+    weighted design is rank deficient gets NaN instead of raising.
+    """
     design = np.asarray(design, dtype=float)
     target = np.asarray(target, dtype=float)
-    _check_full_rank(design, names)
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return coef
+    q, r = _weighted_qr(design, weights, "reduced")
+    bad = _dependent_columns(design, weights, r)
+    if weights is None:
+        _raise_if_dependent(bad, names)
+    rhs = target.reshape(target.shape[0], -1)
+    rhs = rhs[None] if weights is None else np.sqrt(weights)[:, :, None] * rhs
+    ok = bad < 0
+    if ok.all():
+        coef = np.linalg.solve(r, q.transpose(0, 2, 1) @ rhs)
+    else:
+        coef = np.full((bad.size, design.shape[1], rhs.shape[-1]), np.nan)
+        if ok.any():
+            coef[ok] = np.linalg.solve(r[ok], q[ok].transpose(0, 2, 1) @ rhs[ok])
+    coef = coef.reshape(bad.size, design.shape[1], *target.shape[1:])
+    return coef[0] if weights is None else coef
 
 
 def logistic(z):
-    """1 / (1 + exp(-z)), stable for large |z|."""
+    """1 / (1 + exp(-z)), stable for large |z|: with e = exp(-|z|), which
+    cannot overflow, it is 1 / (1 + e) for z >= 0 and e / (1 + e) below."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out
 
 
 def fit_logistic(design: np.ndarray, outcome: np.ndarray,
-                 max_iter: int = 50, tol: float = 1e-10) -> np.ndarray:
-    """Logistic regression coefficients by Newton (IRLS)."""
+                 max_iter: int = 50, tol: float = 1e-10,
+                 weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Logistic regression coefficients by Newton (IRLS).
+
+    With (K, n) frequency weights, the K weighted fits iterate together,
+    each until its own step is below tol, and their (K, p) coefficients are
+    returned; a fit whose weighted design is rank deficient, or whose Hessian
+    turns singular, gets NaN where the unweighted fit raises
+    RankDeficientError or LinAlgError.
+    """
     design = np.asarray(design, dtype=float)
     outcome = np.asarray(outcome, dtype=float)
-    _check_full_rank(design)
-    coef = np.zeros(design.shape[1])
+    bad = _dependent_columns(design, weights, _weighted_qr(design, weights, "r"))
+    if weights is None:
+        _raise_if_dependent(bad)
+    coef = np.zeros((bad.size, design.shape[1]))
+    coef[bad >= 0] = np.nan
+    hessian = weighted_cross_products(design, design)
+    # the fits still iterating, their coefficients and frequency weights
+    active = np.flatnonzero(bad < 0)
+    current = coef[active]
+    counts = None if weights is None else weights[active]
     for _ in range(max_iter):
-        p = logistic(design @ coef)
-        w = np.clip(p * (1.0 - p), 1e-10, None)
-        grad = design.T @ (outcome - p)
-        hess = design.T @ (design * w[:, None])
-        step = np.linalg.solve(hess, grad)
-        coef = coef + step
-        if np.max(np.abs(step)) < tol:
+        if active.size == 0:
             break
-    return coef
+        p = logistic(current @ design.T)
+        w = np.clip(p * (1.0 - p), 1e-10, None)
+        resid = outcome - p
+        if counts is not None:
+            w, resid = counts * w, counts * resid
+        step, singular = solve_linear(hessian(w), resid @ design)
+        if weights is None and singular[0]:
+            raise np.linalg.LinAlgError("Singular matrix")
+        current += step
+        finished = singular | (np.abs(step).max(axis=1) < tol)
+        if finished.any():
+            coef[active[finished]] = current[finished]
+            keep = ~finished
+            active, current = active[keep], current[keep]
+            counts = None if counts is None else counts[keep]
+    coef[active] = current
+    return coef[0] if weights is None else coef
 
 
 def calibration_weights(
@@ -258,9 +362,10 @@ def calibration_weights(
     """Reciprocal propensity w = min(1 + exp(-design.theta + offset), w_max).
 
     Also returns the slope -dw/d(design.theta): exp(-design.theta + offset)
-    where w is below the cap, and 0 where the cap binds.
+    where w is below the cap, and 0 where the cap binds.  A (K, p) stack of
+    theta gives (K, n) weights and slopes.
     """
-    lin = offset - design @ theta
+    lin = offset - theta @ design.T
     e = np.exp(np.minimum(lin, 700.0))
     w = np.minimum(1.0 + e, w_max)
     return w, e * ((w < w_max) & (lin < 700.0))

@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .data import DomainTag, PooledDataset, m_features
 from .solver import SolverResult
+
+
+@dataclass(frozen=True)
+class RefitCounts:
+    """How the refits of a bootstrap interval ran."""
+
+    stacked: int = 0  # solved in a block of stacked frequency-weighted fits
+    per_refit: int = 0  # by a call of the estimator on the resample, fallbacks included
+    # summed over the refits that returned a solver result: the Newton
+    # iterations of each one's returned attempt, its residual evaluations
+    # over all attempts
+    iterations: int = 0
+    residual_evals: int = 0
 
 
 @dataclass(frozen=True)
@@ -19,6 +32,7 @@ class ConfidenceInterval:
     failures: Mapping[str, int] = field(default_factory=dict)  # reason -> count
     # solver status -> count of refits kept in the interval without converging
     nonconverged: Mapping[str, int] = field(default_factory=dict)
+    refits: RefitCounts = RefitCounts()
 
     @property
     def n_failed(self) -> int:
@@ -65,6 +79,7 @@ class EstimateReport:
                 "n_failed": self.ci.n_failed,
                 "failures": dict(self.ci.failures),
                 "nonconverged": dict(self.ci.nonconverged),
+                "refits": asdict(self.ci.refits),
             }
         return out
 
@@ -88,7 +103,7 @@ class DomainArrays:
 
 
 def domain_arrays(dataset: PooledDataset, tag: DomainTag) -> DomainArrays:
-    rows = dataset.g == tag
+    rows = dataset.g == int(tag)  # an int compares faster than the enum member
     return DomainArrays(
         x=dataset.x[rows],
         m=m_features(dataset.m[rows], dataset.schema),

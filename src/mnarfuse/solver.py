@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .models import solve_linear
 from .simulate import make_rng
 
 _FD_STEP = 1e-6
@@ -65,83 +66,137 @@ class MomentSystem:
 
 
 class _Counted:
-    """The system's residual and Jacobian, counting evaluations."""
+    """Residuals and Jacobians of a stack of systems, counting evaluations
+    per member.  residual(theta, members) -> (m, q) and
+    jacobian(theta, r, members) -> (m, q, p) evaluate the members at the
+    given positions of the stack, theta (m, p) and r (m, q) being theirs."""
 
-    def __init__(self, system: MomentSystem):
-        self.system = system
-        self.residual_evals = 0
-        self.jacobian_evals = 0
+    def __init__(self, residual, jacobian, size: int):
+        self._residual = residual
+        self._jacobian = jacobian
+        self.residual_evals = [0] * size
+        self.jacobian_evals = [0] * size
 
-    def residual(self, theta) -> np.ndarray:
-        self.residual_evals += 1
-        r = np.asarray(self.system.residual(theta), dtype=float)
-        if not np.all(np.isfinite(r)):
-            raise ResidualError(f"non-finite residual at theta={theta.tolist()}")
-        return r
+    def residual(self, theta, members) -> np.ndarray:
+        for k in members.tolist():
+            self.residual_evals[k] += 1
+        return np.asarray(self._residual(theta, members), dtype=float)
 
-    def jacobian(self, theta, r0) -> np.ndarray:
-        self.jacobian_evals += 1
-        if self.system.jacobian is not None:
-            return np.asarray(self.system.jacobian(theta), dtype=float)
-        jac = np.empty((r0.size, theta.size))
-        for j in range(theta.size):
-            step = _FD_STEP * (1.0 + abs(theta[j]))
-            bumped = theta.copy()
-            bumped[j] += step
-            jac[:, j] = (self.residual(bumped) - r0) / step
-        return jac
+    def jacobian(self, theta, r, members) -> np.ndarray:
+        for k in members.tolist():
+            self.jacobian_evals[k] += 1
+        return np.asarray(self._jacobian(theta, r, members), dtype=float)
 
 
-def _iterate(counted: _Counted, theta0, r0, config: SolverConfig, just_identified: bool):
-    """One Newton / Gauss-Newton run from theta0, where the residual is r0.
-    Returns (theta, r, status, iters).
+def _gauss_newton_steps(jac, r):
+    """Least-squares solutions of jac[k] step = -r[k]; NaN and flagged where
+    the solve fails."""
+    step = np.full((len(jac), jac.shape[2]), np.nan)
+    failed = np.zeros(len(jac), dtype=bool)
+    for k in range(len(jac)):
+        try:
+            step[k] = np.linalg.lstsq(jac[k], -r[k], rcond=None)[0]
+        except np.linalg.LinAlgError:
+            failed[k] = True
+    return step, failed
+
+
+def _iterate(counted: _Counted, theta0, r0, config: SolverConfig, just_identified: bool,
+             members: np.ndarray):
+    """One Newton / Gauss-Newton run of the given members of a stack from
+    theta0 (K, p), where the residuals are r0 (K, q).  Each member stops on
+    its own criterion, singular step or stalled line search.  Returns
+    (theta, r, status, iters) with a status and an iteration count per
+    member; the other members keep their start.
 
     The stopping criterion is max|r| for a just-identified system, so it is
-    checked before a Jacobian is built; otherwise it is ||J^T r||.
+    checked before a Jacobian is built; otherwise it is ||J^T r||.  A
+    non-finite trial residual in the line search counts as no decrease.
     """
 
     def criterion(r, jac):
         if just_identified:
-            return float(np.max(np.abs(r)))
-        return float(np.linalg.norm(jac.T @ r))
+            return np.abs(r).max(axis=1)
+        return np.linalg.norm(np.einsum("kqp,kq->kp", jac, r), axis=1)
 
-    theta, r = theta0.copy(), r0
+    theta, r = theta0.copy(), r0.copy()
+    status = np.full(len(theta), "max_iter", dtype=object)
+    iters = np.full(len(theta), config.max_iter)
+    # the members still iterating, with their iterates and residuals
+    idx, th, res = members, theta[members], r[members]
+
+    def stop(mask, why, it):
+        """Record the masked members as stopped; returns the mask of the rest."""
+        nonlocal idx, th, res
+        gone = idx[mask]
+        theta[gone], r[gone], status[gone], iters[gone] = th[mask], res[mask], why, it
+        keep = ~mask
+        idx, th, res = idx[keep], th[keep], res[keep]
+        return keep
+
     for it in range(1, config.max_iter + 1):
-        jac = None if just_identified else counted.jacobian(theta, r)
-        if criterion(r, jac) < config.tol:
-            return theta, r, "converged", it - 1
-        if jac is None:
-            jac = counted.jacobian(theta, r)
-        try:
-            if just_identified:
-                step = np.linalg.solve(jac, -r)
-            else:
-                step = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return theta, r, "singular", it - 1
-        if not np.all(np.isfinite(step)):
-            return theta, r, "singular", it - 1
-
-        # halving line search on the residual norm
-        obj0 = float(r @ r)
-        scale = 1.0
-        for _ in range(_MAX_HALVINGS):
-            candidate = theta + scale * step
-            try:
-                r_new = counted.residual(candidate)
-            except ResidualError:
-                scale *= 0.5
-                continue
-            if float(r_new @ r_new) < obj0:
-                theta, r = candidate, r_new
+        jac = None if just_identified else counted.jacobian(th, res, idx)
+        done = criterion(res, jac) < config.tol
+        if done.any():
+            keep = stop(done, "converged", it - 1)
+            if jac is not None:
+                jac = jac[keep]
+        if idx.size == 0:
+            break
+        if just_identified:
+            step, singular = solve_linear(counted.jacobian(th, res, idx), -res)
+        else:
+            step, singular = _gauss_newton_steps(jac, res)
+        singular |= ~np.isfinite(step.sum(axis=1))
+        if singular.any():
+            step = step[stop(singular, "singular", it - 1)]
+            if idx.size == 0:
                 break
+
+        # halving line search on each member's residual norm; the members
+        # still searching have all been halved the same number of times
+        pending = slice(None)  # their positions among idx
+        searching, start, obj0, scale = idx, th, (res * res).sum(axis=1), 1.0
+        for _ in range(_MAX_HALVINGS):
+            candidate = start + scale * step
+            r_new = counted.residual(candidate, searching)
+            better = (r_new * r_new).sum(axis=1) < obj0
+            n_better = np.count_nonzero(better)
+            if n_better == better.size:
+                th[pending], res[pending] = candidate, r_new
+                break
+            if n_better:
+                pending = np.arange(idx.size)[pending]
+                th[pending[better]], res[pending[better]] = candidate[better], r_new[better]
+                keep = ~better
+                pending, searching, start, step, obj0 = (
+                    pending[keep], searching[keep], start[keep], step[keep], obj0[keep])
             scale *= 0.5
         else:
             # no decrease found: stalled where the criterion already failed
-            return theta, r, "max_iter", it
-    jac = None if just_identified else counted.jacobian(theta, r)
-    status = "converged" if criterion(r, jac) < config.tol else "max_iter"
-    return theta, r, status, config.max_iter
+            stalled = np.zeros(idx.size, dtype=bool)
+            stalled[pending] = True
+            stop(stalled, "max_iter", it)
+            if idx.size == 0:
+                break
+    if idx.size:
+        jac = None if just_identified else counted.jacobian(th, res, idx)
+        converged = criterion(res, jac) < config.tol
+        stop(converged, "converged", config.max_iter)
+        stop(np.ones(idx.size, dtype=bool), "max_iter", config.max_iter)
+    return theta, r, status, iters
+
+
+def _result(counted: _Counted, k: int, theta, r, status, iters, restarts: int) -> SolverResult:
+    return SolverResult(
+        theta_hat=theta[k],
+        status=str(status[k]),
+        final_residual_norm=float(np.linalg.norm(r[k])),
+        iterations=int(iters[k]),
+        residual_evals=counted.residual_evals[k],
+        jacobian_evals=counted.jacobian_evals[k],
+        restarts=restarts,
+    )
 
 
 def solve(system: MomentSystem) -> SolverResult:
@@ -152,47 +207,84 @@ def solve(system: MomentSystem) -> SolverResult:
     seed, so identical inputs give identical results.
     """
     config = system.config
-    counted = _Counted(system)
     init = np.asarray(system.init, dtype=float)
     if init.size != system.dim_theta:
         raise ValueError("init length does not match dim_theta")
-    r_init = counted.residual(init)
+    only = np.zeros(1, dtype=int)
+
+    def checked(theta) -> np.ndarray:
+        r = counted.residual(theta[None], only)[0]
+        if not np.all(np.isfinite(r)):
+            raise ResidualError(f"non-finite residual at theta={theta.tolist()}")
+        return r
+
+    def jacobian(theta, r, members):
+        if system.jacobian is not None:
+            return np.asarray(system.jacobian(theta[0]), dtype=float)[None]
+        jac = np.empty((r.shape[1], theta.shape[1]))
+        for j in range(theta.shape[1]):
+            step = _FD_STEP * (1.0 + abs(theta[0, j]))
+            bumped = theta[0].copy()
+            bumped[j] += step
+            jac[:, j] = (checked(bumped) - r[0]) / step
+        return jac[None]
+
+    counted = _Counted(lambda theta, members: np.asarray(system.residual(theta[0]))[None],
+                       jacobian, 1)
+    r_init = checked(init)
     just_identified = r_init.size == system.dim_theta
     if r_init.size < system.dim_theta:
         raise ValueError(
             f"underdetermined system: {r_init.size} residuals for {system.dim_theta} parameters"
         )
 
-    rng = make_rng(config.seed)
+    rng = None  # built at the first restart
     best = None
     for attempt in range(config.n_restarts + 1):
         try:
             if attempt == 0:
                 start, r0 = init, r_init
             else:
+                rng = rng or make_rng(config.seed)
                 noise = rng.uniform(-1.0, 1.0, size=init.size) * config.restart_scale * (
                     1.0 + np.abs(init)
                 )
                 start = init + noise
-                r0 = counted.residual(start)
-            theta, r, status, iters = _iterate(counted, start, r0, config, just_identified)
+                r0 = checked(start)
+            run = _iterate(counted, start[None], r0[None], config, just_identified, only)
         except ResidualError:
             if attempt == 0:
                 raise
             continue
-        result = SolverResult(
-            theta_hat=theta,
-            status=status,
-            final_residual_norm=float(np.linalg.norm(r)),
-            iterations=iters,
-            residual_evals=counted.residual_evals,
-            jacobian_evals=counted.jacobian_evals,
-            restarts=attempt,
-        )
+        result = _result(counted, 0, *run, restarts=attempt)
         if result.converged:
             return result
         if best is None or result.final_residual_norm < best.final_residual_norm:
             best = result
     assert best is not None
-    return replace(best, residual_evals=counted.residual_evals,
-                   jacobian_evals=counted.jacobian_evals, restarts=config.n_restarts)
+    return replace(best, residual_evals=counted.residual_evals[0],
+                   jacobian_evals=counted.jacobian_evals[0], restarts=config.n_restarts)
+
+
+def newton_stack(residual, jacobian, init: np.ndarray,
+                 config: SolverConfig) -> list[Optional[SolverResult]]:
+    """One Newton / Gauss-Newton attempt, without restarts, for each member
+    of a stack of systems that share their shapes.
+
+    residual(theta, members) -> (m, q) and jacobian(theta, members) ->
+    (m, q, p) evaluate the members at the given positions, theta (m, p)
+    being theirs; init is (K, p).  Each member converges, stalls or turns
+    singular on its own.  Returns one SolverResult per member, or None for a
+    member whose residual at init is non-finite.
+    """
+    size, dim_theta = init.shape
+    counted = _Counted(residual, lambda theta, r, members: jacobian(theta, members), size)
+    r0 = counted.residual(init, np.arange(size))
+    if r0.shape[1] < dim_theta:
+        raise ValueError(
+            f"underdetermined system: {r0.shape[1]} residuals for {dim_theta} parameters"
+        )
+    finite = np.all(np.isfinite(r0), axis=1)
+    run = _iterate(counted, init, r0, config, r0.shape[1] == dim_theta, np.flatnonzero(finite))
+    return [_result(counted, k, *run, restarts=0) if finite[k] else None
+            for k in range(size)]

@@ -211,6 +211,10 @@ def test_estimate_json_reports_solver_counters(tmp_path, capsys):
     assert solver["jacobian_evals"] == solver["iterations"]
     assert solver["residual_evals"] >= solver["iterations"] + 1
     assert report["ci"]["nonconverged"] == {}
+    # the five refits, stacked or not, with their solver work summed
+    refits = report["ci"]["refits"]
+    assert refits["stacked"] + refits["per_refit"] == 5
+    assert refits["residual_evals"] >= refits["iterations"] + 5 > 5
 
 
 def _fixture_lines(tmp_path):
@@ -242,3 +246,41 @@ def test_config_validate_flags_auxiliary_y(tmp_path, capsys):
     _rewrite(prefix, lines)
     assert run(["validate", "--data", prefix + ".csv", "--config", prefix + ".ini"]) == 1
     assert f"row {i - 1}: Y present in auxiliary domain" in capsys.readouterr().out
+
+
+def test_config_maps_a_capitalised_covariate(tmp_path, capsys):
+    # [columns] names keep their case; [schema] option names do not matter
+    data = tmp_path / "d.csv"
+    data.write_text("domain,r,AgeYears,m,y\n1,1,0.5,1.0,2.0\n1,0,0.1,?,?\n2,1,0.3,0.2,?\n")
+    config = tmp_path / "d.ini"
+    config.write_text("[schema]\nCovariates = Age\n\n[columns]\nAge = AgeYears\n")
+    assert run(["validate", "--data", str(data), "--config", str(config)]) == 0
+    assert capsys.readouterr().out.startswith("ok: 3 rows")
+    config.write_text("[schema]\nCovariates = Age\ncovariates = Age\n\n"
+                      "[columns]\nAge = AgeYears\n")
+    assert run(["validate", "--data", str(data), "--config", str(config)]) == 1
+    assert "appears twice" in capsys.readouterr().err
+
+
+def test_config_rejects_equal_domain_tokens(tmp_path, capsys):
+    prefix, _ = _fixture_lines(tmp_path)
+    with open(prefix + ".ini") as fh:
+        text = fh.read()
+    with open(prefix + ".ini", "w") as fh:
+        fh.write(text.replace("domain_auxiliary = B", "domain_auxiliary = A"))
+    assert run(["validate", "--data", prefix + ".csv", "--config", prefix + ".ini"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "domain_primary" in err and "domain_auxiliary" in err
+
+
+@pytest.mark.parametrize("text", ["[columns]\nm = m\nm = m\n", "[columns\nm = m\n"],
+                         ids=["repeated-option", "bad-section-header"])
+def test_malformed_config_is_a_one_line_error(tmp_path, capsys, text):
+    data = tmp_path / "d.csv"
+    data.write_text("domain,r,x1,m,y\n1,1,0.5,1.0,2.0\n2,1,0.3,0.2,?\n")
+    config = tmp_path / "d.ini"
+    config.write_text(text)
+    assert run(["validate", "--data", str(data), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config}") and err.count("\n") == 1
