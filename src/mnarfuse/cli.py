@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
+import functools
 import json
 import os
 import sys
@@ -24,6 +24,10 @@ from .data import (
     DomainTag,
     PooledDataset,
     VariableSchema,
+    _floats,
+    _ints,
+    _lookup,
+    _write_columns,
     read_csv,
     validate,
     write_csv,
@@ -262,18 +266,14 @@ def _cmd_make_fixture(args) -> int:
     r = (rng.random(n) < p_r).astype(int)
 
     out = _out_path(args.out_prefix)
-    with open(out + ".csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["site", "followup", "risk_score", "strain", "recovered"])
-        for g_i, r_i, x_i, m_i, y_i in zip(g.tolist(), r.tolist(), x.tolist(),
-                                          m_idx.tolist(), y.tolist()):
-            writer.writerow([
-                "A" if g_i == 1 else "B",
-                r_i,
-                repr(x_i),
-                _FIXTURE_LEVELS[m_i] if r_i == 1 else "NA",
-                y_i if (g_i == 1 and r_i == 1) else "NA",
-            ])
+    observed = r == 1
+    _write_columns(
+        out + ".csv",
+        ["site", "followup", "risk_score", "strain", "recovered"],
+        [(g - 1, _lookup(("A", "B"))), (r, _ints), (x, _floats),
+         (np.where(observed, m_idx, -1), _lookup((*_FIXTURE_LEVELS, "NA"))),
+         (np.where(observed & (g == 1), y, -1), _lookup(("0", "1", "NA")))],
+    )
     with open(out + ".ini", "w") as fh:
         fh.write(
             "[schema]\n"
@@ -384,9 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser per process; build_parser still builds a new one.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DatasetFormatError as exc:

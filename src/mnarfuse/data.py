@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from functools import partial
+from itertools import chain, repeat
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -128,28 +131,23 @@ class PooledDataset:
         array-like, m None, a number or a level label per row, y None or a
         number per row, r observation indicators.  Categorical labels are
         coded here and nowhere else."""
-        labels = list(schema.m_levels)
+        labels = tuple(schema.m_levels)
         if schema.m_kind == "categorical":
-            codes = {label: i for i, label in enumerate(labels)}
-            m_col = []
-            for value in m:
-                if value is None:
-                    m_col.append(math.nan)
-                    continue
-                if value not in codes:
-                    codes[value] = len(labels)
-                    labels.append(value)
-                m_col.append(codes[value])
-        else:
-            m_col = [math.nan if value is None else value for value in m]
+            order = dict.fromkeys(labels)
+            order.update(dict.fromkeys(m))  # new labels in order of first appearance
+            order.pop(None, None)
+            labels = tuple(order)
+            codes = {label: float(i) for i, label in enumerate(labels)}
+            codes[None] = math.nan
+            m = list(map(codes.__getitem__, m))
         return cls(
             schema,
             g=np.array(g, dtype=np.int64),
             x=np.asarray(x, dtype=float).reshape(len(g), schema.n_covariates),
-            m=np.array(m_col, dtype=float),
-            y=np.array([math.nan if value is None else value for value in y], dtype=float),
+            m=np.array(m, dtype=float),  # None becomes NaN
+            y=np.array(y, dtype=float),
             r=np.array(r, dtype=np.int64),
-            m_labels=tuple(labels),
+            m_labels=labels,
         )
 
     def __len__(self) -> int:
@@ -251,26 +249,75 @@ def m_features(m: np.ndarray, schema: VariableSchema) -> np.ndarray:
     return out
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+_BLOCK_ROWS = 8192  # rows formatted at a time, which bounds the text in memory
+
+
+class _Format(NamedTuple):
+    """How a column becomes CSV fields: `convert` maps a list of values to
+    their fields, each the repr of a number or one of `texts`."""
+    convert: Callable
+    texts: tuple = ()
+
+
+def _write_columns(path: str, header: Sequence[str], columns: Sequence[tuple]) -> None:
+    """Write a CSV file with the bytes csv.writer writes, formatting it column
+    by column in blocks of _BLOCK_ROWS rows.
+
+    `columns` holds one (values, _Format) pair per header field: values is a
+    1-D array, formatted a block at a time as a Python list.  When a text of
+    a format needs quoting, the rows go through csv.writer.
+    """
+    quote = len(columns) == 1 or any(  # csv.writer also quotes a lone empty field
+        char in text for _, fmt in columns for text in fmt.texts for char in ',"\r\n')
+    n = len(columns[0][0])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for start in range(0, n, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            rows = zip(*(fmt.convert(values[block].tolist()) for values, fmt in columns))
+            if quote:
+                writer.writerows(rows)
+            else:
+                fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
+_ints = _Format(partial(map, str))
+_floats = _Format(partial(map, repr))
+
+
+def _floats_or(missing: str) -> _Format:
+    """The format of a float column: the repr of each value, `missing` for NaN."""
+    table = {"nan": missing}
+
+    def convert(values: list):
+        text = list(map(repr, values))
+        return map(table.get, text, text)
+    return _Format(convert, (missing,))
+
+
+def _lookup(texts: Sequence[str]) -> _Format:
+    """The format of integer codes: texts[code] for each code, so that -1 is
+    the last text."""
+    texts = tuple(texts)
+    return _Format(partial(map, texts.__getitem__), texts)
 
 
 def write_csv(dataset: PooledDataset, path: str) -> None:
     """Write the canonical CSV form: domain, r, covariates, m, y."""
     schema = dataset.schema
     missing = schema.missing_token
-    header = ["domain", "r", *schema.covariate_names, "m", "y"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for g, r, x, m, y in zip(dataset.g.tolist(), dataset.r.tolist(),
-                                 dataset.x.tolist(), dataset.m_values(),
-                                 dataset.y.tolist()):
-            writer.writerow([g, r, *map(repr, x),
-                             missing if m is None else _format_value(m),
-                             missing if y != y else repr(y)])
+    if schema.m_kind == "categorical":
+        codes = np.where(np.isnan(dataset.m), -1, dataset.m).astype(np.int64)
+        m_column = (codes, _lookup((*dataset.m_labels, missing)))
+    else:
+        m_column = (dataset.m, _floats_or(missing))
+    _write_columns(
+        path,
+        ["domain", "r", *schema.covariate_names, "m", "y"],
+        [(dataset.g, _ints), (dataset.r, _ints), *((x, _floats) for x in dataset.x.T),
+         m_column, (dataset.y, _floats_or(missing))],
+    )
 
 
 class DatasetFormatError(ValueError):
@@ -278,6 +325,50 @@ class DatasetFormatError(ValueError):
 
 
 NATIVE_DOMAINS = {"1": DomainTag.PRIMARY, "2": DomainTag.AUXILIARY}
+
+
+def _line_error(path: str, kept: Optional[list[int]], i: int,
+                message: str) -> DatasetFormatError:
+    """The error for the i-th kept row, naming its line in the file."""
+    line = (i if kept is None else kept[i]) + 2
+    return DatasetFormatError(f"{path}: line {line}: {message}")
+
+
+def _tokenize(text: str, path: str, split: bool) -> tuple[list[str], list[str],
+                                                          Optional[list[int]]]:
+    """The header of CSV text, the fields of its rows one after another, and
+    the index among the lines after the header of each kept row, or None
+    when every line is kept.  Blank lines are skipped, and a row with another
+    number of fields than the header is an error.
+
+    With `split` the text, which must hold no quote and no NUL, is cut at
+    line breaks and commas, where csv.reader cuts it; otherwise csv.reader
+    reads it.
+    """
+    if split:
+        rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if rows[-1] == "":
+            rows.pop()  # the text after the last line break
+    else:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not rows:
+        raise DatasetFormatError(f"{path}: empty file")
+    header, rows = rows[0], rows[1:]
+    kept = None if all(rows) else [i for i, row in enumerate(rows) if row]
+    if kept is not None:
+        rows = [rows[i] for i in kept]
+    if split:  # a line has one field more than it has commas
+        header = header.split(",") if header else []  # csv.reader reads [] from a blank line
+        sizes = [commas + 1 for commas in map(str.count, rows, repeat(","))]
+    else:
+        sizes = list(map(len, rows))
+    width = len(header)
+    if set(sizes) - {width}:
+        i = next(i for i, size in enumerate(sizes) if size != width)
+        raise _line_error(path, kept, i, f"{sizes[i]} fields, the header has {width}")
+    if split:
+        return header, ",".join(rows).split(",") if rows else [], kept
+    return header, list(chain.from_iterable(rows)), kept
 
 
 def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
@@ -297,29 +388,16 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
     columns = columns or {}
     domains = NATIVE_DOMAINS if domains is None else domains
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetFormatError(f"{path}: empty file")
-        rows = list(reader)
-    kept = None if all(rows) else [i for i, row in enumerate(rows) if row]
-    if kept is not None:
-        rows = [rows[i] for i in kept]
+        text = fh.read()
+    # quoted fields need a real parser
+    header, fields, kept = _tokenize(text, path, split='"' not in text and "\0" not in text)
+    del text
+    width = len(header)  # the tokens of column j are fields[j::width]
 
     def fail(i: int, message: str):
-        line = (i if kept is None else kept[i]) + 2
-        raise DatasetFormatError(f"{path}: line {line}: {message}") from None
+        raise _line_error(path, kept, i, message) from None
 
-    width = len(header)
-    if any(len(row) != width for row in rows):
-        i = next(i for i, row in enumerate(rows) if len(row) != width)
-        fail(i, f"{len(rows[i])} fields, the header has {width}")
-    fields = list(zip(*rows)) if rows else [()] * width
-    del rows  # the row lists are not needed once transposed
-
-    def column(name: str, convert) -> list:
-        """The named column converted token by token; a token that does not
-        convert is reported with its line."""
+    def tokens(name: str) -> list[str]:
         header_name = columns.get(name, name)
         count = header.count(header_name)
         if count == 0:
@@ -327,7 +405,11 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
         if count > 1:
             raise DatasetFormatError(
                 f"{path}: column {header_name!r} appears {count} times in the header")
-        tokens = fields[header.index(header_name)]
+        return fields[header.index(header_name)::width]
+
+    def converted(tokens: list[str], convert) -> list:
+        """The tokens converted one by one; a token that does not convert is
+        reported with its line."""
         try:
             return list(map(convert, tokens))
         except ValueError:
@@ -338,28 +420,28 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
                     fail(i, str(exc))
             raise
 
+    missing = ("", schema.missing_token)
+
+    def optional(name: str) -> list:
+        """The stripped tokens of an M or Y column, None for a missing one
+        in a categorical column and NaN in a numeric one."""
+        stripped = list(map(str.strip, tokens(name)))
+        if name == "m" and schema.m_kind == "categorical":
+            return list(map(dict.fromkeys(missing).get, stripped, stripped))
+        marked = list(map(dict.fromkeys(missing, "nan").get, stripped, stripped))
+        return converted(marked, float)
+
+    raw = tokens("domain")
     tags = {token: int(tag) for token, tag in domains.items()}
-
-    def domain(token: str) -> int:
-        tag = tags.get(token.strip())
-        if tag is None:
-            raise ValueError(f"unknown domain value {token!r}")
-        return tag
-
-    missing = {"", schema.missing_token}
-
-    def optional(convert):
-        def read(token: str):
-            token = token.strip()
-            return None if token in missing else convert(token)
-        return read
-
-    g = column("domain", domain)
-    r = column("r", int)
+    tag_of = {token: tags.get(token.strip()) for token in set(raw)}
+    if None in tag_of.values():
+        i = next(i for i, token in enumerate(raw) if tag_of[token] is None)
+        fail(i, f"unknown domain value {raw[i]!r}")
+    g = list(map(tag_of.__getitem__, raw))
+    r = converted(tokens("r"), int)
     x = np.empty((len(g), schema.n_covariates))
     for j, name in enumerate(schema.covariate_names):
-        x[:, j] = column(name, float)
-    m = column("m", optional(str if schema.m_kind == "categorical" else float))
-    has_y = columns.get("y", "y") in header
-    y = column("y", optional(float)) if has_y else [None] * len(g)
+        x[:, j] = converted(tokens(name), float)
+    m = optional("m")
+    y = optional("y") if columns.get("y", "y") in header else [None] * len(g)
     return PooledDataset.from_columns(schema, g, x, m, y, r)

@@ -12,6 +12,7 @@ Y-driven estimator (model2) puts y and its x-interactions into B.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -22,6 +23,7 @@ from .data import DomainTag, PooledDataset, VariableSchema
 from .models import (
     W_MAX,
     BasisSpec,
+    calibration_slope,
     calibration_weights,
     evaluate_basis_matrix,
     fit_logistic,
@@ -57,7 +59,10 @@ class Model1Spec:
     outcome_basis: BasisSpec
 
     @classmethod
+    @functools.lru_cache(maxsize=64)
     def default(cls, schema: VariableSchema) -> "Model1Spec":
+        """The default spec of a schema, built once per schema: specs are
+        frozen, so every fit can share it."""
         d = schema.n_covariates
         xm = _linear_xm_basis(d)
         quad = _polynomial_x_basis(d)
@@ -168,19 +173,21 @@ class _Calibration:
         self.counts, self.n1, self.target = counts, n1, target
         self.h_diag_b = weighted_cross_products(h, design)
 
+    def _counted(self, values, members):
+        return values if self.counts is None else values * self.counts[members]
+
     def weights(self, theta, members):
-        """Counted weights c w(theta) and slopes, each (m, n)."""
-        w, slope = calibration_weights(self.design, theta, self.offset, self.w_max)
-        if self.counts is None:
-            return w, slope
-        return w * self.counts[members], slope * self.counts[members]
+        """Counted weights c w(theta), (m, n)."""
+        return self._counted(
+            calibration_weights(self.design, theta, self.offset, self.w_max), members)
 
     def residual(self, theta, members):
-        w, _ = self.weights(theta, members)
+        w = self.weights(theta, members)
         return w @ self.h / self.n1[members, None] - self.target[members]
 
     def jacobian(self, theta, members):
-        _, slope = self.weights(theta, members)
+        slope = self._counted(
+            calibration_slope(self.design, theta, self.offset, self.w_max), members)
         return -self.h_diag_b(slope) / self.n1[members, None, None]
 
 
@@ -228,7 +235,7 @@ def calibrate(
         )
     )
 
-    w_hat, _ = calibration_weights(design, result.theta_hat, offset, w_max)
+    w_hat = calibration_weights(design, result.theta_hat, offset, w_max)
     n_capped = int(np.sum(w_hat >= w_max))
     warnings = []
     if not result.converged:
@@ -331,7 +338,7 @@ class StackedRefits:
         members = np.flatnonzero(done)
         if members.size == 0:
             return out
-        w, _ = equation.weights(np.array([fits[k].theta_hat for k in members]), members)
+        w = equation.weights(np.array([fits[k].theta_hat for k in members]), members)
         betas = w @ self._y / n1[live[members]]
         for k, beta in zip(members.tolist(), betas.tolist()):
             if math.isfinite(beta):

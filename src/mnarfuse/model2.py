@@ -13,6 +13,7 @@ computable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,7 +49,10 @@ class Model2Spec:
     n_or_params: int = 1  # gamma, plus optional X-interaction tilts
 
     @classmethod
+    @functools.lru_cache(maxsize=64)
     def default(cls, schema: VariableSchema) -> "Model2Spec":
+        """The default spec of a schema, built once per schema: specs are
+        frozen, so every fit can share it."""
         d = schema.n_covariates
         baseline = BasisSpec.parse("1" + "".join(f",x{j}" for j in range(1, d + 1)))
         return cls(
@@ -115,5 +119,5 @@ def recovered_propensity(
     design = evaluate_basis_matrix(basis, np.atleast_2d(np.asarray(x_row, dtype=float)),
                                    y=np.array([float(y)]))
     theta = np.array([*alpha.coefficients, gamma, *x_interactions], dtype=float)
-    w, _ = calibration_weights(design, theta, w_max=w_max)
+    w = calibration_weights(design, theta, w_max=w_max)
     return float(1.0 / w[0])

@@ -4,7 +4,7 @@ A basis is an ordered list of monomial terms over the covariate features, the
 (expanded) auxiliary variable M, and the outcome Y.  Coefficient models pair a
 basis with a coefficient vector and an identity or logistic link.  The
 calibrated reciprocal propensity of the IPW estimators is
-`calibration_weights`.
+`calibration_weights`, and its slope `calibration_slope`.
 """
 
 from __future__ import annotations
@@ -353,19 +353,36 @@ def fit_logistic(design: np.ndarray, outcome: np.ndarray,
     return coef[0] if weights is None else coef
 
 
+def _calibration_exp(design: np.ndarray, theta: np.ndarray, offset) -> tuple:
+    """The linear predictor offset - design.theta and its exponential, held
+    finite by evaluating it at no more than 700."""
+    lin = offset - theta @ design.T
+    return lin, np.exp(np.minimum(lin, 700.0))
+
+
 def calibration_weights(
     design: np.ndarray,
     theta: np.ndarray,
     offset=0.0,
     w_max: float = W_MAX,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Reciprocal propensity w = min(1 + exp(-design.theta + offset), w_max).
 
-    Also returns the slope -dw/d(design.theta): exp(-design.theta + offset)
-    where w is below the cap, and 0 where the cap binds.  A (K, p) stack of
-    theta gives (K, n) weights and slopes.
+    A (K, p) stack of theta gives (K, n) weights.
     """
-    lin = offset - theta @ design.T
-    e = np.exp(np.minimum(lin, 700.0))
-    w = np.minimum(1.0 + e, w_max)
-    return w, e * ((w < w_max) & (lin < 700.0))
+    _, e = _calibration_exp(design, theta, offset)
+    return np.minimum(1.0 + e, w_max)
+
+
+def calibration_slope(
+    design: np.ndarray,
+    theta: np.ndarray,
+    offset=0.0,
+    w_max: float = W_MAX,
+) -> np.ndarray:
+    """The slope -dw/d(design.theta) of `calibration_weights`:
+    exp(-design.theta + offset) where w is below the cap, and 0 where the cap
+    binds.  A (K, p) stack of theta gives (K, n) slopes.
+    """
+    lin, e = _calibration_exp(design, theta, offset)
+    return e * ((1.0 + e < w_max) & (lin < 700.0))

@@ -8,13 +8,12 @@ sidecar for bias computation and generator checks; estimators never read it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .data import PooledDataset, VariableSchema
+from .data import PooledDataset, VariableSchema, _floats, _floats_or, _ints, _write_columns
 from .models import logistic
 
 SCALAR_SCHEMA = VariableSchema(covariate_names=("x1",))
@@ -201,9 +200,9 @@ def true_beta(design) -> TrueBeta:
 
 
 def write_truth_csv(sidecar: TruthSidecar, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["domain", "r", "m_latent", "y_latent"])
-        for g, r, m, y in zip(sidecar.g.tolist(), sidecar.r.tolist(),
-                              sidecar.m_latent.tolist(), sidecar.y_latent.tolist()):
-            writer.writerow([g, r, repr(m), "" if y != y else repr(y)])
+    _write_columns(
+        path,
+        ["domain", "r", "m_latent", "y_latent"],
+        [(sidecar.g, _ints), (sidecar.r, _ints), (sidecar.m_latent, _floats),
+         (sidecar.y_latent, _floats_or(""))],
+    )

@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, exit codes, and the fixture pipeline."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -284,3 +285,54 @@ def test_malformed_config_is_a_one_line_error(tmp_path, capsys, text):
     assert run(["validate", "--data", str(data), "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: config file {config}") and err.count("\n") == 1
+
+
+# sha256 of the files the CLI writes at n=3000, seed 7: the bytes of every
+# writer are part of the interface.
+SIMULATE_SHA256 = {
+    ("1", "T"): ("1c864dbfe15dab18811bb3d21f4661580485e8a7065597b2c6d8c7d94be9a010",
+                 "8108c7af1f9c0813e9b1fca92f376b29820a1b395378916f15872c269572398c"),
+    ("1", "F"): ("1624191236180134cde3095e12b924cf944f60d5a27174a8beb32574229e877a",
+                 "b19d8524fe5c0df42eb39a2b3e5cf8b59d5241e847af2e85984b556a6f65d595"),
+    ("2", "T"): ("039e9a8638d28f2e91ff90a09ce1871dabaa8d2f7d9d2d0f8e6efa888ad964b4",
+                 "a51d1324b42173d3f97703d554a34ef0a9003ad20f18fa39bc5a71576743be3c"),
+    ("2", "F"): ("388260c5e891ea0584bd5db1bbc810db8fc7ab15e148e939d8599db7e7c4fd86",
+                 "444ac7551bee5a1b133d57f626b1fdf53c1461053445e6a0ae03d4bb2b8b781a"),
+}
+FIXTURE_SHA256 = {
+    ".csv": "daf03a9b49459abaa8ffa8ec0d4ba4479adcd1ad2a65bc23197be8ed4cdcc964",
+    ".ini": "dac99c76d3b9cc6acb9028a34f688ec7db317b3a8b0fd230f018725d37ddac95",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("model,setting", sorted(SIMULATE_SHA256))
+def test_simulate_output_bytes_are_pinned(tmp_path, capsys, model, setting):
+    out = tmp_path / "d.csv"
+    assert run(["simulate", "--model", model, "--setting", setting, "--n", "3000",
+                "--seed", "7", "--out", str(out)]) == 0
+    assert (_sha256(out), _sha256(tmp_path / "d.csv.truth.csv")) \
+        == SIMULATE_SHA256[model, setting]
+
+
+def test_make_fixture_output_bytes_are_pinned(tmp_path, capsys):
+    prefix = tmp_path / "fixture"
+    assert run(["make-fixture", "--n", "3000", "--seed", "7",
+                "--out-prefix", str(prefix)]) == 0
+    for suffix, digest in FIXTURE_SHA256.items():
+        assert _sha256(tmp_path / f"fixture{suffix}") == digest
+
+
+def test_back_to_back_calls_do_not_share_arguments(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    assert run(["simulate", "--model", "1", "--n", "500", "--seed", "7",
+                "--out", str(data)]) == 0
+    report = tmp_path / "r.json"
+    assert run(["estimate", "--data", str(data), "--model", "1",
+                "--json", str(report)]) == 0
+    report.unlink()
+    assert run(["estimate", "--data", str(data), "--model", "1"]) == 0
+    assert not report.exists()

@@ -1,22 +1,32 @@
 """Dataset schema, validation, and CSV round-trip tests."""
 
+import csv
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mnarfuse import data
 from mnarfuse.data import (
     DatasetFormatError,
     DomainTag,
     PooledDataset,
     UnitRecord,
     VariableSchema,
+    _lookup,
+    _tokenize,
+    _write_columns,
     m_features,
     read_csv,
     validate,
     write_csv,
 )
 from mnarfuse.report import domain_arrays
+from mnarfuse.simulate import Model1Design, generate_model1
 
 SCHEMA = VariableSchema(covariate_names=("x1",))
 
@@ -189,3 +199,124 @@ def test_csv_round_trip_property(tmp_path_factory, raw_rows):
     path = tmp_path_factory.mktemp("rt") / "d.csv"
     write_csv(ds, str(path))
     assert read_csv(str(path), SCHEMA).records == ds.records
+
+
+@st.composite
+def quote_free_csv(draw):
+    """CSV text without quotes: mixed line breaks, blank lines, padded
+    tokens, characters str.splitlines would break at, and ragged rows."""
+    width = draw(st.integers(1, 4))
+    token = st.text(alphabet=" \t1a?.\x0c\x85\u2028", max_size=3)
+    text = ""
+    for _ in range(draw(st.integers(1, 7))):
+        size = draw(st.sampled_from([width, width, width, 0, draw(st.integers(1, 5))]))
+        text += ",".join(draw(st.lists(token, min_size=size, max_size=size)))
+        text += draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _tokenized(text, split):
+    try:
+        return _tokenize(text, "f.csv", split)
+    except DatasetFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quote_free_csv())
+def test_split_tokenizer_matches_csv_reader(text):
+    assert _tokenized(text, split=True) == _tokenized(text, split=False)
+
+
+def test_read_csv_strips_a_padded_missing_token(tmp_path):
+    path = tmp_path / "padded.csv"
+    path.write_text("domain,r,x1,m,y\n1,0,0.5, ? ,  \n2,1,0.5, 1.5 ,?\n")
+    ds = read_csv(str(path), SCHEMA)
+    np.testing.assert_array_equal(ds.m, [np.nan, 1.5])
+    np.testing.assert_array_equal(ds.y, [np.nan, np.nan])
+
+
+def test_read_csv_numeric_missing_token_stays_missing(tmp_path):
+    schema = VariableSchema(covariate_names=("x1",), missing_token="-1")
+    path = tmp_path / "minus_one.csv"
+    path.write_text("domain,r,x1,m,y\n1,0,0.5,-1, -1\n1,1,0.5,-1.0,2\n2,1,-1,3,-1\n")
+    ds = read_csv(str(path), schema)
+    np.testing.assert_array_equal(ds.m, [np.nan, -1.0, 3.0])
+    np.testing.assert_array_equal(ds.y, [np.nan, 2.0, np.nan])
+    np.testing.assert_array_equal(ds.x[:, 0], [0.5, 0.5, -1.0])  # a covariate is never missing
+    assert validate(ds) == []
+
+
+def test_categorical_labels_needing_quotes_round_trip(tmp_path):
+    schema = VariableSchema(covariate_names=("x1",), m_kind="categorical",
+                            m_levels=('a,"b"', "c"), missing_token='n"a')
+    ds = PooledDataset(
+        records=(rec(m='a,"b"'), rec(m="c"), rec(r=0, m=None, y=None),
+                 rec(g=DomainTag.AUXILIARY, m='a,"b"', y=None)),
+        schema=schema,
+    )
+    path = tmp_path / "quoted.csv"
+    write_csv(ds, str(path))
+    assert '"a,""b"""' in path.read_text()
+    assert read_csv(str(path), schema) == ds
+
+
+def _write_csv_by_rows(dataset, path):
+    """The CSV form of `write_csv` as one csv.writer row per record."""
+    schema = dataset.schema
+    missing = schema.missing_token
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["domain", "r", *schema.covariate_names, "m", "y"])
+        for record in dataset.records:
+            m = record.m if isinstance(record.m, str) else repr(record.m)
+            writer.writerow([int(record.g), record.r, *map(repr, record.x),
+                             missing if record.m is None else m,
+                             missing if record.y is None else repr(record.y)])
+
+
+def _block_datasets():
+    numeric, _ = generate_model1(Model1Design(n=8193), seed=3)
+    codes = np.where(numeric.r == 1, np.arange(8193) % 3, np.nan)
+    for levels in (("none", "mild", "severe"), ("none", 'a,"b"', "c\r\nd")):
+        schema = VariableSchema(covariate_names=("x1",), m_kind="categorical",
+                                m_levels=levels, missing_token="NA")
+        yield PooledDataset(schema, numeric.g, numeric.x, codes, numeric.y, numeric.r)
+    yield numeric
+
+
+@pytest.mark.parametrize("n", [0, 8192, 8193])
+def test_write_csv_matches_csv_writer_across_blocks(tmp_path, n):
+    for k, dataset in enumerate(_block_datasets()):
+        part = dataset.take(np.arange(n))
+        by_blocks, by_rows = tmp_path / f"blocks{k}.csv", tmp_path / f"rows{k}.csv"
+        write_csv(part, str(by_blocks))
+        _write_csv_by_rows(part, str(by_rows))
+        assert by_blocks.read_bytes() == by_rows.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.lists(st.text(alphabet=' a,"\r\n\0', max_size=4), min_size=width, max_size=width),
+    max_size=7)))
+@example([["a\rb", "c"]])
+@example([["a\nb", "c"]])
+@example([['a"b', "c"]])
+@example([["a,b", "c"]])
+@example([[""]])
+@example([["a", "b"]] * 3 + [["a,b", "c"]])  # only the second block needs quoting
+def test_write_columns_quotes_any_text_as_csv_writer_does(rows):
+    """Whatever the texts hold, the bytes are csv.writer's: a block with a
+    field that needs quoting goes through csv.writer, the others are joined."""
+    width = len(rows[0]) if rows else 1
+    header = [f"c{j}" for j in range(width)]
+    texts = [tuple(column) for column in zip(*rows)] or [()]
+    columns = [(np.arange(len(rows)), _lookup(column)) for column in texts]
+    with tempfile.TemporaryDirectory() as tmp:
+        by_blocks, by_rows = os.path.join(tmp, "blocks.csv"), os.path.join(tmp, "rows.csv")
+        with mock.patch.object(data, "_BLOCK_ROWS", 3):
+            _write_columns(by_blocks, header, columns)
+        with open(by_rows, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        with open(by_blocks, "rb") as a, open(by_rows, "rb") as b:
+            assert a.read() == b.read()

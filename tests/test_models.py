@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mnarfuse.models import (
     BasisSpec,
     RankDeficientError,
+    calibration_slope,
     calibration_weights,
     evaluate_basis_matrix,
     fit_logistic,
@@ -106,7 +107,9 @@ def _tilt_weight(x, y, theta, w_max=1e6):
     """Weight and slope of one row under the basis 1, x1, y with theta =
     (alpha_0, alpha_1, gamma)."""
     design = evaluate_basis_matrix(BasisSpec.parse("1,x1,y"), [[x]], y=[y])
-    w, slope = calibration_weights(design, np.asarray(theta, dtype=float), w_max=w_max)
+    theta = np.asarray(theta, dtype=float)
+    w = calibration_weights(design, theta, w_max=w_max)
+    slope = calibration_slope(design, theta, w_max=w_max)
     return w[0], slope[0]
 
 
@@ -137,8 +140,8 @@ def test_weight_cap_counted():
 def test_weight_offset_shifts_the_linear_predictor():
     design = np.array([[1.0, 2.0], [1.0, -1.0]])
     theta = np.array([0.3, -0.2])
-    shifted, _ = calibration_weights(design, theta, offset=np.array([0.5, -0.25]))
-    direct, _ = calibration_weights(design, theta - np.array([0.0, 0.25]))
+    shifted = calibration_weights(design, theta, offset=np.array([0.5, -0.25]))
+    direct = calibration_weights(design, theta - np.array([0.0, 0.25]))
     np.testing.assert_allclose(shifted, direct, rtol=1e-14)
 
 

@@ -17,10 +17,7 @@ from mnarfuse.simulate import (
 
 
 def _domain_stats(dataset):
-    g = np.array([int(rec.g) for rec in dataset.records])
-    r = np.array([rec.r for rec in dataset.records])
-    x = np.array([rec.x[0] for rec in dataset.records])
-    return g, r, x
+    return dataset.g, dataset.r, dataset.x[:, 0]
 
 
 def test_model1_primary_x_centering():
