@@ -33,7 +33,7 @@ from .data import (
     write_csv,
 )
 from .inference import BootstrapConfig, BootstrapError, bootstrap_ci, replicate
-from .model1 import EstimationError, estimate_model1
+from .model1 import estimate_model1
 from .model2 import estimate_model2
 from .models import logistic
 from .simulate import (
@@ -392,10 +392,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except DatasetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILED
-    except (EstimationError, oracle.OracleError, BootstrapError, ValueError) as exc:
+    # data, config, estimation and oracle errors are all ValueErrors
+    except (ValueError, BootstrapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
 

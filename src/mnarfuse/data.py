@@ -49,8 +49,8 @@ class VariableSchema:
         if self.y_kind not in ("numeric", "binary"):
             raise ValueError(f"unknown y_kind {self.y_kind!r}")
         if self.m_kind == "categorical":
-            if not self.m_levels:
-                raise ValueError("categorical M requires a nonempty level list")
+            if len(self.m_levels) < 2:  # a single level leaves no one-hot column
+                raise ValueError("categorical M requires at least 2 levels")
             if len(set(self.m_levels)) != len(self.m_levels):
                 raise ValueError("categorical M levels must be distinct")
 
@@ -270,7 +270,7 @@ def _write_columns(path: str, header: Sequence[str], columns: Sequence[tuple]) -
     quote = len(columns) == 1 or any(  # csv.writer also quotes a lone empty field
         char in text for _, fmt in columns for text in fmt.texts for char in ',"\r\n')
     n = len(columns[0][0])
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for start in range(0, n, _BLOCK_ROWS):
@@ -383,11 +383,12 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
     the y column may be absent (every Y missing).  Every row has as many
     fields as the header; blank lines are skipped.  Domain, M and Y tokens
     are stripped, and the missing token and the empty cell both mark a
-    missing M or Y.
+    missing M or Y.  The file is UTF-8; a leading byte-order mark, which
+    spreadsheet "CSV UTF-8" exports write, is skipped.
     """
     columns = columns or {}
     domains = NATIVE_DOMAINS if domains is None else domains
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         text = fh.read()
     # quoted fields need a real parser
     header, fields, kept = _tokenize(text, path, split='"' not in text and "\0" not in text)

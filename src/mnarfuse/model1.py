@@ -124,71 +124,64 @@ def fit_aux_moment_targets(
     return design_primary @ coefs, coefs
 
 
-def _init_design(primary: DomainArrays, basis: BasisSpec,
-                 m_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The X-only part of the propensity basis at every primary row, and the
-    mask of its columns among the basis columns."""
-    x_only = [not (t.uses_m or t.uses_y) for t in basis.terms]
-    design = evaluate_basis_matrix(
-        BasisSpec(tuple(t for t, keep in zip(basis.terms, x_only) if keep)), primary.x
-    )
-    return design, np.repeat(x_only, [t.width(m_dim) for t in basis.terms])
-
-
-def _init_theta(primary: DomainArrays, basis: BasisSpec, m_dim: int) -> np.ndarray:
-    """Initial propensity coefficients: logistic fit of R on the X-only part
-    of the basis over all primary rows; M and Y coefficients start at 0."""
-    design, columns = _init_design(primary, basis, m_dim)
-    init = np.zeros(columns.size)
-    init[columns] = fit_logistic(design, primary.r.astype(float))
-    return init
-
-
-def _calibration_matrices(primary: DomainArrays, basis: BasisSpec, h_basis: BasisSpec,
-                          fixed_gamma: float):
-    """B and h over the primary complete cases, their outcomes, and the
-    offset -fixed_gamma * y."""
-    cc = primary.complete
-    x_cc, m_cc, y_cc = primary.x[cc], primary.m[cc], primary.y[cc]
-    design = evaluate_basis_matrix(basis, x_cc, m_cc, y_cc)
-    h_cc = evaluate_basis_matrix(h_basis, x_cc, m_cc)
-    if h_cc.shape[1] < design.shape[1]:
-        raise EstimationError(
-            f"h basis has {h_cc.shape[1]} components for {design.shape[1]} "
-            "propensity parameters"
-        )
-    offset = -fixed_gamma * y_cc if fixed_gamma else 0.0
-    return design, h_cc, y_cc, offset
-
-
 class _Calibration:
-    """The calibration equation h^T (c w(theta)) / n1 = target of a stack of
-    members.  Member k counts row i of the design counts[k, i] times, or
-    once when counts is None, and has its own n1 and target.  Methods take
-    theta (m, p) of the members at the given positions of the stack; the
-    Jacobian is -h^T diag(c * slope) B / n1."""
+    """The calibration equation h^T (c w(theta)) / n1 = target on one
+    dataset's primary complete cases, built once for its point fit and its
+    stacked refits.
 
-    def __init__(self, design, h, offset, w_max, counts, n1, target):
-        self.design, self.h, self.offset, self.w_max = design, h, offset, w_max
-        self.counts, self.n1, self.target = counts, n1, target
-        self.h_diag_b = weighted_cross_products(h, design)
+    B is `basis` over the complete cases (x, m, y), h is `h_basis` there, and
+    the offset is -fixed_gamma * y.  A stack's member k counts complete case
+    i counts[k, i] times, or once when counts is None, and has its own n1
+    and target; methods take theta (K, p) and the members' counts, n1 and
+    targets.  The Jacobian is -h^T diag(c * slope) B / n1.
+    """
 
-    def _counted(self, values, members):
-        return values if self.counts is None else values * self.counts[members]
+    def __init__(self, primary: DomainArrays, basis: BasisSpec, h_basis: BasisSpec,
+                 m_dim: int, w_max: float = W_MAX, fixed_gamma: float = 0.0):
+        cc = primary.complete
+        x_cc, m_cc, self.y = primary.x[cc], primary.m[cc], primary.y[cc]
+        self.design = evaluate_basis_matrix(basis, x_cc, m_cc, self.y)
+        self.h = evaluate_basis_matrix(h_basis, x_cc, m_cc)
+        if self.h.shape[1] < self.design.shape[1]:
+            raise EstimationError(
+                f"h basis has {self.h.shape[1]} components for {self.design.shape[1]} "
+                "propensity parameters"
+            )
+        self.offset = -fixed_gamma * self.y if fixed_gamma else 0.0
+        self.w_max = w_max
+        x_only = [not (t.uses_m or t.uses_y) for t in basis.terms]
+        self._init_design = evaluate_basis_matrix(
+            BasisSpec(tuple(t for t, keep in zip(basis.terms, x_only) if keep)), primary.x)
+        self._init_columns = np.repeat(x_only, [t.width(m_dim) for t in basis.terms])
+        self._r = primary.r.astype(float)
+        self._h_diag_b = weighted_cross_products(self.h, self.design)
 
-    def weights(self, theta, members):
-        """Counted weights c w(theta), (m, n)."""
-        return self._counted(
-            calibration_weights(self.design, theta, self.offset, self.w_max), members)
+    def init(self, counts: Optional[np.ndarray] = None) -> np.ndarray:
+        """Initial theta (K, p): logistic fit of R on the X-only part of the
+        basis over all primary rows, row i counted counts[k, i] times (once
+        when counts is None, K = 1); M and Y coefficients start at 0."""
+        init = np.zeros((1 if counts is None else len(counts), self._init_columns.size))
+        init[:, self._init_columns] = fit_logistic(self._init_design, self._r, weights=counts)
+        return init
 
-    def residual(self, theta, members):
-        w = self.weights(theta, members)
-        return w @ self.h / self.n1[members, None] - self.target[members]
+    def weights(self, theta, counts=None):
+        """Counted weights c w(theta), (K, n_cc)."""
+        w = calibration_weights(self.design, theta, self.offset, self.w_max)
+        return w if counts is None else w * counts
 
-    def jacobian(self, theta, members):
-        slope = self._counted(
-            calibration_slope(self.design, theta, self.offset, self.w_max), members)
-        return -self.h_diag_b(slope) / self.n1[members, None, None]
+    def residual(self, theta, counts, n1, target):
+        return self.weights(theta, counts) @ self.h / n1[:, None] - target
+
+    def jacobian(self, theta, counts, n1):
+        slope = calibration_slope(self.design, theta, self.offset, self.w_max)
+        if counts is not None:
+            slope = slope * counts
+        return -self._h_diag_b(slope) / n1[:, None, None]
+
+    def beta_hat(self, w, n1):
+        """The outcome mean of counted weights w: their complete-case
+        outcome sum over n1."""
+        return w @ self.y / n1
 
 
 def calibrate(
@@ -221,21 +214,19 @@ def calibrate(
         raise EstimationError("no complete cases in the primary domain")
 
     preds, aux_coefs = fit_aux_moment_targets(dataset, h_basis, aux_regression_basis)
-    design, h_cc, y_cc, offset = _calibration_matrices(primary, basis, h_basis, fixed_gamma)
-    equation = _Calibration(design, h_cc, offset, w_max, None, np.array([n1]),
-                            preds.mean(axis=0)[None])
-    only = slice(0, 1)
+    equation = _Calibration(primary, basis, h_basis, dataset.schema.m_dim, w_max, fixed_gamma)
+    n1s, target = np.array([n1]), preds.mean(axis=0)[None]
     result = solve(
         MomentSystem(
-            residual=lambda theta: equation.residual(theta[None], only)[0],
-            dim_theta=design.shape[1],
-            init=_init_theta(primary, basis, dataset.schema.m_dim),
+            residual=lambda theta: equation.residual(theta[None], None, n1s, target)[0],
+            dim_theta=equation.design.shape[1],
+            init=equation.init()[0],
             config=config,
-            jacobian=lambda theta: equation.jacobian(theta[None], only)[0],
+            jacobian=lambda theta: equation.jacobian(theta[None], None, n1s)[0],
         )
     )
 
-    w_hat = calibration_weights(design, result.theta_hat, offset, w_max)
+    w_hat = equation.weights(result.theta_hat)
     n_capped = int(np.sum(w_hat >= w_max))
     warnings = []
     if not result.converged:
@@ -245,7 +236,7 @@ def calibrate(
             f"degenerate overlap: {n_capped} of {n_cc} complete-case weights capped"
         )
     return EstimateReport(
-        beta_hat=float(w_hat @ y_cc / n1),
+        beta_hat=float(equation.beta_hat(w_hat, n1)),
         estimator=estimator,
         nuisance={
             "alpha": result.theta_hat.tolist(),
@@ -279,16 +270,16 @@ class StackedRefits:
     A resample is given by its draw rows and fitted as the count vector of
     those rows: a frequency-weighted fit of the dataset's own rows, which is
     the fit of the resample up to the order of float sums.  The basis
-    matrices are built once, here, by the code the point fit uses; a block
-    then runs the weighted auxiliary regression, the weighted logistic init
-    and one Newton attempt as stacked operations over its members.
+    matrices and the dataset's `_Calibration`, the one the point fit solves,
+    are built once, here; a block then runs the weighted auxiliary
+    regression, the weighted logistic init and the one Newton attempt of
+    each member as stacked operations.
 
     A refit comes back as None, to be refitted on its rows by the caller,
     when it has an empty domain, too few auxiliary complete cases, a rank
     deficient design, a singular init, a non-finite residual or beta_hat, a
-    singular step, or does not converge in the first Newton attempt: the
-    per-refit fit then gives the failure reason, the restarts and the solver
-    status.
+    singular step, or does not converge: the per-refit fit then gives the
+    failure reason or the solver status.
     """
 
     def __init__(self, dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,
@@ -302,12 +293,9 @@ class StackedRefits:
         self._min_aux_cc = max(1, len(aux_regression_basis.terms))
         self._aux_h, self._aux_design, self._aux_at_primary = _aux_regression_matrices(
             primary, auxiliary, h_basis, aux_regression_basis)
-        self._design, self._h, self._y, self._offset = _calibration_matrices(
-            primary, basis, h_basis, 0.0)
-        self._init_design, self._init_columns = _init_design(
-            primary, basis, dataset.schema.m_dim)
-        self._r = primary.r.astype(float)
-        self.block_size = max(1, _BLOCK_BYTES // (8 * max(1, self._n) * self._design.shape[1]))
+        self._equation = _Calibration(primary, basis, h_basis, dataset.schema.m_dim)
+        self.block_size = max(
+            1, _BLOCK_BYTES // (8 * max(1, self._n) * self._equation.design.shape[1]))
 
     def __call__(self, draws: list) -> list[Optional[tuple[float, SolverResult]]]:
         """(beta_hat, solver result) of the refit on each draw, or None."""
@@ -324,22 +312,24 @@ class StackedRefits:
         coefs = solve_least_squares(self._aux_design, self._aux_h, weights=aux_cc[live])
         target = np.einsum("ka,kaq->kq", primary[live] @ self._aux_at_primary,
                            coefs) / n1[live, None]
-        init = np.zeros((live.size, self._design.shape[1]))
-        init[:, self._init_columns] = fit_logistic(self._init_design, self._r,
-                                                   weights=primary[live])
+        equation = self._equation
+        init = equation.init(primary[live])
         ok = np.all(np.isfinite(target), axis=1) & np.all(np.isfinite(init), axis=1)
         live, target, init = live[ok], target[ok], init[ok]
         if live.size == 0:
             return out
-        equation = _Calibration(self._design, self._h, self._offset, W_MAX,
-                                primary[live][:, self._cc], n1[live], target)
-        fits = newton_stack(equation.residual, equation.jacobian, init, SolverConfig())
+        cc_counts, n1 = primary[live][:, self._cc], n1[live]
+        fits = newton_stack(
+            lambda theta, members: equation.residual(theta, cc_counts[members], n1[members],
+                                                     target[members]),
+            lambda theta, members: equation.jacobian(theta, cc_counts[members], n1[members]),
+            init, SolverConfig())
         done = np.array([fit is not None and fit.converged for fit in fits])
         members = np.flatnonzero(done)
         if members.size == 0:
             return out
-        w = equation.weights(np.array([fits[k].theta_hat for k in members]), members)
-        betas = w @ self._y / n1[live[members]]
+        w = equation.weights(np.array([fits[k].theta_hat for k in members]), cc_counts[members])
+        betas = equation.beta_hat(w, n1[members])
         for k, beta in zip(members.tolist(), betas.tolist()):
             if math.isfinite(beta):
                 out[live[k]] = (beta, fits[k])

@@ -17,9 +17,8 @@ class RefitCounts:
 
     stacked: int = 0  # solved in a block of stacked frequency-weighted fits
     per_refit: int = 0  # by a call of the estimator on the resample, fallbacks included
-    # summed over the refits that returned a solver result: the Newton
-    # iterations of each one's returned attempt, its residual evaluations
-    # over all attempts
+    # summed over the refits that returned a solver result: their Newton
+    # iterations and residual evaluations
     iterations: int = 0
     residual_evals: int = 0
 
@@ -68,7 +67,6 @@ class EstimateReport:
                 "iterations": self.solver.iterations,
                 "residual_evals": self.solver.residual_evals,
                 "jacobian_evals": self.solver.jacobian_evals,
-                "restarts": self.solver.restarts,
             }
         if self.ci is not None:
             out["ci"] = {

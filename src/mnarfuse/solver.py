@@ -3,19 +3,18 @@
 Just-identified systems are solved by Newton iteration with a halving line
 search on ||r||; overdetermined systems by damped Gauss-Newton on
 0.5*||r||^2.  The Jacobian is the system's own when it supplies one, else a
-forward finite difference.  Failed attempts restart from the initial point
-perturbed by centered uniform noise.
+forward finite difference.  Each system gets one attempt from its initial
+point; an attempt that does not converge is returned as it stopped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .models import solve_linear
-from .simulate import make_rng
 
 _FD_STEP = 1e-6
 _MAX_HALVINGS = 30
@@ -29,9 +28,6 @@ class ResidualError(ValueError):
 class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 100
-    n_restarts: int = 5
-    restart_scale: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -45,10 +41,9 @@ class SolverResult:
     theta_hat: np.ndarray
     status: str  # "converged" | "max_iter" | "singular"
     final_residual_norm: float
-    iterations: int  # of the returned attempt
-    residual_evals: int  # over all attempts, finite-difference ones included
-    jacobian_evals: int  # over all attempts
-    restarts: int  # attempts made after the first
+    iterations: int
+    residual_evals: int  # finite-difference ones included
+    jacobian_evals: int
 
     @property
     def converged(self) -> bool:
@@ -67,9 +62,10 @@ class MomentSystem:
 
 class _Counted:
     """Residuals and Jacobians of a stack of systems, counting evaluations
-    per member.  residual(theta, members) -> (m, q) and
-    jacobian(theta, r, members) -> (m, q, p) evaluate the members at the
-    given positions of the stack, theta (m, p) and r (m, q) being theirs."""
+    per member.  residual(theta, members) -> (m, q) and, when given,
+    jacobian(theta, members) -> (m, q, p) evaluate the members at the given
+    positions of the stack, theta (m, p) being theirs; without a jacobian it
+    is the forward difference of the residual."""
 
     def __init__(self, residual, jacobian, size: int):
         self._residual = residual
@@ -83,9 +79,22 @@ class _Counted:
         return np.asarray(self._residual(theta, members), dtype=float)
 
     def jacobian(self, theta, r, members) -> np.ndarray:
+        """The Jacobian at theta, where the residuals are r."""
         for k in members.tolist():
             self.jacobian_evals[k] += 1
-        return np.asarray(self._jacobian(theta, r, members), dtype=float)
+        if self._jacobian is not None:
+            return np.asarray(self._jacobian(theta, members), dtype=float)
+        jac = np.empty(r.shape + theta.shape[1:])
+        for j in range(theta.shape[1]):
+            step = _FD_STEP * (1.0 + np.abs(theta[:, j]))
+            bumped = theta.copy()
+            bumped[:, j] += step
+            r_bumped = self.residual(bumped, members)
+            bad = ~np.all(np.isfinite(r_bumped), axis=1)
+            if bad.any():
+                raise ResidualError(f"non-finite residual at theta={bumped[bad][0].tolist()}")
+            jac[:, :, j] = (r_bumped - r) / step[:, None]
+        return jac
 
 
 def _gauss_newton_steps(jac, r):
@@ -187,7 +196,7 @@ def _iterate(counted: _Counted, theta0, r0, config: SolverConfig, just_identifie
     return theta, r, status, iters
 
 
-def _result(counted: _Counted, k: int, theta, r, status, iters, restarts: int) -> SolverResult:
+def _result(counted: _Counted, k: int, theta, r, status, iters) -> SolverResult:
     return SolverResult(
         theta_hat=theta[k],
         status=str(status[k]),
@@ -195,90 +204,47 @@ def _result(counted: _Counted, k: int, theta, r, status, iters, restarts: int) -
         iterations=int(iters[k]),
         residual_evals=counted.residual_evals[k],
         jacobian_evals=counted.jacobian_evals[k],
-        restarts=restarts,
     )
 
 
 def solve(system: MomentSystem) -> SolverResult:
-    """Solve the moment system, restarting from perturbed inits on failure.
+    """Solve the moment system by one Newton / Gauss-Newton attempt from its
+    init; an attempt that does not converge is returned with its status.
 
-    The best attempt (converged preferred, then smallest residual norm) is
-    returned.  Restart noise is drawn from a generator seeded by the config
-    seed, so identical inputs give identical results.
+    Raises ResidualError when the residual at the init, or at a
+    finite-difference point, is non-finite.
     """
-    config = system.config
     init = np.asarray(system.init, dtype=float)
     if init.size != system.dim_theta:
         raise ValueError("init length does not match dim_theta")
-    only = np.zeros(1, dtype=int)
 
-    def checked(theta) -> np.ndarray:
-        r = counted.residual(theta[None], only)[0]
-        if not np.all(np.isfinite(r)):
-            raise ResidualError(f"non-finite residual at theta={theta.tolist()}")
-        return r
+    def residual(theta, members):
+        return np.asarray(system.residual(theta[0]))[None]
 
-    def jacobian(theta, r, members):
-        if system.jacobian is not None:
-            return np.asarray(system.jacobian(theta[0]), dtype=float)[None]
-        jac = np.empty((r.shape[1], theta.shape[1]))
-        for j in range(theta.shape[1]):
-            step = _FD_STEP * (1.0 + abs(theta[0, j]))
-            bumped = theta[0].copy()
-            bumped[j] += step
-            jac[:, j] = (checked(bumped) - r[0]) / step
-        return jac[None]
+    def jacobian(theta, members):
+        return np.asarray(system.jacobian(theta[0]))[None]
 
-    counted = _Counted(lambda theta, members: np.asarray(system.residual(theta[0]))[None],
-                       jacobian, 1)
-    r_init = checked(init)
-    just_identified = r_init.size == system.dim_theta
-    if r_init.size < system.dim_theta:
-        raise ValueError(
-            f"underdetermined system: {r_init.size} residuals for {system.dim_theta} parameters"
-        )
-
-    rng = None  # built at the first restart
-    best = None
-    for attempt in range(config.n_restarts + 1):
-        try:
-            if attempt == 0:
-                start, r0 = init, r_init
-            else:
-                rng = rng or make_rng(config.seed)
-                noise = rng.uniform(-1.0, 1.0, size=init.size) * config.restart_scale * (
-                    1.0 + np.abs(init)
-                )
-                start = init + noise
-                r0 = checked(start)
-            run = _iterate(counted, start[None], r0[None], config, just_identified, only)
-        except ResidualError:
-            if attempt == 0:
-                raise
-            continue
-        result = _result(counted, 0, *run, restarts=attempt)
-        if result.converged:
-            return result
-        if best is None or result.final_residual_norm < best.final_residual_norm:
-            best = result
-    assert best is not None
-    return replace(best, residual_evals=counted.residual_evals[0],
-                   jacobian_evals=counted.jacobian_evals[0], restarts=config.n_restarts)
+    [result] = newton_stack(residual, None if system.jacobian is None else jacobian,
+                            init[None], system.config)
+    if result is None:
+        raise ResidualError(f"non-finite residual at theta={init.tolist()}")
+    return result
 
 
 def newton_stack(residual, jacobian, init: np.ndarray,
                  config: SolverConfig) -> list[Optional[SolverResult]]:
-    """One Newton / Gauss-Newton attempt, without restarts, for each member
-    of a stack of systems that share their shapes.
+    """One Newton / Gauss-Newton attempt for each member of a stack of
+    systems that share their shapes.
 
     residual(theta, members) -> (m, q) and jacobian(theta, members) ->
     (m, q, p) evaluate the members at the given positions, theta (m, p)
-    being theirs; init is (K, p).  Each member converges, stalls or turns
+    being theirs; init is (K, p).  A jacobian of None is the forward
+    difference of the residual.  Each member converges, stalls or turns
     singular on its own.  Returns one SolverResult per member, or None for a
     member whose residual at init is non-finite.
     """
     size, dim_theta = init.shape
-    counted = _Counted(residual, lambda theta, r, members: jacobian(theta, members), size)
+    counted = _Counted(residual, jacobian, size)
     r0 = counted.residual(init, np.arange(size))
     if r0.shape[1] < dim_theta:
         raise ValueError(
@@ -286,5 +252,4 @@ def newton_stack(residual, jacobian, init: np.ndarray,
         )
     finite = np.all(np.isfinite(r0), axis=1)
     run = _iterate(counted, init, r0, config, r0.shape[1] == dim_theta, np.flatnonzero(finite))
-    return [_result(counted, k, *run, restarts=0) if finite[k] else None
-            for k in range(size)]
+    return [_result(counted, k, *run) if finite[k] else None for k in range(size)]

@@ -154,14 +154,15 @@ def test_model1_warns_of_degenerate_overlap():
 
 
 def test_model2_weights_are_the_recovered_propensities():
-    report = estimate_model2(_M2)
-    alpha = CoefficientModel(BasisSpec.parse("1,x1"), tuple(report.nuisance["alpha"]),
-                             link="logistic")
     primary = domain_arrays(_M2, DomainTag.PRIMARY)
     cc = primary.complete
-    weights = np.array([1.0 / recovered_propensity(x, y, alpha, report.nuisance["gamma"])
-                        for x, y in zip(primary.x[cc], primary.y[cc])])
-    assert weights @ primary.y[cc] / primary.n == pytest.approx(report.beta_hat, abs=1e-12)
+    for fix_gamma in (None, -0.4):  # gamma solved for, then held fixed by the offset
+        report = estimate_model2(_M2, fix_gamma=fix_gamma)
+        alpha = CoefficientModel(BasisSpec.parse("1,x1"), tuple(report.nuisance["alpha"]),
+                                 link="logistic")
+        weights = np.array([1.0 / recovered_propensity(x, y, alpha, report.nuisance["gamma"])
+                            for x, y in zip(primary.x[cc], primary.y[cc])])
+        assert weights @ primary.y[cc] / primary.n == pytest.approx(report.beta_hat, abs=1e-12)
 
 
 # beta_hat of the forward-difference Newton solver these estimators used

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from mnarfuse.cli import build_parser, main
+from mnarfuse.data import read_csv
+from mnarfuse.simulate import SCALAR_SCHEMA
 
 
 def run(argv):
@@ -80,6 +82,24 @@ def test_validate_flags_auxiliary_y(tmp_path, capsys):
     path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n2,1,0.0,1.0,2.0\n")
     assert run(["validate", "--data", str(path)]) == 1
     assert "auxiliary" in capsys.readouterr().out.lower()
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start the file with a UTF-8 byte-order mark
+    out, bom = tmp_path / "d.csv", tmp_path / "bom.csv"
+    assert run(["simulate", "--model", "1", "--n", "300", "--seed", "1", "--out", str(out)]) == 0
+    bom.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+    assert read_csv(str(bom), SCALAR_SCHEMA) == read_csv(str(out), SCALAR_SCHEMA)
+    assert run(["validate", "--data", str(bom)]) == 0
+
+
+def test_one_level_categorical_m_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text("domain,r,x1,m,y\n1,1,0.0,a,2.0\n2,1,0.5,a,?\n")
+    for command in (["validate"], ["estimate", "--model", "1"]):
+        assert run([*command, "--data", str(path), "--m-kind", "categorical",
+                    "--m-levels", "a"]) == 1
+        assert capsys.readouterr().err == "error: categorical M requires at least 2 levels\n"
 
 
 def test_replicate_writes_reports(tmp_path, capsys):
@@ -207,7 +227,9 @@ def test_estimate_json_reports_solver_counters(tmp_path, capsys):
                 "--json", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     solver = report["solver"]
-    assert solver["status"] == "converged" and solver["restarts"] == 0
+    assert set(solver) == {"status", "final_residual_norm", "iterations", "residual_evals",
+                           "jacobian_evals"}
+    assert solver["status"] == "converged"
     # one Jacobian per Newton step, and the residual at the start and at each step
     assert solver["jacobian_evals"] == solver["iterations"]
     assert solver["residual_evals"] >= solver["iterations"] + 1

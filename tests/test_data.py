@@ -65,6 +65,13 @@ def test_validate_clean_dataset():
     assert validate(ds) == []
 
 
+@pytest.mark.parametrize("levels", [(), ("a",)], ids=["none", "one"])
+def test_categorical_m_needs_two_levels(levels):
+    # one level would leave M an empty one-hot block
+    with pytest.raises(ValueError, match="at least 2 levels"):
+        VariableSchema(covariate_names=("x1",), m_kind="categorical", m_levels=levels)
+
+
 def test_domain_arrays_preserve_order():
     rows = (rec(x=(0.0,)), rec(g=DomainTag.AUXILIARY, y=None), rec(x=(5.0,)))
     ds = PooledDataset(records=rows, schema=SCHEMA)

@@ -64,15 +64,17 @@ def test_nonfinite_residual_names_theta():
         solve(MomentSystem(residual=residual, dim_theta=1, init=np.ones(1)))
 
 
-def test_restarts_recover_from_bad_init():
-    # derivative vanishes at the init; restart noise must escape the plateau
+def test_one_attempt_from_a_flat_init():
+    # the derivative vanishes at the init: the first Newton step is singular,
+    # and the attempt stops there, at the init, with no second try
     def residual(theta):
         return np.array([theta[0] ** 3 - 8.0])
 
-    result = solve(MomentSystem(residual=residual, dim_theta=1, init=np.zeros(1),
-                                config=SolverConfig(seed=4)))
-    assert result.converged
-    np.testing.assert_allclose(result.theta_hat, [2.0], atol=1e-6)
+    result = solve(MomentSystem(residual=residual, dim_theta=1, init=np.zeros(1)))
+    assert (result.status, result.iterations) == ("singular", 0)
+    np.testing.assert_array_equal(result.theta_hat, [0.0])
+    # the residual at the init and one forward-difference bump for the one Jacobian
+    assert (result.residual_evals, result.jacobian_evals) == (2, 1)
 
 
 def test_determinism():
@@ -130,19 +132,17 @@ def test_counts_on_a_linear_system(analytic):
                                 jacobian=(lambda t: _A) if analytic else None))
     assert result.converged and result.iterations == 1
     np.testing.assert_allclose(result.theta_hat, np.linalg.solve(_A, _B), atol=1e-9)
-    assert (result.residual_evals, result.jacobian_evals, result.restarts) == (
-        (2, 1, 0) if analytic else (4, 1, 0))
+    assert (result.residual_evals, result.jacobian_evals) == ((2, 1) if analytic else (4, 1))
 
 
-def test_counts_cover_every_attempt():
-    # a constant residual has no root: each attempt builds one Jacobian, then
+def test_counts_of_the_one_attempt():
+    # a constant residual has no root: the attempt builds one Jacobian, then
     # its line search halves 30 times without a decrease and stalls
     result = solve(MomentSystem(residual=lambda t: np.ones(1), dim_theta=1,
-                                init=np.zeros(1), config=SolverConfig(n_restarts=2),
-                                jacobian=lambda t: np.ones((1, 1))))
-    assert (result.status, result.iterations, result.restarts) == ("max_iter", 1, 2)
-    # the start of each attempt, then its 30 line-search trials
-    assert (result.residual_evals, result.jacobian_evals) == (3 * 31, 3)
+                                init=np.zeros(1), jacobian=lambda t: np.ones((1, 1))))
+    assert (result.status, result.iterations) == ("max_iter", 1)
+    # the start, then the 30 line-search trials
+    assert (result.residual_evals, result.jacobian_evals) == (31, 1)
 
 
 def test_analytic_jacobian_gives_the_forward_difference_iterates():
