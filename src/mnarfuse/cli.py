@@ -75,7 +75,7 @@ def _load_schema_map(args) -> tuple[VariableSchema, dict, dict]:
         parser = configparser.ConfigParser()
         parser.optionxform = str
         try:
-            read = parser.read(args.config)
+            read = parser.read(args.config, encoding="utf-8-sig")
         except configparser.Error as exc:
             message = " ".join(str(exc).split())  # some configparser messages span lines
             raise DatasetFormatError(f"config file {args.config}: {message}") from None
@@ -392,8 +392,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    # data, config, estimation and oracle errors are all ValueErrors
-    except (ValueError, BootstrapError) as exc:
+    # data, config, estimation and oracle errors are all ValueErrors; an
+    # unreadable input or unwritable output path is an OSError
+    except (ValueError, BootstrapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
 

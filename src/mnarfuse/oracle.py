@@ -47,6 +47,8 @@ class DiscreteFullLaw:
         expected = (2, len(self.x_support), len(self.m_support), len(self.y_support), 2)
         if self.table.shape != expected:
             raise OracleError(f"table shape {self.table.shape} != {expected}")
+        if not np.all(np.isfinite(self.table)):
+            raise OracleError("non-finite cell probability")
         if np.any(self.table < 0):
             raise OracleError("negative cell probability")
         if abs(self.table.sum() - 1.0) > 1e-9:
@@ -138,10 +140,6 @@ class AssumptionCheckResult:
     holds: dict
     violation: dict
 
-    def all_hold(self, which=None) -> bool:
-        keys = which if which is not None else self.holds.keys()
-        return all(self.holds[k] for k in keys)
-
 
 def _max_conditional_dev(joint: np.ndarray, cond_axis: int) -> float:
     """Max deviation of p(target | ..., cond) from p(target | ...) where the
@@ -164,7 +162,19 @@ def _max_conditional_dev(joint: np.ndarray, cond_axis: int) -> float:
     return dev
 
 
-def check_assumptions(law: DiscreteFullLaw, which=None) -> AssumptionCheckResult:
+def _completeness_sigma(primary_r1: np.ndarray) -> np.ndarray:
+    """Smallest singular value of p(y | R=1, x, m) for each x, from the
+    primary complete-case masses (x, m, y); 0 when |M| < |Y|."""
+    nx, nm, ny = primary_r1.shape
+    if nm < ny:
+        return np.zeros(nx)
+    row_mass = primary_r1.sum(axis=2, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cond = np.where(row_mass > 0, primary_r1 / row_mass, 0.0)
+    return np.linalg.svd(cond, compute_uv=False)[:, ny - 1]
+
+
+def check_assumptions(law: DiscreteFullLaw) -> AssumptionCheckResult:
     """Verify the identifying conditional-independence statements cell by cell.
 
     aux_mar:       M independent of R given X in the auxiliary domain.
@@ -176,7 +186,6 @@ def check_assumptions(law: DiscreteFullLaw, which=None) -> AssumptionCheckResult
     completeness:  p(y | R=1, x, m) has full column rank for every x.
     """
     t = law.table
-    nx, nm, ny = law.shape
     holds, violation = {}, {}
 
     def record(name, dev, tol=_CI_TOL):
@@ -206,23 +215,9 @@ def check_assumptions(law: DiscreteFullLaw, which=None) -> AssumptionCheckResult
     holds["shadow_dep"] = dep > 1e-6
 
     # completeness: rank of p(y | R=1, x, m) per x
-    min_sigma = np.inf
-    for xi in range(nx):
-        mat = t[0, xi, :, :, 1]
-        row_mass = mat.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(row_mass > 0, mat / row_mass, 0.0)
-        if nm < ny:
-            min_sigma = 0.0
-            break
-        sigma = np.linalg.svd(cond, compute_uv=False)
-        min_sigma = min(min_sigma, float(sigma[ny - 1]))
+    min_sigma = float(_completeness_sigma(t[0, :, :, :, 1]).min())
     violation["completeness"] = max(0.0, _RANK_TOL - min_sigma)
     holds["completeness"] = min_sigma > _RANK_TOL
-
-    if which is not None:
-        holds = {k: holds[k] for k in which}
-        violation = {k: violation[k] for k in which}
     return AssumptionCheckResult(holds=holds, violation=violation)
 
 
@@ -230,34 +225,52 @@ def check_assumptions(law: DiscreteFullLaw, which=None) -> AssumptionCheckResult
 # identification functionals
 # ---------------------------------------------------------------------------
 
-def identify_model1(obs: ObservedLaw) -> float:
-    """Exact M-driven identification functional from observed data:
-    average over primary X of the auxiliary-complete-case M law composed with
-    the primary-complete-case outcome regression."""
-    nx, nm, ny = obs.primary_r1.shape
+def _bridged_missing_m(obs: ObservedLaw, xs) -> np.ndarray:
+    """The bridge: p(m, R=0 | x, G=1) = p(m | x, R=1, G=2) - p(m, R=1 | x, G=1)
+    for the x indices xs, as (len(xs), nm).  The auxiliary domain supplies
+    the M law that the missing primary units hide."""
+    aux_mass = obs.aux_r1[xs].sum(axis=1)
+    empty = np.flatnonzero(aux_mass <= 0)
+    if empty.size:
+        raise OracleError(f"p(R=1 | x={obs.x_support[xs[empty[0]]]}, G=2) is zero")
+    p_m_r1_joint = obs.primary_r1[xs].sum(axis=2) / obs.p_x_g1()[xs, None]
+    return obs.aux_r1[xs] / aux_mass[:, None] - p_m_r1_joint
+
+
+def _identify(obs: ObservedLaw, or_table: np.ndarray) -> float:
+    """Y-driven identification functional under the odds-ratio table
+    or_table (nx, ny): per (x, m) cell, the complete-case stratum plus the
+    missing stratum, whose M law is bridged from the auxiliary domain and
+    whose outcome law is the complete-case law tilted by the odds ratio.
+
+    A cell with neither complete-case nor bridged missing-case mass adds
+    nothing; one with missing-case mass alone is an error.  An x without a
+    missing stratum adds only its complete-case term."""
     ys = np.asarray(obs.y_support)
-    p_x = obs.p_x_g1() / obs.p_g1
-    total = 0.0
-    for xi in range(nx):
-        if p_x[xi] <= 0:
-            continue
-        aux_mass = obs.aux_r1[xi].sum()
-        if aux_mass <= 0:
-            raise OracleError(f"p(R=1 | x={obs.x_support[xi]}, G=2) is zero")
-        p_m = obs.aux_r1[xi] / aux_mass
-        inner = 0.0
-        for mi in range(nm):
-            if p_m[mi] <= 0:
-                continue
-            cell = obs.primary_r1[xi, mi]
-            mass = cell.sum()
-            if mass <= 0:
-                raise OracleError(
-                    f"p(m={obs.m_support[mi]}, R=1 | x={obs.x_support[xi]}, G=1) is zero"
-                )
-            inner += p_m[mi] * float(np.dot(ys, cell) / mass)
-        total += p_x[xi] * inner
-    return total
+    p_x_g1 = obs.p_x_g1()
+    xs = np.flatnonzero(p_x_g1 > 0)
+    missing = _bridged_missing_m(obs, xs)
+    cells = obs.primary_r1[xs]  # (x, m, y)
+    observed = cells.sum(axis=2) > 0
+    hidden = np.argwhere(~observed & (missing != 0))
+    if hidden.size:
+        xi, mi = xs[hidden[0, 0]], hidden[0, 1]
+        raise OracleError(
+            f"p(m={obs.m_support[mi]}, R=1 | x={obs.x_support[xi]}, G=1) is zero"
+        )
+    tilted = or_table[xs, None, :] * cells
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tilted_mean = np.where(observed, tilted @ ys / tilted.sum(axis=2), 0.0)
+    missing_mass = np.where(obs.primary_r0[xs] > 0, p_x_g1[xs], 0.0)[:, None] * missing
+    return float(ys @ cells.sum(axis=(0, 1)) + np.sum(missing_mass * tilted_mean)) / obs.p_g1
+
+
+def identify_model1(obs: ObservedLaw) -> float:
+    """Exact M-driven identification functional from observed data: the
+    average over primary X of the auxiliary-complete-case M law composed with
+    the primary-complete-case outcome regression.  It is the Y-driven
+    functional at unit odds ratio."""
+    return _identify(obs, np.ones((len(obs.x_support), len(obs.y_support))))
 
 
 @dataclass(frozen=True)
@@ -265,7 +278,6 @@ class ORRecovery:
     """Odds-ratio function recovered from observed data, per (x, y)."""
 
     or_table: np.ndarray  # (nx, ny), anchored at the reference y
-    or_tilde: np.ndarray  # (nx, ny), the normalized tilt solving the linear system
     reference_index: int
     reference_value: float
 
@@ -281,40 +293,30 @@ def recover_odds_ratio(obs: ObservedLaw) -> ORRecovery:
         )
     y_ref = reference_y_index(obs.y_support)
     p_x_g1 = obs.p_x_g1()
-    or_tilde = np.zeros((nx, ny))
-    or_table = np.zeros((nx, ny))
+    sigma = _completeness_sigma(obs.primary_r1)
+    or_table = np.ones((nx, ny))  # identity where x has no missing stratum
     for xi in range(nx):
         if p_x_g1[xi] <= 0:
             raise OracleError(f"p(x={obs.x_support[xi]} | G=1) is zero")
-        cc_mass = obs.primary_r1[xi].sum()
         p_r0 = obs.primary_r0[xi] / p_x_g1[xi]
         if p_r0 <= 0:
-            # no missing stratum: the tilt is unconstrained there; identity OR
-            or_tilde[xi] = 1.0
-            or_table[xi] = 1.0
-            continue
-        aux_mass = obs.aux_r1[xi].sum()
-        if aux_mass <= 0 or cc_mass <= 0:
+            continue  # no missing stratum: the tilt is unconstrained there
+        cc_mass = obs.primary_r1[xi].sum()
+        if cc_mass <= 0:
             raise OracleError(f"zero complete-case mass at x={obs.x_support[xi]}")
-        p_m_aux = obs.aux_r1[xi] / aux_mass
-        p_m_r1_joint = obs.primary_r1[xi].sum(axis=1) / p_x_g1[xi]
+        p_m_r0 = _bridged_missing_m(obs, [xi])[0] / p_r0
         p_m_r1 = obs.primary_r1[xi].sum(axis=1) / cc_mass
-        # bridge: p(m | x, R=0, G=1) from the auxiliary domain
-        p_m_r0 = (p_m_aux - p_m_r1_joint) / p_r0
         if np.any(p_m_r1 <= 0):
             raise OracleError(
                 f"p(m | x={obs.x_support[xi]}, R=1, G=1) has a zero cell"
             )
-        rhs = p_m_r0 / p_m_r1
-        design = obs.primary_r1[xi] / obs.primary_r1[xi].sum(axis=1, keepdims=True)
-        sigma = np.linalg.svd(design, compute_uv=False)
-        if sigma[ny - 1] <= _RANK_TOL:
+        if sigma[xi] <= _RANK_TOL:
             raise RankConditionError(
                 f"completeness fails at x={obs.x_support[xi]}: "
-                f"min singular value {sigma[ny - 1]:.3e}"
+                f"min singular value {sigma[xi]:.3e}"
             )
-        sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-        or_tilde[xi] = sol
+        design = obs.primary_r1[xi] / obs.primary_r1[xi].sum(axis=1, keepdims=True)
+        sol, *_ = np.linalg.lstsq(design, p_m_r0 / p_m_r1, rcond=None)
         if sol[y_ref] <= 0:
             raise OracleError(
                 f"recovered tilt non-positive at the reference level (x={obs.x_support[xi]})"
@@ -322,50 +324,17 @@ def recover_odds_ratio(obs: ObservedLaw) -> ORRecovery:
         or_table[xi] = sol / sol[y_ref]
     return ORRecovery(
         or_table=or_table,
-        or_tilde=or_tilde,
         reference_index=y_ref,
         reference_value=float(obs.y_support[y_ref]),
     )
 
 
 def identify_model2(obs: ObservedLaw, recovery: Optional[ORRecovery] = None) -> float:
-    """Exact Y-driven identification functional: the complete-case stratum
-    plus the odds-ratio-tilted missing stratum, with the missing-case M law
-    bridged from the auxiliary domain.  Strata with zero missingness mass
-    contribute only their complete-case term."""
+    """Exact Y-driven identification functional under the odds ratio
+    recovered from observed data."""
     if recovery is None:
         recovery = recover_odds_ratio(obs)
-    nx, nm, ny = obs.primary_r1.shape
-    ys = np.asarray(obs.y_support)
-    p_g1 = obs.p_g1
-    p_x_g1 = obs.p_x_g1()
-    total = 0.0
-    for xi in range(nx):
-        if p_x_g1[xi] <= 0:
-            continue
-        p_r0_cond = obs.primary_r0[xi] / p_x_g1[xi]
-        aux_mass = obs.aux_r1[xi].sum()
-        if aux_mass <= 0:
-            raise OracleError(f"p(R=1 | x={obs.x_support[xi]}, G=2) is zero")
-        p_m_aux = obs.aux_r1[xi] / aux_mass
-        for mi in range(nm):
-            cell = obs.primary_r1[xi, mi]
-            mass = cell.sum()
-            if mass <= 0:
-                raise OracleError(
-                    f"p(m={obs.m_support[mi]}, R=1 | x={obs.x_support[xi]}, G=1) is zero"
-                )
-            p_y_cc = cell / mass
-            # complete-case stratum: p(m, x, R=1 | G=1)
-            total += float(np.dot(ys, p_y_cc)) * (mass / p_g1)
-            if p_r0_cond <= 0:
-                continue
-            e_or = float(np.dot(recovery.or_table[xi], p_y_cc))
-            bridge = (p_m_aux[mi] - mass / p_x_g1[xi]) / p_r0_cond
-            weight = (obs.primary_r0[xi] / p_g1) * bridge
-            tilt = float(np.dot(ys * recovery.or_table[xi], p_y_cc)) / e_or
-            total += tilt * weight
-    return total
+    return _identify(obs, recovery.or_table)
 
 
 # ---------------------------------------------------------------------------
@@ -467,23 +436,14 @@ def verify_or_identities(law: DiscreteFullLaw) -> dict:
 
 def bridge_residual(law: DiscreteFullLaw) -> float:
     """Max cell residual of the auxiliary-domain bridge identity
-    p(m | x, R=1, G=2) - p(m, R=1 | x, G=1) = p(m | x, R=0, G=1) p(R=0 | x, G=1)."""
-    t = law.table
-    nx, nm, _ = law.shape
-    worst = 0.0
-    for xi in range(nx):
-        mass1 = t[0, xi].sum()
-        mass2_r1 = t[1, xi, :, :, 1].sum()
-        if mass1 <= 0 or mass2_r1 <= 0:
-            continue
-        lhs = t[1, xi, :, :, 1].sum(axis=1) / mass2_r1 - t[0, xi, :, :, 1].sum(axis=1) / mass1
-        r0_mass = t[0, xi, :, :, 0].sum()
-        if r0_mass > 0:
-            rhs = (t[0, xi, :, :, 0].sum(axis=1) / r0_mass) * (r0_mass / mass1)
-        else:
-            rhs = np.zeros(nm)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    p(m | x, R=1, G=2) - p(m, R=1 | x, G=1) = p(m, R=0 | x, G=1), the right
+    side read from the full law."""
+    obs = observed_law(law)
+    p_x_g1 = obs.p_x_g1()
+    xs = np.flatnonzero((p_x_g1 > 0) & (obs.aux_r1.sum(axis=1) > 0))
+    missing = law.table[0, xs, :, :, 0].sum(axis=2) / p_x_g1[xs, None]
+    residual = np.abs(_bridged_missing_m(obs, xs) - missing)
+    return float(residual.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +458,26 @@ def _shared_target_components(rng, nx, nm, ny):
     return p_g, p_x_g, p_m_x, p_y_xm
 
 
+def _law_from_factors(p_g, p_x_g, p_m_x, p_y_xm, p_r1_primary, p_r1_aux) -> DiscreteFullLaw:
+    """The law p(g) p(x | g) p(m | x) p(y | x, m) p(r | g, x, m, y) on the
+    supports 0, 1, ...: p_r1_primary broadcasts to (x, m, y) and p_r1_aux is
+    per x."""
+    nx, nm, ny = p_y_xm.shape
+    base = p_g[:, None, None, None] * p_x_g[:, :, None, None] * p_m_x[:, :, None] * p_y_xm
+    p_r1 = np.empty_like(base)
+    p_r1[0] = p_r1_primary
+    p_r1[1] = p_r1_aux[:, None, None]
+    table = np.empty(base.shape + (2,))
+    table[..., 0] = base * (1.0 - p_r1)
+    table[..., 1] = base * p_r1
+    return DiscreteFullLaw(
+        x_support=tuple(float(v) for v in range(nx)),
+        m_support=tuple(float(v) for v in range(nm)),
+        y_support=tuple(float(v) for v in range(ny)),
+        table=table,
+    )
+
+
 def random_model1_law(rng: np.random.Generator, nx=2, nm=2, ny=2) -> DiscreteFullLaw:
     """Random law with M-driven primary missingness: built factor by factor so
     the M law is shared across domains, auxiliary selection depends on X only,
@@ -505,21 +485,7 @@ def random_model1_law(rng: np.random.Generator, nx=2, nm=2, ny=2) -> DiscreteFul
     p_g, p_x_g, p_m_x, p_y_xm = _shared_target_components(rng, nx, nm, ny)
     p_r1_xm = rng.uniform(0.25, 0.75, size=(nx, nm))
     p_r1_x_aux = rng.uniform(0.25, 0.75, size=nx)
-    table = np.zeros((2, nx, nm, ny, 2))
-    for xi in range(nx):
-        for mi in range(nm):
-            base1 = p_g[0] * p_x_g[0, xi] * p_m_x[xi, mi] * p_y_xm[xi, mi]
-            table[0, xi, mi, :, 1] = base1 * p_r1_xm[xi, mi]
-            table[0, xi, mi, :, 0] = base1 * (1.0 - p_r1_xm[xi, mi])
-            base2 = p_g[1] * p_x_g[1, xi] * p_m_x[xi, mi] * p_y_xm[xi, mi]
-            table[1, xi, mi, :, 1] = base2 * p_r1_x_aux[xi]
-            table[1, xi, mi, :, 0] = base2 * (1.0 - p_r1_x_aux[xi])
-    return DiscreteFullLaw(
-        x_support=tuple(float(v) for v in range(nx)),
-        m_support=tuple(float(v) for v in range(nm)),
-        y_support=tuple(float(v) for v in range(ny)),
-        table=table,
-    )
+    return _law_from_factors(p_g, p_x_g, p_m_x, p_y_xm, p_r1_xm[:, :, None], p_r1_x_aux)
 
 
 def random_model2_law(
@@ -534,24 +500,8 @@ def random_model2_law(
     or_table[:, 0] = 1.0  # support starts at y=0: the anchor level
     p_r1_xy = 1.0 / (1.0 + or_table * ((1.0 - baseline) / baseline)[:, None])
     p_r1_x_aux = rng.uniform(0.25, 0.75, size=nx)
-    table = np.zeros((2, nx, nm, ny, 2))
-    for xi in range(nx):
-        for mi in range(nm):
-            base1 = p_g[0] * p_x_g[0, xi] * p_m_x[xi, mi] * p_y_xm[xi, mi]
-            table[0, xi, mi, :, 1] = base1 * p_r1_xy[xi]
-            table[0, xi, mi, :, 0] = base1 * (1.0 - p_r1_xy[xi])
-            base2 = p_g[1] * p_x_g[1, xi] * p_m_x[xi, mi] * p_y_xm[xi, mi]
-            table[1, xi, mi, :, 1] = base2 * p_r1_x_aux[xi]
-            table[1, xi, mi, :, 0] = base2 * (1.0 - p_r1_x_aux[xi])
-    return (
-        DiscreteFullLaw(
-            x_support=tuple(float(v) for v in range(nx)),
-            m_support=tuple(float(v) for v in range(nm)),
-            y_support=tuple(float(v) for v in range(ny)),
-            table=table,
-        ),
-        or_table,
-    )
+    law = _law_from_factors(p_g, p_x_g, p_m_x, p_y_xm, p_r1_xy[:, None, :], p_r1_x_aux)
+    return law, or_table
 
 
 # ---------------------------------------------------------------------------

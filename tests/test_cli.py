@@ -93,6 +93,36 @@ def test_a_byte_order_mark_is_skipped(tmp_path):
     assert run(["validate", "--data", str(bom)]) == 0
 
 
+def test_a_config_byte_order_mark_is_skipped(tmp_path, capsys):
+    # Windows Notepad starts a UTF-8 file with a byte-order mark
+    prefix = str(tmp_path / "fx")
+    assert run(["make-fixture", "--n", "200", "--seed", "1", "--out-prefix", prefix]) == 0
+    with open(prefix + ".ini", "rb") as fh:
+        config = fh.read()
+    with open(prefix + "bom.ini", "wb") as fh:
+        fh.write(b"\xef\xbb\xbf" + config)
+    capsys.readouterr()
+    assert run(["validate", "--data", prefix + ".csv", "--config", prefix + "bom.ini"]) == 0
+    assert capsys.readouterr().out == "ok: 200 rows\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--data", "nope.csv"],
+    ["estimate", "--data", "nope.csv", "--model", "1"],
+    ["validate", "--data", "."],
+    ["simulate", "--model", "1", "--n", "50", "--out", "nodir/x.csv"],
+    ["estimate", "--data", "d.csv", "--model", "1", "--json", "nodir/r.json"],
+], ids=["missing-data", "estimate-missing-data", "data-is-a-directory",
+        "simulate-into-missing-dir", "json-into-missing-dir"])
+def test_an_unusable_path_is_a_one_line_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--model", "1", "--n", "300", "--seed", "1", "--out", "d.csv"]) == 0
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_one_level_categorical_m_is_a_one_line_error(tmp_path, capsys):
     path = tmp_path / "one.csv"
     path.write_text("domain,r,x1,m,y\n1,1,0.0,a,2.0\n2,1,0.5,a,?\n")

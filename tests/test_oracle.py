@@ -6,6 +6,7 @@ import pytest
 
 from mnarfuse.oracle import (
     DiscreteFullLaw,
+    ORRecovery,
     OracleError,
     RankConditionError,
     bridge_residual,
@@ -23,6 +24,7 @@ from mnarfuse.oracle import (
     verify_or_identities,
     write_law,
 )
+from mnarfuse.simulate import make_rng
 
 
 def _rng(seed=0):
@@ -157,6 +159,54 @@ def test_identify_model2_no_missingness_reduces_to_mean():
         brute_force_beta(full), abs=1e-12)
 
 
+def _emptied_cell_law(keep_aux: bool) -> DiscreteFullLaw:
+    """A Y-driven law with no complete cases at (x, m) = (0, 0); with
+    keep_aux False the auxiliary domain has no mass there either."""
+    law, _ = random_model2_law(make_rng(5))
+    table = law.table.copy()
+    table[0, 0, 0, :, 1] = 0.0
+    if not keep_aux:
+        table[1, 0, 0] = 0.0
+    return DiscreteFullLaw(law.x_support, law.m_support, law.y_support,
+                           table / table.sum())
+
+
+_UNIT_ODDS_RATIO = ORRecovery(or_table=np.ones((2, 2)), reference_index=0,
+                              reference_value=0.0)
+
+
+def test_a_cell_with_no_mass_adds_nothing():
+    obs = observed_law(_emptied_cell_law(keep_aux=False))
+    # identify_model1 before the two functionals were merged
+    value = float.fromhex("0x1.ef7ac6b605978p-2")
+    assert abs(identify_model1(obs) - value) <= 1e-12
+    assert abs(identify_model2(obs, _UNIT_ODDS_RATIO) - value) <= 1e-12
+
+
+def test_a_cell_with_only_missing_mass_is_an_error():
+    obs = observed_law(_emptied_cell_law(keep_aux=True))
+    message = r"^p\(m=0\.0, R=1 \| x=0\.0, G=1\) is zero$"
+    with pytest.raises(OracleError, match=message):
+        identify_model1(obs)
+    with pytest.raises(OracleError, match=message):
+        identify_model2(obs, _UNIT_ODDS_RATIO)
+
+
+def test_an_x_without_missing_units_adds_its_complete_cases():
+    # no primary unit is missing, and the auxiliary M law differs from the
+    # primary one: the bridge is not used, so the functional is the mean
+    law = random_model1_law(_rng(19))
+    table = law.table.copy()
+    table[0, :, :, :, 1] += table[0, :, :, :, 0]
+    table[0, :, :, :, 0] = 0.0
+    table[1, :, 0] *= 1.7
+    full = DiscreteFullLaw(law.x_support, law.m_support, law.y_support,
+                           table / table.sum())
+    assert not check_assumptions(full).holds["selection"]
+    assert identify_model1(observed_law(full)) == pytest.approx(
+        brute_force_beta(full), abs=1e-12)
+
+
 def test_or_identities_hold_on_y_driven_law():
     law, _ = random_model2_law(_rng(11))
     residuals = verify_or_identities(law)
@@ -193,6 +243,10 @@ def test_law_rejects_bad_tables():
     with pytest.raises(OracleError):
         DiscreteFullLaw(law.x_support, law.m_support, law.y_support,
                         -law.table)
+    table = law.table.copy()
+    table[0, 0, 0, 0, 0] = np.nan
+    with pytest.raises(OracleError, match="non-finite"):
+        DiscreteFullLaw(law.x_support, law.m_support, law.y_support, table)
 
 
 def test_sampling_matches_law_marginals():
