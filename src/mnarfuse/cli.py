@@ -29,6 +29,7 @@ from .data import (
     _lookup,
     _write_columns,
     read_csv,
+    read_text,
     validate,
     write_csv,
 )
@@ -68,19 +69,19 @@ def _load_schema_map(args) -> tuple[VariableSchema, dict, dict]:
     missing_token, domain_primary, domain_auxiliary) and a [columns] section
     mapping canonical names (domain, r, m, y, and each covariate) to the
     file's column headers.  [schema] option names are case-insensitive;
-    [columns] names keep their case, as covariate names do.
+    [columns] names keep their case, as covariate names do.  The config is
+    UTF-8 text (see data.read_text).
     """
     cfg_schema, columns = {}, {}
     if getattr(args, "config", None):
         parser = configparser.ConfigParser()
         parser.optionxform = str
+        text = read_text(args.config, f"config file {args.config}")
         try:
-            read = parser.read(args.config, encoding="utf-8-sig")
+            parser.read_string(text, source=args.config)
         except configparser.Error as exc:
             message = " ".join(str(exc).split())  # some configparser messages span lines
             raise DatasetFormatError(f"config file {args.config}: {message}") from None
-        if not read:
-            raise DatasetFormatError(f"config file {args.config} not found")
         if parser.has_section("schema"):
             items = parser.items("schema")
             cfg_schema = {key.lower(): value for key, value in items}

@@ -14,6 +14,7 @@ derived from them on demand.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import enum
 import io
@@ -327,6 +328,36 @@ class DatasetFormatError(ValueError):
 NATIVE_DOMAINS = {"1": DomainTag.PRIMARY, "2": DomainTag.AUXILIARY}
 
 
+def read_text(path: str, name: Optional[str] = None) -> str:
+    """The text of a UTF-8 file, without the byte-order mark that
+    spreadsheet "CSV UTF-8" exports and Windows Notepad put first.
+
+    A missing file, a directory, an unreadable file and a file that is not
+    UTF-8 raise DatasetFormatError naming the file as `name` (its path by
+    default), and the last also the line of its first undecodable byte.
+    """
+    name = path if name is None else name
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        raise DatasetFormatError(f"{name} not found") from None
+    except IsADirectoryError:
+        raise DatasetFormatError(f"{name} is a directory, not a file") from None
+    except OSError as exc:
+        raise DatasetFormatError(f"{name} cannot be read: {exc.strerror}") from None
+    if raw.startswith(codecs.BOM_UTF8):
+        raw = raw[len(codecs.BOM_UTF8):]
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks at \n, \r and \r\n, as the CSV reader does
+        line = len((raw[:exc.start] + b".").splitlines())
+        raise DatasetFormatError(
+            f"{name}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 text; "
+            "save the file as UTF-8") from None
+
+
 def _line_error(path: str, kept: Optional[list[int]], i: int,
                 message: str) -> DatasetFormatError:
     """The error for the i-th kept row, naming its line in the file."""
@@ -383,13 +414,11 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
     the y column may be absent (every Y missing).  Every row has as many
     fields as the header; blank lines are skipped.  Domain, M and Y tokens
     are stripped, and the missing token and the empty cell both mark a
-    missing M or Y.  The file is UTF-8; a leading byte-order mark, which
-    spreadsheet "CSV UTF-8" exports write, is skipped.
+    missing M or Y.  The file is UTF-8 text (see `read_text`).
     """
     columns = columns or {}
     domains = NATIVE_DOMAINS if domains is None else domains
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        text = fh.read()
+    text = read_text(path)
     # quoted fields need a real parser
     header, fields, kept = _tokenize(text, path, split='"' not in text and "\0" not in text)
     del text

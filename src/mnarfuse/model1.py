@@ -12,6 +12,7 @@ Y-driven estimator (model2) puts y and its x-interactions into B.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -27,10 +28,12 @@ from .models import (
     calibration_weights,
     evaluate_basis_matrix,
     fit_logistic,
+    member_sums,
     solve_least_squares,
+    stack_rows,
     weighted_cross_products,
 )
-from .report import DomainArrays, EstimateReport, domain_arrays
+from .report import DomainArrays, EstimateReport, domain_arrays, stacked_domain_arrays
 from .solver import MomentSystem, SolverConfig, SolverResult, newton_stack, solve
 
 
@@ -87,14 +90,35 @@ def _require_domains(dataset: PooledDataset) -> tuple[DomainArrays, DomainArrays
     return primary, auxiliary
 
 
+class _OwnRows:
+    """Puts rows in the form a stack uses: unchanged when its members share
+    them (member None), else stacked by models.stack_rows, member[i] being
+    the member of row i.  `counts` keeps the frequency weights of the last
+    stacking, which count each member's rows once."""
+
+    def __init__(self, member: Optional[np.ndarray], size: int = 1):
+        self.member, self._size, self.counts = member, size, None
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        if self.member is None:
+            return rows
+        rows, self.counts = stack_rows(rows, self.member, self._size)
+        return rows
+
+
 def _aux_regression_matrices(primary: DomainArrays, auxiliary: DomainArrays,
-                             h_basis: BasisSpec, aux_regression_basis: BasisSpec):
+                             h_basis: BasisSpec, aux_regression_basis: BasisSpec,
+                             aux_rows: Optional[_OwnRows] = None,
+                             primary_rows: Optional[_OwnRows] = None):
     """h over the auxiliary complete cases, the X-only regression basis
-    there, and that basis at every primary-domain X."""
-    cc = auxiliary.complete
-    return (evaluate_basis_matrix(h_basis, auxiliary.x[cc], auxiliary.m[cc]),
-            evaluate_basis_matrix(aux_regression_basis, auxiliary.x[cc]),
-            evaluate_basis_matrix(aux_regression_basis, primary.x))
+    there, and that basis at every primary-domain X; as aux_rows and
+    primary_rows stack them, when given."""
+    cc = np.flatnonzero(auxiliary.complete)
+    aux_rows = aux_rows or _OwnRows(None)
+    primary_rows = primary_rows or _OwnRows(None)
+    return (aux_rows(evaluate_basis_matrix(h_basis, auxiliary.x[cc], auxiliary.m[cc])),
+            aux_rows(evaluate_basis_matrix(aux_regression_basis, auxiliary.x[cc])),
+            primary_rows(evaluate_basis_matrix(aux_regression_basis, primary.x)))
 
 
 def fit_aux_moment_targets(
@@ -125,36 +149,60 @@ def fit_aux_moment_targets(
 
 
 class _Calibration:
-    """The calibration equation h^T (c w(theta)) / n1 = target on one
-    dataset's primary complete cases, built once for its point fit and its
-    stacked refits.
+    """The calibration equation h^T (c w(theta)) / n1 = target on the primary
+    complete cases of a stack of members, built once for a dataset's point
+    fit and its stacked refits, or once for a block of datasets.
 
     B is `basis` over the complete cases (x, m, y), h is `h_basis` there, and
-    the offset is -fixed_gamma * y.  A stack's member k counts complete case
-    i counts[k, i] times, or once when counts is None, and has its own n1
-    and target; methods take theta (K, p) and the members' counts, n1 and
+    the offset is -fixed_gamma * y.  The members share the rows of one
+    dataset, or, when `member` gives the member of each row of `primary`
+    (the rows of `size` members, one member after another), each has its
+    own: every row array then has a leading member axis (see
+    models.stack_rows), and `counts` and `primary_counts` count each
+    member's complete cases and primary rows once.  Member k counts complete
+    case i counts[k, i] times, or once when counts is None, and has its own
+    n1 and target; methods take theta (K, p) and the members' counts, n1 and
     targets.  The Jacobian is -h^T diag(c * slope) B / n1.
     """
 
     def __init__(self, primary: DomainArrays, basis: BasisSpec, h_basis: BasisSpec,
-                 m_dim: int, w_max: float = W_MAX, fixed_gamma: float = 0.0):
-        cc = primary.complete
-        x_cc, m_cc, self.y = primary.x[cc], primary.m[cc], primary.y[cc]
-        self.design = evaluate_basis_matrix(basis, x_cc, m_cc, self.y)
-        self.h = evaluate_basis_matrix(h_basis, x_cc, m_cc)
-        if self.h.shape[1] < self.design.shape[1]:
+                 m_dim: int, w_max: float = W_MAX, fixed_gamma: float = 0.0,
+                 member: Optional[np.ndarray] = None, size: int = 1):
+        if h_basis.width(m_dim) < basis.width(m_dim):
             raise EstimationError(
-                f"h basis has {self.h.shape[1]} components for {self.design.shape[1]} "
+                f"h basis has {h_basis.width(m_dim)} components for {basis.width(m_dim)} "
                 "propensity parameters"
             )
+        cc = np.flatnonzero(primary.complete)
+        x_cc, m_cc, y = primary.x[cc], primary.m[cc], primary.y[cc]
+        primary_rows = _OwnRows(member, size)
+        cc_rows = _OwnRows(None if member is None else member[cc], size)
+        self.design = cc_rows(evaluate_basis_matrix(basis, x_cc, m_cc, y))
+        self.h = cc_rows(evaluate_basis_matrix(h_basis, x_cc, m_cc))
+        self.y, self.counts = cc_rows(y), cc_rows.counts
         self.offset = -fixed_gamma * self.y if fixed_gamma else 0.0
         self.w_max = w_max
         x_only = [not (t.uses_m or t.uses_y) for t in basis.terms]
-        self._init_design = evaluate_basis_matrix(
-            BasisSpec(tuple(t for t, keep in zip(basis.terms, x_only) if keep)), primary.x)
+        self._init_design = primary_rows(evaluate_basis_matrix(
+            BasisSpec(tuple(t for t, keep in zip(basis.terms, x_only) if keep)), primary.x))
         self._init_columns = np.repeat(x_only, [t.width(m_dim) for t in basis.terms])
-        self._r = primary.r.astype(float)
-        self._h_diag_b = weighted_cross_products(self.h, self.design)
+        self._r = primary_rows(primary.r.astype(float))
+        self.primary_counts = primary_rows.counts
+        self._h_diag_b = None  # built on the first Jacobian
+
+    def take(self, members: np.ndarray) -> "_Calibration":
+        """The equation of the given members of the stack, for their
+        residuals, Jacobians, weights and beta_hat (`init` stays the whole
+        stack's): itself when the members share their rows or when members
+        are all of them."""
+        if self.design.ndim == 2 or members.size == len(self.design):
+            return self
+        part = copy.copy(self)
+        part.design, part.h, part.y = (rows[members] for rows in (self.design, self.h, self.y))
+        if not np.isscalar(self.offset):
+            part.offset = self.offset[members]
+        part._h_diag_b = None
+        return part
 
     def init(self, counts: Optional[np.ndarray] = None) -> np.ndarray:
         """Initial theta (K, p): logistic fit of R on the X-only part of the
@@ -170,18 +218,22 @@ class _Calibration:
         return w if counts is None else w * counts
 
     def residual(self, theta, counts, n1, target):
-        return self.weights(theta, counts) @ self.h / n1[:, None] - target
+        return member_sums(self.weights(theta, counts), self.h) / n1[:, None] - target
 
     def jacobian(self, theta, counts, n1):
         slope = calibration_slope(self.design, theta, self.offset, self.w_max)
         if counts is not None:
             slope = slope * counts
+        if self._h_diag_b is None:
+            self._h_diag_b = weighted_cross_products(self.h, self.design)
         return -self._h_diag_b(slope) / n1[:, None, None]
 
     def beta_hat(self, w, n1):
         """The outcome mean of counted weights w: their complete-case
         outcome sum over n1."""
-        return w @ self.y / n1
+        if self.y.ndim == 1:
+            return w @ self.y / n1
+        return np.einsum("kn,kn->k", w, self.y) / n1
 
 
 def calibrate(
@@ -263,23 +315,99 @@ def calibrate(
 _BLOCK_BYTES = 1 << 22
 
 
-class StackedRefits:
+def _pick(a: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """a[members], without a copy when members are all of a's members."""
+    return a if members.size == len(a) else a[members]
+
+
+def _of_members(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The rows of the given members of a stack; shared (2-d) rows are
+    every member's."""
+    return rows if rows.ndim == 2 else _pick(rows, members)
+
+
+class _AuxTargets:
+    """The calibration targets of the members of a stack: each member's
+    weighted regression of h on the X-only basis over the auxiliary complete
+    cases, predicted at its primary rows and averaged there.  The rows are
+    shared, or each member's own as aux_rows and primary_rows stack them."""
+
+    def __init__(self, primary: DomainArrays, auxiliary: DomainArrays, h_basis: BasisSpec,
+                 aux_regression_basis: BasisSpec, aux_rows: Optional[_OwnRows] = None,
+                 primary_rows: Optional[_OwnRows] = None):
+        self.min_aux_cc = max(1, len(aux_regression_basis.terms))
+        self._h, self._design, self._at_primary = _aux_regression_matrices(
+            primary, auxiliary, h_basis, aux_regression_basis, aux_rows, primary_rows)
+
+    def __call__(self, primary: np.ndarray, aux_cc: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """The (len(live), q) targets of the live members, member k counting
+        primary row i primary[k, i] times and auxiliary complete case i
+        aux_cc[k, i] times; NaN where its regression is rank deficient."""
+        if live.size == 0:
+            return np.zeros((0, self._h.shape[-1]))
+        coefs = solve_least_squares(_of_members(self._design, live),
+                                    _of_members(self._h, live), weights=_pick(aux_cc, live))
+        primary = _pick(primary, live)
+        return np.einsum("ka,kaq->kq", member_sums(primary, _of_members(self._at_primary, live)),
+                         coefs) / primary.sum(axis=1)[:, None]
+
+
+def _live(n1, n_aux, n_cc, n_aux_cc, min_aux_cc: int) -> np.ndarray:
+    """The members with rows in both domains, a primary complete case and
+    enough auxiliary complete cases for the auxiliary regression."""
+    return np.flatnonzero((n1 > 0) & (n_aux > 0) & (n_cc > 0) & (n_aux_cc >= min_aux_cc))
+
+
+def _fit_stack(equation: _Calibration, primary: np.ndarray, cc: np.ndarray, live: np.ndarray,
+               target: np.ndarray) -> list[Optional[tuple[float, SolverResult]]]:
     """`calibrate` with its default solver settings, weight cap and no fixed
-    Y tilt, refitted on resamples of one dataset, a block at a time.
+    Y tilt, for the live members of a stack at once: (beta_hat, solver
+    result) of each member, or None.  Member k counts primary row i
+    primary[k, i] times and complete case i cc[k, i] times; target holds the
+    live members' targets.  The weighted logistic init and the one Newton
+    attempt of each member run as stacked operations.
+
+    A member comes back as None, to be refitted on its own rows by the
+    caller, when it is not live (an empty domain or too few complete cases),
+    has a rank deficient design, a singular init, a non-finite residual or
+    beta_hat, a singular step, or does not converge: the fit of the one
+    dataset then gives the failure reason or the solver status.
+    """
+    out: list[Optional[tuple[float, SolverResult]]] = [None] * len(primary)
+    if live.size == 0:
+        return out
+    n1 = primary.sum(axis=1)
+    init = equation.init(primary)[live]  # the members share their stack of rows
+    ok = np.all(np.isfinite(target), axis=1) & np.all(np.isfinite(init), axis=1)
+    live, target, init = live[ok], target[ok], init[ok]
+    if live.size == 0:
+        return out
+    equation, cc, n1 = equation.take(live), _pick(cc, live), n1[live]
+    fits = newton_stack(
+        lambda theta, members: equation.take(members).residual(
+            theta, _pick(cc, members), n1[members], target[members]),
+        lambda theta, members: equation.take(members).jacobian(
+            theta, _pick(cc, members), n1[members]),
+        init, SolverConfig())
+    members = np.flatnonzero([fit is not None and fit.converged for fit in fits])
+    if members.size == 0:
+        return out
+    done = equation.take(members)
+    w = done.weights(np.array([fits[k].theta_hat for k in members]), _pick(cc, members))
+    for k, beta in zip(members.tolist(), done.beta_hat(w, n1[members]).tolist()):
+        if math.isfinite(beta):
+            out[live[k]] = (beta, fits[k])
+    return out
+
+
+class StackedRefits:
+    """`_fit_stack` of resamples of one dataset, a block at a time.
 
     A resample is given by its draw rows and fitted as the count vector of
     those rows: a frequency-weighted fit of the dataset's own rows, which is
     the fit of the resample up to the order of float sums.  The basis
-    matrices and the dataset's `_Calibration`, the one the point fit solves,
-    are built once, here; a block then runs the weighted auxiliary
-    regression, the weighted logistic init and the one Newton attempt of
-    each member as stacked operations.
-
-    A refit comes back as None, to be refitted on its rows by the caller,
-    when it has an empty domain, too few auxiliary complete cases, a rank
-    deficient design, a singular init, a non-finite residual or beta_hat, a
-    singular step, or does not converge: the per-refit fit then gives the
-    failure reason or the solver status.
+    matrices and the dataset's `_Calibration`, the one its point fit solves,
+    are built once, here.
     """
 
     def __init__(self, dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,
@@ -290,50 +418,54 @@ class StackedRefits:
         self._primary_rows = np.flatnonzero(dataset.g == DomainTag.PRIMARY)
         self._aux_rows = np.flatnonzero(dataset.g == DomainTag.AUXILIARY)
         self._cc, self._aux_cc = primary.complete, auxiliary.complete
-        self._min_aux_cc = max(1, len(aux_regression_basis.terms))
-        self._aux_h, self._aux_design, self._aux_at_primary = _aux_regression_matrices(
-            primary, auxiliary, h_basis, aux_regression_basis)
+        self._targets = _AuxTargets(primary, auxiliary, h_basis, aux_regression_basis)
         self._equation = _Calibration(primary, basis, h_basis, dataset.schema.m_dim)
         self.block_size = max(
             1, _BLOCK_BYTES // (8 * max(1, self._n) * self._equation.design.shape[1]))
 
     def __call__(self, draws: list) -> list[Optional[tuple[float, SolverResult]]]:
         """(beta_hat, solver result) of the refit on each draw, or None."""
-        out: list[Optional[tuple[float, SolverResult]]] = [None] * len(draws)
         counts = np.array([np.bincount(rows, minlength=self._n) for rows in draws],
                           dtype=float)
         primary, auxiliary = counts[:, self._primary_rows], counts[:, self._aux_rows]
-        n1, aux_cc = primary.sum(axis=1), auxiliary[:, self._aux_cc]
-        live = np.flatnonzero((n1 > 0) & (auxiliary.sum(axis=1) > 0)
-                              & (primary[:, self._cc].sum(axis=1) > 0)
-                              & (aux_cc.sum(axis=1) >= self._min_aux_cc))
-        if live.size == 0:
-            return out
-        coefs = solve_least_squares(self._aux_design, self._aux_h, weights=aux_cc[live])
-        target = np.einsum("ka,kaq->kq", primary[live] @ self._aux_at_primary,
-                           coefs) / n1[live, None]
-        equation = self._equation
-        init = equation.init(primary[live])
-        ok = np.all(np.isfinite(target), axis=1) & np.all(np.isfinite(init), axis=1)
-        live, target, init = live[ok], target[ok], init[ok]
-        if live.size == 0:
-            return out
-        cc_counts, n1 = primary[live][:, self._cc], n1[live]
-        fits = newton_stack(
-            lambda theta, members: equation.residual(theta, cc_counts[members], n1[members],
-                                                     target[members]),
-            lambda theta, members: equation.jacobian(theta, cc_counts[members], n1[members]),
-            init, SolverConfig())
-        done = np.array([fit is not None and fit.converged for fit in fits])
-        members = np.flatnonzero(done)
-        if members.size == 0:
-            return out
-        w = equation.weights(np.array([fits[k].theta_hat for k in members]), cc_counts[members])
-        betas = equation.beta_hat(w, n1[members])
-        for k, beta in zip(members.tolist(), betas.tolist()):
-            if math.isfinite(beta):
-                out[live[k]] = (beta, fits[k])
-        return out
+        cc, aux_cc = primary[:, self._cc], auxiliary[:, self._aux_cc]
+        live = _live(primary.sum(axis=1), auxiliary.sum(axis=1), cc.sum(axis=1),
+                     aux_cc.sum(axis=1), self._targets.min_aux_cc)
+        return _fit_stack(self._equation, primary, cc, live,
+                          self._targets(primary, aux_cc, live))
+
+
+def fit_datasets(datasets: list, basis: BasisSpec, h_basis: BasisSpec,
+                 aux_regression_basis: BasisSpec) -> list[Optional[tuple[float, SolverResult]]]:
+    """`_fit_stack` of a block of datasets of one schema, each member with its
+    own rows: (beta_hat, solver result) of each dataset's fit, or None where
+    it is to be fitted on its own."""
+    primary, member = stacked_domain_arrays(datasets, DomainTag.PRIMARY)
+    # the auxiliary rows are dropped before the calibration rows are
+    # stacked, which bounds the memory of a block
+    live, target = _own_targets(datasets, primary, member, h_basis, aux_regression_basis)
+    equation = _Calibration(primary, basis, h_basis, datasets[0].schema.m_dim,
+                            member=member, size=len(datasets))
+    del primary, member
+    return _fit_stack(equation, equation.primary_counts, equation.counts, live, target)
+
+
+def _own_targets(datasets: list, primary: DomainArrays, primary_member: np.ndarray,
+                 h_basis: BasisSpec, aux_regression_basis: BasisSpec):
+    """The live members of a block of datasets (see `_live`) and their
+    targets."""
+    size = len(datasets)
+    auxiliary, aux_member = stacked_domain_arrays(datasets, DomainTag.AUXILIARY)
+    aux_rows = _OwnRows(aux_member[np.flatnonzero(auxiliary.complete)], size)
+    primary_rows = _OwnRows(primary_member, size)
+    targets = _AuxTargets(primary, auxiliary, h_basis, aux_regression_basis, aux_rows,
+                          primary_rows)
+    cc_member = primary_member[np.flatnonzero(primary.complete)]
+    live = _live(*(np.bincount(m, minlength=size)
+                   for m in (primary_member, aux_member, cc_member, aux_rows.member)),
+                 targets.min_aux_cc)
+    del auxiliary, aux_member, cc_member
+    return live, targets(primary_rows.counts, aux_rows.counts, live)
 
 
 def estimate_model1(
@@ -357,9 +489,17 @@ def _stacked_model1(dataset: PooledDataset) -> StackedRefits:
                          spec.aux_regression_basis)
 
 
-# bootstrap_ci refits the estimator with its defaults through this; a
-# function attribute survives functools.wraps, which copies __dict__.
+def _stacked_fits_model1(datasets: list) -> list[Optional[tuple[float, SolverResult]]]:
+    spec = Model1Spec.default(datasets[0].schema)
+    return fit_datasets(datasets, spec.propensity_basis, spec.h_basis,
+                        spec.aux_regression_basis)
+
+
+# bootstrap_ci refits the estimator with its defaults through stacked_refits,
+# and replicate fits a block of datasets through stacked_fits; a function
+# attribute survives functools.wraps, which copies __dict__.
 estimate_model1.stacked_refits = _stacked_model1
+estimate_model1.stacked_fits = _stacked_fits_model1
 
 
 def identify_beta_model1_plugin(

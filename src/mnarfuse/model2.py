@@ -29,8 +29,15 @@ from .models import (
     fit_logistic,  # noqa: F401  (a lookup site patched by bench/tracing.py)
     parse_term,
 )
-from .model1 import StackedRefits, _linear_xm_basis, _polynomial_x_basis, calibrate
+from .model1 import (
+    StackedRefits,
+    _linear_xm_basis,
+    _polynomial_x_basis,
+    calibrate,
+    fit_datasets,
+)
 from .report import EstimateReport
+from .solver import SolverResult
 from .solver import SolverConfig, solve  # noqa: F401  (solve: bench/tracing.py patches it)
 
 
@@ -98,8 +105,16 @@ def _stacked_model2(dataset: PooledDataset) -> StackedRefits:
                          spec.h_basis, spec.aux_regression_basis)
 
 
-# bootstrap_ci refits the estimator with its defaults through this; see model1.
+def _stacked_fits_model2(datasets: list) -> list[Optional[tuple[float, SolverResult]]]:
+    spec = Model2Spec.default(datasets[0].schema)
+    return fit_datasets(datasets, _tilted_basis(spec.baseline_basis, spec.n_or_params),
+                        spec.h_basis, spec.aux_regression_basis)
+
+
+# bootstrap_ci and replicate fit the estimator with its defaults through
+# these; see model1.
 estimate_model2.stacked_refits = _stacked_model2
+estimate_model2.stacked_fits = _stacked_fits_model2
 
 
 def recovered_propensity(

@@ -215,12 +215,15 @@ def _dependent_columns(design: np.ndarray, weights: Optional[np.ndarray],
     member with frequency weights gets the test of the design with each row
     repeated as often as its weight says.
     """
-    n, p = design.shape
+    n, p = design.shape[-2:]
     if weights is None:
         rows, top = np.array([n]), np.abs(design).max(initial=0.0)
-    else:
+    elif design.ndim == 2:
         rows = weights.sum(axis=1)
         top = ((weights > 0) * np.abs(design).max(axis=1)).max(axis=1, initial=0.0)
+    else:
+        rows = weights.sum(axis=1)
+        top = np.abs(design * (weights > 0)[:, :, None]).max(axis=(1, 2), initial=0.0)
     limit = _RANK_TOL * np.maximum(top, 1.0) * np.maximum(rows, p)
     diag = np.zeros((rows.size, p))
     diag[:, :min(n, p)] = np.diagonal(r, axis1=1, axis2=2)
@@ -234,15 +237,59 @@ def _raise_if_dependent(bad: np.ndarray, names: Optional[list[str]] = None) -> N
         raise RankDeficientError(j, names[j] if names and j < len(names) else "")
 
 
+def stack_rows(rows: np.ndarray, member: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `size` members as a stack of their own rows.
+
+    rows (N, ...) holds the members' rows one member after another, and
+    member (N,) the member of each row.  Returns the (size, n, ...) stack,
+    n the most rows a member has, zero on the padding after a member's
+    rows, and the (size, n) frequency weights that count each real row once
+    and the padding 0 times.
+    """
+    sizes = np.bincount(member, minlength=size).tolist()
+    stacked = np.zeros((size, max(sizes, default=0)) + rows.shape[1:])
+    real = np.zeros(stacked.shape[:2])
+    start = 0
+    for k, n in enumerate(sizes):  # slices: far faster than a mask or index assignment
+        stacked[k, :n] = rows[start:start + n]
+        real[k, :n] = 1.0
+        start += n
+    return stacked, real
+
+
+def linear_predictor(design: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """design.theta of each member of a stack, (K, n), for theta (K, p) and
+    rows shared by the members, design (n, p), or their own, (K, n, p)."""
+    if design.ndim == 2:
+        return theta @ design.T
+    return (design @ theta[:, :, None])[:, :, 0]
+
+
+def member_sums(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i weights[k, i] rows[i] of each member of a stack, (K, q), for
+    rows shared by the members, (n, q), or sum_i weights[k, i] rows[k, i]
+    for their own, (K, n, q)."""
+    if rows.ndim == 2:
+        return weights @ rows
+    return (weights[:, None, :] @ rows)[:, 0, :]
+
+
 def weighted_cross_products(a: np.ndarray, b: np.ndarray):
     """The function mapping weights (K, n) to the stack of
-    a^T diag(weights[k]) b, shape (K, q, p), for a (n, q) and b (n, p).
+    a^T diag(weights[k]) b, shape (K, q, p), for a (n, q) and b (n, p), or
+    a[k]^T diag(weights[k]) b[k] for members with their own rows, a (K, n, q)
+    and b (K, n, p).
 
-    While they fit in _PRODUCT_BYTES, the outer products of the rows of a and
-    b are formed once, and each call is one matrix product of the weights
-    with them, which is fast for a stack.  Beyond that each call scales a by
-    the weights, which takes no more memory than one copy of a per member.
+    While shared rows fit in _PRODUCT_BYTES, the outer products of the rows
+    of a and b are formed once, and each call is one matrix product of the
+    weights with them, which is fast for a stack.  Otherwise each call
+    scales a by the weights, which takes no more memory than one copy of a
+    per member.  Members' own rows are used too few times to repay a table;
+    a contiguous copy of them, which is small, is.
     """
+    if a.ndim == 3:
+        a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
+        return lambda weights: (a_t * weights[:, None, :]) @ b
     (n, q), p = a.shape, b.shape[1]
     if n * q * p * 8 > _PRODUCT_BYTES:
         return lambda weights: (a.T * weights[:, None, :]) @ b
@@ -276,7 +323,9 @@ def solve_least_squares(design: np.ndarray, target: np.ndarray,
 
     With (K, n) frequency weights, the K weighted fits are solved together
     and their coefficients are stacked on a new first axis; a fit whose
-    weighted design is rank deficient gets NaN instead of raising.
+    weighted design is rank deficient gets NaN instead of raising.  The K
+    fits share the rows of a design (n, p) and target (n, ...), or have
+    their own, design (K, n, p) and target (K, n, ...).
     """
     design = np.asarray(design, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -284,25 +333,26 @@ def solve_least_squares(design: np.ndarray, target: np.ndarray,
     bad = _dependent_columns(design, weights, r)
     if weights is None:
         _raise_if_dependent(bad, names)
-    rhs = target.reshape(target.shape[0], -1)
+    rhs = target.reshape(*design.shape[:-1], -1)
     rhs = rhs[None] if weights is None else np.sqrt(weights)[:, :, None] * rhs
     ok = bad < 0
     if ok.all():
         coef = np.linalg.solve(r, q.transpose(0, 2, 1) @ rhs)
     else:
-        coef = np.full((bad.size, design.shape[1], rhs.shape[-1]), np.nan)
+        coef = np.full((bad.size, design.shape[-1], rhs.shape[-1]), np.nan)
         if ok.any():
             coef[ok] = np.linalg.solve(r[ok], q[ok].transpose(0, 2, 1) @ rhs[ok])
-    coef = coef.reshape(bad.size, design.shape[1], *target.shape[1:])
+    coef = coef.reshape(bad.size, design.shape[-1], *target.shape[design.ndim - 1:])
     return coef[0] if weights is None else coef
 
 
 def logistic(z):
     """1 / (1 + exp(-z)), stable for large |z|: with e = exp(-|z|), which
-    cannot overflow, it is 1 / (1 + e) for z >= 0 and e / (1 + e) below."""
+    cannot overflow, it is 1 / (1 + e) for z >= 0 and e / (1 + e) below.
+    The numerator is exp(min(z, 0)) rather than a select between the two,
+    which is slow on mixed signs."""
     z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
     if out.ndim == 0:
         return float(out)
     return out
@@ -317,29 +367,34 @@ def fit_logistic(design: np.ndarray, outcome: np.ndarray,
     each until its own step is below tol, and their (K, p) coefficients are
     returned; a fit whose weighted design is rank deficient, or whose Hessian
     turns singular, gets NaN where the unweighted fit raises
-    RankDeficientError or LinAlgError.
+    RankDeficientError or LinAlgError.  The K fits share the rows of a
+    design (n, p) and outcome (n,), or have their own, design (K, n, p) and
+    outcome (K, n).
     """
     design = np.asarray(design, dtype=float)
     outcome = np.asarray(outcome, dtype=float)
     bad = _dependent_columns(design, weights, _weighted_qr(design, weights, "r"))
     if weights is None:
         _raise_if_dependent(bad)
-    coef = np.zeros((bad.size, design.shape[1]))
+    coef = np.zeros((bad.size, design.shape[-1]))
     coef[bad >= 0] = np.nan
-    hessian = weighted_cross_products(design, design)
-    # the fits still iterating, their coefficients and frequency weights
+    # the fits still iterating, their coefficients, frequency weights and rows
     active = np.flatnonzero(bad < 0)
     current = coef[active]
     counts = None if weights is None else weights[active]
+    own_rows = design.ndim == 3
+    if own_rows and active.size < len(design):
+        design, outcome = design[active], outcome[active]
+    hessian = weighted_cross_products(design, design)
     for _ in range(max_iter):
         if active.size == 0:
             break
-        p = logistic(current @ design.T)
+        p = logistic(linear_predictor(design, current))
         w = np.clip(p * (1.0 - p), 1e-10, None)
         resid = outcome - p
         if counts is not None:
             w, resid = counts * w, counts * resid
-        step, singular = solve_linear(hessian(w), resid @ design)
+        step, singular = solve_linear(hessian(w), member_sums(resid, design))
         if weights is None and singular[0]:
             raise np.linalg.LinAlgError("Singular matrix")
         current += step
@@ -349,6 +404,9 @@ def fit_logistic(design: np.ndarray, outcome: np.ndarray,
             keep = ~finished
             active, current = active[keep], current[keep]
             counts = None if counts is None else counts[keep]
+            if own_rows:
+                design, outcome = design[keep], outcome[keep]
+                hessian = weighted_cross_products(design, design)
     coef[active] = current
     return coef[0] if weights is None else coef
 
@@ -356,7 +414,7 @@ def fit_logistic(design: np.ndarray, outcome: np.ndarray,
 def _calibration_exp(design: np.ndarray, theta: np.ndarray, offset) -> tuple:
     """The linear predictor offset - design.theta and its exponential, held
     finite by evaluating it at no more than 700."""
-    lin = offset - theta @ design.T
+    lin = offset - linear_predictor(design, theta)
     return lin, np.exp(np.minimum(lin, 700.0))
 
 
@@ -368,7 +426,8 @@ def calibration_weights(
 ) -> np.ndarray:
     """Reciprocal propensity w = min(1 + exp(-design.theta + offset), w_max).
 
-    A (K, p) stack of theta gives (K, n) weights.
+    A (K, p) stack of theta gives (K, n) weights, on rows shared by the
+    members, design (n, p), or on their own, (K, n, p).
     """
     _, e = _calibration_exp(design, theta, offset)
     return np.minimum(1.0 + e, w_max)

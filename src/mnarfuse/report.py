@@ -13,10 +13,11 @@ from .solver import SolverResult
 
 @dataclass(frozen=True)
 class RefitCounts:
-    """How the refits of a bootstrap interval ran."""
+    """How the refits of a bootstrap interval, or the fits of one estimator
+    in a replication, ran."""
 
-    stacked: int = 0  # solved in a block of stacked frequency-weighted fits
-    per_refit: int = 0  # by a call of the estimator on the resample, fallbacks included
+    stacked: int = 0  # solved in a block of stacked fits
+    per_refit: int = 0  # by a call of the estimator on its dataset, fallbacks included
     # summed over the refits that returned a solver result: their Newton
     # iterations and residual evaluations
     iterations: int = 0
@@ -108,3 +109,13 @@ def domain_arrays(dataset: PooledDataset, tag: DomainTag) -> DomainArrays:
         y=dataset.y[rows],
         r=dataset.r[rows],
     )
+
+
+def stacked_domain_arrays(datasets: list, tag: DomainTag) -> tuple[DomainArrays, np.ndarray]:
+    """One domain of several datasets of one schema: its rows in each
+    dataset, one dataset after another, and the index of each row's
+    dataset."""
+    parts = [domain_arrays(ds, tag) for ds in datasets]
+    member = np.repeat(np.arange(len(parts)), [part.n for part in parts])
+    return DomainArrays(*(np.concatenate([getattr(part, name) for part in parts])
+                          for name in ("x", "m", "y", "r"))), member

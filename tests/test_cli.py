@@ -106,6 +106,49 @@ def test_a_config_byte_order_mark_is_skipped(tmp_path, capsys):
     assert capsys.readouterr().out == "ok: 200 rows\n"
 
 
+def _latin1_fixture(tmp_path):
+    """A make-fixture pair, a copy of its config whose first line is a
+    Latin-1 comment, and a copy of its data with a Latin-1 level on line 3."""
+    prefix = str(tmp_path / "fx")
+    assert run(["make-fixture", "--n", "200", "--seed", "1", "--out-prefix", prefix]) == 0
+    with open(prefix + ".ini", "rb") as fh:
+        (tmp_path / "latin.ini").write_bytes("# café\n".encode("latin-1") + fh.read())
+    with open(prefix + ".csv", "rb") as fh:
+        lines = fh.read().split(b"\n")
+    lines[2] = lines[2].rsplit(b",", 2)[0] + ",sévère,NA\r".encode("latin-1")
+    (tmp_path / "latin.csv").write_bytes(b"\n".join(lines))
+    return prefix
+
+
+def test_a_latin1_config_is_an_error_naming_the_file_and_line(tmp_path, capsys):
+    prefix = _latin1_fixture(tmp_path)
+    config = str(tmp_path / "latin.ini")
+    capsys.readouterr()
+    assert run(["validate", "--data", prefix + ".csv", "--config", config]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config file {config}: line 1: byte 0xe9 is not UTF-8 text; "
+        "save the file as UTF-8\n")
+
+
+def test_a_latin1_data_file_is_an_error_naming_the_file_and_line(tmp_path, capsys):
+    prefix = _latin1_fixture(tmp_path)
+    data = str(tmp_path / "latin.csv")
+    capsys.readouterr()
+    assert run(["validate", "--data", data, "--config", prefix + ".ini"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: line 3: byte 0xe9 is not UTF-8 text; save the file as UTF-8\n")
+
+
+def test_a_config_that_is_a_directory_is_reported_as_one(tmp_path, capsys):
+    prefix = _latin1_fixture(tmp_path)
+    (tmp_path / "d.ini").mkdir()
+    capsys.readouterr()
+    assert run(["validate", "--data", prefix + ".csv", "--config",
+                str(tmp_path / "d.ini")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config file {tmp_path / 'd.ini'} is a directory, not a file\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--data", "nope.csv"],
     ["estimate", "--data", "nope.csv", "--model", "1"],

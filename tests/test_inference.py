@@ -83,6 +83,16 @@ def test_replicate_zero_reps_empty_report():
     assert report.summaries[0].n_ok == 0
 
 
+@pytest.mark.parametrize("n_reps,n_workers,message", [
+    (-2, 1, "n_reps must be at least 0, got -2"),
+    (3, 0, "n_workers must be at least 1, got 0"),
+])
+def test_replicate_rejects_bad_counts(n_reps, n_workers, message):
+    with pytest.raises(ValueError, match=message):
+        replicate(Model1Design(n=100), n_reps=n_reps, n_workers=n_workers,
+                  estimators={"mcar": mcar_estimate})
+
+
 def test_replicate_worker_count_invariance():
     serial = replicate(Model1Design(n=300), n_reps=6, seed=3,
                        estimators={"mcar": mcar_estimate})

@@ -1,7 +1,8 @@
 """Same numbers on a fixed seed panel: beta_hat of converged point fits and
 the bounds of two bootstrap intervals, recorded as float.hex() from the code
-before the solver lost its restarts.  A change to the estimators that keeps
-the numbers keeps each value within 1e-10."""
+before the solver lost its restarts, and a replication panel, recorded from
+the code that fitted every replicate on its own.  A change to the estimators
+that keeps the numbers keeps each value within 1e-10."""
 
 import argparse
 
@@ -9,7 +10,7 @@ import pytest
 
 from mnarfuse import cli
 from mnarfuse.data import read_csv
-from mnarfuse.inference import BootstrapConfig, bootstrap_ci
+from mnarfuse.inference import BootstrapConfig, bootstrap_ci, replicate
 from mnarfuse.model1 import estimate_model1
 from mnarfuse.model2 import estimate_model2
 from mnarfuse.simulate import Model1Design, Model2Design, generate_model1, generate_model2
@@ -40,6 +41,59 @@ POINT_FITS = {
 INTERVALS = {
     ("model1", "T", 1, 5): ("0x1.a97f163a92d06p+0", "0x1.f7a93a6e6d4f2p+0"),
     ("model2", "F", 2, 6): ("-0x1.d3aa99c76bc58p-2", "0x1.f071bd40c0c54p-4"),
+}
+
+# (model, setting, estimator) -> the estimates of the default bank's
+# replicate(design(n=500, setting), n_reps=6, seed=5)
+REPLICATES = {
+    ("model1", "T", "ipw"): (
+        "0x1.b0d732fede8e9p+0", "0x1.e1dd1084b6bb3p+0", "0x1.04c9196f09fe3p+1",
+        "0x1.db8aa41720315p+0", "0x1.a0767e609c0a0p+0", "0x1.2104a3b27f37dp+1",
+    ),
+    ("model1", "T", "mar"): (
+        "0x1.00697becd6953p+1", "0x1.0debcb2c1bd98p+1", "0x1.09e9613c54f8ep+1",
+        "0x1.1399bed69eb75p+1", "0x1.1898f6df4c12cp+1", "0x1.1bb2f101a1d70p+1",
+    ),
+    ("model1", "T", "mcar"): (
+        "0x1.2d71361dfdfc6p+1", "0x1.353fc97d0300ep+1", "0x1.425b457a2ce14p+1",
+        "0x1.3633cbd61b583p+1", "0x1.3b301704eb218p+1", "0x1.6035fdd04d7b6p+1",
+    ),
+    ("model1", "F", "ipw"): (
+        "0x1.ba7051756fcd9p+0", "0x1.03aee5fb68580p+1", "0x1.a6068dd466fb0p+0",
+        "0x1.e18b8f6a06907p+0", "0x1.85dd30027645ap+0", "0x1.0430d93bd54afp+1",
+    ),
+    ("model1", "F", "mar"): (
+        "0x1.2bdfe9fe26330p+0", "0x1.2906028ec8e0ap+0", "0x1.7beba07ef265ep+0",
+        "0x1.7a5c1da70a4a4p+0", "0x1.525d69fbb823ep+0", "0x1.5d216d6685d8ep+0",
+    ),
+    ("model1", "F", "mcar"): (
+        "0x1.11ab3de66e11ep+0", "0x1.9f0cfc7b3e423p-1", "0x1.31618af115b66p+0",
+        "0x1.c1b65c70b1725p-1", "0x1.eeed69146fa93p-1", "0x1.127de77300912p+0",
+    ),
+    ("model2", "T", "ipw"): (
+        "-0x1.a72ab9f8ed64cp-1", "-0x1.9e6ff1ad8ecf5p-1", "-0x1.4bd5bf7428abap-2",
+        "-0x1.10744dd4d5298p-1", "-0x1.4d4588738252dp-2", "-0x1.8bf330e6c48dap-2",
+    ),
+    ("model2", "T", "mar"): (
+        "-0x1.94171588c8e13p-2", "0x1.c13190ec74ba2p-4", "-0x1.8ab8cdf74bc4cp-3",
+        "-0x1.9f72019b750b7p-3", "-0x1.66b69a849d662p-3", "-0x1.890305dcf3084p-3",
+    ),
+    ("model2", "T", "mcar"): (
+        "-0x1.418a1c3bef07bp-3", "0x1.dfdae884b61fdp-3", "0x1.4790c0f27d3adp-6",
+        "-0x1.738eca42b7f7bp-4", "-0x1.ba64893653b1cp-8", "-0x1.3d8892bbc26f2p-6",
+    ),
+    ("model2", "F", "ipw"): (
+        "-0x1.5c5ca3beb45e0p-1", "-0x1.adbc163b06199p-1", "-0x1.16e6f6d45ed74p-2",
+        "-0x1.be9a5df6469e1p-2", "-0x1.fd05f2900892ep-3", "-0x1.c0960aedb9039p-3",
+    ),
+    ("model2", "F", "mar"): (
+        "-0x1.19d02749e77fap-1", "-0x1.058d06ead3e11p-6", "-0x1.114463106fcc3p-2",
+        "-0x1.833b7ae9271dbp-2", "-0x1.6736b12509037p-2", "-0x1.1e6c821df82e7p-2",
+    ),
+    ("model2", "F", "mcar"): (
+        "-0x1.5c6f03d8ec9f8p-2", "0x1.0d2dc603f66c8p-3", "-0x1.f3a8326a6dad7p-5",
+        "-0x1.188805abff645p-2", "-0x1.5639a6d2ad5f0p-3", "-0x1.e2eb2dfba66e4p-4",
+    ),
 }
 
 # estimate_model1 on `make-fixture --n 2000 --seed 3`
@@ -79,3 +133,16 @@ def test_interval_keeps_its_bounds(key):
     assert ci.n_failed == 0 and not ci.nonconverged
     lo, hi = INTERVALS[key]
     assert _close(ci.lo, lo) and _close(ci.hi, hi), (ci.lo.hex(), ci.hi.hex())
+
+
+@pytest.mark.parametrize("model,setting", [(m, s) for m in MODELS for s in "TF"],
+                         ids=lambda v: v)
+def test_replication_keeps_its_estimates(model, setting):
+    _, design, _ = MODELS[model]
+    report = replicate(design(n=500, setting=setting), n_reps=6, seed=5)
+    for (m, s, name), recorded in REPLICATES.items():
+        if (m, s) == (model, setting):
+            values = report.estimates[name]
+            assert len(values) == len(recorded)
+            assert all(_close(v, r) for v, r in zip(values, recorded)), \
+                (name, [v.hex() for v in values])

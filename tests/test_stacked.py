@@ -1,5 +1,6 @@
-"""Stacked bootstrap refits: the same draws and the same numbers as refitting
-the estimator on each resample."""
+"""Stacked fits: the bootstrap's refits give the same draws and the same
+numbers as refitting the estimator on each resample, and replication's
+blocks the same numbers as fitting each replicate dataset on its own."""
 
 import argparse
 import functools
@@ -9,10 +10,18 @@ import pytest
 
 from mnarfuse import cli
 from mnarfuse.data import DomainTag, read_csv
-from mnarfuse.inference import BootstrapConfig, _draw, _resample, bootstrap_ci
+from mnarfuse import inference
+from mnarfuse.inference import (
+    BootstrapConfig,
+    _draw,
+    _resample,
+    bootstrap_ci,
+    default_estimators,
+    replicate,
+)
 from mnarfuse.model1 import estimate_model1
 from mnarfuse.model2 import estimate_model2
-from mnarfuse.models import fit_logistic, solve_least_squares
+from mnarfuse.models import fit_logistic, solve_least_squares, stack_rows
 from mnarfuse.simulate import (
     Model1Design,
     Model2Design,
@@ -159,3 +168,113 @@ def test_weighted_fits_flag_rank_deficient_members_with_nan():
     assert np.isnan(coefs[1]).all()
     logistic_coefs = fit_logistic(design, np.array([0, 1, 0, 1, 1, 0.0]), weights=counts)
     assert np.isfinite(logistic_coefs[0]).all() and np.isnan(logistic_coefs[1]).all()
+
+
+# ---------------------------------------------------------------------------
+# replication: a block of datasets is one stack with per-member rows
+# ---------------------------------------------------------------------------
+
+REPLICATE_DESIGNS = {
+    "model1-T": Model1Design(n=500, setting="T"),
+    "model1-F": Model1Design(n=500, setting="F"),
+    "model2-T": Model2Design(n=500, setting="T"),
+    "model2-F": Model2Design(n=500, setting="F"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLICATE_DESIGNS))
+def test_stacked_replication_matches_fitting_each_dataset(name):
+    design = REPLICATE_DESIGNS[name]
+    bank = default_estimators(design)
+    stacked = replicate(design, n_reps=16, seed=1)
+    reference = replicate(design, n_reps=16, seed=1,
+                          estimators={key: _per_refit(fn) for key, fn in bank.items()})
+    for key in bank:
+        values, expected = stacked.estimates[key], reference.estimates[key]
+        np.testing.assert_array_equal(np.isnan(values), np.isnan(expected))
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+    assert ([(s.n_failed, s.n_nonconverged) for s in stacked.summaries]
+            == [(s.n_failed, s.n_nonconverged) for s in reference.summaries])
+    assert stacked.fits["ipw"].stacked > 0 and stacked.fits["mar"].stacked > 0
+    assert stacked.fits["mcar"].stacked == 0
+    assert all(counts.stacked == 0 for counts in reference.fits.values())
+
+
+def test_a_nonconverged_replicate_is_refitted_on_its_own():
+    # replicate 5 of this panel stops at max_iter in the stack and on its own
+    report = replicate(Model1Design(n=500, setting="F"), n_reps=16, seed=1)
+    ipw = {s.name: s for s in report.summaries}["ipw"]
+    assert ipw.n_nonconverged == 1 and ipw.n_failed == 0
+    assert (report.fits["ipw"].stacked, report.fits["ipw"].per_refit) == (15, 1)
+
+
+def test_fit_counts_add_up_to_the_replicates():
+    report = replicate(Model2Design(n=300, setting="T"), n_reps=5, seed=2)
+    for counts in report.fits.values():
+        assert counts.stacked + counts.per_refit == 5
+    assert report.fits["ipw"].iterations > 0 and report.fits["ipw"].residual_evals > 0
+    assert report.fits["mar"].iterations == 0
+
+
+def test_replication_does_not_depend_on_the_worker_count(monkeypatch):
+    design = Model1Design(n=500, setting="F")
+    monkeypatch.setattr(inference, "_BLOCK_ROWS", 2 * design.n)  # 7 reps: 4 blocks
+    assert len(inference._blocks(design, 7)) == 4
+    runs = [replicate(design, n_reps=7, seed=1, n_workers=w) for w in (1, 2, 3)]
+    for run in runs[1:]:
+        for key, values in runs[0].estimates.items():
+            assert values.tobytes() == run.estimates[key].tobytes()
+        assert run.summaries == runs[0].summaries
+        assert run.fits == runs[0].fits
+
+
+def test_blocks_depend_on_the_design_and_the_replicate_count_alone():
+    design = Model1Design(n=2000)
+    for n_reps in (0, 1, 16, 33, 100):
+        blocks = inference._blocks(design, n_reps)
+        assert [rep for block in blocks for rep in block] == list(range(n_reps))
+        assert all(len(b) <= max(1, inference._BLOCK_ROWS // design.n) for b in blocks)
+        assert max(map(len, blocks), default=0) - min(map(len, blocks), default=0) <= 1
+
+
+def _own_rows(n_members=4, n=120, seed=6):
+    """Designs, outcomes and targets of members of various sizes, with their
+    rows one member after another."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(n // 2, n, size=n_members)
+    member = np.repeat(np.arange(n_members), sizes)
+    x = rng.normal(size=member.size)
+    design = np.column_stack([np.ones_like(x), x, x**2])
+    outcome = (rng.random(x.size) < 1.0 / (1.0 + np.exp(-0.3 - 0.8 * x))).astype(float)
+    target = np.column_stack([np.sin(x), x**3])
+    return member, design, outcome, target
+
+
+def test_fits_with_their_own_rows_equal_fits_of_each_member():
+    member, design, outcome, target = _own_rows()
+    size = member.max() + 1
+    stacked, counts = stack_rows(design, member, size)
+    logistic_coefs = fit_logistic(stacked, stack_rows(outcome, member, size)[0],
+                                  weights=counts)
+    ls_coefs = solve_least_squares(stacked, stack_rows(target, member, size)[0],
+                                   weights=counts)
+    for k in range(size):
+        rows = member == k
+        np.testing.assert_allclose(logistic_coefs[k], fit_logistic(design[rows], outcome[rows]),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ls_coefs[k], solve_least_squares(design[rows], target[rows]),
+                                   rtol=0, atol=1e-12)
+
+
+def test_fits_with_their_own_rows_flag_a_rank_deficient_member_with_nan():
+    member, design, outcome, target = _own_rows()
+    design[member == 2, 2] = design[member == 2, 1]  # member 2: two equal columns
+    size = member.max() + 1
+    stacked, counts = stack_rows(design, member, size)
+    ls_coefs = solve_least_squares(stacked, stack_rows(target, member, size)[0],
+                                   weights=counts)
+    logistic_coefs = fit_logistic(stacked, stack_rows(outcome, member, size)[0],
+                                  weights=counts)
+    for coefs in (ls_coefs, logistic_coefs):
+        assert np.isnan(coefs[2]).all()
+        assert np.isfinite(np.delete(coefs, 2, axis=0)).all()
