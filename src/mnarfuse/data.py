@@ -96,10 +96,11 @@ class PooledDataset:
     that `validate` can name it.
 
     `PooledDataset(records=..., schema=...)` builds the columns from per-row
-    records; `records` derives them back.
+    records; `records` derives them back.  The columns are read-only, and
+    `report.domain_arrays` keeps each domain's split in `_domains`.
     """
 
-    __slots__ = ("schema", "g", "x", "m", "y", "r", "m_labels")
+    __slots__ = ("schema", "g", "x", "m", "y", "r", "m_labels", "_domains")
 
     def __init__(self, schema: VariableSchema, g=None, x=None, m=None, y=None,
                  r=None, *, m_labels: Optional[tuple] = None,
@@ -116,6 +117,7 @@ class PooledDataset:
         self.y = _column(y, float)
         self.r = _column(r, np.int64)
         self.m_labels = schema.m_levels if m_labels is None else tuple(m_labels)
+        self._domains = {}
         n = self.g.shape[0]
         if self.x.shape != (n, schema.n_covariates):
             raise ValueError(

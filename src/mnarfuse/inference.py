@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -263,10 +265,10 @@ class ReplicationReport:
 
 
 # A block of replicates of a design of n rows holds at most _BLOCK_ROWS // n
-# replicates, fitted as one stack: 8 at n=2000.  A block holds its datasets
-# and their stacked rows, about 0.3 MB per 2000-row replicate at its peak;
-# blocks of 16 fitted a fifth faster per replicate but raised the peak
-# memory of a 16-replicate call by 7 % instead of 2 %.
+# replicates, fitted as one stack: 8 at n=2000.  A block holds its datasets,
+# their domain splits and their stacked rows, about 0.35 MB per 2000-row
+# replicate at its peak; blocks of 16 fitted a fifth faster per replicate
+# but raised the peak memory of a 16-replicate call by 7 % instead of 2 %.
 _BLOCK_ROWS = 1 << 14
 
 
@@ -299,6 +301,29 @@ def _run_block(design, seed: int, reps: range, estimators: dict) -> dict:
     return out
 
 
+# The process pool of parallel `replicate` calls, kept for the next call:
+# (n_workers, pool) or None.  The lock lets one call at a time use it.
+_pool: Optional[tuple[int, ProcessPoolExecutor]] = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool(n_workers: int) -> ProcessPoolExecutor:
+    """The pool of n_workers processes, started if the kept one has another
+    size (after it has shut down) or there is none."""
+    global _pool
+    if _pool is not None and _pool[0] != n_workers:
+        _drop_pool()
+    if _pool is None:
+        _pool = (n_workers, ProcessPoolExecutor(max_workers=n_workers))
+    return _pool[1]
+
+
+def _drop_pool() -> None:
+    global _pool
+    _pool[1].shutdown(wait=True)
+    _pool = None
+
+
 def replicate(
     design,
     n_reps: int,
@@ -312,9 +337,14 @@ def replicate(
     Replicate r draws its dataset seed from the (seed, r) stream.  The
     replicates are fitted in blocks (`_blocks`), which depend on the design
     and n_reps alone, so the estimate array is a pure function of (design,
-    seed, n_reps) regardless of worker count or completion order.  The
-    blocks run in a pool of min(n_workers, blocks) processes when there are
-    two or more, else in this process.
+    seed, n_reps) regardless of worker count or completion order.  With
+    n_workers > 1 and two or more blocks the blocks run in a pool of
+    n_workers processes, which is started by the first such call and kept
+    for the next: a call with another n_workers shuts it down and starts its
+    own, and a call whose pool broke (a worker died) drops it and raises
+    BrokenProcessPool.  With the fork start method the workers are forked
+    when the pool starts, so they see module state as it was then: a later
+    monkeypatch in this process does not reach them.  Else the blocks run in this process.
     """
     if n_reps < 0:
         raise ValueError(f"n_reps must be at least 0, got {n_reps}")
@@ -327,9 +357,14 @@ def replicate(
 
     blocks = _blocks(design, n_reps)
     if n_workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(blocks))) as pool:
-            runs = list(pool.map(_run_block, [design] * len(blocks), [seed] * len(blocks),
-                                 blocks, [estimators] * len(blocks)))
+        with _pool_lock:
+            try:
+                runs = list(_worker_pool(n_workers).map(
+                    _run_block, [design] * len(blocks), [seed] * len(blocks), blocks,
+                    [estimators] * len(blocks)))
+            except BrokenProcessPool:
+                _drop_pool()  # the next call starts a new one
+                raise
     else:
         runs = [_run_block(design, seed, reps, estimators) for reps in blocks]
 

@@ -9,6 +9,7 @@ sidecar for bias computation and generator checks; estimators never read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -177,6 +178,16 @@ def generate_model2(design: Model2Design, seed: int) -> tuple[PooledDataset, Tru
 _QUADRATURE_NODES = 80
 
 
+@lru_cache(maxsize=None)
+def _normal_quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights for an N(0, 1) expectation,
+    computed once per process."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
+    weights = weights / weights.sum()  # probabilists' nodes: N(0, 1) expectation
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def true_beta(design) -> TrueBeta:
     """Target value of the outcome mean for a design.
 
@@ -190,8 +201,7 @@ def true_beta(design) -> TrueBeta:
         return TrueBeta(value=1.8, provenance="analytic")
     if not isinstance(design, Model2Design):
         raise TypeError(f"unknown design {type(design).__name__}")
-    nodes, weights = np.polynomial.hermite_e.hermegauss(_QUADRATURE_NODES)
-    weights = weights / weights.sum()  # probabilists' nodes: N(0, 1) expectation
+    nodes, weights = _normal_quadrature(_QUADRATURE_NODES)
     p_unselected = 1.0 - logistic(_model2_selection_logit(design, nodes))
     shift = design.gamma * (1.0 + design.beta_y3)
     value = weights @ (nodes - 0.4 * nodes**2 - shift * p_unselected)

@@ -88,6 +88,32 @@ def test_domain_arrays_all_primary_and_empty():
     assert domain_arrays(empty, DomainTag.AUXILIARY).n == 0
 
 
+def test_a_domain_split_is_made_once_and_cannot_be_changed():
+    ds, _ = generate_model1(Model1Design(n=200), seed=4)
+    primary = domain_arrays(ds, DomainTag.PRIMARY)
+    assert domain_arrays(ds, DomainTag.PRIMARY) is primary
+    assert domain_arrays(ds, DomainTag.AUXILIARY) is not primary
+    for name in ("x", "m", "y", "r"):
+        array = getattr(primary, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_taken_and_new_datasets_make_their_own_split():
+    ds, _ = generate_model1(Model1Design(n=200), seed=4)
+    primary = domain_arrays(ds, DomainTag.PRIMARY)
+    rows = np.arange(len(ds))[::-1]
+    taken = domain_arrays(ds.take(rows), DomainTag.PRIMARY)
+    assert taken is not primary
+    np.testing.assert_array_equal(taken.y, primary.y[::-1])
+    same = PooledDataset(ds.schema, ds.g, ds.x, ds.m, ds.y, ds.r)
+    rebuilt = domain_arrays(same, DomainTag.PRIMARY)
+    assert rebuilt is not primary
+    for name in ("x", "m", "y", "r"):
+        np.testing.assert_array_equal(getattr(rebuilt, name), getattr(primary, name))
+
+
 CAT = VariableSchema(covariate_names=("x1",), m_kind="categorical",
                      m_levels=("A", "B", "C"))
 

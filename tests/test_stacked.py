@@ -4,11 +4,16 @@ blocks the same numbers as fitting each replicate dataset on its own."""
 
 import argparse
 import functools
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from mnarfuse import cli
+from mnarfuse.baselines import mcar_estimate
 from mnarfuse.data import DomainTag, read_csv
 from mnarfuse import inference
 from mnarfuse.inference import (
@@ -25,6 +30,7 @@ from mnarfuse.models import fit_logistic, solve_least_squares, stack_rows
 from mnarfuse.simulate import (
     Model1Design,
     Model2Design,
+    TrueBeta,
     generate_model1,
     generate_model2,
     make_rng,
@@ -225,6 +231,80 @@ def test_replication_does_not_depend_on_the_worker_count(monkeypatch):
         for key, values in runs[0].estimates.items():
             assert values.tobytes() == run.estimates[key].tobytes()
         assert run.summaries == runs[0].summaries
+        assert run.fits == runs[0].fits
+
+
+@pytest.fixture
+def two_blocks(monkeypatch):
+    """replicate(n_workers) over 4 replicates in 2 blocks: with n_workers > 1
+    they run in the kept pool."""
+    design = Model1Design(n=300)
+    monkeypatch.setattr(inference, "_BLOCK_ROWS", 2 * design.n)
+
+    def run(n_workers, estimators=None):
+        return replicate(design, n_reps=4, seed=2, n_workers=n_workers,
+                         estimators=estimators or {"mcar": mcar_estimate},
+                         beta_true=TrueBeta(1.8, "fixed"))
+    return run
+
+
+def _kept_pool():
+    return inference._pool[1]
+
+
+def _not_a_fit_error(dataset):
+    raise LookupError("not a fit error")
+
+
+def test_calls_with_the_same_worker_count_share_one_pool(two_blocks):
+    two_blocks(2)
+    pool = _kept_pool()
+    two_blocks(2)
+    assert _kept_pool() is pool
+
+
+def test_another_worker_count_shuts_the_pool_down_and_starts_its_own(two_blocks):
+    two_blocks(2)
+    old = _kept_pool()
+    workers = list(old._processes.values())
+    two_blocks(3)
+    assert inference._pool[0] == 3 and _kept_pool() is not old
+    assert not any(worker.is_alive() for worker in workers)
+    with pytest.raises(RuntimeError, match="shutdown"):
+        old.submit(abs, 1)
+
+
+def test_a_broken_pool_is_dropped_and_the_next_call_starts_a_new_one(two_blocks):
+    serial = two_blocks(1)
+    two_blocks(2)
+    pool = _kept_pool()
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    with pytest.raises(BrokenProcessPool):
+        two_blocks(2)
+    assert inference._pool is None
+    report = two_blocks(2)
+    assert _kept_pool() is not pool
+    assert report.estimates["mcar"].tobytes() == serial.estimates["mcar"].tobytes()
+
+
+def test_an_error_in_a_worker_reaches_the_caller_and_the_pool_lives_on(two_blocks):
+    two_blocks(2)
+    pool = _kept_pool()
+    with pytest.raises(LookupError, match="not a fit error"):
+        two_blocks(2, {"bad": _not_a_fit_error})
+    assert two_blocks(2).summaries[0].n_ok == 4
+    assert _kept_pool() is pool
+
+
+def test_estimates_do_not_depend_on_the_worker_count_over_two_rounds(two_blocks):
+    bank = default_estimators(Model1Design(n=300))
+    runs = [two_blocks(w, bank) for _ in range(2) for w in (1, 2, 3)]
+    for run in runs[1:]:
+        for key, values in runs[0].estimates.items():
+            assert values.tobytes() == run.estimates[key].tobytes()
         assert run.fits == runs[0].fits
 
 
