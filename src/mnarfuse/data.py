@@ -96,11 +96,12 @@ class PooledDataset:
     that `validate` can name it.
 
     `PooledDataset(records=..., schema=...)` builds the columns from per-row
-    records; `records` derives them back.  The columns are read-only, and
-    `report.domain_arrays` keeps each domain's split in `_domains`.
+    records; `records` derives them back.  The columns are read-only views
+    of the arrays given, which must not change once the dataset is in use:
+    `memo` keeps what is derived from them, such as each domain's split.
     """
 
-    __slots__ = ("schema", "g", "x", "m", "y", "r", "m_labels", "_domains")
+    __slots__ = ("schema", "g", "x", "m", "y", "r", "m_labels", "_memo")
 
     def __init__(self, schema: VariableSchema, g=None, x=None, m=None, y=None,
                  r=None, *, m_labels: Optional[tuple] = None,
@@ -117,7 +118,7 @@ class PooledDataset:
         self.y = _column(y, float)
         self.r = _column(r, np.int64)
         self.m_labels = schema.m_levels if m_labels is None else tuple(m_labels)
-        self._domains = {}
+        self._memo = {}
         n = self.g.shape[0]
         if self.x.shape != (n, schema.n_covariates):
             raise ValueError(
@@ -155,6 +156,14 @@ class PooledDataset:
 
     def __len__(self) -> int:
         return self.g.shape[0]
+
+    def memo(self, key, build):
+        """build(self, key), made at the first lookup of key and kept for
+        the dataset's life: a repeated lookup returns the same object."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build(self, key)
+        return value
 
     def __repr__(self) -> str:
         return f"PooledDataset(n={len(self)}, schema={self.schema!r})"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -302,25 +303,50 @@ def _run_block(design, seed: int, reps: range, estimators: dict) -> dict:
 
 
 # The process pool of parallel `replicate` calls, kept for the next call:
-# (n_workers, pool) or None.  The lock lets one call at a time use it.
-_pool: Optional[tuple[int, ProcessPoolExecutor]] = None
+# (pool, its process count, {id: estimator its workers hold}) or None.  A
+# worker unpickles an estimator by module and qualified name as they stood
+# when the pool started, so a call that sends an object the pool does not
+# know (one defined or redefined since) gets a new pool.  The lock lets one
+# call at a time use the pool.
+_pool: Optional[tuple[ProcessPoolExecutor, int, dict]] = None
 _pool_lock = threading.Lock()
 
 
-def _worker_pool(n_workers: int) -> ProcessPoolExecutor:
-    """The pool of n_workers processes, started if the kept one has another
-    size (after it has shut down) or there is none."""
+def _worker_pool(n_workers: int, n_blocks: int, estimators: dict) -> ProcessPoolExecutor:
+    """A pool whose workers hold the estimators, with at least
+    min(n_workers, n_blocks) and at most n_workers processes: the kept one
+    if it fits, else a new one of min(n_workers, n_blocks) processes,
+    started after the kept one has shut down."""
     global _pool
-    if _pool is not None and _pool[0] != n_workers:
-        _drop_pool()
+    size = min(n_workers, n_blocks)
+    if _pool is not None:
+        _, n_processes, known = _pool
+        if not (size <= n_processes <= n_workers
+                and all(known.get(id(fn)) is fn for fn in estimators.values())):
+            _drop_pool()
     if _pool is None:
-        _pool = (n_workers, ProcessPoolExecutor(max_workers=n_workers))
-    return _pool[1]
+        # The call's estimators are pickled right after the fork, which
+        # checks each is found under its name; the default bank is known if
+        # it is found there now.
+        bank = (estimate_model1, estimate_model2, mar_estimate, mcar_estimate)
+        known = {id(fn): fn for fn in bank if _found_by_name(fn)}
+        known.update((id(fn), fn) for fn in estimators.values())
+        _pool = (ProcessPoolExecutor(max_workers=size), size, known)
+    return _pool[0]
+
+
+def _found_by_name(obj) -> bool:
+    """Whether obj is what its module holds under its qualified name, which
+    is where a worker looks when unpickling it."""
+    found = sys.modules.get(getattr(obj, "__module__", None))
+    for part in getattr(obj, "__qualname__", "").split("."):
+        found = getattr(found, part, None)
+    return found is obj
 
 
 def _drop_pool() -> None:
     global _pool
-    _pool[1].shutdown(wait=True)
+    _pool[0].shutdown(wait=True)
     _pool = None
 
 
@@ -339,12 +365,14 @@ def replicate(
     and n_reps alone, so the estimate array is a pure function of (design,
     seed, n_reps) regardless of worker count or completion order.  With
     n_workers > 1 and two or more blocks the blocks run in a pool of
-    n_workers processes, which is started by the first such call and kept
-    for the next: a call with another n_workers shuts it down and starts its
-    own, and a call whose pool broke (a worker died) drops it and raises
-    BrokenProcessPool.  With the fork start method the workers are forked
-    when the pool starts, so they see module state as it was then: a later
-    monkeypatch in this process does not reach them.  Else the blocks run in this process.
+    min(n_workers, blocks) processes, which is kept for the next call: a
+    call reuses it if it has enough processes and no more than n_workers,
+    and if its workers hold the estimators passed, else shuts it down and
+    starts its own.  A call whose pool broke (a worker died) drops it and
+    raises BrokenProcessPool.  With the fork start method the workers are
+    forked when the pool starts, so they see module state as it was then:
+    a monkeypatch of something an estimator calls, made after that, does
+    not reach them.  Else the blocks run in this process.
     """
     if n_reps < 0:
         raise ValueError(f"n_reps must be at least 0, got {n_reps}")
@@ -359,7 +387,7 @@ def replicate(
     if n_workers > 1 and len(blocks) > 1:
         with _pool_lock:
             try:
-                runs = list(_worker_pool(n_workers).map(
+                runs = list(_worker_pool(n_workers, len(blocks), estimators).map(
                     _run_block, [design] * len(blocks), [seed] * len(blocks), blocks,
                     [estimators] * len(blocks)))
             except BrokenProcessPool:

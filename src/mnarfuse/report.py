@@ -102,20 +102,21 @@ class DomainArrays:
 
 
 def domain_arrays(dataset: PooledDataset, tag: DomainTag) -> DomainArrays:
-    """The rows of one domain, split off once per dataset and kept on it:
-    a repeated lookup returns the same read-only arrays."""
-    split = dataset._domains.get(tag)
-    if split is None:
-        rows = dataset.g == int(tag)  # an int compares faster than the enum member
-        split = DomainArrays(
-            x=dataset.x[rows],
-            m=m_features(dataset.m[rows], dataset.schema),
-            y=dataset.y[rows],
-            r=dataset.r[rows],
-        )
-        for array in (split.x, split.m, split.y, split.r):
-            array.flags.writeable = False
-        dataset._domains[tag] = split
+    """The rows of one domain, split off at the first lookup and kept on the
+    dataset: a repeated lookup returns the same read-only arrays."""
+    return dataset.memo(tag, _split_domain)
+
+
+def _split_domain(dataset: PooledDataset, tag: DomainTag) -> DomainArrays:
+    rows = dataset.g == int(tag)  # an int compares faster than the enum member
+    split = DomainArrays(
+        x=dataset.x[rows],
+        m=m_features(dataset.m[rows], dataset.schema),
+        y=dataset.y[rows],
+        r=dataset.r[rows],
+    )
+    for array in (split.x, split.m, split.y, split.r):
+        array.flags.writeable = False
     return split
 
 

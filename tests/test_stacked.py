@@ -3,6 +3,7 @@ numbers as refitting the estimator on each resample, and replication's
 blocks the same numbers as fitting each replicate dataset on its own."""
 
 import argparse
+import dataclasses
 import functools
 import os
 import signal
@@ -12,7 +13,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from mnarfuse import cli
+from mnarfuse import baselines, cli
 from mnarfuse.baselines import mcar_estimate
 from mnarfuse.data import DomainTag, read_csv
 from mnarfuse import inference
@@ -236,20 +237,21 @@ def test_replication_does_not_depend_on_the_worker_count(monkeypatch):
 
 @pytest.fixture
 def two_blocks(monkeypatch):
-    """replicate(n_workers) over 4 replicates in 2 blocks: with n_workers > 1
-    they run in the kept pool."""
+    """replicate(n_workers) over n_reps replicates (4 by default) in blocks
+    of 2: with n_workers > 1 and two or more blocks they run in the kept
+    pool."""
     design = Model1Design(n=300)
     monkeypatch.setattr(inference, "_BLOCK_ROWS", 2 * design.n)
 
-    def run(n_workers, estimators=None):
-        return replicate(design, n_reps=4, seed=2, n_workers=n_workers,
+    def run(n_workers, estimators=None, n_reps=4):
+        return replicate(design, n_reps=n_reps, seed=2, n_workers=n_workers,
                          estimators=estimators or {"mcar": mcar_estimate},
                          beta_true=TrueBeta(1.8, "fixed"))
     return run
 
 
 def _kept_pool():
-    return inference._pool[1]
+    return inference._pool[0]
 
 
 def _not_a_fit_error(dataset):
@@ -263,15 +265,51 @@ def test_calls_with_the_same_worker_count_share_one_pool(two_blocks):
     assert _kept_pool() is pool
 
 
-def test_another_worker_count_shuts_the_pool_down_and_starts_its_own(two_blocks):
+def test_the_pool_has_no_more_processes_than_blocks(two_blocks):
+    two_blocks(8)
+    assert inference._pool[1] == 2 and len(_kept_pool()._processes) == 2
+    pool = _kept_pool()
+    two_blocks(2)  # needs 2 processes and allows 2
+    assert _kept_pool() is pool
+
+
+def test_a_pool_too_small_or_too_large_is_shut_down_and_replaced(two_blocks):
     two_blocks(2)
     old = _kept_pool()
     workers = list(old._processes.values())
-    two_blocks(3)
-    assert inference._pool[0] == 3 and _kept_pool() is not old
+    two_blocks(3, n_reps=6)  # 3 blocks: the pool of 2 is too small
+    assert inference._pool[1] == 3 and _kept_pool() is not old
     assert not any(worker.is_alive() for worker in workers)
     with pytest.raises(RuntimeError, match="shutdown"):
         old.submit(abs, 1)
+    three = _kept_pool()
+    two_blocks(3)  # 2 blocks in 3 processes, no more than n_workers
+    assert _kept_pool() is three
+    two_blocks(2)  # 3 processes exceed n_workers
+    assert inference._pool[1] == 2 and _kept_pool() is not three
+
+
+def test_a_redefined_estimator_reaches_the_workers(two_blocks, monkeypatch):
+    original = baselines.mcar_estimate
+    first = two_blocks(2, {"mcar": original})
+    pool = _kept_pool()
+
+    def mcar_estimate(dataset):
+        report = original(dataset)
+        return dataclasses.replace(report, beta_hat=report.beta_hat + 1.0)
+    # the same module and name as the function it replaces, as after a reload
+    mcar_estimate.__module__, mcar_estimate.__qualname__ = (
+        original.__module__, original.__qualname__)
+    with monkeypatch.context() as patch:
+        patch.setattr(baselines, "mcar_estimate", mcar_estimate)
+        bank = {"mcar": mcar_estimate}
+        parallel, serial = two_blocks(2, bank), two_blocks(1, bank)
+        assert parallel.estimates["mcar"].tobytes() == serial.estimates["mcar"].tobytes()
+        assert _kept_pool() is not pool
+        np.testing.assert_array_equal(serial.estimates["mcar"], first.estimates["mcar"] + 1.0)
+    # the original is back under its name, but not in the kept pool's workers
+    restored = two_blocks(2, {"mcar": original})
+    assert restored.estimates["mcar"].tobytes() == first.estimates["mcar"].tobytes()
 
 
 def test_a_broken_pool_is_dropped_and_the_next_call_starts_a_new_one(two_blocks):
@@ -291,10 +329,13 @@ def test_a_broken_pool_is_dropped_and_the_next_call_starts_a_new_one(two_blocks)
 
 
 def test_an_error_in_a_worker_reaches_the_caller_and_the_pool_lives_on(two_blocks):
-    two_blocks(2)
+    bank = {"mcar": mcar_estimate, "bad": _not_a_fit_error}
+    with pytest.raises(LookupError, match="not a fit error"):
+        two_blocks(2, bank)
     pool = _kept_pool()
     with pytest.raises(LookupError, match="not a fit error"):
-        two_blocks(2, {"bad": _not_a_fit_error})
+        two_blocks(2, bank)
+    assert _kept_pool() is pool
     assert two_blocks(2).summaries[0].n_ok == 4
     assert _kept_pool() is pool
 
