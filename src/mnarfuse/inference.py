@@ -25,7 +25,7 @@ from .data import DomainTag, PooledDataset
 from .model1 import EstimationError, estimate_model1
 from .model2 import estimate_model2
 from .models import RankDeficientError
-from .report import ConfidenceInterval, EstimateReport, RefitCounts
+from .report import ConfidenceInterval, EstimateReport, RefitCounts, domain_rows
 from .simulate import (
     Model1Design,
     Model2Design,
@@ -74,7 +74,7 @@ def _draw(dataset: PooledDataset, rng: np.random.Generator, stratified: bool) ->
         return rng.integers(0, len(dataset), size=len(dataset))
     parts = []
     for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY):
-        idx = np.flatnonzero(dataset.g == tag)
+        idx = domain_rows(dataset, tag)
         if idx.size:
             parts.append(idx[rng.integers(0, idx.size, size=idx.size)])
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
@@ -89,6 +89,7 @@ def bootstrap_ci(
     dataset: PooledDataset,
     estimator: Estimator,
     config: Optional[BootstrapConfig] = None,
+    point: Optional[EstimateReport] = None,
 ) -> ConfidenceInterval:
     """Percentile bootstrap interval for the point estimator.
 
@@ -104,12 +105,20 @@ def bootstrap_ci(
     An estimator with a `stacked_refits` attribute (the IPW estimators with
     their defaults) refits a block of resamples at a time through it; a
     resample it returns no fit for is refitted by calling the estimator on
-    it, as every resample is for any other estimator.
+    it, as every resample is for any other estimator.  The stacked refits
+    start at the theta of `point`, the estimator's report on the dataset:
+    pass it when it is at hand, else the point is fitted here.  A point
+    whose solver did not converge, or whose theta does not fit the stack,
+    leaves each refit to start at its own logistic init, as does a point
+    fit that raises one of FIT_ERRORS.  The solver polishes every converged
+    fit to its root, so the start moves no estimate beyond ~1e-12.
     """
     if config is None:
         config = BootstrapConfig()
     stacked = getattr(estimator, "stacked_refits", None)
-    refit_block = None if stacked is None else stacked(dataset)
+    refit_block = None
+    if stacked is not None:
+        refit_block = stacked(dataset, _start(dataset, estimator, point))
     block_size = 1 if refit_block is None else refit_block.block_size
     estimates = []
     failures = Counter()
@@ -141,6 +150,19 @@ def bootstrap_ci(
     return ConfidenceInterval(lo=float(lo), hi=float(hi),
                               method="percentile-bootstrap", failures=dict(failures),
                               nonconverged=dict(nonconverged), refits=RefitCounts(**refits))
+
+
+def _start(dataset: PooledDataset, estimator: Estimator,
+           point: Optional[EstimateReport]) -> Optional[np.ndarray]:
+    """The theta of the point fit (`point`, or the estimator's fit of the
+    dataset) when its solver converged, else None."""
+    if point is None:
+        try:
+            point = estimator(dataset)
+        except FIT_ERRORS:
+            return None
+    solver = point.solver
+    return solver.theta_hat if solver is not None and solver.converged else None
 
 
 def _fit_each(estimator: Estimator, fits: list, items: list, dataset_of: Callable,

@@ -33,7 +33,13 @@ from .models import (
     stack_rows,
     weighted_cross_products,
 )
-from .report import DomainArrays, EstimateReport, domain_arrays, stacked_domain_arrays
+from .report import (
+    DomainArrays,
+    EstimateReport,
+    domain_arrays,
+    domain_rows,
+    stacked_domain_arrays,
+)
 from .solver import MomentSystem, SolverConfig, SolverResult, newton_stack, solve
 
 
@@ -359,13 +365,15 @@ def _live(n1, n_aux, n_cc, n_aux_cc, min_aux_cc: int) -> np.ndarray:
 
 
 def _fit_stack(equation: _Calibration, primary: np.ndarray, cc: np.ndarray, live: np.ndarray,
-               target: np.ndarray) -> list[Optional[tuple[float, SolverResult]]]:
+               target: np.ndarray, start: Optional[np.ndarray] = None,
+               ) -> list[Optional[tuple[float, SolverResult]]]:
     """`calibrate` with its default solver settings, weight cap and no fixed
     Y tilt, for the live members of a stack at once: (beta_hat, solver
     result) of each member, or None.  Member k counts primary row i
     primary[k, i] times and complete case i cc[k, i] times; target holds the
-    live members' targets.  The weighted logistic init and the one Newton
-    attempt of each member run as stacked operations.
+    live members' targets.  Every member's Newton attempt starts at `start`
+    (p,) when it is given, else at its weighted logistic init; the inits and
+    the attempts run as stacked operations.
 
     A member comes back as None, to be refitted on its own rows by the
     caller, when it is not live (an empty domain or too few complete cases),
@@ -377,7 +385,10 @@ def _fit_stack(equation: _Calibration, primary: np.ndarray, cc: np.ndarray, live
     if live.size == 0:
         return out
     n1 = primary.sum(axis=1)
-    init = equation.init(primary)[live]  # the members share their stack of rows
+    if start is None:
+        init = equation.init(primary)[live]  # the members share their stack of rows
+    else:
+        init = np.tile(start, (live.size, 1))
     ok = np.all(np.isfinite(target), axis=1) & np.all(np.isfinite(init), axis=1)
     live, target, init = live[ok], target[ok], init[ok]
     if live.size == 0:
@@ -406,22 +417,27 @@ class StackedRefits:
     A resample is given by its draw rows and fitted as the count vector of
     those rows: a frequency-weighted fit of the dataset's own rows, which is
     the fit of the resample up to the order of float sums.  The basis
-    matrices and the dataset's `_Calibration`, the one its point fit solves,
-    are built once, here.
+    matrices and the calibration equation are built once per dataset, here.
+    Every refit's Newton attempt starts at `start`, the point fit's theta
+    (p,), when it is given and has the equation's width p; else at the
+    refit's logistic init.
     """
 
     def __init__(self, dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,
-                 aux_regression_basis: BasisSpec):
+                 aux_regression_basis: BasisSpec, start: Optional[np.ndarray] = None):
         self._n = len(dataset)
         primary = domain_arrays(dataset, DomainTag.PRIMARY)
         auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
-        self._primary_rows = np.flatnonzero(dataset.g == DomainTag.PRIMARY)
-        self._aux_rows = np.flatnonzero(dataset.g == DomainTag.AUXILIARY)
+        self._primary_rows = domain_rows(dataset, DomainTag.PRIMARY)
+        self._aux_rows = domain_rows(dataset, DomainTag.AUXILIARY)
         self._cc, self._aux_cc = primary.complete, auxiliary.complete
         self._targets = _AuxTargets(primary, auxiliary, h_basis, aux_regression_basis)
         self._equation = _Calibration(primary, basis, h_basis, dataset.schema.m_dim)
-        self.block_size = max(
-            1, _BLOCK_BYTES // (8 * max(1, self._n) * self._equation.design.shape[1]))
+        width = self._equation.design.shape[1]
+        if start is not None and np.shape(start) != (width,):
+            start = None
+        self._start = start
+        self.block_size = max(1, _BLOCK_BYTES // (8 * max(1, self._n) * width))
 
     def __call__(self, draws: list) -> list[Optional[tuple[float, SolverResult]]]:
         """(beta_hat, solver result) of the refit on each draw, or None."""
@@ -432,7 +448,7 @@ class StackedRefits:
         live = _live(primary.sum(axis=1), auxiliary.sum(axis=1), cc.sum(axis=1),
                      aux_cc.sum(axis=1), self._targets.min_aux_cc)
         return _fit_stack(self._equation, primary, cc, live,
-                          self._targets(primary, aux_cc, live))
+                          self._targets(primary, aux_cc, live), self._start)
 
 
 def fit_datasets(datasets: list, basis: BasisSpec, h_basis: BasisSpec,
@@ -483,10 +499,11 @@ def estimate_model1(
                      spec.aux_regression_basis, "ipw-model1", config, w_max)
 
 
-def _stacked_model1(dataset: PooledDataset) -> StackedRefits:
+def _stacked_model1(dataset: PooledDataset,
+                    start: Optional[np.ndarray] = None) -> StackedRefits:
     spec = Model1Spec.default(dataset.schema)
     return StackedRefits(dataset, spec.propensity_basis, spec.h_basis,
-                         spec.aux_regression_basis)
+                         spec.aux_regression_basis, start)
 
 
 def _stacked_fits_model1(datasets: list) -> list[Optional[tuple[float, SolverResult]]]:

@@ -99,10 +99,11 @@ def estimate_model2(
     return report
 
 
-def _stacked_model2(dataset: PooledDataset) -> StackedRefits:
+def _stacked_model2(dataset: PooledDataset,
+                    start: Optional[np.ndarray] = None) -> StackedRefits:
     spec = Model2Spec.default(dataset.schema)
     return StackedRefits(dataset, _tilted_basis(spec.baseline_basis, spec.n_or_params),
-                         spec.h_basis, spec.aux_regression_basis)
+                         spec.h_basis, spec.aux_regression_basis, start)
 
 
 def _stacked_fits_model2(datasets: list) -> list[Optional[tuple[float, SolverResult]]]:

@@ -107,6 +107,18 @@ def domain_arrays(dataset: PooledDataset, tag: DomainTag) -> DomainArrays:
     return dataset.memo(tag, _split_domain)
 
 
+def domain_rows(dataset: PooledDataset, tag: DomainTag) -> np.ndarray:
+    """The (read-only) row indices of one domain, found at the first lookup
+    and kept on the dataset."""
+    return dataset.memo(("rows", tag), _find_rows)
+
+
+def _find_rows(dataset: PooledDataset, key: tuple) -> np.ndarray:
+    rows = np.flatnonzero(dataset.g == key[1])
+    rows.flags.writeable = False
+    return rows
+
+
 def _split_domain(dataset: PooledDataset, tag: DomainTag) -> DomainArrays:
     rows = dataset.g == int(tag)  # an int compares faster than the enum member
     split = DomainArrays(

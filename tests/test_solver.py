@@ -124,15 +124,16 @@ _B = np.array([1.0, 2.0])
 
 @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "forward-difference"])
 def test_counts_on_a_linear_system(analytic):
-    # one Newton step lands on the root: the residual at the init, one
-    # Jacobian, the residual at the step, and the max|r| test needs no
-    # further Jacobian.  A forward-difference Jacobian costs p = 2 residuals.
+    # one Newton step lands on the root, and the max|r| test then takes the
+    # polish step: the residual at the init, then a Jacobian and a residual
+    # for each of the two steps.  A forward-difference Jacobian costs p = 2
+    # residuals.
     result = solve(MomentSystem(residual=lambda t: _A @ t - _B, dim_theta=2,
                                 init=np.zeros(2),
                                 jacobian=(lambda t: _A) if analytic else None))
-    assert result.converged and result.iterations == 1
-    np.testing.assert_allclose(result.theta_hat, np.linalg.solve(_A, _B), atol=1e-9)
-    assert (result.residual_evals, result.jacobian_evals) == ((2, 1) if analytic else (4, 1))
+    assert result.converged and result.iterations == 2
+    np.testing.assert_allclose(result.theta_hat, np.linalg.solve(_A, _B), atol=1e-15)
+    assert (result.residual_evals, result.jacobian_evals) == ((3, 2) if analytic else (7, 2))
 
 
 def test_counts_of_the_one_attempt():

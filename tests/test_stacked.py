@@ -25,7 +25,7 @@ from mnarfuse.inference import (
     default_estimators,
     replicate,
 )
-from mnarfuse.model1 import estimate_model1
+from mnarfuse.model1 import EstimationError, estimate_model1
 from mnarfuse.model2 import estimate_model2
 from mnarfuse.models import fit_logistic, solve_least_squares, stack_rows
 from mnarfuse.simulate import (
@@ -80,19 +80,44 @@ def _per_refit(estimator):
 def test_stacked_refits_match_refits_on_the_resamples(panel, name, stratified):
     ds, estimator = panel[name]
     k, seed = 12, 7
-    fits = estimator.stacked_refits(ds)(
-        [_draw(ds, make_rng(seed, b), stratified) for b in range(k)])
+    draws = [_draw(ds, make_rng(seed, b), stratified) for b in range(k)]
+    cold = estimator.stacked_refits(ds, None)(draws)
+    point = estimator(ds).solver
+    assert point.converged
+    warm = estimator.stacked_refits(ds, point.theta_hat)(draws)
     stacked = 0
-    for b, fit in enumerate(fits):
+    for b, (fit, warm_fit) in enumerate(zip(cold, warm)):
         if fit is None:
             continue
         stacked += 1
         reference = estimator(_resample(ds, make_rng(seed, b), stratified))
         assert fit[0] == pytest.approx(reference.beta_hat, abs=1e-12, rel=0)
         assert fit[1].converged and reference.solver.converged
+        # from the logistic init the stack takes the per-refit fit's steps
         assert fit[1].iterations == reference.solver.iterations
         assert fit[1].residual_evals == reference.solver.residual_evals
+        # from the point fit's theta it reaches the same root
+        assert warm_fit is not None and warm_fit[1].converged
+        assert warm_fit[0] == pytest.approx(fit[0], abs=1e-12, rel=0)
     assert stacked > 0
+
+
+def test_warm_refits_take_no_more_iterations_over_the_panel(panel):
+    # some refits, and the refits of some datasets, take more steps from
+    # the point fit's theta than from their logistic inits; the panel's
+    # refits together take no more
+    cold_iterations = warm_iterations = 0
+    for ds, estimator in panel.values():
+        start = estimator(ds).solver.theta_hat
+        for stratified in (True, False):
+            draws = [_draw(ds, make_rng(7, b), stratified) for b in range(12)]
+            cold = estimator.stacked_refits(ds, None)(draws)
+            warm = estimator.stacked_refits(ds, start)(draws)
+            for fit, warm_fit in zip(cold, warm):
+                if fit is not None and warm_fit is not None:
+                    cold_iterations += fit[1].iterations
+                    warm_iterations += warm_fit[1].iterations
+    assert 0 < warm_iterations <= cold_iterations
 
 
 @pytest.mark.parametrize("k", [1, 7])
@@ -103,8 +128,8 @@ def test_stacked_interval_matches_the_per_refit_interval(panel, monkeypatch, nam
     ds, estimator = panel[name]
     build = estimator.stacked_refits
 
-    def blocks_of_three(dataset):  # so that k=7 ends on a short block
-        refits = build(dataset)
+    def blocks_of_three(dataset, start=None):  # so that k=7 ends on a short block
+        refits = build(dataset, start)
         refits.block_size = 3
         return refits
 
@@ -133,6 +158,66 @@ def test_tiny_auxiliary_domain_resamples_fail_alike(panel):
                                                      abs=1e-12, rel=0)
     # every failed refit was refitted on its rows
     assert stacked.refits.per_refit >= stacked.n_failed
+
+
+def _interval(ds, estimator, point=None, k=24):
+    return bootstrap_ci(ds, estimator, BootstrapConfig(k=k, seed=3, max_failure_fraction=0.9),
+                        point)
+
+
+def _cold(report):
+    """The report without its solver: the refits start at their logistic
+    inits."""
+    return dataclasses.replace(report, solver=None)
+
+
+def _same_refits(a, b):
+    assert (a.lo, a.hi) == pytest.approx((b.lo, b.hi), abs=1e-12, rel=0)
+    assert a.failures == b.failures and a.nonconverged == b.nonconverged
+    assert (a.refits.stacked, a.refits.per_refit) == (b.refits.stacked, b.refits.per_refit)
+
+
+@pytest.mark.parametrize("name", ["model1-T", "model1-F", "model2-T", "model2-F",
+                                  "fixture", "tiny-auxiliary"])
+def test_a_passed_point_gives_the_interval_of_the_point_fitted_here(panel, name):
+    ds, estimator = panel[name]
+    report = estimator(ds)
+    assert report.solver.converged
+    passed = _interval(ds, estimator, report)
+    _same_refits(passed, _interval(ds, estimator))
+    # from each refit's logistic init the refits reach the same roots
+    _same_refits(passed, _interval(ds, estimator, _cold(report)))
+
+
+def test_a_point_without_a_usable_theta_leaves_the_refits_cold(panel):
+    ds, _ = panel["model2-T"]
+    report = estimate_model2(ds)
+    cold = _interval(ds, estimate_model2, _cold(report))
+    assert _interval(ds, estimate_model2, report).refits != cold.refits
+    # gamma held fixed: a converged theta without the odds-ratio parameter
+    narrow = estimate_model2(ds, fix_gamma=0.0)
+    assert narrow.solver.converged and narrow.solver.theta_hat.size == 2
+    assert _interval(ds, estimate_model2, narrow) == cold
+    assert _interval(ds, estimate_model2, baselines.mar_estimate(ds)) == cold
+
+    @functools.wraps(estimate_model2)
+    def fails_on_the_point(dataset):
+        if dataset is ds:
+            raise EstimationError("no point fit")
+        return estimate_model2(dataset)
+
+    assert _interval(ds, fails_on_the_point) == cold
+
+
+def test_a_nonconverged_point_leaves_the_refits_cold():
+    ds = generate_model1(Model1Design(n=500, setting="F"), 37)[0]
+    report = estimate_model1(ds)
+    assert report.solver.status == "max_iter"
+    cold = _interval(ds, estimate_model1, _cold(report))
+    # two refits converge in the stack, so the counts show where they started
+    assert cold.refits.stacked > 0
+    assert _interval(ds, estimate_model1, report) == cold
+    assert _interval(ds, estimate_model1) == cold
 
 
 def test_the_stacked_path_survives_wraps_and_skips_partials(panel):
