@@ -89,7 +89,6 @@ def bootstrap_ci(
     dataset: PooledDataset,
     estimator: Estimator,
     config: Optional[BootstrapConfig] = None,
-    point: Optional[EstimateReport] = None,
 ) -> ConfidenceInterval:
     """Percentile bootstrap interval for the point estimator.
 
@@ -105,20 +104,19 @@ def bootstrap_ci(
     An estimator with a `stacked_refits` attribute (the IPW estimators with
     their defaults) refits a block of resamples at a time through it; a
     resample it returns no fit for is refitted by calling the estimator on
-    it, as every resample is for any other estimator.  The stacked refits
-    start at the theta of `point`, the estimator's report on the dataset:
-    pass it when it is at hand, else the point is fitted here.  A point
-    whose solver did not converge, or whose theta does not fit the stack,
-    leaves each refit to start at its own logistic init, as does a point
-    fit that raises one of FIT_ERRORS.  The solver polishes every converged
-    fit to its root, so the start moves no estimate beyond ~1e-12.
+    it, as every resample is for any other estimator.  The stack is given
+    the solver result of the estimator's fit of the dataset, and starts its
+    refits there (see StackedRefits); a point fit that raises one of
+    FIT_ERRORS leaves each refit to start at its own logistic init.  The
+    solver polishes every converged fit to its root, so the start moves no
+    estimate beyond ~1e-12.
     """
     if config is None:
         config = BootstrapConfig()
     stacked = getattr(estimator, "stacked_refits", None)
     refit_block = None
     if stacked is not None:
-        refit_block = stacked(dataset, _start(dataset, estimator, point))
+        refit_block = stacked(dataset, _point_fit(dataset, estimator))
     block_size = 1 if refit_block is None else refit_block.block_size
     estimates = []
     failures = Counter()
@@ -152,17 +150,13 @@ def bootstrap_ci(
                               nonconverged=dict(nonconverged), refits=RefitCounts(**refits))
 
 
-def _start(dataset: PooledDataset, estimator: Estimator,
-           point: Optional[EstimateReport]) -> Optional[np.ndarray]:
-    """The theta of the point fit (`point`, or the estimator's fit of the
-    dataset) when its solver converged, else None."""
-    if point is None:
-        try:
-            point = estimator(dataset)
-        except FIT_ERRORS:
-            return None
-    solver = point.solver
-    return solver.theta_hat if solver is not None and solver.converged else None
+def _point_fit(dataset: PooledDataset, estimator: Estimator) -> Optional[SolverResult]:
+    """The solver result of the estimator's fit of the dataset, or None
+    where that fit raises one of FIT_ERRORS."""
+    try:
+        return estimator(dataset).solver
+    except FIT_ERRORS:
+        return None
 
 
 def _fit_each(estimator: Estimator, fits: list, items: list, dataset_of: Callable,

@@ -418,13 +418,13 @@ class StackedRefits:
     those rows: a frequency-weighted fit of the dataset's own rows, which is
     the fit of the resample up to the order of float sums.  The basis
     matrices and the calibration equation are built once per dataset, here.
-    Every refit's Newton attempt starts at `start`, the point fit's theta
-    (p,), when it is given and has the equation's width p; else at the
-    refit's logistic init.
+    Every refit's Newton attempt starts at the theta of `point`, the solver
+    result of the dataset's point fit, when that solver converged and its
+    theta has the equation's width p; else at the refit's logistic init.
     """
 
     def __init__(self, dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,
-                 aux_regression_basis: BasisSpec, start: Optional[np.ndarray] = None):
+                 aux_regression_basis: BasisSpec, point: Optional[SolverResult] = None):
         self._n = len(dataset)
         primary = domain_arrays(dataset, DomainTag.PRIMARY)
         auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
@@ -434,9 +434,9 @@ class StackedRefits:
         self._targets = _AuxTargets(primary, auxiliary, h_basis, aux_regression_basis)
         self._equation = _Calibration(primary, basis, h_basis, dataset.schema.m_dim)
         width = self._equation.design.shape[1]
-        if start is not None and np.shape(start) != (width,):
-            start = None
-        self._start = start
+        self._start = None
+        if point is not None and point.converged and point.theta_hat.shape == (width,):
+            self._start = point.theta_hat
         self.block_size = max(1, _BLOCK_BYTES // (8 * max(1, self._n) * width))
 
     def __call__(self, draws: list) -> list[Optional[tuple[float, SolverResult]]]:
@@ -500,10 +500,10 @@ def estimate_model1(
 
 
 def _stacked_model1(dataset: PooledDataset,
-                    start: Optional[np.ndarray] = None) -> StackedRefits:
+                    point: Optional[SolverResult] = None) -> StackedRefits:
     spec = Model1Spec.default(dataset.schema)
     return StackedRefits(dataset, spec.propensity_basis, spec.h_basis,
-                         spec.aux_regression_basis, start)
+                         spec.aux_regression_basis, point)
 
 
 def _stacked_fits_model1(datasets: list) -> list[Optional[tuple[float, SolverResult]]]:

@@ -100,10 +100,10 @@ def estimate_model2(
 
 
 def _stacked_model2(dataset: PooledDataset,
-                    start: Optional[np.ndarray] = None) -> StackedRefits:
+                    point: Optional[SolverResult] = None) -> StackedRefits:
     spec = Model2Spec.default(dataset.schema)
     return StackedRefits(dataset, _tilted_basis(spec.baseline_basis, spec.n_or_params),
-                         spec.h_basis, spec.aux_regression_basis, start)
+                         spec.h_basis, spec.aux_regression_basis, point)
 
 
 def _stacked_fits_model2(datasets: list) -> list[Optional[tuple[float, SolverResult]]]:

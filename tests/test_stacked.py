@@ -84,7 +84,7 @@ def test_stacked_refits_match_refits_on_the_resamples(panel, name, stratified):
     cold = estimator.stacked_refits(ds, None)(draws)
     point = estimator(ds).solver
     assert point.converged
-    warm = estimator.stacked_refits(ds, point.theta_hat)(draws)
+    warm = estimator.stacked_refits(ds, point)(draws)
     stacked = 0
     for b, (fit, warm_fit) in enumerate(zip(cold, warm)):
         if fit is None:
@@ -108,11 +108,11 @@ def test_warm_refits_take_no_more_iterations_over_the_panel(panel):
     # refits together take no more
     cold_iterations = warm_iterations = 0
     for ds, estimator in panel.values():
-        start = estimator(ds).solver.theta_hat
+        point = estimator(ds).solver
         for stratified in (True, False):
             draws = [_draw(ds, make_rng(7, b), stratified) for b in range(12)]
             cold = estimator.stacked_refits(ds, None)(draws)
-            warm = estimator.stacked_refits(ds, start)(draws)
+            warm = estimator.stacked_refits(ds, point)(draws)
             for fit, warm_fit in zip(cold, warm):
                 if fit is not None and warm_fit is not None:
                     cold_iterations += fit[1].iterations
@@ -128,8 +128,8 @@ def test_stacked_interval_matches_the_per_refit_interval(panel, monkeypatch, nam
     ds, estimator = panel[name]
     build = estimator.stacked_refits
 
-    def blocks_of_three(dataset, start=None):  # so that k=7 ends on a short block
-        refits = build(dataset, start)
+    def blocks_of_three(dataset, point=None):  # so that k=7 ends on a short block
+        refits = build(dataset, point)
         refits.block_size = 3
         return refits
 
@@ -160,45 +160,40 @@ def test_tiny_auxiliary_domain_resamples_fail_alike(panel):
     assert stacked.refits.per_refit >= stacked.n_failed
 
 
-def _interval(ds, estimator, point=None, k=24):
-    return bootstrap_ci(ds, estimator, BootstrapConfig(k=k, seed=3, max_failure_fraction=0.9),
-                        point)
+def _interval(ds, estimator, k=24):
+    return bootstrap_ci(ds, estimator, BootstrapConfig(k=k, seed=3, max_failure_fraction=0.9))
 
 
-def _cold(report):
-    """The report without its solver: the refits start at their logistic
+def _cold(estimator):
+    """The estimator with its stacked refits started at their logistic
     inits."""
-    return dataclasses.replace(report, solver=None)
+    @functools.wraps(estimator)
+    def cold(dataset):
+        return estimator(dataset)
+
+    cold.stacked_refits = lambda dataset, point: estimator.stacked_refits(dataset, None)
+    return cold
 
 
-def _same_refits(a, b):
-    assert (a.lo, a.hi) == pytest.approx((b.lo, b.hi), abs=1e-12, rel=0)
-    assert a.failures == b.failures and a.nonconverged == b.nonconverged
-    assert (a.refits.stacked, a.refits.per_refit) == (b.refits.stacked, b.refits.per_refit)
+def _fitting(estimator, ds, point):
+    """The estimator, with `point` as its report on ds."""
+    @functools.wraps(estimator)
+    def fit(dataset):
+        return point if dataset is ds else estimator(dataset)
 
-
-@pytest.mark.parametrize("name", ["model1-T", "model1-F", "model2-T", "model2-F",
-                                  "fixture", "tiny-auxiliary"])
-def test_a_passed_point_gives_the_interval_of_the_point_fitted_here(panel, name):
-    ds, estimator = panel[name]
-    report = estimator(ds)
-    assert report.solver.converged
-    passed = _interval(ds, estimator, report)
-    _same_refits(passed, _interval(ds, estimator))
-    # from each refit's logistic init the refits reach the same roots
-    _same_refits(passed, _interval(ds, estimator, _cold(report)))
+    return fit
 
 
 def test_a_point_without_a_usable_theta_leaves_the_refits_cold(panel):
     ds, _ = panel["model2-T"]
-    report = estimate_model2(ds)
-    cold = _interval(ds, estimate_model2, _cold(report))
-    assert _interval(ds, estimate_model2, report).refits != cold.refits
+    cold = _interval(ds, _cold(estimate_model2))
+    assert _interval(ds, estimate_model2).refits != cold.refits
     # gamma held fixed: a converged theta without the odds-ratio parameter
     narrow = estimate_model2(ds, fix_gamma=0.0)
     assert narrow.solver.converged and narrow.solver.theta_hat.size == 2
-    assert _interval(ds, estimate_model2, narrow) == cold
-    assert _interval(ds, estimate_model2, baselines.mar_estimate(ds)) == cold
+    assert _interval(ds, _fitting(estimate_model2, ds, narrow)) == cold
+    # no solver at all
+    assert _interval(ds, _fitting(estimate_model2, ds, baselines.mar_estimate(ds))) == cold
 
     @functools.wraps(estimate_model2)
     def fails_on_the_point(dataset):
@@ -211,12 +206,10 @@ def test_a_point_without_a_usable_theta_leaves_the_refits_cold(panel):
 
 def test_a_nonconverged_point_leaves_the_refits_cold():
     ds = generate_model1(Model1Design(n=500, setting="F"), 37)[0]
-    report = estimate_model1(ds)
-    assert report.solver.status == "max_iter"
-    cold = _interval(ds, estimate_model1, _cold(report))
+    assert estimate_model1(ds).solver.status == "max_iter"
+    cold = _interval(ds, _cold(estimate_model1))
     # two refits converge in the stack, so the counts show where they started
     assert cold.refits.stacked > 0
-    assert _interval(ds, estimate_model1, report) == cold
     assert _interval(ds, estimate_model1) == cold
 
 
