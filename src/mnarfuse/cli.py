@@ -155,7 +155,7 @@ def _cmd_estimate(args) -> int:
     report = estimator(dataset)
     if args.bootstrap:
         report.ci = bootstrap_ci(
-            dataset, estimator, BootstrapConfig(k=args.bootstrap, seed=args.seed)
+            dataset, estimator, BootstrapConfig(k=args.bootstrap, seed=args.seed), report
         )
     line = f"beta_hat = {report.beta_hat:.6f}  ({report.estimator})"
     if report.ci is not None:

@@ -160,8 +160,9 @@ def test_tiny_auxiliary_domain_resamples_fail_alike(panel):
     assert stacked.refits.per_refit >= stacked.n_failed
 
 
-def _interval(ds, estimator, k=24):
-    return bootstrap_ci(ds, estimator, BootstrapConfig(k=k, seed=3, max_failure_fraction=0.9))
+def _interval(ds, estimator, point=None, k=24):
+    return bootstrap_ci(ds, estimator, BootstrapConfig(k=k, seed=3, max_failure_fraction=0.9),
+                        point)
 
 
 def _cold(estimator):
@@ -175,13 +176,22 @@ def _cold(estimator):
     return cold
 
 
-def _fitting(estimator, ds, point):
-    """The estimator, with `point` as its report on ds."""
-    @functools.wraps(estimator)
-    def fit(dataset):
-        return point if dataset is ds else estimator(dataset)
+def _same_refits(a, b):
+    assert (a.lo, a.hi) == pytest.approx((b.lo, b.hi), abs=1e-12, rel=0)
+    assert a.failures == b.failures and a.nonconverged == b.nonconverged
+    assert (a.refits.stacked, a.refits.per_refit) == (b.refits.stacked, b.refits.per_refit)
 
-    return fit
+
+@pytest.mark.parametrize("name", ["model1-T", "model1-F", "model2-T", "model2-F",
+                                  "fixture", "tiny-auxiliary"])
+def test_a_passed_point_gives_the_interval_of_the_point_fitted_here(panel, name):
+    ds, estimator = panel[name]
+    report = estimator(ds)
+    assert report.solver.converged
+    passed = _interval(ds, estimator, report)
+    assert passed == _interval(ds, estimator)
+    # from each refit's logistic init the refits reach the same roots
+    _same_refits(passed, _interval(ds, _cold(estimator)))
 
 
 def test_a_point_without_a_usable_theta_leaves_the_refits_cold(panel):
@@ -191,9 +201,8 @@ def test_a_point_without_a_usable_theta_leaves_the_refits_cold(panel):
     # gamma held fixed: a converged theta without the odds-ratio parameter
     narrow = estimate_model2(ds, fix_gamma=0.0)
     assert narrow.solver.converged and narrow.solver.theta_hat.size == 2
-    assert _interval(ds, _fitting(estimate_model2, ds, narrow)) == cold
-    # no solver at all
-    assert _interval(ds, _fitting(estimate_model2, ds, baselines.mar_estimate(ds))) == cold
+    assert _interval(ds, estimate_model2, narrow) == cold
+    assert _interval(ds, estimate_model2, baselines.mar_estimate(ds)) == cold
 
     @functools.wraps(estimate_model2)
     def fails_on_the_point(dataset):
@@ -206,10 +215,12 @@ def test_a_point_without_a_usable_theta_leaves_the_refits_cold(panel):
 
 def test_a_nonconverged_point_leaves_the_refits_cold():
     ds = generate_model1(Model1Design(n=500, setting="F"), 37)[0]
-    assert estimate_model1(ds).solver.status == "max_iter"
+    report = estimate_model1(ds)
+    assert report.solver.status == "max_iter"
     cold = _interval(ds, _cold(estimate_model1))
     # two refits converge in the stack, so the counts show where they started
     assert cold.refits.stacked > 0
+    assert _interval(ds, estimate_model1, report) == cold
     assert _interval(ds, estimate_model1) == cold
 
 
