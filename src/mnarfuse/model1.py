@@ -26,8 +26,9 @@ from .models import (
     BasisSpec,
     calibration_slope,
     calibration_weights,
+    dependent_columns,
     evaluate_basis_matrix,
-    fit_logistic,
+    fit_logistic,  # noqa: F401  (a lookup site patched by bench/tracing.py)
     member_sums,
     solve_least_squares,
     stack_rows,
@@ -156,8 +157,9 @@ def fit_aux_moment_targets(
 
 class _Calibration:
     """The calibration equation h^T (c w(theta)) / n1 = target on the primary
-    complete cases of a stack of members, built once for a dataset's point
-    fit and its stacked refits, or once for a block of datasets.
+    complete cases of a stack of members: the one member of `calibrate`'s
+    point fit, the resamples of one dataset (StackedRefits) or a block of
+    datasets (fit_datasets).
 
     B is `basis` over the complete cases (x, m, y), h is `h_basis` there, and
     the offset is -fixed_gamma * y.  The members share the rows of one
@@ -188,11 +190,8 @@ class _Calibration:
         self.y, self.counts = cc_rows(y), cc_rows.counts
         self.offset = -fixed_gamma * self.y if fixed_gamma else 0.0
         self.w_max = w_max
-        x_only = [not (t.uses_m or t.uses_y) for t in basis.terms]
-        self._init_design = primary_rows(evaluate_basis_matrix(
-            BasisSpec(tuple(t for t, keep in zip(basis.terms, x_only) if keep)), primary.x))
-        self._init_columns = np.repeat(x_only, [t.width(m_dim) for t in basis.terms])
-        self._r = primary_rows(primary.r.astype(float))
+        x_only = BasisSpec(tuple(t for t in basis.terms if not (t.uses_m or t.uses_y)))
+        self._x_only = primary_rows(evaluate_basis_matrix(x_only, primary.x))
         self.primary_counts = primary_rows.counts
         self._h_diag_b = None  # built on the first Jacobian
 
@@ -211,11 +210,13 @@ class _Calibration:
         return part
 
     def init(self, counts: Optional[np.ndarray] = None) -> np.ndarray:
-        """Initial theta (K, p): logistic fit of R on the X-only part of the
-        basis over all primary rows, row i counted counts[k, i] times (once
-        when counts is None, K = 1); M and Y coefficients start at 0."""
-        init = np.zeros((1 if counts is None else len(counts), self._init_columns.size))
-        init[:, self._init_columns] = fit_logistic(self._init_design, self._r, weights=counts)
+        """Initial theta (K, p): 0, where each weight is its base weight
+        1 + exp(offset), for a member whose X-only part of the basis has full
+        rank over all primary rows, row i counted counts[k, i] times; NaN for
+        the others.  With counts None (K = 1) a rank deficient X-only design
+        raises RankDeficientError instead."""
+        init = np.zeros((1 if counts is None else len(counts), self.design.shape[-1]))
+        init[dependent_columns(self._x_only, counts) >= 0] = np.nan
         return init
 
     def weights(self, theta, counts=None):
@@ -277,10 +278,10 @@ def calibrate(
     result = solve(
         MomentSystem(
             residual=lambda theta: equation.residual(theta[None], None, n1s, target)[0],
+            jacobian=lambda theta: equation.jacobian(theta[None], None, n1s)[0],
             dim_theta=equation.design.shape[1],
             init=equation.init()[0],
             config=config,
-            jacobian=lambda theta: equation.jacobian(theta[None], None, n1s)[0],
         )
     )
 
@@ -372,14 +373,15 @@ def _fit_stack(equation: _Calibration, primary: np.ndarray, cc: np.ndarray, live
     result) of each member, or None.  Member k counts primary row i
     primary[k, i] times and complete case i cc[k, i] times; target holds the
     live members' targets.  Every member's Newton attempt starts at `start`
-    (p,) when it is given, else at its weighted logistic init; the inits and
-    the attempts run as stacked operations.
+    (p,) when it is given, else at `_Calibration.init`; the attempts run as
+    stacked operations.
 
     A member comes back as None, to be refitted on its own rows by the
     caller, when it is not live (an empty domain or too few complete cases),
-    has a rank deficient design, a singular init, a non-finite residual or
-    beta_hat, a singular step, or does not converge: the fit of the one
-    dataset then gives the failure reason or the solver status.
+    has a rank deficient auxiliary regression or (without `start`) X-only
+    design, a non-finite residual or beta_hat, a singular step, or does not
+    converge: the fit of the one dataset then gives the failure reason or
+    the solver status.
     """
     out: list[Optional[tuple[float, SolverResult]]] = [None] * len(primary)
     if live.size == 0:
@@ -420,7 +422,7 @@ class StackedRefits:
     matrices and the calibration equation are built once per dataset, here.
     Every refit's Newton attempt starts at the theta of `point`, the solver
     result of the dataset's point fit, when that solver converged and its
-    theta has the equation's width p; else at the refit's logistic init.
+    theta has the equation's width p; else at `_Calibration.init`.
     """
 
     def __init__(self, dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,

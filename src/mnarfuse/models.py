@@ -358,57 +358,34 @@ def logistic(z):
     return out
 
 
-def fit_logistic(design: np.ndarray, outcome: np.ndarray,
-                 max_iter: int = 50, tol: float = 1e-10,
-                 weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Logistic regression coefficients by Newton (IRLS).
-
-    With (K, n) frequency weights, the K weighted fits iterate together,
-    each until its own step is below tol, and their (K, p) coefficients are
-    returned; a fit whose weighted design is rank deficient, or whose Hessian
-    turns singular, gets NaN where the unweighted fit raises
-    RankDeficientError or LinAlgError.  The K fits share the rows of a
-    design (n, p) and outcome (n,), or have their own, design (K, n, p) and
-    outcome (K, n).
-    """
-    design = np.asarray(design, dtype=float)
-    outcome = np.asarray(outcome, dtype=float)
+def dependent_columns(design: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """For each member, the first column of its design that depends linearly
+    on its predecessors, or -1 (see _dependent_columns); the members are
+    weighted as in solve_least_squares.  Raises RankDeficientError on a rank
+    deficient design when weights is None."""
     bad = _dependent_columns(design, weights, _weighted_qr(design, weights, "r"))
     if weights is None:
         _raise_if_dependent(bad)
-    coef = np.zeros((bad.size, design.shape[-1]))
-    coef[bad >= 0] = np.nan
-    # the fits still iterating, their coefficients, frequency weights and rows
-    active = np.flatnonzero(bad < 0)
-    current = coef[active]
-    counts = None if weights is None else weights[active]
-    own_rows = design.ndim == 3
-    if own_rows and active.size < len(design):
-        design, outcome = design[active], outcome[active]
-    hessian = weighted_cross_products(design, design)
+    return bad
+
+
+def fit_logistic(design: np.ndarray, outcome: np.ndarray,
+                 max_iter: int = 50, tol: float = 1e-10) -> np.ndarray:
+    """Logistic regression coefficients by Newton (IRLS), iterated until the
+    step is below tol.  Raises RankDeficientError on a rank deficient design
+    and LinAlgError on a singular Hessian."""
+    design = np.asarray(design, dtype=float)
+    outcome = np.asarray(outcome, dtype=float)
+    dependent_columns(design)
+    coef = np.zeros(design.shape[1])
     for _ in range(max_iter):
-        if active.size == 0:
-            break
-        p = logistic(linear_predictor(design, current))
+        p = logistic(design @ coef)
         w = np.clip(p * (1.0 - p), 1e-10, None)
-        resid = outcome - p
-        if counts is not None:
-            w, resid = counts * w, counts * resid
-        step, singular = solve_linear(hessian(w), member_sums(resid, design))
-        if weights is None and singular[0]:
-            raise np.linalg.LinAlgError("Singular matrix")
-        current += step
-        finished = singular | (np.abs(step).max(axis=1) < tol)
-        if finished.any():
-            coef[active[finished]] = current[finished]
-            keep = ~finished
-            active, current = active[keep], current[keep]
-            counts = None if counts is None else counts[keep]
-            if own_rows:
-                design, outcome = design[keep], outcome[keep]
-                hessian = weighted_cross_products(design, design)
-    coef[active] = current
-    return coef[0] if weights is None else coef
+        step = np.linalg.solve((design.T * w) @ design, design.T @ (outcome - p))
+        coef += step
+        if np.abs(step).max() < tol:
+            break
+    return coef
 
 
 def _calibration_exp(design: np.ndarray, theta: np.ndarray, offset) -> tuple:

@@ -2,9 +2,9 @@
 
 Just-identified systems are solved by Newton iteration with a halving line
 search on ||r||; overdetermined systems by damped Gauss-Newton on
-0.5*||r||^2.  The Jacobian is the system's own when it supplies one, else a
-forward finite difference.  Each system gets one attempt from its initial
-point; an attempt that does not converge is returned as it stopped.
+0.5*||r||^2, each with the Jacobian the system supplies.  Each system gets
+one attempt from its initial point; an attempt that does not converge is
+returned as it stopped.
 
 A just-identified system that meets max|r| < tol takes one more full Newton
 step, the polish step, and keeps it unless it makes ||r|| grow.  Newton
@@ -25,7 +25,6 @@ import numpy as np
 
 from .models import solve_linear
 
-_FD_STEP = 1e-6
 _MAX_HALVINGS = 30
 
 
@@ -51,7 +50,7 @@ class SolverResult:
     status: str  # "converged" | "max_iter" | "singular"
     final_residual_norm: float
     iterations: int
-    residual_evals: int  # finite-difference ones included
+    residual_evals: int
     jacobian_evals: int
 
     @property
@@ -62,19 +61,18 @@ class SolverResult:
 @dataclass(frozen=True)
 class MomentSystem:
     residual: Callable[[np.ndarray], np.ndarray]
+    # d residual / d theta, shape (len(r), dim_theta)
+    jacobian: Callable[[np.ndarray], np.ndarray]
     dim_theta: int
     init: np.ndarray
     config: SolverConfig = field(default_factory=SolverConfig)
-    # d residual / d theta, shape (len(r), dim_theta); forward differences if None
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 class _Counted:
     """Residuals and Jacobians of a stack of systems, counting evaluations
-    per member.  residual(theta, members) -> (m, q) and, when given,
+    per member.  residual(theta, members) -> (m, q) and
     jacobian(theta, members) -> (m, q, p) evaluate the members at the given
-    positions of the stack, theta (m, p) being theirs; without a jacobian it
-    is the forward difference of the residual."""
+    positions of the stack, theta (m, p) being theirs."""
 
     def __init__(self, residual, jacobian, size: int):
         self._residual = residual
@@ -87,23 +85,10 @@ class _Counted:
             self.residual_evals[k] += 1
         return np.asarray(self._residual(theta, members), dtype=float)
 
-    def jacobian(self, theta, r, members) -> np.ndarray:
-        """The Jacobian at theta, where the residuals are r."""
+    def jacobian(self, theta, members) -> np.ndarray:
         for k in members.tolist():
             self.jacobian_evals[k] += 1
-        if self._jacobian is not None:
-            return np.asarray(self._jacobian(theta, members), dtype=float)
-        jac = np.empty(r.shape + theta.shape[1:])
-        for j in range(theta.shape[1]):
-            step = _FD_STEP * (1.0 + np.abs(theta[:, j]))
-            bumped = theta.copy()
-            bumped[:, j] += step
-            r_bumped = self.residual(bumped, members)
-            bad = ~np.all(np.isfinite(r_bumped), axis=1)
-            if bad.any():
-                raise ResidualError(f"non-finite residual at theta={bumped[bad][0].tolist()}")
-            jac[:, :, j] = (r_bumped - r) / step[:, None]
-        return jac
+        return np.asarray(self._jacobian(theta, members), dtype=float)
 
 
 def _gauss_newton_steps(jac, r):
@@ -123,7 +108,7 @@ def _polish(counted: _Counted, theta, r, members):
     """One full Newton step of the given members of a just-identified stack
     from theta (m, p), where the residuals are r (m, p).  Returns theta and
     r, updated in place where the step keeps ||r|| from growing."""
-    step, singular = solve_linear(counted.jacobian(theta, r, members), -r)
+    step, singular = solve_linear(counted.jacobian(theta, members), -r)
     ok = np.flatnonzero(~singular & np.isfinite(step.sum(axis=1)))
     if ok.size:
         candidate = theta[ok] + step[ok]
@@ -170,7 +155,7 @@ def _iterate(counted: _Counted, theta0, r0, config: SolverConfig, just_identifie
         return keep
 
     for it in range(1, config.max_iter + 1):
-        jac = None if just_identified else counted.jacobian(th, res, idx)
+        jac = None if just_identified else counted.jacobian(th, idx)
         done = criterion(res, jac) < config.tol
         if done.any():
             if just_identified:
@@ -181,7 +166,7 @@ def _iterate(counted: _Counted, theta0, r0, config: SolverConfig, just_identifie
         if idx.size == 0:
             break
         if just_identified:
-            step, singular = solve_linear(counted.jacobian(th, res, idx), -res)
+            step, singular = solve_linear(counted.jacobian(th, idx), -res)
         else:
             step, singular = _gauss_newton_steps(jac, res)
         singular |= ~np.isfinite(step.sum(axis=1))
@@ -217,7 +202,7 @@ def _iterate(counted: _Counted, theta0, r0, config: SolverConfig, just_identifie
             if idx.size == 0:
                 break
     if idx.size:
-        jac = None if just_identified else counted.jacobian(th, res, idx)
+        jac = None if just_identified else counted.jacobian(th, idx)
         converged = criterion(res, jac) < config.tol
         stop(converged, "converged", config.max_iter)
         stop(np.ones(idx.size, dtype=bool), "max_iter", config.max_iter)
@@ -239,8 +224,7 @@ def solve(system: MomentSystem) -> SolverResult:
     """Solve the moment system by one Newton / Gauss-Newton attempt from its
     init; an attempt that does not converge is returned with its status.
 
-    Raises ResidualError when the residual at the init, or at a
-    finite-difference point, is non-finite.
+    Raises ResidualError when the residual at the init is non-finite.
     """
     init = np.asarray(system.init, dtype=float)
     if init.size != system.dim_theta:
@@ -252,8 +236,7 @@ def solve(system: MomentSystem) -> SolverResult:
     def jacobian(theta, members):
         return np.asarray(system.jacobian(theta[0]))[None]
 
-    [result] = newton_stack(residual, None if system.jacobian is None else jacobian,
-                            init[None], system.config)
+    [result] = newton_stack(residual, jacobian, init[None], system.config)
     if result is None:
         raise ResidualError(f"non-finite residual at theta={init.tolist()}")
     return result
@@ -266,8 +249,7 @@ def newton_stack(residual, jacobian, init: np.ndarray,
 
     residual(theta, members) -> (m, q) and jacobian(theta, members) ->
     (m, q, p) evaluate the members at the given positions, theta (m, p)
-    being theirs; init is (K, p).  A jacobian of None is the forward
-    difference of the residual.  Each member converges, stalls or turns
+    being theirs; init is (K, p).  Each member converges, stalls or turns
     singular on its own.  Returns one SolverResult per member, or None for a
     member whose residual at init is non-finite.
     """

@@ -8,8 +8,8 @@ from mnarfuse.solver import MomentSystem, ResidualError, SolverConfig, solve
 
 
 def test_linear_root():
-    result = solve(MomentSystem(residual=lambda t: t - 3.0, dim_theta=1,
-                                init=np.zeros(1)))
+    result = solve(MomentSystem(residual=lambda t: t - 3.0, jacobian=lambda t: np.eye(1),
+                                dim_theta=1, init=np.zeros(1)))
     assert result.converged
     np.testing.assert_allclose(result.theta_hat, [3.0], atol=1e-8)
 
@@ -17,7 +17,7 @@ def test_linear_root():
 def test_separable_two_dim_root():
     result = solve(MomentSystem(
         residual=lambda t: np.array([t[0] - 1.0, t[1] + 2.0]),
-        dim_theta=2, init=np.zeros(2),
+        jacobian=lambda t: np.eye(2), dim_theta=2, init=np.zeros(2),
     ))
     assert result.converged
     np.testing.assert_allclose(result.theta_hat, [1.0, -2.0], atol=1e-8)
@@ -31,13 +31,24 @@ def _bernoulli_fixture():
     return design, outcome
 
 
-def test_logistic_score_matches_grid_search_oracle():
+def _logistic_score_system():
+    """The logistic-regression score equations of the Bernoulli fixture."""
     design, outcome = _bernoulli_fixture()
 
     def score(theta):
         return design.T @ (outcome - logistic(design @ theta)) / outcome.size
 
-    result = solve(MomentSystem(residual=score, dim_theta=2, init=np.zeros(2)))
+    def score_jacobian(theta):
+        p = logistic(design @ theta)
+        return -(design.T * (p * (1.0 - p))) @ design / outcome.size
+
+    return MomentSystem(residual=score, jacobian=score_jacobian, dim_theta=2,
+                        init=np.zeros(2))
+
+
+def test_logistic_score_matches_grid_search_oracle():
+    design, outcome = _bernoulli_fixture()
+    result = solve(_logistic_score_system())
     assert result.converged
 
     def loglik(theta):
@@ -61,7 +72,8 @@ def test_nonfinite_residual_names_theta():
         return np.array([np.nan])
 
     with pytest.raises(ResidualError, match="theta"):
-        solve(MomentSystem(residual=residual, dim_theta=1, init=np.ones(1)))
+        solve(MomentSystem(residual=residual, jacobian=lambda t: np.eye(1), dim_theta=1,
+                           init=np.ones(1)))
 
 
 def test_one_attempt_from_a_flat_init():
@@ -70,21 +82,20 @@ def test_one_attempt_from_a_flat_init():
     def residual(theta):
         return np.array([theta[0] ** 3 - 8.0])
 
-    result = solve(MomentSystem(residual=residual, dim_theta=1, init=np.zeros(1)))
+    def jacobian(theta):
+        return np.array([[3.0 * theta[0] ** 2]])
+
+    result = solve(MomentSystem(residual=residual, jacobian=jacobian, dim_theta=1,
+                                init=np.zeros(1)))
     assert (result.status, result.iterations) == ("singular", 0)
     np.testing.assert_array_equal(result.theta_hat, [0.0])
-    # the residual at the init and one forward-difference bump for the one Jacobian
-    assert (result.residual_evals, result.jacobian_evals) == (2, 1)
+    # the residual at the init and the one Jacobian
+    assert (result.residual_evals, result.jacobian_evals) == (1, 1)
 
 
 def test_determinism():
-    design, outcome = _bernoulli_fixture()
-
-    def score(theta):
-        return design.T @ (outcome - logistic(design @ theta)) / outcome.size
-
-    a = solve(MomentSystem(residual=score, dim_theta=2, init=np.zeros(2)))
-    b = solve(MomentSystem(residual=score, dim_theta=2, init=np.zeros(2)))
+    a = solve(_logistic_score_system())
+    b = solve(_logistic_score_system())
     assert np.array_equal(a.theta_hat, b.theta_hat)
     assert a.status == b.status and a.iterations == b.iterations
 
@@ -94,8 +105,8 @@ def test_overdetermined_gauss_newton():
     a = rng.normal(size=(6, 2))
     b = a @ np.array([1.5, -0.5]) + rng.normal(scale=0.01, size=6)
 
-    result = solve(MomentSystem(residual=lambda t: a @ t - b, dim_theta=2,
-                                init=np.zeros(2)))
+    result = solve(MomentSystem(residual=lambda t: a @ t - b, jacobian=lambda t: a,
+                                dim_theta=2, init=np.zeros(2)))
     assert result.converged
     exact = np.linalg.lstsq(a, b, rcond=None)[0]
     np.testing.assert_allclose(result.theta_hat, exact, atol=1e-6)
@@ -103,15 +114,16 @@ def test_overdetermined_gauss_newton():
 
 def test_underdetermined_rejected():
     with pytest.raises(ValueError, match="underdetermined"):
-        solve(MomentSystem(residual=lambda t: np.array([t.sum()]), dim_theta=2,
-                           init=np.zeros(2)))
+        solve(MomentSystem(residual=lambda t: np.array([t.sum()]),
+                           jacobian=lambda t: np.ones((1, 2)), dim_theta=2, init=np.zeros(2)))
 
 
 def test_scale_robustness():
     # same root expressed at wildly different residual scales
     for scale in (1e-4, 1.0, 1e4):
         result = solve(MomentSystem(
-            residual=lambda t, s=scale: s * (t - 7.0), dim_theta=1,
+            residual=lambda t, s=scale: s * (t - 7.0),
+            jacobian=lambda t, s=scale: s * np.eye(1), dim_theta=1,
             init=np.zeros(1), config=SolverConfig(tol=1e-8 * max(scale, 1.0)),
         ))
         assert result.converged
@@ -122,43 +134,24 @@ _A = np.array([[2.0, 1.0], [1.0, 3.0]])
 _B = np.array([1.0, 2.0])
 
 
-@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "forward-difference"])
-def test_counts_on_a_linear_system(analytic):
+def test_counts_on_a_linear_system():
     # one Newton step lands on the root, and the max|r| test then takes the
     # polish step: the residual at the init, then a Jacobian and a residual
-    # for each of the two steps.  A forward-difference Jacobian costs p = 2
-    # residuals.
-    result = solve(MomentSystem(residual=lambda t: _A @ t - _B, dim_theta=2,
-                                init=np.zeros(2),
-                                jacobian=(lambda t: _A) if analytic else None))
+    # for each of the two steps
+    result = solve(MomentSystem(residual=lambda t: _A @ t - _B, jacobian=lambda t: _A,
+                                dim_theta=2, init=np.zeros(2)))
     assert result.converged and result.iterations == 2
     np.testing.assert_allclose(result.theta_hat, np.linalg.solve(_A, _B), atol=1e-15)
-    assert (result.residual_evals, result.jacobian_evals) == ((3, 2) if analytic else (7, 2))
+    assert (result.residual_evals, result.jacobian_evals) == (3, 2)
 
 
 def test_counts_of_the_one_attempt():
     # a constant residual has no root: the attempt builds one Jacobian, then
     # its line search halves 30 times without a decrease and stalls
-    result = solve(MomentSystem(residual=lambda t: np.ones(1), dim_theta=1,
-                                init=np.zeros(1), jacobian=lambda t: np.ones((1, 1))))
+    result = solve(MomentSystem(residual=lambda t: np.ones(1),
+                                jacobian=lambda t: np.ones((1, 1)), dim_theta=1,
+                                init=np.zeros(1)))
     assert (result.status, result.iterations) == ("max_iter", 1)
     # the start, then the 30 line-search trials
     assert (result.residual_evals, result.jacobian_evals) == (31, 1)
 
-
-def test_analytic_jacobian_gives_the_forward_difference_iterates():
-    design, outcome = _bernoulli_fixture()
-
-    def score(theta):
-        return design.T @ (outcome - logistic(design @ theta)) / outcome.size
-
-    def score_jacobian(theta):
-        p = logistic(design @ theta)
-        return -(design.T * (p * (1.0 - p))) @ design / outcome.size
-
-    fd = solve(MomentSystem(residual=score, dim_theta=2, init=np.zeros(2)))
-    exact = solve(MomentSystem(residual=score, dim_theta=2, init=np.zeros(2),
-                               jacobian=score_jacobian))
-    assert exact.converged and exact.iterations == fd.iterations
-    np.testing.assert_allclose(exact.theta_hat, fd.theta_hat, atol=1e-9)
-    assert exact.residual_evals == fd.residual_evals - 2 * fd.jacobian_evals

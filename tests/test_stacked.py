@@ -13,9 +13,9 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from mnarfuse import baselines, cli
+from mnarfuse import baselines, cli, model1, model2, models
 from mnarfuse.baselines import mcar_estimate
-from mnarfuse.data import DomainTag, read_csv
+from mnarfuse.data import DomainTag, PooledDataset, read_csv
 from mnarfuse import inference
 from mnarfuse.inference import (
     BootstrapConfig,
@@ -27,7 +27,12 @@ from mnarfuse.inference import (
 )
 from mnarfuse.model1 import EstimationError, estimate_model1
 from mnarfuse.model2 import estimate_model2
-from mnarfuse.models import fit_logistic, solve_least_squares, stack_rows
+from mnarfuse.models import (
+    RankDeficientError,
+    dependent_columns,
+    solve_least_squares,
+    stack_rows,
+)
 from mnarfuse.simulate import (
     Model1Design,
     Model2Design,
@@ -166,8 +171,7 @@ def _interval(ds, estimator, point=None, k=24):
 
 
 def _cold(estimator):
-    """The estimator with its stacked refits started at their logistic
-    inits."""
+    """The estimator with its stacked refits started at theta = 0."""
     @functools.wraps(estimator)
     def cold(dataset):
         return estimator(dataset)
@@ -190,7 +194,7 @@ def test_a_passed_point_gives_the_interval_of_the_point_fitted_here(panel, name)
     assert report.solver.converged
     passed = _interval(ds, estimator, report)
     assert passed == _interval(ds, estimator)
-    # from each refit's logistic init the refits reach the same roots
+    # from theta = 0 the refits reach the same roots
     _same_refits(passed, _interval(ds, _cold(estimator)))
 
 
@@ -224,6 +228,55 @@ def test_a_nonconverged_point_leaves_the_refits_cold():
     assert _interval(ds, estimate_model1) == cold
 
 
+def test_no_fit_runs_a_logistic_regression(panel, monkeypatch):
+    # every calibration starts at theta = 0: the point fits, a replicate
+    # block and refits without a point to start from
+    def fail(*args, **kwargs):
+        raise AssertionError("fit_logistic called")
+
+    for module in (models, model1, model2):
+        monkeypatch.setattr(module, "fit_logistic", fail)
+    ds1, ds2 = panel["model1-T"][0], panel["model2-T"][0]
+    assert estimate_model1(ds1).solver.converged
+    assert estimate_model2(ds2).solver.converged
+    fits = replicate(Model2Design(n=500), n_reps=4, seed=1).fits["ipw"]
+    assert fits.stacked > 0 and fits.stacked + fits.per_refit == 4
+    ci = bootstrap_ci(ds1, _cold(estimate_model1), BootstrapConfig(k=6, seed=1))
+    assert ci.refits.stacked == 6
+
+
+def _constant_primary_x(dataset):
+    """The dataset with every primary-domain X set to 0.5."""
+    x = dataset.x.copy()
+    x[dataset.g == DomainTag.PRIMARY] = 0.5
+    return PooledDataset(dataset.schema, g=dataset.g, x=x, m=dataset.m, y=dataset.y,
+                         r=dataset.r, m_labels=dataset.m_labels)
+
+
+@pytest.mark.parametrize("design,estimate", [(Model1Design(n=500), estimate_model1),
+                                             (Model2Design(n=500), estimate_model2)],
+                         ids=["model1", "model2"])
+def test_a_constant_primary_x_is_a_rank_deficient_failure(design, estimate, monkeypatch):
+    # the X-only part of the propensity basis, (1, x1), has rank 1 over the
+    # primary rows: the point fit raises, and a stack member falls back to it
+    flat = _constant_primary_x(inference.generate_for(design, 3))
+    with pytest.raises(RankDeficientError) as err:
+        estimate(flat)
+    assert str(err.value) == "design matrix is rank deficient at column 1"
+
+    generate = inference.generate_for
+    made = []
+
+    def every_other_flat(design, seed):
+        made.append(generate(design, seed))
+        return _constant_primary_x(made[-1]) if len(made) % 2 else made[-1]
+
+    monkeypatch.setattr(inference, "generate_for", every_other_flat)
+    report = replicate(design, n_reps=4, seed=1)
+    np.testing.assert_array_equal(np.isnan(report.estimates["ipw"]), [True, False] * 2)
+    assert (report.fits["ipw"].stacked, report.fits["ipw"].per_refit) == (2, 2)
+
+
 def test_the_stacked_path_survives_wraps_and_skips_partials(panel):
     ds, _ = panel["model1-T"]
     config = BootstrapConfig(k=6, seed=1)
@@ -242,16 +295,12 @@ def test_count_weighted_fits_equal_fits_on_duplicated_rows():
     n = 300
     x = rng.normal(size=n)
     design = np.column_stack([np.ones(n), x, x**2])
-    outcome = (rng.random(n) < 1.0 / (1.0 + np.exp(-0.3 - 0.8 * x))).astype(float)
     target = np.column_stack([np.sin(x), x**3])
     counts = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n)
                        for _ in range(4)]).astype(float)
-    logistic_coefs = fit_logistic(design, outcome, weights=counts)
     ls_coefs = solve_least_squares(design, target, weights=counts)
     for k, c in enumerate(counts):
         rows = np.repeat(np.arange(n), c.astype(int))
-        np.testing.assert_allclose(logistic_coefs[k], fit_logistic(design[rows], outcome[rows]),
-                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(ls_coefs[k], solve_least_squares(design[rows], target[rows]),
                                    rtol=0, atol=1e-12)
 
@@ -262,8 +311,7 @@ def test_weighted_fits_flag_rank_deficient_members_with_nan():
     coefs = solve_least_squares(design, np.arange(6.0) * 2.0 + 1.0, weights=counts)
     np.testing.assert_allclose(coefs[0], [1.0, 2.0], atol=1e-12)
     assert np.isnan(coefs[1]).all()
-    logistic_coefs = fit_logistic(design, np.array([0, 1, 0, 1, 1, 0.0]), weights=counts)
-    assert np.isfinite(logistic_coefs[0]).all() and np.isnan(logistic_coefs[1]).all()
+    assert dependent_columns(design, counts).tolist() == [-1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -448,43 +496,36 @@ def test_blocks_depend_on_the_design_and_the_replicate_count_alone():
 
 
 def _own_rows(n_members=4, n=120, seed=6):
-    """Designs, outcomes and targets of members of various sizes, with their
-    rows one member after another."""
+    """Designs and targets of members of various sizes, with their rows one
+    member after another."""
     rng = np.random.default_rng(seed)
     sizes = rng.integers(n // 2, n, size=n_members)
     member = np.repeat(np.arange(n_members), sizes)
     x = rng.normal(size=member.size)
     design = np.column_stack([np.ones_like(x), x, x**2])
-    outcome = (rng.random(x.size) < 1.0 / (1.0 + np.exp(-0.3 - 0.8 * x))).astype(float)
     target = np.column_stack([np.sin(x), x**3])
-    return member, design, outcome, target
+    return member, design, target
 
 
 def test_fits_with_their_own_rows_equal_fits_of_each_member():
-    member, design, outcome, target = _own_rows()
+    member, design, target = _own_rows()
     size = member.max() + 1
     stacked, counts = stack_rows(design, member, size)
-    logistic_coefs = fit_logistic(stacked, stack_rows(outcome, member, size)[0],
-                                  weights=counts)
     ls_coefs = solve_least_squares(stacked, stack_rows(target, member, size)[0],
                                    weights=counts)
     for k in range(size):
         rows = member == k
-        np.testing.assert_allclose(logistic_coefs[k], fit_logistic(design[rows], outcome[rows]),
-                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(ls_coefs[k], solve_least_squares(design[rows], target[rows]),
                                    rtol=0, atol=1e-12)
 
 
 def test_fits_with_their_own_rows_flag_a_rank_deficient_member_with_nan():
-    member, design, outcome, target = _own_rows()
+    member, design, target = _own_rows()
     design[member == 2, 2] = design[member == 2, 1]  # member 2: two equal columns
     size = member.max() + 1
     stacked, counts = stack_rows(design, member, size)
     ls_coefs = solve_least_squares(stacked, stack_rows(target, member, size)[0],
                                    weights=counts)
-    logistic_coefs = fit_logistic(stacked, stack_rows(outcome, member, size)[0],
-                                  weights=counts)
-    for coefs in (ls_coefs, logistic_coefs):
-        assert np.isnan(coefs[2]).all()
-        assert np.isfinite(np.delete(coefs, 2, axis=0)).all()
+    assert np.isnan(ls_coefs[2]).all()
+    assert np.isfinite(np.delete(ls_coefs, 2, axis=0)).all()
+    assert dependent_columns(stacked, counts).tolist() == [-1, -1, 2, -1]
