@@ -207,14 +207,14 @@ def _inject_violation_failures() -> list:
     checks = oracle.check_assumptions(broken)
     if not checks.holds["y_driven"]:
         failures.append(oracle.BatteryFailure(424242, "y_driven",
-                                              checks.violation["y_driven"], 1e-12))
+                                              checks.violation["y_driven"], oracle.CI_TOL))
     try:
         recovery = oracle.recover_odds_ratio(oracle.observed_law(broken))
         err = float(np.max(np.abs(recovery.or_table - or_true)))
     except oracle.OracleError:
         err = float("inf")
-    if err > 1e-10:
-        failures.append(oracle.BatteryFailure(424242, "or_recovery", err, 1e-10))
+    if err > oracle.TOL_OR:
+        failures.append(oracle.BatteryFailure(424242, "or_recovery", err, oracle.TOL_OR))
     return failures
 
 

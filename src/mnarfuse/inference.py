@@ -52,7 +52,6 @@ class BootstrapError(RuntimeError):
 class BootstrapConfig:
     k: int = 1000
     ci_level: float = 0.95
-    stratified_by_domain: bool = True
     seed: int = 0
     max_failure_fraction: float = 0.2
 
@@ -67,11 +66,9 @@ class BootstrapConfig:
             )
 
 
-def _draw(dataset: PooledDataset, rng: np.random.Generator, stratified: bool) -> np.ndarray:
+def _draw(dataset: PooledDataset, rng: np.random.Generator) -> np.ndarray:
     """The rows of one resample, drawn with replacement within each domain
-    (primary first) when stratified, else over the whole dataset."""
-    if not stratified:
-        return rng.integers(0, len(dataset), size=len(dataset))
+    (primary first)."""
     parts = []
     for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY):
         idx = domain_rows(dataset, tag)
@@ -80,9 +77,8 @@ def _draw(dataset: PooledDataset, rng: np.random.Generator, stratified: bool) ->
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
 
 
-def _resample(dataset: PooledDataset, rng: np.random.Generator,
-              stratified: bool) -> PooledDataset:
-    return dataset.take(_draw(dataset, rng, stratified))
+def _resample(dataset: PooledDataset, rng: np.random.Generator) -> PooledDataset:
+    return dataset.take(_draw(dataset, rng))
 
 
 def bootstrap_ci(
@@ -129,7 +125,7 @@ def bootstrap_ci(
     nonconverged = Counter()
     refits = Counter()
     for first in range(0, config.k, block_size):
-        draws = [_draw(dataset, make_rng(config.seed, b), config.stratified_by_domain)
+        draws = [_draw(dataset, make_rng(config.seed, b))
                  for b in range(first, min(first + block_size, config.k))]
         fits = [None] * len(draws) if refit_block is None else refit_block(draws)
         for beta_hat, solver, failure in _fit_each(estimator, fits, draws, dataset.take,

@@ -41,7 +41,7 @@ from .report import (
     domain_rows,
     stacked_domain_arrays,
 )
-from .solver import MomentSystem, SolverConfig, SolverResult, newton_stack, solve
+from .solver import MomentSystem, SolverResult, newton_stack, solve
 
 
 class EstimationError(ValueError):
@@ -249,7 +249,6 @@ def calibrate(
     h_basis: BasisSpec,
     aux_regression_basis: BasisSpec,
     estimator: str,
-    config: Optional[SolverConfig] = None,
     w_max: float = W_MAX,
     fixed_gamma: float = 0.0,
 ) -> EstimateReport:
@@ -263,8 +262,6 @@ def calibrate(
     Jacobian -h_cc^T diag(exp(-B.theta + offset) 1[uncapped]) B / n1.  The
     nuisance "alpha" is the whole solved theta.
     """
-    if config is None:
-        config = SolverConfig()
     primary, auxiliary = _require_domains(dataset)
     cc = primary.complete
     n1 = primary.n
@@ -279,9 +276,7 @@ def calibrate(
         MomentSystem(
             residual=lambda theta: equation.residual(theta[None], None, n1s, target)[0],
             jacobian=lambda theta: equation.jacobian(theta[None], None, n1s)[0],
-            dim_theta=equation.design.shape[1],
             init=equation.init()[0],
-            config=config,
         )
     )
 
@@ -368,13 +363,12 @@ def _live(n1, n_aux, n_cc, n_aux_cc, min_aux_cc: int) -> np.ndarray:
 def _fit_stack(equation: _Calibration, primary: np.ndarray, cc: np.ndarray, live: np.ndarray,
                target: np.ndarray, start: Optional[np.ndarray] = None,
                ) -> list[Optional[tuple[float, SolverResult]]]:
-    """`calibrate` with its default solver settings, weight cap and no fixed
-    Y tilt, for the live members of a stack at once: (beta_hat, solver
-    result) of each member, or None.  Member k counts primary row i
-    primary[k, i] times and complete case i cc[k, i] times; target holds the
-    live members' targets.  Every member's Newton attempt starts at `start`
-    (p,) when it is given, else at `_Calibration.init`; the attempts run as
-    stacked operations.
+    """`calibrate` with its default weight cap and no fixed Y tilt, for the
+    live members of a stack at once: (beta_hat, solver result) of each
+    member, or None.  Member k counts primary row i primary[k, i] times and
+    complete case i cc[k, i] times; target holds the live members' targets.
+    Every member's Newton attempt starts at `start` (p,) when it is given,
+    else at `_Calibration.init`; the attempts run as stacked operations.
 
     A member comes back as None, to be refitted on its own rows by the
     caller, when it is not live (an empty domain or too few complete cases),
@@ -401,7 +395,7 @@ def _fit_stack(equation: _Calibration, primary: np.ndarray, cc: np.ndarray, live
             theta, _pick(cc, members), n1[members], target[members]),
         lambda theta, members: equation.take(members).jacobian(
             theta, _pick(cc, members), n1[members]),
-        init, SolverConfig())
+        init)
     members = np.flatnonzero([fit is not None and fit.converged for fit in fits])
     if members.size == 0:
         return out
@@ -489,7 +483,6 @@ def _own_targets(datasets: list, primary: DomainArrays, primary_member: np.ndarr
 def estimate_model1(
     dataset: PooledDataset,
     spec: Optional[Model1Spec] = None,
-    config: Optional[SolverConfig] = None,
     w_max: float = W_MAX,
 ) -> EstimateReport:
     """Two-step IPW estimate: solve the h-moment system for the propensity
@@ -498,7 +491,7 @@ def estimate_model1(
     if spec is None:
         spec = Model1Spec.default(dataset.schema)
     return calibrate(dataset, spec.propensity_basis, spec.h_basis,
-                     spec.aux_regression_basis, "ipw-model1", config, w_max)
+                     spec.aux_regression_basis, "ipw-model1", w_max)
 
 
 def _stacked_model1(dataset: PooledDataset,

@@ -37,8 +37,7 @@ from .model1 import (
     fit_datasets,
 )
 from .report import EstimateReport
-from .solver import SolverResult
-from .solver import SolverConfig, solve  # noqa: F401  (solve: bench/tracing.py patches it)
+from .solver import SolverResult, solve  # noqa: F401  (solve: bench/tracing.py patches it)
 
 
 def _tilted_basis(baseline: BasisSpec, n_or_params: int) -> BasisSpec:
@@ -72,7 +71,6 @@ class Model2Spec:
 def estimate_model2(
     dataset: PooledDataset,
     spec: Optional[Model2Spec] = None,
-    config: Optional[SolverConfig] = None,
     w_max: float = W_MAX,
     fix_gamma: Optional[float] = None,
 ) -> EstimateReport:
@@ -88,7 +86,7 @@ def estimate_model2(
     if fix_gamma is None:
         basis = _tilted_basis(basis, spec.n_or_params)
     report = calibrate(dataset, basis, spec.h_basis, spec.aux_regression_basis,
-                       "ipw-model2", config, w_max, fixed_gamma=fix_gamma or 0.0)
+                       "ipw-model2", w_max, fixed_gamma=fix_gamma or 0.0)
     theta = report.nuisance["alpha"]
     p_alpha = spec.baseline_basis.width()
     report.nuisance = {

@@ -19,8 +19,13 @@ import numpy as np
 from .data import PooledDataset, VariableSchema
 from .simulate import make_rng
 
-_CI_TOL = 1e-12  # conditional-independence cell tolerance
+CI_TOL = 1e-12  # conditional-independence cell tolerance
 _RANK_TOL = 1e-10  # singular-value threshold for the completeness condition
+# run_battery's tolerances: identification error, identity and bridge
+# residuals, odds-ratio recovery error
+TOL_IDENTIFY = 1e-8
+TOL_IDENTITY = 1e-12
+TOL_OR = 1e-10
 
 
 class OracleError(ValueError):
@@ -188,7 +193,7 @@ def check_assumptions(law: DiscreteFullLaw) -> AssumptionCheckResult:
     t = law.table
     holds, violation = {}, {}
 
-    def record(name, dev, tol=_CI_TOL):
+    def record(name, dev, tol=CI_TOL):
         violation[name] = dev
         holds[name] = dev <= tol
 
@@ -516,13 +521,7 @@ class BatteryFailure:
     tolerance: float
 
 
-def run_battery(
-    n_laws: int,
-    seed: int,
-    tol_identify: float = 1e-8,
-    tol_identity: float = 1e-12,
-    tol_or: float = 1e-10,
-) -> list[BatteryFailure]:
+def run_battery(n_laws: int, seed: int) -> list[BatteryFailure]:
     """Randomized oracle battery: identification exactness, odds-ratio
     identity residuals, bridge exactness, and OR recovery, over n_laws
     M-driven and n_laws Y-driven random laws."""
@@ -537,8 +536,8 @@ def run_battery(
         law1 = random_model1_law(rng)
         truth = brute_force_beta(law1)
         expect(i, "identify_model1", abs(identify_model1(observed_law(law1)) - truth),
-               tol_identify)
-        expect(i, "bridge_model1_law", bridge_residual(law1), tol_identity)
+               TOL_IDENTIFY)
+        expect(i, "bridge_model1_law", bridge_residual(law1), TOL_IDENTITY)
 
         law2, or_true = random_model2_law(rng)
         obs2 = observed_law(law2)
@@ -546,14 +545,14 @@ def run_battery(
         try:
             recovery = recover_odds_ratio(obs2)
         except OracleError as exc:
-            failures.append(BatteryFailure(i, f"or_recovery_error:{exc}", np.inf, tol_or))
+            failures.append(BatteryFailure(i, f"or_recovery_error:{exc}", np.inf, TOL_OR))
             continue
-        expect(i, "or_recovery", float(np.max(np.abs(recovery.or_table - or_true))), tol_or)
+        expect(i, "or_recovery", float(np.max(np.abs(recovery.or_table - or_true))), TOL_OR)
         expect(i, "identify_model2", abs(identify_model2(obs2, recovery) - truth2),
-               tol_identify)
-        expect(i, "bridge_model2_law", bridge_residual(law2), tol_identity)
+               TOL_IDENTIFY)
+        expect(i, "bridge_model2_law", bridge_residual(law2), TOL_IDENTITY)
         for name, value in verify_or_identities(law2).items():
-            expect(i, name, value, tol_identity)
+            expect(i, name, value, TOL_IDENTITY)
     return failures
 
 
@@ -605,14 +604,36 @@ def write_law(law: DiscreteFullLaw, path: str) -> None:
 
 
 def read_law(path: str) -> DiscreteFullLaw:
-    rows = []
+    """The law of a cell-list file (see write_law).  A line with other than
+    six fields, numbers that do not parse, g not 1 or 2, r not 0 or 1, or a
+    cell that appeared on an earlier line raises OracleError naming the path
+    and line."""
+    rows, seen = [], {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            g, x, m, y, r, p = line.split(",")
-            rows.append((int(g), float(x), float(m), float(y), int(r), float(p)))
+            where = f"law file {path}: line {lineno}"
+            fields = line.split(",")
+            if len(fields) != 6:
+                raise OracleError(f"{where}: {len(fields)} fields, expected 6 "
+                                  "(g,x,m,y,r,probability)")
+            try:
+                g, r = int(fields[0]), int(fields[4])
+                x, m, y, p = (float(fields[i]) for i in (1, 2, 3, 5))
+            except ValueError as exc:
+                raise OracleError(f"{where}: {exc}") from None
+            if g not in (1, 2):
+                raise OracleError(f"{where}: g={g}, expected 1 or 2")
+            if r not in (0, 1):
+                raise OracleError(f"{where}: r={r}, expected 0 or 1")
+            cell = (g, x, m, y, r)
+            if cell in seen:
+                raise OracleError(f"{where}: cell g,x,m,y,r = {','.join(fields[:5])} "
+                                  f"appears twice (first on line {seen[cell]})")
+            seen[cell] = lineno
+            rows.append((*cell, p))
     xs = tuple(sorted({row[1] for row in rows}))
     ms = tuple(sorted({row[2] for row in rows}))
     ys = tuple(sorted({row[3] for row in rows}))

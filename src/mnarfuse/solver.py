@@ -4,44 +4,35 @@ Just-identified systems are solved by Newton iteration with a halving line
 search on ||r||; overdetermined systems by damped Gauss-Newton on
 0.5*||r||^2, each with the Jacobian the system supplies.  Each system gets
 one attempt from its initial point; an attempt that does not converge is
-returned as it stopped.
+returned as it stopped.  The stopping rule is fixed: max|r| (just-identified)
+or ||J^T r|| (overdetermined) below _TOL within _MAX_ITER iterations.
 
-A just-identified system that meets max|r| < tol takes one more full Newton
+A just-identified system that meets max|r| < _TOL takes one more full Newton
 step, the polish step, and keeps it unless it makes ||r|| grow.  Newton
 converges quadratically, so the root is then met to about machine precision
-rather than to tol, and the solution no longer depends on the path to it:
+rather than to _TOL, and the solution no longer depends on the path to it:
 two starts, or two orders of the same rows, give the same theta to ~1e-13.
 The polish step counts as an iteration, with its Jacobian and its one
-residual; a system that meets the criterion only after max_iter iterations
+residual; a system that meets the criterion only after _MAX_ITER iterations
 is not polished.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .models import solve_linear
 
-_MAX_HALVINGS = 30
+_TOL = 1e-8
+_MAX_ITER = 100
+_MAX_HALVINGS = 30  # per line search
 
 
 class ResidualError(ValueError):
     """Raised when the residual map produces non-finite values."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-8
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -61,11 +52,9 @@ class SolverResult:
 @dataclass(frozen=True)
 class MomentSystem:
     residual: Callable[[np.ndarray], np.ndarray]
-    # d residual / d theta, shape (len(r), dim_theta)
+    # d residual / d theta, shape (len(r), len(init))
     jacobian: Callable[[np.ndarray], np.ndarray]
-    dim_theta: int
     init: np.ndarray
-    config: SolverConfig = field(default_factory=SolverConfig)
 
 
 class _Counted:
@@ -77,17 +66,15 @@ class _Counted:
     def __init__(self, residual, jacobian, size: int):
         self._residual = residual
         self._jacobian = jacobian
-        self.residual_evals = [0] * size
-        self.jacobian_evals = [0] * size
+        self.residual_evals = np.zeros(size, dtype=int)
+        self.jacobian_evals = np.zeros(size, dtype=int)
 
     def residual(self, theta, members) -> np.ndarray:
-        for k in members.tolist():
-            self.residual_evals[k] += 1
+        self.residual_evals[members] += 1  # a stack's positions are distinct
         return np.asarray(self._residual(theta, members), dtype=float)
 
     def jacobian(self, theta, members) -> np.ndarray:
-        for k in members.tolist():
-            self.jacobian_evals[k] += 1
+        self.jacobian_evals[members] += 1
         return np.asarray(self._jacobian(theta, members), dtype=float)
 
 
@@ -105,108 +92,95 @@ def _gauss_newton_steps(jac, r):
 
 
 def _polish(counted: _Counted, theta, r, members):
-    """One full Newton step of the given members of a just-identified stack
-    from theta (m, p), where the residuals are r (m, p).  Returns theta and
-    r, updated in place where the step keeps ||r|| from growing."""
-    step, singular = solve_linear(counted.jacobian(theta, members), -r)
+    """One full Newton step of the given members of a just-identified stack,
+    kept in theta (K, p) and r (K, p) where it does not make ||r|| grow."""
+    th, res = theta[members], r[members]
+    step, singular = solve_linear(counted.jacobian(th, members), -res)
     ok = np.flatnonzero(~singular & np.isfinite(step.sum(axis=1)))
     if ok.size:
-        candidate = theta[ok] + step[ok]
+        candidate = th[ok] + step[ok]
         r_new = counted.residual(candidate, members[ok])
         # a non-finite trial residual compares False: the step is dropped
-        better = (r_new * r_new).sum(axis=1) <= (r[ok] * r[ok]).sum(axis=1)
-        theta[ok[better]], r[ok[better]] = candidate[better], r_new[better]
-    return theta, r
+        better = (r_new * r_new).sum(axis=1) <= (res[ok] * res[ok]).sum(axis=1)
+        kept = members[ok[better]]
+        theta[kept], r[kept] = candidate[better], r_new[better]
 
 
-def _iterate(counted: _Counted, theta0, r0, config: SolverConfig, just_identified: bool,
-             members: np.ndarray):
-    """One Newton / Gauss-Newton run of the given members of a stack from
-    theta0 (K, p), where the residuals are r0 (K, q).  Each member stops on
-    its own criterion, singular step or stalled line search.  Returns
-    (theta, r, status, iters) with a status and an iteration count per
-    member; the other members keep their start.
+def _criterion(r, jac):
+    """max|r| of a just-identified system (jac None), else ||J^T r||."""
+    if jac is None:
+        return np.abs(r).max(axis=1)
+    return np.linalg.norm(np.einsum("kqp,kq->kp", jac, r), axis=1)
 
-    The stopping criterion is max|r| for a just-identified system, so it is
-    checked before a Jacobian is built; otherwise it is ||J^T r||.  A
-    just-identified member that meets it within max_iter iterations takes
-    the polish step (see the module docstring) as one more iteration.  A
-    non-finite trial residual in the line search counts as no decrease.
+
+def _iterate(counted: _Counted, theta, r, active: np.ndarray):
+    """One Newton (q = p) or Gauss-Newton (q > p) run of the members `active`
+    of a stack from theta (K, p), where the residuals are r (K, q); both are
+    updated in place.  Each member stops on its own criterion, singular step
+    or stalled line search.  Returns each member's status and iteration count.
+
+    A just-identified member's criterion is checked before its Jacobian is
+    built; met within _MAX_ITER iterations, it is followed by the polish step
+    (see the module docstring) as one more iteration.  A non-finite trial
+    residual in the line search counts as no decrease.
     """
-
-    def criterion(r, jac):
-        if just_identified:
-            return np.abs(r).max(axis=1)
-        return np.linalg.norm(np.einsum("kqp,kq->kp", jac, r), axis=1)
-
-    theta, r = theta0.copy(), r0.copy()
+    just_identified = r.shape[1] == theta.shape[1]
     status = np.full(len(theta), "max_iter", dtype=object)
-    iters = np.full(len(theta), config.max_iter)
-    # the members still iterating, with their iterates and residuals
-    idx, th, res = members, theta[members], r[members]
-
-    def stop(mask, why, it):
-        """Record the masked members as stopped; returns the mask of the rest."""
-        nonlocal idx, th, res
-        gone = idx[mask]
-        theta[gone], r[gone], status[gone], iters[gone] = th[mask], res[mask], why, it
-        keep = ~mask
-        idx, th, res = idx[keep], th[keep], res[keep]
-        return keep
-
-    for it in range(1, config.max_iter + 1):
-        jac = None if just_identified else counted.jacobian(th, idx)
-        done = criterion(res, jac) < config.tol
-        if done.any():
-            if just_identified:
-                th[done], res[done] = _polish(counted, th[done], res[done], idx[done])
-                stop(done, "converged", it)
-            else:
-                jac = jac[stop(done, "converged", it - 1)]
-        if idx.size == 0:
+    iters = np.full(len(theta), _MAX_ITER)
+    for it in range(1, _MAX_ITER + 1):
+        if active.size == 0:
             break
+        res = r[active]
+        jac = None if just_identified else counted.jacobian(theta[active], active)
+        done = _criterion(res, jac) < _TOL
+        if done.any():
+            gone, keep = active[done], ~done
+            if just_identified:
+                _polish(counted, theta, r, gone)
+                status[gone], iters[gone] = "converged", it
+            else:
+                status[gone], iters[gone] = "converged", it - 1
+                jac = jac[keep]
+            active, res = active[keep], res[keep]
+            if active.size == 0:
+                break
+        th = theta[active]
         if just_identified:
-            step, singular = solve_linear(counted.jacobian(th, idx), -res)
+            step, singular = solve_linear(counted.jacobian(th, active), -res)
         else:
             step, singular = _gauss_newton_steps(jac, res)
         singular |= ~np.isfinite(step.sum(axis=1))
         if singular.any():
-            step = step[stop(singular, "singular", it - 1)]
-            if idx.size == 0:
+            gone, keep = active[singular], ~singular
+            status[gone], iters[gone] = "singular", it - 1
+            active, th, res, step = active[keep], th[keep], res[keep], step[keep]
+            if active.size == 0:
                 break
 
         # halving line search on each member's residual norm; the members
         # still searching have all been halved the same number of times
-        pending = slice(None)  # their positions among idx
-        searching, start, obj0, scale = idx, th, (res * res).sum(axis=1), 1.0
+        searching, obj0, scale = active, (res * res).sum(axis=1), 1.0
         for _ in range(_MAX_HALVINGS):
-            candidate = start + scale * step
+            candidate = th + scale * step
             r_new = counted.residual(candidate, searching)
             better = (r_new * r_new).sum(axis=1) < obj0
             n_better = np.count_nonzero(better)
             if n_better == better.size:
-                th[pending], res[pending] = candidate, r_new
+                theta[searching], r[searching] = candidate, r_new
                 break
             if n_better:
-                pending = np.arange(idx.size)[pending]
-                th[pending[better]], res[pending[better]] = candidate[better], r_new[better]
-                keep = ~better
-                pending, searching, start, step, obj0 = (
-                    pending[keep], searching[keep], start[keep], step[keep], obj0[keep])
+                moved, keep = searching[better], ~better
+                theta[moved], r[moved] = candidate[better], r_new[better]
+                searching, th, step, obj0 = searching[keep], th[keep], step[keep], obj0[keep]
             scale *= 0.5
         else:
             # no decrease found: stalled where the criterion already failed
-            stalled = np.zeros(idx.size, dtype=bool)
-            stalled[pending] = True
-            stop(stalled, "max_iter", it)
-            if idx.size == 0:
-                break
-    if idx.size:
-        jac = None if just_identified else counted.jacobian(th, idx)
-        converged = criterion(res, jac) < config.tol
-        stop(converged, "converged", config.max_iter)
-        stop(np.ones(idx.size, dtype=bool), "max_iter", config.max_iter)
-    return theta, r, status, iters
+            iters[searching] = it
+            active = active[~np.isin(active, searching)]
+    if active.size:
+        jac = None if just_identified else counted.jacobian(theta[active], active)
+        status[active[_criterion(r[active], jac) < _TOL]] = "converged"
+    return status, iters
 
 
 def _result(counted: _Counted, k: int, theta, r, status, iters) -> SolverResult:
@@ -215,8 +189,8 @@ def _result(counted: _Counted, k: int, theta, r, status, iters) -> SolverResult:
         status=str(status[k]),
         final_residual_norm=float(np.linalg.norm(r[k])),
         iterations=int(iters[k]),
-        residual_evals=counted.residual_evals[k],
-        jacobian_evals=counted.jacobian_evals[k],
+        residual_evals=int(counted.residual_evals[k]),
+        jacobian_evals=int(counted.jacobian_evals[k]),
     )
 
 
@@ -227,8 +201,6 @@ def solve(system: MomentSystem) -> SolverResult:
     Raises ResidualError when the residual at the init is non-finite.
     """
     init = np.asarray(system.init, dtype=float)
-    if init.size != system.dim_theta:
-        raise ValueError("init length does not match dim_theta")
 
     def residual(theta, members):
         return np.asarray(system.residual(theta[0]))[None]
@@ -236,14 +208,13 @@ def solve(system: MomentSystem) -> SolverResult:
     def jacobian(theta, members):
         return np.asarray(system.jacobian(theta[0]))[None]
 
-    [result] = newton_stack(residual, jacobian, init[None], system.config)
+    [result] = newton_stack(residual, jacobian, init[None])
     if result is None:
         raise ResidualError(f"non-finite residual at theta={init.tolist()}")
     return result
 
 
-def newton_stack(residual, jacobian, init: np.ndarray,
-                 config: SolverConfig) -> list[Optional[SolverResult]]:
+def newton_stack(residual, jacobian, init: np.ndarray) -> list[Optional[SolverResult]]:
     """One Newton / Gauss-Newton attempt for each member of a stack of
     systems that share their shapes.
 
@@ -255,11 +226,13 @@ def newton_stack(residual, jacobian, init: np.ndarray,
     """
     size, dim_theta = init.shape
     counted = _Counted(residual, jacobian, size)
-    r0 = counted.residual(init, np.arange(size))
-    if r0.shape[1] < dim_theta:
+    r = counted.residual(init, np.arange(size)).copy()
+    if r.shape[1] < dim_theta:
         raise ValueError(
-            f"underdetermined system: {r0.shape[1]} residuals for {dim_theta} parameters"
+            f"underdetermined system: {r.shape[1]} residuals for {dim_theta} parameters"
         )
-    finite = np.all(np.isfinite(r0), axis=1)
-    run = _iterate(counted, init, r0, config, r0.shape[1] == dim_theta, np.flatnonzero(finite))
-    return [_result(counted, k, *run) if finite[k] else None for k in range(size)]
+    finite = np.all(np.isfinite(r), axis=1)
+    theta = np.array(init, dtype=float)
+    status, iters = _iterate(counted, theta, r, np.flatnonzero(finite))
+    return [_result(counted, k, theta, r, status, iters) if finite[k] else None
+            for k in range(size)]

@@ -17,7 +17,6 @@ from mnarfuse.model2 import Model2Spec, estimate_model2, recovered_propensity
 from mnarfuse.models import W_MAX, BasisSpec, CoefficientModel, evaluate_basis_matrix, logistic
 from mnarfuse.report import domain_arrays
 from mnarfuse.simulate import Model1Design, Model2Design, generate_model1, generate_model2
-from mnarfuse.solver import SolverConfig
 
 CATEGORICAL = VariableSchema(covariate_names=("x1",), m_kind="categorical",
                              m_levels=("none", "mild", "severe"))
@@ -115,8 +114,8 @@ def test_capped_cases_exercise_the_cap_mask(case):
 @given(data=st.data())
 def test_analytic_jacobian_matches_central_differences(case, data):
     system, theta_hat = _system(case)
-    shift = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=system.dim_theta,
-                               max_size=system.dim_theta))
+    shift = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=system.init.size,
+                               max_size=system.init.size))
     theta = theta_hat + np.array(shift)
     # keep every row away from the cap's kink, where the residual has no
     # derivative and a central difference straddles it
@@ -136,12 +135,11 @@ def test_model1_is_affine_equivariant_in_y(seed, setting, a, b):
     # the constant h-moment forces sum(q)/n1 = 1 at the root, so the
     # weighted mean of a + bY is a + b times the weighted mean of Y
     dataset = generate_model1(Model1Design(n=500, setting=setting), seed)[0]
-    config = SolverConfig(tol=1e-12)
-    base = estimate_model1(dataset, config=config)
+    base = estimate_model1(dataset)
     assume(base.solver.converged)
     shifted = PooledDataset(dataset.schema, g=dataset.g, x=dataset.x, m=dataset.m,
                             y=a + b * dataset.y, r=dataset.r, m_labels=dataset.m_labels)
-    report = estimate_model1(shifted, config=config)
+    report = estimate_model1(shifted)
     assert report.solver.converged
     assert report.beta_hat == pytest.approx(a + b * base.beta_hat, abs=1e-9)
 
@@ -209,13 +207,12 @@ PANEL = {
 
 @pytest.mark.parametrize("model,setting", list(PANEL))
 def test_same_estimates_as_the_finite_difference_solver(model, setting):
-    config = SolverConfig(tol=1e-12)
     for seed, expected in enumerate(PANEL[model, setting], start=1):
         if model == 1:
             report = estimate_model1(
-                generate_model1(Model1Design(n=2000, setting=setting), seed)[0], config=config)
+                generate_model1(Model1Design(n=2000, setting=setting), seed)[0])
         else:
             report = estimate_model2(
-                generate_model2(Model2Design(n=2000, setting=setting), seed)[0], config=config)
+                generate_model2(Model2Design(n=2000, setting=setting), seed)[0])
         assert report.solver.converged
         assert abs(report.beta_hat - expected) <= 1e-10

@@ -98,30 +98,24 @@ def test_unseen_level_survives_the_record_view():
     assert ds != PooledDataset(records=rows[1:], schema=CATEGORICAL)
 
 
-def _old_resample(dataset, rng, stratified):
+def _old_resample(dataset, rng):
     """Reference: the record-based resampling the columnar one replaced."""
     records = dataset.records
-    if stratified:
-        picked = []
-        for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY):
-            idx = [i for i, rec in enumerate(records) if rec.g == tag]
-            if idx:
-                draw = rng.integers(0, len(idx), size=len(idx))
-                picked.extend(records[idx[j]] for j in draw)
-        return tuple(picked)
-    draw = rng.integers(0, len(records), size=len(records))
-    return tuple(records[j] for j in draw)
+    picked = []
+    for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY):
+        idx = [i for i, rec in enumerate(records) if rec.g == tag]
+        if idx:
+            draw = rng.integers(0, len(idx), size=len(idx))
+            picked.extend(records[idx[j]] for j in draw)
+    return tuple(picked)
 
 
-@pytest.mark.parametrize("stratified", [True, False])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_resample_matches_the_record_construction(stratified, data, seed):
+def test_resample_matches_the_record_construction(data, seed):
     ds = data.draw(datasets(CATEGORICAL))
-    if not stratified and len(ds) == 0:
-        return
-    expected = _old_resample(ds, make_rng(seed, 1), stratified)
-    assert _resample(ds, make_rng(seed, 1), stratified).records == expected
+    expected = _old_resample(ds, make_rng(seed, 1))
+    assert _resample(ds, make_rng(seed, 1)).records == expected
 
 
 def _shuffled(ds, rng):

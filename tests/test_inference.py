@@ -14,7 +14,7 @@ from mnarfuse.inference import (
 from mnarfuse.baselines import mcar_estimate
 from mnarfuse.model1 import EstimationError
 from mnarfuse.simulate import Model1Design, TrueBeta, generate_model1, make_rng
-from mnarfuse.solver import SolverConfig
+from mnarfuse.solver import _MAX_ITER
 
 SCHEMA = VariableSchema(covariate_names=("x1",))
 
@@ -45,7 +45,7 @@ def test_stratified_resampling_preserves_domain_counts():
     ds, _ = generate_model1(Model1Design(n=999), seed=2)
     counts = {tag: sum(rec.g == tag for rec in ds.records)
               for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY)}
-    resampled = _resample(ds, make_rng(0, 0), stratified=True)
+    resampled = _resample(ds, make_rng(0, 0))
     for tag, n in counts.items():
         assert sum(rec.g == tag for rec in resampled.records) == n
 
@@ -188,11 +188,11 @@ def test_nonconverged_refits_are_kept_and_counted():
     ds, _ = generate_model1(Model1Design(n=500, setting="F"), seed=37)
     solver = estimate_model1(ds).solver
     # one attempt: at most one Jacobian per Newton iteration
-    assert solver.status == "max_iter" and solver.jacobian_evals <= SolverConfig().max_iter
+    assert solver.status == "max_iter" and solver.jacobian_evals <= _MAX_ITER
     config = BootstrapConfig(k=4, seed=0)
     ci = bootstrap_ci(ds, estimate_model1, config)
     assert ci.nonconverged == {"max_iter": 4} and ci.n_failed == 0
-    refits = [estimate_model1(_resample(ds, make_rng(0, b), True)).beta_hat
+    refits = [estimate_model1(_resample(ds, make_rng(0, b))).beta_hat
               for b in range(config.k)]
     tail = 0.5 * (1.0 - config.ci_level)
     assert (ci.lo, ci.hi) == tuple(np.quantile(refits, [tail, 1.0 - tail]))

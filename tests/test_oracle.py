@@ -1,6 +1,8 @@
 """Discrete-oracle tests: assumption checks, identification exactness,
 odds-ratio recovery, and identity residuals."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -274,3 +276,42 @@ def test_law_serialization_round_trip(tmp_path):
     back = read_law(str(path))
     np.testing.assert_array_equal(back.table, law.table)
     assert back.y_support == law.y_support
+
+
+def _g(fields):
+    fields[0] = "0"
+
+
+def _r(fields):
+    fields[4] = "-1"
+
+
+def _three(fields):
+    del fields[3:]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_g, "g=0, expected 1 or 2"),
+    (_r, "r=-1, expected 0 or 1"),
+    (_three, "3 fields, expected 6"),
+    (None, "cell g,x,m,y,r = 1,.* appears twice \\(first on line 2\\)"),
+], ids=["g", "r", "fields", "duplicate"])
+def test_read_law_rejects_a_bad_line_naming_it(tmp_path, edit, message):
+    # before these checks a domain-2 cell read as g=0 landed in domain 2
+    # (table[-1]), r=-1 in the r=1 cell, and a short line raised a bare
+    # unpacking error
+    law, _ = random_model2_law(_rng(18))
+    path = tmp_path / "law.txt"
+    write_law(law, str(path))
+    lines = path.read_text().splitlines()
+    if edit is None:
+        lines.append(lines[1])  # the first cell again
+    else:
+        fields = lines[-1].split(",")  # the last cell, a domain-2 one
+        edit(fields)
+        lines[-1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    # the bad line is the file's last
+    with pytest.raises(OracleError, match=f"law file {re.escape(str(path))}: "
+                                          f"line {len(lines)}: {message}"):
+        read_law(str(path))

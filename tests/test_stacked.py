@@ -20,7 +20,6 @@ from mnarfuse import inference
 from mnarfuse.inference import (
     BootstrapConfig,
     _draw,
-    _resample,
     bootstrap_ci,
     default_estimators,
     replicate,
@@ -79,13 +78,22 @@ def _per_refit(estimator):
     return lambda dataset: estimator(dataset)
 
 
-@pytest.mark.parametrize("stratified", [True, False], ids=["stratified", "pooled"])
+def _pooled_draw(dataset, rng):
+    """Rows drawn with replacement over the whole dataset, so that the
+    resamples' domain sizes differ and a domain can be empty."""
+    return rng.integers(0, len(dataset), size=len(dataset))
+
+
+@pytest.mark.parametrize("draw", ["stratified", "pooled"])
 @pytest.mark.parametrize("name", ["model1-T", "model1-F", "model2-T", "model2-F",
                                   "fixture", "tiny-auxiliary"])
-def test_stacked_refits_match_refits_on_the_resamples(panel, name, stratified):
+def test_stacked_refits_match_refits_on_the_resamples(panel, name, draw):
+    # the stack fits any draw of rows: bootstrap_ci's, within each domain,
+    # and draws over the whole dataset
     ds, estimator = panel[name]
     k, seed = 12, 7
-    draws = [_draw(ds, make_rng(seed, b), stratified) for b in range(k)]
+    draw_rows = {"stratified": _draw, "pooled": _pooled_draw}[draw]
+    draws = [draw_rows(ds, make_rng(seed, b)) for b in range(k)]
     cold = estimator.stacked_refits(ds, None)(draws)
     point = estimator(ds).solver
     assert point.converged
@@ -95,10 +103,10 @@ def test_stacked_refits_match_refits_on_the_resamples(panel, name, stratified):
         if fit is None:
             continue
         stacked += 1
-        reference = estimator(_resample(ds, make_rng(seed, b), stratified))
+        reference = estimator(ds.take(draws[b]))
         assert fit[0] == pytest.approx(reference.beta_hat, abs=1e-12, rel=0)
         assert fit[1].converged and reference.solver.converged
-        # from the logistic init the stack takes the per-refit fit's steps
+        # from theta = 0 the stack takes the per-refit fit's steps
         assert fit[1].iterations == reference.solver.iterations
         assert fit[1].residual_evals == reference.solver.residual_evals
         # from the point fit's theta it reaches the same root
@@ -109,27 +117,24 @@ def test_stacked_refits_match_refits_on_the_resamples(panel, name, stratified):
 
 def test_warm_refits_take_no_more_iterations_over_the_panel(panel):
     # some refits, and the refits of some datasets, take more steps from
-    # the point fit's theta than from their logistic inits; the panel's
-    # refits together take no more
+    # the point fit's theta than from theta = 0; the panel's refits
+    # together take no more
     cold_iterations = warm_iterations = 0
     for ds, estimator in panel.values():
         point = estimator(ds).solver
-        for stratified in (True, False):
-            draws = [_draw(ds, make_rng(7, b), stratified) for b in range(12)]
-            cold = estimator.stacked_refits(ds, None)(draws)
-            warm = estimator.stacked_refits(ds, point)(draws)
-            for fit, warm_fit in zip(cold, warm):
-                if fit is not None and warm_fit is not None:
-                    cold_iterations += fit[1].iterations
-                    warm_iterations += warm_fit[1].iterations
+        draws = [_draw(ds, make_rng(7, b)) for b in range(12)]
+        cold = estimator.stacked_refits(ds, None)(draws)
+        warm = estimator.stacked_refits(ds, point)(draws)
+        for fit, warm_fit in zip(cold, warm):
+            if fit is not None and warm_fit is not None:
+                cold_iterations += fit[1].iterations
+                warm_iterations += warm_fit[1].iterations
     assert 0 < warm_iterations <= cold_iterations
 
 
 @pytest.mark.parametrize("k", [1, 7])
-@pytest.mark.parametrize("stratified", [True, False], ids=["stratified", "pooled"])
 @pytest.mark.parametrize("name", ["model1-T", "model2-F", "fixture"])
-def test_stacked_interval_matches_the_per_refit_interval(panel, monkeypatch, name,
-                                                         stratified, k):
+def test_stacked_interval_matches_the_per_refit_interval(panel, monkeypatch, name, k):
     ds, estimator = panel[name]
     build = estimator.stacked_refits
 
@@ -139,8 +144,7 @@ def test_stacked_interval_matches_the_per_refit_interval(panel, monkeypatch, nam
         return refits
 
     monkeypatch.setattr(estimator, "stacked_refits", blocks_of_three)
-    config = BootstrapConfig(k=k, seed=11, stratified_by_domain=stratified,
-                             max_failure_fraction=0.9)
+    config = BootstrapConfig(k=k, seed=11, max_failure_fraction=0.9)
     stacked = bootstrap_ci(ds, estimator, config)
     reference = bootstrap_ci(ds, _per_refit(estimator), config)
     assert stacked.lo == pytest.approx(reference.lo, abs=1e-12, rel=0)
@@ -286,7 +290,7 @@ def test_the_stacked_path_survives_wraps_and_skips_partials(panel):
         return estimate_model1(dataset)
 
     assert bootstrap_ci(ds, traced, config).refits.stacked == 6
-    partial = functools.partial(estimate_model1, config=None)
+    partial = functools.partial(estimate_model1, spec=None)
     assert bootstrap_ci(ds, partial, config).refits.stacked == 0
 
 
