@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--model", type=int, choices=[1, 2], required=True)
     sim.add_argument("--setting", choices=["T", "F"], default="T")
     sim.add_argument("--n", type=_positive_int, required=True)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_nonnegative_int, default=0)
     sim.add_argument("--out", required=True)
     sim.add_argument("--truth-out", dest="truth_out")
     sim.set_defaults(func=_cmd_simulate)
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--data", required=True)
     est.add_argument("--model", choices=list(_ESTIMATORS), required=True)
     est.add_argument("--bootstrap", type=_nonnegative_int, default=0, metavar="K")
-    est.add_argument("--seed", type=int, default=0)
+    est.add_argument("--seed", type=_nonnegative_int, default=0)
     est.add_argument("--json", help="write the full report as JSON")
     _add_schema_flags(est)
     est.set_defaults(func=_cmd_estimate)
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--setting", choices=["T", "F"], default="T")
     rep.add_argument("--n", type=_positive_int, required=True)
     rep.add_argument("--reps", type=_positive_int, required=True)
-    rep.add_argument("--seed", type=int, default=0)
+    rep.add_argument("--seed", type=_nonnegative_int, default=0)
     rep.add_argument("--workers", type=_worker_count, default=1)
     rep.add_argument("--out-prefix", dest="out_prefix")
     rep.set_defaults(func=_cmd_replicate)
@@ -371,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = subs.add_parser("oracle-check", help="randomized identification battery")
     orc.add_argument("--laws", type=_positive_int, default=100)
-    orc.add_argument("--seed", type=int, default=0)
+    orc.add_argument("--seed", type=_nonnegative_int, default=0)
     orc.add_argument("--inject-violation", action="store_true",
                      help="add a fixture that violates the selection assumption")
     orc.set_defaults(func=_cmd_oracle_check)
 
     fix = subs.add_parser("make-fixture", help="synthetic observational fixture")
     fix.add_argument("--n", type=_positive_int, default=2000)
-    fix.add_argument("--seed", type=int, default=0)
+    fix.add_argument("--seed", type=_nonnegative_int, default=0)
     fix.add_argument("--out-prefix", dest="out_prefix", required=True)
     fix.set_defaults(func=_cmd_make_fixture)
 

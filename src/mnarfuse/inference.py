@@ -104,13 +104,13 @@ def bootstrap_ci(
     it, as every resample is for any other estimator.  The stack is given
     the solver result of `point`, the estimator's report on the dataset,
     and starts its refits there (see StackedRefits).  Pass `point` when it
-    is at hand, as `estimate --bootstrap` does: fitting it again costs a
-    tenth of an `estimate --bootstrap 20` call at n=2000.  Without `point`
-    the point is fitted here, and a point fit that raises one of FIT_ERRORS
-    or does not converge leaves every refit to start at theta = 0.  The
-    solver polishes every converged fit to its root, so the start moves no
-    estimate beyond ~1e-12; a refit that fails from it is refitted on its
-    own.
+    is at hand, as `estimate --bootstrap` does: fitting it again costs
+    about a tenth of an `estimate --bootstrap 20` call at n=2000.  Without
+    `point` the point is fitted here, and a point fit that raises one of
+    FIT_ERRORS or does not converge leaves every refit to start at
+    theta = 0.  The solver polishes every converged fit to its root, so
+    the start moves no estimate beyond ~1e-12; a refit that fails from it
+    is refitted on its own.
     """
     if config is None:
         config = BootstrapConfig()

@@ -24,6 +24,11 @@ _RANK_TOL = 1e-10
 # Largest precomputed table of row-wise outer products (weighted_cross_products).
 _PRODUCT_BYTES = 1 << 22
 
+# Largest condition number of Q0^T diag(w) Q0 that _shared_qr_solve solves:
+# its p x p solve loses about that times the machine epsilon, where the QR
+# of the weighted design loses only cond(diag(sqrt w) D) times it.
+_GRAM_COND = 1e4
+
 
 @dataclass(frozen=True)
 class Term:
@@ -315,6 +320,55 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x, singular
 
 
+def _qr_solve(design: np.ndarray, rhs: np.ndarray, weights: Optional[np.ndarray],
+              names: Optional[list[str]] = None) -> np.ndarray:
+    """solve_least_squares by a QR of each member's weighted design: the
+    (K, p, t) coefficients of rhs (..., n, t), NaN for a rank deficient
+    member."""
+    q, r = _weighted_qr(design, weights, "reduced")
+    bad = _dependent_columns(design, weights, r)
+    if weights is None:
+        _raise_if_dependent(bad, names)
+    rhs = rhs[None] if weights is None else np.sqrt(weights)[:, :, None] * rhs
+    ok = bad < 0
+    if ok.all():
+        return np.linalg.solve(r, q.transpose(0, 2, 1) @ rhs)
+    coef = np.full((bad.size, design.shape[-1], rhs.shape[-1]), np.nan)
+    if ok.any():
+        coef[ok] = np.linalg.solve(r[ok], q[ok].transpose(0, 2, 1) @ rhs[ok])
+    return coef
+
+
+def _shared_qr_solve(design: np.ndarray, rhs: np.ndarray,
+                     weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """solve_least_squares of the members that share the rows of design
+    (n, p), n >= p, and rhs (n, t), from one QR of design, D = Q0 R0: the
+    (K, p, t) coefficients R0^-1 M^-1 C, with M = Q0^T diag(w) Q0 and
+    C = Q0^T diag(w) rhs, and the mask of the members certified to pass
+    _dependent_columns.
+
+    |diag R| of a member's own QR is at least sigma_min(diag(sqrt w) D),
+    which is at least sqrt(lambda_min(M)) sigma_min(R0).  A member is
+    certified when that bound is twice _dependent_columns' limit, computed
+    with max|D| over all rows, and M's condition number is below _GRAM_COND,
+    so that lambda_min(M) and M^-1 C are accurate; its coefficients are
+    then those of the QR to rounding.  The other members' coefficients are
+    left for _qr_solve.
+    """
+    p = design.shape[1]
+    q0, r0 = np.linalg.qr(design)
+    products = weighted_cross_products(q0, np.hstack([q0, rhs]))(weights)
+    m, c = products[:, :, :p], products[:, :, p:]
+    eig = np.linalg.eigvalsh(m)
+    rows = weights.sum(axis=1)
+    limit = _RANK_TOL * max(np.abs(design).max(), 1.0) * np.maximum(rows, p)
+    floor = np.sqrt(np.maximum(eig[:, 0], 0.0)) * np.linalg.svd(r0, compute_uv=False)[-1]
+    ok = (rows >= p) & (eig[:, 0] * _GRAM_COND > eig[:, -1]) & (floor > 2.0 * limit)
+    coef = np.full(c.shape, np.nan)
+    coef[ok] = np.linalg.solve(r0, np.linalg.solve(m[ok], c[ok]))
+    return coef, ok
+
+
 def solve_least_squares(design: np.ndarray, target: np.ndarray,
                         names: Optional[list[str]] = None,
                         weights: Optional[np.ndarray] = None) -> np.ndarray:
@@ -326,23 +380,23 @@ def solve_least_squares(design: np.ndarray, target: np.ndarray,
     weighted design is rank deficient gets NaN instead of raising.  The K
     fits share the rows of a design (n, p) and target (n, ...), or have
     their own, design (K, n, p) and target (K, n, ...).
+
+    Fits that share their rows are solved from one QR of the design, each
+    by two p x p solves (see _shared_qr_solve), when their weighted design
+    is certified to be of full rank with a margin; the others, and fits with
+    their own rows, by a QR of each fit's weighted design.  The rank test,
+    and so the pattern of NaN, is the same either way.
     """
     design = np.asarray(design, dtype=float)
     target = np.asarray(target, dtype=float)
-    q, r = _weighted_qr(design, weights, "reduced")
-    bad = _dependent_columns(design, weights, r)
-    if weights is None:
-        _raise_if_dependent(bad, names)
     rhs = target.reshape(*design.shape[:-1], -1)
-    rhs = rhs[None] if weights is None else np.sqrt(weights)[:, :, None] * rhs
-    ok = bad < 0
-    if ok.all():
-        coef = np.linalg.solve(r, q.transpose(0, 2, 1) @ rhs)
+    if weights is None or design.ndim == 3 or len(design) < design.shape[1]:
+        coef = _qr_solve(design, rhs, weights, names)
     else:
-        coef = np.full((bad.size, design.shape[-1], rhs.shape[-1]), np.nan)
-        if ok.any():
-            coef[ok] = np.linalg.solve(r[ok], q[ok].transpose(0, 2, 1) @ rhs[ok])
-    coef = coef.reshape(bad.size, design.shape[-1], *target.shape[design.ndim - 1:])
+        coef, ok = _shared_qr_solve(design, rhs, weights)
+        if not ok.all():
+            coef[~ok] = _qr_solve(design, rhs, weights[~ok])
+    coef = coef.reshape(len(coef), design.shape[-1], *target.shape[design.ndim - 1:])
     return coef[0] if weights is None else coef
 
 

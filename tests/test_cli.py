@@ -227,6 +227,11 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     ["oracle-check", "--laws", "0"],
     ["make-fixture", "--n", "0", "--out-prefix", "fx"],
     ["replicate", "--model", "1", "--n", "100", "--reps", "2", "--workers", "0"],
+    ["simulate", "--model", "1", "--n", "100", "--seed", "-1", "--out", "s.csv"],
+    ["estimate", "--data", "d.csv", "--model", "1", "--seed", "-1"],
+    ["replicate", "--model", "1", "--n", "100", "--reps", "2", "--seed", "-1"],
+    ["oracle-check", "--laws", "1", "--seed", "-1"],
+    ["make-fixture", "--n", "10", "--seed", "-1", "--out-prefix", "fx"],
 ])
 def test_out_of_range_counts_are_usage_errors(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -12,6 +12,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnarfuse import baselines, cli, model1, model2, models
 from mnarfuse.baselines import mcar_estimate
@@ -316,6 +318,90 @@ def test_weighted_fits_flag_rank_deficient_members_with_nan():
     np.testing.assert_allclose(coefs[0], [1.0, 2.0], atol=1e-12)
     assert np.isnan(coefs[1]).all()
     assert dependent_columns(design, counts).tolist() == [-1, 1]
+
+
+def _shared_design(basis: str, x: np.ndarray) -> np.ndarray:
+    one = np.ones_like(x)
+    return np.column_stack({"quadratic": [one, x, x**2],
+                            "shifted": [one, x + 1e3],
+                            "cubic": [one, x, x**3],
+                            "shifted-cubic": [one, x + 1e3, x**3]}[basis])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 300), size=st.integers(1, 6),
+       basis=st.sampled_from(["quadratic", "shifted", "cubic", "shifted-cubic"]),
+       scale=st.sampled_from([1.0, 10.0]), density=st.floats(0.02, 1.0))
+def test_one_qr_route_matches_the_weighted_qr_route(seed, n, size, basis, scale, density):
+    # counts from 0 to 3 on a random share of the rows: members range from
+    # bootstrap-like to a handful of rows, and the route must certify only
+    # members that pass the QR's rank test
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * scale
+    design = _shared_design(basis, x)
+    target = np.column_stack([np.sin(x), x**2, rng.normal(size=n)])
+    counts = (rng.integers(0, 4, size=(size, n))
+              * (rng.random((size, n)) < density)).astype(float)
+    coefs, certified = models._shared_qr_solve(design, target, counts)
+    reference = models._qr_solve(design, target, counts)
+    assert (dependent_columns(design, counts)[certified] == -1).all()
+    for k in np.flatnonzero(certified):
+        assert (np.linalg.norm(coefs[k] - reference[k])
+                <= 1e-10 * np.linalg.norm(reference[k]))
+
+
+def _categorical_design(n=90, seed=8):
+    """A constant, a covariate and two indicators of a three-level
+    category, rows cycling through the levels."""
+    rng = np.random.default_rng(seed)
+    level = np.arange(n) % 3
+    design = np.column_stack([np.ones(n), rng.normal(size=n), level == 1, level == 2])
+    return design.astype(float), level, rng.normal(size=(n, 2))
+
+
+def test_rank_deficient_shared_members_get_the_qr_rank_test():
+    design, level, target = _categorical_design()
+    n = len(design)
+    counts = np.ones((6, n))
+    counts[1, level == 2] = 0.0  # a dropped level
+    counts[2] = 0.0
+    counts[2, :3] = 1.0  # fewer rows than columns
+    counts[3] = 0.0
+    counts[3, 4] = 5.0  # one row
+    counts[4] = 0.0  # all-zero weights
+    counts[5] = np.random.default_rng(1).multinomial(n, np.full(n, 1 / n))
+    bad = dependent_columns(design, counts)
+    assert bad.tolist() == [-1, 3, 3, 1, 0, -1]
+    coefs = solve_least_squares(design, target, weights=counts)
+    assert (np.isnan(coefs).all(axis=(1, 2)) == (bad >= 0)).all()
+    assert np.isfinite(coefs[bad < 0]).all()
+
+
+def _count_weighted_qrs(monkeypatch) -> list:
+    """The weights of each call of models._weighted_qr from here on."""
+    calls = []
+    weighted_qr = models._weighted_qr
+
+    def counted(design, weights, mode):
+        calls.append(weights)
+        return weighted_qr(design, weights, mode)
+
+    monkeypatch.setattr(models, "_weighted_qr", counted)
+    return calls
+
+
+def test_shared_stack_takes_one_qr_and_only_uncertified_members_reach_weighted_qrs(
+        monkeypatch):
+    design, level, target = _categorical_design()
+    n = len(design)
+    counts = np.random.default_rng(2).multinomial(n, np.full(n, 1 / n), size=8).astype(float)
+    calls = _count_weighted_qrs(monkeypatch)
+    solve_least_squares(design, target, weights=counts)
+    assert calls == []
+    counts[5, level == 1] = 0.0
+    coefs = solve_least_squares(design, target, weights=counts)
+    assert [c.tolist() for c in calls] == [counts[5:6].tolist()]
+    assert np.isnan(coefs[5]).all() and np.isfinite(np.delete(coefs, 5, axis=0)).all()
 
 
 # ---------------------------------------------------------------------------
