@@ -13,10 +13,9 @@ from .models import (
     evaluate_basis_matrix,
     linear_predictor,
     solve_least_squares,
-    stack_rows,
 )
 from .model1 import EstimationError
-from .report import EstimateReport, domain_arrays, stacked_domain_arrays
+from .report import EstimateReport, FitRows, domain_arrays
 
 
 def default_mar_basis(schema: VariableSchema) -> BasisSpec:
@@ -65,25 +64,23 @@ def mar_estimate(
     )
 
 
-def _stacked_mar(datasets: list) -> list[Optional[tuple[float, None]]]:
+def _stacked_mar(datasets: list, rows: FitRows) -> list[Optional[tuple[float, None]]]:
     """`mar_estimate` with its default basis on a block of datasets of one
-    schema, as one least squares whose members have their own rows:
-    (beta_hat, None) of each dataset, or None where it has no complete case,
-    a rank deficient design or a non-finite beta_hat, to be fitted on its
-    own."""
-    size = len(datasets)
-    primary, member = stacked_domain_arrays(datasets, DomainTag.PRIMARY)
-    x_basis = evaluate_basis_matrix(default_mar_basis(datasets[0].schema), primary.x)
-    cc = np.flatnonzero(primary.complete)
-    (design, counts), (y, _) = (stack_rows(rows, member[cc], size)
-                                for rows in (x_basis[cc], primary.y[cc]))
-    at_primary, rows = stack_rows(x_basis, member, size)
-    live = np.flatnonzero(counts.sum(axis=1) > 0)
-    out: list[Optional[tuple[float, None]]] = [None] * size
+    schema, laid out as FitRows.of_block, as one least squares whose members
+    have their own rows: (beta_hat, None) of each dataset, or None where it
+    has no complete case, a rank deficient design or a non-finite beta_hat,
+    to be fitted on its own."""
+    primary, cc = rows.counts("primary"), rows.counts("cc")
+    live = np.flatnonzero(cc.sum(axis=1) > 0)
+    out: list[Optional[tuple[float, None]]] = [None] * len(datasets)
     if live.size == 0:
         return out
-    coef = solve_least_squares(design[live], y[live], weights=counts[live])
-    betas = linear_predictor(at_primary[live], coef).sum(axis=1) / rows[live].sum(axis=1)
+    x_basis = default_mar_basis(datasets[0].schema)
+    x_cc, _, y_cc = rows["cc"]
+    design = rows.stack("cc", evaluate_basis_matrix(x_basis, x_cc))
+    coef = solve_least_squares(design[live], rows.stack("cc", y_cc)[live], weights=cc[live])
+    at_primary = rows.stack("primary", evaluate_basis_matrix(x_basis, *rows["primary"]))
+    betas = linear_predictor(at_primary[live], coef).sum(axis=1) / primary[live].sum(axis=1)
     for k, beta in zip(live.tolist(), betas.tolist()):
         if math.isfinite(beta):
             out[k] = (beta, None)

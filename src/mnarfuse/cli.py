@@ -92,11 +92,13 @@ def _load_schema_map(args) -> tuple[VariableSchema, dict, dict]:
             columns = dict(parser.items("columns"))
 
     covariates = getattr(args, "covariates", None) or cfg_schema.get("covariates", "x1")
+    if not _names(covariates):
+        raise DatasetFormatError(f"config file {args.config}: covariates names no column")
     m_levels = getattr(args, "m_levels", None) or cfg_schema.get("m_levels", "")
     schema = VariableSchema(
-        covariate_names=tuple(s.strip() for s in covariates.split(",") if s.strip()),
+        covariate_names=_names(covariates),
         m_kind=getattr(args, "m_kind", None) or cfg_schema.get("m_kind", "numeric"),
-        m_levels=tuple(s.strip() for s in m_levels.split(",") if s.strip()),
+        m_levels=_names(m_levels),
         y_kind=getattr(args, "y_kind", None) or cfg_schema.get("y_kind", "numeric"),
         missing_token=getattr(args, "missing_token", None)
         or cfg_schema.get("missing_token", "?"),
@@ -107,6 +109,11 @@ def _load_schema_map(args) -> tuple[VariableSchema, dict, dict]:
         raise DatasetFormatError(
             f"domain_primary and domain_auxiliary are both {primary!r}")
     return schema, columns, {primary: DomainTag.PRIMARY, auxiliary: DomainTag.AUXILIARY}
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """The names of a comma-separated list, blanks dropped."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 # bench/tracing.py and bench/workloads.py look the reader up under this name.
@@ -319,9 +326,16 @@ def _worker_count(text: str) -> int:
     return min(_positive_int(text), os.cpu_count() or 1)
 
 
+def _name_list(text: str) -> str:
+    """A comma-separated list that names at least one column."""
+    if not _names(text):
+        raise argparse.ArgumentTypeError(f"names no column: {text!r}")
+    return text
+
+
 def _add_schema_flags(sub):
     sub.add_argument("--config", help="schema-map INI for external CSV files")
-    sub.add_argument("--covariates", help="comma-separated covariate names")
+    sub.add_argument("--covariates", type=_name_list, help="comma-separated covariate names")
     sub.add_argument("--m-kind", dest="m_kind", choices=["numeric", "categorical"])
     sub.add_argument("--m-levels", dest="m_levels", help="comma-separated M levels")
     sub.add_argument("--y-kind", dest="y_kind", choices=["numeric", "binary"])

@@ -25,7 +25,7 @@ from .data import DomainTag, PooledDataset
 from .model1 import EstimationError, estimate_model1
 from .model2 import estimate_model2
 from .models import RankDeficientError
-from .report import ConfidenceInterval, EstimateReport, RefitCounts, domain_rows
+from .report import ConfidenceInterval, EstimateReport, FitRows, RefitCounts, domain_rows
 from .simulate import (
     Model1Design,
     Model2Design,
@@ -303,13 +303,16 @@ def _run_block(design, seed: int, reps: range, estimators: dict) -> dict:
     """name -> (beta_hats, whether each fit's solver stopped unconverged, fit
     counts) over the block's replicates; a beta_hat is NaN where the fit
     failed.  An estimator with a `stacked_fits` attribute (the default bank
-    but MCAR) fits the block's datasets as one stack through it."""
+    but MCAR) fits the block's datasets as one stack through it, as
+    stacked_fits(datasets, rows): rows is the block's FitRows.of_block,
+    split once here and read by every such estimator."""
     datasets = [generate_for(design, int(make_rng(seed, rep).integers(2**31)))
                 for rep in reps]
+    stacked = {name: getattr(fn, "stacked_fits", None) for name, fn in estimators.items()}
+    rows = FitRows.of_block(datasets) if any(stacked.values()) else None
     out = {}
     for name, fn in estimators.items():
-        stacked = getattr(fn, "stacked_fits", None)
-        fits = [None] * len(datasets) if stacked is None else stacked(datasets)
+        fits = [None] * len(datasets) if stacked[name] is None else stacked[name](datasets, rows)
         counts = Counter()
         values, nonconverged = [], []
         for beta_hat, solver, failure in _fit_each(fn, fits, datasets, lambda ds: ds, counts):
@@ -374,7 +377,6 @@ def replicate(
     seed: int = 0,
     estimators: Optional[dict] = None,
     n_workers: int = 1,
-    beta_true: Optional[TrueBeta] = None,
 ) -> ReplicationReport:
     """Monte Carlo replication of the estimator bank over fresh datasets.
 
@@ -398,8 +400,7 @@ def replicate(
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     if estimators is None:
         estimators = default_estimators(design)
-    if beta_true is None:
-        beta_true = true_beta(design)
+    beta_true = true_beta(design)
 
     blocks = _blocks(design, n_reps)
     if n_workers > 1 and len(blocks) > 1:

@@ -31,16 +31,9 @@ from .models import (
     fit_logistic,  # noqa: F401  (a lookup site patched by bench/tracing.py)
     member_sums,
     solve_least_squares,
-    stack_rows,
     weighted_cross_products,
 )
-from .report import (
-    DomainArrays,
-    EstimateReport,
-    domain_arrays,
-    domain_rows,
-    stacked_domain_arrays,
-)
+from .report import DomainArrays, EstimateReport, FitRows, domain_arrays, domain_rows
 from .solver import MomentSystem, SolverResult, newton_stack, solve
 
 
@@ -97,35 +90,14 @@ def _require_domains(dataset: PooledDataset) -> tuple[DomainArrays, DomainArrays
     return primary, auxiliary
 
 
-class _OwnRows:
-    """Puts rows in the form a stack uses: unchanged when its members share
-    them (member None), else stacked by models.stack_rows, member[i] being
-    the member of row i.  `counts` keeps the frequency weights of the last
-    stacking, which count each member's rows once."""
-
-    def __init__(self, member: Optional[np.ndarray], size: int = 1):
-        self.member, self._size, self.counts = member, size, None
-
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        if self.member is None:
-            return rows
-        rows, self.counts = stack_rows(rows, self.member, self._size)
-        return rows
-
-
-def _aux_regression_matrices(primary: DomainArrays, auxiliary: DomainArrays,
-                             h_basis: BasisSpec, aux_regression_basis: BasisSpec,
-                             aux_rows: Optional[_OwnRows] = None,
-                             primary_rows: Optional[_OwnRows] = None):
+def _aux_regression_matrices(rows: FitRows, h_basis: BasisSpec,
+                             aux_regression_basis: BasisSpec):
     """h over the auxiliary complete cases, the X-only regression basis
-    there, and that basis at every primary-domain X; as aux_rows and
-    primary_rows stack them, when given."""
-    cc = np.flatnonzero(auxiliary.complete)
-    aux_rows = aux_rows or _OwnRows(None)
-    primary_rows = primary_rows or _OwnRows(None)
-    return (aux_rows(evaluate_basis_matrix(h_basis, auxiliary.x[cc], auxiliary.m[cc])),
-            aux_rows(evaluate_basis_matrix(aux_regression_basis, auxiliary.x[cc])),
-            primary_rows(evaluate_basis_matrix(aux_regression_basis, primary.x)))
+    there, and that basis at every primary-domain X; as rows stacks them."""
+    x, m = rows["aux_cc"]
+    return (rows.stack("aux_cc", evaluate_basis_matrix(h_basis, x, m)),
+            rows.stack("aux_cc", evaluate_basis_matrix(aux_regression_basis, x)),
+            rows.stack("primary", evaluate_basis_matrix(aux_regression_basis, *rows["primary"])))
 
 
 def fit_aux_moment_targets(
@@ -150,7 +122,7 @@ def fit_aux_moment_targets(
             f"{len(aux_regression_basis.terms)} regression terms"
         )
     h_cc, design, design_primary = _aux_regression_matrices(
-        primary, auxiliary, h_basis, aux_regression_basis)
+        FitRows(primary, auxiliary), h_basis, aux_regression_basis)
     coefs = solve_least_squares(design, h_cc, aux_regression_basis.column_names())
     return design_primary @ coefs, coefs
 
@@ -161,38 +133,31 @@ class _Calibration:
     point fit, the resamples of one dataset (StackedRefits) or a block of
     datasets (fit_datasets).
 
-    B is `basis` over the complete cases (x, m, y), h is `h_basis` there, and
-    the offset is -fixed_gamma * y.  The members share the rows of one
-    dataset, or, when `member` gives the member of each row of `primary`
-    (the rows of `size` members, one member after another), each has its
-    own: every row array then has a leading member axis (see
-    models.stack_rows), and `counts` and `primary_counts` count each
-    member's complete cases and primary rows once.  Member k counts complete
-    case i counts[k, i] times, or once when counts is None, and has its own
-    n1 and target; methods take theta (K, p) and the members' counts, n1 and
-    targets.  The Jacobian is -h^T diag(c * slope) B / n1.
+    B is `basis` over the complete cases (x, m, y) of the FitRows `rows`, h
+    is `h_basis` there, and the offset is -fixed_gamma * y.  The members
+    share the rows of one dataset, or each has its own, as `rows` lays them
+    out: every row array then has a leading member axis.  Member k counts
+    complete case i counts[k, i] times, or once when counts is None, and has
+    its own n1 and target; methods take theta (K, p) and the members'
+    counts, n1 and targets.  The Jacobian is -h^T diag(c * slope) B / n1.
     """
 
-    def __init__(self, primary: DomainArrays, basis: BasisSpec, h_basis: BasisSpec,
-                 m_dim: int, w_max: float = W_MAX, fixed_gamma: float = 0.0,
-                 member: Optional[np.ndarray] = None, size: int = 1):
+    def __init__(self, rows: FitRows, basis: BasisSpec, h_basis: BasisSpec,
+                 w_max: float = W_MAX, fixed_gamma: float = 0.0):
+        x_cc, m_cc, y = rows["cc"]
+        m_dim = m_cc.shape[1]
         if h_basis.width(m_dim) < basis.width(m_dim):
             raise EstimationError(
                 f"h basis has {h_basis.width(m_dim)} components for {basis.width(m_dim)} "
                 "propensity parameters"
             )
-        cc = np.flatnonzero(primary.complete)
-        x_cc, m_cc, y = primary.x[cc], primary.m[cc], primary.y[cc]
-        primary_rows = _OwnRows(member, size)
-        cc_rows = _OwnRows(None if member is None else member[cc], size)
-        self.design = cc_rows(evaluate_basis_matrix(basis, x_cc, m_cc, y))
-        self.h = cc_rows(evaluate_basis_matrix(h_basis, x_cc, m_cc))
-        self.y, self.counts = cc_rows(y), cc_rows.counts
+        self.design = rows.stack("cc", evaluate_basis_matrix(basis, x_cc, m_cc, y))
+        self.h = rows.stack("cc", evaluate_basis_matrix(h_basis, x_cc, m_cc))
+        self.y = rows.stack("cc", y)
         self.offset = -fixed_gamma * self.y if fixed_gamma else 0.0
         self.w_max = w_max
         x_only = BasisSpec(tuple(t for t in basis.terms if not (t.uses_m or t.uses_y)))
-        self._x_only = primary_rows(evaluate_basis_matrix(x_only, primary.x))
-        self.primary_counts = primary_rows.counts
+        self._x_only = rows.stack("primary", evaluate_basis_matrix(x_only, *rows["primary"]))
         self._h_diag_b = None  # built on the first Jacobian
 
     def take(self, members: np.ndarray) -> "_Calibration":
@@ -270,7 +235,7 @@ def calibrate(
         raise EstimationError("no complete cases in the primary domain")
 
     preds, aux_coefs = fit_aux_moment_targets(dataset, h_basis, aux_regression_basis)
-    equation = _Calibration(primary, basis, h_basis, dataset.schema.m_dim, w_max, fixed_gamma)
+    equation = _Calibration(FitRows(primary, auxiliary), basis, h_basis, w_max, fixed_gamma)
     n1s, target = np.array([n1]), preds.mean(axis=0)[None]
     result = solve(
         MomentSystem(
@@ -332,14 +297,12 @@ class _AuxTargets:
     """The calibration targets of the members of a stack: each member's
     weighted regression of h on the X-only basis over the auxiliary complete
     cases, predicted at its primary rows and averaged there.  The rows are
-    shared, or each member's own as aux_rows and primary_rows stack them."""
+    shared, or each member's own, as `rows` lays them out."""
 
-    def __init__(self, primary: DomainArrays, auxiliary: DomainArrays, h_basis: BasisSpec,
-                 aux_regression_basis: BasisSpec, aux_rows: Optional[_OwnRows] = None,
-                 primary_rows: Optional[_OwnRows] = None):
+    def __init__(self, rows: FitRows, h_basis: BasisSpec, aux_regression_basis: BasisSpec):
         self.min_aux_cc = max(1, len(aux_regression_basis.terms))
         self._h, self._design, self._at_primary = _aux_regression_matrices(
-            primary, auxiliary, h_basis, aux_regression_basis, aux_rows, primary_rows)
+            rows, h_basis, aux_regression_basis)
 
     def __call__(self, primary: np.ndarray, aux_cc: np.ndarray, live: np.ndarray) -> np.ndarray:
         """The (len(live), q) targets of the live members, member k counting
@@ -354,10 +317,11 @@ class _AuxTargets:
                          coefs) / primary.sum(axis=1)[:, None]
 
 
-def _live(n1, n_aux, n_cc, n_aux_cc, min_aux_cc: int) -> np.ndarray:
-    """The members with rows in both domains, a primary complete case and
-    enough auxiliary complete cases for the auxiliary regression."""
-    return np.flatnonzero((n1 > 0) & (n_aux > 0) & (n_cc > 0) & (n_aux_cc >= min_aux_cc))
+def _live(cc: np.ndarray, aux_cc: np.ndarray, min_aux_cc: int) -> np.ndarray:
+    """The members with a primary complete case and at least min_aux_cc >= 1
+    auxiliary complete cases (so rows in both domains), as cc and aux_cc
+    count each member's primary and auxiliary complete cases."""
+    return np.flatnonzero((cc.sum(axis=1) > 0) & (aux_cc.sum(axis=1) >= min_aux_cc))
 
 
 def _fit_stack(equation: _Calibration, primary: np.ndarray, cc: np.ndarray, live: np.ndarray,
@@ -427,8 +391,9 @@ class StackedRefits:
         self._primary_rows = domain_rows(dataset, DomainTag.PRIMARY)
         self._aux_rows = domain_rows(dataset, DomainTag.AUXILIARY)
         self._cc, self._aux_cc = primary.complete, auxiliary.complete
-        self._targets = _AuxTargets(primary, auxiliary, h_basis, aux_regression_basis)
-        self._equation = _Calibration(primary, basis, h_basis, dataset.schema.m_dim)
+        rows = FitRows(primary, auxiliary)
+        self._targets = _AuxTargets(rows, h_basis, aux_regression_basis)
+        self._equation = _Calibration(rows, basis, h_basis)
         width = self._equation.design.shape[1]
         self._start = None
         if point is not None and point.converged and point.theta_hat.shape == (width,):
@@ -441,43 +406,24 @@ class StackedRefits:
                           dtype=float)
         primary, auxiliary = counts[:, self._primary_rows], counts[:, self._aux_rows]
         cc, aux_cc = primary[:, self._cc], auxiliary[:, self._aux_cc]
-        live = _live(primary.sum(axis=1), auxiliary.sum(axis=1), cc.sum(axis=1),
-                     aux_cc.sum(axis=1), self._targets.min_aux_cc)
+        live = _live(cc, aux_cc, self._targets.min_aux_cc)
         return _fit_stack(self._equation, primary, cc, live,
                           self._targets(primary, aux_cc, live), self._start)
 
 
-def fit_datasets(datasets: list, basis: BasisSpec, h_basis: BasisSpec,
+def fit_datasets(rows: FitRows, basis: BasisSpec, h_basis: BasisSpec,
                  aux_regression_basis: BasisSpec) -> list[Optional[tuple[float, SolverResult]]]:
-    """`_fit_stack` of a block of datasets of one schema, each member with its
-    own rows: (beta_hat, solver result) of each dataset's fit, or None where
-    it is to be fitted on its own."""
-    primary, member = stacked_domain_arrays(datasets, DomainTag.PRIMARY)
-    # the auxiliary rows are dropped before the calibration rows are
-    # stacked, which bounds the memory of a block
-    live, target = _own_targets(datasets, primary, member, h_basis, aux_regression_basis)
-    equation = _Calibration(primary, basis, h_basis, datasets[0].schema.m_dim,
-                            member=member, size=len(datasets))
-    del primary, member
-    return _fit_stack(equation, equation.primary_counts, equation.counts, live, target)
-
-
-def _own_targets(datasets: list, primary: DomainArrays, primary_member: np.ndarray,
-                 h_basis: BasisSpec, aux_regression_basis: BasisSpec):
-    """The live members of a block of datasets (see `_live`) and their
-    targets."""
-    size = len(datasets)
-    auxiliary, aux_member = stacked_domain_arrays(datasets, DomainTag.AUXILIARY)
-    aux_rows = _OwnRows(aux_member[np.flatnonzero(auxiliary.complete)], size)
-    primary_rows = _OwnRows(primary_member, size)
-    targets = _AuxTargets(primary, auxiliary, h_basis, aux_regression_basis, aux_rows,
-                          primary_rows)
-    cc_member = primary_member[np.flatnonzero(primary.complete)]
-    live = _live(*(np.bincount(m, minlength=size)
-                   for m in (primary_member, aux_member, cc_member, aux_rows.member)),
-                 targets.min_aux_cc)
-    del auxiliary, aux_member, cc_member
-    return live, targets(primary_rows.counts, aux_rows.counts, live)
+    """`_fit_stack` of a block of datasets, each member with its own rows,
+    as FitRows.of_block lays them out: (beta_hat, solver result) of each
+    dataset's fit, or None where it is to be fitted on its own."""
+    primary, cc, aux_cc = (rows.counts(name) for name in ("primary", "cc", "aux_cc"))
+    targets = _AuxTargets(rows, h_basis, aux_regression_basis)
+    live = _live(cc, aux_cc, targets.min_aux_cc)
+    target = targets(primary, aux_cc, live)
+    # the auxiliary regression's stacked rows are dropped before the
+    # calibration's are built, which bounds the memory of a block
+    del targets
+    return _fit_stack(_Calibration(rows, basis, h_basis), primary, cc, live, target)
 
 
 def estimate_model1(
@@ -501,10 +447,10 @@ def _stacked_model1(dataset: PooledDataset,
                          spec.aux_regression_basis, point)
 
 
-def _stacked_fits_model1(datasets: list) -> list[Optional[tuple[float, SolverResult]]]:
+def _stacked_fits_model1(datasets: list,
+                         rows: FitRows) -> list[Optional[tuple[float, SolverResult]]]:
     spec = Model1Spec.default(datasets[0].schema)
-    return fit_datasets(datasets, spec.propensity_basis, spec.h_basis,
-                        spec.aux_regression_basis)
+    return fit_datasets(rows, spec.propensity_basis, spec.h_basis, spec.aux_regression_basis)
 
 
 # bootstrap_ci refits the estimator with its defaults through stacked_refits,

@@ -36,7 +36,7 @@ from .model1 import (
     calibrate,
     fit_datasets,
 )
-from .report import EstimateReport
+from .report import EstimateReport, FitRows
 from .solver import SolverResult, solve  # noqa: F401  (solve: bench/tracing.py patches it)
 
 
@@ -104,9 +104,10 @@ def _stacked_model2(dataset: PooledDataset,
                          spec.h_basis, spec.aux_regression_basis, point)
 
 
-def _stacked_fits_model2(datasets: list) -> list[Optional[tuple[float, SolverResult]]]:
+def _stacked_fits_model2(datasets: list,
+                         rows: FitRows) -> list[Optional[tuple[float, SolverResult]]]:
     spec = Model2Spec.default(datasets[0].schema)
-    return fit_datasets(datasets, _tilted_basis(spec.baseline_basis, spec.n_or_params),
+    return fit_datasets(rows, _tilted_basis(spec.baseline_basis, spec.n_or_params),
                         spec.h_basis, spec.aux_regression_basis)
 
 

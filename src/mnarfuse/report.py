@@ -8,6 +8,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .data import DomainTag, PooledDataset, m_features
+from .models import stack_rows
 from .solver import SolverResult
 
 
@@ -132,11 +133,52 @@ def _split_domain(dataset: PooledDataset, tag: DomainTag) -> DomainArrays:
     return split
 
 
-def stacked_domain_arrays(datasets: list, tag: DomainTag) -> tuple[DomainArrays, np.ndarray]:
-    """One domain of several datasets of one schema: its rows in each
-    dataset, one dataset after another, and the index of each row's
-    dataset."""
-    parts = [domain_arrays(ds, tag) for ds in datasets]
-    member = np.repeat(np.arange(len(parts)), [part.n for part in parts])
-    return DomainArrays(*(np.concatenate([getattr(part, name) for part in parts])
-                          for name in ("x", "m", "y", "r"))), member
+class FitRows:
+    """The row sets that calibration fits read: "primary", the primary
+    domain's (x,); "cc", its complete cases' (x, m, y); "aux_cc", the
+    auxiliary complete cases' (x, m).  The members of a stack share one
+    dataset's rows, FitRows(primary, auxiliary), or each has its own,
+    FitRows.of_block(datasets), whose sets hold their members' rows one
+    member after another.  The fits evaluate their bases themselves, so
+    bench/tracing.py finds those calls where it patches them."""
+
+    def __init__(self, primary: DomainArrays, auxiliary: DomainArrays):
+        # an index array selects rows several times faster than a mask
+        cc, aux_cc = np.flatnonzero(primary.complete), np.flatnonzero(auxiliary.complete)
+        self._sets = {"primary": (primary.x,),
+                      "cc": (primary.x[cc], primary.m[cc], primary.y[cc]),
+                      "aux_cc": (auxiliary.x[aux_cc], auxiliary.m[aux_cc])}
+        self._sizes: Optional[dict] = None  # shared rows
+
+    @classmethod
+    def of_block(cls, datasets: list) -> "FitRows":
+        """The rows of a block of datasets of one schema, each a member with
+        its own rows.  Each dataset keeps its primary split, which its MCAR
+        fit reads, but not its auxiliary one, which bounds the memory of a
+        block."""
+        members = [cls(domain_arrays(ds, DomainTag.PRIMARY),
+                       _split_domain(ds, DomainTag.AUXILIARY)) for ds in datasets]
+        block = cls.__new__(cls)
+        block._sets = {name: tuple(map(np.concatenate, zip(*(rows[name] for rows in members))))
+                       for name in members[0]._sets}
+        block._sizes = {name: np.array([len(rows[name][0]) for rows in members])
+                       for name in block._sets}
+        return block
+
+    def __getitem__(self, name: str) -> tuple[np.ndarray, ...]:
+        return self._sets[name]
+
+    def stack(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """Rows (N, ...) over the row set `name`: unchanged when the members
+        share them, else the (K, n, ...) stack of each member's own rows
+        (see models.stack_rows)."""
+        if self._sizes is None:
+            return rows
+        sizes = self._sizes[name]
+        return stack_rows(rows, np.repeat(np.arange(sizes.size), sizes), sizes.size)[0]
+
+    def counts(self, name: str) -> np.ndarray:
+        """The (K, n) frequency weights of a block's stacked row set `name`:
+        1 on each member's rows, 0 on the padding after them."""
+        sizes = self._sizes[name]
+        return (np.arange(sizes.max(initial=0)) < sizes[:, None]).astype(float)

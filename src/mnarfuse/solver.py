@@ -38,7 +38,7 @@ class ResidualError(ValueError):
 @dataclass(frozen=True)
 class SolverResult:
     theta_hat: np.ndarray
-    status: str  # "converged" | "max_iter" | "singular"
+    status: str  # "converged" | "max_iter" | "singular" | "stalled" (no line-search decrease)
     final_residual_norm: float
     iterations: int
     residual_evals: int
@@ -175,7 +175,7 @@ def _iterate(counted: _Counted, theta, r, active: np.ndarray):
             scale *= 0.5
         else:
             # no decrease found: stalled where the criterion already failed
-            iters[searching] = it
+            status[searching], iters[searching] = "stalled", it
             active = active[~np.isin(active, searching)]
     if active.size:
         jac = None if just_identified else counted.jacobian(theta[active], active)

@@ -198,7 +198,8 @@ def test_fixture_pipeline(tmp_path, capsys):
     prefix = tmp_path / "covid"
     assert run(["make-fixture", "--n", "1200", "--seed", "5",
                 "--out-prefix", str(prefix)]) == 0
-    rows = list(csv.DictReader(open(prefix.with_suffix(".csv"))))
+    with open(prefix.with_suffix(".csv")) as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1200
 
     # missing-rate summary matches the construction: the missing token
@@ -237,6 +238,27 @@ def test_out_of_range_counts_are_usage_errors(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 2
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spelling", ["flag-empty", "flag-blank-names", "config-empty"])
+def test_a_blank_covariate_list_is_an_error(tmp_path, capsys, spelling):
+    # a list that names no column would fit without X: an error, not a
+    # fallback to the default and not an X-free schema
+    data, config, report = tmp_path / "d.csv", tmp_path / "d.ini", tmp_path / "r.json"
+    assert run(["simulate", "--model", "1", "--n", "200", "--seed", "1000",
+                "--out", str(data)]) == 0
+    config.write_text("[schema]\ncovariates =\n")
+    flags = {"flag-empty": ["--covariates", ""], "flag-blank-names": ["--covariates", " , "],
+             "config-empty": ["--config", str(config)]}[spelling]
+    capsys.readouterr()
+    code = run(["estimate", "--data", str(data), "--model", "1", "--json", str(report), *flags])
+    assert not report.exists()
+    err = capsys.readouterr().err
+    if spelling == "config-empty":
+        assert code == 1
+        assert err == f"error: config file {config}: covariates names no column\n"
+    else:
+        assert code == 2 and "--covariates: names no column" in err
 
 
 def test_workers_clamped_to_cpu_count():

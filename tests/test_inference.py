@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mnarfuse import inference
 from mnarfuse.data import DomainTag, PooledDataset, UnitRecord, VariableSchema
 from mnarfuse.inference import (
     BootstrapConfig,
@@ -155,8 +156,7 @@ def test_programming_errors_propagate_out_of_bootstrap_and_replicate():
     with pytest.raises(TypeError):
         bootstrap_ci(_repeated_row_dataset(), broken, BootstrapConfig(k=5, seed=0))
     with pytest.raises(TypeError):
-        replicate(Model1Design(n=300), n_reps=2, seed=3, estimators={"bad": broken},
-                  beta_true=TrueBeta(1.8, "fixed"))
+        replicate(Model1Design(n=300), n_reps=2, seed=3, estimators={"bad": broken})
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -168,10 +168,10 @@ def test_bootstrap_config_rejects_out_of_range(kwargs):
         BootstrapConfig(**kwargs)
 
 
-def test_pct_bias_is_nan_at_zero_truth(tmp_path):
+def test_pct_bias_is_nan_at_zero_truth(tmp_path, monkeypatch):
+    monkeypatch.setattr(inference, "true_beta", lambda design: TrueBeta(0.0, "zero"))
     report = replicate(Model1Design(n=300), n_reps=3, seed=1,
-                       estimators={"mcar": mcar_estimate},
-                       beta_true=TrueBeta(0.0, "zero"))
+                       estimators={"mcar": mcar_estimate})
     summary = report.summaries[0]
     assert np.isnan(summary.pct_bias) and np.isfinite(summary.bias)
     assert "nan%" in report.to_text()
@@ -191,22 +191,21 @@ def test_nonconverged_refits_are_kept_and_counted():
     assert solver.status == "max_iter" and solver.jacobian_evals <= _MAX_ITER
     config = BootstrapConfig(k=4, seed=0)
     ci = bootstrap_ci(ds, estimate_model1, config)
-    assert ci.nonconverged == {"max_iter": 4} and ci.n_failed == 0
+    assert ci.nonconverged == {"max_iter": 3, "stalled": 1} and ci.n_failed == 0
     refits = [estimate_model1(_resample(ds, make_rng(0, b))).beta_hat
               for b in range(config.k)]
     tail = 0.5 * (1.0 - config.ci_level)
     assert (ci.lo, ci.hi) == tuple(np.quantile(refits, [tail, 1.0 - tail]))
     report = estimate_model1(ds)
     report.ci = ci
-    assert report.to_dict()["ci"]["nonconverged"] == {"max_iter": 4}
+    assert report.to_dict()["ci"]["nonconverged"] == {"max_iter": 3, "stalled": 1}
 
 
 def test_replicate_counts_nonconverged_fits_among_the_kept():
     from mnarfuse.model1 import estimate_model1
 
     report = replicate(Model1Design(n=500, setting="F"), n_reps=12, seed=1,
-                       estimators={"ipw": estimate_model1, "mcar": mcar_estimate},
-                       beta_true=TrueBeta(1.8, "fixed"))
+                       estimators={"ipw": estimate_model1, "mcar": mcar_estimate})
     by_name = {s.name: s for s in report.summaries}
     assert (by_name["ipw"].n_ok, by_name["ipw"].n_failed) == (12, 0)
     assert by_name["ipw"].n_nonconverged == 1

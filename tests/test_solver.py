@@ -146,7 +146,7 @@ def test_counts_of_the_one_attempt():
     # its line search halves 30 times without a decrease and stalls
     result = solve(MomentSystem(residual=lambda t: np.ones(1),
                                 jacobian=lambda t: np.ones((1, 1)), init=np.zeros(1)))
-    assert (result.status, result.iterations) == ("max_iter", 1)
+    assert (result.status, result.iterations) == ("stalled", 1)
     # the start, then the 30 line-search trials
     assert (result.residual_evals, result.jacobian_evals) == (31, 1)
 
@@ -165,7 +165,7 @@ _JUST_IDENTIFIED = {
     "polished": ((lambda t: t - 3.0, lambda t: np.eye(1)), 0.0, ("converged", 2)),
     "converged-at-the-last-check": ((np.cbrt, _cbrt_jacobian), 1e6, ("converged", 100)),
     "iteration-cap": ((np.cbrt, _cbrt_jacobian), 1e9, ("max_iter", 100)),
-    "stalled": ((lambda t: np.ones(1), lambda t: np.ones((1, 1))), 0.0, ("max_iter", 1)),
+    "stalled": ((lambda t: np.ones(1), lambda t: np.ones((1, 1))), 0.0, ("stalled", 1)),
     "singular": ((lambda t: t ** 3 - 8.0, lambda t: 3.0 * t[None] ** 2), 0.0, ("singular", 0)),
     "non-finite-start": ((lambda t: np.full(1, np.nan), lambda t: np.eye(1)), 0.0, None),
 }
@@ -174,7 +174,7 @@ _OVERDETERMINED = {
                0.0, ("converged", 1)),
     "nonlinear": ((lambda t: np.array([np.exp(t[0]) - 2.0, t[0] - 1.0]),
                    lambda t: np.array([[np.exp(t[0])], [1.0]])), 0.0, ("converged", 8)),
-    "stalled": ((lambda t: np.ones(2), lambda t: np.ones((2, 1))), 0.0, ("max_iter", 1)),
+    "stalled": ((lambda t: np.ones(2), lambda t: np.ones((2, 1))), 0.0, ("stalled", 1)),
     "non-finite-start": ((lambda t: np.array([np.nan, 0.0]), lambda t: np.ones((2, 1))),
                          0.0, None),
 }

@@ -37,7 +37,6 @@ from mnarfuse.models import (
 from mnarfuse.simulate import (
     Model1Design,
     Model2Design,
-    TrueBeta,
     generate_model1,
     generate_model2,
     make_rng,
@@ -434,6 +433,42 @@ def test_stacked_replication_matches_fitting_each_dataset(name):
     assert all(counts.stacked == 0 for counts in reference.fits.values())
 
 
+def _complete_cases(dataset, tag):
+    return int(np.count_nonzero((dataset.g == tag) & (dataset.r == 1)))
+
+
+@pytest.mark.parametrize("design_class", [Model1Design, Model2Design], ids=["model1", "model2"])
+def test_tiny_replicate_blocks_match_fitting_each_dataset(design_class):
+    # one block of 40 tiny datasets per n: its members include ones with no
+    # auxiliary complete case, no primary complete case, and fewer
+    # auxiliary complete cases than the three auxiliary regression terms
+    kinds = set()
+    for n in (3, 8, 12):
+        design = design_class(n=n)
+        assert len(inference._blocks(design, 40)) == 1
+        for rep in range(40):
+            dataset = inference.generate_for(design, int(make_rng(0, rep).integers(2**31)))
+            aux_cc = _complete_cases(dataset, DomainTag.AUXILIARY)
+            if aux_cc == 0:
+                kinds.add("no auxiliary complete case")
+            elif aux_cc < 3:
+                kinds.add("too few auxiliary complete cases")
+            if _complete_cases(dataset, DomainTag.PRIMARY) == 0:
+                kinds.add("no primary complete case")
+        bank = default_estimators(design)
+        stacked = replicate(design, n_reps=40, seed=0)
+        reference = replicate(design, n_reps=40, seed=0,
+                              estimators={key: _per_refit(fn) for key, fn in bank.items()})
+        for key in bank:
+            values, expected = stacked.estimates[key], reference.estimates[key]
+            np.testing.assert_array_equal(np.isnan(values), np.isnan(expected))
+            np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+        assert ([(s.name, s.n_failed) for s in stacked.summaries]
+                == [(s.name, s.n_failed) for s in reference.summaries])
+    assert kinds == {"no auxiliary complete case", "too few auxiliary complete cases",
+                     "no primary complete case"}
+
+
 def test_a_nonconverged_replicate_is_refitted_on_its_own():
     # replicate 5 of this panel stops at max_iter in the stack and on its own
     report = replicate(Model1Design(n=500, setting="F"), n_reps=16, seed=1)
@@ -472,8 +507,7 @@ def two_blocks(monkeypatch):
 
     def run(n_workers, estimators=None, n_reps=4):
         return replicate(design, n_reps=n_reps, seed=2, n_workers=n_workers,
-                         estimators=estimators or {"mcar": mcar_estimate},
-                         beta_true=TrueBeta(1.8, "fixed"))
+                         estimators=estimators or {"mcar": mcar_estimate})
     return run
 
 
