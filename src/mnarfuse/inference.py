@@ -77,10 +77,6 @@ def _draw(dataset: PooledDataset, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
 
 
-def _resample(dataset: PooledDataset, rng: np.random.Generator) -> PooledDataset:
-    return dataset.take(_draw(dataset, rng))
-
-
 def bootstrap_ci(
     dataset: PooledDataset,
     estimator: Estimator,

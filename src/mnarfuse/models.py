@@ -242,24 +242,19 @@ def _raise_if_dependent(bad: np.ndarray, names: Optional[list[str]] = None) -> N
         raise RankDeficientError(j, names[j] if names and j < len(names) else "")
 
 
-def stack_rows(rows: np.ndarray, member: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of `size` members as a stack of their own rows.
+def stack_rows(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The rows of members of the given sizes as a stack of their own rows.
 
-    rows (N, ...) holds the members' rows one member after another, and
-    member (N,) the member of each row.  Returns the (size, n, ...) stack,
-    n the most rows a member has, zero on the padding after a member's
-    rows, and the (size, n) frequency weights that count each real row once
-    and the padding 0 times.
+    rows (N, ...) holds the members' rows one member after another, sizes
+    (K,) how many each has.  Returns the (K, n, ...) stack, n the most rows
+    a member has, zero on the padding after a member's rows.
     """
-    sizes = np.bincount(member, minlength=size).tolist()
-    stacked = np.zeros((size, max(sizes, default=0)) + rows.shape[1:])
-    real = np.zeros(stacked.shape[:2])
+    stacked = np.zeros((sizes.size, sizes.max(initial=0)) + rows.shape[1:])
     start = 0
-    for k, n in enumerate(sizes):  # slices: far faster than a mask or index assignment
+    for k, n in enumerate(sizes.tolist()):  # slices: far faster than a mask or index assignment
         stacked[k, :n] = rows[start:start + n]
-        real[k, :n] = 1.0
         start += n
-    return stacked, real
+    return stacked
 
 
 def linear_predictor(design: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,10 +66,6 @@ class DiscreteFullLaw:
             if np.any((p_x > 0) & (p_x_r1 <= 0)):
                 raise OracleError(f"positivity fails: p(R=1|x, g={g + 1}) = 0 somewhere")
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return len(self.x_support), len(self.m_support), len(self.y_support)
-
 
 def reference_y_index(y_support) -> int:
     """Odds-ratio anchor: the index of y = 0, else the smallest support point."""
@@ -103,15 +99,6 @@ class ObservedLaw:
     primary_r0: np.ndarray
     aux_r1: np.ndarray
     aux_r0: np.ndarray
-
-    @property
-    def total_mass(self) -> float:
-        return float(
-            self.primary_r1.sum()
-            + self.primary_r0.sum()
-            + self.aux_r1.sum()
-            + self.aux_r0.sum()
-        )
 
     @property
     def p_g1(self) -> float:
@@ -149,22 +136,15 @@ class AssumptionCheckResult:
 def _max_conditional_dev(joint: np.ndarray, cond_axis: int) -> float:
     """Max deviation of p(target | ..., cond) from p(target | ...) where the
     conditioning variable sits on cond_axis and the target on the last axis."""
-    joint = np.moveaxis(joint, cond_axis, -2)
-    # joint now indexed (..., cond, target)
-    dev = 0.0
-    base_mass = joint.sum(axis=(-2, -1))
-    base = joint.sum(axis=-2)
-    it = np.ndindex(base_mass.shape)
-    for idx in it:
-        if base_mass[idx] <= 0:
-            continue
-        p_base = base[idx] / base_mass[idx]
-        for c in range(joint.shape[-2]):
-            mass = joint[idx][c].sum()
-            if mass <= 0:
-                continue
-            dev = max(dev, float(np.max(np.abs(joint[idx][c] / mass - p_base))))
-    return dev
+    joint = np.moveaxis(joint, cond_axis, -2)  # (..., cond, target)
+    mass = joint.sum(axis=-1, keepdims=True)
+    base = joint.sum(axis=-2, keepdims=True)
+    base_mass = joint.sum(axis=(-2, -1), keepdims=True)
+    # strata without mass are skipped; a stratum with mass has a base with mass
+    live = np.broadcast_to(mass > 0, joint.shape)
+    p_cond = np.divide(joint, mass, out=np.zeros_like(joint), where=live)
+    p_base = np.divide(base, base_mass, out=np.zeros_like(base), where=base_mass > 0)
+    return float(np.abs(p_cond - p_base).max(initial=0.0, where=live))
 
 
 def _completeness_sigma(primary_r1: np.ndarray) -> np.ndarray:
@@ -356,87 +336,51 @@ def verify_or_identities(law: DiscreteFullLaw) -> dict:
     from the baseline and tilt), baseline_propensity (baseline from the
     complete-case tilt mean and the marginal selection odds), and
     tilt_m_ratio (complete-case mean of the normalized tilt equals the
-    missing/observed M-law ratio).
+    missing/observed M-law ratio).  An x without primary mass is skipped.
     """
     t1 = law.table[0] / law.table[0].sum()  # conditional on G=1: (x, m, y, r)
-    nx, nm, ny = law.shape
+    p_xmyr = t1[t1.sum(axis=(1, 2, 3)) > 0]  # the x strata with mass
+    p_xy_r = p_xmyr.sum(axis=1)  # (x, y, r)
+    if np.any(p_xy_r <= 0):
+        raise OracleError("identity check requires positive mass in every (x, y, r) cell")
+    if np.any(p_xmyr <= 0):
+        raise OracleError("identity check requires positive mass in every (x, m, y, r) cell")
     y_ref = reference_y_index(law.y_support)
 
-    p_xmyr = t1
-    p_xy_r = t1.sum(axis=1)  # (x, y, r)
-    p_x = t1.sum(axis=(1, 2, 3))
-    res = {k: 0.0 for k in (
-        "or_m_invariance", "or_propensity", "missing_outcome_law",
-        "inverse_propensity", "baseline_propensity", "tilt_m_ratio",
-    )}
+    # selection probabilities given (x, y), and their odds ratio
+    p_r_xy = p_xy_r / p_xy_r.sum(axis=2, keepdims=True)
+    p_r0_xy, p_r1_xy = p_r_xy[..., 0], p_r_xy[..., 1]
+    or_prop = (p_r0_xy / p_r1_xy) * (p_r1_xy[:, y_ref] / p_r0_xy[:, y_ref])[:, None]
 
-    for xi in range(nx):
-        if p_x[xi] <= 0:
-            continue
-        # selection probabilities given (x, y)
-        mass_xy = p_xy_r[xi].sum(axis=1)
-        if np.any(mass_xy <= 0) or np.any(p_xy_r[xi] <= 0):
-            raise OracleError("identity check requires positive mass in every (x, y, r) cell")
-        p_r1_xy = p_xy_r[xi, :, 1] / mass_xy
-        p_r0_xy = p_xy_r[xi, :, 0] / mass_xy
-        or_prop = (p_r0_xy / p_r1_xy) * (p_r1_xy[y_ref] / p_r0_xy[y_ref])
+    # outcome laws given (x, m, r), and their odds ratio
+    p_y_xmr = p_xmyr / p_xmyr.sum(axis=2, keepdims=True)
+    p_y_r0, p_y_r1 = p_y_xmr[..., 0], p_y_xmr[..., 1]  # (x, m, y)
+    ratio = p_y_r0 / p_y_r1
+    or_from_outcome = ratio / ratio[:, :, y_ref, None]
+    e_or = np.einsum("xy,xmy->xm", or_prop, p_y_r1)[..., None]
 
-        # outcome laws given (x, m, r)
-        or_from_outcome = np.zeros((nm, ny))
-        for mi in range(nm):
-            cell = p_xmyr[xi, mi]  # (y, r)
-            mass_r = cell.sum(axis=0)
-            if np.any(mass_r <= 0) or np.any(cell <= 0):
-                raise OracleError(
-                    "identity check requires positive mass in every (x, m, y, r) cell"
-                )
-            p_y_r1 = cell[:, 1] / mass_r[1]
-            p_y_r0 = cell[:, 0] / mass_r[0]
-            ratio = p_y_r0 / p_y_r1
-            or_from_outcome[mi] = ratio / ratio[y_ref]
-            # missing-case outcome law from the tilted complete-case law
-            e_or = float(np.dot(or_prop, p_y_r1))
-            res["missing_outcome_law"] = max(
-                res["missing_outcome_law"],
-                float(np.max(np.abs(p_y_r0 - p_y_r1 * or_prop / e_or))),
-            )
-        res["or_m_invariance"] = max(
-            res["or_m_invariance"],
-            float(np.max(np.abs(or_from_outcome - or_from_outcome[0]))),
-        )
-        res["or_propensity"] = max(
-            res["or_propensity"],
-            float(np.max(np.abs(or_from_outcome - or_prop[None, :]))),
-        )
+    # complete-case tilt mean and marginal selection odds given x
+    p_y_r1_x = p_xy_r[..., 1] / p_xy_r[..., 1].sum(axis=1, keepdims=True)
+    e_or_x = np.einsum("xy,xy->x", or_prop, p_y_r1_x)
+    odds_r0 = p_xy_r[..., 0].sum(axis=1) / p_xy_r[..., 1].sum(axis=1)
+    or_tilde = or_prop / e_or_x[:, None]
+    p_m_r = p_xmyr.sum(axis=2) / p_xmyr.sum(axis=(1, 2))[:, None]  # p(m | x, r)
 
+    residuals = {
+        "or_m_invariance": or_from_outcome - or_from_outcome[:, :1],
+        "or_propensity": or_from_outcome - or_prop[:, None],
+        # missing-case outcome law from the tilted complete-case law
+        "missing_outcome_law": p_y_r0 - p_y_r1 * or_prop[:, None] / e_or,
         # reciprocal selection probability from baseline and tilt
-        lhs = 1.0 / p_r1_xy
-        rhs = 1.0 + or_prop * p_r0_xy[y_ref] / p_r1_xy[y_ref]
-        res["inverse_propensity"] = max(
-            res["inverse_propensity"], float(np.max(np.abs(lhs - rhs)))
-        )
-
+        "inverse_propensity": 1.0 / p_r1_xy
+        - (1.0 + or_prop * p_r0_xy[:, y_ref, None] / p_r1_xy[:, y_ref, None]),
         # baseline propensity from the complete-case tilt mean
-        p_y_r1_x = p_xy_r[xi, :, 1] / p_xy_r[xi, :, 1].sum()
-        e_or_x = float(np.dot(or_prop, p_y_r1_x))
-        odds_r0 = p_xy_r[xi, :, 0].sum() / p_xy_r[xi, :, 1].sum()
-        res["baseline_propensity"] = max(
-            res["baseline_propensity"],
-            abs(p_r1_xy[y_ref] - e_or_x / (e_or_x + odds_r0)),
-        )
-
+        "baseline_propensity": p_r1_xy[:, y_ref] - e_or_x / (e_or_x + odds_r0),
         # complete-case mean of the normalized tilt vs the M-law ratio
-        or_tilde = or_prop / e_or_x
-        p_m_r1 = p_xmyr[xi, :, :, 1].sum(axis=1) / p_xmyr[xi, :, :, 1].sum()
-        p_m_r0 = p_xmyr[xi, :, :, 0].sum(axis=1) / p_xmyr[xi, :, :, 0].sum()
-        for mi in range(nm):
-            cell = p_xmyr[xi, mi]
-            p_y_r1_m = cell[:, 1] / cell[:, 1].sum()
-            res["tilt_m_ratio"] = max(
-                res["tilt_m_ratio"],
-                abs(float(np.dot(or_tilde, p_y_r1_m)) - p_m_r0[mi] / p_m_r1[mi]),
-            )
-    return res
+        "tilt_m_ratio": np.einsum("xy,xmy->xm", or_tilde, p_y_r1)
+        - p_m_r[..., 0] / p_m_r[..., 1],
+    }
+    return {name: float(np.abs(r).max()) for name, r in residuals.items()}
 
 
 def bridge_residual(law: DiscreteFullLaw) -> float:
@@ -557,7 +501,7 @@ def run_battery(n_laws: int, seed: int) -> list[BatteryFailure]:
 
 
 # ---------------------------------------------------------------------------
-# sampling and serialization
+# sampling
 # ---------------------------------------------------------------------------
 
 def sample_law(
@@ -588,56 +532,3 @@ def sample_law(
     )
     latent = np.column_stack([g_idx + 1, xs, ms, ys, r_idx]).astype(float)
     return dataset, latent
-
-
-def write_law(law: DiscreteFullLaw, path: str) -> None:
-    """Cell-list text form: one 'g,x,m,y,r,probability' line per cell."""
-    with open(path, "w") as fh:
-        fh.write("# g,x,m,y,r,probability\n")
-        for g in range(2):
-            for xi, x in enumerate(law.x_support):
-                for mi, m in enumerate(law.m_support):
-                    for yi, y in enumerate(law.y_support):
-                        for r in range(2):
-                            p = float(law.table[g, xi, mi, yi, r])
-                            fh.write(f"{g + 1},{x!r},{m!r},{y!r},{r},{p!r}\n")
-
-
-def read_law(path: str) -> DiscreteFullLaw:
-    """The law of a cell-list file (see write_law).  A line with other than
-    six fields, numbers that do not parse, g not 1 or 2, r not 0 or 1, or a
-    cell that appeared on an earlier line raises OracleError naming the path
-    and line."""
-    rows, seen = [], {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"law file {path}: line {lineno}"
-            fields = line.split(",")
-            if len(fields) != 6:
-                raise OracleError(f"{where}: {len(fields)} fields, expected 6 "
-                                  "(g,x,m,y,r,probability)")
-            try:
-                g, r = int(fields[0]), int(fields[4])
-                x, m, y, p = (float(fields[i]) for i in (1, 2, 3, 5))
-            except ValueError as exc:
-                raise OracleError(f"{where}: {exc}") from None
-            if g not in (1, 2):
-                raise OracleError(f"{where}: g={g}, expected 1 or 2")
-            if r not in (0, 1):
-                raise OracleError(f"{where}: r={r}, expected 0 or 1")
-            cell = (g, x, m, y, r)
-            if cell in seen:
-                raise OracleError(f"{where}: cell g,x,m,y,r = {','.join(fields[:5])} "
-                                  f"appears twice (first on line {seen[cell]})")
-            seen[cell] = lineno
-            rows.append((*cell, p))
-    xs = tuple(sorted({row[1] for row in rows}))
-    ms = tuple(sorted({row[2] for row in rows}))
-    ys = tuple(sorted({row[3] for row in rows}))
-    table = np.zeros((2, len(xs), len(ms), len(ys), 2))
-    for g, x, m, y, r, p in rows:
-        table[g - 1, xs.index(x), ms.index(m), ys.index(y), r] = p
-    return DiscreteFullLaw(x_support=xs, m_support=ms, y_support=ys, table=table)

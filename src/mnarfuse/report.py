@@ -174,8 +174,7 @@ class FitRows:
         (see models.stack_rows)."""
         if self._sizes is None:
             return rows
-        sizes = self._sizes[name]
-        return stack_rows(rows, np.repeat(np.arange(sizes.size), sizes), sizes.size)[0]
+        return stack_rows(rows, self._sizes[name])
 
     def counts(self, name: str) -> np.ndarray:
         """The (K, n) frequency weights of a block's stacked row set `name`:

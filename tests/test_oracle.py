@@ -1,8 +1,6 @@
 """Discrete-oracle tests: assumption checks, identification exactness,
 odds-ratio recovery, and identity residuals."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -19,12 +17,10 @@ from mnarfuse.oracle import (
     observed_law,
     random_model1_law,
     random_model2_law,
-    read_law,
     recover_odds_ratio,
     run_battery,
     sample_law,
     verify_or_identities,
-    write_law,
 )
 from mnarfuse.simulate import make_rng
 
@@ -77,7 +73,8 @@ def test_completeness_impossible_when_m_support_small():
 def test_observed_law_pools_missing_strata():
     law = random_model1_law(_rng(3))
     obs = observed_law(law)
-    assert obs.total_mass == pytest.approx(1.0, abs=1e-12)
+    total = obs.primary_r1.sum() + obs.primary_r0.sum() + obs.aux_r1.sum() + obs.aux_r0.sum()
+    assert total == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(obs.primary_r1, law.table[0, :, :, :, 1])
     np.testing.assert_allclose(obs.primary_r0,
                                law.table[0, :, :, :, 0].sum(axis=(1, 2)))
@@ -194,19 +191,79 @@ def test_a_cell_with_only_missing_mass_is_an_error():
         identify_model2(obs, _UNIT_ODDS_RATIO)
 
 
-def test_an_x_without_missing_units_adds_its_complete_cases():
-    # no primary unit is missing, and the auxiliary M law differs from the
-    # primary one: the bridge is not used, so the functional is the mean
+def _law_without_missing_units() -> DiscreteFullLaw:
+    """An M-driven law with no missing primary unit, whose auxiliary M law
+    differs from the primary one."""
     law = random_model1_law(_rng(19))
     table = law.table.copy()
     table[0, :, :, :, 1] += table[0, :, :, :, 0]
     table[0, :, :, :, 0] = 0.0
     table[1, :, 0] *= 1.7
-    full = DiscreteFullLaw(law.x_support, law.m_support, law.y_support,
+    return DiscreteFullLaw(law.x_support, law.m_support, law.y_support,
                            table / table.sum())
+
+
+def test_an_x_without_missing_units_adds_its_complete_cases():
+    # no primary unit is missing, and the auxiliary M law differs from the
+    # primary one: the bridge is not used, so the functional is the mean
+    full = _law_without_missing_units()
     assert not check_assumptions(full).holds["selection"]
     assert identify_model1(observed_law(full)) == pytest.approx(
         brute_force_beta(full), abs=1e-12)
+
+
+def test_assumption_checks_skip_strata_without_mass():
+    # R = 0 has no primary mass: the m_driven and y_driven strata conditioned
+    # on it are skipped; values recorded from the cell-by-cell checks
+    checks = check_assumptions(_law_without_missing_units())
+    assert checks.holds == {"aux_mar": True, "selection": False, "m_driven": True,
+                            "y_driven": True, "shadow_dep": True, "completeness": True}
+    recorded = {"aux_mar": "0x1.0000000000000p-53", "selection": "0x1.4d2e67ac34b24p-4",
+                "m_driven": "0x0.0p+0", "y_driven": "0x0.0p+0",
+                "shadow_dep": "0x1.1290e3907d1f8p-3", "completeness": "0x0.0p+0"}
+    assert sorted(checks.violation) == sorted(recorded)
+    for name, value in recorded.items():
+        assert abs(checks.violation[name] - float.fromhex(value)) <= 1e-12, name
+
+
+def _y_driven_table(seed=20):
+    law, _ = random_model2_law(_rng(seed))
+    return law, law.table.copy()
+
+
+def _with_table(law, table) -> DiscreteFullLaw:
+    return DiscreteFullLaw(law.x_support, law.m_support, law.y_support, table / table.sum())
+
+
+def test_or_identities_need_every_x_y_r_cell():
+    law, table = _y_driven_table()
+    table[0, 1, :, 0, 0] = 0.0  # no missing unit at (x, y) = (1, 0)
+    with pytest.raises(OracleError, match=r"every \(x, y, r\) cell"):
+        verify_or_identities(_with_table(law, table))
+
+
+def test_or_identities_need_every_x_m_y_r_cell():
+    law, table = _y_driven_table()
+    table[0, 1, 0, 0, 0] = 0.0  # the other m levels keep (x, y, r) positive
+    assert (_with_table(law, table).table[0].sum(axis=1) > 0).all()
+    with pytest.raises(OracleError, match=r"every \(x, m, y, r\) cell"):
+        verify_or_identities(_with_table(law, table))
+
+
+def test_or_identities_skip_an_x_without_primary_mass():
+    law, table = _y_driven_table(12)
+    # a violation at x = 1, and no primary unit at x = 0
+    table[0, 1, 0, :, 1] *= 0.6
+    table[0, 1, 0, :, 0] = law.table[0, 1, 0, :, :].sum(-1) - table[0, 1, 0, :, 1]
+    table[0, 0] = 0.0
+    residuals = verify_or_identities(_with_table(law, table))
+    alone = DiscreteFullLaw((law.x_support[1],), law.m_support, law.y_support,
+                            table[:, 1:] / table[:, 1:].sum())
+    expected = verify_or_identities(alone)
+    assert sorted(residuals) == sorted(expected)
+    assert residuals["or_m_invariance"] > 1e-3
+    for name, value in expected.items():
+        assert abs(residuals[name] - value) <= 1e-12, name
 
 
 def test_or_identities_hold_on_y_driven_law():
@@ -267,51 +324,3 @@ def test_sampling_deterministic():
     a, _ = sample_law(law, 500, seed=2)
     b, _ = sample_law(law, 500, seed=2)
     assert a.records == b.records
-
-
-def test_law_serialization_round_trip(tmp_path):
-    law, _ = random_model2_law(_rng(18))
-    path = tmp_path / "law.txt"
-    write_law(law, str(path))
-    back = read_law(str(path))
-    np.testing.assert_array_equal(back.table, law.table)
-    assert back.y_support == law.y_support
-
-
-def _g(fields):
-    fields[0] = "0"
-
-
-def _r(fields):
-    fields[4] = "-1"
-
-
-def _three(fields):
-    del fields[3:]
-
-
-@pytest.mark.parametrize("edit,message", [
-    (_g, "g=0, expected 1 or 2"),
-    (_r, "r=-1, expected 0 or 1"),
-    (_three, "3 fields, expected 6"),
-    (None, "cell g,x,m,y,r = 1,.* appears twice \\(first on line 2\\)"),
-], ids=["g", "r", "fields", "duplicate"])
-def test_read_law_rejects_a_bad_line_naming_it(tmp_path, edit, message):
-    # before these checks a domain-2 cell read as g=0 landed in domain 2
-    # (table[-1]), r=-1 in the r=1 cell, and a short line raised a bare
-    # unpacking error
-    law, _ = random_model2_law(_rng(18))
-    path = tmp_path / "law.txt"
-    write_law(law, str(path))
-    lines = path.read_text().splitlines()
-    if edit is None:
-        lines.append(lines[1])  # the first cell again
-    else:
-        fields = lines[-1].split(",")  # the last cell, a domain-2 one
-        edit(fields)
-        lines[-1] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-    # the bad line is the file's last
-    with pytest.raises(OracleError, match=f"law file {re.escape(str(path))}: "
-                                          f"line {len(lines)}: {message}"):
-        read_law(str(path))

@@ -628,28 +628,29 @@ def _own_rows(n_members=4, n=120, seed=6):
     x = rng.normal(size=member.size)
     design = np.column_stack([np.ones_like(x), x, x**2])
     target = np.column_stack([np.sin(x), x**3])
-    return member, design, target
+    return sizes, member, design, target
+
+
+def _stacked_fit(sizes, design, target):
+    stacked = stack_rows(design, sizes)
+    counts = (np.arange(stacked.shape[1]) < sizes[:, None]).astype(float)
+    return stacked, counts, solve_least_squares(stacked, stack_rows(target, sizes),
+                                                weights=counts)
 
 
 def test_fits_with_their_own_rows_equal_fits_of_each_member():
-    member, design, target = _own_rows()
-    size = member.max() + 1
-    stacked, counts = stack_rows(design, member, size)
-    ls_coefs = solve_least_squares(stacked, stack_rows(target, member, size)[0],
-                                   weights=counts)
-    for k in range(size):
+    sizes, member, design, target = _own_rows()
+    *_, ls_coefs = _stacked_fit(sizes, design, target)
+    for k in range(sizes.size):
         rows = member == k
         np.testing.assert_allclose(ls_coefs[k], solve_least_squares(design[rows], target[rows]),
                                    rtol=0, atol=1e-12)
 
 
 def test_fits_with_their_own_rows_flag_a_rank_deficient_member_with_nan():
-    member, design, target = _own_rows()
+    sizes, member, design, target = _own_rows()
     design[member == 2, 2] = design[member == 2, 1]  # member 2: two equal columns
-    size = member.max() + 1
-    stacked, counts = stack_rows(design, member, size)
-    ls_coefs = solve_least_squares(stacked, stack_rows(target, member, size)[0],
-                                   weights=counts)
+    stacked, counts, ls_coefs = _stacked_fit(sizes, design, target)
     assert np.isnan(ls_coefs[2]).all()
     assert np.isfinite(np.delete(ls_coefs, 2, axis=0)).all()
     assert dependent_columns(stacked, counts).tolist() == [-1, -1, 2, -1]
