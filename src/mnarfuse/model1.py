@@ -235,8 +235,10 @@ def calibrate(
         raise EstimationError("no complete cases in the primary domain")
 
     preds, aux_coefs = fit_aux_moment_targets(dataset, h_basis, aux_regression_basis)
+    target = preds.mean(axis=0)[None]
+    del preds  # (n1, dim h): freed before the bases are built
     equation = _Calibration(FitRows(primary, auxiliary), basis, h_basis, w_max, fixed_gamma)
-    n1s, target = np.array([n1]), preds.mean(axis=0)[None]
+    n1s = np.array([n1])
     result = solve(
         MomentSystem(
             residual=lambda theta: equation.residual(theta[None], None, n1s, target)[0],
@@ -459,38 +461,3 @@ def _stacked_fits_model1(datasets: list,
 estimate_model1.stacked_refits = _stacked_model1
 estimate_model1.stacked_fits = _stacked_fits_model1
 
-
-def identify_beta_model1_plugin(
-    dataset: PooledDataset,
-    spec: Optional[Model1Spec] = None,
-) -> float:
-    """Outcome-regression plug-in of the identification functional.
-
-    Fits E[Y | X, M] on primary complete cases, projects those fitted values
-    onto the X-only basis over auxiliary complete cases, and averages the
-    resulting predictions over all primary-domain X.
-    """
-    if spec is None:
-        spec = Model1Spec.default(dataset.schema)
-    primary, auxiliary = _require_domains(dataset)
-    cc1 = primary.complete
-    if int(cc1.sum()) == 0:
-        raise EstimationError("no complete cases in the primary domain")
-    design1 = evaluate_basis_matrix(spec.outcome_basis, primary.x[cc1], primary.m[cc1])
-    g1_coef = solve_least_squares(
-        design1, primary.y[cc1], spec.outcome_basis.column_names(dataset.schema.m_dim)
-    )
-
-    cc2 = auxiliary.complete
-    if int(cc2.sum()) == 0:
-        raise EstimationError("no complete cases in the auxiliary domain")
-    g1_aux = (
-        evaluate_basis_matrix(spec.outcome_basis, auxiliary.x[cc2], auxiliary.m[cc2])
-        @ g1_coef
-    )
-    design2 = evaluate_basis_matrix(spec.aux_regression_basis, auxiliary.x[cc2])
-    outer_coef = solve_least_squares(
-        design2, g1_aux, spec.aux_regression_basis.column_names()
-    )
-    preds = evaluate_basis_matrix(spec.aux_regression_basis, primary.x) @ outer_coef
-    return float(preds.mean())

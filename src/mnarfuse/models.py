@@ -145,11 +145,9 @@ def evaluate_basis_matrix(
     if y is not None:
         y = np.asarray(y, dtype=float)
 
-    cols = []
+    out = np.empty((n, basis.width(m_dim)))
+    col = 0  # the term's first column in out
     for term in basis.terms:
-        if not term.factors:
-            cols.append(np.ones(n))
-            continue
         scalar = np.ones(n)
         m_block = None
         for var, power in term.factors:
@@ -174,10 +172,11 @@ def evaluate_basis_matrix(
                     raise ValueError(f"term {term}: covariate {var} out of range (d={d})")
                 scalar = scalar * x[:, j] ** power
         if m_block is not None:
-            cols.append(scalar[:, None] * m_block)
+            np.multiply(scalar[:, None], m_block, out=out[:, col:col + m_dim])
         else:
-            cols.append(scalar)
-    return np.column_stack(cols)
+            out[:, col] = scalar
+        col += term.width(m_dim)
+    return out
 
 
 @dataclass(frozen=True)

@@ -510,25 +510,32 @@ def sample_law(
     """Draw n iid units from the law, masked per the drawn R pattern.
 
     Returns the dataset and the (n, 5) latent matrix of (g, x, m, y, r)
-    values before masking.
+    values before masking.  They share no memory: each dataset column is an
+    array of its own, copied from a column of the latent matrix.
     """
     rng = make_rng(seed)
     flat = law.table.ravel()
     counts = rng.multinomial(n, flat)
-    cells = np.repeat(np.arange(flat.size), counts)
+    cells = np.repeat(np.arange(flat.size, dtype=np.min_scalar_type(flat.size - 1)), counts)
     rng.shuffle(cells)
-    g_idx, x_idx, m_idx, y_idx, r_idx = np.unravel_index(cells, law.table.shape)
-    xs = np.asarray(law.x_support)[x_idx]
-    ms = np.asarray(law.m_support)[m_idx]
-    ys = np.asarray(law.y_support)[y_idx]
-    observed = r_idx == 1
+    # each cell's (g, x, m, y, r), looked up by the drawn cell indices
+    g_idx, x_idx, m_idx, y_idx, r_idx = np.indices(law.table.shape).reshape(5, -1)
+    table = np.column_stack([
+        g_idx + 1.0,
+        np.asarray(law.x_support, dtype=float)[x_idx],
+        np.asarray(law.m_support, dtype=float)[m_idx],
+        np.asarray(law.y_support, dtype=float)[y_idx],
+        r_idx,
+    ])
+    latent = table[cells]
+    g, x, m, y, r = latent.T
+    observed = r == 1
     dataset = PooledDataset(
         VariableSchema(covariate_names=("x1",)),
-        g=g_idx + 1,
-        x=xs[:, None],
-        m=np.where(observed, ms, np.nan),
-        y=np.where(observed & (g_idx == 0), ys, np.nan),
-        r=r_idx,
+        g=g.astype(np.int64),
+        x=x[:, None].copy(),
+        m=np.where(observed, m, np.nan),
+        y=np.where(observed & (g == 1), y, np.nan),
+        r=r.astype(np.int64),
     )
-    latent = np.column_stack([g_idx + 1, xs, ms, ys, r_idx]).astype(float)
     return dataset, latent

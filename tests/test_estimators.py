@@ -10,10 +10,16 @@ from mnarfuse.model1 import (
     Model1Spec,
     estimate_model1,
     fit_aux_moment_targets,
-    identify_beta_model1_plugin,
 )
 from mnarfuse.model2 import Model2Spec, estimate_model2, recovered_propensity
-from mnarfuse.models import BasisSpec, CoefficientModel, RankDeficientError
+from mnarfuse.models import (
+    BasisSpec,
+    CoefficientModel,
+    RankDeficientError,
+    evaluate_basis_matrix,
+    solve_least_squares,
+)
+from mnarfuse.report import domain_arrays
 from mnarfuse.simulate import Model1Design, generate_model1
 
 SCHEMA = VariableSchema(covariate_names=("x1",))
@@ -103,13 +109,33 @@ def test_model1_diagnostics_report_counts_and_weights():
     assert report.solver is not None and report.solver.converged
 
 
+def _outcome_regression_plugin(dataset: PooledDataset) -> float:
+    """Outcome-regression plug-in of the Model 1 identification functional,
+    with the default spec: E[Y | X, M] fitted on primary complete cases,
+    those fitted values projected onto the X-only basis over auxiliary
+    complete cases, and the projection averaged over all primary X."""
+    spec = Model1Spec.default(dataset.schema)
+    primary = domain_arrays(dataset, DomainTag.PRIMARY)
+    auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
+    cc1, cc2 = primary.complete, auxiliary.complete
+    outcome_coef = solve_least_squares(
+        evaluate_basis_matrix(spec.outcome_basis, primary.x[cc1], primary.m[cc1]),
+        primary.y[cc1])
+    fitted_aux = evaluate_basis_matrix(
+        spec.outcome_basis, auxiliary.x[cc2], auxiliary.m[cc2]) @ outcome_coef
+    outer_coef = solve_least_squares(
+        evaluate_basis_matrix(spec.aux_regression_basis, auxiliary.x[cc2]), fitted_aux)
+    return float((evaluate_basis_matrix(spec.aux_regression_basis, primary.x)
+                  @ outer_coef).mean())
+
+
 def test_plugin_constant_outcome():
     rng = np.random.default_rng(1)
     n = 200
     g = np.array([1] * 100 + [2] * 100)
     ds = _make_dataset(g, rng.normal(size=n), rng.normal(size=n),
                        np.full(n, 4.25), np.ones(n, dtype=int))
-    assert identify_beta_model1_plugin(ds) == pytest.approx(4.25, abs=1e-8)
+    assert _outcome_regression_plugin(ds) == pytest.approx(4.25, abs=1e-8)
 
 
 def test_model2_gamma_fixed_zero_intercept_baseline():

@@ -41,6 +41,67 @@ def test_basis_categorical_m_expands():
     np.testing.assert_allclose(out, [[1, 1, 0], [1, 0, 1]])
 
 
+def _column_stack_basis(basis, x, m=None, y=None):
+    """The basis matrix as np.column_stack of each term's column, or of its
+    (n, m_dim) block for an m term with categorical M."""
+    cols = []
+    for term in basis.terms:
+        scalar, block = np.ones(len(x)), None
+        for var, power in term.factors:
+            if var == "m" and m.ndim == 2:
+                block = m
+            elif var == "m":
+                scalar = scalar * m**power
+            elif var == "y":
+                scalar = scalar * y**power
+            else:
+                scalar = scalar * x[:, int(var[1:]) - 1] ** power
+        cols.append(scalar if block is None else scalar[:, None] * block)
+    return np.column_stack(cols)
+
+
+_BASIS_CASES = {
+    "numeric-m": ("1,x1,x1^2,m,x1*m,m^2,x2*m^3", 1),
+    "categorical-m2": ("1,x1,m,x1*m,x1^2*m", 2),
+    "categorical-m3": ("1,x1,x2,m,x1*m,x2*m", 3),
+    "y": ("1,x1,m,y,y^2,x1*y,m*y^2", 1),
+    "categorical-y": ("1,m,y,x1*m,y^2*m", 3),
+    "x-powers": ("1,x1,x1^2,x1^3,x2,x1*x2^2,x2^4", 0),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 40])
+@pytest.mark.parametrize("case", sorted(_BASIS_CASES))
+def test_basis_matrix_matches_a_column_stack(case, n):
+    text, m_dim = _BASIS_CASES[case]
+    basis = BasisSpec.parse(text)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 2))
+    y = rng.normal(size=n) if "y" in text else None
+    if m_dim == 0:
+        m = None
+    elif m_dim == 1:
+        m = rng.normal(size=n)
+    else:
+        m = np.eye(m_dim)[rng.integers(m_dim, size=n)]
+    out = evaluate_basis_matrix(basis, x, m, y)
+    want = _column_stack_basis(basis, x, m, y)
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert out.shape == (n, basis.width(max(m_dim, 1))) == want.shape
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text,x,m,y,message", [
+    ("1,x1*m", [[1.0]], None, None, "term x1*m references M but M is absent"),
+    ("1,m,y^2", [[1.0]], [2.0], None, "term y^2 references Y but Y is absent"),
+    ("1,x1,x3", [[1.0, 2.0]], None, None, "term x3: covariate x3 out of range (d=2)"),
+])
+def test_basis_matrix_names_what_a_term_lacks(text, x, m, y, message):
+    with pytest.raises(ValueError) as excinfo:
+        evaluate_basis_matrix(BasisSpec.parse(text), x, m, y)
+    assert str(excinfo.value) == message
+
+
 def test_least_squares_exact_interpolation():
     design = np.array([[1.0, 0.0], [1.0, 1.0]])
     coef = solve_least_squares(design, np.array([1.0, 3.0]))

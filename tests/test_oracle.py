@@ -1,9 +1,12 @@
 """Discrete-oracle tests: assumption checks, identification exactness,
-odds-ratio recovery, and identity residuals."""
+odds-ratio recovery, identity residuals, and sampling."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mnarfuse.data import PooledDataset, VariableSchema
 from mnarfuse.oracle import (
     DiscreteFullLaw,
     ORRecovery,
@@ -324,3 +327,79 @@ def test_sampling_deterministic():
     a, _ = sample_law(law, 500, seed=2)
     b, _ = sample_law(law, 500, seed=2)
     assert a.records == b.records
+
+
+def _reference_draw(law, n, seed):
+    """sample_law's draw built by the first method: each unit's int64 cell
+    index unravelled over the table, then the latent (g, x, m, y, r)
+    stacked and cast to float."""
+    rng = make_rng(seed)
+    flat = law.table.ravel()
+    cells = np.repeat(np.arange(flat.size), rng.multinomial(n, flat))
+    rng.shuffle(cells)
+    g_idx, x_idx, m_idx, y_idx, r_idx = np.unravel_index(cells, law.table.shape)
+    xs = np.asarray(law.x_support)[x_idx]
+    ms = np.asarray(law.m_support)[m_idx]
+    ys = np.asarray(law.y_support)[y_idx]
+    observed = r_idx == 1
+    dataset = PooledDataset(
+        VariableSchema(covariate_names=("x1",)),
+        g=g_idx + 1,
+        x=xs[:, None],
+        m=np.where(observed, ms, np.nan),
+        y=np.where(observed & (g_idx == 0), ys, np.nan),
+        r=r_idx,
+    )
+    return dataset, np.column_stack([g_idx + 1, xs, ms, ys, r_idx]).astype(float)
+
+
+def _sampled_law(model, shape):
+    """A random Model 1 or Model 2 law of the given (nx, nm, ny) shape, or,
+    with shape None, a law with cells of zero mass.  A (10, 10, 3) law has
+    1200 cells, so its cell indices need 16 bits."""
+    if shape is None:
+        return _emptied_cell_law(keep_aux=False)
+    if model == 1:
+        return random_model1_law(make_rng(31, *shape), *shape)
+    return random_model2_law(make_rng(31, *shape), *shape)[0]
+
+
+_SAMPLED_LAWS = [
+    *(pytest.param(model, shape, id=f"model{model}-{'x'.join(map(str, shape))}")
+      for model in (1, 2) for shape in ((2, 2, 2), (3, 3, 2), (10, 10, 3))),
+    pytest.param(2, None, id="zero-mass-cells"),
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 500, 20_000])
+@pytest.mark.parametrize("model,shape", _SAMPLED_LAWS)
+def test_sampling_matches_the_reference_construction(model, shape, n):
+    law = _sampled_law(model, shape)
+    ds, latent = sample_law(law, n, seed=n + 3)
+    ref, ref_latent = _reference_draw(law, n, seed=n + 3)
+    for name in ("g", "x", "m", "y", "r"):
+        got, want = getattr(ds, name), getattr(ref, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+        assert not np.shares_memory(got, latent), name
+    assert (latent.dtype, latent.shape) == (ref_latent.dtype, ref_latent.shape)
+    assert latent.tobytes() == ref_latent.tobytes()
+
+
+def test_sampling_holds_only_what_it_returns():
+    law = random_model2_law(make_rng(32), 3, 3, 2)[0]
+    sample_law(law, 1000, seed=1)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        ds, latent = sample_law(law, 200_000, seed=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = [ds.g, ds.x, ds.m, ds.y, ds.r]
+    returned = latent.nbytes + sum(col.nbytes for col in columns)
+    assert peak <= 1.25 * returned, peak / returned
+    assert held <= 1.05 * returned, held / returned
+    for col in columns:
+        # a dataset column is a read-only view of an array of its own size
+        assert col.flags.c_contiguous
+        assert col.base.flags.owndata and col.base.nbytes == col.nbytes

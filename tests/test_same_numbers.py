@@ -4,19 +4,28 @@ before the solver lost its restarts, and a replication panel, recorded from
 the code that fitted every replicate on its own.  The entries that the
 solver's polish step moved by more than 1e-10 (five point fits, the Model 1
 interval and the four IPW replicate panels) were recorded again from that
-code solved to tol=1e-13, that is, at the roots.  A change to the
-estimators that keeps the numbers keeps each value within 1e-10."""
+code solved to tol=1e-13, that is, at the roots.  The oracle fits, on
+draws from discrete laws, were recorded from the code that drew them by
+unravelling each unit's cell index.  A change to the estimators or to the
+sampler that keeps the numbers keeps each value within 1e-10."""
 
 import argparse
 
 import pytest
 
-from mnarfuse import cli
+from mnarfuse import cli, oracle
 from mnarfuse.data import read_csv
 from mnarfuse.inference import BootstrapConfig, bootstrap_ci, replicate
-from mnarfuse.model1 import estimate_model1
-from mnarfuse.model2 import estimate_model2
-from mnarfuse.simulate import Model1Design, Model2Design, generate_model1, generate_model2
+from mnarfuse.model1 import Model1Spec, estimate_model1
+from mnarfuse.model2 import Model2Spec, estimate_model2
+from mnarfuse.models import BasisSpec
+from mnarfuse.simulate import (
+    Model1Design,
+    Model2Design,
+    generate_model1,
+    generate_model2,
+    make_rng,
+)
 
 TOL = 1e-10
 MODELS = {
@@ -99,6 +108,15 @@ REPLICATES = {
     ),
 }
 
+# (model, s) -> beta_hat on sample_law(law, 50_000, seed=s), the law
+# random_model1_law(make_rng(2024, s)) or random_model2_law(make_rng(2025, s))
+ORACLE_FITS = {
+    ("model1", 0): "0x1.284b666619032p-1",
+    ("model1", 2): "0x1.79af651b4f09ap-2",
+    ("model2", 0): "0x1.3158fae70fefap-2",
+    ("model2", 2): "0x1.0afc77335d295p-1",
+}
+
 # estimate_model1 on `make-fixture --n 2000 --seed 3`
 FIXTURE_BETA = "0x1.24e9148bc1578p-1"
 
@@ -114,6 +132,23 @@ def test_point_fit_keeps_its_number(key):
     report = estimate(generate(design(n=2000, setting=setting), seed)[0])
     assert report.solver.converged
     assert _close(report.beta_hat, POINT_FITS[key]), report.beta_hat.hex()
+
+
+@pytest.mark.parametrize("key", sorted(ORACLE_FITS), ids=lambda k: "-".join(map(str, k)))
+def test_oracle_fit_keeps_its_number(key):
+    model, s = key
+    saturated, x_only = BasisSpec.parse("1,x1,m,x1*m"), BasisSpec.parse("1,x1")
+    if model == "model1":
+        law = oracle.random_model1_law(make_rng(2024, s))
+        spec = Model1Spec(saturated, saturated, x_only, saturated)
+        estimate = estimate_model1
+    else:
+        law = oracle.random_model2_law(make_rng(2025, s))[0]
+        spec = Model2Spec(x_only, BasisSpec.parse("1,x1,m"), x_only)
+        estimate = estimate_model2
+    report = estimate(oracle.sample_law(law, 50_000, seed=s)[0], spec)
+    assert report.solver.converged
+    assert _close(report.beta_hat, ORACLE_FITS[key]), report.beta_hat.hex()
 
 
 def test_fixture_fit_keeps_its_number(tmp_path):
