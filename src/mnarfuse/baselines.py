@@ -7,20 +7,16 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DomainTag, PooledDataset, VariableSchema
+from .data import DomainTag, PooledDataset
 from .models import (
     BasisSpec,
     evaluate_basis_matrix,
     linear_predictor,
+    polynomial_basis,
     solve_least_squares,
 )
 from .model1 import EstimationError
 from .report import EstimateReport, FitRows, domain_arrays
-
-
-def default_mar_basis(schema: VariableSchema) -> BasisSpec:
-    d = schema.n_covariates
-    return BasisSpec.parse("1" + "".join(f",x{j}" for j in range(1, d + 1)))
 
 
 def mcar_estimate(dataset: PooledDataset) -> EstimateReport:
@@ -43,9 +39,10 @@ def mar_estimate(
     dataset: PooledDataset, x_basis: Optional[BasisSpec] = None
 ) -> EstimateReport:
     """Regression of Y on X over primary complete cases, averaged over all
-    primary-domain X (targets the whole-domain outcome mean)."""
+    primary-domain X (targets the whole-domain outcome mean).  The default
+    basis is 1, x1, ..., xd."""
     if x_basis is None:
-        x_basis = default_mar_basis(dataset.schema)
+        x_basis = polynomial_basis(dataset.schema.n_covariates)
     primary = domain_arrays(dataset, DomainTag.PRIMARY)
     cc = primary.complete
     if int(cc.sum()) == 0:
@@ -75,7 +72,7 @@ def _stacked_mar(datasets: list, rows: FitRows) -> list[Optional[tuple[float, No
     out: list[Optional[tuple[float, None]]] = [None] * len(datasets)
     if live.size == 0:
         return out
-    x_basis = default_mar_basis(datasets[0].schema)
+    x_basis = polynomial_basis(datasets[0].schema.n_covariates)
     x_cc, _, y_cc = rows["cc"]
     design = rows.stack("cc", evaluate_basis_matrix(x_basis, x_cc))
     coef = solve_least_squares(design[live], rows.stack("cc", y_cc)[live], weights=cc[live])

@@ -30,6 +30,7 @@ from .models import (
     evaluate_basis_matrix,
     fit_logistic,  # noqa: F401  (a lookup site patched by bench/tracing.py)
     member_sums,
+    polynomial_basis,
     solve_least_squares,
     weighted_cross_products,
 )
@@ -39,19 +40,6 @@ from .solver import MomentSystem, SolverResult, newton_stack, solve
 
 class EstimationError(ValueError):
     pass
-
-
-def _polynomial_x_basis(d: int, degree: int = 2) -> BasisSpec:
-    text = "1"
-    for j in range(1, d + 1):
-        for p in range(1, degree + 1):
-            text += f",x{j}" if p == 1 else f",x{j}^{p}"
-    return BasisSpec.parse(text)
-
-
-def _linear_xm_basis(d: int) -> BasisSpec:
-    text = "1" + "".join(f",x{j}" for j in range(1, d + 1)) + ",m"
-    return BasisSpec.parse(text)
 
 
 @dataclass(frozen=True)
@@ -67,19 +55,15 @@ class Model1Spec:
         """The default spec of a schema, built once per schema: specs are
         frozen, so every fit can share it."""
         d = schema.n_covariates
-        xm = _linear_xm_basis(d)
-        quad = _polynomial_x_basis(d)
-        outcome = BasisSpec.parse(
-            "1"
-            + "".join(f",x{j},x{j}^2" for j in range(1, d + 1))
-            + ",m"
-        )
-        return cls(
-            propensity_basis=xm,
-            h_basis=xm,
-            aux_regression_basis=quad,
-            outcome_basis=outcome,
-        )
+        xm = polynomial_basis(d, m=True)
+        return cls(propensity_basis=xm, h_basis=xm,
+                   aux_regression_basis=polynomial_basis(d, 2),
+                   outcome_basis=polynomial_basis(d, 2, m=True))
+
+    @property
+    def bases(self) -> tuple[BasisSpec, BasisSpec, BasisSpec]:
+        """(B, h, auxiliary regression basis), as `calibrate` takes them."""
+        return self.propensity_basis, self.h_basis, self.aux_regression_basis
 
 
 def _require_domains(dataset: PooledDataset) -> tuple[DomainArrays, DomainArrays]:
@@ -105,11 +89,12 @@ def fit_aux_moment_targets(
     h_basis: BasisSpec,
     aux_regression_basis: BasisSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Auxiliary-domain regression predictions of each h-component.
+    """The calibration target: each h-component's auxiliary-domain
+    regression, averaged over the primary domain.
 
     Each column of h(X, M) is regressed on the X-only basis over auxiliary
-    complete cases, and the fitted regressions are evaluated at every
-    primary-domain X.  Returns (predictions with shape (n_primary, dim_h),
+    complete cases, and the fitted regressions are evaluated at the
+    primary-domain mean of that basis.  Returns (target with shape (dim_h,),
     coefficient matrix with shape (dim_aux_basis, dim_h)).
     """
     primary, auxiliary = _require_domains(dataset)
@@ -124,7 +109,7 @@ def fit_aux_moment_targets(
     h_cc, design, design_primary = _aux_regression_matrices(
         FitRows(primary, auxiliary), h_basis, aux_regression_basis)
     coefs = solve_least_squares(design, h_cc, aux_regression_basis.column_names())
-    return design_primary @ coefs, coefs
+    return design_primary.mean(axis=0) @ coefs, coefs
 
 
 class _Calibration:
@@ -152,7 +137,8 @@ class _Calibration:
                 "propensity parameters"
             )
         self.design = rows.stack("cc", evaluate_basis_matrix(basis, x_cc, m_cc, y))
-        self.h = rows.stack("cc", evaluate_basis_matrix(h_basis, x_cc, m_cc))
+        self.h = self.design if h_basis == basis else rows.stack(
+            "cc", evaluate_basis_matrix(h_basis, x_cc, m_cc))
         self.y = rows.stack("cc", y)
         self.offset = -fixed_gamma * self.y if fixed_gamma else 0.0
         self.w_max = w_max
@@ -168,7 +154,8 @@ class _Calibration:
         if self.design.ndim == 2 or members.size == len(self.design):
             return self
         part = copy.copy(self)
-        part.design, part.h, part.y = (rows[members] for rows in (self.design, self.h, self.y))
+        part.design, part.y = self.design[members], self.y[members]
+        part.h = part.design if self.h is self.design else self.h[members]
         if not np.isscalar(self.offset):
             part.offset = self.offset[members]
         part._h_diag_b = None
@@ -221,11 +208,11 @@ def calibrate(
     then average the w-weighted complete-case outcomes.
 
     B is `basis` over the primary complete cases (x, m, y), h_cc is `h_basis`
-    there, and the target is the primary-domain mean of the auxiliary
-    regression predictions of h.  fixed_gamma holds a Y tilt fixed through
-    the offset -fixed_gamma * y.  The moment system carries its analytic
-    Jacobian -h_cc^T diag(exp(-B.theta + offset) 1[uncapped]) B / n1.  The
-    nuisance "alpha" is the whole solved theta.
+    there, and the target is the auxiliary regression of h evaluated at the
+    primary-domain mean of its X-only basis.  fixed_gamma holds a Y tilt
+    fixed through the offset -fixed_gamma * y.  The moment system carries
+    its analytic Jacobian -h_cc^T diag(exp(-B.theta + offset) 1[uncapped])
+    B / n1.  The nuisance "alpha" is the whole solved theta.
     """
     primary, auxiliary = _require_domains(dataset)
     cc = primary.complete
@@ -234,9 +221,7 @@ def calibrate(
     if n_cc == 0:
         raise EstimationError("no complete cases in the primary domain")
 
-    preds, aux_coefs = fit_aux_moment_targets(dataset, h_basis, aux_regression_basis)
-    target = preds.mean(axis=0)[None]
-    del preds  # (n1, dim h): freed before the bases are built
+    target, aux_coefs = fit_aux_moment_targets(dataset, h_basis, aux_regression_basis)
     equation = _Calibration(FitRows(primary, auxiliary), basis, h_basis, w_max, fixed_gamma)
     n1s = np.array([n1])
     result = solve(
@@ -438,26 +423,25 @@ def estimate_model1(
     outcomes."""
     if spec is None:
         spec = Model1Spec.default(dataset.schema)
-    return calibrate(dataset, spec.propensity_basis, spec.h_basis,
-                     spec.aux_regression_basis, "ipw-model1", w_max)
+    return calibrate(dataset, *spec.bases, "ipw-model1", w_max)
 
 
-def _stacked_model1(dataset: PooledDataset,
-                    point: Optional[SolverResult] = None) -> StackedRefits:
-    spec = Model1Spec.default(dataset.schema)
-    return StackedRefits(dataset, spec.propensity_basis, spec.h_basis,
-                         spec.aux_regression_basis, point)
+def set_stack_hooks(estimator, default_spec) -> None:
+    """Give an IPW estimator the stacked fits of its defaults, the bases of
+    default_spec(schema): estimator.stacked_refits(dataset, point=None), the
+    StackedRefits through which bootstrap_ci refits resamples of a dataset,
+    and estimator.stacked_fits(datasets, rows), the fit_datasets of a block
+    of datasets, through which replicate fits them.  A function attribute
+    survives functools.wraps, which copies __dict__."""
+    def stacked_refits(dataset: PooledDataset,
+                       point: Optional[SolverResult] = None) -> StackedRefits:
+        return StackedRefits(dataset, *default_spec(dataset.schema).bases, point)
+
+    def stacked_fits(datasets: list, rows: FitRows) -> list[Optional[tuple[float, SolverResult]]]:
+        return fit_datasets(rows, *default_spec(datasets[0].schema).bases)
+
+    estimator.stacked_refits, estimator.stacked_fits = stacked_refits, stacked_fits
 
 
-def _stacked_fits_model1(datasets: list,
-                         rows: FitRows) -> list[Optional[tuple[float, SolverResult]]]:
-    spec = Model1Spec.default(datasets[0].schema)
-    return fit_datasets(rows, spec.propensity_basis, spec.h_basis, spec.aux_regression_basis)
-
-
-# bootstrap_ci refits the estimator with its defaults through stacked_refits,
-# and replicate fits a block of datasets through stacked_fits; a function
-# attribute survives functools.wraps, which copies __dict__.
-estimate_model1.stacked_refits = _stacked_model1
-estimate_model1.stacked_fits = _stacked_fits_model1
+set_stack_hooks(estimate_model1, Model1Spec.default)
 

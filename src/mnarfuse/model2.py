@@ -15,29 +15,20 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from .data import PooledDataset, VariableSchema
 from .models import (
     W_MAX,
     BasisSpec,
-    CoefficientModel,
-    calibration_weights,
-    evaluate_basis_matrix,
+    evaluate_basis_matrix,  # noqa: F401  (a lookup site patched by bench/tracing.py)
     fit_logistic,  # noqa: F401  (a lookup site patched by bench/tracing.py)
     parse_term,
+    polynomial_basis,
 )
-from .model1 import (
-    StackedRefits,
-    _linear_xm_basis,
-    _polynomial_x_basis,
-    calibrate,
-    fit_datasets,
-)
-from .report import EstimateReport, FitRows
-from .solver import SolverResult, solve  # noqa: F401  (solve: bench/tracing.py patches it)
+from .model1 import calibrate, set_stack_hooks
+from .report import EstimateReport
+from .solver import solve  # noqa: F401  (a lookup site patched by bench/tracing.py)
 
 
 def _tilted_basis(baseline: BasisSpec, n_or_params: int) -> BasisSpec:
@@ -60,12 +51,15 @@ class Model2Spec:
         """The default spec of a schema, built once per schema: specs are
         frozen, so every fit can share it."""
         d = schema.n_covariates
-        baseline = BasisSpec.parse("1" + "".join(f",x{j}" for j in range(1, d + 1)))
-        return cls(
-            baseline_basis=baseline,
-            h_basis=_linear_xm_basis(d),
-            aux_regression_basis=_polynomial_x_basis(d),
-        )
+        return cls(baseline_basis=polynomial_basis(d), h_basis=polynomial_basis(d, m=True),
+                   aux_regression_basis=polynomial_basis(d, 2))
+
+    @property
+    def bases(self) -> tuple[BasisSpec, BasisSpec, BasisSpec]:
+        """(B, h, auxiliary regression basis), as `calibrate` takes them:
+        B is the baseline basis followed by the odds-ratio terms."""
+        return (_tilted_basis(self.baseline_basis, self.n_or_params), self.h_basis,
+                self.aux_regression_basis)
 
 
 def estimate_model2(
@@ -82,10 +76,10 @@ def estimate_model2(
     """
     if spec is None:
         spec = Model2Spec.default(dataset.schema)
-    basis = spec.baseline_basis
-    if fix_gamma is None:
-        basis = _tilted_basis(basis, spec.n_or_params)
-    report = calibrate(dataset, basis, spec.h_basis, spec.aux_regression_basis,
+    basis, h_basis, aux_regression_basis = spec.bases
+    if fix_gamma is not None:
+        basis = spec.baseline_basis
+    report = calibrate(dataset, basis, h_basis, aux_regression_basis,
                        "ipw-model2", w_max, fixed_gamma=fix_gamma or 0.0)
     theta = report.nuisance["alpha"]
     p_alpha = spec.baseline_basis.width()
@@ -97,42 +91,4 @@ def estimate_model2(
     return report
 
 
-def _stacked_model2(dataset: PooledDataset,
-                    point: Optional[SolverResult] = None) -> StackedRefits:
-    spec = Model2Spec.default(dataset.schema)
-    return StackedRefits(dataset, _tilted_basis(spec.baseline_basis, spec.n_or_params),
-                         spec.h_basis, spec.aux_regression_basis, point)
-
-
-def _stacked_fits_model2(datasets: list,
-                         rows: FitRows) -> list[Optional[tuple[float, SolverResult]]]:
-    spec = Model2Spec.default(datasets[0].schema)
-    return fit_datasets(rows, _tilted_basis(spec.baseline_basis, spec.n_or_params),
-                        spec.h_basis, spec.aux_regression_basis)
-
-
-# bootstrap_ci and replicate fit the estimator with its defaults through
-# these; see model1.
-estimate_model2.stacked_refits = _stacked_model2
-estimate_model2.stacked_fits = _stacked_fits_model2
-
-
-def recovered_propensity(
-    x_row,
-    y: float,
-    alpha: CoefficientModel,
-    gamma: float,
-    x_interactions: Sequence[float] = (),
-    w_max: float = W_MAX,
-) -> float:
-    """Selection probability implied by the baseline propensity `alpha` and
-    the odds ratio exp(-gamma * y - sum_j x_interactions[j] * x_{j+1} * y).
-
-    Equals the baseline working model exactly at y = 0.
-    """
-    basis = _tilted_basis(alpha.basis, 1 + len(x_interactions))
-    design = evaluate_basis_matrix(basis, np.atleast_2d(np.asarray(x_row, dtype=float)),
-                                   y=np.array([float(y)]))
-    theta = np.array([*alpha.coefficients, gamma, *x_interactions], dtype=float)
-    w = calibration_weights(design, theta, w_max=w_max)
-    return float(1.0 / w[0])
+set_stack_hooks(estimate_model2, Model2Spec.default)

@@ -1,16 +1,14 @@
 """Feature bases and the small parametric models used as nuisance components.
 
 A basis is an ordered list of monomial terms over the covariate features, the
-(expanded) auxiliary variable M, and the outcome Y.  Coefficient models pair a
-basis with a coefficient vector and an identity or logistic link.  The
-calibrated reciprocal propensity of the IPW estimators is
-`calibration_weights`, and its slope `calibration_slope`.
+(expanded) auxiliary variable M, and the outcome Y; `polynomial_basis` builds
+the estimators' default bases.  The calibrated reciprocal propensity of the
+IPW estimators is `calibration_weights`, and its slope `calibration_slope`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -98,14 +96,6 @@ class BasisSpec:
     def __str__(self) -> str:
         return ",".join(str(t) for t in self.terms)
 
-    @property
-    def uses_m(self) -> bool:
-        return any(t.uses_m for t in self.terms)
-
-    @property
-    def uses_y(self) -> bool:
-        return any(t.uses_y for t in self.terms)
-
     def width(self, m_dim: int = 1) -> int:
         """Number of output columns; bare-m terms expand to m_dim columns."""
         return sum(t.width(m_dim) for t in self.terms)
@@ -118,6 +108,14 @@ class BasisSpec:
             else:
                 names.append(str(t))
         return names
+
+
+def polynomial_basis(d: int, degree: int = 1, m: bool = False) -> BasisSpec:
+    """1, x1, ..., x1^degree, ..., xd, ..., xd^degree, then m when asked:
+    the default bases of the estimators over d covariates."""
+    powers = [f"x{j}" if p == 1 else f"x{j}^{p}"
+              for j in range(1, d + 1) for p in range(1, degree + 1)]
+    return BasisSpec.parse(",".join(["1", *powers] + (["m"] if m else [])))
 
 
 def evaluate_basis_matrix(
@@ -177,19 +175,6 @@ def evaluate_basis_matrix(
             out[:, col] = scalar
         col += term.width(m_dim)
     return out
-
-
-@dataclass(frozen=True)
-class CoefficientModel:
-    basis: BasisSpec
-    coefficients: tuple[float, ...]
-    link: str = "identity"  # "identity" or "logistic"
-
-    def __post_init__(self):
-        if self.link not in ("identity", "logistic"):
-            raise ValueError(f"unknown link {self.link!r}")
-        if not all(math.isfinite(c) for c in self.coefficients):
-            raise ValueError("non-finite coefficients")
 
 
 class RankDeficientError(ValueError):

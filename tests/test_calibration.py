@@ -3,6 +3,7 @@ Jacobian, Model 1's equivariance in Y and overlap warning, and the estimates
 of the finite-difference solver it replaced on a fixed seed panel."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 from mnarfuse import model1
 from mnarfuse.data import DomainTag, PooledDataset, VariableSchema
 from mnarfuse.model1 import Model1Spec, estimate_model1
-from mnarfuse.model2 import Model2Spec, estimate_model2, recovered_propensity
-from mnarfuse.models import W_MAX, BasisSpec, CoefficientModel, evaluate_basis_matrix, logistic
-from mnarfuse.report import domain_arrays
+from mnarfuse.model2 import Model2Spec, estimate_model2
+from mnarfuse.models import W_MAX, BasisSpec, evaluate_basis_matrix, logistic
+from mnarfuse.report import FitRows, domain_arrays
 from mnarfuse.simulate import Model1Design, Model2Design, generate_model1, generate_model2
+from test_estimators import recovered_propensity
 
 CATEGORICAL = VariableSchema(covariate_names=("x1",), m_kind="categorical",
                              m_levels=("none", "mild", "severe"))
@@ -184,11 +186,56 @@ def test_model2_weights_are_the_recovered_propensities():
     cc = primary.complete
     for fix_gamma in (None, -0.4):  # gamma solved for, then held fixed by the offset
         report = estimate_model2(_M2, fix_gamma=fix_gamma)
-        alpha = CoefficientModel(BasisSpec.parse("1,x1"), tuple(report.nuisance["alpha"]),
-                                 link="logistic")
+        alpha = np.array(report.nuisance["alpha"])
         weights = np.array([1.0 / recovered_propensity(x, y, alpha, report.nuisance["gamma"])
                             for x, y in zip(primary.x[cc], primary.y[cc])])
         assert weights @ primary.y[cc] / primary.n == pytest.approx(report.beta_hat, abs=1e-12)
+
+
+def test_h_is_the_propensity_design_when_their_bases_are_one():
+    # Model 1's default h and B are both 1, x1, m; Model 2's B adds y
+    for dataset, spec, shared in ((_M1, Model1Spec.default(_M1.schema), True),
+                                  (_M2, Model2Spec.default(_M2.schema), False)):
+        primary = domain_arrays(dataset, DomainTag.PRIMARY)
+        auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
+        basis, h_basis, _ = spec.bases
+        equation = model1._Calibration(FitRows(primary, auxiliary), basis, h_basis)
+        assert (equation.h is equation.design) is shared
+        cc = primary.complete
+        np.testing.assert_array_equal(
+            equation.h, evaluate_basis_matrix(h_basis, primary.x[cc], primary.m[cc]))
+        stack = model1._Calibration(FitRows.of_block([dataset, dataset]), basis, h_basis)
+        part = stack.take(np.array([1]))
+        assert (part.h is part.design) is shared
+        np.testing.assert_array_equal(part.h[0], equation.h)
+
+
+# sha256 of the auxiliary regression coefficients of each model's default
+# spec, recorded from the code that averaged the regression's (n1, q)
+# predictions at the primary rows into the target
+AUX_COEFS = {
+    ("model1", "T"): "788b6f43695c0771e5d020fa1f01772c7ab1bc833a5ddf6f30349a0f5c129087",
+    ("model1", "F"): "788b6f43695c0771e5d020fa1f01772c7ab1bc833a5ddf6f30349a0f5c129087",
+    ("model2", "T"): "aa3f4b32250ef2047a0239b9e8f950803aaf9a819d8ae39e640f94c3c5498b85",
+    ("model2", "F"): "bc0091dc0408022daeffefcecbf4639cd05c909dc109b5b638b38295e7b0fcd9",
+    ("categorical", "T"): "ec7068298ed6dd97b2c57109d889ad8877e38c92b2b864aa30b5544352ab573a",
+}
+
+
+@pytest.mark.parametrize("model,setting", list(AUX_COEFS))
+def test_target_is_the_regression_at_the_primary_mean_of_the_basis(model, setting):
+    if model == "model2":
+        dataset = generate_model2(Model2Design(n=600, setting=setting), 3)[0]
+        spec = Model2Spec.default(dataset.schema)
+    else:
+        dataset = (_CAT if model == "categorical"
+                   else generate_model1(Model1Design(n=600, setting=setting), 3)[0])
+        spec = Model1Spec.default(dataset.schema)
+    _, h_basis, aux_basis = spec.bases
+    target, coefs = model1.fit_aux_moment_targets(dataset, h_basis, aux_basis)
+    primary = evaluate_basis_matrix(aux_basis, domain_arrays(dataset, DomainTag.PRIMARY).x)
+    np.testing.assert_allclose(target, (primary @ coefs).mean(axis=0), rtol=0, atol=1e-13)
+    assert hashlib.sha256(coefs.tobytes()).hexdigest() == AUX_COEFS[model, setting]
 
 
 # beta_hat of the forward-difference Newton solver these estimators used

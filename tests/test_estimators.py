@@ -1,5 +1,8 @@
 """IPW estimators, the outcome-regression plug-in, and the MAR/MCAR baselines."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,10 @@ from mnarfuse.model1 import (
     estimate_model1,
     fit_aux_moment_targets,
 )
-from mnarfuse.model2 import Model2Spec, estimate_model2, recovered_propensity
+from mnarfuse.model2 import Model2Spec, estimate_model2
 from mnarfuse.models import (
+    W_MAX,
     BasisSpec,
-    CoefficientModel,
     RankDeficientError,
     evaluate_basis_matrix,
     solve_least_squares,
@@ -48,10 +51,13 @@ def test_aux_targets_recover_m_regression():
 
 
 def test_aux_targets_constant_component():
+    # the regression of h = 1 on 1, x1 is 1 + 0 x1, so its prediction is 1
+    # at every primary row, and so is their mean
     ds, _ = generate_model1(Model1Design(n=500), seed=2)
-    preds, _ = fit_aux_moment_targets(ds, BasisSpec.parse("1"),
-                                      BasisSpec.parse("1,x1"))
-    np.testing.assert_allclose(preds[:, 0], 1.0, atol=1e-10)
+    target, coefs = fit_aux_moment_targets(ds, BasisSpec.parse("1"),
+                                           BasisSpec.parse("1,x1"))
+    assert target == pytest.approx([1.0], rel=0, abs=1e-12)
+    assert coefs[:, 0] == pytest.approx([1.0, 0.0], rel=0, abs=1e-12)
 
 
 def test_aux_targets_degenerate_design_raises():
@@ -160,19 +166,29 @@ def test_model2_gamma_fixed_zero_intercept_baseline():
     assert report.nuisance["gamma"] == 0.0
 
 
-def _alpha_54():
-    return CoefficientModel(BasisSpec.parse("1,x1"), (0.5, 0.4), link="logistic")
+def recovered_propensity(x_row, y, alpha, gamma, x_interactions=()):
+    """The selection probability 1 / w that Model 2 implies at (x_row, y):
+    the baseline propensity logistic(alpha . (1, x1, ..., xd)) tilted by the
+    odds ratio exp(-gamma * y - sum_j x_interactions[j] * x_{j+1} * y), so
+    w = min(1 + exp(-alpha . (1, x) - gamma * y - ...), W_MAX).  It equals
+    the baseline propensity exactly at y = 0."""
+    x = np.asarray(x_row, dtype=float)
+    tilt = gamma + sum(c * x[j] for j, c in enumerate(x_interactions))
+    return 1.0 / min(1.0 + math.exp(-(alpha[0] + x @ alpha[1:]) - tilt * y), W_MAX)
+
+
+_ALPHA_54 = np.array([0.5, 0.4])
 
 
 def test_recovered_propensity_baseline_at_y_zero():
-    alpha = _alpha_54()
+    alpha = _ALPHA_54
     for x in (-1.0, 0.0, 1.5):
         p = recovered_propensity([x], 0.0, alpha, gamma=0.3, x_interactions=(0.7,))
         assert p == pytest.approx(1.0 / (1.0 + np.exp(-(0.5 + 0.4 * x))))
 
 
 def test_recovered_propensity_gamma_zero_ignores_y():
-    alpha = _alpha_54()
+    alpha = _ALPHA_54
     values = {recovered_propensity([1.0], y, alpha, gamma=0.0) for y in (-2.0, 0.0, 3.0)}
     assert len(values) == 1
 
@@ -180,7 +196,7 @@ def test_recovered_propensity_gamma_zero_ignores_y():
 def test_recovered_propensity_scalar_example():
     # with the simulation sign convention (w - 1 = exp(-gamma*y - alpha.b)),
     # gamma = -0.3 makes the selection probability fall in y
-    p = recovered_propensity([1.0], 2.0, _alpha_54(), gamma=-0.3)
+    p = recovered_propensity([1.0], 2.0, _ALPHA_54, gamma=-0.3)
     assert p == pytest.approx(1.0 / (1.0 + np.exp(0.6 - 0.9)), abs=1e-12)
     assert abs(p - 0.5744) < 1e-4
 
@@ -211,3 +227,50 @@ def test_mar_no_missingness_is_sample_mean():
                        np.ones(n, dtype=int))
     report = mar_estimate(ds, BasisSpec.parse("1,x1"))
     assert report.beta_hat == pytest.approx(float(y[:60].mean()), abs=1e-10)
+
+
+# str() of each default basis of d covariates, recorded from the code that
+# spelled the defaults out in each spec: Model 1's (B, h, auxiliary
+# regression, outcome), Model 2's (baseline, h, auxiliary regression), and
+# Model 2's B with 1 and 2 odds-ratio parameters
+DEFAULT_BASES = {
+    1: (("1,x1,m", "1,x1,m", "1,x1,x1^2", "1,x1,x1^2,m"),
+        ("1,x1", "1,x1,m", "1,x1,x1^2"),
+        ("1,x1,y", "1,x1,y,x1*y")),
+    2: (("1,x1,x2,m", "1,x1,x2,m", "1,x1,x1^2,x2,x2^2", "1,x1,x1^2,x2,x2^2,m"),
+        ("1,x1,x2", "1,x1,x2,m", "1,x1,x1^2,x2,x2^2"),
+        ("1,x1,x2,y", "1,x1,x2,y,x1*y")),
+    3: (("1,x1,x2,x3,m", "1,x1,x2,x3,m", "1,x1,x1^2,x2,x2^2,x3,x3^2",
+         "1,x1,x1^2,x2,x2^2,x3,x3^2,m"),
+        ("1,x1,x2,x3", "1,x1,x2,x3,m", "1,x1,x1^2,x2,x2^2,x3,x3^2"),
+        ("1,x1,x2,x3,y", "1,x1,x2,x3,y,x1*y")),
+}
+
+
+@pytest.mark.parametrize("d", sorted(DEFAULT_BASES))
+def test_default_bases_keep_their_terms(d):
+    schema = VariableSchema(covariate_names=tuple(f"x{j}" for j in range(1, d + 1)))
+    m1, m2 = Model1Spec.default(schema), Model2Spec.default(schema)
+    model1, model2, tilted = DEFAULT_BASES[d]
+    assert tuple(map(str, (m1.propensity_basis, m1.h_basis, m1.aux_regression_basis,
+                           m1.outcome_basis))) == model1
+    assert tuple(map(str, (m2.baseline_basis, m2.h_basis, m2.aux_regression_basis))) == model2
+    assert m2.n_or_params == 1
+    assert tuple(str(dataclasses.replace(m2, n_or_params=k).bases[0]) for k in (1, 2)) == tilted
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_mar_default_basis_is_linear_in_x(d):
+    rng = np.random.default_rng(d)
+    n = 300
+    schema = VariableSchema(covariate_names=tuple(f"x{j}" for j in range(1, d + 1)))
+    g = np.where(rng.random(n) < 0.5, 1, 2)
+    x = rng.normal(size=(n, d))
+    y = x.sum(axis=1) + rng.normal(size=n)
+    r = (rng.random(n) < 0.7).astype(int)
+    ds = PooledDataset(schema, g=g, x=x, m=np.where(r == 1, rng.normal(size=n), np.nan),
+                       y=np.where((g == 1) & (r == 1), y, np.nan), r=r)
+    default = mar_estimate(ds)
+    spelled = mar_estimate(ds, BasisSpec.parse(",".join(["1"] + list(schema.covariate_names))))
+    assert default.beta_hat.hex() == spelled.beta_hat.hex()
+    assert default.nuisance == spelled.nuisance
