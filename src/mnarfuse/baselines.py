@@ -74,10 +74,12 @@ def _stacked_mar(datasets: list, rows: FitRows) -> list[Optional[tuple[float, No
         return out
     x_basis = polynomial_basis(datasets[0].schema.n_covariates)
     x_cc, _, y_cc = rows["cc"]
-    design = rows.stack("cc", evaluate_basis_matrix(x_basis, x_cc))
-    coef = solve_least_squares(design[live], rows.stack("cc", y_cc)[live], weights=cc[live])
-    at_primary = rows.stack("primary", evaluate_basis_matrix(x_basis, *rows["primary"]))
-    betas = linear_predictor(at_primary[live], coef).sum(axis=1) / primary[live].sum(axis=1)
+    design = evaluate_basis_matrix(x_basis, x_cc)
+    coef = solve_least_squares(design[live], y_cc[live], weights=cc[live])
+    at_primary = evaluate_basis_matrix(x_basis, *rows["primary"])
+    # a padding row holds the basis at 0, whose prediction is the intercept
+    betas = ((linear_predictor(at_primary[live], coef) * primary[live]).sum(axis=1)
+             / primary[live].sum(axis=1))
     for k, beta in zip(live.tolist(), betas.tolist()):
         if math.isfinite(beta):
             out[k] = (beta, None)

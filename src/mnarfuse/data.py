@@ -45,6 +45,8 @@ class VariableSchema:
     missing_token: str = "?"
 
     def __post_init__(self):
+        if len(set(self.covariate_names)) != len(self.covariate_names):
+            raise ValueError("covariate names must be distinct")
         if self.m_kind not in ("numeric", "categorical"):
             raise ValueError(f"unknown m_kind {self.m_kind!r}")
         if self.y_kind not in ("numeric", "binary"):

@@ -77,11 +77,10 @@ def _require_domains(dataset: PooledDataset) -> tuple[DomainArrays, DomainArrays
 def _aux_regression_matrices(rows: FitRows, h_basis: BasisSpec,
                              aux_regression_basis: BasisSpec):
     """h over the auxiliary complete cases, the X-only regression basis
-    there, and that basis at every primary-domain X; as rows stacks them."""
+    there, and that basis at every primary-domain X; as rows lays them out."""
     x, m = rows["aux_cc"]
-    return (rows.stack("aux_cc", evaluate_basis_matrix(h_basis, x, m)),
-            rows.stack("aux_cc", evaluate_basis_matrix(aux_regression_basis, x)),
-            rows.stack("primary", evaluate_basis_matrix(aux_regression_basis, *rows["primary"])))
+    return (evaluate_basis_matrix(h_basis, x, m), evaluate_basis_matrix(aux_regression_basis, x),
+            evaluate_basis_matrix(aux_regression_basis, *rows["primary"]))
 
 
 def fit_aux_moment_targets(
@@ -130,20 +129,19 @@ class _Calibration:
     def __init__(self, rows: FitRows, basis: BasisSpec, h_basis: BasisSpec,
                  w_max: float = W_MAX, fixed_gamma: float = 0.0):
         x_cc, m_cc, y = rows["cc"]
-        m_dim = m_cc.shape[1]
+        m_dim = m_cc.shape[-1]
         if h_basis.width(m_dim) < basis.width(m_dim):
             raise EstimationError(
                 f"h basis has {h_basis.width(m_dim)} components for {basis.width(m_dim)} "
                 "propensity parameters"
             )
-        self.design = rows.stack("cc", evaluate_basis_matrix(basis, x_cc, m_cc, y))
-        self.h = self.design if h_basis == basis else rows.stack(
-            "cc", evaluate_basis_matrix(h_basis, x_cc, m_cc))
-        self.y = rows.stack("cc", y)
+        self.design = evaluate_basis_matrix(basis, x_cc, m_cc, y)
+        self.h = self.design if h_basis == basis else evaluate_basis_matrix(h_basis, x_cc, m_cc)
+        self.y = y
         self.offset = -fixed_gamma * self.y if fixed_gamma else 0.0
         self.w_max = w_max
         x_only = BasisSpec(tuple(t for t in basis.terms if not (t.uses_m or t.uses_y)))
-        self._x_only = rows.stack("primary", evaluate_basis_matrix(x_only, *rows["primary"]))
+        self._x_only = evaluate_basis_matrix(x_only, *rows["primary"])
         self._h_diag_b = None  # built on the first Jacobian
 
     def take(self, members: np.ndarray) -> "_Calibration":

@@ -127,26 +127,28 @@ def evaluate_basis_matrix(
     """Evaluate every term for every row.
 
     x has shape (n, d); m, when given, has shape (n,) or (n, m_dim); y has
-    shape (n,).  Terms referencing an absent variable raise.  With a
+    shape (n,).  Rows may carry a leading member axis, the (K, n, ...) stack
+    of members with their own rows: x (K, n, d), m (K, n, m_dim), y (K, n)
+    give (K, n, width).  Terms referencing an absent variable raise.  With a
     multi-column M block only plain first-power m factors are allowed, and
     such terms expand to one column per M feature.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    n, d = x.shape
+    d = x.shape[-1]
     if m is not None:
         m = np.asarray(m, dtype=float)
         if m.ndim == 1:
             m = m[:, None]
-    m_dim = 1 if m is None else m.shape[1]
+    m_dim = 1 if m is None else m.shape[-1]
     if y is not None:
         y = np.asarray(y, dtype=float)
 
-    out = np.empty((n, basis.width(m_dim)))
+    out = np.empty(x.shape[:-1] + (basis.width(m_dim),))
     col = 0  # the term's first column in out
     for term in basis.terms:
-        scalar = np.ones(n)
+        scalar = np.ones(x.shape[:-1])
         m_block = None
         for var, power in term.factors:
             if var == "m":
@@ -159,7 +161,7 @@ def evaluate_basis_matrix(
                         )
                     m_block = m
                 else:
-                    scalar = scalar * m[:, 0] ** power
+                    scalar = scalar * m[..., 0] ** power
             elif var == "y":
                 if y is None:
                     raise ValueError(f"term {term} references Y but Y is absent")
@@ -168,11 +170,11 @@ def evaluate_basis_matrix(
                 j = int(var[1:]) - 1
                 if not 0 <= j < d:
                     raise ValueError(f"term {term}: covariate {var} out of range (d={d})")
-                scalar = scalar * x[:, j] ** power
+                scalar = scalar * x[..., j] ** power
         if m_block is not None:
-            np.multiply(scalar[:, None], m_block, out=out[:, col:col + m_dim])
+            np.multiply(scalar[..., None], m_block, out=out[..., col:col + m_dim])
         else:
-            out[:, col] = scalar
+            out[..., col] = scalar
         col += term.width(m_dim)
     return out
 
@@ -207,12 +209,9 @@ def _dependent_columns(design: np.ndarray, weights: Optional[np.ndarray],
     n, p = design.shape[-2:]
     if weights is None:
         rows, top = np.array([n]), np.abs(design).max(initial=0.0)
-    elif design.ndim == 2:
-        rows = weights.sum(axis=1)
-        top = ((weights > 0) * np.abs(design).max(axis=1)).max(axis=1, initial=0.0)
     else:
         rows = weights.sum(axis=1)
-        top = np.abs(design * (weights > 0)[:, :, None]).max(axis=(1, 2), initial=0.0)
+        top = (np.abs(design) * (weights > 0)[..., None]).max(axis=(-2, -1), initial=0.0)
     limit = _RANK_TOL * np.maximum(top, 1.0) * np.maximum(rows, p)
     diag = np.zeros((rows.size, p))
     diag[:, :min(n, p)] = np.diagonal(r, axis1=1, axis2=2)
@@ -224,21 +223,6 @@ def _raise_if_dependent(bad: np.ndarray, names: Optional[list[str]] = None) -> N
     if bad[0] >= 0:
         j = int(bad[0])
         raise RankDeficientError(j, names[j] if names and j < len(names) else "")
-
-
-def stack_rows(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The rows of members of the given sizes as a stack of their own rows.
-
-    rows (N, ...) holds the members' rows one member after another, sizes
-    (K,) how many each has.  Returns the (K, n, ...) stack, n the most rows
-    a member has, zero on the padding after a member's rows.
-    """
-    stacked = np.zeros((sizes.size, sizes.max(initial=0)) + rows.shape[1:])
-    start = 0
-    for k, n in enumerate(sizes.tolist()):  # slices: far faster than a mask or index assignment
-        stacked[k, :n] = rows[start:start + n]
-        start += n
-    return stacked
 
 
 def linear_predictor(design: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .data import DomainTag, PooledDataset, m_features
-from .models import stack_rows
 from .solver import SolverResult
 
 
@@ -63,13 +62,8 @@ class EstimateReport:
             "warnings": list(self.warnings),
         }
         if self.solver is not None:
-            out["solver"] = {
-                "status": self.solver.status,
-                "final_residual_norm": self.solver.final_residual_norm,
-                "iterations": self.solver.iterations,
-                "residual_evals": self.solver.residual_evals,
-                "jacobian_evals": self.solver.jacobian_evals,
-            }
+            out["solver"] = {f.name: getattr(self.solver, f.name)
+                             for f in fields(SolverResult) if f.name != "theta_hat"}
         if self.ci is not None:
             out["ci"] = {
                 "lo": self.ci.lo,
@@ -138,8 +132,9 @@ class FitRows:
     domain's (x,); "cc", its complete cases' (x, m, y); "aux_cc", the
     auxiliary complete cases' (x, m).  The members of a stack share one
     dataset's rows, FitRows(primary, auxiliary), or each has its own,
-    FitRows.of_block(datasets), whose sets hold their members' rows one
-    member after another.  The fits evaluate their bases themselves, so
+    FitRows.of_block(datasets), whose sets are (K, n, ...) stacks of their
+    members' rows, padded with zeros after each member's rows.  The fits
+    evaluate their bases themselves, straight into those stacks, so
     bench/tracing.py finds those calls where it patches them."""
 
     def __init__(self, primary: DomainArrays, auxiliary: DomainArrays):
@@ -148,7 +143,6 @@ class FitRows:
         self._sets = {"primary": (primary.x,),
                       "cc": (primary.x[cc], primary.m[cc], primary.y[cc]),
                       "aux_cc": (auxiliary.x[aux_cc], auxiliary.m[aux_cc])}
-        self._sizes: Optional[dict] = None  # shared rows
 
     @classmethod
     def of_block(cls, datasets: list) -> "FitRows":
@@ -159,25 +153,22 @@ class FitRows:
         members = [cls(domain_arrays(ds, DomainTag.PRIMARY),
                        _split_domain(ds, DomainTag.AUXILIARY)) for ds in datasets]
         block = cls.__new__(cls)
-        block._sets = {name: tuple(map(np.concatenate, zip(*(rows[name] for rows in members))))
-                       for name in members[0]._sets}
-        block._sizes = {name: np.array([len(rows[name][0]) for rows in members])
-                       for name in block._sets}
+        block._sets, block._counts = {}, {}
+        for name in members[0]._sets:
+            sets = [rows[name] for rows in members]
+            sizes = np.array([len(rows[0]) for rows in sets])
+            block._counts[name] = (np.arange(sizes.max()) < sizes[:, None]).astype(float)
+            block._sets[name] = tuple(np.zeros((len(sets), sizes.max()) + a.shape[1:])
+                                      for a in sets[0])
+            for k, rows in enumerate(sets):  # slices: far faster than a mask or index assignment
+                for stacked, a in zip(block._sets[name], rows):
+                    stacked[k, :len(a)] = a
         return block
 
     def __getitem__(self, name: str) -> tuple[np.ndarray, ...]:
         return self._sets[name]
 
-    def stack(self, name: str, rows: np.ndarray) -> np.ndarray:
-        """Rows (N, ...) over the row set `name`: unchanged when the members
-        share them, else the (K, n, ...) stack of each member's own rows
-        (see models.stack_rows)."""
-        if self._sizes is None:
-            return rows
-        return stack_rows(rows, self._sizes[name])
-
     def counts(self, name: str) -> np.ndarray:
-        """The (K, n) frequency weights of a block's stacked row set `name`:
-        1 on each member's rows, 0 on the padding after them."""
-        sizes = self._sizes[name]
-        return (np.arange(sizes.max(initial=0)) < sizes[:, None]).astype(float)
+        """The (K, n) frequency weights of a block's row set `name`: 1 on
+        each member's rows, 0 on the padding after them."""
+        return self._counts[name]

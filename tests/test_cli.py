@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from mnarfuse.cli import build_parser, main
 from mnarfuse.data import read_csv
 from mnarfuse.simulate import SCALAR_SCHEMA
+from mnarfuse.solver import SolverResult
 
 
 def run(argv):
@@ -261,6 +263,18 @@ def test_a_blank_covariate_list_is_an_error(tmp_path, capsys, spelling):
         assert code == 2 and "--covariates: names no column" in err
 
 
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+def test_a_repeated_covariate_name_is_a_one_line_error(tmp_path, capsys, spelling):
+    data, config = tmp_path / "d.csv", tmp_path / "d.ini"
+    assert run(["simulate", "--model", "1", "--n", "300", "--seed", "1",
+                "--out", str(data)]) == 0
+    config.write_text("[schema]\ncovariates = x1, x1\n")
+    flags = {"flag": ["--covariates", "x1,x1"], "config": ["--config", str(config)]}[spelling]
+    capsys.readouterr()
+    assert run(["estimate", "--data", str(data), "--model", "1", *flags]) == 1
+    assert capsys.readouterr().err == "error: covariate names must be distinct\n"
+
+
 def test_workers_clamped_to_cpu_count():
     # parsing only: no pool is started
     args = build_parser().parse_args(
@@ -329,6 +343,7 @@ def test_estimate_json_reports_solver_counters(tmp_path, capsys):
     solver = report["solver"]
     assert set(solver) == {"status", "final_residual_norm", "iterations", "residual_evals",
                            "jacobian_evals"}
+    assert list(solver) == [f.name for f in fields(SolverResult) if f.name != "theta_hat"]
     assert solver["status"] == "converged"
     # one Jacobian per Newton step, and the residual at the start and at each step
     assert solver["jacobian_evals"] == solver["iterations"]

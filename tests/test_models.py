@@ -91,6 +91,23 @@ def test_basis_matrix_matches_a_column_stack(case, n):
     assert out.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("case", ["numeric-m", "categorical-m2", "y"])
+def test_basis_matrix_of_a_stack_is_each_members_matrix(case):
+    # members with their own rows: x (K, n, d), m (K, n, m_dim), y (K, n)
+    text, m_dim = _BASIS_CASES[case]
+    basis = BasisSpec.parse(text)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(3, 25, 2))
+    y = rng.normal(size=(3, 25)) if "y" in text else None
+    m = (rng.normal(size=(3, 25, 1)) if m_dim == 1
+         else np.eye(m_dim)[rng.integers(m_dim, size=(3, 25))])
+    out = evaluate_basis_matrix(basis, x, m, y)
+    assert out.shape == (3, 25, basis.width(m_dim))
+    for k in range(3):
+        want = evaluate_basis_matrix(basis, x[k], m[k], None if y is None else y[k])
+        assert out[k].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("text,x,m,y,message", [
     ("1,x1*m", [[1.0]], None, None, "term x1*m references M but M is absent"),
     ("1,m,y^2", [[1.0]], [2.0], None, "term y^2 references Y but Y is absent"),

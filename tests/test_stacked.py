@@ -32,8 +32,8 @@ from mnarfuse.models import (
     RankDeficientError,
     dependent_columns,
     solve_least_squares,
-    stack_rows,
 )
+from mnarfuse.report import FitRows, domain_arrays
 from mnarfuse.simulate import (
     Model1Design,
     Model2Design,
@@ -619,6 +619,25 @@ def test_blocks_depend_on_the_design_and_the_replicate_count_alone():
         assert max(map(len, blocks), default=0) - min(map(len, blocks), default=0) <= 1
 
 
+def test_a_block_pads_each_row_set_into_its_stack():
+    datasets = [generate_model1(Model1Design(n=n), seed)[0]
+                for n, seed in ((150, 1), (300, 2), (220, 3))]
+    block = FitRows.of_block(datasets)
+    own = [FitRows(domain_arrays(ds, DomainTag.PRIMARY), domain_arrays(ds, DomainTag.AUXILIARY))
+           for ds in datasets]
+    for name in ("primary", "cc", "aux_cc"):
+        sizes = [len(rows[name][0]) for rows in own]
+        n = max(sizes)
+        assert len(set(sizes)) == 3
+        assert block.counts(name).tolist() == [[1.0] * size + [0.0] * (n - size)
+                                               for size in sizes]
+        for position, stacked in enumerate(block[name]):
+            assert stacked.shape == (3, n) + own[0][name][position].shape[1:]
+            for k, rows in enumerate(own):
+                assert np.array_equal(stacked[k, :sizes[k]], rows[name][position])
+                assert not stacked[k, sizes[k]:].any()
+
+
 def _own_rows(n_members=4, n=120, seed=6):
     """Designs and targets of members of various sizes, with their rows one
     member after another."""
@@ -632,10 +651,13 @@ def _own_rows(n_members=4, n=120, seed=6):
 
 
 def _stacked_fit(sizes, design, target):
-    stacked = stack_rows(design, sizes)
-    counts = (np.arange(stacked.shape[1]) < sizes[:, None]).astype(float)
-    return stacked, counts, solve_least_squares(stacked, stack_rows(target, sizes),
-                                                weights=counts)
+    """The members' rows as (K, n, ...) stacks, padded with a nonzero row
+    that their zero counts must mask, and their least-squares fits."""
+    counts = (np.arange(sizes.max()) < sizes[:, None]).astype(float)
+    stacked = np.tile(1.0 + np.arange(design.shape[1]), counts.shape + (1,))
+    stacked_target = np.full(counts.shape + target.shape[1:], 5.0)
+    stacked[counts > 0], stacked_target[counts > 0] = design, target
+    return stacked, counts, solve_least_squares(stacked, stacked_target, weights=counts)
 
 
 def test_fits_with_their_own_rows_equal_fits_of_each_member():
