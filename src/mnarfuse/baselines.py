@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DomainTag, PooledDataset
+from .data import DomainTag, PooledDataset, VariableSchema
 from .models import (
     BasisSpec,
     evaluate_basis_matrix,
@@ -61,24 +61,27 @@ def mar_estimate(
     )
 
 
-def _stacked_mar(datasets: list, rows: FitRows) -> list[Optional[tuple[float, None]]]:
-    """`mar_estimate` with its default basis on a block of datasets of one
-    schema, laid out as FitRows.of_block, as one least squares whose members
-    have their own rows: (beta_hat, None) of each dataset, or None where it
-    has no complete case, a rank deficient design or a non-finite beta_hat,
-    to be fitted on its own."""
+def _stacked_mar(rows: FitRows, schema: VariableSchema,
+                 start: Optional[np.ndarray] = None) -> list[Optional[tuple[float, None]]]:
+    """`mar_estimate` with its default basis on the members of the FitRows
+    stack `rows`, as one least squares: (beta_hat, None) of each member, or
+    None where it has no complete case, a rank deficient design or a
+    non-finite beta_hat, to be fitted on its own.  The fit has no solver,
+    so start is not used."""
     primary, cc = rows.counts("primary"), rows.counts("cc")
     live = np.flatnonzero(cc.sum(axis=1) > 0)
-    out: list[Optional[tuple[float, None]]] = [None] * len(datasets)
+    out: list[Optional[tuple[float, None]]] = [None] * len(primary)
     if live.size == 0:
         return out
-    x_basis = polynomial_basis(datasets[0].schema.n_covariates)
+    x_basis = polynomial_basis(schema.n_covariates)
     x_cc, _, y_cc = rows["cc"]
     design = evaluate_basis_matrix(x_basis, x_cc)
-    coef = solve_least_squares(design[live], y_cc[live], weights=cc[live])
     at_primary = evaluate_basis_matrix(x_basis, *rows["primary"])
+    if design.ndim == 3:  # each member has its own rows
+        design, y_cc, at_primary = design[live], y_cc[live], at_primary[live]
+    coef = solve_least_squares(design, y_cc, weights=cc[live])
     # a padding row holds the basis at 0, whose prediction is the intercept
-    betas = ((linear_predictor(at_primary[live], coef) * primary[live]).sum(axis=1)
+    betas = ((linear_predictor(at_primary, coef) * primary[live]).sum(axis=1)
              / primary[live].sum(axis=1))
     for k, beta in zip(live.tolist(), betas.tolist()):
         if math.isfinite(beta):
@@ -86,5 +89,6 @@ def _stacked_mar(datasets: list, rows: FitRows) -> list[Optional[tuple[float, No
     return out
 
 
-# replicate fits a block of datasets through this; see model1.
+# bootstrap_ci and replicate fit a stack of resamples or datasets through
+# this; see model1.
 mar_estimate.stacked_fits = _stacked_mar

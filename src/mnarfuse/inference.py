@@ -77,6 +77,13 @@ def _draw(dataset: PooledDataset, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
 
 
+# A block of bootstrap refits of a dataset of n rows holds _REFIT_ROWS // n
+# resamples: 87 at n=2000, 4 MiB of (n, 3) float rows.  Blocks from 2 to
+# 8 MiB ran about equally fast at n=2000; smaller ones pay the per-call
+# overhead of numpy more often, larger ones fall out of cache.
+_REFIT_ROWS = (1 << 22) // 24
+
+
 def bootstrap_ci(
     dataset: PooledDataset,
     estimator: Estimator,
@@ -94,28 +101,30 @@ def bootstrap_ci(
     stopped without converging are kept in the interval and counted by
     solver status.
 
-    An estimator with a `stacked_refits` attribute (the IPW estimators with
-    their defaults) refits a block of resamples at a time through it; a
-    resample it returns no fit for is refitted by calling the estimator on
-    it, as every resample is for any other estimator.  The stack is given
-    the solver result of `point`, the estimator's report on the dataset,
-    and starts its refits there (see StackedRefits).  Pass `point` when it
-    is at hand, as `estimate --bootstrap` does: fitting it again costs
-    about a tenth of an `estimate --bootstrap 20` call at n=2000.  Without
-    `point` the point is fitted here, and a point fit that raises one of
-    FIT_ERRORS or does not converge leaves every refit to start at
-    theta = 0.  The solver polishes every converged fit to its root, so
-    the start moves no estimate beyond ~1e-12; a refit that fails from it
-    is refitted on its own.
+    An estimator with a `stacked_fits` attribute (the IPW estimators with
+    their defaults, and MAR) refits a block of resamples at a time through
+    it, as stacked_fits(FitRows.of_resamples(dataset, draws), schema,
+    start); a resample it returns no fit for is refitted by calling the
+    estimator on it, as every resample is for any other estimator.  A block
+    holds max(1, _REFIT_ROWS // n) resamples of a dataset of n rows.  start
+    is the theta of `point`, the estimator's report on the dataset, when its
+    solver converged, else None.  Pass `point` when it is at hand, as
+    `estimate --bootstrap` does: fitting it again costs about a tenth of an
+    `estimate --bootstrap 20` call at n=2000.  Without `point` the point is
+    fitted here, and a point fit that raises one of FIT_ERRORS or does not
+    converge leaves every refit to start at theta = 0.  The solver polishes
+    every converged fit to its root, so the start moves no estimate beyond
+    ~1e-12; a refit that fails from it is refitted on its own.
     """
     if config is None:
         config = BootstrapConfig()
-    stacked = getattr(estimator, "stacked_refits", None)
-    refit_block = None
+    stacked = getattr(estimator, "stacked_fits", None)
+    start = None
     if stacked is not None:
         point_fit = _point_fit(dataset, estimator) if point is None else point.solver
-        refit_block = stacked(dataset, point_fit)
-    block_size = 1 if refit_block is None else refit_block.block_size
+        if point_fit is not None and point_fit.converged:
+            start = point_fit.theta_hat
+    block_size = max(1, _REFIT_ROWS // max(1, len(dataset)))
     estimates = []
     failures = Counter()
     nonconverged = Counter()
@@ -123,7 +132,8 @@ def bootstrap_ci(
     for first in range(0, config.k, block_size):
         draws = [_draw(dataset, make_rng(config.seed, b))
                  for b in range(first, min(first + block_size, config.k))]
-        fits = [None] * len(draws) if refit_block is None else refit_block(draws)
+        fits = ([None] * len(draws) if stacked is None
+                else stacked(FitRows.of_resamples(dataset, draws), dataset.schema, start))
         for beta_hat, solver, failure in _fit_each(estimator, fits, draws, dataset.take,
                                                    refits):
             if failure is None and not math.isfinite(beta_hat):
@@ -300,15 +310,16 @@ def _run_block(design, seed: int, reps: range, estimators: dict) -> dict:
     counts) over the block's replicates; a beta_hat is NaN where the fit
     failed.  An estimator with a `stacked_fits` attribute (the default bank
     but MCAR) fits the block's datasets as one stack through it, as
-    stacked_fits(datasets, rows): rows is the block's FitRows.of_block,
-    split once here and read by every such estimator."""
+    stacked_fits(rows, schema): rows is the block's FitRows.of_block, split
+    once here and read by every such estimator."""
     datasets = [generate_for(design, int(make_rng(seed, rep).integers(2**31)))
                 for rep in reps]
     stacked = {name: getattr(fn, "stacked_fits", None) for name, fn in estimators.items()}
     rows = FitRows.of_block(datasets) if any(stacked.values()) else None
     out = {}
     for name, fn in estimators.items():
-        fits = [None] * len(datasets) if stacked[name] is None else stacked[name](datasets, rows)
+        fits = ([None] * len(datasets) if stacked[name] is None
+                else stacked[name](rows, datasets[0].schema))
         counts = Counter()
         values, nonconverged = [], []
         for beta_hat, solver, failure in _fit_each(fn, fits, datasets, lambda ds: ds, counts):

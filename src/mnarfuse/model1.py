@@ -34,7 +34,7 @@ from .models import (
     solve_least_squares,
     weighted_cross_products,
 )
-from .report import DomainArrays, EstimateReport, FitRows, domain_arrays, domain_rows
+from .report import DomainArrays, EstimateReport, FitRows, domain_arrays
 from .solver import MomentSystem, SolverResult, newton_stack, solve
 
 
@@ -114,8 +114,8 @@ def fit_aux_moment_targets(
 class _Calibration:
     """The calibration equation h^T (c w(theta)) / n1 = target on the primary
     complete cases of a stack of members: the one member of `calibrate`'s
-    point fit, the resamples of one dataset (StackedRefits) or a block of
-    datasets (fit_datasets).
+    point fit, or the members of a `_fit_stack`: the resamples of one
+    dataset or a block of datasets.
 
     B is `basis` over the complete cases (x, m, y) of the FitRows `rows`, h
     is `h_basis` there, and the offset is -fixed_gamma * y.  The members
@@ -260,13 +260,6 @@ def calibrate(
     )
 
 
-# A block of stacked refits of a dataset of n rows and p propensity
-# parameters holds _BLOCK_BYTES // (8 n p) refits.  Blocks from 2 to 8 MiB
-# ran about equally fast at n=2000; smaller ones pay the per-call overhead
-# of numpy more often, larger ones fall out of cache.
-_BLOCK_BYTES = 1 << 22
-
-
 def _pick(a: np.ndarray, members: np.ndarray) -> np.ndarray:
     """a[members], without a copy when members are all of a's members."""
     return a if members.size == len(a) else a[members]
@@ -278,59 +271,53 @@ def _of_members(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
     return rows if rows.ndim == 2 else _pick(rows, members)
 
 
-class _AuxTargets:
-    """The calibration targets of the members of a stack: each member's
-    weighted regression of h on the X-only basis over the auxiliary complete
-    cases, predicted at its primary rows and averaged there.  The rows are
-    shared, or each member's own, as `rows` lays them out."""
-
-    def __init__(self, rows: FitRows, h_basis: BasisSpec, aux_regression_basis: BasisSpec):
-        self.min_aux_cc = max(1, len(aux_regression_basis.terms))
-        self._h, self._design, self._at_primary = _aux_regression_matrices(
-            rows, h_basis, aux_regression_basis)
-
-    def __call__(self, primary: np.ndarray, aux_cc: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """The (len(live), q) targets of the live members, member k counting
-        primary row i primary[k, i] times and auxiliary complete case i
-        aux_cc[k, i] times; NaN where its regression is rank deficient."""
-        if live.size == 0:
-            return np.zeros((0, self._h.shape[-1]))
-        coefs = solve_least_squares(_of_members(self._design, live),
-                                    _of_members(self._h, live), weights=_pick(aux_cc, live))
-        primary = _pick(primary, live)
-        return np.einsum("ka,kaq->kq", member_sums(primary, _of_members(self._at_primary, live)),
-                         coefs) / primary.sum(axis=1)[:, None]
+def _aux_targets(rows: FitRows, h_basis: BasisSpec, aux_regression_basis: BasisSpec,
+                 live: np.ndarray) -> np.ndarray:
+    """The (len(live), q) calibration targets of the live members of the
+    stack `rows`: each member's regression of h on the X-only basis over
+    the auxiliary complete cases, weighted by its counts, predicted at its
+    primary rows and averaged there; NaN where its regression is rank
+    deficient.  The regression's matrices are freed on return."""
+    h, design, at_primary = _aux_regression_matrices(rows, h_basis, aux_regression_basis)
+    primary = _pick(rows.counts("primary"), live)
+    coefs = solve_least_squares(_of_members(design, live), _of_members(h, live),
+                                weights=_pick(rows.counts("aux_cc"), live))
+    return np.einsum("ka,kaq->kq", member_sums(primary, _of_members(at_primary, live)),
+                     coefs) / primary.sum(axis=1)[:, None]
 
 
-def _live(cc: np.ndarray, aux_cc: np.ndarray, min_aux_cc: int) -> np.ndarray:
-    """The members with a primary complete case and at least min_aux_cc >= 1
-    auxiliary complete cases (so rows in both domains), as cc and aux_cc
-    count each member's primary and auxiliary complete cases."""
-    return np.flatnonzero((cc.sum(axis=1) > 0) & (aux_cc.sum(axis=1) >= min_aux_cc))
-
-
-def _fit_stack(equation: _Calibration, primary: np.ndarray, cc: np.ndarray, live: np.ndarray,
-               target: np.ndarray, start: Optional[np.ndarray] = None,
+def _fit_stack(rows: FitRows, bases: tuple[BasisSpec, BasisSpec, BasisSpec],
+               start: Optional[np.ndarray] = None,
                ) -> list[Optional[tuple[float, SolverResult]]]:
-    """`calibrate` with its default weight cap and no fixed Y tilt, for the
-    live members of a stack at once: (beta_hat, solver result) of each
-    member, or None.  Member k counts primary row i primary[k, i] times and
-    complete case i cc[k, i] times; target holds the live members' targets.
-    Every member's Newton attempt starts at `start` (p,) when it is given,
-    else at `_Calibration.init`; the attempts run as stacked operations.
+    """`calibrate` with bases (B, h, auxiliary regression basis), its
+    default weight cap and no fixed Y tilt, for the members of the stack
+    `rows` at once: (beta_hat, solver result) of each member, or None.
+    Member k counts row i of each set rows.counts(set)[k, i] times.  Every
+    member's Newton attempt starts at `start` when it has the equation's
+    width p, else at `_Calibration.init`; the attempts run as stacked
+    operations.
 
     A member comes back as None, to be refitted on its own rows by the
-    caller, when it is not live (an empty domain or too few complete cases),
-    has a rank deficient auxiliary regression or (without `start`) X-only
-    design, a non-finite residual or beta_hat, a singular step, or does not
-    converge: the fit of the one dataset then gives the failure reason or
-    the solver status.
+    caller, when it is not live (no primary complete case, or fewer
+    auxiliary complete cases than max(1, auxiliary regression terms)), has
+    a rank deficient auxiliary regression or (from `_Calibration.init`)
+    X-only design, a non-finite residual or beta_hat, a singular step, or
+    does not converge: the fit of the one dataset then gives the failure
+    reason or the solver status.
     """
+    basis, h_basis, aux_regression_basis = bases
+    primary, cc = rows.counts("primary"), rows.counts("cc")
     out: list[Optional[tuple[float, SolverResult]]] = [None] * len(primary)
+    live = np.flatnonzero((cc.sum(axis=1) > 0) & (rows.counts("aux_cc").sum(axis=1)
+                                                  >= max(1, len(aux_regression_basis.terms))))
     if live.size == 0:
         return out
+    # the targets' regression matrices are freed before the calibration's
+    # are built, which bounds the memory of a stack
+    target = _aux_targets(rows, h_basis, aux_regression_basis, live)
+    equation = _Calibration(rows, basis, h_basis)
     n1 = primary.sum(axis=1)
-    if start is None:
+    if start is None or start.shape != equation.design.shape[-1:]:
         init = equation.init(primary)[live]  # the members share their stack of rows
     else:
         init = np.tile(start, (live.size, 1))
@@ -356,61 +343,6 @@ def _fit_stack(equation: _Calibration, primary: np.ndarray, cc: np.ndarray, live
     return out
 
 
-class StackedRefits:
-    """`_fit_stack` of resamples of one dataset, a block at a time.
-
-    A resample is given by its draw rows and fitted as the count vector of
-    those rows: a frequency-weighted fit of the dataset's own rows, which is
-    the fit of the resample up to the order of float sums.  The basis
-    matrices and the calibration equation are built once per dataset, here.
-    Every refit's Newton attempt starts at the theta of `point`, the solver
-    result of the dataset's point fit, when that solver converged and its
-    theta has the equation's width p; else at `_Calibration.init`.
-    """
-
-    def __init__(self, dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,
-                 aux_regression_basis: BasisSpec, point: Optional[SolverResult] = None):
-        self._n = len(dataset)
-        primary = domain_arrays(dataset, DomainTag.PRIMARY)
-        auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
-        self._primary_rows = domain_rows(dataset, DomainTag.PRIMARY)
-        self._aux_rows = domain_rows(dataset, DomainTag.AUXILIARY)
-        self._cc, self._aux_cc = primary.complete, auxiliary.complete
-        rows = FitRows(primary, auxiliary)
-        self._targets = _AuxTargets(rows, h_basis, aux_regression_basis)
-        self._equation = _Calibration(rows, basis, h_basis)
-        width = self._equation.design.shape[1]
-        self._start = None
-        if point is not None and point.converged and point.theta_hat.shape == (width,):
-            self._start = point.theta_hat
-        self.block_size = max(1, _BLOCK_BYTES // (8 * max(1, self._n) * width))
-
-    def __call__(self, draws: list) -> list[Optional[tuple[float, SolverResult]]]:
-        """(beta_hat, solver result) of the refit on each draw, or None."""
-        counts = np.array([np.bincount(rows, minlength=self._n) for rows in draws],
-                          dtype=float)
-        primary, auxiliary = counts[:, self._primary_rows], counts[:, self._aux_rows]
-        cc, aux_cc = primary[:, self._cc], auxiliary[:, self._aux_cc]
-        live = _live(cc, aux_cc, self._targets.min_aux_cc)
-        return _fit_stack(self._equation, primary, cc, live,
-                          self._targets(primary, aux_cc, live), self._start)
-
-
-def fit_datasets(rows: FitRows, basis: BasisSpec, h_basis: BasisSpec,
-                 aux_regression_basis: BasisSpec) -> list[Optional[tuple[float, SolverResult]]]:
-    """`_fit_stack` of a block of datasets, each member with its own rows,
-    as FitRows.of_block lays them out: (beta_hat, solver result) of each
-    dataset's fit, or None where it is to be fitted on its own."""
-    primary, cc, aux_cc = (rows.counts(name) for name in ("primary", "cc", "aux_cc"))
-    targets = _AuxTargets(rows, h_basis, aux_regression_basis)
-    live = _live(cc, aux_cc, targets.min_aux_cc)
-    target = targets(primary, aux_cc, live)
-    # the auxiliary regression's stacked rows are dropped before the
-    # calibration's are built, which bounds the memory of a block
-    del targets
-    return _fit_stack(_Calibration(rows, basis, h_basis), primary, cc, live, target)
-
-
 def estimate_model1(
     dataset: PooledDataset,
     spec: Optional[Model1Spec] = None,
@@ -424,22 +356,18 @@ def estimate_model1(
     return calibrate(dataset, *spec.bases, "ipw-model1", w_max)
 
 
-def set_stack_hooks(estimator, default_spec) -> None:
-    """Give an IPW estimator the stacked fits of its defaults, the bases of
-    default_spec(schema): estimator.stacked_refits(dataset, point=None), the
-    StackedRefits through which bootstrap_ci refits resamples of a dataset,
-    and estimator.stacked_fits(datasets, rows), the fit_datasets of a block
-    of datasets, through which replicate fits them.  A function attribute
-    survives functools.wraps, which copies __dict__."""
-    def stacked_refits(dataset: PooledDataset,
-                       point: Optional[SolverResult] = None) -> StackedRefits:
-        return StackedRefits(dataset, *default_spec(dataset.schema).bases, point)
+def set_stack_hook(estimator, default_spec) -> None:
+    """Give an IPW estimator the stacked fit of its defaults, the bases of
+    default_spec(schema): estimator.stacked_fits(rows, schema, start=None),
+    the `_fit_stack` of the FitRows stack `rows`, through which
+    bootstrap_ci refits resamples of a dataset and replicate fits a block
+    of datasets.  A function attribute survives functools.wraps, which
+    copies __dict__."""
+    def stacked_fits(rows: FitRows, schema: VariableSchema, start: Optional[np.ndarray] = None,
+                     ) -> list[Optional[tuple[float, SolverResult]]]:
+        return _fit_stack(rows, default_spec(schema).bases, start)
 
-    def stacked_fits(datasets: list, rows: FitRows) -> list[Optional[tuple[float, SolverResult]]]:
-        return fit_datasets(rows, *default_spec(datasets[0].schema).bases)
-
-    estimator.stacked_refits, estimator.stacked_fits = stacked_refits, stacked_fits
+    estimator.stacked_fits = stacked_fits
 
 
-set_stack_hooks(estimate_model1, Model1Spec.default)
-
+set_stack_hook(estimate_model1, Model1Spec.default)

@@ -26,7 +26,7 @@ from .models import (
     parse_term,
     polynomial_basis,
 )
-from .model1 import calibrate, set_stack_hooks
+from .model1 import calibrate, set_stack_hook
 from .report import EstimateReport
 from .solver import solve  # noqa: F401  (a lookup site patched by bench/tracing.py)
 
@@ -91,4 +91,4 @@ def estimate_model2(
     return report
 
 
-set_stack_hooks(estimate_model2, Model2Spec.default)
+set_stack_hook(estimate_model2, Model2Spec.default)

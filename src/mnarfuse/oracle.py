@@ -168,7 +168,8 @@ def check_assumptions(law: DiscreteFullLaw) -> AssumptionCheckResult:
     y_driven:      M independent of R given (X, Y) in the primary domain.
     shadow_dep:    M is NOT independent of Y given X among primary complete
                    cases (the association that makes M informative).
-    completeness:  p(y | R=1, x, m) has full column rank for every x.
+    completeness:  p(y | R=1, x, m) has full column rank for every x with
+                   primary complete cases.
     """
     t = law.table
     holds, violation = {}, {}
@@ -199,8 +200,9 @@ def check_assumptions(law: DiscreteFullLaw) -> AssumptionCheckResult:
     violation["shadow_dep"] = dep
     holds["shadow_dep"] = dep > 1e-6
 
-    # completeness: rank of p(y | R=1, x, m) per x
-    min_sigma = float(_completeness_sigma(t[0, :, :, :, 1]).min())
+    # completeness: rank of p(y | R=1, x, m) per x with complete cases
+    primary_r1 = t[0, :, :, :, 1]
+    min_sigma = float(_completeness_sigma(primary_r1)[primary_r1.sum(axis=(1, 2)) > 0].min())
     violation["completeness"] = max(0.0, _RANK_TOL - min_sigma)
     holds["completeness"] = min_sigma > _RANK_TOL
     return AssumptionCheckResult(holds=holds, violation=violation)
@@ -281,11 +283,9 @@ def recover_odds_ratio(obs: ObservedLaw) -> ORRecovery:
     sigma = _completeness_sigma(obs.primary_r1)
     or_table = np.ones((nx, ny))  # identity where x has no missing stratum
     for xi in range(nx):
-        if p_x_g1[xi] <= 0:
-            raise OracleError(f"p(x={obs.x_support[xi]} | G=1) is zero")
-        p_r0 = obs.primary_r0[xi] / p_x_g1[xi]
-        if p_r0 <= 0:
+        if obs.primary_r0[xi] <= 0:
             continue  # no missing stratum: the tilt is unconstrained there
+        p_r0 = obs.primary_r0[xi] / p_x_g1[xi]
         cc_mass = obs.primary_r1[xi].sum()
         if cc_mass <= 0:
             raise OracleError(f"zero complete-case mass at x={obs.x_support[xi]}")

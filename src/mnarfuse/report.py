@@ -130,11 +130,13 @@ def _split_domain(dataset: PooledDataset, tag: DomainTag) -> DomainArrays:
 class FitRows:
     """The row sets that calibration fits read: "primary", the primary
     domain's (x,); "cc", its complete cases' (x, m, y); "aux_cc", the
-    auxiliary complete cases' (x, m).  The members of a stack share one
-    dataset's rows, FitRows(primary, auxiliary), or each has its own,
-    FitRows.of_block(datasets), whose sets are (K, n, ...) stacks of their
-    members' rows, padded with zeros after each member's rows.  The fits
-    evaluate their bases themselves, straight into those stacks, so
+    auxiliary complete cases' (x, m).  A point fit reads one dataset's
+    rows, FitRows(primary, auxiliary).  A stack of members carries each
+    member's (K, n) counts of every set, and its members share one
+    dataset's rows, FitRows.of_resamples(dataset, draws), or each has its
+    own, FitRows.of_block(datasets), whose sets are (K, n, ...) stacks of
+    their members' rows, padded with zeros after each member's rows.  The
+    fits evaluate their bases themselves, straight into those stacks, so
     bench/tracing.py finds those calls where it patches them."""
 
     def __init__(self, primary: DomainArrays, auxiliary: DomainArrays):
@@ -143,6 +145,23 @@ class FitRows:
         self._sets = {"primary": (primary.x,),
                       "cc": (primary.x[cc], primary.m[cc], primary.y[cc]),
                       "aux_cc": (auxiliary.x[aux_cc], auxiliary.m[aux_cc])}
+
+    @classmethod
+    def of_resamples(cls, dataset: PooledDataset, draws: list) -> "FitRows":
+        """The rows of a dataset, shared by K resamples of it, each given by
+        its drawn rows and counting each row as often as it was drawn: a
+        frequency-weighted fit of the dataset's rows is the fit of the
+        resample up to the order of float sums."""
+        primary = domain_arrays(dataset, DomainTag.PRIMARY)
+        auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
+        stack = cls(primary, auxiliary)
+        counts = np.array([np.bincount(rows, minlength=len(dataset)) for rows in draws],
+                          dtype=float)
+        in_primary = counts[:, domain_rows(dataset, DomainTag.PRIMARY)]
+        stack._counts = {
+            "primary": in_primary, "cc": in_primary[:, primary.complete],
+            "aux_cc": counts[:, domain_rows(dataset, DomainTag.AUXILIARY)][:, auxiliary.complete]}
+        return stack
 
     @classmethod
     def of_block(cls, datasets: list) -> "FitRows":
@@ -169,6 +188,7 @@ class FitRows:
         return self._sets[name]
 
     def counts(self, name: str) -> np.ndarray:
-        """The (K, n) frequency weights of a block's row set `name`: 1 on
-        each member's rows, 0 on the padding after them."""
+        """The (K, n) frequency weights of a stack's row set `name`: the
+        times each resample drew a row, or 1 on each block member's rows
+        and 0 on the padding after them."""
         return self._counts[name]

@@ -2,7 +2,6 @@
 Jacobian, Model 1's equivariance in Y and overlap warning, and the estimates
 of the finite-difference solver it replaced on a fixed seed panel."""
 
-import dataclasses
 import hashlib
 import math
 
@@ -166,8 +165,8 @@ def test_converged_beta_hat_is_invariant_under_row_order_and_start(
     assert permuted.beta_hat == pytest.approx(report.beta_hat, abs=1e-12, rel=0)
     # nor on where the solve starts: the dataset's rows, counted once each,
     # solved from a start off the point fit's theta
-    shifted = dataclasses.replace(report.solver, theta_hat=report.solver.theta_hat + shift)
-    [fit] = estimate.stacked_refits(dataset, shifted)([np.arange(len(dataset))])
+    [fit] = estimate.stacked_fits(FitRows.of_resamples(dataset, [np.arange(len(dataset))]),
+                                  dataset.schema, report.solver.theta_hat + shift)
     assume(fit is not None)
     assert fit[0] == pytest.approx(report.beta_hat, abs=1e-12, rel=0)
 

@@ -194,6 +194,23 @@ def test_a_cell_with_only_missing_mass_is_an_error():
         identify_model2(obs, _UNIT_ODDS_RATIO)
 
 
+def test_recovery_needs_every_m_level_among_complete_cases():
+    obs = observed_law(_emptied_cell_law(keep_aux=True))
+    with pytest.raises(OracleError, match=r"^p\(m \| x=0\.0, R=1, G=1\) has a zero cell$"):
+        recover_odds_ratio(obs)
+
+
+def test_recovery_needs_complete_cases_whose_y_law_moves_with_m():
+    law, _ = random_model2_law(make_rng(6))
+    table = law.table.copy()
+    cells = table[0, 0, :, :, 1]  # (m, y) at x = 0
+    # every m level gets the pooled p(y | x=0, R=1), keeping its own mass
+    cells[:] = cells.sum(axis=1, keepdims=True) * (cells.sum(axis=0) / cells.sum())
+    with pytest.raises(RankConditionError,
+                       match=r"^completeness fails at x=0\.0: min singular value \S+$"):
+        recover_odds_ratio(observed_law(_with_table(law, table)))
+
+
 def _law_without_missing_units() -> DiscreteFullLaw:
     """An M-driven law with no missing primary unit, whose auxiliary M law
     differs from the primary one."""
@@ -267,6 +284,22 @@ def test_or_identities_skip_an_x_without_primary_mass():
     assert residuals["or_m_invariance"] > 1e-3
     for name, value in expected.items():
         assert abs(residuals[name] - value) <= 1e-12, name
+
+
+def test_an_x_without_primary_mass_leaves_its_tilt_at_one():
+    # identification and the identity checks skip such an x; so do odds-ratio
+    # recovery and the completeness verdict
+    for seed in range(5):
+        law, or_true = random_model2_law(make_rng(seed), nx=3, nm=3, ny=2)
+        table = law.table.copy()
+        table[0, 2] = 0.0
+        law = _with_table(law, table)
+        assert check_assumptions(law).holds["completeness"]
+        obs = observed_law(law)
+        assert identify_model2(obs) == pytest.approx(brute_force_beta(law), abs=1e-12)
+        recovery = recover_odds_ratio(obs)
+        np.testing.assert_allclose(recovery.or_table[:2], or_true[:2], rtol=0, atol=1e-12)
+        assert (recovery.or_table[2] == 1.0).all()
 
 
 def test_or_identities_hold_on_y_driven_law():

@@ -79,6 +79,12 @@ def _per_refit(estimator):
     return lambda dataset: estimator(dataset)
 
 
+def _refits(estimator, dataset, draws, start=None):
+    """The estimator's stacked fits of the resamples of dataset given by
+    draws, started at start."""
+    return estimator.stacked_fits(FitRows.of_resamples(dataset, draws), dataset.schema, start)
+
+
 def _pooled_draw(dataset, rng):
     """Rows drawn with replacement over the whole dataset, so that the
     resamples' domain sizes differ and a domain can be empty."""
@@ -95,10 +101,10 @@ def test_stacked_refits_match_refits_on_the_resamples(panel, name, draw):
     k, seed = 12, 7
     draw_rows = {"stratified": _draw, "pooled": _pooled_draw}[draw]
     draws = [draw_rows(ds, make_rng(seed, b)) for b in range(k)]
-    cold = estimator.stacked_refits(ds, None)(draws)
+    cold = _refits(estimator, ds, draws)
     point = estimator(ds).solver
     assert point.converged
-    warm = estimator.stacked_refits(ds, point)(draws)
+    warm = _refits(estimator, ds, draws, point.theta_hat)
     stacked = 0
     for b, (fit, warm_fit) in enumerate(zip(cold, warm)):
         if fit is None:
@@ -124,8 +130,8 @@ def test_warm_refits_take_no_more_iterations_over_the_panel(panel):
     for ds, estimator in panel.values():
         point = estimator(ds).solver
         draws = [_draw(ds, make_rng(7, b)) for b in range(12)]
-        cold = estimator.stacked_refits(ds, None)(draws)
-        warm = estimator.stacked_refits(ds, point)(draws)
+        cold = _refits(estimator, ds, draws)
+        warm = _refits(estimator, ds, draws, point.theta_hat)
         for fit, warm_fit in zip(cold, warm):
             if fit is not None and warm_fit is not None:
                 cold_iterations += fit[1].iterations
@@ -134,17 +140,15 @@ def test_warm_refits_take_no_more_iterations_over_the_panel(panel):
 
 
 @pytest.mark.parametrize("k", [1, 7])
-@pytest.mark.parametrize("name", ["model1-T", "model2-F", "fixture"])
+@pytest.mark.parametrize("name", ["model1-T", "model2-F", "fixture", "mar-model1-T",
+                                  "mar-model2-F"])
 def test_stacked_interval_matches_the_per_refit_interval(panel, monkeypatch, name, k):
-    ds, estimator = panel[name]
-    build = estimator.stacked_refits
-
-    def blocks_of_three(dataset, point=None):  # so that k=7 ends on a short block
-        refits = build(dataset, point)
-        refits.block_size = 3
-        return refits
-
-    monkeypatch.setattr(estimator, "stacked_refits", blocks_of_three)
+    # MAR refits share the dataset's rows in the stack, as the IPW ones do
+    ds, estimator = panel[name.removeprefix("mar-")]
+    if name.startswith("mar-"):
+        estimator = baselines.mar_estimate
+    # blocks of three resamples, so that k=7 ends on a short block
+    monkeypatch.setattr(inference, "_REFIT_ROWS", 3 * len(ds))
     config = BootstrapConfig(k=k, seed=11, max_failure_fraction=0.9)
     stacked = bootstrap_ci(ds, estimator, config)
     reference = bootstrap_ci(ds, _per_refit(estimator), config)
@@ -181,7 +185,7 @@ def _cold(estimator):
     def cold(dataset):
         return estimator(dataset)
 
-    cold.stacked_refits = lambda dataset, point: estimator.stacked_refits(dataset, None)
+    cold.stacked_fits = lambda rows, schema, start=None: estimator.stacked_fits(rows, schema)
     return cold
 
 
