@@ -61,13 +61,6 @@ class VariableSchema:
     def n_covariates(self) -> int:
         return len(self.covariate_names)
 
-    @property
-    def m_dim(self) -> int:
-        """Width of the expanded M feature block (reference-level one-hot)."""
-        if self.m_kind == "categorical":
-            return len(self.m_levels) - 1
-        return 1
-
 
 @dataclass(frozen=True)
 class UnitRecord:

@@ -16,7 +16,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -126,25 +126,14 @@ def bootstrap_ci(
             start = point_fit.theta_hat
     block_size = max(1, _REFIT_ROWS // max(1, len(dataset)))
     estimates = []
-    failures = Counter()
-    nonconverged = Counter()
-    refits = Counter()
+    refits, failures, nonconverged = Counter(), Counter(), Counter()
     for first in range(0, config.k, block_size):
         draws = [_draw(dataset, make_rng(config.seed, b))
                  for b in range(first, min(first + block_size, config.k))]
         fits = ([None] * len(draws) if stacked is None
                 else stacked(FitRows.of_resamples(dataset, draws), dataset.schema, start))
-        for beta_hat, solver, failure in _fit_each(estimator, fits, draws, dataset.take,
-                                                   refits):
-            if failure is None and not math.isfinite(beta_hat):
-                failure = "non-finite"
-            if failure is not None:
-                failures[failure] += 1
-                continue
-            estimates.append(beta_hat)
-            status = _nonconverged_status(solver)
-            if status is not None:
-                nonconverged[status] += 1
+        estimates += _fit_each(estimator, fits, draws, dataset.take,
+                               refits, failures, nonconverged)
     n_failed = sum(failures.values())
     if n_failed > config.max_failure_fraction * config.k:
         reasons = ", ".join(f"{name}: {count}" for name, count in failures.most_common())
@@ -152,9 +141,8 @@ def bootstrap_ci(
             f"{n_failed} of {config.k} bootstrap resamples failed ({reasons})"
         )
     tail = 0.5 * (1.0 - config.ci_level)
-    lo, hi = np.quantile(np.asarray(estimates), [tail, 1.0 - tail])
-    return ConfidenceInterval(lo=float(lo), hi=float(hi),
-                              method="percentile-bootstrap", failures=dict(failures),
+    lo, hi = np.quantile([v for v in estimates if math.isfinite(v)], [tail, 1.0 - tail])
+    return ConfidenceInterval(lo=float(lo), hi=float(hi), failures=dict(failures),
                               nonconverged=dict(nonconverged), refits=RefitCounts(**refits))
 
 
@@ -168,36 +156,39 @@ def _point_fit(dataset: PooledDataset, estimator: Estimator) -> Optional[SolverR
 
 
 def _fit_each(estimator: Estimator, fits: list, items: list, dataset_of: Callable,
-              counts: Counter):
-    """(beta_hat, solver, failure) of each item: its stacked fit, or, where
-    that is None, the estimator's fit of dataset_of(item).  failure is None,
-    or the class name of the one of FIT_ERRORS that the fit raised, with a
-    NaN beta_hat.  counts tallies the stacked and per-dataset fits and the
-    iterations and residual evaluations of their solvers (see
-    report.RefitCounts)."""
+              refits: Counter, failures: Counter, nonconverged: Counter) -> list:
+    """The beta_hat of each item: its stacked fit, or, where that is None,
+    the estimator's fit of dataset_of(item).  A fit that raises one of
+    FIT_ERRORS or returns a non-finite beta_hat fails: its beta_hat is NaN,
+    and failures counts it by reason (the exception class name, or
+    "non-finite").  Any other fit is kept, and nonconverged counts the kept
+    fits whose solver stopped without converging, by solver status.  refits
+    tallies the stacked and per-dataset fits and the iterations and residual
+    evaluations of their solvers (see report.RefitCounts)."""
+    values = []
     for item, fit in zip(items, fits):
         if fit is None:
-            counts["per_refit"] += 1
+            refits["per_refit"] += 1
             try:
                 report = estimator(dataset_of(item))
             except FIT_ERRORS as exc:
-                yield math.nan, None, type(exc).__name__
+                failures[type(exc).__name__] += 1
+                values.append(math.nan)
                 continue
             fit = report.beta_hat, report.solver
         else:
-            counts["stacked"] += 1
+            refits["stacked"] += 1
         beta_hat, solver = fit
         if solver is not None:
-            counts["iterations"] += solver.iterations
-            counts["residual_evals"] += solver.residual_evals
-        yield beta_hat, solver, None
-
-
-def _nonconverged_status(solver: Optional[SolverResult]) -> Optional[str]:
-    """The status of a solver that did not converge, else None."""
-    if solver is None or solver.converged:
-        return None
-    return solver.status
+            refits["iterations"] += solver.iterations
+            refits["residual_evals"] += solver.residual_evals
+        if not math.isfinite(beta_hat):
+            failures["non-finite"] += 1
+            beta_hat = math.nan
+        elif solver is not None and not solver.converged:
+            nonconverged[solver.status] += 1
+        values.append(beta_hat)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +217,13 @@ class EstimatorSummary:
     pct_bias: float
     mse: float
     variance: float
-    mean: float
     n_ok: int
-    n_failed: int
     n_nonconverged: int  # of the n_ok: kept although the solver did not converge
+    failures: Mapping[str, int] = field(default_factory=dict)  # reason -> count
+
+    @property
+    def n_failed(self) -> int:
+        return sum(self.failures.values())
 
 
 @dataclass(frozen=True)
@@ -306,12 +300,12 @@ def _blocks(design, n_reps: int) -> list[range]:
 
 
 def _run_block(design, seed: int, reps: range, estimators: dict) -> dict:
-    """name -> (beta_hats, whether each fit's solver stopped unconverged, fit
-    counts) over the block's replicates; a beta_hat is NaN where the fit
-    failed.  An estimator with a `stacked_fits` attribute (the default bank
-    but MCAR) fits the block's datasets as one stack through it, as
-    stacked_fits(rows, schema): rows is the block's FitRows.of_block, split
-    once here and read by every such estimator."""
+    """name -> (beta_hats, refits, failures, nonconverged) over the block's
+    replicates, as _fit_each gives and counts them.  An estimator with a
+    `stacked_fits` attribute (the default bank but MCAR) fits the block's
+    datasets as one stack through it, as stacked_fits(rows, schema): rows is
+    the block's FitRows.of_block, split once here and read by every such
+    estimator."""
     datasets = [generate_for(design, int(make_rng(seed, rep).integers(2**31)))
                 for rep in reps]
     stacked = {name: getattr(fn, "stacked_fits", None) for name, fn in estimators.items()}
@@ -320,13 +314,8 @@ def _run_block(design, seed: int, reps: range, estimators: dict) -> dict:
     for name, fn in estimators.items():
         fits = ([None] * len(datasets) if stacked[name] is None
                 else stacked[name](rows, datasets[0].schema))
-        counts = Counter()
-        values, nonconverged = [], []
-        for beta_hat, solver, failure in _fit_each(fn, fits, datasets, lambda ds: ds, counts):
-            ok = failure is None and math.isfinite(beta_hat)
-            values.append(beta_hat if ok else math.nan)
-            nonconverged.append(ok and _nonconverged_status(solver) is not None)
-        out[name] = (values, nonconverged, counts)
+        counts = Counter(), Counter(), Counter()
+        out[name] = (_fit_each(fn, fits, datasets, lambda ds: ds, *counts), *counts)
     return out
 
 
@@ -425,14 +414,15 @@ def replicate(
     estimates, summaries, fits = {}, [], {}
     for name in estimators:
         values = np.array([v for run in runs for v in run[name][0]], dtype=float)
-        nonconverged = sum(flag for run in runs for flag in run[name][1])
-        fits[name] = RefitCounts(**sum((run[name][2] for run in runs), Counter()))
+        refits, failures, nonconverged = (sum((run[name][i] for run in runs), Counter())
+                                          for i in (1, 2, 3))
+        fits[name] = RefitCounts(**refits)
         estimates[name] = values
         ok = values[np.isfinite(values)]
         n_ok = ok.size
         if n_ok == 0:
-            summaries.append(EstimatorSummary(name, math.nan, math.nan, math.nan,
-                                              math.nan, math.nan, 0, n_reps, 0))
+            summaries.append(EstimatorSummary(name, math.nan, math.nan, math.nan, math.nan,
+                                              0, 0, dict(failures)))
             continue
         bias = float(ok.mean() - beta_true.value)
         summaries.append(
@@ -442,10 +432,9 @@ def replicate(
                 pct_bias=bias / beta_true.value if beta_true.value else math.nan,
                 mse=float(np.mean((ok - beta_true.value) ** 2)),
                 variance=float(ok.var(ddof=1)) if n_ok > 1 else 0.0,
-                mean=float(ok.mean()),
                 n_ok=n_ok,
-                n_failed=n_reps - n_ok,
-                n_nonconverged=nonconverged,
+                n_nonconverged=sum(nonconverged.values()),
+                failures=dict(failures),
             )
         )
     label = f"model{1 if isinstance(design, Model1Design) else 2}-{design.setting}"

@@ -100,14 +100,8 @@ class BasisSpec:
         """Number of output columns; bare-m terms expand to m_dim columns."""
         return sum(t.width(m_dim) for t in self.terms)
 
-    def column_names(self, m_dim: int = 1) -> list[str]:
-        names = []
-        for t in self.terms:
-            if m_dim > 1 and t.uses_m:
-                names.extend(f"{t}[{k}]" for k in range(m_dim))
-            else:
-                names.append(str(t))
-        return names
+    def column_names(self) -> list[str]:
+        return [str(t) for t in self.terms]
 
 
 def polynomial_basis(d: int, degree: int = 1, m: bool = False) -> BasisSpec:

@@ -265,7 +265,6 @@ class ORRecovery:
     """Odds-ratio function recovered from observed data, per (x, y)."""
 
     or_table: np.ndarray  # (nx, ny), anchored at the reference y
-    reference_index: int
     reference_value: float
 
 
@@ -309,7 +308,6 @@ def recover_odds_ratio(obs: ObservedLaw) -> ORRecovery:
         or_table[xi] = sol / sol[y_ref]
     return ORRecovery(
         or_table=or_table,
-        reference_index=y_ref,
         reference_value=float(obs.y_support[y_ref]),
     )
 

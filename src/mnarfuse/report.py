@@ -28,7 +28,6 @@ class RefitCounts:
 class ConfidenceInterval:
     lo: float
     hi: float
-    method: str = "percentile-bootstrap"
     failures: Mapping[str, int] = field(default_factory=dict)  # reason -> count
     # solver status -> count of refits kept in the interval without converging
     nonconverged: Mapping[str, int] = field(default_factory=dict)
@@ -69,7 +68,7 @@ class EstimateReport:
                 "lo": self.ci.lo,
                 "hi": self.ci.hi,
                 "width": self.ci.width,
-                "method": self.ci.method,
+                "method": "percentile-bootstrap",
                 "n_failed": self.ci.n_failed,
                 "failures": dict(self.ci.failures),
                 "nonconverged": dict(self.ci.nonconverged),

@@ -57,6 +57,12 @@ class Model1Design:
         return 0.0 if self.setting == "T" else -1.0
 
 
+# Model2Design's odds-ratio coefficient (odds ratio exp(-gamma * Y)) and
+# beta_y3, the coefficient of M in Y.
+MODEL2_GAMMA = 0.3
+MODEL2_BETA_Y3 = 1.0
+
+
 @dataclass(frozen=True)
 class Model2Design:
     """Y-driven missingness design, generated sequentially X -> R -> M -> Y.
@@ -71,8 +77,6 @@ class Model2Design:
 
     n: int
     setting: str = "T"
-    gamma: float = 0.3
-    beta_y3: float = 1.0
 
     def __post_init__(self):
         if self.setting not in ("T", "F"):
@@ -136,7 +140,7 @@ def generate_model1(design: Model1Design, seed: int) -> tuple[PooledDataset, Tru
 
 
 def _model2_selection_logit(design: Model2Design, x: np.ndarray) -> np.ndarray:
-    gamma, b3 = design.gamma, design.beta_y3
+    gamma, b3 = MODEL2_GAMMA, MODEL2_BETA_Y3
     mu_y_tilde = x  # outcome mean with the M contribution removed
     mu_m = -0.4 * x**2
     mu_r = 0.5 + 0.4 * x + design.a2 * x**2
@@ -151,7 +155,7 @@ def _model2_selection_logit(design: Model2Design, x: np.ndarray) -> np.ndarray:
 
 def _model2_arrays(design: Model2Design, rng: np.random.Generator):
     n = design.n
-    gamma, b3 = design.gamma, design.beta_y3
+    gamma, b3 = MODEL2_GAMMA, MODEL2_BETA_Y3
     g = np.where(rng.random(n) < 0.5, 1, 2)
     x = rng.normal(0.0, 1.0, n) + (g == 2)  # N(0,1) primary, N(1,1) auxiliary
     mu_m = -0.4 * x**2
@@ -203,7 +207,7 @@ def true_beta(design) -> TrueBeta:
         raise TypeError(f"unknown design {type(design).__name__}")
     nodes, weights = _normal_quadrature(_QUADRATURE_NODES)
     p_unselected = 1.0 - logistic(_model2_selection_logit(design, nodes))
-    shift = design.gamma * (1.0 + design.beta_y3)
+    shift = MODEL2_GAMMA * (1.0 + MODEL2_BETA_Y3)
     value = weights @ (nodes - 0.4 * nodes**2 - shift * p_unselected)
     return TrueBeta(value=float(value),
                     provenance=f"quadrature(nodes={_QUADRATURE_NODES})")

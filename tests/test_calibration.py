@@ -171,6 +171,38 @@ def test_converged_beta_hat_is_invariant_under_row_order_and_start(
     assert fit[0] == pytest.approx(report.beta_hat, abs=1e-12, rel=0)
 
 
+def test_a_model2_equation_with_two_roots(monkeypatch):
+    # a dataset on which the property test above fails for Model 2: the
+    # calibration equation folds, and a refit started off the point fit's
+    # root converges to a second root, where det J has the other sign
+    dataset = generate_model2(Model2Design(n=500, setting="F"), 48666392)[0]
+    systems = []
+    real_solve = model1.solve
+
+    def capture(system):
+        systems.append(system)
+        return real_solve(system)
+
+    monkeypatch.setattr(model1, "solve", capture)
+    report = estimate_model2(dataset)
+    point = report.solver
+    assert point.converged and point.iterations == 10
+    assert report.beta_hat == pytest.approx(-1.1963142, abs=1e-7)
+    np.testing.assert_allclose(point.theta_hat, [3.954, -1.096, 1.729], atol=1e-3)
+    [(beta_hat, refit)] = estimate_model2.stacked_fits(
+        FitRows.of_resamples(dataset, [np.arange(len(dataset))]), dataset.schema,
+        point.theta_hat + 0.25)
+    assert refit.converged and refit.iterations == 9
+    assert beta_hat == pytest.approx(-1.2471433, abs=1e-7)
+    np.testing.assert_allclose(refit.theta_hat, [4.881, -1.346, 2.023], atol=1e-3)
+    [system] = systems
+    for theta, det, cond in ((point.theta_hat, -3.27e-3, 992), (refit.theta_hat, 2.79e-3, 1229)):
+        assert np.linalg.norm(system.residual(theta)) < 1e-12  # both are roots
+        jacobian = system.jacobian(theta)
+        assert np.linalg.det(jacobian) == pytest.approx(det, rel=2e-3)
+        assert np.linalg.cond(jacobian) == pytest.approx(cond, rel=1e-3)
+
+
 def test_model1_warns_of_degenerate_overlap():
     capped = estimate_model1(_M1, w_max=2.0)
     d = capped.diagnostics

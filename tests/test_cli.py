@@ -349,6 +349,7 @@ def test_estimate_json_reports_solver_counters(tmp_path, capsys):
     assert solver["jacobian_evals"] == solver["iterations"]
     assert solver["residual_evals"] >= solver["iterations"] + 1
     assert report["ci"]["nonconverged"] == {}
+    assert report["ci"]["method"] == "percentile-bootstrap"
     # the five refits, stacked or not, with their solver work summed
     refits = report["ci"]["refits"]
     assert refits["stacked"] + refits["per_refit"] == 5

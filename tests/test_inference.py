@@ -115,6 +115,27 @@ def test_replicate_failures_counted_and_excluded():
     assert by_name["mcar"].n_failed == 0
 
 
+def test_replicate_counts_failures_by_reason(monkeypatch):
+    def flaky(dataset):
+        first = dataset.x[0, 0]
+        if first < -0.5:
+            raise EstimationError("odd dataset")
+        report = mcar_estimate(dataset)
+        if first > 1.0:
+            report.beta_hat = float("nan")
+        return report
+
+    # blocks of at most 5 replicates, so the counts of three blocks are summed
+    monkeypatch.setattr(inference, "_BLOCK_ROWS", 5 * 300)
+    report = replicate(Model1Design(n=300), n_reps=12, seed=3,
+                       estimators={"flaky": flaky, "mcar": mcar_estimate})
+    by_name = {s.name: s for s in report.summaries}
+    assert by_name["flaky"].failures == {"EstimationError": 2, "non-finite": 3}
+    assert by_name["flaky"].n_failed == 5 == np.isnan(report.estimates["flaky"]).sum()
+    assert by_name["flaky"].n_ok == 7
+    assert by_name["mcar"].failures == {} and by_name["mcar"].n_failed == 0
+
+
 def test_report_emission(tmp_path):
     report = replicate(Model1Design(n=300), n_reps=3, seed=1,
                        estimators={"mcar": mcar_estimate})

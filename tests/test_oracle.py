@@ -173,8 +173,7 @@ def _emptied_cell_law(keep_aux: bool) -> DiscreteFullLaw:
                            table / table.sum())
 
 
-_UNIT_ODDS_RATIO = ORRecovery(or_table=np.ones((2, 2)), reference_index=0,
-                              reference_value=0.0)
+_UNIT_ODDS_RATIO = ORRecovery(or_table=np.ones((2, 2)), reference_value=0.0)
 
 
 def test_a_cell_with_no_mass_adds_nothing():
