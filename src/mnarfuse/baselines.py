@@ -22,15 +22,14 @@ from .report import EstimateReport, FitRows, domain_arrays
 def mcar_estimate(dataset: PooledDataset) -> EstimateReport:
     """Complete-case mean of Y in the primary domain."""
     primary = domain_arrays(dataset, DomainTag.PRIMARY)
-    cc = primary.complete
-    if int(cc.sum()) == 0:
+    if len(primary.cc) == 0:
         raise EstimationError("no complete cases in the primary domain")
     return EstimateReport(
-        beta_hat=float(primary.y[cc].mean()),
+        beta_hat=float(dataset.y[primary.cc].mean()),
         estimator="mcar",
         diagnostics={
             "n_primary": primary.n,
-            "n_complete_primary": int(cc.sum()),
+            "n_complete_primary": len(primary.cc),
         },
     )
 
@@ -44,19 +43,18 @@ def mar_estimate(
     if x_basis is None:
         x_basis = polynomial_basis(dataset.schema.n_covariates)
     primary = domain_arrays(dataset, DomainTag.PRIMARY)
-    cc = primary.complete
-    if int(cc.sum()) == 0:
+    if len(primary.cc) == 0:
         raise EstimationError("no complete cases in the primary domain")
-    design = evaluate_basis_matrix(x_basis, primary.x[cc])
-    coef = solve_least_squares(design, primary.y[cc], x_basis.column_names())
-    preds = evaluate_basis_matrix(x_basis, primary.x) @ coef
+    design = evaluate_basis_matrix(x_basis, dataset.x[primary.cc])
+    coef = solve_least_squares(design, dataset.y[primary.cc], x_basis.column_names())
+    preds = evaluate_basis_matrix(x_basis, dataset.x[primary.rows]) @ coef
     return EstimateReport(
         beta_hat=float(preds.mean()),
         estimator="mar",
         nuisance={"outcome_regression": coef.tolist()},
         diagnostics={
             "n_primary": primary.n,
-            "n_complete_primary": int(cc.sum()),
+            "n_complete_primary": len(primary.cc),
         },
     )
 

@@ -93,7 +93,7 @@ class PooledDataset:
     `PooledDataset(records=..., schema=...)` builds the columns from per-row
     records; `records` derives them back.  The columns are read-only views
     of the arrays given, which must not change once the dataset is in use:
-    `memo` keeps what is derived from them, such as each domain's split.
+    `memo` keeps what is derived from them, such as each domain's row index.
     """
 
     __slots__ = ("schema", "g", "x", "m", "y", "r", "m_labels", "_memo")

@@ -25,7 +25,7 @@ from .data import DomainTag, PooledDataset
 from .model1 import EstimationError, estimate_model1
 from .model2 import estimate_model2
 from .models import RankDeficientError
-from .report import ConfidenceInterval, EstimateReport, FitRows, RefitCounts, domain_rows
+from .report import ConfidenceInterval, EstimateReport, FitRows, RefitCounts, domain_arrays
 from .simulate import (
     Model1Design,
     Model2Design,
@@ -66,15 +66,28 @@ class BootstrapConfig:
             )
 
 
+_DOMAINS = (DomainTag.PRIMARY, DomainTag.AUXILIARY)
+
+
+def _domain_draws(dataset: PooledDataset, rng: np.random.Generator) -> tuple:
+    """One resample, as the positions of its rows within each domain
+    (primary, auxiliary), drawn with replacement there."""
+    sizes = [domain_arrays(dataset, tag).n for tag in _DOMAINS]
+    return tuple(rng.integers(0, n, size=n) if n else np.empty(0, dtype=np.intp)
+                 for n in sizes)
+
+
+def _rows(dataset: PooledDataset, draw: tuple) -> np.ndarray:
+    """The dataset's rows of a resample given by its positions within each
+    domain (primary first)."""
+    return np.concatenate([domain_arrays(dataset, tag).rows[positions]
+                           for tag, positions in zip(_DOMAINS, draw)])
+
+
 def _draw(dataset: PooledDataset, rng: np.random.Generator) -> np.ndarray:
     """The rows of one resample, drawn with replacement within each domain
     (primary first)."""
-    parts = []
-    for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY):
-        idx = domain_rows(dataset, tag)
-        if idx.size:
-            parts.append(idx[rng.integers(0, idx.size, size=idx.size)])
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+    return _rows(dataset, _domain_draws(dataset, rng))
 
 
 # A block of bootstrap refits of a dataset of n rows holds _REFIT_ROWS // n
@@ -128,11 +141,12 @@ def bootstrap_ci(
     estimates = []
     refits, failures, nonconverged = Counter(), Counter(), Counter()
     for first in range(0, config.k, block_size):
-        draws = [_draw(dataset, make_rng(config.seed, b))
+        draws = [_domain_draws(dataset, make_rng(config.seed, b))
                  for b in range(first, min(first + block_size, config.k))]
         fits = ([None] * len(draws) if stacked is None
                 else stacked(FitRows.of_resamples(dataset, draws), dataset.schema, start))
-        estimates += _fit_each(estimator, fits, draws, dataset.take,
+        estimates += _fit_each(estimator, fits, draws,
+                               lambda draw: dataset.take(_rows(dataset, draw)),
                                refits, failures, nonconverged)
     n_failed = sum(failures.values())
     if n_failed > config.max_failure_fraction * config.k:
@@ -285,7 +299,7 @@ class ReplicationReport:
 
 # A block of replicates of a design of n rows holds at most _BLOCK_ROWS // n
 # replicates, fitted as one stack: 8 at n=2000.  A block holds its datasets,
-# their domain splits and their stacked rows, about 0.35 MB per 2000-row
+# their domain indices and their stacked rows, about 0.35 MB per 2000-row
 # replicate at its peak; blocks of 16 fitted a fifth faster per replicate
 # but raised the peak memory of a 16-replicate call by 7 % instead of 2 %.
 _BLOCK_ROWS = 1 << 14
@@ -304,7 +318,7 @@ def _run_block(design, seed: int, reps: range, estimators: dict) -> dict:
     replicates, as _fit_each gives and counts them.  An estimator with a
     `stacked_fits` attribute (the default bank but MCAR) fits the block's
     datasets as one stack through it, as stacked_fits(rows, schema): rows is
-    the block's FitRows.of_block, split once here and read by every such
+    the block's FitRows.of_block, laid out once here and read by every such
     estimator."""
     datasets = [generate_for(design, int(make_rng(seed, rep).integers(2**31)))
                 for rep in reps]

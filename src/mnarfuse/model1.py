@@ -96,8 +96,14 @@ def fit_aux_moment_targets(
     primary-domain mean of that basis.  Returns (target with shape (dim_h,),
     coefficient matrix with shape (dim_aux_basis, dim_h)).
     """
-    primary, auxiliary = _require_domains(dataset)
-    n_cc = int(auxiliary.complete.sum())
+    return _fit_targets(dataset, FitRows(*_require_domains(dataset)), h_basis,
+                        aux_regression_basis)
+
+
+def _fit_targets(dataset: PooledDataset, rows: FitRows, h_basis: BasisSpec,
+                 aux_regression_basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
+    """`fit_aux_moment_targets` on the dataset's FitRows `rows`."""
+    n_cc = len(_require_domains(dataset)[1].cc)
     if n_cc == 0:
         raise EstimationError("no complete cases in the auxiliary domain")
     if n_cc < len(aux_regression_basis.terms):
@@ -105,8 +111,7 @@ def fit_aux_moment_targets(
             f"only {n_cc} auxiliary complete cases for "
             f"{len(aux_regression_basis.terms)} regression terms"
         )
-    h_cc, design, design_primary = _aux_regression_matrices(
-        FitRows(primary, auxiliary), h_basis, aux_regression_basis)
+    h_cc, design, design_primary = _aux_regression_matrices(rows, h_basis, aux_regression_basis)
     coefs = solve_least_squares(design, h_cc, aux_regression_basis.column_names())
     return design_primary.mean(axis=0) @ coefs, coefs
 
@@ -213,14 +218,14 @@ def calibrate(
     B / n1.  The nuisance "alpha" is the whole solved theta.
     """
     primary, auxiliary = _require_domains(dataset)
-    cc = primary.complete
-    n1 = primary.n
-    n_cc = int(cc.sum())
+    n1, n_cc = primary.n, len(primary.cc)
     if n_cc == 0:
         raise EstimationError("no complete cases in the primary domain")
 
-    target, aux_coefs = fit_aux_moment_targets(dataset, h_basis, aux_regression_basis)
-    equation = _Calibration(FitRows(primary, auxiliary), basis, h_basis, w_max, fixed_gamma)
+    rows = FitRows(primary, auxiliary)
+    target, aux_coefs = _fit_targets(dataset, rows, h_basis, aux_regression_basis)
+    equation = _Calibration(rows, basis, h_basis, w_max, fixed_gamma)
+    del rows  # the solve reads the equation alone: its peak memory holds no other row copy
     n1s = np.array([n1])
     result = solve(
         MomentSystem(
@@ -251,7 +256,7 @@ def calibrate(
             "n_primary": n1,
             "n_auxiliary": auxiliary.n,
             "n_complete_primary": n_cc,
-            "n_complete_auxiliary": int(auxiliary.complete.sum()),
+            "n_complete_auxiliary": len(auxiliary.cc),
             "weight_cap_count": n_capped,
             "min_weight": float(w_hat.min()),
             "max_weight": float(w_hat.max()),

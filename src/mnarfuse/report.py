@@ -77,99 +77,102 @@ class EstimateReport:
         return out
 
 
-@dataclass(frozen=True)
 class DomainArrays:
-    """Numeric view of one domain: NaN marks missing M / Y entries."""
+    """One domain of a dataset as two read-only indices into its columns:
+    `rows`, the domain's rows in order, and `cc`, its complete cases' rows,
+    rows[r[rows] == 1].  No copy of the domain's values is kept; `select`
+    takes them from the dataset's columns, and x, m, y and r are the
+    domain's rows of each column, selected on each access."""
 
-    x: np.ndarray  # (n, d)
-    m: np.ndarray  # (n, m_dim)
-    y: np.ndarray  # (n,)
-    r: np.ndarray  # (n,) in {0, 1}
+    def __init__(self, dataset: PooledDataset, tag: DomainTag):
+        self.rows = np.flatnonzero(dataset.g == int(tag))  # an int compares faster than the enum
+        self.cc = self.rows[dataset.r[self.rows] == 1]
+        self.rows.flags.writeable = self.cc.flags.writeable = False
+        self._schema = dataset.schema
+        self._columns = {"x": dataset.x, "m": dataset.m, "y": dataset.y, "r": dataset.r}
+
+    def select(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """Column `name` ("x", "m", "y" or "r") at the given rows of the
+        dataset, read-only; "m" as M's m_features block (n, m_dim)."""
+        column = self._columns[name][rows]
+        if name == "m":
+            column = m_features(column, self._schema)
+        column.flags.writeable = False
+        return column
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return len(self.rows)
 
     @property
     def complete(self) -> np.ndarray:
+        """(n,) mask of the domain's complete cases."""
         return self.r == 1
+
+    @property
+    def x(self) -> np.ndarray:  # (n, d)
+        return self.select("x", self.rows)
+
+    @property
+    def m(self) -> np.ndarray:  # (n, m_dim); NaN where M is missing
+        return self.select("m", self.rows)
+
+    @property
+    def y(self) -> np.ndarray:  # (n,); NaN where Y is missing
+        return self.select("y", self.rows)
+
+    @property
+    def r(self) -> np.ndarray:  # (n,) in {0, 1}
+        return self.select("r", self.rows)
 
 
 def domain_arrays(dataset: PooledDataset, tag: DomainTag) -> DomainArrays:
-    """The rows of one domain, split off at the first lookup and kept on the
-    dataset: a repeated lookup returns the same read-only arrays."""
-    return dataset.memo(tag, _split_domain)
-
-
-def domain_rows(dataset: PooledDataset, tag: DomainTag) -> np.ndarray:
-    """The (read-only) row indices of one domain, found at the first lookup
-    and kept on the dataset."""
-    return dataset.memo(("rows", tag), _find_rows)
-
-
-def _find_rows(dataset: PooledDataset, key: tuple) -> np.ndarray:
-    rows = np.flatnonzero(dataset.g == key[1])
-    rows.flags.writeable = False
-    return rows
-
-
-def _split_domain(dataset: PooledDataset, tag: DomainTag) -> DomainArrays:
-    rows = dataset.g == int(tag)  # an int compares faster than the enum member
-    split = DomainArrays(
-        x=dataset.x[rows],
-        m=m_features(dataset.m[rows], dataset.schema),
-        y=dataset.y[rows],
-        r=dataset.r[rows],
-    )
-    for array in (split.x, split.m, split.y, split.r):
-        array.flags.writeable = False
-    return split
+    """The row indices of one domain, found at the first lookup and kept on
+    the dataset: a repeated lookup returns the same DomainArrays."""
+    return dataset.memo(tag, DomainArrays)
 
 
 class FitRows:
     """The row sets that calibration fits read: "primary", the primary
     domain's (x,); "cc", its complete cases' (x, m, y); "aux_cc", the
-    auxiliary complete cases' (x, m).  A point fit reads one dataset's
-    rows, FitRows(primary, auxiliary).  A stack of members carries each
-    member's (K, n) counts of every set, and its members share one
-    dataset's rows, FitRows.of_resamples(dataset, draws), or each has its
-    own, FitRows.of_block(datasets), whose sets are (K, n, ...) stacks of
-    their members' rows, padded with zeros after each member's rows.  The
-    fits evaluate their bases themselves, straight into those stacks, so
-    bench/tracing.py finds those calls where it patches them."""
+    auxiliary complete cases' (x, m); m as M's m_features block.  A point
+    fit reads one dataset's rows, FitRows(primary, auxiliary), which selects
+    each set by its domain's index straight from the dataset's columns.  A
+    stack of members carries each member's (K, n) counts of every set, and
+    its members share one dataset's rows, FitRows.of_resamples(dataset,
+    draws), or each has its own, FitRows.of_block(datasets), whose sets are
+    (K, n, ...) stacks of their members' rows, padded with zeros after each
+    member's rows.  The fits evaluate their bases themselves, straight into
+    those stacks, so bench/tracing.py finds those calls where it patches
+    them."""
 
     def __init__(self, primary: DomainArrays, auxiliary: DomainArrays):
-        # an index array selects rows several times faster than a mask
-        cc, aux_cc = np.flatnonzero(primary.complete), np.flatnonzero(auxiliary.complete)
-        self._sets = {"primary": (primary.x,),
-                      "cc": (primary.x[cc], primary.m[cc], primary.y[cc]),
-                      "aux_cc": (auxiliary.x[aux_cc], auxiliary.m[aux_cc])}
+        self._sets = {"primary": (primary.select("x", primary.rows),),
+                      "cc": tuple(primary.select(name, primary.cc) for name in "xmy"),
+                      "aux_cc": tuple(auxiliary.select(name, auxiliary.cc) for name in "xm")}
 
     @classmethod
     def of_resamples(cls, dataset: PooledDataset, draws: list) -> "FitRows":
         """The rows of a dataset, shared by K resamples of it, each given by
-        its drawn rows and counting each row as often as it was drawn: a
-        frequency-weighted fit of the dataset's rows is the fit of the
-        resample up to the order of float sums."""
+        the positions of its rows within each domain, (primary positions,
+        auxiliary positions), and counting each row as often as it was
+        drawn: a frequency-weighted fit of the dataset's rows is the fit of
+        the resample up to the order of float sums."""
         primary = domain_arrays(dataset, DomainTag.PRIMARY)
         auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
+        in_primary, in_auxiliary = _counts(draws, primary.n, auxiliary.n)
         stack = cls(primary, auxiliary)
-        counts = np.array([np.bincount(rows, minlength=len(dataset)) for rows in draws],
-                          dtype=float)
-        in_primary = counts[:, domain_rows(dataset, DomainTag.PRIMARY)]
-        stack._counts = {
-            "primary": in_primary, "cc": in_primary[:, primary.complete],
-            "aux_cc": counts[:, domain_rows(dataset, DomainTag.AUXILIARY)][:, auxiliary.complete]}
+        stack._counts = {"primary": in_primary,
+                         "cc": in_primary[:, np.flatnonzero(primary.complete)],
+                         "aux_cc": in_auxiliary[:, np.flatnonzero(auxiliary.complete)]}
         return stack
 
     @classmethod
     def of_block(cls, datasets: list) -> "FitRows":
         """The rows of a block of datasets of one schema, each a member with
-        its own rows.  Each dataset keeps its primary split, which its MCAR
-        fit reads, but not its auxiliary one, which bounds the memory of a
-        block."""
+        its own rows, selected by the index of each of its domains."""
         members = [cls(domain_arrays(ds, DomainTag.PRIMARY),
-                       _split_domain(ds, DomainTag.AUXILIARY)) for ds in datasets]
+                       domain_arrays(ds, DomainTag.AUXILIARY)) for ds in datasets]
         block = cls.__new__(cls)
         block._sets, block._counts = {}, {}
         for name in members[0]._sets:
@@ -191,3 +194,21 @@ class FitRows:
         times each resample drew a row, or 1 on each block member's rows
         and 0 on the padding after them."""
         return self._counts[name]
+
+
+def _counts(draws: list, n_primary: int, n_auxiliary: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, n) times each position of each domain appears in K draws of
+    (primary positions, auxiliary positions), as floats in Fortran order:
+    the layout fixes the order of the fits' float sums, and so their last
+    bits.  Both domains are counted in one (K, n_primary + n_auxiliary)
+    buffer: glibc's malloc raises its mmap and trim thresholds to the
+    largest mapped block freed, and freeing one this large keeps the
+    Newton stack's (K, n_cc) temporaries on its heap.  A buffer per domain
+    took 3.4 times the page faults of a k=1000 bootstrap at n=2000, and
+    the stack's exp and weight kernels ran 2-2.5 times slower."""
+    counts = np.empty((len(draws), n_primary + n_auxiliary), dtype=np.intp)
+    for k, (primary, auxiliary) in enumerate(draws):
+        counts[k, :n_primary] = np.bincount(primary, minlength=n_primary)
+        counts[k, n_primary:] = np.bincount(auxiliary, minlength=n_auxiliary)
+    return (np.asfortranarray(counts[:, :n_primary], dtype=float),
+            np.asfortranarray(counts[:, n_primary:], dtype=float))

@@ -25,7 +25,7 @@ from mnarfuse.data import (
     validate,
     write_csv,
 )
-from mnarfuse.report import domain_arrays
+from mnarfuse.report import FitRows, domain_arrays
 from mnarfuse.simulate import Model1Design, generate_model1
 
 SCHEMA = VariableSchema(covariate_names=("x1",))
@@ -116,6 +116,68 @@ def test_taken_and_new_datasets_make_their_own_split():
 
 CAT = VariableSchema(covariate_names=("x1",), m_kind="categorical",
                      m_levels=("A", "B", "C"))
+
+
+def _masked_fit_rows(dataset):
+    """The row sets of FitRows(primary, auxiliary) made as a domain split by
+    boolean masks made them: each domain's columns copied out, then its
+    complete cases."""
+    split = {}
+    for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY):
+        rows = dataset.g == tag
+        x, y, r = dataset.x[rows], dataset.y[rows], dataset.r[rows]
+        m = m_features(dataset.m[rows], dataset.schema)
+        split[tag] = x, m, y, r == 1
+    x, m, y, cc = split[DomainTag.PRIMARY]
+    aux_x, aux_m, _, aux_cc = split[DomainTag.AUXILIARY]
+    return {"primary": (x,), "cc": (x[cc], m[cc], y[cc]), "aux_cc": (aux_x[aux_cc], aux_m[aux_cc])}
+
+
+def _columns_dataset(schema, n=60, seed=0, g=None):
+    """A valid dataset of the schema with random columns; every row in the
+    domain g when g is given."""
+    rng = np.random.default_rng(seed)
+    g = np.where(rng.random(n) < 0.5, 1, 2) if g is None else np.full(n, int(g))
+    r = (rng.random(n) < 0.7).astype(int)
+    if schema.m_kind == "categorical":
+        m = rng.integers(0, len(schema.m_levels), n).astype(float)
+    else:
+        m = rng.normal(size=n)
+    y = rng.normal(size=n)
+    return PooledDataset(schema, g=g, x=rng.normal(size=(n, schema.n_covariates)),
+                         m=np.where(r == 1, m, np.nan),
+                         y=np.where((g == 1) & (r == 1), y, np.nan), r=r)
+
+
+@pytest.mark.parametrize("dataset", [
+    pytest.param(lambda: generate_model1(Model1Design(n=300), seed=4)[0], id="numeric-m"),
+    pytest.param(lambda: _columns_dataset(CAT), id="categorical-m"),
+    pytest.param(lambda: _columns_dataset(VariableSchema(
+        covariate_names=("x1", "x2"), m_kind="categorical", m_levels=("A", "B", "C"))),
+        id="two-covariates"),
+    pytest.param(lambda: _columns_dataset(CAT, g=DomainTag.PRIMARY), id="no-auxiliary"),
+    pytest.param(lambda: _columns_dataset(SCHEMA, g=DomainTag.AUXILIARY), id="no-primary"),
+])
+def test_fit_rows_selected_by_index_equal_the_masked_split(dataset):
+    dataset = dataset()
+    rows = FitRows(domain_arrays(dataset, DomainTag.PRIMARY),
+                   domain_arrays(dataset, DomainTag.AUXILIARY))
+    for name, reference in _masked_fit_rows(dataset).items():
+        assert len(rows[name]) == len(reference)
+        for got, want in zip(rows[name], reference):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
+
+def test_a_domain_is_the_index_of_its_rows_and_of_its_complete_cases():
+    ds = _columns_dataset(CAT, n=200, seed=3)
+    for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY):
+        domain = domain_arrays(ds, tag)
+        np.testing.assert_array_equal(domain.rows, np.flatnonzero(ds.g == tag))
+        np.testing.assert_array_equal(domain.cc, np.flatnonzero((ds.g == tag) & (ds.r == 1)))
+        assert not (domain.rows.flags.writeable or domain.cc.flags.writeable)
+        assert not any(np.shares_memory(domain.rows, column) or np.shares_memory(domain.cc, column)
+                       for column in (ds.x, ds.m, ds.y, ds.r))
 
 
 def test_m_features_categorical():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from mnarfuse.data import PooledDataset, VariableSchema
+from mnarfuse.model1 import Model1Spec, estimate_model1
+from mnarfuse.models import BasisSpec
 from mnarfuse.oracle import (
     DiscreteFullLaw,
     ORRecovery,
@@ -435,3 +437,23 @@ def test_sampling_holds_only_what_it_returns():
         # a dataset column is a read-only view of an array of its own size
         assert col.flags.c_contiguous
         assert col.base.flags.owndata and col.base.nbytes == col.nbytes
+
+
+def test_a_fit_of_oracle_draws_keeps_no_copy_of_their_domains():
+    # the oracle hand-off fits the saturated spec to many draws: its domains
+    # are indices, so neither the fit's peak nor what it leaves kept on the
+    # dataset holds a copy of the columns (a masked split held 0.80 of them)
+    saturated = BasisSpec.parse("1,x1,m,x1*m")
+    spec = Model1Spec(propensity_basis=saturated, h_basis=saturated,
+                      aux_regression_basis=BasisSpec.parse("1,x1"), outcome_basis=saturated)
+    ds = sample_law(random_model1_law(make_rng(2024)), 200_000, seed=1)[0]
+    estimate_model1(ds.take(np.arange(1000)), spec)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        estimate_model1(ds, spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = sum(col.nbytes for col in (ds.g, ds.x, ds.m, ds.y, ds.r))
+    assert peak <= 1.35 * columns, peak / columns
+    assert held <= 0.35 * columns, held / columns

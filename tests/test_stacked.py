@@ -21,6 +21,7 @@ from mnarfuse.data import DomainTag, PooledDataset, read_csv
 from mnarfuse import inference
 from mnarfuse.inference import (
     BootstrapConfig,
+    _domain_draws,
     _draw,
     bootstrap_ci,
     default_estimators,
@@ -79,10 +80,18 @@ def _per_refit(estimator):
     return lambda dataset: estimator(dataset)
 
 
+def _by_domain(dataset, rows):
+    """A resample given by its rows, as FitRows.of_resamples takes it: the
+    positions of its rows within each domain, (primary, auxiliary)."""
+    return tuple(np.searchsorted(domain_arrays(dataset, tag).rows, rows[dataset.g[rows] == tag])
+                 for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY))
+
+
 def _refits(estimator, dataset, draws, start=None):
     """The estimator's stacked fits of the resamples of dataset given by
-    draws, started at start."""
-    return estimator.stacked_fits(FitRows.of_resamples(dataset, draws), dataset.schema, start)
+    their rows, draws, started at start."""
+    rows = FitRows.of_resamples(dataset, [_by_domain(dataset, draw) for draw in draws])
+    return estimator.stacked_fits(rows, dataset.schema, start)
 
 
 def _pooled_draw(dataset, rng):
@@ -120,6 +129,27 @@ def test_stacked_refits_match_refits_on_the_resamples(panel, name, draw):
         assert warm_fit is not None and warm_fit[1].converged
         assert warm_fit[0] == pytest.approx(fit[0], abs=1e-12, rel=0)
     assert stacked > 0
+
+
+@pytest.mark.parametrize("name", ["fixture", "tiny-auxiliary"])
+def test_resample_counts_are_the_bincounts_of_their_rows(panel, name):
+    # bootstrap_ci draws each resample's positions within each domain, as
+    # _draw does, and the stack counts them per domain: the same counts as
+    # a bincount of the resample's rows, in the same (Fortran) layout
+    ds, _ = panel[name]
+    positions = [_domain_draws(ds, make_rng(3, b)) for b in range(5)]
+    draws = [_draw(ds, make_rng(3, b)) for b in range(5)]
+    for position, draw in zip(positions, draws):
+        for got, want in zip(position, _by_domain(ds, draw)):
+            np.testing.assert_array_equal(got, want)
+    stack = FitRows.of_resamples(ds, positions)
+    counts = np.array([np.bincount(draw, minlength=len(ds)) for draw in draws], dtype=float)
+    for row_set, tag in (("primary", DomainTag.PRIMARY), ("cc", DomainTag.PRIMARY),
+                         ("aux_cc", DomainTag.AUXILIARY)):
+        domain = domain_arrays(ds, tag)
+        want = counts[:, domain.rows if row_set == "primary" else domain.cc]
+        assert stack.counts(row_set).flags.f_contiguous
+        np.testing.assert_array_equal(stack.counts(row_set), want)
 
 
 def test_warm_refits_take_no_more_iterations_over_the_panel(panel):
