@@ -9,7 +9,6 @@ import numpy as np
 
 from .data import DomainTag, PooledDataset, VariableSchema
 from .models import (
-    BasisSpec,
     evaluate_basis_matrix,
     linear_predictor,
     polynomial_basis,
@@ -34,14 +33,11 @@ def mcar_estimate(dataset: PooledDataset) -> EstimateReport:
     )
 
 
-def mar_estimate(
-    dataset: PooledDataset, x_basis: Optional[BasisSpec] = None
-) -> EstimateReport:
+def mar_estimate(dataset: PooledDataset) -> EstimateReport:
     """Regression of Y on X over primary complete cases, averaged over all
-    primary-domain X (targets the whole-domain outcome mean).  The default
-    basis is 1, x1, ..., xd."""
-    if x_basis is None:
-        x_basis = polynomial_basis(dataset.schema.n_covariates)
+    primary-domain X (targets the whole-domain outcome mean).  The basis is
+    1, x1, ..., xd."""
+    x_basis = polynomial_basis(dataset.schema.n_covariates)
     primary = domain_arrays(dataset, DomainTag.PRIMARY)
     if len(primary.cc) == 0:
         raise EstimationError("no complete cases in the primary domain")
@@ -61,11 +57,10 @@ def mar_estimate(
 
 def _stacked_mar(rows: FitRows, schema: VariableSchema,
                  start: Optional[np.ndarray] = None) -> list[Optional[tuple[float, None]]]:
-    """`mar_estimate` with its default basis on the members of the FitRows
-    stack `rows`, as one least squares: (beta_hat, None) of each member, or
-    None where it has no complete case, a rank deficient design or a
-    non-finite beta_hat, to be fitted on its own.  The fit has no solver,
-    so start is not used."""
+    """`mar_estimate` on the members of the FitRows stack `rows`, as one
+    least squares: (beta_hat, None) of each member, or None where it has no
+    complete case, a rank deficient design or a non-finite beta_hat, to be
+    fitted on its own.  The fit has no solver, so start is not used."""
     primary, cc = rows.counts("primary"), rows.counts("cc")
     live = np.flatnonzero(cc.sum(axis=1) > 0)
     out: list[Optional[tuple[float, None]]] = [None] * len(primary)

@@ -84,12 +84,6 @@ def _rows(dataset: PooledDataset, draw: tuple) -> np.ndarray:
                            for tag, positions in zip(_DOMAINS, draw)])
 
 
-def _draw(dataset: PooledDataset, rng: np.random.Generator) -> np.ndarray:
-    """The rows of one resample, drawn with replacement within each domain
-    (primary first)."""
-    return _rows(dataset, _domain_draws(dataset, rng))
-
-
 # A block of bootstrap refits of a dataset of n rows holds _REFIT_ROWS // n
 # resamples: 87 at n=2000, 4 MiB of (n, 3) float rows.  Blocks from 2 to
 # 8 MiB ran about equally fast at n=2000; smaller ones pay the per-call

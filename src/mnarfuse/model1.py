@@ -83,26 +83,17 @@ def _aux_regression_matrices(rows: FitRows, h_basis: BasisSpec,
             evaluate_basis_matrix(aux_regression_basis, *rows["primary"]))
 
 
-def fit_aux_moment_targets(
-    dataset: PooledDataset,
-    h_basis: BasisSpec,
-    aux_regression_basis: BasisSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The calibration target: each h-component's auxiliary-domain
-    regression, averaged over the primary domain.
+def _fit_targets(dataset: PooledDataset, rows: FitRows, h_basis: BasisSpec,
+                 aux_regression_basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The calibration target, read from the dataset's FitRows `rows`: each
+    h-component's auxiliary-domain regression, averaged over the primary
+    domain.
 
     Each column of h(X, M) is regressed on the X-only basis over auxiliary
     complete cases, and the fitted regressions are evaluated at the
     primary-domain mean of that basis.  Returns (target with shape (dim_h,),
     coefficient matrix with shape (dim_aux_basis, dim_h)).
     """
-    return _fit_targets(dataset, FitRows(*_require_domains(dataset)), h_basis,
-                        aux_regression_basis)
-
-
-def _fit_targets(dataset: PooledDataset, rows: FitRows, h_basis: BasisSpec,
-                 aux_regression_basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
-    """`fit_aux_moment_targets` on the dataset's FitRows `rows`."""
     n_cc = len(_require_domains(dataset)[1].cc)
     if n_cc == 0:
         raise EstimationError("no complete cases in the auxiliary domain")
@@ -222,7 +213,7 @@ def calibrate(
     if n_cc == 0:
         raise EstimationError("no complete cases in the primary domain")
 
-    rows = FitRows(primary, auxiliary)
+    rows = FitRows(dataset)
     target, aux_coefs = _fit_targets(dataset, rows, h_basis, aux_regression_basis)
     equation = _Calibration(rows, basis, h_basis, w_max, fixed_gamma)
     del rows  # the solve reads the equation alone: its peak memory holds no other row copy

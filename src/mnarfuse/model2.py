@@ -72,7 +72,9 @@ def estimate_model2(
     w-weighted complete-case outcomes.
 
     With fix_gamma given (e.g. 0 for a MAR-in-X check) the odds ratio is
-    exp(-fix_gamma * y), held fixed, and only alpha is solved for.
+    exp(-fix_gamma * y), held fixed, and only alpha is solved for.  The
+    nuisance splits the solved theta into "alpha", "gamma" and, when gamma
+    is solved with n_or_params > 1, "or_interactions": the x_j*y tilts.
     """
     if spec is None:
         spec = Model2Spec.default(dataset.schema)
@@ -83,11 +85,12 @@ def estimate_model2(
                        "ipw-model2", w_max, fixed_gamma=fix_gamma or 0.0)
     theta = report.nuisance["alpha"]
     p_alpha = spec.baseline_basis.width()
-    report.nuisance = {
-        "alpha": theta[:p_alpha],
-        "gamma": fix_gamma if fix_gamma is not None else theta[p_alpha],
-        "aux_regression": report.nuisance["aux_regression"],
-    }
+    nuisance = {"alpha": theta[:p_alpha],
+                "gamma": fix_gamma if fix_gamma is not None else theta[p_alpha]}
+    if fix_gamma is None and spec.n_or_params > 1:
+        nuisance["or_interactions"] = theta[p_alpha + 1:]
+    nuisance["aux_regression"] = report.nuisance["aux_regression"]
+    report.nuisance = nuisance
     return report
 
 

@@ -264,8 +264,7 @@ def identify_model1(obs: ObservedLaw) -> float:
 class ORRecovery:
     """Odds-ratio function recovered from observed data, per (x, y)."""
 
-    or_table: np.ndarray  # (nx, ny), anchored at the reference y
-    reference_value: float
+    or_table: np.ndarray  # (nx, ny), 1 at the reference y (reference_y_index)
 
 
 def recover_odds_ratio(obs: ObservedLaw) -> ORRecovery:
@@ -306,10 +305,7 @@ def recover_odds_ratio(obs: ObservedLaw) -> ORRecovery:
                 f"recovered tilt non-positive at the reference level (x={obs.x_support[xi]})"
             )
         or_table[xi] = sol / sol[y_ref]
-    return ORRecovery(
-        or_table=or_table,
-        reference_value=float(obs.y_support[y_ref]),
-    )
+    return ORRecovery(or_table=or_table)
 
 
 def identify_model2(obs: ObservedLaw, recovery: Optional[ORRecovery] = None) -> float:

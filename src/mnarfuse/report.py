@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -77,79 +77,60 @@ class EstimateReport:
         return out
 
 
-class DomainArrays:
+class DomainArrays(NamedTuple):
     """One domain of a dataset as two read-only indices into its columns:
     `rows`, the domain's rows in order, and `cc`, its complete cases' rows,
-    rows[r[rows] == 1].  No copy of the domain's values is kept; `select`
-    takes them from the dataset's columns, and x, m, y and r are the
-    domain's rows of each column, selected on each access."""
+    rows[r[rows] == 1]; n is len(rows).  No copy of the domain's values is
+    kept: FitRows selects them from the dataset's columns."""
 
-    def __init__(self, dataset: PooledDataset, tag: DomainTag):
-        self.rows = np.flatnonzero(dataset.g == int(tag))  # an int compares faster than the enum
-        self.cc = self.rows[dataset.r[self.rows] == 1]
-        self.rows.flags.writeable = self.cc.flags.writeable = False
-        self._schema = dataset.schema
-        self._columns = {"x": dataset.x, "m": dataset.m, "y": dataset.y, "r": dataset.r}
+    rows: np.ndarray
+    cc: np.ndarray
+    n: int
 
-    def select(self, name: str, rows: np.ndarray) -> np.ndarray:
-        """Column `name` ("x", "m", "y" or "r") at the given rows of the
-        dataset, read-only; "m" as M's m_features block (n, m_dim)."""
-        column = self._columns[name][rows]
-        if name == "m":
-            column = m_features(column, self._schema)
-        column.flags.writeable = False
-        return column
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def complete(self) -> np.ndarray:
-        """(n,) mask of the domain's complete cases."""
-        return self.r == 1
-
-    @property
-    def x(self) -> np.ndarray:  # (n, d)
-        return self.select("x", self.rows)
-
-    @property
-    def m(self) -> np.ndarray:  # (n, m_dim); NaN where M is missing
-        return self.select("m", self.rows)
-
-    @property
-    def y(self) -> np.ndarray:  # (n,); NaN where Y is missing
-        return self.select("y", self.rows)
-
-    @property
-    def r(self) -> np.ndarray:  # (n,) in {0, 1}
-        return self.select("r", self.rows)
+def _split(dataset: PooledDataset, tag: DomainTag) -> DomainArrays:
+    rows = np.flatnonzero(dataset.g == int(tag))  # an int compares faster than the enum
+    cc = rows[dataset.r[rows] == 1]
+    rows.flags.writeable = cc.flags.writeable = False
+    return DomainArrays(rows, cc, len(rows))
 
 
 def domain_arrays(dataset: PooledDataset, tag: DomainTag) -> DomainArrays:
     """The row indices of one domain, found at the first lookup and kept on
     the dataset: a repeated lookup returns the same DomainArrays."""
-    return dataset.memo(tag, DomainArrays)
+    return dataset.memo(tag, _split)
+
+
+def _select(dataset: PooledDataset, name: str, rows: np.ndarray) -> np.ndarray:
+    """Column `name` ("x", "m" or "y") of the dataset at the given rows,
+    read-only; "m" as M's m_features block (n, m_dim)."""
+    column = getattr(dataset, name)[rows]
+    if name == "m":
+        column = m_features(column, dataset.schema)
+    column.flags.writeable = False
+    return column
 
 
 class FitRows:
     """The row sets that calibration fits read: "primary", the primary
     domain's (x,); "cc", its complete cases' (x, m, y); "aux_cc", the
     auxiliary complete cases' (x, m); m as M's m_features block.  A point
-    fit reads one dataset's rows, FitRows(primary, auxiliary), which selects
-    each set by its domain's index straight from the dataset's columns.  A
-    stack of members carries each member's (K, n) counts of every set, and
-    its members share one dataset's rows, FitRows.of_resamples(dataset,
-    draws), or each has its own, FitRows.of_block(datasets), whose sets are
+    fit reads one dataset's rows, FitRows(dataset), which selects each set
+    by its domain's index straight from the dataset's columns.  A stack of
+    members carries each member's (K, n) counts of every set, and its
+    members share one dataset's rows, FitRows.of_resamples(dataset, draws),
+    or each has its own, FitRows.of_block(datasets), whose sets are
     (K, n, ...) stacks of their members' rows, padded with zeros after each
     member's rows.  The fits evaluate their bases themselves, straight into
     those stacks, so bench/tracing.py finds those calls where it patches
     them."""
 
-    def __init__(self, primary: DomainArrays, auxiliary: DomainArrays):
-        self._sets = {"primary": (primary.select("x", primary.rows),),
-                      "cc": tuple(primary.select(name, primary.cc) for name in "xmy"),
-                      "aux_cc": tuple(auxiliary.select(name, auxiliary.cc) for name in "xm")}
+    def __init__(self, dataset: PooledDataset):
+        primary = domain_arrays(dataset, DomainTag.PRIMARY)
+        auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
+        self._sets = {"primary": (_select(dataset, "x", primary.rows),),
+                      "cc": tuple(_select(dataset, name, primary.cc) for name in "xmy"),
+                      "aux_cc": tuple(_select(dataset, name, auxiliary.cc) for name in "xm")}
 
     @classmethod
     def of_resamples(cls, dataset: PooledDataset, draws: list) -> "FitRows":
@@ -161,18 +142,17 @@ class FitRows:
         primary = domain_arrays(dataset, DomainTag.PRIMARY)
         auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
         in_primary, in_auxiliary = _counts(draws, primary.n, auxiliary.n)
-        stack = cls(primary, auxiliary)
+        stack = cls(dataset)
         stack._counts = {"primary": in_primary,
-                         "cc": in_primary[:, np.flatnonzero(primary.complete)],
-                         "aux_cc": in_auxiliary[:, np.flatnonzero(auxiliary.complete)]}
+                         "cc": in_primary[:, np.searchsorted(primary.rows, primary.cc)],
+                         "aux_cc": in_auxiliary[:, np.searchsorted(auxiliary.rows, auxiliary.cc)]}
         return stack
 
     @classmethod
     def of_block(cls, datasets: list) -> "FitRows":
         """The rows of a block of datasets of one schema, each a member with
         its own rows, selected by the index of each of its domains."""
-        members = [cls(domain_arrays(ds, DomainTag.PRIMARY),
-                       domain_arrays(ds, DomainTag.AUXILIARY)) for ds in datasets]
+        members = [cls(ds) for ds in datasets]
         block = cls.__new__(cls)
         block._sets, block._counts = {}, {}
         for name in members[0]._sets:

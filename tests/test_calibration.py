@@ -93,10 +93,9 @@ def _system(case):
 def _linear_predictor(case, theta):
     """offset - B.theta on the primary complete cases, rebuilt from the case."""
     dataset, basis, fixed_gamma, _, _ = CASES[case]
-    primary = domain_arrays(dataset, DomainTag.PRIMARY)
-    cc = primary.complete
-    design = evaluate_basis_matrix(basis, primary.x[cc], primary.m[cc], primary.y[cc])
-    return -fixed_gamma * primary.y[cc] - design @ theta
+    x_cc, m_cc, y_cc = FitRows(dataset)["cc"]
+    design = evaluate_basis_matrix(basis, x_cc, m_cc, y_cc)
+    return -fixed_gamma * y_cc - design @ theta
 
 
 def _central_difference(fn, theta, step=1e-6):
@@ -220,28 +219,26 @@ def test_model1_warns_of_degenerate_overlap():
 
 
 def test_model2_weights_are_the_recovered_propensities():
-    primary = domain_arrays(_M2, DomainTag.PRIMARY)
-    cc = primary.complete
+    n1 = domain_arrays(_M2, DomainTag.PRIMARY).n
+    x_cc, _, y_cc = FitRows(_M2)["cc"]
     for fix_gamma in (None, -0.4):  # gamma solved for, then held fixed by the offset
         report = estimate_model2(_M2, fix_gamma=fix_gamma)
         alpha = np.array(report.nuisance["alpha"])
         weights = np.array([1.0 / recovered_propensity(x, y, alpha, report.nuisance["gamma"])
-                            for x, y in zip(primary.x[cc], primary.y[cc])])
-        assert weights @ primary.y[cc] / primary.n == pytest.approx(report.beta_hat, abs=1e-12)
+                            for x, y in zip(x_cc, y_cc)])
+        assert weights @ y_cc / n1 == pytest.approx(report.beta_hat, abs=1e-12)
 
 
 def test_h_is_the_propensity_design_when_their_bases_are_one():
     # Model 1's default h and B are both 1, x1, m; Model 2's B adds y
     for dataset, spec, shared in ((_M1, Model1Spec.default(_M1.schema), True),
                                   (_M2, Model2Spec.default(_M2.schema), False)):
-        primary = domain_arrays(dataset, DomainTag.PRIMARY)
-        auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
         basis, h_basis, _ = spec.bases
-        equation = model1._Calibration(FitRows(primary, auxiliary), basis, h_basis)
+        rows = FitRows(dataset)
+        equation = model1._Calibration(rows, basis, h_basis)
         assert (equation.h is equation.design) is shared
-        cc = primary.complete
-        np.testing.assert_array_equal(
-            equation.h, evaluate_basis_matrix(h_basis, primary.x[cc], primary.m[cc]))
+        x_cc, m_cc, _ = rows["cc"]
+        np.testing.assert_array_equal(equation.h, evaluate_basis_matrix(h_basis, x_cc, m_cc))
         stack = model1._Calibration(FitRows.of_block([dataset, dataset]), basis, h_basis)
         part = stack.take(np.array([1]))
         assert (part.h is part.design) is shared
@@ -270,8 +267,9 @@ def test_target_is_the_regression_at_the_primary_mean_of_the_basis(model, settin
                    else generate_model1(Model1Design(n=600, setting=setting), 3)[0])
         spec = Model1Spec.default(dataset.schema)
     _, h_basis, aux_basis = spec.bases
-    target, coefs = model1.fit_aux_moment_targets(dataset, h_basis, aux_basis)
-    primary = evaluate_basis_matrix(aux_basis, domain_arrays(dataset, DomainTag.PRIMARY).x)
+    target, coefs = model1._fit_targets(dataset, FitRows(dataset), h_basis, aux_basis)
+    primary = evaluate_basis_matrix(
+        aux_basis, dataset.x[domain_arrays(dataset, DomainTag.PRIMARY).rows])
     np.testing.assert_allclose(target, (primary @ coefs).mean(axis=0), rtol=0, atol=1e-13)
     assert hashlib.sha256(coefs.tobytes()).hexdigest() == AUX_COEFS[model, setting]
 

@@ -75,7 +75,7 @@ def test_categorical_m_needs_two_levels(levels):
 def test_domain_arrays_preserve_order():
     rows = (rec(x=(0.0,)), rec(g=DomainTag.AUXILIARY, y=None), rec(x=(5.0,)))
     ds = PooledDataset(records=rows, schema=SCHEMA)
-    assert domain_arrays(ds, DomainTag.PRIMARY).x.tolist() == [[0.0], [5.0]]
+    assert ds.x[domain_arrays(ds, DomainTag.PRIMARY).rows].tolist() == [[0.0], [5.0]]
     assert domain_arrays(ds, DomainTag.AUXILIARY).n == 1
 
 
@@ -93,8 +93,8 @@ def test_a_domain_split_is_made_once_and_cannot_be_changed():
     primary = domain_arrays(ds, DomainTag.PRIMARY)
     assert domain_arrays(ds, DomainTag.PRIMARY) is primary
     assert domain_arrays(ds, DomainTag.AUXILIARY) is not primary
-    for name in ("x", "m", "y", "r"):
-        array = getattr(primary, name)
+    rows = FitRows(ds)
+    for array in (*rows["primary"], *rows["cc"], *rows["aux_cc"]):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -104,14 +104,16 @@ def test_taken_and_new_datasets_make_their_own_split():
     ds, _ = generate_model1(Model1Design(n=200), seed=4)
     primary = domain_arrays(ds, DomainTag.PRIMARY)
     rows = np.arange(len(ds))[::-1]
-    taken = domain_arrays(ds.take(rows), DomainTag.PRIMARY)
+    taken_ds = ds.take(rows)
+    taken = domain_arrays(taken_ds, DomainTag.PRIMARY)
     assert taken is not primary
-    np.testing.assert_array_equal(taken.y, primary.y[::-1])
+    np.testing.assert_array_equal(taken_ds.y[taken.rows], ds.y[primary.rows][::-1])
     same = PooledDataset(ds.schema, ds.g, ds.x, ds.m, ds.y, ds.r)
     rebuilt = domain_arrays(same, DomainTag.PRIMARY)
     assert rebuilt is not primary
     for name in ("x", "m", "y", "r"):
-        np.testing.assert_array_equal(getattr(rebuilt, name), getattr(primary, name))
+        np.testing.assert_array_equal(getattr(same, name)[rebuilt.rows],
+                                      getattr(ds, name)[primary.rows])
 
 
 CAT = VariableSchema(covariate_names=("x1",), m_kind="categorical",
@@ -119,7 +121,7 @@ CAT = VariableSchema(covariate_names=("x1",), m_kind="categorical",
 
 
 def _masked_fit_rows(dataset):
-    """The row sets of FitRows(primary, auxiliary) made as a domain split by
+    """The row sets of FitRows(dataset) made as a domain split by
     boolean masks made them: each domain's columns copied out, then its
     complete cases."""
     split = {}
@@ -160,8 +162,7 @@ def _columns_dataset(schema, n=60, seed=0, g=None):
 ])
 def test_fit_rows_selected_by_index_equal_the_masked_split(dataset):
     dataset = dataset()
-    rows = FitRows(domain_arrays(dataset, DomainTag.PRIMARY),
-                   domain_arrays(dataset, DomainTag.AUXILIARY))
+    rows = FitRows(dataset)
     for name, reference in _masked_fit_rows(dataset).items():
         assert len(rows[name]) == len(reference)
         for got, want in zip(rows[name], reference):

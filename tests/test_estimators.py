@@ -8,12 +8,7 @@ import pytest
 
 from mnarfuse.baselines import mar_estimate, mcar_estimate
 from mnarfuse.data import DomainTag, PooledDataset, UnitRecord, VariableSchema
-from mnarfuse.model1 import (
-    EstimationError,
-    Model1Spec,
-    estimate_model1,
-    fit_aux_moment_targets,
-)
+from mnarfuse.model1 import EstimationError, Model1Spec, _fit_targets, estimate_model1
 from mnarfuse.model2 import Model2Spec, estimate_model2
 from mnarfuse.models import (
     W_MAX,
@@ -22,8 +17,8 @@ from mnarfuse.models import (
     evaluate_basis_matrix,
     solve_least_squares,
 )
-from mnarfuse.report import domain_arrays
-from mnarfuse.simulate import Model1Design, generate_model1
+from mnarfuse.report import FitRows
+from mnarfuse.simulate import Model1Design, Model2Design, generate_model1, generate_model2
 
 SCHEMA = VariableSchema(covariate_names=("x1",))
 
@@ -45,8 +40,8 @@ def _make_dataset(g, x, m, y, r):
 
 def test_aux_targets_recover_m_regression():
     ds, _ = generate_model1(Model1Design(n=5000), seed=2)
-    _, coefs = fit_aux_moment_targets(ds, BasisSpec.parse("1,m"),
-                                      BasisSpec.parse("1,x1,x1^2"))
+    _, coefs = _fit_targets(ds, FitRows(ds), BasisSpec.parse("1,m"),
+                            BasisSpec.parse("1,x1,x1^2"))
     np.testing.assert_allclose(coefs[:, 1], [0.0, 0.0, 0.4], atol=0.05)
 
 
@@ -54,8 +49,8 @@ def test_aux_targets_constant_component():
     # the regression of h = 1 on 1, x1 is 1 + 0 x1, so its prediction is 1
     # at every primary row, and so is their mean
     ds, _ = generate_model1(Model1Design(n=500), seed=2)
-    target, coefs = fit_aux_moment_targets(ds, BasisSpec.parse("1"),
-                                           BasisSpec.parse("1,x1"))
+    target, coefs = _fit_targets(ds, FitRows(ds), BasisSpec.parse("1"),
+                                 BasisSpec.parse("1,x1"))
     assert target == pytest.approx([1.0], rel=0, abs=1e-12)
     assert coefs[:, 0] == pytest.approx([1.0, 0.0], rel=0, abs=1e-12)
 
@@ -69,7 +64,7 @@ def test_aux_targets_degenerate_design_raises():
     y = rng.normal(size=n)
     ds = _make_dataset(g, x, m, y, np.ones(n, dtype=int))
     with pytest.raises(RankDeficientError):
-        fit_aux_moment_targets(ds, BasisSpec.parse("1,m"), BasisSpec.parse("1,x1"))
+        _fit_targets(ds, FitRows(ds), BasisSpec.parse("1,m"), BasisSpec.parse("1,x1"))
 
 
 def test_model1_intercept_only_reduces_to_complete_case_mean():
@@ -105,6 +100,22 @@ def test_model1_requires_both_domains():
         estimate_model1(ds)
 
 
+@pytest.mark.parametrize("n_or_params,fix_gamma,solved", [
+    (1, None, ["alpha", "gamma"]),
+    (2, None, ["alpha", "gamma", "or_interactions"]),  # theta's last entry is the x1*y tilt
+    (2, 0.0, ["alpha"]),
+], ids=["one-odds-ratio-parameter", "two-odds-ratio-parameters", "gamma-fixed"])
+def test_model2_nuisance_holds_every_solved_coefficient(n_or_params, fix_gamma, solved):
+    ds = generate_model2(Model2Design(n=600), 3)[0]
+    spec = Model2Spec(BasisSpec.parse("1,x1"), BasisSpec.parse("1,x1,m,x1*m"),
+                      BasisSpec.parse("1,x1,x1^2"), n_or_params=n_or_params)
+    report = estimate_model2(ds, spec, fix_gamma=fix_gamma)
+    assert report.solver.converged
+    assert list(report.nuisance) == ["alpha", "gamma"] + solved[2:] + ["aux_regression"]
+    reported = report.to_dict()["nuisance"]
+    assert [v for name in solved for v in reported[name]] == report.solver.theta_hat.tolist()
+
+
 def test_model1_diagnostics_report_counts_and_weights():
     ds, _ = generate_model1(Model1Design(n=1000), seed=5)
     report = estimate_model1(ds)
@@ -121,17 +132,15 @@ def _outcome_regression_plugin(dataset: PooledDataset) -> float:
     those fitted values projected onto the X-only basis over auxiliary
     complete cases, and the projection averaged over all primary X."""
     spec = Model1Spec.default(dataset.schema)
-    primary = domain_arrays(dataset, DomainTag.PRIMARY)
-    auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
-    cc1, cc2 = primary.complete, auxiliary.complete
+    rows = FitRows(dataset)
+    (x_primary,), (x_cc, m_cc, y_cc), (aux_x_cc, aux_m_cc) = (
+        rows[name] for name in ("primary", "cc", "aux_cc"))
     outcome_coef = solve_least_squares(
-        evaluate_basis_matrix(spec.outcome_basis, primary.x[cc1], primary.m[cc1]),
-        primary.y[cc1])
-    fitted_aux = evaluate_basis_matrix(
-        spec.outcome_basis, auxiliary.x[cc2], auxiliary.m[cc2]) @ outcome_coef
+        evaluate_basis_matrix(spec.outcome_basis, x_cc, m_cc), y_cc)
+    fitted_aux = evaluate_basis_matrix(spec.outcome_basis, aux_x_cc, aux_m_cc) @ outcome_coef
     outer_coef = solve_least_squares(
-        evaluate_basis_matrix(spec.aux_regression_basis, auxiliary.x[cc2]), fitted_aux)
-    return float((evaluate_basis_matrix(spec.aux_regression_basis, primary.x)
+        evaluate_basis_matrix(spec.aux_regression_basis, aux_x_cc), fitted_aux)
+    return float((evaluate_basis_matrix(spec.aux_regression_basis, x_primary)
                   @ outer_coef).mean())
 
 
@@ -225,7 +234,7 @@ def test_mar_no_missingness_is_sample_mean():
     y = rng.normal(size=n)
     ds = _make_dataset(g, rng.normal(size=n), rng.normal(size=n), y,
                        np.ones(n, dtype=int))
-    report = mar_estimate(ds, BasisSpec.parse("1,x1"))
+    report = mar_estimate(ds)  # basis 1, x1
     assert report.beta_hat == pytest.approx(float(y[:60].mean()), abs=1e-10)
 
 
@@ -271,6 +280,11 @@ def test_mar_default_basis_is_linear_in_x(d):
     ds = PooledDataset(schema, g=g, x=x, m=np.where(r == 1, rng.normal(size=n), np.nan),
                        y=np.where((g == 1) & (r == 1), y, np.nan), r=r)
     default = mar_estimate(ds)
-    spelled = mar_estimate(ds, BasisSpec.parse(",".join(["1"] + list(schema.covariate_names))))
-    assert default.beta_hat.hex() == spelled.beta_hat.hex()
-    assert default.nuisance == spelled.nuisance
+    # the regression mar_estimate fits, with its basis spelled out
+    spelled = BasisSpec.parse(",".join(["1"] + list(schema.covariate_names)))
+    rows = FitRows(ds)
+    (x_primary,), (x_cc, _, y_cc) = rows["primary"], rows["cc"]
+    coef = solve_least_squares(evaluate_basis_matrix(spelled, x_cc), y_cc, spelled.column_names())
+    beta = float((evaluate_basis_matrix(spelled, x_primary) @ coef).mean())
+    assert default.beta_hat.hex() == beta.hex()
+    assert default.nuisance == {"outcome_regression": coef.tolist()}

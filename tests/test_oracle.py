@@ -23,6 +23,7 @@ from mnarfuse.oracle import (
     random_model1_law,
     random_model2_law,
     recover_odds_ratio,
+    reference_y_index,
     run_battery,
     sample_law,
     verify_or_identities,
@@ -115,7 +116,9 @@ def test_or_recovery_matches_construction():
     law, or_true = random_model2_law(_rng(6))
     recovery = recover_odds_ratio(observed_law(law))
     np.testing.assert_allclose(recovery.or_table, or_true, atol=1e-10)
-    assert recovery.reference_value == 0.0
+    y_ref = reference_y_index(law.y_support)
+    assert law.y_support[y_ref] == 0.0
+    assert (recovery.or_table[:, y_ref] == 1.0).all()
 
 
 def test_or_recovery_known_exponential_tilt():
@@ -175,7 +178,7 @@ def _emptied_cell_law(keep_aux: bool) -> DiscreteFullLaw:
                            table / table.sum())
 
 
-_UNIT_ODDS_RATIO = ORRecovery(or_table=np.ones((2, 2)), reference_value=0.0)
+_UNIT_ODDS_RATIO = ORRecovery(or_table=np.ones((2, 2)))
 
 
 def test_a_cell_with_no_mass_adds_nothing():

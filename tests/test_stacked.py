@@ -22,7 +22,7 @@ from mnarfuse import inference
 from mnarfuse.inference import (
     BootstrapConfig,
     _domain_draws,
-    _draw,
+    _rows,
     bootstrap_ci,
     default_estimators,
     replicate,
@@ -94,6 +94,12 @@ def _refits(estimator, dataset, draws, start=None):
     return estimator.stacked_fits(rows, dataset.schema, start)
 
 
+def _stratified_draw(dataset, rng):
+    """The rows of bootstrap_ci's resample: drawn with replacement within
+    each domain (primary first)."""
+    return _rows(dataset, _domain_draws(dataset, rng))
+
+
 def _pooled_draw(dataset, rng):
     """Rows drawn with replacement over the whole dataset, so that the
     resamples' domain sizes differ and a domain can be empty."""
@@ -108,7 +114,7 @@ def test_stacked_refits_match_refits_on_the_resamples(panel, name, draw):
     # and draws over the whole dataset
     ds, estimator = panel[name]
     k, seed = 12, 7
-    draw_rows = {"stratified": _draw, "pooled": _pooled_draw}[draw]
+    draw_rows = {"stratified": _stratified_draw, "pooled": _pooled_draw}[draw]
     draws = [draw_rows(ds, make_rng(seed, b)) for b in range(k)]
     cold = _refits(estimator, ds, draws)
     point = estimator(ds).solver
@@ -133,12 +139,13 @@ def test_stacked_refits_match_refits_on_the_resamples(panel, name, draw):
 
 @pytest.mark.parametrize("name", ["fixture", "tiny-auxiliary"])
 def test_resample_counts_are_the_bincounts_of_their_rows(panel, name):
-    # bootstrap_ci draws each resample's positions within each domain, as
-    # _draw does, and the stack counts them per domain: the same counts as
-    # a bincount of the resample's rows, in the same (Fortran) layout
+    # bootstrap_ci draws each resample's positions within each domain, the
+    # positions of _stratified_draw's rows, and the stack counts them per
+    # domain: the same counts as a bincount of the resample's rows, in the
+    # same (Fortran) layout
     ds, _ = panel[name]
     positions = [_domain_draws(ds, make_rng(3, b)) for b in range(5)]
-    draws = [_draw(ds, make_rng(3, b)) for b in range(5)]
+    draws = [_stratified_draw(ds, make_rng(3, b)) for b in range(5)]
     for position, draw in zip(positions, draws):
         for got, want in zip(position, _by_domain(ds, draw)):
             np.testing.assert_array_equal(got, want)
@@ -159,7 +166,7 @@ def test_warm_refits_take_no_more_iterations_over_the_panel(panel):
     cold_iterations = warm_iterations = 0
     for ds, estimator in panel.values():
         point = estimator(ds).solver
-        draws = [_draw(ds, make_rng(7, b)) for b in range(12)]
+        draws = [_stratified_draw(ds, make_rng(7, b)) for b in range(12)]
         cold = _refits(estimator, ds, draws)
         warm = _refits(estimator, ds, draws, point.theta_hat)
         for fit, warm_fit in zip(cold, warm):
@@ -657,8 +664,7 @@ def test_a_block_pads_each_row_set_into_its_stack():
     datasets = [generate_model1(Model1Design(n=n), seed)[0]
                 for n, seed in ((150, 1), (300, 2), (220, 3))]
     block = FitRows.of_block(datasets)
-    own = [FitRows(domain_arrays(ds, DomainTag.PRIMARY), domain_arrays(ds, DomainTag.AUXILIARY))
-           for ds in datasets]
+    own = [FitRows(ds) for ds in datasets]
     for name in ("primary", "cc", "aux_cc"):
         sizes = [len(rows[name][0]) for rows in own]
         n = max(sizes)
