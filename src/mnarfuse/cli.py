@@ -33,11 +33,12 @@ from .data import (
     validate,
     write_csv,
 )
-from .inference import BootstrapConfig, BootstrapError, bootstrap_ci, replicate
+from .inference import CI_LEVEL, BootstrapConfig, BootstrapError, bootstrap_ci, replicate
 from .model1 import estimate_model1
 from .model2 import estimate_model2
 from .models import logistic
 from .simulate import (
+    Design,
     Model1Design,
     Model2Design,
     generate_model1,
@@ -46,7 +47,6 @@ from .simulate import (
     write_truth_csv,
 )
 
-USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
@@ -128,13 +128,14 @@ def _load_dataset(args) -> PooledDataset:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _design(args) -> Design:
+    return (Model1Design if args.model == 1 else Model2Design)(n=args.n, setting=args.setting)
+
+
 def _cmd_simulate(args) -> int:
-    if args.model == 1:
-        design = Model1Design(n=args.n, setting=args.setting)
-        dataset, sidecar = generate_model1(design, args.seed)
-    else:
-        design = Model2Design(n=args.n, setting=args.setting)
-        dataset, sidecar = generate_model2(design, args.seed)
+    design = _design(args)
+    generate = generate_model1 if design.model == 1 else generate_model2
+    dataset, sidecar = generate(design, args.seed)
     out = _out_path(args.out)
     write_csv(dataset, out)
     truth_out = _out_path(args.truth_out) if args.truth_out else out + ".truth.csv"
@@ -166,7 +167,7 @@ def _cmd_estimate(args) -> int:
         )
     line = f"beta_hat = {report.beta_hat:.6f}  ({report.estimator})"
     if report.ci is not None:
-        line += f"  95% CI [{report.ci.lo:.6f}, {report.ci.hi:.6f}]"
+        line += f"  {CI_LEVEL:.0%} CI [{report.ci.lo:.6f}, {report.ci.hi:.6f}]"
     print(line)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -177,9 +178,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_replicate(args) -> int:
-    cls = Model1Design if args.model == 1 else Model2Design
-    design = cls(n=args.n, setting=args.setting)
-    report = replicate(design, n_reps=args.reps, seed=args.seed,
+    report = replicate(_design(args), n_reps=args.reps, seed=args.seed,
                        n_workers=args.workers)
     print(report.to_text())
     if args.out_prefix:
@@ -216,8 +215,8 @@ def _inject_violation_failures() -> list:
         failures.append(oracle.BatteryFailure(424242, "y_driven",
                                               checks.violation["y_driven"], oracle.CI_TOL))
     try:
-        recovery = oracle.recover_odds_ratio(oracle.observed_law(broken))
-        err = float(np.max(np.abs(recovery.or_table - or_true)))
+        or_table = oracle.recover_odds_ratio(oracle.observed_law(broken))
+        err = float(np.max(np.abs(or_table - or_true)))
     except oracle.OracleError:
         err = float("inf")
     if err > oracle.TOL_OR:

@@ -26,15 +26,7 @@ from .model1 import EstimationError, estimate_model1
 from .model2 import estimate_model2
 from .models import RankDeficientError
 from .report import ConfidenceInterval, EstimateReport, FitRows, RefitCounts, domain_arrays
-from .simulate import (
-    Model1Design,
-    Model2Design,
-    TrueBeta,
-    generate_model1,
-    generate_model2,
-    make_rng,
-    true_beta,
-)
+from .simulate import Design, TrueBeta, generate_model1, generate_model2, make_rng, true_beta
 from .solver import ResidualError, SolverResult
 
 Estimator = Callable[[PooledDataset], EstimateReport]
@@ -48,18 +40,18 @@ class BootstrapError(RuntimeError):
     pass
 
 
+CI_LEVEL = 0.95  # the coverage of every bootstrap interval
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     k: int = 1000
-    ci_level: float = 0.95
     seed: int = 0
     max_failure_fraction: float = 0.2
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"bootstrap k must be at least 1, got {self.k}")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError(f"ci_level must be in (0, 1), got {self.ci_level}")
         if not 0.0 <= self.max_failure_fraction < 1.0:
             raise ValueError(
                 f"max_failure_fraction must be in [0, 1), got {self.max_failure_fraction}"
@@ -148,7 +140,7 @@ def bootstrap_ci(
         raise BootstrapError(
             f"{n_failed} of {config.k} bootstrap resamples failed ({reasons})"
         )
-    tail = 0.5 * (1.0 - config.ci_level)
+    tail = 0.5 * (1.0 - CI_LEVEL)
     lo, hi = np.quantile([v for v in estimates if math.isfinite(v)], [tail, 1.0 - tail])
     return ConfidenceInterval(lo=float(lo), hi=float(hi), failures=dict(failures),
                               nonconverged=dict(nonconverged), refits=RefitCounts(**refits))
@@ -203,18 +195,15 @@ def _fit_each(estimator: Estimator, fits: list, items: list, dataset_of: Callabl
 # replication harness
 # ---------------------------------------------------------------------------
 
-def generate_for(design, seed: int) -> PooledDataset:
-    if isinstance(design, Model1Design):
-        return generate_model1(design, seed)[0]
-    if isinstance(design, Model2Design):
-        return generate_model2(design, seed)[0]
-    raise TypeError(f"unknown design {type(design).__name__}")
+def generate_for(design: Design, seed: int) -> PooledDataset:
+    generate = generate_model1 if design.model == 1 else generate_model2
+    return generate(design, seed)[0]
 
 
-def default_estimators(design) -> dict:
+def default_estimators(design: Design) -> dict:
     """Named estimator bank for a design: the matching IPW estimator plus the
     MAR and MCAR references."""
-    ipw = estimate_model1 if isinstance(design, Model1Design) else estimate_model2
+    ipw = estimate_model1 if design.model == 1 else estimate_model2
     return {"ipw": ipw, "mar": mar_estimate, "mcar": mcar_estimate}
 
 
@@ -376,7 +365,7 @@ def _drop_pool() -> None:
 
 
 def replicate(
-    design,
+    design: Design,
     n_reps: int,
     seed: int = 0,
     estimators: Optional[dict] = None,
@@ -445,9 +434,8 @@ def replicate(
                 failures=dict(failures),
             )
         )
-    label = f"model{1 if isinstance(design, Model1Design) else 2}-{design.setting}"
     return ReplicationReport(
-        design_label=label,
+        design_label=design.label,
         n=design.n,
         n_reps=n_reps,
         seed=seed,

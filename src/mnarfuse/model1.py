@@ -144,14 +144,12 @@ class _Calibration:
         """The equation of the given members of the stack, for their
         residuals, Jacobians, weights and beta_hat (`init` stays the whole
         stack's): itself when the members share their rows or when members
-        are all of them."""
+        are all of them.  A stack has no offset: only a point fit fixes gamma."""
         if self.design.ndim == 2 or members.size == len(self.design):
             return self
         part = copy.copy(self)
         part.design, part.y = self.design[members], self.y[members]
         part.h = part.design if self.h is self.design else self.h[members]
-        if not np.isscalar(self.offset):
-            part.offset = self.offset[members]
         part._h_diag_b = None
         return part
 

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data import PooledDataset, VariableSchema
-from .simulate import make_rng
+from .data import PooledDataset
+from .simulate import SCALAR_SCHEMA, make_rng
 
 CI_TOL = 1e-12  # conditional-independence cell tolerance
 _RANK_TOL = 1e-10  # singular-value threshold for the completeness condition
@@ -260,17 +260,12 @@ def identify_model1(obs: ObservedLaw) -> float:
     return _identify(obs, np.ones((len(obs.x_support), len(obs.y_support))))
 
 
-@dataclass(frozen=True)
-class ORRecovery:
-    """Odds-ratio function recovered from observed data, per (x, y)."""
-
-    or_table: np.ndarray  # (nx, ny), 1 at the reference y (reference_y_index)
-
-
-def recover_odds_ratio(obs: ObservedLaw) -> ORRecovery:
-    """Invert the finite linear system linking the normalized odds-ratio tilt
-    to the ratio of missing- and observed-case M laws, using the auxiliary
-    domain as the bridge to the unobservable missing-case M law."""
+def recover_odds_ratio(obs: ObservedLaw) -> np.ndarray:
+    """The odds-ratio table (nx, ny) recovered from observed data, 1 at the
+    reference y (reference_y_index): invert the finite linear system linking
+    the normalized odds-ratio tilt to the ratio of missing- and observed-case
+    M laws, using the auxiliary domain as the bridge to the unobservable
+    missing-case M law."""
     nx, nm, ny = obs.primary_r1.shape
     if nm < ny:
         raise RankConditionError(
@@ -305,15 +300,15 @@ def recover_odds_ratio(obs: ObservedLaw) -> ORRecovery:
                 f"recovered tilt non-positive at the reference level (x={obs.x_support[xi]})"
             )
         or_table[xi] = sol / sol[y_ref]
-    return ORRecovery(or_table=or_table)
+    return or_table
 
 
-def identify_model2(obs: ObservedLaw, recovery: Optional[ORRecovery] = None) -> float:
-    """Exact Y-driven identification functional under the odds ratio
-    recovered from observed data."""
-    if recovery is None:
-        recovery = recover_odds_ratio(obs)
-    return _identify(obs, recovery.or_table)
+def identify_model2(obs: ObservedLaw, or_table: Optional[np.ndarray] = None) -> float:
+    """Exact Y-driven identification functional under the odds-ratio table
+    (nx, ny), by default the one recovered from observed data."""
+    if or_table is None:
+        or_table = recover_odds_ratio(obs)
+    return _identify(obs, or_table)
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +476,12 @@ def run_battery(n_laws: int, seed: int) -> list[BatteryFailure]:
         obs2 = observed_law(law2)
         truth2 = brute_force_beta(law2)
         try:
-            recovery = recover_odds_ratio(obs2)
+            or_table = recover_odds_ratio(obs2)
         except OracleError as exc:
             failures.append(BatteryFailure(i, f"or_recovery_error:{exc}", np.inf, TOL_OR))
             continue
-        expect(i, "or_recovery", float(np.max(np.abs(recovery.or_table - or_true))), TOL_OR)
-        expect(i, "identify_model2", abs(identify_model2(obs2, recovery) - truth2),
+        expect(i, "or_recovery", float(np.max(np.abs(or_table - or_true))), TOL_OR)
+        expect(i, "identify_model2", abs(identify_model2(obs2, or_table) - truth2),
                TOL_IDENTIFY)
         expect(i, "bridge_model2_law", bridge_residual(law2), TOL_IDENTITY)
         for name, value in verify_or_identities(law2).items():
@@ -523,13 +518,6 @@ def sample_law(
     ])
     latent = table[cells]
     g, x, m, y, r = latent.T
-    observed = r == 1
-    dataset = PooledDataset(
-        VariableSchema(covariate_names=("x1",)),
-        g=g.astype(np.int64),
-        x=x[:, None].copy(),
-        m=np.where(observed, m, np.nan),
-        y=np.where(observed & (g == 1), y, np.nan),
-        r=r.astype(np.int64),
-    )
+    # the dataset converts g and r to int64 copies; x, a float view, is copied here
+    dataset = PooledDataset.of_draws(SCALAR_SCHEMA, g, x[:, None].copy(), m, y, r)
     return dataset, latent

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,7 +30,26 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class Model1Design:
+class Design:
+    """n units of a model's design in its correctly-specified (T) or
+    misspecified (F) setting; `model` (1 or 2) names the model."""
+
+    n: int
+    setting: str = "T"
+    model: ClassVar[int]
+
+    def __post_init__(self):
+        if self.setting not in ("T", "F"):
+            raise ValueError(f"setting must be T or F, got {self.setting!r}")
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+
+    @property
+    def label(self) -> str:
+        return f"model{self.model}-{self.setting}"
+
+
+class Model1Design(Design):
     """M-driven missingness design.
 
     Primary domain: X ~ N(1,1), M ~ N(0.4 X^2, 1), Y ~ N(X + M, 1),
@@ -39,14 +58,7 @@ class Model1Design:
     Auxiliary domain: X ~ N(0,1), same M law, selection logis(1.4 + X).
     """
 
-    n: int
-    setting: str = "T"
-
-    def __post_init__(self):
-        if self.setting not in ("T", "F"):
-            raise ValueError(f"setting must be T or F, got {self.setting!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+    model = 1
 
     @property
     def a2(self) -> float:
@@ -63,8 +75,7 @@ MODEL2_GAMMA = 0.3
 MODEL2_BETA_Y3 = 1.0
 
 
-@dataclass(frozen=True)
-class Model2Design:
+class Model2Design(Design):
     """Y-driven missingness design, generated sequentially X -> R -> M -> Y.
 
     Primary domain: X ~ N(0,1); logit p(R=1|X) follows the closed form implied
@@ -75,14 +86,7 @@ class Model2Design:
     construction, true selection logis(X).
     """
 
-    n: int
-    setting: str = "T"
-
-    def __post_init__(self):
-        if self.setting not in ("T", "F"):
-            raise ValueError(f"setting must be T or F, got {self.setting!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+    model = 2
 
     @property
     def a2(self) -> float:
@@ -106,15 +110,7 @@ class TrueBeta:
 
 
 def _assemble(g, x, m_latent, y_latent, r) -> tuple[PooledDataset, TruthSidecar]:
-    observed = r == 1
-    dataset = PooledDataset(
-        SCALAR_SCHEMA,
-        g=g,
-        x=x[:, None],
-        m=np.where(observed, m_latent, np.nan),
-        y=np.where(observed & (g == 1), y_latent, np.nan),
-        r=r,
-    )
+    dataset = PooledDataset.of_draws(SCALAR_SCHEMA, g, x[:, None], m_latent, y_latent, r)
     sidecar = TruthSidecar(g=g.copy(), r=r.copy(), m_latent=m_latent.copy(),
                            y_latent=y_latent.copy())
     return dataset, sidecar
@@ -192,7 +188,7 @@ def _normal_quadrature(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def true_beta(design) -> TrueBeta:
+def true_beta(design: Design) -> TrueBeta:
     """Target value of the outcome mean for a design.
 
     The M-driven design admits the closed form E[X] + 0.4 E[X^2] = 1.8.  In
@@ -201,10 +197,8 @@ def true_beta(design) -> TrueBeta:
     X ~ N(0, 1); the expectation over X is a Gauss-Hermite sum, exact for the
     polynomial terms.
     """
-    if isinstance(design, Model1Design):
+    if design.model == 1:
         return TrueBeta(value=1.8, provenance="analytic")
-    if not isinstance(design, Model2Design):
-        raise TypeError(f"unknown design {type(design).__name__}")
     nodes, weights = _normal_quadrature(_QUADRATURE_NODES)
     p_unselected = 1.0 - logistic(_model2_selection_logit(design, nodes))
     shift = MODEL2_GAMMA * (1.0 + MODEL2_BETA_Y3)

@@ -275,6 +275,24 @@ def test_a_repeated_covariate_name_is_a_one_line_error(tmp_path, capsys, spellin
     assert capsys.readouterr().err == "error: covariate names must be distinct\n"
 
 
+@pytest.mark.parametrize("argv, covariate", [
+    (["estimate", "--model", "mcar", "--config", "alias.ini"], "x1"),  # [columns] x1 = r
+    (["validate", "--covariates", "r"], "r"),
+    (["estimate", "--model", "mar", "--covariates", "r"], "r"),
+], ids=["config-alias", "covariates-validate", "covariates-mar"])
+def test_a_column_read_as_two_names_is_an_error(tmp_path, monkeypatch, capsys, argv, covariate):
+    # unchecked, the alias fitted with x1 = R, and --covariates r made
+    # validate say ok and MAR fail as rank deficient at x1
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--model", "1", "--n", "300", "--seed", "1", "--out", "d.csv"]) == 0
+    (tmp_path / "alias.ini").write_text("[columns]\nx1 = r\n")
+    capsys.readouterr()
+    assert run([*argv, "--data", "d.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: d.csv: column 'r' is read as both r and covariate {covariate}\n"
+
+
 def test_workers_clamped_to_cpu_count():
     # parsing only: no pool is started
     args = build_parser().parse_args(

@@ -11,7 +11,6 @@ from mnarfuse.model1 import Model1Spec, estimate_model1
 from mnarfuse.models import BasisSpec
 from mnarfuse.oracle import (
     DiscreteFullLaw,
-    ORRecovery,
     OracleError,
     RankConditionError,
     bridge_residual,
@@ -114,11 +113,11 @@ def test_identify_model1_needs_shared_m_law():
 
 def test_or_recovery_matches_construction():
     law, or_true = random_model2_law(_rng(6))
-    recovery = recover_odds_ratio(observed_law(law))
-    np.testing.assert_allclose(recovery.or_table, or_true, atol=1e-10)
+    or_table = recover_odds_ratio(observed_law(law))
+    np.testing.assert_allclose(or_table, or_true, atol=1e-10)
     y_ref = reference_y_index(law.y_support)
     assert law.y_support[y_ref] == 0.0
-    assert (recovery.or_table[:, y_ref] == 1.0).all()
+    assert (or_table[:, y_ref] == 1.0).all()
 
 
 def test_or_recovery_known_exponential_tilt():
@@ -135,13 +134,12 @@ def test_or_recovery_known_exponential_tilt():
     table[0, :, :, :, 0] = joint * (1.0 - p_r1[:, None, :])
     built = DiscreteFullLaw(law.x_support, law.m_support, law.y_support,
                             table / table.sum())
-    recovery = recover_odds_ratio(observed_law(built))
-    np.testing.assert_allclose(recovery.or_table, target, atol=1e-10)
+    np.testing.assert_allclose(recover_odds_ratio(observed_law(built)), target, atol=1e-10)
 
 
 def test_or_recovery_mar_in_x_is_identity():
-    recovery = recover_odds_ratio(observed_law(_product_law(nm=3)))
-    np.testing.assert_allclose(recovery.or_table, 1.0, atol=1e-10)
+    or_table = recover_odds_ratio(observed_law(_product_law(nm=3)))
+    np.testing.assert_allclose(or_table, 1.0, atol=1e-10)
 
 
 def test_or_recovery_single_m_level_rank_error():
@@ -178,7 +176,7 @@ def _emptied_cell_law(keep_aux: bool) -> DiscreteFullLaw:
                            table / table.sum())
 
 
-_UNIT_ODDS_RATIO = ORRecovery(or_table=np.ones((2, 2)))
+_UNIT_ODDS_RATIO = np.ones((2, 2))
 
 
 def test_a_cell_with_no_mass_adds_nothing():
@@ -301,9 +299,9 @@ def test_an_x_without_primary_mass_leaves_its_tilt_at_one():
         assert check_assumptions(law).holds["completeness"]
         obs = observed_law(law)
         assert identify_model2(obs) == pytest.approx(brute_force_beta(law), abs=1e-12)
-        recovery = recover_odds_ratio(obs)
-        np.testing.assert_allclose(recovery.or_table[:2], or_true[:2], rtol=0, atol=1e-12)
-        assert (recovery.or_table[2] == 1.0).all()
+        or_table = recover_odds_ratio(obs)
+        np.testing.assert_allclose(or_table[:2], or_true[:2], rtol=0, atol=1e-12)
+        assert (or_table[2] == 1.0).all()
 
 
 def test_or_identities_hold_on_y_driven_law():

@@ -45,15 +45,15 @@ def panel_entry(i: int) -> dict:
     law1 = random_model1_law(rng)
     law2, _ = random_model2_law(rng)
     obs2 = observed_law(law2)
-    recovery = recover_odds_ratio(obs2)
+    or_table = recover_odds_ratio(obs2)
     values = {
         "identify_model1": identify_model1(observed_law(law1)),
-        "identify_model2": identify_model2(obs2, recovery),
+        "identify_model2": identify_model2(obs2, or_table),
         "bridge_model1_law": bridge_residual(law1),
         "bridge_model2_law": bridge_residual(law2),
     }
-    for xi, yi in np.ndindex(recovery.or_table.shape):
-        values[f"or_table[{xi},{yi}]"] = float(recovery.or_table[xi, yi])
+    for xi, yi in np.ndindex(or_table.shape):
+        values[f"or_table[{xi},{yi}]"] = float(or_table[xi, yi])
     holds = {}
     for family, law in (("model1_law", law1), ("model2_law", law2)):
         checks = check_assumptions(law)

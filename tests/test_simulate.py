@@ -131,3 +131,15 @@ def test_bad_setting_rejected():
         Model1Design(n=10, setting="X")
     with pytest.raises(ValueError):
         Model2Design(n=0)
+
+
+@pytest.mark.parametrize("cls, model", [(Model1Design, 1), (Model2Design, 2)])
+def test_a_design_carries_its_model_and_label(cls, model):
+    design = cls(n=10, setting="F")
+    assert (design.model, design.label) == (model, f"model{model}-F")
+    other = Model2Design if model == 1 else Model1Design
+    assert design != other(n=10, setting="F")
+    with pytest.raises(ValueError):
+        cls(n=10, setting="X")
+    with pytest.raises(ValueError):
+        cls(n=0)
