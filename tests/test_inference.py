@@ -183,7 +183,9 @@ def test_programming_errors_propagate_out_of_bootstrap_and_replicate():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"k": 0}, {"max_failure_fraction": -0.1}, {"max_failure_fraction": 1.0},
+    {"k": 0}, {"k": -1}, {"max_failure_fraction": float("nan")},
+    {"max_failure_fraction": 1.5}, {"max_failure_fraction": -0.1},
+    {"max_failure_fraction": 1.0},
 ])
 def test_bootstrap_config_rejects_out_of_range(kwargs):
     with pytest.raises(ValueError):
