@@ -42,7 +42,8 @@ def mar_estimate(dataset: PooledDataset) -> EstimateReport:
     if len(primary.cc) == 0:
         raise EstimationError("no complete cases in the primary domain")
     design = evaluate_basis_matrix(x_basis, dataset.x[primary.cc])
-    coef = solve_least_squares(design, dataset.y[primary.cc], x_basis.column_names())
+    coef = solve_least_squares(design, dataset.y[primary.cc],
+                               x_basis.column_names(dataset.schema.covariate_names))
     preds = evaluate_basis_matrix(x_basis, dataset.x[primary.rows]) @ coef
     return EstimateReport(
         beta_hat=float(preds.mean()),

@@ -212,10 +212,12 @@ class PooledDataset:
 
 
 def validate(dataset: PooledDataset) -> list[str]:
-    """Return one message per invariant violation; empty list means clean."""
-    g, m, r = dataset.g, dataset.m, dataset.r
+    """Return one message per invariant violation; empty list means clean.
+    A covariate must be finite, and M and Y finite where present (a
+    missing one is NaN)."""
+    g, m, y, r = dataset.g, dataset.m, dataset.y, dataset.r
     has_m = ~np.isnan(m)
-    has_y = ~np.isnan(dataset.y)
+    has_y = ~np.isnan(y)
     primary = g == DomainTag.PRIMARY
     r1 = r == 1
     r0 = r == 0
@@ -223,6 +225,11 @@ def validate(dataset: PooledDataset) -> list[str]:
     # (rows, message) in the order the checks of one row are reported
     checks = [
         (~r_valid, lambda i: f"R must be 0 or 1, got {r[i]}"),
+        *((~np.isfinite(x), lambda i, name=name, x=x: f"covariate {name} must be finite, "
+           f"got {float(x[i])}")
+          for name, x in zip(dataset.schema.covariate_names, dataset.x.T)),
+        (np.isinf(m), lambda i: f"M must be finite, got {float(m[i])}"),
+        (np.isinf(y), lambda i: f"Y must be finite, got {float(y[i])}"),
         (r1 & ~has_m, lambda i: "R=1 but M absent"),
         (r0 & has_m, lambda i: "R=0 but M present"),
         (primary & r1 & ~has_y, lambda i: "primary-domain R=1 but Y absent"),
@@ -230,7 +237,6 @@ def validate(dataset: PooledDataset) -> list[str]:
         (r_valid & ~primary & has_y, lambda i: "Y present in auxiliary domain"),
     ]
     if dataset.schema.y_kind == "binary":
-        y = dataset.y
         not_binary = has_y & (y != 0) & (y != 1)
         checks.append((not_binary, lambda i: f"binary Y must be 0 or 1, got {float(y[i])}"))
     if dataset.schema.m_kind == "categorical":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -41,21 +40,17 @@ class BootstrapError(RuntimeError):
 
 
 CI_LEVEL = 0.95  # the coverage of every bootstrap interval
+MAX_FAILURE_FRACTION = 0.2  # bootstrap_ci raises when a larger share of its resamples fail
 
 
 @dataclass(frozen=True)
 class BootstrapConfig:
     k: int = 1000
     seed: int = 0
-    max_failure_fraction: float = 0.2
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"bootstrap k must be at least 1, got {self.k}")
-        if not 0.0 <= self.max_failure_fraction < 1.0:
-            raise ValueError(
-                f"max_failure_fraction must be in [0, 1), got {self.max_failure_fraction}"
-            )
 
 
 _DOMAINS = (DomainTag.PRIMARY, DomainTag.AUXILIARY)
@@ -95,8 +90,8 @@ def bootstrap_ci(
     design quantities, not random); resample b draws from make_rng(seed, b).
     Resamples where the estimator raises one of FIT_ERRORS or returns a
     non-finite value are dropped and counted by reason (the exception class
-    name, or "non-finite"); more than max_failure_fraction failures is an
-    error rather than a silently narrower interval.  Refits whose solver
+    name, or "non-finite"); more than MAX_FAILURE_FRACTION * k failures is
+    an error rather than a silently narrower interval.  Refits whose solver
     stopped without converging are kept in the interval and counted by
     solver status.
 
@@ -135,7 +130,7 @@ def bootstrap_ci(
                                lambda draw: dataset.take(_rows(dataset, draw)),
                                refits, failures, nonconverged)
     n_failed = sum(failures.values())
-    if n_failed > config.max_failure_fraction * config.k:
+    if n_failed > MAX_FAILURE_FRACTION * config.k:
         reasons = ", ".join(f"{name}: {count}" for name, count in failures.most_common())
         raise BootstrapError(
             f"{n_failed} of {config.k} bootstrap resamples failed ({reasons})"
@@ -296,13 +291,14 @@ def _blocks(design, n_reps: int) -> list[range]:
             for b in range(n_blocks)]
 
 
-def _run_block(design, seed: int, reps: range, estimators: dict) -> dict:
-    """name -> (beta_hats, refits, failures, nonconverged) over the block's
-    replicates, as _fit_each gives and counts them.  An estimator with a
-    `stacked_fits` attribute (the default bank but MCAR) fits the block's
-    datasets as one stack through it, as stacked_fits(rows, schema): rows is
-    the block's FitRows.of_block, laid out once here and read by every such
-    estimator."""
+def _run_block(design, seed: int, reps: range) -> dict:
+    """name -> (beta_hats, refits, failures, nonconverged) of each estimator
+    of default_estimators(design) over the block's replicates, as _fit_each
+    gives and counts them.  An estimator with a `stacked_fits` attribute
+    (the bank but MCAR) fits the block's datasets as one stack through it,
+    as stacked_fits(rows, schema): rows is the block's FitRows.of_block,
+    laid out once here and read by every such estimator."""
+    estimators = default_estimators(design)
     datasets = [generate_for(design, int(make_rng(seed, rep).integers(2**31)))
                 for rep in reps]
     stacked = {name: getattr(fn, "stacked_fits", None) for name, fn in estimators.items()}
@@ -317,45 +313,23 @@ def _run_block(design, seed: int, reps: range, estimators: dict) -> dict:
 
 
 # The process pool of parallel `replicate` calls, kept for the next call:
-# (pool, its process count, {id: estimator its workers hold}) or None.  A
-# worker unpickles an estimator by module and qualified name as they stood
-# when the pool started, so a call that sends an object the pool does not
-# know (one defined or redefined since) gets a new pool.  The lock lets one
-# call at a time use the pool.
-_pool: Optional[tuple[ProcessPoolExecutor, int, dict]] = None
+# (pool, its process count) or None.  The lock lets one call at a time use
+# the pool.
+_pool: Optional[tuple[ProcessPoolExecutor, int]] = None
 _pool_lock = threading.Lock()
 
 
-def _worker_pool(n_workers: int, n_blocks: int, estimators: dict) -> ProcessPoolExecutor:
-    """A pool whose workers hold the estimators, with at least
-    min(n_workers, n_blocks) and at most n_workers processes: the kept one
-    if it fits, else a new one of min(n_workers, n_blocks) processes,
-    started after the kept one has shut down."""
+def _worker_pool(n_workers: int, n_blocks: int) -> ProcessPoolExecutor:
+    """A pool of at least min(n_workers, n_blocks) and at most n_workers
+    processes: the kept one if it fits, else a new one of min(n_workers,
+    n_blocks) processes, started after the kept one has shut down."""
     global _pool
     size = min(n_workers, n_blocks)
-    if _pool is not None:
-        _, n_processes, known = _pool
-        if not (size <= n_processes <= n_workers
-                and all(known.get(id(fn)) is fn for fn in estimators.values())):
-            _drop_pool()
+    if _pool is not None and not size <= _pool[1] <= n_workers:
+        _drop_pool()
     if _pool is None:
-        # The call's estimators are pickled right after the fork, which
-        # checks each is found under its name; the default bank is known if
-        # it is found there now.
-        bank = (estimate_model1, estimate_model2, mar_estimate, mcar_estimate)
-        known = {id(fn): fn for fn in bank if _found_by_name(fn)}
-        known.update((id(fn), fn) for fn in estimators.values())
-        _pool = (ProcessPoolExecutor(max_workers=size), size, known)
+        _pool = (ProcessPoolExecutor(max_workers=size), size)
     return _pool[0]
-
-
-def _found_by_name(obj) -> bool:
-    """Whether obj is what its module holds under its qualified name, which
-    is where a worker looks when unpickling it."""
-    found = sys.modules.get(getattr(obj, "__module__", None))
-    for part in getattr(obj, "__qualname__", "").split("."):
-        found = getattr(found, part, None)
-    return found is obj
 
 
 def _drop_pool() -> None:
@@ -364,14 +338,10 @@ def _drop_pool() -> None:
     _pool = None
 
 
-def replicate(
-    design: Design,
-    n_reps: int,
-    seed: int = 0,
-    estimators: Optional[dict] = None,
-    n_workers: int = 1,
-) -> ReplicationReport:
-    """Monte Carlo replication of the estimator bank over fresh datasets.
+def replicate(design: Design, n_reps: int, seed: int = 0,
+              n_workers: int = 1) -> ReplicationReport:
+    """Monte Carlo replication of the design's estimator bank,
+    default_estimators(design), over fresh datasets.
 
     Replicate r draws its dataset seed from the (seed, r) stream.  The
     replicates are fitted in blocks (`_blocks`), which depend on the design
@@ -380,36 +350,33 @@ def replicate(
     n_workers > 1 and two or more blocks the blocks run in a pool of
     min(n_workers, blocks) processes, which is kept for the next call: a
     call reuses it if it has enough processes and no more than n_workers,
-    and if its workers hold the estimators passed, else shuts it down and
-    starts its own.  A call whose pool broke (a worker died) drops it and
-    raises BrokenProcessPool.  With the fork start method the workers are
-    forked when the pool starts, so they see module state as it was then:
-    a monkeypatch of something an estimator calls, made after that, does
-    not reach them.  Else the blocks run in this process.
+    else shuts it down and starts its own.  A worker receives the design,
+    the seed and a block's replicates, and builds the bank itself.  A call
+    whose pool broke (a worker died) drops it and raises BrokenProcessPool.
+    With the fork start method the workers are forked when the pool starts,
+    so they see module state as it was then: a monkeypatch made after that
+    does not reach them.  Else the blocks run in this process.
     """
     if n_reps < 0:
         raise ValueError(f"n_reps must be at least 0, got {n_reps}")
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-    if estimators is None:
-        estimators = default_estimators(design)
     beta_true = true_beta(design)
 
     blocks = _blocks(design, n_reps)
     if n_workers > 1 and len(blocks) > 1:
         with _pool_lock:
             try:
-                runs = list(_worker_pool(n_workers, len(blocks), estimators).map(
-                    _run_block, [design] * len(blocks), [seed] * len(blocks), blocks,
-                    [estimators] * len(blocks)))
+                runs = list(_worker_pool(n_workers, len(blocks)).map(
+                    _run_block, [design] * len(blocks), [seed] * len(blocks), blocks))
             except BrokenProcessPool:
                 _drop_pool()  # the next call starts a new one
                 raise
     else:
-        runs = [_run_block(design, seed, reps, estimators) for reps in blocks]
+        runs = [_run_block(design, seed, reps) for reps in blocks]
 
     estimates, summaries, fits = {}, [], {}
-    for name in estimators:
+    for name in default_estimators(design):
         values = np.array([v for run in runs for v in run[name][0]], dtype=float)
         refits, failures, nonconverged = (sum((run[name][i] for run in runs), Counter())
                                           for i in (1, 2, 3))

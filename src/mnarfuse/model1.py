@@ -16,7 +16,7 @@ import copy
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -103,7 +103,8 @@ def _fit_targets(dataset: PooledDataset, rows: FitRows, h_basis: BasisSpec,
             f"{len(aux_regression_basis.terms)} regression terms"
         )
     h_cc, design, design_primary = _aux_regression_matrices(rows, h_basis, aux_regression_basis)
-    coefs = solve_least_squares(design, h_cc, aux_regression_basis.column_names())
+    coefs = solve_least_squares(design, h_cc, aux_regression_basis.column_names(
+        dataset.schema.covariate_names))
     return design_primary.mean(axis=0) @ coefs, coefs
 
 
@@ -136,8 +137,9 @@ class _Calibration:
         self.y = y
         self.offset = -fixed_gamma * self.y if fixed_gamma else 0.0
         self.w_max = w_max
-        x_only = BasisSpec(tuple(t for t in basis.terms if not (t.uses_m or t.uses_y)))
-        self._x_only = evaluate_basis_matrix(x_only, *rows["primary"])
+        self._x_only_basis = BasisSpec(tuple(t for t in basis.terms
+                                             if not (t.uses_m or t.uses_y)))
+        self._x_only = evaluate_basis_matrix(self._x_only_basis, *rows["primary"])
         self._h_diag_b = None  # built on the first Jacobian
 
     def take(self, members: np.ndarray) -> "_Calibration":
@@ -153,14 +155,17 @@ class _Calibration:
         part._h_diag_b = None
         return part
 
-    def init(self, counts: Optional[np.ndarray] = None) -> np.ndarray:
+    def init(self, counts: Optional[np.ndarray] = None,
+             covariates: Sequence[str] = ()) -> np.ndarray:
         """Initial theta (K, p): 0, where each weight is its base weight
         1 + exp(offset), for a member whose X-only part of the basis has full
         rank over all primary rows, row i counted counts[k, i] times; NaN for
         the others.  With counts None (K = 1) a rank deficient X-only design
-        raises RankDeficientError instead."""
+        raises RankDeficientError instead, naming its term with the
+        covariates' names."""
         init = np.zeros((1 if counts is None else len(counts), self.design.shape[-1]))
-        init[dependent_columns(self._x_only, counts) >= 0] = np.nan
+        names = self._x_only_basis.column_names(covariates)
+        init[dependent_columns(self._x_only, counts, names) >= 0] = np.nan
         return init
 
     def weights(self, theta, counts=None):
@@ -220,7 +225,7 @@ def calibrate(
         MomentSystem(
             residual=lambda theta: equation.residual(theta[None], None, n1s, target)[0],
             jacobian=lambda theta: equation.jacobian(theta[None], None, n1s)[0],
-            init=equation.init()[0],
+            init=equation.init(covariates=dataset.schema.covariate_names)[0],
         )
     )
 

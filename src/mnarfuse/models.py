@@ -9,7 +9,7 @@ IPW estimators is `calibration_weights`, and its slope `calibration_slope`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -100,8 +100,12 @@ class BasisSpec:
         """Number of output columns; bare-m terms expand to m_dim columns."""
         return sum(t.width(m_dim) for t in self.terms)
 
-    def column_names(self) -> list[str]:
-        return [str(t) for t in self.terms]
+    def column_names(self, covariates: Sequence[str] = ()) -> list[str]:
+        """Each term as text, covariate xj spelled covariates[j - 1] when
+        covariates are given."""
+        spelled = {f"x{j}": name for j, name in enumerate(covariates, 1)}
+        return [str(Term(tuple((spelled.get(var, var), power) for var, power in t.factors)))
+                for t in self.terms]
 
 
 def polynomial_basis(d: int, degree: int = 1, m: bool = False) -> BasisSpec:
@@ -369,14 +373,15 @@ def logistic(z):
     return out
 
 
-def dependent_columns(design: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
+def dependent_columns(design: np.ndarray, weights: Optional[np.ndarray] = None,
+                      names: Optional[list[str]] = None) -> np.ndarray:
     """For each member, the first column of its design that depends linearly
     on its predecessors, or -1 (see _dependent_columns); the members are
-    weighted as in solve_least_squares.  Raises RankDeficientError on a rank
-    deficient design when weights is None."""
+    weighted as in solve_least_squares.  Raises RankDeficientError, naming
+    the column by `names`, on a rank deficient design when weights is None."""
     bad = _dependent_columns(design, weights, _weighted_qr(design, weights, "r"))
     if weights is None:
-        _raise_if_dependent(bad)
+        _raise_if_dependent(bad, names)
     return bad
 
 

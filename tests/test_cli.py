@@ -492,3 +492,76 @@ def test_back_to_back_calls_do_not_share_arguments(tmp_path, capsys):
     report.unlink()
     assert run(["estimate", "--data", str(data), "--model", "1"]) == 0
     assert not report.exists()
+
+
+def _simulated_lines(tmp_path, *argv):
+    """The lines of a simulated file, header first: `simulate --model 1
+    --n 500 --seed 3` unless argv gives other flags."""
+    path = tmp_path / "sim.csv"
+    assert run(["simulate", *(argv or ("--model", "1", "--n", "500", "--seed", "3")),
+                "--out", str(path)]) == 0
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("column, token, model, message", [
+    ("x1", "nan", "mar", "covariate x1 must be finite, got nan"),
+    ("x1", "inf", "1", "covariate x1 must be finite, got inf"),
+    ("m", "-inf", "1", "M must be finite, got -inf"),
+    ("y", "inf", "1", "Y must be finite, got inf"),
+    ("y", "inf", "mcar", "Y must be finite, got inf"),
+], ids=["x-nan-mar", "x-inf-model1", "m-inf-model1", "y-inf-model1", "y-inf-mcar"])
+def test_a_non_finite_value_is_a_validation_error(tmp_path, capsys, column, token, model,
+                                                  message):
+    lines = _simulated_lines(tmp_path)
+    header, first = lines[0].split(","), lines[1].split(",")
+    assert first[:2] == ["1", "1"]  # a primary row with R = 1
+    first[header.index(column)] = token
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join([lines[0], ",".join(first), *lines[2:]]) + "\n")
+    capsys.readouterr()
+    assert run(["validate", "--data", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"row 0: {message}"]
+    assert run(["estimate", "--data", str(path), "--model", model]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"invalid dataset: row 0: {message}\n"
+
+
+@pytest.mark.parametrize("model", ["1", "2", "mar"])
+def test_a_rank_error_names_the_covariate_by_its_schema_name(tmp_path, capsys, model):
+    # a constant primary age: the X-only basis (1, age) has rank 1 there
+    lines = _simulated_lines(tmp_path)
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        if row[0] == "1":
+            row[2] = "0.5"
+    path = tmp_path / "flat.csv"
+    path.write_text("\n".join(["domain,r,age,m,y", *map(",".join, rows)]) + "\n")
+    capsys.readouterr()
+    assert run(["estimate", "--data", str(path), "--model", model, "--covariates", "age"]) == 1
+    assert capsys.readouterr().err == ("error: design matrix is rank deficient at column 1 "
+                                       "(age)\n")
+
+
+def test_a_nonconverged_estimate_prints_its_warning(tmp_path, capsys):
+    _simulated_lines(tmp_path, "--model", "1", "--setting", "F", "--n", "500", "--seed", "37")
+    capsys.readouterr()
+    assert run(["estimate", "--data", str(tmp_path / "sim.csv"), "--model", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("beta_hat = ")
+    assert captured.err == "warning: moment solver did not converge (status=max_iter)\n"
+
+
+@pytest.mark.parametrize("domain, message", [
+    ("1", "dataset has no auxiliary-domain records"),
+    ("2", "dataset has no primary-domain records"),
+], ids=["primary-only", "auxiliary-only"])
+def test_a_one_domain_file_is_a_validation_error(tmp_path, capsys, domain, message):
+    lines = _simulated_lines(tmp_path)
+    path = tmp_path / "one.csv"
+    path.write_text("\n".join([lines[0], *(line for line in lines[1:]
+                                           if line.startswith(domain + ","))]) + "\n")
+    capsys.readouterr()
+    assert run(["validate", "--data", str(path)]) == 1
+    assert capsys.readouterr().out == message + "\n"
+    assert run(["estimate", "--data", str(path), "--model", "1"]) == 1
+    assert capsys.readouterr().err == f"invalid dataset: {message}\n"

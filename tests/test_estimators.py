@@ -90,6 +90,16 @@ def test_model1_intercept_only_reduces_to_complete_case_mean():
     assert report.beta_hat == pytest.approx(float(y[cc].mean()), abs=1e-6)
 
 
+def test_an_h_basis_narrower_than_the_propensity_basis_is_an_error():
+    # two moments cannot pin down three propensity parameters
+    ds, _ = generate_model1(Model1Design(n=300), seed=1)
+    spec = dataclasses.replace(Model1Spec.default(SCHEMA), h_basis=BasisSpec.parse("1,x1"))
+    assert str(spec.propensity_basis) == "1,x1,m"
+    with pytest.raises(EstimationError) as err:
+        estimate_model1(ds, spec)
+    assert str(err.value) == "h basis has 2 components for 3 propensity parameters"
+
+
 def test_model1_requires_both_domains():
     rng = np.random.default_rng(1)
     n = 50

@@ -22,6 +22,12 @@ from mnarfuse.solver import _MAX_ITER
 SCHEMA = VariableSchema(covariate_names=("x1",))
 
 
+def _use_bank(monkeypatch, **estimators):
+    """Make replicate fit the named estimators in place of its design's
+    bank; the calls run in this process, which the patch reaches."""
+    monkeypatch.setattr(inference, "default_estimators", lambda design: estimators)
+
+
 def _repeated_row_dataset(n_each=20):
     rows = []
     for _ in range(n_each):
@@ -64,9 +70,9 @@ def test_bootstrap_failure_budget():
         bootstrap_ci(_repeated_row_dataset(), flaky, BootstrapConfig(k=20, seed=0))
 
 
-def test_replicate_summary_and_variance_oracle():
-    report = replicate(Model1Design(n=300), n_reps=12, seed=8,
-                       estimators={"mcar": mcar_estimate})
+def test_replicate_summary_and_variance_oracle(monkeypatch):
+    _use_bank(monkeypatch, mcar=mcar_estimate)
+    report = replicate(Model1Design(n=300), n_reps=12, seed=8)
     values = report.estimates["mcar"]
     summary = report.summaries[0]
     assert summary.n_ok == 12 and summary.n_failed == 0
@@ -79,9 +85,9 @@ def test_replicate_summary_and_variance_oracle():
         float(np.mean((values - report.beta_true.value) ** 2)), rel=1e-12)
 
 
-def test_replicate_zero_reps_empty_report():
-    report = replicate(Model1Design(n=300), n_reps=0, seed=8,
-                       estimators={"mcar": mcar_estimate})
+def test_replicate_zero_reps_empty_report(monkeypatch):
+    _use_bank(monkeypatch, mcar=mcar_estimate)
+    report = replicate(Model1Design(n=300), n_reps=0, seed=8)
     assert report.n_reps == 0
     assert report.summaries[0].n_ok == 0
 
@@ -92,26 +98,24 @@ def test_replicate_zero_reps_empty_report():
 ])
 def test_replicate_rejects_bad_counts(n_reps, n_workers, message):
     with pytest.raises(ValueError, match=message):
-        replicate(Model1Design(n=100), n_reps=n_reps, n_workers=n_workers,
-                  estimators={"mcar": mcar_estimate})
+        replicate(Model1Design(n=100), n_reps=n_reps, n_workers=n_workers)
 
 
-def test_replicate_worker_count_invariance():
-    serial = replicate(Model1Design(n=300), n_reps=6, seed=3,
-                       estimators={"mcar": mcar_estimate})
-    parallel = replicate(Model1Design(n=300), n_reps=6, seed=3,
-                         estimators={"mcar": mcar_estimate}, n_workers=3)
+def test_replicate_worker_count_invariance(monkeypatch):
+    _use_bank(monkeypatch, mcar=mcar_estimate)
+    serial = replicate(Model1Design(n=300), n_reps=6, seed=3)
+    parallel = replicate(Model1Design(n=300), n_reps=6, seed=3, n_workers=3)
     np.testing.assert_array_equal(serial.estimates["mcar"],
                                   parallel.estimates["mcar"])
 
 
-def test_replicate_failures_counted_and_excluded():
+def test_replicate_failures_counted_and_excluded(monkeypatch):
     def sometimes(dataset):
         if len(dataset.records) % 2 == 0:  # always true here; fail via y check
             raise EstimationError("boom")
 
-    report = replicate(Model1Design(n=300), n_reps=4, seed=3,
-                       estimators={"bad": sometimes, "mcar": mcar_estimate})
+    _use_bank(monkeypatch, bad=sometimes, mcar=mcar_estimate)
+    report = replicate(Model1Design(n=300), n_reps=4, seed=3)
     by_name = {s.name: s for s in report.summaries}
     assert by_name["bad"].n_failed == 4
     assert by_name["mcar"].n_failed == 0
@@ -129,8 +133,8 @@ def test_replicate_counts_failures_by_reason(monkeypatch):
 
     # blocks of at most 5 replicates, so the counts of three blocks are summed
     monkeypatch.setattr(inference, "_BLOCK_ROWS", 5 * 300)
-    report = replicate(Model1Design(n=300), n_reps=12, seed=3,
-                       estimators={"flaky": flaky, "mcar": mcar_estimate})
+    _use_bank(monkeypatch, flaky=flaky, mcar=mcar_estimate)
+    report = replicate(Model1Design(n=300), n_reps=12, seed=3)
     by_name = {s.name: s for s in report.summaries}
     assert by_name["flaky"].failures == {"EstimationError": 2, "non-finite": 3}
     assert by_name["flaky"].n_failed == 5 == np.isnan(report.estimates["flaky"]).sum()
@@ -138,9 +142,9 @@ def test_replicate_counts_failures_by_reason(monkeypatch):
     assert by_name["mcar"].failures == {} and by_name["mcar"].n_failed == 0
 
 
-def test_report_emission(tmp_path):
-    report = replicate(Model1Design(n=300), n_reps=3, seed=1,
-                       estimators={"mcar": mcar_estimate})
+def test_report_emission(tmp_path, monkeypatch):
+    _use_bank(monkeypatch, mcar=mcar_estimate)
+    report = replicate(Model1Design(n=300), n_reps=3, seed=1)
     text = report.to_text()
     assert "mcar" in text and "bias" in text
     summary_path = tmp_path / "s.csv"
@@ -151,7 +155,7 @@ def test_report_emission(tmp_path):
     assert long_path.read_text().count("\n") == 4  # header + 3 replicates
 
 
-def test_bootstrap_failures_counted_by_reason():
+def test_bootstrap_failures_counted_by_reason(monkeypatch):
     def flaky(dataset):
         # the primary share of a resample is fixed, so key off its first x
         first = dataset.x[0, 0]
@@ -163,8 +167,8 @@ def test_bootstrap_failures_counted_by_reason():
         return report
 
     ds, _ = generate_model1(Model1Design(n=400), seed=4)
-    ci = bootstrap_ci(ds, flaky, BootstrapConfig(k=200, seed=3,
-                                                 max_failure_fraction=0.5))
+    monkeypatch.setattr(inference, "MAX_FAILURE_FRACTION", 0.5)
+    ci = bootstrap_ci(ds, flaky, BootstrapConfig(k=200, seed=3))
     assert set(ci.failures) == {"EstimationError", "non-finite"}
     assert sum(ci.failures.values()) == ci.n_failed > 0
     report = mcar_estimate(ds)
@@ -172,20 +176,19 @@ def test_bootstrap_failures_counted_by_reason():
     assert report.to_dict()["ci"]["failures"] == ci.failures
 
 
-def test_programming_errors_propagate_out_of_bootstrap_and_replicate():
+def test_programming_errors_propagate_out_of_bootstrap_and_replicate(monkeypatch):
     def broken(dataset):
         raise TypeError("unsupported operand")
 
     with pytest.raises(TypeError):
         bootstrap_ci(_repeated_row_dataset(), broken, BootstrapConfig(k=5, seed=0))
+    _use_bank(monkeypatch, bad=broken)
     with pytest.raises(TypeError):
-        replicate(Model1Design(n=300), n_reps=2, seed=3, estimators={"bad": broken})
+        replicate(Model1Design(n=300), n_reps=2, seed=3)
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"k": 0}, {"k": -1}, {"max_failure_fraction": float("nan")},
-    {"max_failure_fraction": 1.5}, {"max_failure_fraction": -0.1},
-    {"max_failure_fraction": 1.0},
+    {"k": 0}, {"k": -1}, {"k": -2}, {"k": 0.5}, {"k": -1000}, {"k": -2**63},
 ])
 def test_bootstrap_config_rejects_out_of_range(kwargs):
     with pytest.raises(ValueError):
@@ -194,8 +197,8 @@ def test_bootstrap_config_rejects_out_of_range(kwargs):
 
 def test_pct_bias_is_nan_at_zero_truth(tmp_path, monkeypatch):
     monkeypatch.setattr(inference, "true_beta", lambda design: TrueBeta(0.0, "zero"))
-    report = replicate(Model1Design(n=300), n_reps=3, seed=1,
-                       estimators={"mcar": mcar_estimate})
+    _use_bank(monkeypatch, mcar=mcar_estimate)
+    report = replicate(Model1Design(n=300), n_reps=3, seed=1)
     summary = report.summaries[0]
     assert np.isnan(summary.pct_bias) and np.isfinite(summary.bias)
     assert "nan%" in report.to_text()
@@ -225,11 +228,11 @@ def test_nonconverged_refits_are_kept_and_counted():
     assert report.to_dict()["ci"]["nonconverged"] == {"max_iter": 3, "stalled": 1}
 
 
-def test_replicate_counts_nonconverged_fits_among_the_kept():
+def test_replicate_counts_nonconverged_fits_among_the_kept(monkeypatch):
     from mnarfuse.model1 import estimate_model1
 
-    report = replicate(Model1Design(n=500, setting="F"), n_reps=12, seed=1,
-                       estimators={"ipw": estimate_model1, "mcar": mcar_estimate})
+    _use_bank(monkeypatch, ipw=estimate_model1, mcar=mcar_estimate)
+    report = replicate(Model1Design(n=500, setting="F"), n_reps=12, seed=1)
     by_name = {s.name: s for s in report.summaries}
     assert (by_name["ipw"].n_ok, by_name["ipw"].n_failed) == (12, 0)
     assert by_name["ipw"].n_nonconverged == 1

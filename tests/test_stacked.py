@@ -3,7 +3,6 @@ numbers as refitting the estimator on each resample, and replication's
 blocks the same numbers as fitting each replicate dataset on its own."""
 
 import argparse
-import dataclasses
 import functools
 import os
 import signal
@@ -16,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mnarfuse import baselines, cli, model1, model2, models
-from mnarfuse.baselines import mcar_estimate
 from mnarfuse.data import DomainTag, PooledDataset, read_csv
 from mnarfuse import inference
 from mnarfuse.inference import (
@@ -186,7 +184,8 @@ def test_stacked_interval_matches_the_per_refit_interval(panel, monkeypatch, nam
         estimator = baselines.mar_estimate
     # blocks of three resamples, so that k=7 ends on a short block
     monkeypatch.setattr(inference, "_REFIT_ROWS", 3 * len(ds))
-    config = BootstrapConfig(k=k, seed=11, max_failure_fraction=0.9)
+    monkeypatch.setattr(inference, "MAX_FAILURE_FRACTION", 0.9)
+    config = BootstrapConfig(k=k, seed=11)
     stacked = bootstrap_ci(ds, estimator, config)
     reference = bootstrap_ci(ds, _per_refit(estimator), config)
     assert stacked.lo == pytest.approx(reference.lo, abs=1e-12, rel=0)
@@ -198,9 +197,10 @@ def test_stacked_interval_matches_the_per_refit_interval(panel, monkeypatch, nam
     assert stacked.refits.stacked > 0
 
 
-def test_tiny_auxiliary_domain_resamples_fail_alike(panel):
+def test_tiny_auxiliary_domain_resamples_fail_alike(panel, monkeypatch):
     ds, estimator = panel["tiny-auxiliary"]
-    config = BootstrapConfig(k=40, seed=2, max_failure_fraction=0.9)
+    monkeypatch.setattr(inference, "MAX_FAILURE_FRACTION", 0.9)
+    config = BootstrapConfig(k=40, seed=2)
     stacked = bootstrap_ci(ds, estimator, config)
     reference = bootstrap_ci(ds, _per_refit(estimator), config)
     assert stacked.failures == reference.failures
@@ -212,8 +212,9 @@ def test_tiny_auxiliary_domain_resamples_fail_alike(panel):
 
 
 def _interval(ds, estimator, point=None, k=24):
-    return bootstrap_ci(ds, estimator, BootstrapConfig(k=k, seed=3, max_failure_fraction=0.9),
-                        point)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "MAX_FAILURE_FRACTION", 0.9)
+        return bootstrap_ci(ds, estimator, BootstrapConfig(k=k, seed=3), point)
 
 
 def _cold(estimator):
@@ -308,7 +309,7 @@ def test_a_constant_primary_x_is_a_rank_deficient_failure(design, estimate, monk
     flat = _constant_primary_x(inference.generate_for(design, 3))
     with pytest.raises(RankDeficientError) as err:
         estimate(flat)
-    assert str(err.value) == "design matrix is rank deficient at column 1"
+    assert str(err.value) == "design matrix is rank deficient at column 1 (x1)"
 
     generate = inference.generate_for
     made = []
@@ -456,13 +457,22 @@ REPLICATE_DESIGNS = {
 }
 
 
+def _replicate_per_refit(design, n_reps, seed):
+    """replicate with each estimator of the design's bank called on each
+    replicate's dataset, without its stacked fits."""
+    bank = default_estimators(design)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "default_estimators",
+                      lambda design: {key: _per_refit(fn) for key, fn in bank.items()})
+        return replicate(design, n_reps=n_reps, seed=seed)
+
+
 @pytest.mark.parametrize("name", sorted(REPLICATE_DESIGNS))
 def test_stacked_replication_matches_fitting_each_dataset(name):
     design = REPLICATE_DESIGNS[name]
     bank = default_estimators(design)
     stacked = replicate(design, n_reps=16, seed=1)
-    reference = replicate(design, n_reps=16, seed=1,
-                          estimators={key: _per_refit(fn) for key, fn in bank.items()})
+    reference = _replicate_per_refit(design, n_reps=16, seed=1)
     for key in bank:
         values, expected = stacked.estimates[key], reference.estimates[key]
         np.testing.assert_array_equal(np.isnan(values), np.isnan(expected))
@@ -498,8 +508,7 @@ def test_tiny_replicate_blocks_match_fitting_each_dataset(design_class):
                 kinds.add("no primary complete case")
         bank = default_estimators(design)
         stacked = replicate(design, n_reps=40, seed=0)
-        reference = replicate(design, n_reps=40, seed=0,
-                              estimators={key: _per_refit(fn) for key, fn in bank.items()})
+        reference = _replicate_per_refit(design, n_reps=40, seed=0)
         for key in bank:
             values, expected = stacked.estimates[key], reference.estimates[key]
             np.testing.assert_array_equal(np.isnan(values), np.isnan(expected))
@@ -540,15 +549,13 @@ def test_replication_does_not_depend_on_the_worker_count(monkeypatch):
 
 @pytest.fixture
 def two_blocks(monkeypatch):
-    """replicate(n_workers) over n_reps replicates (4 by default) in blocks
-    of 2: with n_workers > 1 and two or more blocks they run in the kept
-    pool."""
-    design = Model1Design(n=300)
-    monkeypatch.setattr(inference, "_BLOCK_ROWS", 2 * design.n)
+    """replicate(n_workers) of a design of 300 rows (Model 1 by default)
+    over n_reps replicates (4 by default) in blocks of 2: with n_workers > 1
+    and two or more blocks they run in the kept pool."""
+    monkeypatch.setattr(inference, "_BLOCK_ROWS", 2 * 300)
 
-    def run(n_workers, estimators=None, n_reps=4):
-        return replicate(design, n_reps=n_reps, seed=2, n_workers=n_workers,
-                         estimators=estimators or {"mcar": mcar_estimate})
+    def run(n_workers, n_reps=4, design=Model1Design(n=300)):
+        return replicate(design, n_reps=n_reps, seed=2, n_workers=n_workers)
     return run
 
 
@@ -556,8 +563,13 @@ def _kept_pool():
     return inference._pool[0]
 
 
-def _not_a_fit_error(dataset):
-    raise LookupError("not a fit error")
+class _FailingDesign(Model1Design):
+    """A Model 1 design whose generation raises an error that is no fit
+    error; its truth is analytic, so only the generation raises."""
+
+    @property
+    def a2(self) -> float:
+        raise LookupError("not a fit error")
 
 
 def test_calls_with_the_same_worker_count_share_one_pool(two_blocks):
@@ -591,27 +603,17 @@ def test_a_pool_too_small_or_too_large_is_shut_down_and_replaced(two_blocks):
     assert inference._pool[1] == 2 and _kept_pool() is not three
 
 
-def test_a_redefined_estimator_reaches_the_workers(two_blocks, monkeypatch):
-    original = baselines.mcar_estimate
-    first = two_blocks(2, {"mcar": original})
+def test_model1_and_model2_calls_share_one_pool(two_blocks):
+    model1 = two_blocks(2)
     pool = _kept_pool()
-
-    def mcar_estimate(dataset):
-        report = original(dataset)
-        return dataclasses.replace(report, beta_hat=report.beta_hat + 1.0)
-    # the same module and name as the function it replaces, as after a reload
-    mcar_estimate.__module__, mcar_estimate.__qualname__ = (
-        original.__module__, original.__qualname__)
-    with monkeypatch.context() as patch:
-        patch.setattr(baselines, "mcar_estimate", mcar_estimate)
-        bank = {"mcar": mcar_estimate}
-        parallel, serial = two_blocks(2, bank), two_blocks(1, bank)
-        assert parallel.estimates["mcar"].tobytes() == serial.estimates["mcar"].tobytes()
-        assert _kept_pool() is not pool
-        np.testing.assert_array_equal(serial.estimates["mcar"], first.estimates["mcar"] + 1.0)
-    # the original is back under its name, but not in the kept pool's workers
-    restored = two_blocks(2, {"mcar": original})
-    assert restored.estimates["mcar"].tobytes() == first.estimates["mcar"].tobytes()
+    model2 = two_blocks(2, design=Model2Design(n=300))
+    assert _kept_pool() is pool
+    assert (model1.design_label, model2.design_label) == ("model1-T", "model2-T")
+    serial = two_blocks(1, design=Model2Design(n=300))
+    for key, values in serial.estimates.items():
+        assert values.tobytes() == model2.estimates[key].tobytes()
+    assert two_blocks(2).estimates["ipw"].tobytes() == model1.estimates["ipw"].tobytes()
+    assert _kept_pool() is pool
 
 
 def test_a_broken_pool_is_dropped_and_the_next_call_starts_a_new_one(two_blocks):
@@ -631,20 +633,19 @@ def test_a_broken_pool_is_dropped_and_the_next_call_starts_a_new_one(two_blocks)
 
 
 def test_an_error_in_a_worker_reaches_the_caller_and_the_pool_lives_on(two_blocks):
-    bank = {"mcar": mcar_estimate, "bad": _not_a_fit_error}
+    failing = _FailingDesign(n=300)
     with pytest.raises(LookupError, match="not a fit error"):
-        two_blocks(2, bank)
+        two_blocks(2, design=failing)
     pool = _kept_pool()
     with pytest.raises(LookupError, match="not a fit error"):
-        two_blocks(2, bank)
+        two_blocks(2, design=failing)
     assert _kept_pool() is pool
     assert two_blocks(2).summaries[0].n_ok == 4
     assert _kept_pool() is pool
 
 
 def test_estimates_do_not_depend_on_the_worker_count_over_two_rounds(two_blocks):
-    bank = default_estimators(Model1Design(n=300))
-    runs = [two_blocks(w, bank) for _ in range(2) for w in (1, 2, 3)]
+    runs = [two_blocks(w) for _ in range(2) for w in (1, 2, 3)]
     for run in runs[1:]:
         for key, values in runs[0].estimates.items():
             assert values.tobytes() == run.estimates[key].tobytes()
