@@ -56,6 +56,9 @@ class VariableSchema:
                 raise ValueError("categorical M requires at least 2 levels")
             if len(set(self.m_levels)) != len(self.m_levels):
                 raise ValueError("categorical M levels must be distinct")
+            if self.missing_token in self.m_levels:  # it would read back as a missing M
+                raise ValueError(f"missing token {self.missing_token!r} is also a "
+                                 "categorical M level")
 
     @property
     def n_covariates(self) -> int:

@@ -2,8 +2,8 @@
 for an outcome mean whose missingness is driven by the possibly-missing
 auxiliary variable M (conditional on covariates).
 
-The reciprocal propensity w(theta) = min(1 + exp(-B.theta + offset), w_max)
-is calibrated so that the weighted complete-case average of a user-chosen
+The reciprocal propensity w(theta) = min(1 + exp(-B.theta), W_MAX) is
+calibrated so that the weighted complete-case average of a user-chosen
 h(x, m) in the primary domain matches the auxiliary-domain regression
 prediction of the same h; the outcome mean is then the w-weighted
 complete-case average of Y over all primary rows.  Here B = b(x, m); the
@@ -22,10 +22,10 @@ import numpy as np
 
 from .data import DomainTag, PooledDataset, VariableSchema
 from .models import (
-    W_MAX,
     BasisSpec,
     calibration_slope,
     calibration_weights,
+    capped_count,
     dependent_columns,
     evaluate_basis_matrix,
     fit_logistic,  # noqa: F401  (a lookup site patched by bench/tracing.py)
@@ -114,17 +114,16 @@ class _Calibration:
     point fit, or the members of a `_fit_stack`: the resamples of one
     dataset or a block of datasets.
 
-    B is `basis` over the complete cases (x, m, y) of the FitRows `rows`, h
-    is `h_basis` there, and the offset is -fixed_gamma * y.  The members
-    share the rows of one dataset, or each has its own, as `rows` lays them
-    out: every row array then has a leading member axis.  Member k counts
+    B is `basis` over the complete cases (x, m, y) of the FitRows `rows`,
+    and h is `h_basis` there.  The members share the rows of one dataset,
+    or each has its own, as `rows` lays them out: every row array then has
+    a leading member axis.  Member k counts
     complete case i counts[k, i] times, or once when counts is None, and has
     its own n1 and target; methods take theta (K, p) and the members'
     counts, n1 and targets.  The Jacobian is -h^T diag(c * slope) B / n1.
     """
 
-    def __init__(self, rows: FitRows, basis: BasisSpec, h_basis: BasisSpec,
-                 w_max: float = W_MAX, fixed_gamma: float = 0.0):
+    def __init__(self, rows: FitRows, basis: BasisSpec, h_basis: BasisSpec):
         x_cc, m_cc, y = rows["cc"]
         m_dim = m_cc.shape[-1]
         if h_basis.width(m_dim) < basis.width(m_dim):
@@ -135,18 +134,14 @@ class _Calibration:
         self.design = evaluate_basis_matrix(basis, x_cc, m_cc, y)
         self.h = self.design if h_basis == basis else evaluate_basis_matrix(h_basis, x_cc, m_cc)
         self.y = y
-        self.offset = -fixed_gamma * self.y if fixed_gamma else 0.0
-        self.w_max = w_max
-        self._x_only_basis = BasisSpec(tuple(t for t in basis.terms
-                                             if not (t.uses_m or t.uses_y)))
-        self._x_only = evaluate_basis_matrix(self._x_only_basis, *rows["primary"])
+        self.basis = basis
         self._h_diag_b = None  # built on the first Jacobian
 
     def take(self, members: np.ndarray) -> "_Calibration":
         """The equation of the given members of the stack, for their
         residuals, Jacobians, weights and beta_hat (`init` stays the whole
         stack's): itself when the members share their rows or when members
-        are all of them.  A stack has no offset: only a point fit fixes gamma."""
+        are all of them."""
         if self.design.ndim == 2 or members.size == len(self.design):
             return self
         part = copy.copy(self)
@@ -155,29 +150,31 @@ class _Calibration:
         part._h_diag_b = None
         return part
 
-    def init(self, counts: Optional[np.ndarray] = None,
+    def init(self, rows: FitRows, counts: Optional[np.ndarray] = None,
              covariates: Sequence[str] = ()) -> np.ndarray:
-        """Initial theta (K, p): 0, where each weight is its base weight
-        1 + exp(offset), for a member whose X-only part of the basis has full
-        rank over all primary rows, row i counted counts[k, i] times; NaN for
-        the others.  With counts None (K = 1) a rank deficient X-only design
-        raises RankDeficientError instead, naming its term with the
-        covariates' names."""
+        """Initial theta (K, p): 0, where each weight is 2, for a member
+        whose X-only part of the basis has full rank over the primary rows
+        of `rows`, row i counted counts[k, i] times; NaN for the others.
+        With counts None (K = 1) a rank deficient X-only design raises
+        RankDeficientError instead, naming its term with the covariates'
+        names."""
+        x_only = BasisSpec(tuple(t for t in self.basis.terms if not (t.uses_m or t.uses_y)))
         init = np.zeros((1 if counts is None else len(counts), self.design.shape[-1]))
-        names = self._x_only_basis.column_names(covariates)
-        init[dependent_columns(self._x_only, counts, names) >= 0] = np.nan
+        bad = dependent_columns(evaluate_basis_matrix(x_only, *rows["primary"]), counts,
+                                x_only.column_names(covariates))
+        init[bad >= 0] = np.nan
         return init
 
     def weights(self, theta, counts=None):
         """Counted weights c w(theta), (K, n_cc)."""
-        w = calibration_weights(self.design, theta, self.offset, self.w_max)
+        w = calibration_weights(self.design, theta)
         return w if counts is None else w * counts
 
     def residual(self, theta, counts, n1, target):
         return member_sums(self.weights(theta, counts), self.h) / n1[:, None] - target
 
     def jacobian(self, theta, counts, n1):
-        slope = calibration_slope(self.design, theta, self.offset, self.w_max)
+        slope = calibration_slope(self.design, theta)
         if counts is not None:
             slope = slope * counts
         if self._h_diag_b is None:
@@ -192,24 +189,16 @@ class _Calibration:
         return np.einsum("kn,kn->k", w, self.y) / n1
 
 
-def calibrate(
-    dataset: PooledDataset,
-    basis: BasisSpec,
-    h_basis: BasisSpec,
-    aux_regression_basis: BasisSpec,
-    estimator: str,
-    w_max: float = W_MAX,
-    fixed_gamma: float = 0.0,
-) -> EstimateReport:
+def calibrate(dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,
+              aux_regression_basis: BasisSpec, estimator: str) -> EstimateReport:
     """Solve h_cc^T w(theta) / n1 = target for the propensity coefficients,
     then average the w-weighted complete-case outcomes.
 
     B is `basis` over the primary complete cases (x, m, y), h_cc is `h_basis`
     there, and the target is the auxiliary regression of h evaluated at the
-    primary-domain mean of its X-only basis.  fixed_gamma holds a Y tilt
-    fixed through the offset -fixed_gamma * y.  The moment system carries
-    its analytic Jacobian -h_cc^T diag(exp(-B.theta + offset) 1[uncapped])
-    B / n1.  The nuisance "alpha" is the whole solved theta.
+    primary-domain mean of its X-only basis.  The moment system carries its
+    analytic Jacobian -h_cc^T diag(exp(-B.theta) 1[uncapped]) B / n1.  The
+    nuisance "alpha" is the whole solved theta.
     """
     primary, auxiliary = _require_domains(dataset)
     n1, n_cc = primary.n, len(primary.cc)
@@ -218,19 +207,20 @@ def calibrate(
 
     rows = FitRows(dataset)
     target, aux_coefs = _fit_targets(dataset, rows, h_basis, aux_regression_basis)
-    equation = _Calibration(rows, basis, h_basis, w_max, fixed_gamma)
+    equation = _Calibration(rows, basis, h_basis)
+    init = equation.init(rows, covariates=dataset.schema.covariate_names)[0]
     del rows  # the solve reads the equation alone: its peak memory holds no other row copy
     n1s = np.array([n1])
     result = solve(
         MomentSystem(
             residual=lambda theta: equation.residual(theta[None], None, n1s, target)[0],
             jacobian=lambda theta: equation.jacobian(theta[None], None, n1s)[0],
-            init=equation.init(covariates=dataset.schema.covariate_names)[0],
+            init=init,
         )
     )
 
     w_hat = equation.weights(result.theta_hat)
-    n_capped = int(np.sum(w_hat >= w_max))
+    n_capped = capped_count(w_hat)
     warnings = []
     if not result.converged:
         warnings.append(f"moment solver did not converge (status={result.status})")
@@ -288,10 +278,9 @@ def _aux_targets(rows: FitRows, h_basis: BasisSpec, aux_regression_basis: BasisS
 def _fit_stack(rows: FitRows, bases: tuple[BasisSpec, BasisSpec, BasisSpec],
                start: Optional[np.ndarray] = None,
                ) -> list[Optional[tuple[float, SolverResult]]]:
-    """`calibrate` with bases (B, h, auxiliary regression basis), its
-    default weight cap and no fixed Y tilt, for the members of the stack
-    `rows` at once: (beta_hat, solver result) of each member, or None.
-    Member k counts row i of each set rows.counts(set)[k, i] times.  Every
+    """`calibrate` with bases (B, h, auxiliary regression basis), for the
+    members of the stack `rows` at once: (beta_hat, solver result) of each
+    member, or None.  Member k counts row i of each set rows.counts(set)[k, i] times.  Every
     member's Newton attempt starts at `start` when it has the equation's
     width p, else at `_Calibration.init`; the attempts run as stacked
     operations.
@@ -317,7 +306,7 @@ def _fit_stack(rows: FitRows, bases: tuple[BasisSpec, BasisSpec, BasisSpec],
     equation = _Calibration(rows, basis, h_basis)
     n1 = primary.sum(axis=1)
     if start is None or start.shape != equation.design.shape[-1:]:
-        init = equation.init(primary)[live]  # the members share their stack of rows
+        init = equation.init(rows, primary)[live]  # the members share their stack of rows
     else:
         init = np.tile(start, (live.size, 1))
     ok = np.all(np.isfinite(target), axis=1) & np.all(np.isfinite(init), axis=1)
@@ -342,17 +331,14 @@ def _fit_stack(rows: FitRows, bases: tuple[BasisSpec, BasisSpec, BasisSpec],
     return out
 
 
-def estimate_model1(
-    dataset: PooledDataset,
-    spec: Optional[Model1Spec] = None,
-    w_max: float = W_MAX,
-) -> EstimateReport:
+def estimate_model1(dataset: PooledDataset,
+                    spec: Optional[Model1Spec] = None) -> EstimateReport:
     """Two-step IPW estimate: solve the h-moment system for the propensity
     coefficients on b(x, m), then average the reweighted complete-case
     outcomes."""
     if spec is None:
         spec = Model1Spec.default(dataset.schema)
-    return calibrate(dataset, *spec.bases, "ipw-model1", w_max)
+    return calibrate(dataset, *spec.bases, "ipw-model1")
 
 
 def set_stack_hook(estimator, default_spec) -> None:

@@ -19,7 +19,6 @@ from typing import Optional
 
 from .data import PooledDataset, VariableSchema
 from .models import (
-    W_MAX,
     BasisSpec,
     evaluate_basis_matrix,  # noqa: F401  (a lookup site patched by bench/tracing.py)
     fit_logistic,  # noqa: F401  (a lookup site patched by bench/tracing.py)
@@ -62,32 +61,22 @@ class Model2Spec:
                 self.aux_regression_basis)
 
 
-def estimate_model2(
-    dataset: PooledDataset,
-    spec: Optional[Model2Spec] = None,
-    w_max: float = W_MAX,
-    fix_gamma: Optional[float] = None,
-) -> EstimateReport:
+def estimate_model2(dataset: PooledDataset,
+                    spec: Optional[Model2Spec] = None) -> EstimateReport:
     """Solve the stacked (alpha, gamma) moment system, then average the
     w-weighted complete-case outcomes.
 
-    With fix_gamma given (e.g. 0 for a MAR-in-X check) the odds ratio is
-    exp(-fix_gamma * y), held fixed, and only alpha is solved for.  The
-    nuisance splits the solved theta into "alpha", "gamma" and, when gamma
-    is solved with n_or_params > 1, "or_interactions": the x_j*y tilts.
+    The nuisance splits the solved theta into "alpha", "gamma" and, with
+    n_or_params > 1, "or_interactions": the x_j*y tilts.  A fit with gamma
+    held at 0 (MAR in X) is `calibrate` with the baseline basis as B.
     """
     if spec is None:
         spec = Model2Spec.default(dataset.schema)
-    basis, h_basis, aux_regression_basis = spec.bases
-    if fix_gamma is not None:
-        basis = spec.baseline_basis
-    report = calibrate(dataset, basis, h_basis, aux_regression_basis,
-                       "ipw-model2", w_max, fixed_gamma=fix_gamma or 0.0)
+    report = calibrate(dataset, *spec.bases, "ipw-model2")
     theta = report.nuisance["alpha"]
     p_alpha = spec.baseline_basis.width()
-    nuisance = {"alpha": theta[:p_alpha],
-                "gamma": fix_gamma if fix_gamma is not None else theta[p_alpha]}
-    if fix_gamma is None and spec.n_or_params > 1:
+    nuisance = {"alpha": theta[:p_alpha], "gamma": theta[p_alpha]}
+    if spec.n_or_params > 1:
         nuisance["or_interactions"] = theta[p_alpha + 1:]
     nuisance["aux_regression"] = report.nuisance["aux_regression"]
     report.nuisance = nuisance

@@ -3,7 +3,8 @@
 A basis is an ordered list of monomial terms over the covariate features, the
 (expanded) auxiliary variable M, and the outcome Y; `polynomial_basis` builds
 the estimators' default bases.  The calibrated reciprocal propensity of the
-IPW estimators is `calibration_weights`, and its slope `calibration_slope`.
+IPW estimators is `calibration_weights`, its slope `calibration_slope`, and
+`capped_count` counts the weights at the cap.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 # Reciprocal-propensity weights are capped here; equivalently the propensity
-# is floored at 1/W_MAX.  Every cap event is counted by the estimators.
+# is floored at 1/W_MAX.  Every cap event is counted by the estimators.  Read
+# only by the calibration functions below, when called: a patched cap moves
+# the weights, their slope's kink and the cap count together.
 W_MAX = 1e6
 
 _RANK_TOL = 1e-10
@@ -404,37 +407,31 @@ def fit_logistic(design: np.ndarray, outcome: np.ndarray,
     return coef
 
 
-def _calibration_exp(design: np.ndarray, theta: np.ndarray, offset) -> tuple:
-    """The linear predictor offset - design.theta and its exponential, held
-    finite by evaluating it at no more than 700."""
-    lin = offset - linear_predictor(design, theta)
+def _calibration_exp(design: np.ndarray, theta: np.ndarray) -> tuple:
+    """The linear predictor -design.theta and its exponential, held finite
+    by evaluating it at no more than 700."""
+    lin = -linear_predictor(design, theta)
     return lin, np.exp(np.minimum(lin, 700.0))
 
 
-def calibration_weights(
-    design: np.ndarray,
-    theta: np.ndarray,
-    offset=0.0,
-    w_max: float = W_MAX,
-) -> np.ndarray:
-    """Reciprocal propensity w = min(1 + exp(-design.theta + offset), w_max).
+def calibration_weights(design: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Reciprocal propensity w = min(1 + exp(-design.theta), W_MAX).
 
     A (K, p) stack of theta gives (K, n) weights, on rows shared by the
     members, design (n, p), or on their own, (K, n, p).
     """
-    _, e = _calibration_exp(design, theta, offset)
-    return np.minimum(1.0 + e, w_max)
+    return np.minimum(1.0 + _calibration_exp(design, theta)[1], W_MAX)
 
 
-def calibration_slope(
-    design: np.ndarray,
-    theta: np.ndarray,
-    offset=0.0,
-    w_max: float = W_MAX,
-) -> np.ndarray:
+def calibration_slope(design: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The slope -dw/d(design.theta) of `calibration_weights`:
-    exp(-design.theta + offset) where w is below the cap, and 0 where the cap
-    binds.  A (K, p) stack of theta gives (K, n) slopes.
+    exp(-design.theta) where w is below the cap, and 0 where the cap binds.
+    A (K, p) stack of theta gives (K, n) slopes.
     """
-    lin, e = _calibration_exp(design, theta, offset)
-    return e * ((1.0 + e < w_max) & (lin < 700.0))
+    lin, e = _calibration_exp(design, theta)
+    return e * ((1.0 + e < W_MAX) & (lin < 700.0))
+
+
+def capped_count(weights: np.ndarray) -> int:
+    """How many of the calibration weights sit at the cap W_MAX."""
+    return int(np.sum(weights >= W_MAX))

@@ -4,15 +4,16 @@ of the finite-difference solver it replaced on a fixed seed panel."""
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mnarfuse import model1
+from mnarfuse import model1, models
 from mnarfuse.data import DomainTag, PooledDataset, VariableSchema
-from mnarfuse.model1 import Model1Spec, estimate_model1
+from mnarfuse.model1 import Model1Spec, calibrate, estimate_model1
 from mnarfuse.model2 import Model2Spec, estimate_model2
 from mnarfuse.models import W_MAX, BasisSpec, evaluate_basis_matrix, logistic
 from mnarfuse.report import FitRows, domain_arrays
@@ -52,21 +53,22 @@ _M1 = generate_model1(Model1Design(n=600), 3)[0]
 _M2 = generate_model2(Model2Design(n=600), 3)[0]
 _CAT = _categorical_dataset()
 
-# name -> (dataset, propensity basis, fixed gamma, w_max, fit)
+# name -> (dataset, propensity basis, weight cap, fit); each fit runs with
+# models.W_MAX patched to its case's cap
 CASES = {
-    "model1-numeric": (_M1, Model1Spec.default(_M1.schema).propensity_basis, 0.0, W_MAX,
+    "model1-numeric": (_M1, Model1Spec.default(_M1.schema).propensity_basis, W_MAX,
                        lambda: estimate_model1(_M1)),
-    "model1-numeric-capped": (_M1, Model1Spec.default(_M1.schema).propensity_basis, 0.0, 3.0,
-                              lambda: estimate_model1(_M1, w_max=3.0)),
-    "model1-categorical": (_CAT, Model1Spec.default(CATEGORICAL).propensity_basis, 0.0, W_MAX,
+    "model1-numeric-capped": (_M1, Model1Spec.default(_M1.schema).propensity_basis, 3.0,
+                              lambda: estimate_model1(_M1)),
+    "model1-categorical": (_CAT, Model1Spec.default(CATEGORICAL).propensity_basis, W_MAX,
                            lambda: estimate_model1(_CAT)),
-    "model2-gamma": (_M2, BasisSpec.parse("1,x1,y"), 0.0, 3.0,
-                     lambda: estimate_model2(_M2, w_max=3.0)),
-    "model2-xy-tilt": (_M2, BasisSpec.parse("1,x1,y,x1*y"), 0.0, W_MAX,
+    "model2-gamma": (_M2, BasisSpec.parse("1,x1,y"), 3.0, lambda: estimate_model2(_M2)),
+    "model2-xy-tilt": (_M2, BasisSpec.parse("1,x1,y,x1*y"), W_MAX,
                        lambda: estimate_model2(_M2, _model2_spec(2))),
-    "model2-fixed-gamma": (_M2, BasisSpec.parse("1,x1"), -0.4, 3.0,
-                           lambda: estimate_model2(_M2, _model2_spec(1), w_max=3.0,
-                                                   fix_gamma=-0.4)),
+    # gamma held at 0, the MAR-in-X fit: Model 2's baseline basis alone as B
+    "model2-fixed-gamma": (_M2, BasisSpec.parse("1,x1"), 3.0,
+                           lambda: calibrate(_M2, _model2_spec(1).baseline_basis,
+                                             *_model2_spec(1).bases[1:], "ipw-model2")),
 }
 _SYSTEMS = {}
 
@@ -84,18 +86,18 @@ def _system(case):
 
         model1.solve = capture
         try:
-            CASES[case][-1]()
+            with mock.patch.object(models, "W_MAX", CASES[case][2]):
+                CASES[case][-1]()
         finally:
             model1.solve = real_solve
     return _SYSTEMS[case]
 
 
 def _linear_predictor(case, theta):
-    """offset - B.theta on the primary complete cases, rebuilt from the case."""
-    dataset, basis, fixed_gamma, _, _ = CASES[case]
+    """-B.theta on the primary complete cases, rebuilt from the case."""
+    dataset, basis, _, _ = CASES[case]
     x_cc, m_cc, y_cc = FitRows(dataset)["cc"]
-    design = evaluate_basis_matrix(basis, x_cc, m_cc, y_cc)
-    return -fixed_gamma * y_cc - design @ theta
+    return -evaluate_basis_matrix(basis, x_cc, m_cc, y_cc) @ theta
 
 
 def _central_difference(fn, theta, step=1e-6):
@@ -109,9 +111,9 @@ def _central_difference(fn, theta, step=1e-6):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("case", [c for c in CASES if CASES[c][3] < W_MAX])
+@pytest.mark.parametrize("case", [c for c in CASES if CASES[c][2] < W_MAX])
 def test_capped_cases_exercise_the_cap_mask(case):
-    w_max = CASES[case][3]
+    w_max = CASES[case][2]
     weights = 1.0 + np.exp(_linear_predictor(case, _system(case)[1]))
     assert np.any(weights > w_max) and np.any(weights < w_max)
 
@@ -126,10 +128,12 @@ def test_analytic_jacobian_matches_central_differences(case, data):
     theta = theta_hat + np.array(shift)
     # keep every row away from the cap's kink, where the residual has no
     # derivative and a central difference straddles it
-    kink = math.log(CASES[case][3] - 1.0)
+    kink = math.log(CASES[case][2] - 1.0)
     assume(np.min(np.abs(_linear_predictor(case, theta) - kink)) > 1e-3)
-    analytic = system.jacobian(theta)
-    numeric = _central_difference(system.residual, theta)
+    # a context manager, not monkeypatch: Hypothesis rejects function-scoped fixtures
+    with mock.patch.object(models, "W_MAX", CASES[case][2]):
+        analytic = system.jacobian(theta)
+        numeric = _central_difference(system.residual, theta)
     np.testing.assert_allclose(analytic, numeric, rtol=1e-5,
                                atol=1e-5 * np.abs(analytic).max())
 
@@ -210,23 +214,24 @@ def test_a_model2_equation_with_two_roots(monkeypatch):
 
 
 def test_model1_warns_of_degenerate_overlap():
-    capped = estimate_model1(_M1, w_max=2.0)
+    with mock.patch.object(models, "W_MAX", 2.0):
+        capped = estimate_model1(_M1)
     d = capped.diagnostics
     assert d["weight_cap_count"] > 0.1 * d["n_complete_primary"]
     assert any(w.startswith("degenerate overlap") for w in capped.warnings)
-    assert not any(w.startswith("degenerate overlap")
-                   for w in estimate_model1(_M1, w_max=3.0).warnings)
+    with mock.patch.object(models, "W_MAX", 3.0):
+        assert not any(w.startswith("degenerate overlap")
+                       for w in estimate_model1(_M1).warnings)
 
 
 def test_model2_weights_are_the_recovered_propensities():
     n1 = domain_arrays(_M2, DomainTag.PRIMARY).n
     x_cc, _, y_cc = FitRows(_M2)["cc"]
-    for fix_gamma in (None, -0.4):  # gamma solved for, then held fixed by the offset
-        report = estimate_model2(_M2, fix_gamma=fix_gamma)
-        alpha = np.array(report.nuisance["alpha"])
-        weights = np.array([1.0 / recovered_propensity(x, y, alpha, report.nuisance["gamma"])
-                            for x, y in zip(x_cc, y_cc)])
-        assert weights @ y_cc / n1 == pytest.approx(report.beta_hat, abs=1e-12)
+    report = estimate_model2(_M2)
+    alpha = np.array(report.nuisance["alpha"])
+    weights = np.array([1.0 / recovered_propensity(x, y, alpha, report.nuisance["gamma"])
+                        for x, y in zip(x_cc, y_cc)])
+    assert weights @ y_cc / n1 == pytest.approx(report.beta_hat, abs=1e-12)
 
 
 def test_h_is_the_propensity_design_when_their_bases_are_one():

@@ -177,6 +177,15 @@ def test_one_level_categorical_m_is_a_one_line_error(tmp_path, capsys):
         assert capsys.readouterr().err == "error: categorical M requires at least 2 levels\n"
 
 
+def test_a_level_that_is_the_missing_token_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "na.csv"
+    path.write_text("domain,r,x1,m,y\n1,1,0.0,a,2.0\n1,1,0.5,NA,1.0\n2,1,0.5,a,NA\n")
+    assert run(["validate", "--data", str(path), "--m-kind", "categorical",
+                "--m-levels", "a,NA", "--missing-token", "NA"]) == 1
+    assert capsys.readouterr().err == (
+        "error: missing token 'NA' is also a categorical M level\n")
+
+
 def test_replicate_writes_reports(tmp_path, capsys):
     prefix = tmp_path / "rep"
     assert run(["replicate", "--model", "1", "--n", "300", "--reps", "4",

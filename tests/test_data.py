@@ -72,6 +72,14 @@ def test_categorical_m_needs_two_levels(levels):
         VariableSchema(covariate_names=("x1",), m_kind="categorical", m_levels=levels)
 
 
+def test_a_categorical_level_cannot_be_the_missing_token():
+    # the reader would take that level for a missing M, so a written row
+    # with R = 1 would read back with M absent
+    with pytest.raises(ValueError, match="missing token 'NA' is also a categorical M level"):
+        VariableSchema(covariate_names=("x1",), m_kind="categorical", m_levels=("low", "NA"),
+                       missing_token="NA")
+
+
 def test_domain_arrays_preserve_order():
     rows = (rec(x=(0.0,)), rec(g=DomainTag.AUXILIARY, y=None), rec(x=(5.0,)))
     ds = PooledDataset(records=rows, schema=SCHEMA)

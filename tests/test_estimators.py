@@ -8,7 +8,7 @@ import pytest
 
 from mnarfuse.baselines import mar_estimate, mcar_estimate
 from mnarfuse.data import DomainTag, PooledDataset, UnitRecord, VariableSchema
-from mnarfuse.model1 import EstimationError, Model1Spec, _fit_targets, estimate_model1
+from mnarfuse.model1 import EstimationError, Model1Spec, _fit_targets, calibrate, estimate_model1
 from mnarfuse.model2 import Model2Spec, estimate_model2
 from mnarfuse.models import (
     W_MAX,
@@ -110,18 +110,21 @@ def test_model1_requires_both_domains():
         estimate_model1(ds)
 
 
-@pytest.mark.parametrize("n_or_params,fix_gamma,solved", [
-    (1, None, ["alpha", "gamma"]),
-    (2, None, ["alpha", "gamma", "or_interactions"]),  # theta's last entry is the x1*y tilt
-    (2, 0.0, ["alpha"]),
+@pytest.mark.parametrize("n_or_params,gamma_fixed,solved", [
+    (1, False, ["alpha", "gamma"]),
+    (2, False, ["alpha", "gamma", "or_interactions"]),  # theta's last entry is the x1*y tilt
+    (2, True, ["alpha"]),  # gamma held at 0: the baseline basis alone as B
 ], ids=["one-odds-ratio-parameter", "two-odds-ratio-parameters", "gamma-fixed"])
-def test_model2_nuisance_holds_every_solved_coefficient(n_or_params, fix_gamma, solved):
+def test_model2_nuisance_holds_every_solved_coefficient(n_or_params, gamma_fixed, solved):
     ds = generate_model2(Model2Design(n=600), 3)[0]
     spec = Model2Spec(BasisSpec.parse("1,x1"), BasisSpec.parse("1,x1,m,x1*m"),
                       BasisSpec.parse("1,x1,x1^2"), n_or_params=n_or_params)
-    report = estimate_model2(ds, spec, fix_gamma=fix_gamma)
+    if gamma_fixed:
+        report = calibrate(ds, spec.baseline_basis, *spec.bases[1:], "ipw-model2")
+    else:
+        report = estimate_model2(ds, spec)
     assert report.solver.converged
-    assert list(report.nuisance) == ["alpha", "gamma"] + solved[2:] + ["aux_regression"]
+    assert list(report.nuisance) == solved + ["aux_regression"]
     reported = report.to_dict()["nuisance"]
     assert [v for name in solved for v in reported[name]] == report.solver.theta_hat.tolist()
 
@@ -179,10 +182,10 @@ def test_model2_gamma_fixed_zero_intercept_baseline():
         h_basis=BasisSpec.parse("1"),
         aux_regression_basis=BasisSpec.parse("1"),
     )
-    report = estimate_model2(ds, spec, fix_gamma=0.0)
+    report = calibrate(ds, spec.baseline_basis, *spec.bases[1:], "ipw-model2")
     cc = (g == 1) & (r == 1)
     assert report.beta_hat == pytest.approx(float(y[cc].mean()), abs=1e-6)
-    assert report.nuisance["gamma"] == 0.0
+    assert report.solver.theta_hat.size == 1  # alpha alone: no odds-ratio parameter
 
 
 def recovered_propensity(x_row, y, alpha, gamma, x_interactions=()):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mnarfuse import models
 from mnarfuse.models import (
     BasisSpec,
     RankDeficientError,
     calibration_slope,
     calibration_weights,
+    capped_count,
     evaluate_basis_matrix,
     fit_logistic,
     logistic,
@@ -181,13 +183,13 @@ def test_logistic_extreme_arguments_stable():
     assert logistic(-800.0) == 0.0
 
 
-def _tilt_weight(x, y, theta, w_max=1e6):
+def _tilt_weight(x, y, theta):
     """Weight and slope of one row under the basis 1, x1, y with theta =
     (alpha_0, alpha_1, gamma)."""
     design = evaluate_basis_matrix(BasisSpec.parse("1,x1,y"), [[x]], y=[y])
     theta = np.asarray(theta, dtype=float)
-    w = calibration_weights(design, theta, w_max=w_max)
-    slope = calibration_slope(design, theta, w_max=w_max)
+    w = calibration_weights(design, theta)
+    slope = calibration_slope(design, theta)
     return w[0], slope[0]
 
 
@@ -210,17 +212,20 @@ def test_weight_scalar_example():
 
 
 def test_weight_cap_counted():
-    w, slope = _tilt_weight(0.0, 0.0, [-50.0, 0.0, 0.0], w_max=1e6)
+    w, slope = _tilt_weight(0.0, 0.0, [-50.0, 0.0, 0.0])
     assert w == 1e6
     assert slope == 0.0
+    assert capped_count(np.array([w, 2.0])) == 1
 
 
-def test_weight_offset_shifts_the_linear_predictor():
-    design = np.array([[1.0, 2.0], [1.0, -1.0]])
-    theta = np.array([0.3, -0.2])
-    shifted = calibration_weights(design, theta, offset=np.array([0.5, -0.25]))
-    direct = calibration_weights(design, theta - np.array([0.0, 0.25]))
-    np.testing.assert_allclose(shifted, direct, rtol=1e-14)
+def test_a_patched_cap_moves_the_weight_its_slope_and_the_count(monkeypatch):
+    # the cap is read when the functions are called, not when they are defined
+    monkeypatch.setattr(models, "W_MAX", 3.0)
+    capped, slope = _tilt_weight(0.0, 0.0, [-1.0, 0.0, 0.0])  # 1 + e = 3.72
+    assert capped == 3.0 and slope == 0.0
+    below, slope = _tilt_weight(0.0, 0.0, [0.0, 0.0, 0.0])
+    assert below == 2.0 and slope == 1.0
+    assert capped_count(np.array([capped, below])) == 1
 
 
 def test_fit_logistic_recovers_coefficients():

@@ -120,6 +120,15 @@ ORACLE_FITS = {
 # estimate_model1 on `make-fixture --n 2000 --seed 3`
 FIXTURE_BETA = "0x1.24e9148bc1578p-1"
 
+# seed -> estimate_model1 on `make-fixture --n 2000 --seed <seed>`, whose M is
+# categorical, recorded from the code whose point fit still took a weight
+# cap and a fixed Y tilt as options
+FIXTURE_FITS = {
+    1: "0x1.216d4ac66fd57p-1",
+    2: "0x1.2575b06afaedcp-1",
+    3: "0x1.24e9148bc0e39p-1",
+}
+
 
 def _close(value: float, recorded: str) -> bool:
     return abs(value - float.fromhex(recorded)) <= TOL
@@ -151,15 +160,26 @@ def test_oracle_fit_keeps_its_number(key):
     assert _close(report.beta_hat, ORACLE_FITS[key]), report.beta_hat.hex()
 
 
-def test_fixture_fit_keeps_its_number(tmp_path):
+def _fixture_fit(tmp_path, seed):
     prefix = str(tmp_path / "fx")
-    assert cli.main(["make-fixture", "--n", "2000", "--seed", "3",
+    assert cli.main(["make-fixture", "--n", "2000", "--seed", str(seed),
                      "--out-prefix", prefix]) == 0
     dataset = read_csv(prefix + ".csv",
                        *cli._load_schema_map(argparse.Namespace(config=prefix + ".ini")))
     report = estimate_model1(dataset)
     assert report.solver.converged
-    assert _close(report.beta_hat, FIXTURE_BETA), report.beta_hat.hex()
+    return report.beta_hat
+
+
+def test_fixture_fit_keeps_its_number(tmp_path):
+    beta_hat = _fixture_fit(tmp_path, 3)
+    assert _close(beta_hat, FIXTURE_BETA), beta_hat.hex()
+
+
+@pytest.mark.parametrize("seed", sorted(FIXTURE_FITS))
+def test_categorical_fixture_fit_keeps_its_number(tmp_path, seed):
+    beta_hat = _fixture_fit(tmp_path, seed)
+    assert _close(beta_hat, FIXTURE_FITS[seed]), beta_hat.hex()
 
 
 @pytest.mark.parametrize("key", sorted(INTERVALS), ids=lambda k: "-".join(map(str, k)))

@@ -249,8 +249,9 @@ def test_a_point_without_a_usable_theta_leaves_the_refits_cold(panel):
     ds, _ = panel["model2-T"]
     cold = _interval(ds, _cold(estimate_model2))
     assert _interval(ds, estimate_model2).refits != cold.refits
-    # gamma held fixed: a converged theta without the odds-ratio parameter
-    narrow = estimate_model2(ds, fix_gamma=0.0)
+    # gamma held at 0: a converged theta without the odds-ratio parameter
+    spec = model2.Model2Spec.default(ds.schema)
+    narrow = model1.calibrate(ds, spec.baseline_basis, *spec.bases[1:], "ipw-model2")
     assert narrow.solver.converged and narrow.solver.theta_hat.size == 2
     assert _interval(ds, estimate_model2, narrow) == cold
     assert _interval(ds, estimate_model2, baselines.mar_estimate(ds)) == cold
