@@ -61,6 +61,10 @@ def _out_path(path: str) -> str:
 # schema-map config for external CSV files
 # ---------------------------------------------------------------------------
 
+_SCHEMA_OPTIONS = ("covariates", "m_kind", "m_levels", "y_kind", "missing_token",
+                   "domain_primary", "domain_auxiliary")
+
+
 def _load_schema_map(args) -> tuple[VariableSchema, dict, dict]:
     """Build (schema, column map, domain value map) from the optional INI
     config plus flags; flags win over config values.
@@ -69,8 +73,9 @@ def _load_schema_map(args) -> tuple[VariableSchema, dict, dict]:
     missing_token, domain_primary, domain_auxiliary) and a [columns] section
     mapping canonical names (domain, r, m, y, and each covariate) to the
     file's column headers.  [schema] option names are case-insensitive;
-    [columns] names keep their case, as covariate names do.  The config is
-    UTF-8 text (see data.read_text).
+    [columns] names keep their case, as covariate names do.  Any other
+    section, option or name is an error.  The config is UTF-8 text (see
+    data.read_text).
     """
     cfg_schema, columns = {}, {}
     if getattr(args, "config", None):
@@ -82,12 +87,14 @@ def _load_schema_map(args) -> tuple[VariableSchema, dict, dict]:
         except configparser.Error as exc:
             message = " ".join(str(exc).split())  # some configparser messages span lines
             raise DatasetFormatError(f"config file {args.config}: {message}") from None
+        _known(args.config, "section", parser.sections(), ("schema", "columns"))
         if parser.has_section("schema"):
             items = parser.items("schema")
             cfg_schema = {key.lower(): value for key, value in items}
             if len(cfg_schema) < len(items):
                 raise DatasetFormatError(
                     f"config file {args.config}: an option of [schema] appears twice")
+            _known(args.config, "[schema] option", cfg_schema, _SCHEMA_OPTIONS)
         if parser.has_section("columns"):
             columns = dict(parser.items("columns"))
 
@@ -103,12 +110,22 @@ def _load_schema_map(args) -> tuple[VariableSchema, dict, dict]:
         missing_token=getattr(args, "missing_token", None)
         or cfg_schema.get("missing_token", "?"),
     )
+    _known(args.config, "[columns] name", columns, ("domain", "r", "m", "y",
+                                                   *schema.covariate_names))
     primary = cfg_schema.get("domain_primary", "1")
     auxiliary = cfg_schema.get("domain_auxiliary", "2")
     if primary == auxiliary:
         raise DatasetFormatError(
             f"domain_primary and domain_auxiliary are both {primary!r}")
     return schema, columns, {primary: DomainTag.PRIMARY, auxiliary: DomainTag.AUXILIARY}
+
+
+def _known(path: str, kind: str, names, known: tuple) -> None:
+    """Raise DatasetFormatError naming the first of names that is not known."""
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise DatasetFormatError(f"config file {path}: unknown {kind} {unknown[0]!r} "
+                                 f"(known: {', '.join(known)})")
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -199,35 +216,25 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _inject_violation_failures() -> list:
-    """A fixture law whose primary selection depends on M as well as Y, so the
-    odds-ratio recovery must disagree with the constructed table."""
-    rng = make_rng(424242)
-    law, or_true = oracle.random_model2_law(rng)
+_INJECTED_SEED = 424242
+
+
+def _violating_law() -> tuple:
+    """A fixture law whose primary selection depends on M as well as Y, and
+    the odds-ratio table of the Y-driven law it was made from."""
+    law, or_true = oracle.random_model2_law(make_rng(_INJECTED_SEED))
     table = law.table.copy()
     table[0, :, 0, :, 1] *= 0.55  # extra M-dependent selection
     table[0, :, 0, :, 0] = law.table[0, :, 0, :, :].sum(axis=-1) - table[0, :, 0, :, 1]
     broken = oracle.DiscreteFullLaw(law.x_support, law.m_support, law.y_support,
                                     table / table.sum())
-    failures = []
-    checks = oracle.check_assumptions(broken)
-    if not checks.holds["y_driven"]:
-        failures.append(oracle.BatteryFailure(424242, "y_driven",
-                                              checks.violation["y_driven"], oracle.CI_TOL))
-    try:
-        or_table = oracle.recover_odds_ratio(oracle.observed_law(broken))
-        err = float(np.max(np.abs(or_table - or_true)))
-    except oracle.OracleError:
-        err = float("inf")
-    if err > oracle.TOL_OR:
-        failures.append(oracle.BatteryFailure(424242, "or_recovery", err, oracle.TOL_OR))
-    return failures
+    return broken, or_true
 
 
 def _cmd_oracle_check(args) -> int:
     failures = oracle.run_battery(args.laws, seed=args.seed)
     if args.inject_violation:
-        failures.extend(_inject_violation_failures())
+        failures += oracle.check_model2_law(_INJECTED_SEED, *_violating_law())
     if failures:
         for f in failures:
             print(
@@ -296,7 +303,6 @@ def _cmd_make_fixture(args) -> int:
             "r = followup\n"
             "m = strain\n"
             "y = recovered\n"
-            "x1 = risk_score\n"
         )
     print(f"wrote {out}.csv and {out}.ini ({n} rows)")
     return 0

@@ -86,12 +86,10 @@ class PooledDataset:
 
     g: (n,) domain tags 1 (primary) and 2 (auxiliary)
     x: (n, d) covariates
-    m: (n,) M values; for categorical M the code of the level in m_labels
+    m: (n,) M values; for categorical M the index of its level in schema.m_levels
     y: (n,) outcomes
     r: (n,) joint observation indicator of M and Y
-    Missing M and Y are NaN.  m_labels is the schema's level list followed
-    by any level the input held outside it, in order of first appearance, so
-    that `validate` can name it.
+    Missing M and Y are NaN.
 
     `PooledDataset(records=..., schema=...)` builds the columns from per-row
     records; `records` derives them back.  The columns are read-only views
@@ -99,23 +97,20 @@ class PooledDataset:
     `memo` keeps what is derived from them, such as each domain's row index.
     """
 
-    __slots__ = ("schema", "g", "x", "m", "y", "r", "m_labels", "_memo")
+    __slots__ = ("schema", "g", "x", "m", "y", "r", "_memo")
 
     def __init__(self, schema: VariableSchema, g=None, x=None, m=None, y=None,
-                 r=None, *, m_labels: Optional[tuple] = None,
-                 records: Optional[Iterable[UnitRecord]] = None):
+                 r=None, *, records: Optional[Iterable[UnitRecord]] = None):
         if records is not None:
             rows = [(rec.g, rec.x, rec.m, rec.y, rec.r) for rec in records]
             built = PooledDataset.from_columns(schema, *(zip(*rows) if rows else ((),) * 5))
-            g, x, m, y, r, m_labels = (built.g, built.x, built.m, built.y,
-                                       built.r, built.m_labels)
+            g, x, m, y, r = built.g, built.x, built.m, built.y, built.r
         self.schema = schema
         self.g = _column(g, np.int64)
         self.x = _column(x, float)
         self.m = _column(m, float)
         self.y = _column(y, float)
         self.r = _column(r, np.int64)
-        self.m_labels = schema.m_levels if m_labels is None else tuple(m_labels)
         self._memo = {}
         n = self.g.shape[0]
         if self.x.shape != (n, schema.n_covariates):
@@ -132,16 +127,16 @@ class PooledDataset:
         """Columns from per-column Python values: g domain tags, x an (n, d)
         array-like, m None, a number or a level label per row, y None or a
         number per row, r observation indicators.  Categorical labels are
-        coded here and nowhere else."""
-        labels = tuple(schema.m_levels)
+        coded here and nowhere else; a label outside schema.m_levels raises
+        ValueError."""
         if schema.m_kind == "categorical":
-            order = dict.fromkeys(labels)
-            order.update(dict.fromkeys(m))  # new labels in order of first appearance
-            order.pop(None, None)
-            labels = tuple(order)
-            codes = {label: float(i) for i, label in enumerate(labels)}
+            codes = {label: float(i) for i, label in enumerate(schema.m_levels)}
             codes[None] = math.nan
-            m = list(map(codes.__getitem__, m))
+            try:
+                m = list(map(codes.__getitem__, m))
+            except KeyError as exc:
+                raise ValueError(f"unknown M level {exc.args[0]!r}; the levels are "
+                                 f"{', '.join(schema.m_levels)}") from None
         return cls(
             schema,
             g=np.array(g, dtype=np.int64),
@@ -149,7 +144,6 @@ class PooledDataset:
             m=np.array(m, dtype=float),  # None becomes NaN
             y=np.array(y, dtype=float),
             r=np.array(r, dtype=np.int64),
-            m_labels=labels,
         )
 
     @classmethod
@@ -183,7 +177,6 @@ class PooledDataset:
             return NotImplemented
         return (
             self.schema == other.schema
-            and self.m_labels == other.m_labels
             and all(
                 np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
                 for name in ("g", "x", "m", "y", "r")
@@ -192,15 +185,13 @@ class PooledDataset:
 
     def take(self, rows: np.ndarray) -> "PooledDataset":
         """The dataset made of the given rows, in the given order."""
-        return PooledDataset(
-            self.schema, g=self.g[rows], x=self.x[rows], m=self.m[rows],
-            y=self.y[rows], r=self.r[rows], m_labels=self.m_labels,
-        )
+        return PooledDataset(self.schema, g=self.g[rows], x=self.x[rows], m=self.m[rows],
+                             y=self.y[rows], r=self.r[rows])
 
     def m_values(self) -> list[Optional[MValue]]:
         """M of each row as a Python value: None when missing, else the
         number or the level label."""
-        labels = self.m_labels if self.schema.m_kind == "categorical" else None
+        labels = self.schema.m_levels if self.schema.m_kind == "categorical" else None
         return [None if m != m else m if labels is None else labels[int(m)]
                 for m in self.m.tolist()]
 
@@ -242,11 +233,6 @@ def validate(dataset: PooledDataset) -> list[str]:
     if dataset.schema.y_kind == "binary":
         not_binary = has_y & (y != 0) & (y != 1)
         checks.append((not_binary, lambda i: f"binary Y must be 0 or 1, got {float(y[i])}"))
-    if dataset.schema.m_kind == "categorical":
-        unseen = r_valid & (m >= len(dataset.schema.m_levels))  # NaN compares False
-        checks.append(
-            (unseen, lambda i: f"unseen M level {dataset.m_labels[int(m[i])]!r}")
-        )
     found = sorted(
         (i, k) for k, (rows, _) in enumerate(checks) for i in np.flatnonzero(rows).tolist()
     )
@@ -337,7 +323,7 @@ def write_csv(dataset: PooledDataset, path: str) -> None:
     missing = schema.missing_token
     if schema.m_kind == "categorical":
         codes = np.where(np.isnan(dataset.m), -1, dataset.m).astype(np.int64)
-        m_column = (codes, _lookup((*dataset.m_labels, missing)))
+        m_column = (codes, _lookup((*schema.m_levels, missing)))
     else:
         m_column = (dataset.m, _floats_or(missing))
     _write_columns(
@@ -439,10 +425,11 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
     domain token to its tag and defaults to NATIVE_DOMAINS.  Two names may
     not share a header.  Extra and reordered columns are accepted, a mapped
     header may appear only once, and the y column may be absent (every Y
-    missing).  Every row has as many fields as the header; blank lines are
-    skipped.  Domain, M and Y tokens are stripped, and the missing token and
-    the empty cell both mark a missing M or Y.  The file is UTF-8 text (see
-    `read_text`).
+    missing) unless `columns` maps it.  Every row has as many fields as the
+    header; blank lines are skipped.  Domain, M and Y tokens are stripped,
+    and the missing token and the empty cell both mark a missing M or Y.  A
+    categorical M token must be one of the schema's levels.  The file is
+    UTF-8 text (see `read_text`).
     """
     columns = columns or {}
     domains = NATIVE_DOMAINS if domains is None else domains
@@ -474,9 +461,9 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
                 f"{path}: column {header_name!r} appears {count} times in the header")
         return fields[header.index(header_name)::width]
 
-    def converted(tokens: list[str], convert) -> list:
-        """The tokens converted one by one; a token that does not convert is
-        reported with its line."""
+    def converted(name: str, tokens: list[str], convert) -> list:
+        """The tokens of column `name` converted one by one; a token that
+        does not convert is reported with its line and column."""
         try:
             return list(map(convert, tokens))
         except ValueError:
@@ -484,7 +471,7 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
                 try:
                     convert(token)
                 except ValueError as exc:
-                    fail(i, str(exc))
+                    fail(i, f"column {columns.get(name, name)!r}: {exc}")
             raise
 
     missing = ("", schema.missing_token)
@@ -494,9 +481,14 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
         in a categorical column and NaN in a numeric one."""
         stripped = list(map(str.strip, tokens(name)))
         if name == "m" and schema.m_kind == "categorical":
-            return list(map(dict.fromkeys(missing).get, stripped, stripped))
+            labels = {**{level: level for level in schema.m_levels}, **dict.fromkeys(missing)}
+            if not labels.keys() >= set(stripped):
+                i = next(i for i, token in enumerate(stripped) if token not in labels)
+                fail(i, f"unknown M level {stripped[i]!r}; the levels are "
+                        f"{', '.join(schema.m_levels)}")
+            return list(map(labels.__getitem__, stripped))
         marked = list(map(dict.fromkeys(missing, "nan").get, stripped, stripped))
-        return converted(marked, float)
+        return converted(name, marked, float)
 
     raw = tokens("domain")
     tags = {token: int(tag) for token, tag in domains.items()}
@@ -505,10 +497,10 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
         i = next(i for i, token in enumerate(raw) if tag_of[token] is None)
         fail(i, f"unknown domain value {raw[i]!r}")
     g = list(map(tag_of.__getitem__, raw))
-    r = converted(tokens("r"), int)
+    r = converted("r", tokens("r"), int)
     x = np.empty((len(g), schema.n_covariates))
     for j, name in enumerate(schema.covariate_names):
-        x[:, j] = converted(tokens(name), float)
+        x[:, j] = converted(name, tokens(name), float)
     m = optional("m")
-    y = optional("y") if columns.get("y", "y") in header else [None] * len(g)
+    y = optional("y") if "y" in columns or "y" in header else [None] * len(g)
     return PooledDataset.from_columns(schema, g, x, m, y, r)

@@ -289,9 +289,10 @@ def _fit_stack(rows: FitRows, bases: tuple[BasisSpec, BasisSpec, BasisSpec],
     caller, when it is not live (no primary complete case, or fewer
     auxiliary complete cases than max(1, auxiliary regression terms)), has
     a rank deficient auxiliary regression or (from `_Calibration.init`)
-    X-only design, a non-finite residual or beta_hat, a singular step, or
-    does not converge: the fit of the one dataset then gives the failure
-    reason or the solver status.
+    X-only design, whose NaN target or start makes its first residual
+    non-finite, a non-finite residual or beta_hat, a singular step, or does
+    not converge: the fit of the one dataset then gives the failure reason
+    or the solver status.
     """
     basis, h_basis, aux_regression_basis = bases
     primary, cc = rows.counts("primary"), rows.counts("cc")
@@ -309,10 +310,6 @@ def _fit_stack(rows: FitRows, bases: tuple[BasisSpec, BasisSpec, BasisSpec],
         init = equation.init(rows, primary)[live]  # the members share their stack of rows
     else:
         init = np.tile(start, (live.size, 1))
-    ok = np.all(np.isfinite(target), axis=1) & np.all(np.isfinite(init), axis=1)
-    live, target, init = live[ok], target[ok], init[ok]
-    if live.size == 0:
-        return out
     equation, cc, n1 = equation.take(live), _pick(cc, live), n1[live]
     fits = newton_stack(
         lambda theta, members: equation.take(members).residual(

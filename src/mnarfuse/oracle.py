@@ -21,11 +21,10 @@ from .simulate import SCALAR_SCHEMA, make_rng
 
 CI_TOL = 1e-12  # conditional-independence cell tolerance
 _RANK_TOL = 1e-10  # singular-value threshold for the completeness condition
-# run_battery's tolerances: identification error, identity and bridge
-# residuals, odds-ratio recovery error
-TOL_IDENTIFY = 1e-8
+# run_battery's tolerance of the checks it names; every other check, an
+# identity or bridge residual, is held to TOL_IDENTITY
+_TOLERANCES = {"identify_model1": 1e-8, "identify_model2": 1e-8, "or_recovery": 1e-10}
 TOL_IDENTITY = 1e-12
-TOL_OR = 1e-10
 
 
 class OracleError(ValueError):
@@ -454,38 +453,44 @@ class BatteryFailure:
     tolerance: float
 
 
+def _failed(law_seed: int, values: dict) -> list[BatteryFailure]:
+    """The failures among the named check values: each above its tolerance, or NaN."""
+    tolerance = {name: _TOLERANCES.get(name, TOL_IDENTITY) for name in values}
+    return [BatteryFailure(law_seed, name, value, tolerance[name])
+            for name, value in values.items() if not value <= tolerance[name]]
+
+
+def check_model2_law(law_seed: int, law: DiscreteFullLaw, or_true) -> list[BatteryFailure]:
+    """The battery's checks of one Y-driven law made from the odds-ratio
+    table or_true.  A recovery that raises is the one failure
+    `or_recovery_error:<message>`."""
+    obs = observed_law(law)
+    try:
+        or_table = recover_odds_ratio(obs)
+    except OracleError as exc:
+        return [BatteryFailure(law_seed, f"or_recovery_error:{exc}", np.inf,
+                               _TOLERANCES["or_recovery"])]
+    return _failed(law_seed, {
+        "or_recovery": float(np.max(np.abs(or_table - or_true))),
+        "identify_model2": abs(identify_model2(obs, or_table) - brute_force_beta(law)),
+        "bridge_model2_law": bridge_residual(law),
+        **verify_or_identities(law),
+    })
+
+
 def run_battery(n_laws: int, seed: int) -> list[BatteryFailure]:
     """Randomized oracle battery: identification exactness, odds-ratio
     identity residuals, bridge exactness, and OR recovery, over n_laws
     M-driven and n_laws Y-driven random laws."""
     failures = []
-
-    def expect(law_seed, check, value, tolerance):
-        if not value <= tolerance:
-            failures.append(BatteryFailure(law_seed, check, value, tolerance))
-
     for i in range(n_laws):
         rng = make_rng(seed, i)
         law1 = random_model1_law(rng)
-        truth = brute_force_beta(law1)
-        expect(i, "identify_model1", abs(identify_model1(observed_law(law1)) - truth),
-               TOL_IDENTIFY)
-        expect(i, "bridge_model1_law", bridge_residual(law1), TOL_IDENTITY)
-
-        law2, or_true = random_model2_law(rng)
-        obs2 = observed_law(law2)
-        truth2 = brute_force_beta(law2)
-        try:
-            or_table = recover_odds_ratio(obs2)
-        except OracleError as exc:
-            failures.append(BatteryFailure(i, f"or_recovery_error:{exc}", np.inf, TOL_OR))
-            continue
-        expect(i, "or_recovery", float(np.max(np.abs(or_table - or_true))), TOL_OR)
-        expect(i, "identify_model2", abs(identify_model2(obs2, or_table) - truth2),
-               TOL_IDENTIFY)
-        expect(i, "bridge_model2_law", bridge_residual(law2), TOL_IDENTITY)
-        for name, value in verify_or_identities(law2).items():
-            expect(i, name, value, TOL_IDENTITY)
+        failures += _failed(i, {
+            "identify_model1": abs(identify_model1(observed_law(law1)) - brute_force_beta(law1)),
+            "bridge_model1_law": bridge_residual(law1),
+        })
+        failures += check_model2_law(i, *random_model2_law(rng))
     return failures
 
 

@@ -149,7 +149,7 @@ def test_model1_is_affine_equivariant_in_y(seed, setting, a, b):
     base = estimate_model1(dataset)
     assume(base.solver.converged)
     shifted = PooledDataset(dataset.schema, g=dataset.g, x=dataset.x, m=dataset.m,
-                            y=a + b * dataset.y, r=dataset.r, m_labels=dataset.m_labels)
+                            y=a + b * dataset.y, r=dataset.r)
     report = estimate_model1(shifted)
     assert report.solver.converged
     assert report.beta_hat == pytest.approx(a + b * base.beta_hat, abs=1e-9)

@@ -9,6 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from mnarfuse import oracle
 from mnarfuse.cli import build_parser, main
 from mnarfuse.data import read_csv
 from mnarfuse.simulate import SCALAR_SCHEMA
@@ -200,9 +201,24 @@ def test_oracle_check_passes(capsys):
 
 
 def test_oracle_check_injected_violation_fails(capsys):
+    # the injected law fails the battery's own odds-ratio recovery check
     assert run(["oracle-check", "--laws", "2", "--seed", "1",
                 "--inject-violation"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "FAIL law_seed=424242 check=or_recovery_error:recovered tilt non-positive at the "
+        "reference level (x=1.0) value=inf tol=1.0e-10\n")
+
+
+def test_the_injected_violation_goes_through_the_per_law_check(monkeypatch, capsys):
+    # the CLI holds no check of its own: a per-law check that fails is
+    # reported for the injected law, and one that finds nothing passes it
+    def stub(law_seed, law, or_true):
+        return [oracle.BatteryFailure(law_seed, "stub", 1.0, 0.5)] if law_seed == 424242 else []
+    monkeypatch.setattr(oracle, "check_model2_law", stub)
+    assert run(["oracle-check", "--laws", "2", "--inject-violation"]) == 1
+    assert capsys.readouterr().out == "FAIL law_seed=424242 check=stub value=1.000e+00 tol=5.0e-01\n"
+    monkeypatch.setattr(oracle, "check_model2_law", lambda law_seed, law, or_true: [])
+    assert run(["oracle-check", "--laws", "2", "--inject-violation"]) == 0
 
 
 def test_fixture_pipeline(tmp_path, capsys):
@@ -452,6 +468,40 @@ def test_malformed_config_is_a_one_line_error(tmp_path, capsys, text):
     assert err.startswith(f"error: config file {config}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("missing_token = NA", "missing = NA", "[schema] option 'missing'"),
+    ("y = recovered", "outcome = recovered", "[columns] name 'outcome'"),
+    ("m = strain", "m = strain\nx2 = nothing", "[columns] name 'x2'"),
+    ("[columns]", "[column]", "section 'column'"),
+], ids=["schema-option", "columns-name", "columns-covariate", "section"])
+def test_an_unknown_config_key_is_an_error_naming_it(tmp_path, capsys, old, new, key):
+    # ignored, these gave a float error on line 2 (NA read as a number), a
+    # "Y absent" line per row, an exit 0 (x2 is no covariate), and a
+    # missing column 'domain' (no header mapped)
+    prefix, _ = _fixture_lines(tmp_path)
+    config = prefix + ".ini"
+    with open(config) as fh:
+        text = fh.read()
+    with open(config, "w") as fh:
+        fh.write(text.replace(old, new))
+    capsys.readouterr()
+    assert run(["validate", "--data", prefix + ".csv", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config}: unknown {key} (known: ")
+    assert err.count("\n") == 1
+
+
+def test_an_unknown_level_is_a_read_error_naming_its_line(tmp_path, capsys):
+    prefix, lines = _fixture_lines(tmp_path)
+    i = next(i for i, line in enumerate(lines) if ",mild," in line)
+    lines[i] = lines[i].replace(",mild,", ",extreme,")
+    _rewrite(prefix, lines)
+    capsys.readouterr()
+    assert run(["validate", "--data", prefix + ".csv", "--config", prefix + ".ini"]) == 1
+    assert capsys.readouterr().err == (f"error: {prefix}.csv: line {i + 1}: unknown M level "
+                                       "'extreme'; the levels are none, mild, severe\n")
+
+
 # sha256 of the files the CLI writes at n=3000, seed 7: the bytes of every
 # writer are part of the interface.
 SIMULATE_SHA256 = {
@@ -466,7 +516,7 @@ SIMULATE_SHA256 = {
 }
 FIXTURE_SHA256 = {
     ".csv": "daf03a9b49459abaa8ffa8ec0d4ba4479adcd1ad2a65bc23197be8ed4cdcc964",
-    ".ini": "dac99c76d3b9cc6acb9028a34f688ec7db317b3a8b0fd230f018725d37ddac95",
+    ".ini": "702ea15da9d6c6cf7957e9ceee0a58324264897850b00c63917b3795f9d2f7d6",
 }
 
 

@@ -90,12 +90,14 @@ def test_renamed_headers_read_back_through_the_column_map(tmp_path_factory, sche
     assert read_csv(str(renamed), schema, columns) == expected
 
 
-def test_unseen_level_survives_the_record_view():
+def test_a_record_outside_the_levels_is_rejected():
+    # a categorical M code is the index of its level in the schema's list
     rows = (UnitRecord(g=DomainTag.PRIMARY, x=(0.0, 1.0), m="extreme", y=1.0, r=1),
             UnitRecord(g=DomainTag.AUXILIARY, x=(0.0, 1.0), m="mild", y=None, r=1))
-    ds = PooledDataset(records=rows, schema=CATEGORICAL)
-    assert ds.records == rows
-    assert ds != PooledDataset(records=rows[1:], schema=CATEGORICAL)
+    with pytest.raises(ValueError, match="unknown M level 'extreme'; the levels are "
+                                         "none, mild, severe"):
+        PooledDataset(records=rows, schema=CATEGORICAL)
+    assert PooledDataset(records=rows[1:], schema=CATEGORICAL).records == rows[1:]
 
 
 def _old_resample(dataset, rng):

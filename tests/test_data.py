@@ -204,12 +204,14 @@ def test_m_features_numeric_passthrough():
                                   [[2.5], [np.nan]])
 
 
-def test_validate_flags_unseen_level():
-    ds = PooledDataset(
-        records=(rec(m="D", y=1.0), rec(g=DomainTag.AUXILIARY, m="A", y=None)),
-        schema=CAT,
-    )
-    assert any("unseen" in v for v in validate(ds))
+def test_read_csv_names_the_line_of_an_unknown_level(tmp_path):
+    # a categorical M code is the index of its level in the schema's list,
+    # so a token outside the list is a read error, as an unknown domain is
+    path = tmp_path / "cat.csv"
+    path.write_text("domain,r,x1,m,y\n1,1,0.0,A,1.0\n2,0,0.0,?,?\n2,1,0.0, D ,?\n")
+    with pytest.raises(DatasetFormatError,
+                       match=r"line 4: unknown M level 'D'; the levels are A, B, C"):
+        read_csv(str(path), CAT)
 
 
 def test_csv_round_trip(tmp_path):
@@ -232,6 +234,32 @@ def test_read_csv_names_bad_line(tmp_path):
     path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n1,one,0.0,1.0,2.0\n")
     with pytest.raises(DatasetFormatError, match="line 3"):
         read_csv(str(path), SCHEMA)
+
+
+@pytest.mark.parametrize("column, row", [
+    ("r", "1,one,0.0,1.0,2.0"),
+    ("x1", "1,1,zero,1.0,2.0"),
+    ("m", "1,1,0.0,NA,2.0"),
+    ("y", "1,1,0.0,1.0,two"),
+])
+def test_a_token_that_does_not_convert_names_its_column(tmp_path, column, row):
+    # the column is named by its header in the file, which a map may rename
+    path = tmp_path / "bad.csv"
+    for columns in ({}, {column: "renamed"}):
+        header = ",".join(columns.get(name, name) for name in ("domain", "r", "x1", "m", "y"))
+        path.write_text(f"{header}\n1,1,0.0,1.0,2.0\n{row}\n")
+        with pytest.raises(DatasetFormatError,
+                           match=f"line 3: column '{columns.get(column, column)}': "):
+            read_csv(str(path), SCHEMA, columns)
+
+
+def test_a_mapped_y_must_be_in_the_header(tmp_path):
+    # only the unmapped native y may be absent, reading every Y as missing
+    path = tmp_path / "no_y.csv"
+    path.write_text("domain,r,x1,m\n1,0,0.0,?\n2,1,0.5,1.0\n")
+    assert np.isnan(read_csv(str(path), SCHEMA).y).all()
+    with pytest.raises(DatasetFormatError, match="missing column 'outcome'"):
+        read_csv(str(path), SCHEMA, {"y": "outcome"})
 
 
 @pytest.mark.parametrize("bad_row", [

@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mnarfuse import oracle
 from mnarfuse.data import PooledDataset, VariableSchema
 from mnarfuse.model1 import Model1Spec, estimate_model1
 from mnarfuse.models import BasisSpec
 from mnarfuse.oracle import (
+    BatteryFailure,
     DiscreteFullLaw,
     OracleError,
     RankConditionError,
@@ -330,6 +332,33 @@ def test_bridge_identity_exact():
 
 def test_battery_clean():
     assert run_battery(20, seed=123) == []
+
+
+def test_the_battery_reports_what_its_per_law_check_reports(monkeypatch):
+    # each Y-driven law goes through check_model2_law, with the true table
+    # it was built from
+    seen = []
+
+    def stub(law_seed, law, or_true):
+        seen.append((law_seed, or_true[:, 0].tolist()))
+        return [BatteryFailure(law_seed, "stub", 1.0, 0.5)]
+    monkeypatch.setattr(oracle, "check_model2_law", stub)
+    assert run_battery(3, seed=0) == [BatteryFailure(i, "stub", 1.0, 0.5) for i in range(3)]
+    assert seen == [(i, [1.0, 1.0]) for i in range(3)]
+
+
+def test_m_dependent_selection_fails_the_per_law_checks():
+    law, or_true = random_model2_law(_rng(3))
+    table = law.table.copy()
+    table[0, :, 0, :, 1] *= 0.55  # M-dependent selection
+    table[0, :, 0, :, 0] = law.table[0, :, 0, :, :].sum(axis=-1) - table[0, :, 0, :, 1]
+    broken = DiscreteFullLaw(law.x_support, law.m_support, law.y_support, table / table.sum())
+    assert oracle.check_model2_law(0, law, or_true) == []
+    failures = oracle.check_model2_law(7, broken, or_true)
+    assert all(f.law_seed == 7 and f.value > f.tolerance for f in failures)
+    assert [f.check for f in failures] == ["or_recovery", "identify_model2", "or_m_invariance",
+                                           "or_propensity", "missing_outcome_law",
+                                           "tilt_m_ratio"]
 
 
 def test_law_rejects_bad_tables():

@@ -298,7 +298,7 @@ def _constant_primary_x(dataset):
     x = dataset.x.copy()
     x[dataset.g == DomainTag.PRIMARY] = 0.5
     return PooledDataset(dataset.schema, g=dataset.g, x=x, m=dataset.m, y=dataset.y,
-                         r=dataset.r, m_labels=dataset.m_labels)
+                         r=dataset.r)
 
 
 @pytest.mark.parametrize("design,estimate", [(Model1Design(n=500), estimate_model1),
