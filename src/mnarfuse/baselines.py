@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DomainTag, PooledDataset, VariableSchema
+from .data import DomainTag, PooledDataset
 from .models import (
     evaluate_basis_matrix,
     linear_predictor,
@@ -56,27 +56,25 @@ def mar_estimate(dataset: PooledDataset) -> EstimateReport:
     )
 
 
-def _stacked_mar(rows: FitRows, schema: VariableSchema,
+def _stacked_mar(rows: FitRows,
                  start: Optional[np.ndarray] = None) -> list[Optional[tuple[float, None]]]:
     """`mar_estimate` on the members of the FitRows stack `rows`, as one
     least squares: (beta_hat, None) of each member, or None where it has no
     complete case, a rank deficient design or a non-finite beta_hat, to be
     fitted on its own.  The fit has no solver, so start is not used."""
-    primary, cc = rows.counts("primary"), rows.counts("cc")
-    live = np.flatnonzero(cc.sum(axis=1) > 0)
-    out: list[Optional[tuple[float, None]]] = [None] * len(primary)
+    out: list[Optional[tuple[float, None]]] = [None] * len(rows.counts("primary"))
+    live = np.flatnonzero(rows.counts("cc").sum(axis=1) > 0)
     if live.size == 0:
         return out
-    x_basis = polynomial_basis(schema.n_covariates)
+    rows = rows.take(live)
+    primary = rows.counts("primary")
+    x_basis = polynomial_basis(rows.schema.n_covariates)
     x_cc, _, y_cc = rows["cc"]
-    design = evaluate_basis_matrix(x_basis, x_cc)
-    at_primary = evaluate_basis_matrix(x_basis, *rows["primary"])
-    if design.ndim == 3:  # each member has its own rows
-        design, y_cc, at_primary = design[live], y_cc[live], at_primary[live]
-    coef = solve_least_squares(design, y_cc, weights=cc[live])
+    coef = solve_least_squares(evaluate_basis_matrix(x_basis, x_cc), y_cc,
+                               weights=rows.counts("cc"))
     # a padding row holds the basis at 0, whose prediction is the intercept
-    betas = ((linear_predictor(at_primary, coef) * primary[live]).sum(axis=1)
-             / primary[live].sum(axis=1))
+    at_primary = evaluate_basis_matrix(x_basis, *rows["primary"])
+    betas = (linear_predictor(at_primary, coef) * primary).sum(axis=1) / primary.sum(axis=1)
     for k, beta in zip(live.tolist(), betas.tolist()):
         if math.isfinite(beta):
             out[k] = (beta, None)

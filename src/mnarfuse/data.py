@@ -81,6 +81,13 @@ def _column(values, dtype) -> np.ndarray:
     return view
 
 
+def _reject_first(bad: np.ndarray, column: np.ndarray, rule: str) -> None:
+    """Raise ValueError naming the first row flagged in `bad` and its value."""
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"row {i}: {rule}, got {column[i]}")
+
+
 class PooledDataset:
     """Pooled two-domain dataset stored as columns.
 
@@ -95,6 +102,8 @@ class PooledDataset:
     records; `records` derives them back.  The columns are read-only views
     of the arrays given, which must not change once the dataset is in use:
     `memo` keeps what is derived from them, such as each domain's row index.
+    A domain tag other than 1 or 2, or a categorical M that is neither NaN
+    nor a level's code, raises ValueError naming its row.
     """
 
     __slots__ = ("schema", "g", "x", "m", "y", "r", "_memo")
@@ -120,6 +129,11 @@ class PooledDataset:
         for name in ("g", "m", "y", "r"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"column {name} does not have length {n}")
+        _reject_first((self.g != 1) & (self.g != 2), self.g, "domain tag must be 1 or 2")
+        if schema.m_kind == "categorical":
+            levels = len(schema.m_levels)
+            _reject_first(~(np.isnan(self.m) | np.isin(self.m, np.arange(levels))), self.m,
+                          f"categorical M must be NaN or a level's code 0 to {levels - 1}")
 
     @classmethod
     def from_columns(cls, schema: VariableSchema, g: Sequence, x, m: Sequence,
@@ -247,17 +261,15 @@ def validate(dataset: PooledDataset) -> list[str]:
 def m_features(m: np.ndarray, schema: VariableSchema) -> np.ndarray:
     """Expand an M column into its (n, m_dim) numeric feature block.
 
-    Categorical M with L levels maps to L-1 indicators with the first level as
-    reference; numeric M passes through as a single feature.  Missing M stays
-    NaN across the block.
+    Categorical M with L levels, coded as PooledDataset admits them, maps to
+    L-1 indicators with the first level as reference; numeric M passes
+    through as a single feature.  Missing M stays NaN across the block.
     """
     if schema.m_kind == "numeric":
         return m[:, None]
     observed = ~np.isnan(m)
     codes = m[observed]
     n_levels = len(schema.m_levels)
-    if codes.size and codes.max() >= n_levels:
-        raise ValueError("M holds a level outside the schema's level list")
     out = np.full((m.shape[0], n_levels - 1), np.nan)
     out[observed] = codes[:, None] == np.arange(1, n_levels)
     return out

@@ -97,9 +97,9 @@ def bootstrap_ci(
 
     An estimator with a `stacked_fits` attribute (the IPW estimators with
     their defaults, and MAR) refits a block of resamples at a time through
-    it, as stacked_fits(FitRows.of_resamples(dataset, draws), schema,
-    start); a resample it returns no fit for is refitted by calling the
-    estimator on it, as every resample is for any other estimator.  A block
+    it, as stacked_fits(FitRows.of_resamples(dataset, draws), start); a
+    resample it returns no fit for is refitted by calling the estimator on
+    it, as every resample is for any other estimator.  A block
     holds max(1, _REFIT_ROWS // n) resamples of a dataset of n rows.  start
     is the theta of `point`, the estimator's report on the dataset, when its
     solver converged, else None.  Pass `point` when it is at hand, as
@@ -125,7 +125,7 @@ def bootstrap_ci(
         draws = [_domain_draws(dataset, make_rng(config.seed, b))
                  for b in range(first, min(first + block_size, config.k))]
         fits = ([None] * len(draws) if stacked is None
-                else stacked(FitRows.of_resamples(dataset, draws), dataset.schema, start))
+                else stacked(FitRows.of_resamples(dataset, draws), start))
         estimates += _fit_each(estimator, fits, draws,
                                lambda draw: dataset.take(_rows(dataset, draw)),
                                refits, failures, nonconverged)
@@ -296,8 +296,8 @@ def _run_block(design, seed: int, reps: range) -> dict:
     of default_estimators(design) over the block's replicates, as _fit_each
     gives and counts them.  An estimator with a `stacked_fits` attribute
     (the bank but MCAR) fits the block's datasets as one stack through it,
-    as stacked_fits(rows, schema): rows is the block's FitRows.of_block,
-    laid out once here and read by every such estimator."""
+    as stacked_fits(rows): rows is the block's FitRows.of_block, laid out
+    once here and read by every such estimator."""
     estimators = default_estimators(design)
     datasets = [generate_for(design, int(make_rng(seed, rep).integers(2**31)))
                 for rep in reps]
@@ -306,7 +306,7 @@ def _run_block(design, seed: int, reps: range) -> dict:
     out = {}
     for name, fn in estimators.items():
         fits = ([None] * len(datasets) if stacked[name] is None
-                else stacked[name](rows, datasets[0].schema))
+                else stacked[name](rows))
         counts = Counter(), Counter(), Counter()
         out[name] = (_fit_each(fn, fits, datasets, lambda ds: ds, *counts), *counts)
     return out

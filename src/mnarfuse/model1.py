@@ -16,7 +16,7 @@ import copy
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -117,13 +117,13 @@ class _Calibration:
     B is `basis` over the complete cases (x, m, y) of the FitRows `rows`,
     and h is `h_basis` there.  The members share the rows of one dataset,
     or each has its own, as `rows` lays them out: every row array then has
-    a leading member axis.  Member k counts
-    complete case i counts[k, i] times, or once when counts is None, and has
-    its own n1 and target; methods take theta (K, p) and the members'
-    counts, n1 and targets.  The Jacobian is -h^T diag(c * slope) B / n1.
+    a leading member axis.  Member k counts complete case i counts[k, i]
+    times, or once when counts is None, and has its own n1 and target[k];
+    residual and jacobian take theta of the given members, as newton_stack
+    calls them.  The Jacobian is -h^T diag(c * slope) B / n1.
     """
 
-    def __init__(self, rows: FitRows, basis: BasisSpec, h_basis: BasisSpec):
+    def __init__(self, rows: FitRows, basis: BasisSpec, h_basis: BasisSpec, target: np.ndarray):
         x_cc, m_cc, y = rows["cc"]
         m_dim = m_cc.shape[-1]
         if h_basis.width(m_dim) < basis.width(m_dim):
@@ -135,58 +135,64 @@ class _Calibration:
         self.h = self.design if h_basis == basis else evaluate_basis_matrix(h_basis, x_cc, m_cc)
         self.y = y
         self.basis = basis
-        self._h_diag_b = None  # built on the first Jacobian
+        self.counts, primary = rows.counts("cc"), rows.counts("primary")
+        self.n1 = np.array([len(rows["primary"][0])]) if primary is None else primary.sum(axis=1)
+        self.target = target
+        self._h_diag_b = []  # built on the first Jacobian; shared rows' takes share it
 
     def take(self, members: np.ndarray) -> "_Calibration":
-        """The equation of the given members of the stack, for their
-        residuals, Jacobians, weights and beta_hat (`init` stays the whole
-        stack's): itself when the members share their rows or when members
-        are all of them."""
-        if self.design.ndim == 2 or members.size == len(self.design):
+        """The equation of the given members of the stack, ascending, or
+        itself when they are all of them."""
+        if members.size == len(self.n1):
             return self
         part = copy.copy(self)
-        part.design, part.y = self.design[members], self.y[members]
-        part.h = part.design if self.h is self.design else self.h[members]
-        part._h_diag_b = None
+        part.counts, part.n1, part.target = (self.counts[members], self.n1[members],
+                                             self.target[members])
+        if self.design.ndim == 3:  # each member has its own rows
+            part.design, part.y = self.design[members], self.y[members]
+            part.h = part.design if self.h is self.design else self.h[members]
+            part._h_diag_b = []
         return part
 
-    def init(self, rows: FitRows, counts: Optional[np.ndarray] = None,
-             covariates: Sequence[str] = ()) -> np.ndarray:
+    def init(self, rows: FitRows) -> np.ndarray:
         """Initial theta (K, p): 0, where each weight is 2, for a member
         whose X-only part of the basis has full rank over the primary rows
-        of `rows`, row i counted counts[k, i] times; NaN for the others.
-        With counts None (K = 1) a rank deficient X-only design raises
-        RankDeficientError instead, naming its term with the covariates'
-        names."""
+        of `rows`, row i counted rows.counts("primary")[k, i] times; NaN for
+        the others.  On one dataset's rows (K = 1) a rank deficient X-only
+        design raises RankDeficientError instead, naming its term with the
+        schema's covariate names."""
         x_only = BasisSpec(tuple(t for t in self.basis.terms if not (t.uses_m or t.uses_y)))
-        init = np.zeros((1 if counts is None else len(counts), self.design.shape[-1]))
-        bad = dependent_columns(evaluate_basis_matrix(x_only, *rows["primary"]), counts,
-                                x_only.column_names(covariates))
+        init = np.zeros((len(self.n1), self.design.shape[-1]))
+        bad = dependent_columns(evaluate_basis_matrix(x_only, *rows["primary"]),
+                                rows.counts("primary"),
+                                x_only.column_names(rows.schema.covariate_names))
         init[bad >= 0] = np.nan
         return init
 
-    def weights(self, theta, counts=None):
+    def weights(self, theta):
         """Counted weights c w(theta), (K, n_cc)."""
         w = calibration_weights(self.design, theta)
-        return w if counts is None else w * counts
+        return w if self.counts is None else w * self.counts
 
-    def residual(self, theta, counts, n1, target):
-        return member_sums(self.weights(theta, counts), self.h) / n1[:, None] - target
+    def residual(self, theta, members):
+        part = self.take(members)
+        return member_sums(part.weights(theta), part.h) / part.n1[:, None] - part.target
 
-    def jacobian(self, theta, counts, n1):
-        slope = calibration_slope(self.design, theta)
-        if counts is not None:
-            slope = slope * counts
-        if self._h_diag_b is None:
-            self._h_diag_b = weighted_cross_products(self.h, self.design)
-        return -self._h_diag_b(slope) / n1[:, None, None]
+    def jacobian(self, theta, members):
+        part = self.take(members)
+        slope = calibration_slope(part.design, theta)
+        if part.counts is not None:
+            slope = slope * part.counts
+        if not part._h_diag_b:
+            part._h_diag_b.append(weighted_cross_products(part.h, part.design))
+        return -part._h_diag_b[0](slope) / part.n1[:, None, None]
 
-    def beta_hat(self, w, n1):
-        """The outcome mean of counted weights w: their complete-case
-        outcome sum over n1."""
+    def beta_hat(self, w):
+        """The outcome mean of each member's counted weights w: their
+        complete-case outcome sum over its n1."""
         if self.y.ndim == 1:
-            return w @ self.y / n1
-        return np.einsum("kn,kn->k", w, self.y) / n1
+            return w @ self.y / self.n1
+        return np.einsum("kn,kn->k", w, self.y) / self.n1
 
 
 def calibrate(dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,
@@ -207,14 +213,14 @@ def calibrate(dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,
 
     rows = FitRows(dataset)
     target, aux_coefs = _fit_targets(dataset, rows, h_basis, aux_regression_basis)
-    equation = _Calibration(rows, basis, h_basis)
-    init = equation.init(rows, covariates=dataset.schema.covariate_names)[0]
+    equation = _Calibration(rows, basis, h_basis, target)
+    init = equation.init(rows)[0]
     del rows  # the solve reads the equation alone: its peak memory holds no other row copy
-    n1s = np.array([n1])
+    member = np.zeros(1, dtype=np.intp)  # the point fit's one member
     result = solve(
         MomentSystem(
-            residual=lambda theta: equation.residual(theta[None], None, n1s, target)[0],
-            jacobian=lambda theta: equation.jacobian(theta[None], None, n1s)[0],
+            residual=lambda theta: equation.residual(theta[None], member)[0],
+            jacobian=lambda theta: equation.jacobian(theta[None], member)[0],
             init=init,
         )
     )
@@ -229,7 +235,7 @@ def calibrate(dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,
             f"degenerate overlap: {n_capped} of {n_cc} complete-case weights capped"
         )
     return EstimateReport(
-        beta_hat=float(equation.beta_hat(w_hat, n1)),
+        beta_hat=float(equation.beta_hat(w_hat)[0]),
         estimator=estimator,
         nuisance={
             "alpha": result.theta_hat.tolist(),
@@ -249,38 +255,23 @@ def calibrate(dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,
     )
 
 
-def _pick(a: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """a[members], without a copy when members are all of a's members."""
-    return a if members.size == len(a) else a[members]
-
-
-def _of_members(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The rows of the given members of a stack; shared (2-d) rows are
-    every member's."""
-    return rows if rows.ndim == 2 else _pick(rows, members)
-
-
-def _aux_targets(rows: FitRows, h_basis: BasisSpec, aux_regression_basis: BasisSpec,
-                 live: np.ndarray) -> np.ndarray:
-    """The (len(live), q) calibration targets of the live members of the
-    stack `rows`: each member's regression of h on the X-only basis over
-    the auxiliary complete cases, weighted by its counts, predicted at its
-    primary rows and averaged there; NaN where its regression is rank
-    deficient.  The regression's matrices are freed on return."""
+def _aux_targets(rows: FitRows, h_basis: BasisSpec, aux_regression_basis: BasisSpec) -> np.ndarray:
+    """The (K, q) calibration targets of the stack `rows`: each member's
+    regression of h on the X-only basis over the auxiliary complete cases,
+    weighted by its counts, predicted at its primary rows and averaged
+    there; NaN where it is rank deficient.  Its matrices are freed on return."""
     h, design, at_primary = _aux_regression_matrices(rows, h_basis, aux_regression_basis)
-    primary = _pick(rows.counts("primary"), live)
-    coefs = solve_least_squares(_of_members(design, live), _of_members(h, live),
-                                weights=_pick(rows.counts("aux_cc"), live))
-    return np.einsum("ka,kaq->kq", member_sums(primary, _of_members(at_primary, live)),
+    primary = rows.counts("primary")
+    coefs = solve_least_squares(design, h, weights=rows.counts("aux_cc"))
+    return np.einsum("ka,kaq->kq", member_sums(primary, at_primary),
                      coefs) / primary.sum(axis=1)[:, None]
 
 
-def _fit_stack(rows: FitRows, bases: tuple[BasisSpec, BasisSpec, BasisSpec],
-               start: Optional[np.ndarray] = None,
+def _fit_stack(spec, rows: FitRows, start: Optional[np.ndarray] = None,
                ) -> list[Optional[tuple[float, SolverResult]]]:
-    """`calibrate` with bases (B, h, auxiliary regression basis), for the
-    members of the stack `rows` at once: (beta_hat, solver result) of each
-    member, or None.  Member k counts row i of each set rows.counts(set)[k, i] times.  Every
+    """`calibrate` with the bases of spec.default(rows.schema), the default
+    spec of the spec class `spec`, for the members of the stack `rows` at
+    once: (beta_hat, solver result) of each member, or None.  Member k counts row i of each set rows.counts(set)[k, i] times.  Every
     member's Newton attempt starts at `start` when it has the equation's
     width p, else at `_Calibration.init`; the attempts run as stacked
     operations.
@@ -294,35 +285,29 @@ def _fit_stack(rows: FitRows, bases: tuple[BasisSpec, BasisSpec, BasisSpec],
     not converge: the fit of the one dataset then gives the failure reason
     or the solver status.
     """
-    basis, h_basis, aux_regression_basis = bases
-    primary, cc = rows.counts("primary"), rows.counts("cc")
-    out: list[Optional[tuple[float, SolverResult]]] = [None] * len(primary)
-    live = np.flatnonzero((cc.sum(axis=1) > 0) & (rows.counts("aux_cc").sum(axis=1)
-                                                  >= max(1, len(aux_regression_basis.terms))))
+    basis, h_basis, aux_regression_basis = spec.default(rows.schema).bases
+    out: list[Optional[tuple[float, SolverResult]]] = [None] * len(rows.counts("primary"))
+    live = np.flatnonzero((rows.counts("cc").sum(axis=1) > 0)
+                          & (rows.counts("aux_cc").sum(axis=1)
+                             >= max(1, len(aux_regression_basis.terms))))
     if live.size == 0:
         return out
+    rows = rows.take(live)
     # the targets' regression matrices are freed before the calibration's
     # are built, which bounds the memory of a stack
-    target = _aux_targets(rows, h_basis, aux_regression_basis, live)
-    equation = _Calibration(rows, basis, h_basis)
-    n1 = primary.sum(axis=1)
+    equation = _Calibration(rows, basis, h_basis,
+                            _aux_targets(rows, h_basis, aux_regression_basis))
     if start is None or start.shape != equation.design.shape[-1:]:
-        init = equation.init(rows, primary)[live]  # the members share their stack of rows
+        init = equation.init(rows)
     else:
         init = np.tile(start, (live.size, 1))
-    equation, cc, n1 = equation.take(live), _pick(cc, live), n1[live]
-    fits = newton_stack(
-        lambda theta, members: equation.take(members).residual(
-            theta, _pick(cc, members), n1[members], target[members]),
-        lambda theta, members: equation.take(members).jacobian(
-            theta, _pick(cc, members), n1[members]),
-        init)
+    fits = newton_stack(equation.residual, equation.jacobian, init)
     members = np.flatnonzero([fit is not None and fit.converged for fit in fits])
     if members.size == 0:
         return out
     done = equation.take(members)
-    w = done.weights(np.array([fits[k].theta_hat for k in members]), _pick(cc, members))
-    for k, beta in zip(members.tolist(), done.beta_hat(w, n1[members]).tolist()):
+    w = done.weights(np.array([fits[k].theta_hat for k in members]))
+    for k, beta in zip(members.tolist(), done.beta_hat(w).tolist()):
         if math.isfinite(beta):
             out[live[k]] = (beta, fits[k])
     return out
@@ -338,18 +323,6 @@ def estimate_model1(dataset: PooledDataset,
     return calibrate(dataset, *spec.bases, "ipw-model1")
 
 
-def set_stack_hook(estimator, default_spec) -> None:
-    """Give an IPW estimator the stacked fit of its defaults, the bases of
-    default_spec(schema): estimator.stacked_fits(rows, schema, start=None),
-    the `_fit_stack` of the FitRows stack `rows`, through which
-    bootstrap_ci refits resamples of a dataset and replicate fits a block
-    of datasets.  A function attribute survives functools.wraps, which
-    copies __dict__."""
-    def stacked_fits(rows: FitRows, schema: VariableSchema, start: Optional[np.ndarray] = None,
-                     ) -> list[Optional[tuple[float, SolverResult]]]:
-        return _fit_stack(rows, default_spec(schema).bases, start)
-
-    estimator.stacked_fits = stacked_fits
-
-
-set_stack_hook(estimate_model1, Model1Spec.default)
+# the stacked fit of the defaults, through which bootstrap_ci and replicate fit
+# stacks; functools.wraps copies this attribute
+estimate_model1.stacked_fits = functools.partial(_fit_stack, Model1Spec)

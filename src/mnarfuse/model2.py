@@ -25,7 +25,7 @@ from .models import (
     parse_term,
     polynomial_basis,
 )
-from .model1 import calibrate, set_stack_hook
+from .model1 import _fit_stack, calibrate
 from .report import EstimateReport
 from .solver import solve  # noqa: F401  (a lookup site patched by bench/tracing.py)
 
@@ -83,4 +83,4 @@ def estimate_model2(dataset: PooledDataset,
     return report
 
 
-set_stack_hook(estimate_model2, Model2Spec.default)
+estimate_model2.stacked_fits = functools.partial(_fit_stack, Model2Spec)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, NamedTuple, Optional
 
@@ -121,16 +122,18 @@ class FitRows:
     members share one dataset's rows, FitRows.of_resamples(dataset, draws),
     or each has its own, FitRows.of_block(datasets), whose sets are
     (K, n, ...) stacks of their members' rows, padded with zeros after each
-    member's rows.  The fits evaluate their bases themselves, straight into
-    those stacks, so bench/tracing.py finds those calls where it patches
-    them."""
+    member's rows; `take` cuts a stack to some of its members.  Each carries
+    its rows' `schema`.  The fits evaluate their bases straight into those
+    stacks, so bench/tracing.py finds those calls where it patches them."""
 
     def __init__(self, dataset: PooledDataset):
         primary = domain_arrays(dataset, DomainTag.PRIMARY)
         auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
+        self.schema = dataset.schema
         self._sets = {"primary": (_select(dataset, "x", primary.rows),),
                       "cc": tuple(_select(dataset, name, primary.cc) for name in "xmy"),
                       "aux_cc": tuple(_select(dataset, name, auxiliary.cc) for name in "xm")}
+        self._counts = dict.fromkeys(self._sets)
 
     @classmethod
     def of_resamples(cls, dataset: PooledDataset, draws: list) -> "FitRows":
@@ -154,7 +157,7 @@ class FitRows:
         its own rows, selected by the index of each of its domains."""
         members = [cls(ds) for ds in datasets]
         block = cls.__new__(cls)
-        block._sets, block._counts = {}, {}
+        block.schema, block._sets, block._counts = members[0].schema, {}, {}
         for name in members[0]._sets:
             sets = [rows[name] for rows in members]
             sizes = np.array([len(rows[0]) for rows in sets])
@@ -169,11 +172,23 @@ class FitRows:
     def __getitem__(self, name: str) -> tuple[np.ndarray, ...]:
         return self._sets[name]
 
-    def counts(self, name: str) -> np.ndarray:
+    def counts(self, name: str) -> Optional[np.ndarray]:
         """The (K, n) frequency weights of a stack's row set `name`: the
         times each resample drew a row, or 1 on each block member's rows
-        and 0 on the padding after them."""
+        and 0 on the padding after them; None for one dataset's rows."""
         return self._counts[name]
+
+    def take(self, members: np.ndarray) -> "FitRows":
+        """The stack of the given members, ascending, or itself when they
+        are all of them: shared rows stay shared, own rows are cut too."""
+        if members.size == len(self._counts["primary"]):
+            return self
+        part = copy.copy(self)
+        part._counts = {name: counts[members] for name, counts in self._counts.items()}
+        if self._sets["primary"][0].ndim == 3:  # each member has its own rows
+            part._sets = {name: tuple(a[members] for a in sets)
+                          for name, sets in self._sets.items()}
+        return part
 
 
 def _counts(draws: list, n_primary: int, n_auxiliary: int) -> tuple[np.ndarray, np.ndarray]:

@@ -176,7 +176,7 @@ def test_converged_beta_hat_is_invariant_under_row_order_and_start(
     # nor on where the solve starts: the dataset's rows, counted once each,
     # solved from a start off the point fit's theta
     [fit] = estimate.stacked_fits(FitRows.of_resamples(dataset, _each_row_once(dataset)),
-                                  dataset.schema, report.solver.theta_hat + shift)
+                                  report.solver.theta_hat + shift)
     assume(fit is not None)
     assert fit[0] == pytest.approx(report.beta_hat, abs=1e-12, rel=0)
 
@@ -200,8 +200,7 @@ def test_a_model2_equation_with_two_roots(monkeypatch):
     assert report.beta_hat == pytest.approx(-1.1963142, abs=1e-7)
     np.testing.assert_allclose(point.theta_hat, [3.954, -1.096, 1.729], atol=1e-3)
     [(beta_hat, refit)] = estimate_model2.stacked_fits(
-        FitRows.of_resamples(dataset, _each_row_once(dataset)), dataset.schema,
-        point.theta_hat + 0.25)
+        FitRows.of_resamples(dataset, _each_row_once(dataset)), point.theta_hat + 0.25)
     assert refit.converged and refit.iterations == 9
     assert beta_hat == pytest.approx(-1.2471433, abs=1e-7)
     np.testing.assert_allclose(refit.theta_hat, [4.881, -1.346, 2.023], atol=1e-3)
@@ -240,11 +239,12 @@ def test_h_is_the_propensity_design_when_their_bases_are_one():
                                   (_M2, Model2Spec.default(_M2.schema), False)):
         basis, h_basis, _ = spec.bases
         rows = FitRows(dataset)
-        equation = model1._Calibration(rows, basis, h_basis)
+        equation = model1._Calibration(rows, basis, h_basis, np.zeros(h_basis.width()))
         assert (equation.h is equation.design) is shared
         x_cc, m_cc, _ = rows["cc"]
         np.testing.assert_array_equal(equation.h, evaluate_basis_matrix(h_basis, x_cc, m_cc))
-        stack = model1._Calibration(FitRows.of_block([dataset, dataset]), basis, h_basis)
+        stack = model1._Calibration(FitRows.of_block([dataset, dataset]), basis, h_basis,
+                                    np.zeros((2, h_basis.width())))
         part = stack.take(np.array([1]))
         assert (part.h is part.design) is shared
         np.testing.assert_array_equal(part.h[0], equation.h)

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -196,7 +197,30 @@ def test_m_features_categorical():
         [[1.0, 0.0], [0.0, 0.0], [np.nan, np.nan], [0.0, 1.0]],
     )
     with pytest.raises(ValueError):
-        m_features(np.array([3.0]), CAT)
+        PooledDataset(CAT, g=[1], x=[[0.0]], m=[3.0], y=[1.0], r=[1])
+
+
+AB = VariableSchema(covariate_names=("x1",), m_kind="categorical", m_levels=("a", "b"))
+
+
+@pytest.mark.parametrize("schema, g, m, message", [
+    (SCHEMA, [1, 1, 2, 3], [0.0] * 4, "row 3: domain tag must be 1 or 2, got 3"),
+    (SCHEMA, [0, 1], [0.0] * 2, "row 0: domain tag must be 1 or 2, got 0"),
+    (AB, [1, 2, 1], [0.0, np.nan, -1.0], "row 2: categorical M must be NaN or a level's "
+     "code 0 to 1, got -1.0"),
+    (AB, [1, 2], [0.5, 0.0], "row 0: categorical M must be NaN or a level's code 0 to 1, "
+     "got 0.5"),
+    (AB, [1, 2], [1.0, 2.0], "row 1: categorical M must be NaN or a level's code 0 to 1, "
+     "got 2.0"),
+], ids=["tag-3", "tag-0", "code-negative", "code-fraction", "code-past-the-levels"])
+def test_a_dataset_rejects_a_tag_or_code_it_cannot_hold(schema, g, m, message):
+    # every fit splits the rows by tag and expands the codes into level
+    # indicators, so such a row would be dropped or read as the first level
+    n = len(g)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PooledDataset(schema, g=g, x=np.zeros((n, 1)), m=m, y=[np.nan] * n, r=[1] * n)
+    PooledDataset(schema, g=[1, 2], x=np.zeros((2, 1)), m=[1.0, np.nan], y=[np.nan] * 2,
+                  r=[1, 0])
 
 
 def test_m_features_numeric_passthrough():

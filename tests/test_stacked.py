@@ -89,7 +89,7 @@ def _refits(estimator, dataset, draws, start=None):
     """The estimator's stacked fits of the resamples of dataset given by
     their rows, draws, started at start."""
     rows = FitRows.of_resamples(dataset, [_by_domain(dataset, draw) for draw in draws])
-    return estimator.stacked_fits(rows, dataset.schema, start)
+    return estimator.stacked_fits(rows, start)
 
 
 def _stratified_draw(dataset, rng):
@@ -223,7 +223,7 @@ def _cold(estimator):
     def cold(dataset):
         return estimator(dataset)
 
-    cold.stacked_fits = lambda rows, schema, start=None: estimator.stacked_fits(rows, schema)
+    cold.stacked_fits = lambda rows, start=None: estimator.stacked_fits(rows)
     return cold
 
 
@@ -678,6 +678,65 @@ def test_a_block_pads_each_row_set_into_its_stack():
             for k, rows in enumerate(own):
                 assert np.array_equal(stacked[k, :sizes[k]], rows[name][position])
                 assert not stacked[k, sizes[k]:].any()
+
+
+def test_a_take_of_resamples_cuts_their_counts_and_shares_the_rows():
+    ds = generate_model1(Model1Design(n=300), 1)[0]
+    draws = [_domain_draws(ds, make_rng(3, b)) for b in range(5)]
+    stack = FitRows.of_resamples(ds, draws)
+    assert stack.take(np.arange(5)) is stack
+    part, alone = stack.take(np.array([1, 3])), FitRows.of_resamples(ds, [draws[1], draws[3]])
+    assert part.schema == alone.schema
+    for name in ("primary", "cc", "aux_cc"):
+        np.testing.assert_array_equal(part.counts(name), alone.counts(name))
+        assert all(a is b for a, b in zip(part[name], stack[name]))
+        for got, want in zip(part[name], alone[name]):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_a_take_of_a_block_cuts_its_members_rows():
+    datasets = [generate_model1(Model1Design(n=n), seed)[0]
+                for n, seed in ((150, 1), (300, 2), (220, 3))]
+    block = FitRows.of_block(datasets)
+    assert block.take(np.arange(3)) is block
+    for members in ([1, 2], [0, 2], [2]):
+        part = block.take(np.array(members))
+        alone = FitRows.of_block([datasets[k] for k in members])
+        assert part.schema == alone.schema
+        for name in ("primary", "cc", "aux_cc"):
+            # a take keeps the block's padding, to its widest member's rows
+            n, width = alone.counts(name).shape[1], block.counts(name).shape[1]
+            for got, want in zip((part.counts(name),) + part[name],
+                                 (alone.counts(name),) + alone[name]):
+                assert got.shape[:2] == (len(members), width)
+                np.testing.assert_array_equal(got[:, :n], want)
+                assert not got[:, n:].any()
+
+
+# the Jacobian tables of the own-row stacks of the test below, recorded from
+# the code before FitRows.take: one for the whole stack and one for each
+# Jacobian of fewer members; a take of own rows builds its own table
+_OWN_ROW_TABLES = {(1, "T"): 4, (1, "F"): 8, (2, "T"): 4, (2, "F"): 4}
+
+
+@pytest.mark.parametrize("design", [Model1Design, Model2Design], ids=["model1", "model2"])
+@pytest.mark.parametrize("setting", ["T", "F"])
+def test_a_stack_of_shared_rows_builds_one_jacobian_table(design, setting):
+    estimator = default_estimators(design(n=2000, setting=setting))["ipw"]
+    ds = inference.generate_for(design(n=2000, setting=setting), 7)
+    shared = FitRows.of_resamples(ds, [_domain_draws(ds, make_rng(1, b)) for b in range(40)])
+    own = FitRows.of_block([inference.generate_for(design(n=500, setting=setting), seed)
+                            for seed in range(8)])
+    tables = []
+    for rows in (shared, own):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = []
+            patch.setattr(model1, "weighted_cross_products",
+                          lambda *a: calls.append(a) or models.weighted_cross_products(*a))
+            assert all(fit is not None for fit in estimator.stacked_fits(rows))
+        tables.append(len(calls))
+    assert tables[0] == 1
+    assert tables[1] <= _OWN_ROW_TABLES[design.model, setting]
 
 
 def _own_rows(n_members=4, n=120, seed=6):
