@@ -438,10 +438,10 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
     not share a header.  Extra and reordered columns are accepted, a mapped
     header may appear only once, and the y column may be absent (every Y
     missing) unless `columns` maps it.  Every row has as many fields as the
-    header; blank lines are skipped.  Domain, M and Y tokens are stripped,
-    and the missing token and the empty cell both mark a missing M or Y.  A
-    categorical M token must be one of the schema's levels.  The file is
-    UTF-8 text (see `read_text`).
+    header; blank lines are skipped.  Header cells and domain, M and Y
+    tokens are stripped, and the missing token and the empty cell both mark
+    a missing M or Y.  A categorical M token must be one of the schema's
+    levels.  The file is UTF-8 text (see `read_text`).
     """
     columns = columns or {}
     domains = NATIVE_DOMAINS if domains is None else domains
@@ -457,6 +457,7 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
     text = read_text(path)
     # quoted fields need a real parser
     header, fields, kept = _tokenize(text, path, split='"' not in text and "\0" not in text)
+    header = [cell.strip() for cell in header]
     del text
     width = len(header)  # the tokens of column j are fields[j::width]
 

@@ -216,14 +216,7 @@ def calibrate(dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,
     equation = _Calibration(rows, basis, h_basis, target)
     init = equation.init(rows)[0]
     del rows  # the solve reads the equation alone: its peak memory holds no other row copy
-    member = np.zeros(1, dtype=np.intp)  # the point fit's one member
-    result = solve(
-        MomentSystem(
-            residual=lambda theta: equation.residual(theta[None], member)[0],
-            jacobian=lambda theta: equation.jacobian(theta[None], member)[0],
-            init=init,
-        )
-    )
+    result = solve(MomentSystem(equation.residual, equation.jacobian, init))
 
     w_hat = equation.weights(result.theta_hat)
     n_capped = capped_count(w_hat)
@@ -271,10 +264,10 @@ def _fit_stack(spec, rows: FitRows, start: Optional[np.ndarray] = None,
                ) -> list[Optional[tuple[float, SolverResult]]]:
     """`calibrate` with the bases of spec.default(rows.schema), the default
     spec of the spec class `spec`, for the members of the stack `rows` at
-    once: (beta_hat, solver result) of each member, or None.  Member k counts row i of each set rows.counts(set)[k, i] times.  Every
-    member's Newton attempt starts at `start` when it has the equation's
-    width p, else at `_Calibration.init`; the attempts run as stacked
-    operations.
+    once: (beta_hat, solver result) of each member, or None.  Member k
+    counts row i of each set rows.counts(set)[k, i] times.  Every member's
+    Newton attempt starts at `start` when it has the equation's width p,
+    else at `_Calibration.init`; the attempts run as stacked operations.
 
     A member comes back as None, to be refitted on its own rows by the
     caller, when it is not live (no primary complete case, or fewer

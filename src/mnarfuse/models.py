@@ -135,8 +135,6 @@ def evaluate_basis_matrix(
     such terms expand to one column per M feature.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     d = x.shape[-1]
     if m is not None:
         m = np.asarray(m, dtype=float)

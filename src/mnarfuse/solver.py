@@ -51,9 +51,11 @@ class SolverResult:
 
 @dataclass(frozen=True)
 class MomentSystem:
-    residual: Callable[[np.ndarray], np.ndarray]
-    # d residual / d theta, shape (len(r), len(init))
-    jacobian: Callable[[np.ndarray], np.ndarray]
+    """A one-member stack in newton_stack's form: residual(theta, members)
+    -> (m, q) and jacobian(theta, members) -> (m, q, p) at theta (m, p);
+    init is (p,)."""
+    residual: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     init: np.ndarray
 
 
@@ -201,14 +203,7 @@ def solve(system: MomentSystem) -> SolverResult:
     Raises ResidualError when the residual at the init is non-finite.
     """
     init = np.asarray(system.init, dtype=float)
-
-    def residual(theta, members):
-        return np.asarray(system.residual(theta[0]))[None]
-
-    def jacobian(theta, members):
-        return np.asarray(system.jacobian(theta[0]))[None]
-
-    [result] = newton_stack(residual, jacobian, init[None])
+    [result] = newton_stack(system.residual, system.jacobian, init[None])
     if result is None:
         raise ResidualError(f"non-finite residual at theta={init.tolist()}")
     return result

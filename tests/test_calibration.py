@@ -18,6 +18,7 @@ from mnarfuse.model2 import Model2Spec, estimate_model2
 from mnarfuse.models import W_MAX, BasisSpec, evaluate_basis_matrix, logistic
 from mnarfuse.report import FitRows, domain_arrays
 from mnarfuse.simulate import Model1Design, Model2Design, generate_model1, generate_model2
+from mnarfuse.solver import newton_stack, solve
 from test_estimators import recovered_propensity
 
 CATEGORICAL = VariableSchema(covariate_names=("x1",), m_kind="categorical",
@@ -93,6 +94,11 @@ def _system(case):
     return _SYSTEMS[case]
 
 
+def _at(stacked, theta):
+    """A captured system's stacked residual or Jacobian at one theta (p,)."""
+    return stacked(theta[None], np.zeros(1, dtype=np.intp))[0]
+
+
 def _linear_predictor(case, theta):
     """-B.theta on the primary complete cases, rebuilt from the case."""
     dataset, basis, _, _ = CASES[case]
@@ -132,8 +138,8 @@ def test_analytic_jacobian_matches_central_differences(case, data):
     assume(np.min(np.abs(_linear_predictor(case, theta) - kink)) > 1e-3)
     # a context manager, not monkeypatch: Hypothesis rejects function-scoped fixtures
     with mock.patch.object(models, "W_MAX", CASES[case][2]):
-        analytic = system.jacobian(theta)
-        numeric = _central_difference(system.residual, theta)
+        analytic = _at(system.jacobian, theta)
+        numeric = _central_difference(lambda t: _at(system.residual, t), theta)
     np.testing.assert_allclose(analytic, numeric, rtol=1e-5,
                                atol=1e-5 * np.abs(analytic).max())
 
@@ -206,10 +212,43 @@ def test_a_model2_equation_with_two_roots(monkeypatch):
     np.testing.assert_allclose(refit.theta_hat, [4.881, -1.346, 2.023], atol=1e-3)
     [system] = systems
     for theta, det, cond in ((point.theta_hat, -3.27e-3, 992), (refit.theta_hat, 2.79e-3, 1229)):
-        assert np.linalg.norm(system.residual(theta)) < 1e-12  # both are roots
-        jacobian = system.jacobian(theta)
+        assert np.linalg.norm(_at(system.residual, theta)) < 1e-12  # both are roots
+        jacobian = _at(system.jacobian, theta)
         assert np.linalg.det(jacobian) == pytest.approx(det, rel=2e-3)
         assert np.linalg.cond(jacobian) == pytest.approx(cond, rel=1e-3)
+
+
+_GENERATORS = {"model1": (generate_model1, Model1Design, estimate_model1),
+               "model2": (generate_model2, Model2Design, estimate_model2)}
+
+
+@pytest.mark.parametrize("case", ["model1-T", "model1-F", "model2-T", "model2-F",
+                                  "model1-categorical", "model1-numeric-capped"])
+def test_the_point_fit_solves_its_system_as_a_one_member_stack(case, monkeypatch):
+    # the system that calibrate hands to solve is in newton_stack's own form
+    systems = []
+    real_solve = model1.solve
+
+    def capture(system):
+        systems.append(system)
+        return real_solve(system)
+
+    monkeypatch.setattr(model1, "solve", capture)
+    if case in CASES:
+        monkeypatch.setattr(models, "W_MAX", CASES[case][2])
+        CASES[case][-1]()
+    else:
+        model, setting = case.split("-")
+        generate, design, estimate = _GENERATORS[model]
+        estimate(generate(design(n=600, setting=setting), 3)[0])
+    [system] = systems
+    alone = solve(system)
+    [stacked] = newton_stack(system.residual, system.jacobian, system.init[None])
+    assert alone.theta_hat.tobytes() == stacked.theta_hat.tobytes()
+    assert ((alone.status, alone.iterations, alone.residual_evals, alone.jacobian_evals,
+             alone.final_residual_norm)
+            == (stacked.status, stacked.iterations, stacked.residual_evals,
+                stacked.jacobian_evals, stacked.final_residual_norm))
 
 
 def test_model1_warns_of_degenerate_overlap():

@@ -81,6 +81,27 @@ def test_a_categorical_level_cannot_be_the_missing_token():
                        missing_token="NA")
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"m_kind": "ordinal"}, "unknown m_kind 'ordinal'"),
+    ({"y_kind": "count"}, "unknown y_kind 'count'"),
+    ({"m_kind": "categorical", "m_levels": ("a", "b", "a")},
+     "categorical M levels must be distinct"),
+], ids=["m-kind", "y-kind", "repeated-level"])
+def test_a_schema_rejects_a_kind_or_levels_it_cannot_read(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        VariableSchema(covariate_names=("x1",), **kwargs)
+
+
+@pytest.mark.parametrize("x, m, message", [
+    (np.zeros((3, 1)), [0.0] * 2, "x has shape (3, 1), expected (2, 1)"),
+    (np.zeros((2, 2)), [0.0] * 2, "x has shape (2, 2), expected (2, 1)"),
+    (np.zeros((2, 1)), [0.0] * 3, "column m does not have length 2"),
+], ids=["x-rows", "x-columns", "m-length"])
+def test_a_dataset_rejects_columns_of_other_shapes(x, m, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PooledDataset(SCHEMA, g=[1, 2], x=x, m=m, y=[np.nan] * 2, r=[1, 1])
+
+
 def test_domain_arrays_preserve_order():
     rows = (rec(x=(0.0,)), rec(g=DomainTag.AUXILIARY, y=None), rec(x=(5.0,)))
     ds = PooledDataset(records=rows, schema=SCHEMA)
@@ -322,6 +343,17 @@ def test_read_csv_finds_columns_by_name(tmp_path):
         for label, line in zip(["id", *map(str, range(len(rows)))], [header, *rows])
     ) + "\n")
     assert read_csv(str(shuffled), SCHEMA) == read_csv(str(canonical), SCHEMA) == ds
+
+
+def test_read_csv_strips_padded_header_cells(tmp_path):
+    # np.savetxt with delimiter=", " pads every header cell and value with a space
+    table = np.array([[1, 1, 0.25, -1.5, 3.75], [1, 1, 1.0, 0.125, -2.0]])
+    padded, plain = tmp_path / "padded.csv", tmp_path / "plain.csv"
+    fmt = ["%d", "%d", "%.17g", "%.17g", "%.17g"]
+    np.savetxt(padded, table, fmt, ", ", header="domain, r, x1, m, y", comments="")
+    np.savetxt(plain, table, fmt, ",", header="domain,r,x1,m,y", comments="")
+    assert read_csv(str(padded), SCHEMA) == read_csv(str(plain), SCHEMA)
+    assert len(read_csv(str(padded), SCHEMA)) == 2
 
 
 def test_read_csv_rejects_a_repeated_mapped_header(tmp_path):

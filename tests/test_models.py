@@ -121,6 +121,23 @@ def test_basis_matrix_names_what_a_term_lacks(text, x, m, y, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x1^0", "bad power in term 'x1^0'"),
+    ("1,x1*z", "unknown variable 'z' in term 'x1*z'"),
+])
+def test_a_basis_rejects_a_term_it_cannot_evaluate(text, message):
+    with pytest.raises(ValueError) as excinfo:
+        BasisSpec.parse(text)
+    assert str(excinfo.value) == message
+
+
+def test_a_categorical_m_block_takes_no_power():
+    # a level indicator squared is itself: m^2 would repeat the m columns
+    with pytest.raises(ValueError) as excinfo:
+        evaluate_basis_matrix(BasisSpec.parse("1,m^2"), [[1.0]], m=[[1.0, 0.0]])
+    assert str(excinfo.value) == "term m^2: only first-power m allowed with categorical M"
+
+
 def test_least_squares_exact_interpolation():
     design = np.array([[1.0, 0.0], [1.0, 1.0]])
     coef = solve_least_squares(design, np.array([1.0, 3.0]))

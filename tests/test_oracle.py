@@ -1,6 +1,7 @@
 """Discrete-oracle tests: assumption checks, identification exactness,
 odds-ratio recovery, identity residuals, and sampling."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -373,6 +374,56 @@ def test_law_rejects_bad_tables():
     table[0, 0, 0, 0, 0] = np.nan
     with pytest.raises(OracleError, match="non-finite"):
         DiscreteFullLaw(law.x_support, law.m_support, law.y_support, table)
+
+
+def _zeroed(table, cells):
+    """The table with the given cells set to 0, renormalised."""
+    table = table.copy()
+    table[cells] = 0.0
+    return table / table.sum()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("shape", "table shape (2, 1, 2, 2, 2) != (2, 2, 2, 2, 2)"),
+    ("zero-mass", "domain 2 has zero mass"),
+    ("positivity", "positivity fails: p(R=1|x, g=1) = 0 somewhere"),
+])
+def test_a_law_rejects_a_table_of_another_shape_or_without_support(name, message):
+    law = random_model1_law(_rng(15))
+    table = {"shape": law.table[:, :1],
+             "zero-mass": _zeroed(law.table, 1),
+             # x = 0 keeps its primary mass, none of it with R = 1
+             "positivity": _zeroed(law.table, np.s_[0, 0, :, :, 1])}[name]
+    with pytest.raises(OracleError) as excinfo:
+        DiscreteFullLaw(law.x_support, law.m_support, law.y_support, table)
+    assert str(excinfo.value) == message
+
+
+def test_the_odds_ratio_anchor_without_a_zero_is_the_smallest_y():
+    assert reference_y_index((1.0, 2.0, -0.5, 3.0)) == 2
+    assert reference_y_index((1.0, 0.0, -0.5)) == 1
+
+
+def test_the_bridge_needs_auxiliary_complete_cases_at_each_primary_x():
+    # the auxiliary domain has no unit at x = 0, which a law allows
+    law = random_model1_law(_rng(15))
+    table = _zeroed(law.table, np.s_[1, 0])
+    obs = observed_law(DiscreteFullLaw(law.x_support, law.m_support, law.y_support, table))
+    with pytest.raises(OracleError) as excinfo:
+        identify_model1(obs)
+    assert str(excinfo.value) == "p(R=1 | x=0.0, G=2) is zero"
+
+
+def test_recovery_needs_complete_cases_at_each_x_with_missing_units():
+    # a law's positivity check forbids this, so the observed law is built
+    # as a dataclass: x = 0 has missing primary units and no complete case
+    law, _ = random_model2_law(make_rng(6))
+    obs = observed_law(law)
+    primary_r1 = obs.primary_r1.copy()
+    primary_r1[0] = 0.0
+    with pytest.raises(OracleError) as excinfo:
+        recover_odds_ratio(dataclasses.replace(obs, primary_r1=primary_r1))
+    assert str(excinfo.value) == "zero complete-case mass at x=0.0"
 
 
 def test_sampling_matches_law_marginals():

@@ -7,15 +7,23 @@ from mnarfuse.models import logistic
 from mnarfuse.solver import MomentSystem, ResidualError, newton_stack, solve
 
 
+def _system(residual, jacobian, init):
+    """The MomentSystem of one system given as residual(theta) -> (q,) and
+    jacobian(theta) -> (q, p): its one member's rows of the stacked form."""
+    return MomentSystem(residual=lambda theta, members: np.asarray(residual(theta[0]))[None],
+                        jacobian=lambda theta, members: np.asarray(jacobian(theta[0]))[None],
+                        init=init)
+
+
 def test_linear_root():
-    result = solve(MomentSystem(residual=lambda t: t - 3.0, jacobian=lambda t: np.eye(1),
-                                init=np.zeros(1)))
+    result = solve(_system(residual=lambda t: t - 3.0, jacobian=lambda t: np.eye(1),
+                          init=np.zeros(1)))
     assert result.converged
     np.testing.assert_allclose(result.theta_hat, [3.0], atol=1e-8)
 
 
 def test_separable_two_dim_root():
-    result = solve(MomentSystem(
+    result = solve(_system(
         residual=lambda t: np.array([t[0] - 1.0, t[1] + 2.0]),
         jacobian=lambda t: np.eye(2), init=np.zeros(2),
     ))
@@ -42,7 +50,7 @@ def _logistic_score_system():
         p = logistic(design @ theta)
         return -(design.T * (p * (1.0 - p))) @ design / outcome.size
 
-    return MomentSystem(residual=score, jacobian=score_jacobian, init=np.zeros(2))
+    return _system(residual=score, jacobian=score_jacobian, init=np.zeros(2))
 
 
 def test_logistic_score_matches_grid_search_oracle():
@@ -71,7 +79,7 @@ def test_nonfinite_residual_names_theta():
         return np.array([np.nan])
 
     with pytest.raises(ResidualError, match="theta"):
-        solve(MomentSystem(residual=residual, jacobian=lambda t: np.eye(1), init=np.ones(1)))
+        solve(_system(residual=residual, jacobian=lambda t: np.eye(1), init=np.ones(1)))
 
 
 def test_one_attempt_from_a_flat_init():
@@ -83,7 +91,7 @@ def test_one_attempt_from_a_flat_init():
     def jacobian(theta):
         return np.array([[3.0 * theta[0] ** 2]])
 
-    result = solve(MomentSystem(residual=residual, jacobian=jacobian, init=np.zeros(1)))
+    result = solve(_system(residual=residual, jacobian=jacobian, init=np.zeros(1)))
     assert (result.status, result.iterations) == ("singular", 0)
     np.testing.assert_array_equal(result.theta_hat, [0.0])
     # the residual at the init and the one Jacobian
@@ -102,8 +110,8 @@ def test_overdetermined_gauss_newton():
     a = rng.normal(size=(6, 2))
     b = a @ np.array([1.5, -0.5]) + rng.normal(scale=0.01, size=6)
 
-    result = solve(MomentSystem(residual=lambda t: a @ t - b, jacobian=lambda t: a,
-                                init=np.zeros(2)))
+    result = solve(_system(residual=lambda t: a @ t - b, jacobian=lambda t: a,
+                          init=np.zeros(2)))
     assert result.converged
     exact = np.linalg.lstsq(a, b, rcond=None)[0]
     np.testing.assert_allclose(result.theta_hat, exact, atol=1e-6)
@@ -111,14 +119,14 @@ def test_overdetermined_gauss_newton():
 
 def test_underdetermined_rejected():
     with pytest.raises(ValueError, match="underdetermined"):
-        solve(MomentSystem(residual=lambda t: np.array([t.sum()]),
-                           jacobian=lambda t: np.ones((1, 2)), init=np.zeros(2)))
+        solve(_system(residual=lambda t: np.array([t.sum()]),
+                     jacobian=lambda t: np.ones((1, 2)), init=np.zeros(2)))
 
 
 def test_scale_robustness():
     # same root expressed at wildly different residual scales
     for scale in (1e-4, 1.0, 1e4):
-        result = solve(MomentSystem(
+        result = solve(_system(
             residual=lambda t, s=scale: s * (t - 7.0),
             jacobian=lambda t, s=scale: s * np.eye(1), init=np.zeros(1),
         ))
@@ -134,8 +142,8 @@ def test_counts_on_a_linear_system():
     # one Newton step lands on the root, and the max|r| test then takes the
     # polish step: the residual at the init, then a Jacobian and a residual
     # for each of the two steps
-    result = solve(MomentSystem(residual=lambda t: _A @ t - _B, jacobian=lambda t: _A,
-                                init=np.zeros(2)))
+    result = solve(_system(residual=lambda t: _A @ t - _B, jacobian=lambda t: _A,
+                          init=np.zeros(2)))
     assert result.converged and result.iterations == 2
     np.testing.assert_allclose(result.theta_hat, np.linalg.solve(_A, _B), atol=1e-15)
     assert (result.residual_evals, result.jacobian_evals) == (3, 2)
@@ -144,12 +152,22 @@ def test_counts_on_a_linear_system():
 def test_counts_of_the_one_attempt():
     # a constant residual has no root: the attempt builds one Jacobian, then
     # its line search halves 30 times without a decrease and stalls
-    result = solve(MomentSystem(residual=lambda t: np.ones(1),
-                                jacobian=lambda t: np.ones((1, 1)), init=np.zeros(1)))
+    result = solve(_system(residual=lambda t: np.ones(1),
+                          jacobian=lambda t: np.ones((1, 1)), init=np.zeros(1)))
     assert (result.status, result.iterations) == ("stalled", 1)
     # the start, then the 30 line-search trials
     assert (result.residual_evals, result.jacobian_evals) == (31, 1)
 
+
+
+def test_a_gauss_newton_step_that_cannot_be_solved_is_singular():
+    # a finite residual with a NaN Jacobian: lstsq raises LinAlgError
+    [fit] = newton_stack(lambda theta, members: np.ones((len(members), 2)),
+                         lambda theta, members: np.full((len(members), 2, 1), np.nan),
+                         np.zeros((1, 1)))
+    assert (fit.status, fit.iterations) == ("singular", 0)
+    np.testing.assert_array_equal(fit.theta_hat, [0.0])
+    assert (fit.residual_evals, fit.jacobian_evals) == (1, 1)
 
 
 def _cbrt_jacobian(t):
@@ -194,7 +212,7 @@ def test_each_member_of_a_stack_is_solved_as_if_alone(stack):
     init = np.array([[start] for _, start, _ in stack.values()])
     fits = newton_stack(residual, jacobian, init)
     for (name, ((res, jac), start, expected)), fit in zip(stack.items(), fits):
-        system = MomentSystem(residual=res, jacobian=jac, init=np.array([start]))
+        system = _system(residual=res, jacobian=jac, init=np.array([start]))
         if expected is None:
             assert fit is None
             with pytest.raises(ResidualError):

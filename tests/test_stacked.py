@@ -211,6 +211,17 @@ def test_tiny_auxiliary_domain_resamples_fail_alike(panel, monkeypatch):
     assert stacked.refits.per_refit >= stacked.n_failed
 
 
+def test_a_mar_stack_without_a_complete_case_leaves_each_member_to_its_own_fit(panel):
+    # each resample draws one incomplete primary row n1 times, so no member
+    # of the stack is live and none is fitted
+    ds, _ = panel["model1-T"]
+    primary = domain_arrays(ds, DomainTag.PRIMARY)
+    incomplete = np.setdiff1d(primary.rows, primary.cc)
+    auxiliary = domain_arrays(ds, DomainTag.AUXILIARY).rows
+    draws = [np.concatenate([np.repeat(row, primary.n), auxiliary]) for row in incomplete[:2]]
+    assert _refits(baselines.mar_estimate, ds, draws) == [None, None]
+
+
 def _interval(ds, estimator, point=None, k=24):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inference, "MAX_FAILURE_FRACTION", 0.9)
