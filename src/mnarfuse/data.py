@@ -131,9 +131,11 @@ class PooledDataset:
                 raise ValueError(f"column {name} does not have length {n}")
         _reject_first((self.g != 1) & (self.g != 2), self.g, "domain tag must be 1 or 2")
         if schema.m_kind == "categorical":
-            levels = len(schema.m_levels)
-            _reject_first(~(np.isnan(self.m) | np.isin(self.m, np.arange(levels))), self.m,
-                          f"categorical M must be NaN or a level's code 0 to {levels - 1}")
+            top = len(schema.m_levels) - 1
+            m = self.m
+            code = (m >= 0) & (m <= top) & (np.trunc(m) == m)
+            _reject_first(~(code | np.isnan(m)), m,
+                          f"categorical M must be NaN or a level's code 0 to {top}")
 
     @classmethod
     def from_columns(cls, schema: VariableSchema, g: Sequence, x, m: Sequence,
@@ -141,8 +143,8 @@ class PooledDataset:
         """Columns from per-column Python values: g domain tags, x an (n, d)
         array-like, m None, a number or a level label per row, y None or a
         number per row, r observation indicators.  Categorical labels are
-        coded here and nowhere else; a label outside schema.m_levels raises
-        ValueError."""
+        coded here, as `read_csv` codes them; a label outside schema.m_levels
+        raises ValueError."""
         if schema.m_kind == "categorical":
             codes = {label: float(i) for i, label in enumerate(schema.m_levels)}
             codes[None] = math.nan
@@ -390,41 +392,54 @@ def _line_error(path: str, kept: Optional[list[int]], i: int,
     return DatasetFormatError(f"{path}: line {line}: {message}")
 
 
-def _tokenize(text: str, path: str, split: bool) -> tuple[list[str], list[str],
+# the line breaks of str.splitlines that csv.reader keeps inside a field
+_SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _tokenize(text: str, path: str, split: bool) -> tuple[list[str], list[list[str]],
                                                           Optional[list[int]]]:
-    """The header of CSV text, the fields of its rows one after another, and
-    the index among the lines after the header of each kept row, or None
-    when every line is kept.  Blank lines are skipped, and a row with another
+    """The header of CSV text, the tokens of each of its columns, and the
+    index among the lines after the header of each kept row, or None when
+    every line is kept.  Blank lines are skipped, and a row with another
     number of fields than the header is an error.
 
     With `split` the text, which must hold no quote and no NUL, is cut at
-    line breaks and commas, where csv.reader cuts it; otherwise csv.reader
-    reads it.
+    line breaks and commas, where csv.reader cuts it; otherwise, or when it
+    holds a character that str.splitlines breaks at and csv.reader does not,
+    csv.reader reads it.
     """
-    if split:
-        rows = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        if rows[-1] == "":
-            rows.pop()  # the text after the last line break
-    else:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
+    split = split and not any(map(text.__contains__, _SPLITLINES_ONLY))
+    rows = text.splitlines() if split else list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise DatasetFormatError(f"{path}: empty file")
     header, rows = rows[0], rows[1:]
     kept = None if all(rows) else [i for i, row in enumerate(rows) if row]
     if kept is not None:
         rows = [rows[i] for i in kept]
-    if split:  # a line has one field more than it has commas
+    if split:
         header = header.split(",") if header else []  # csv.reader reads [] from a blank line
-        sizes = [commas + 1 for commas in map(str.count, rows, repeat(","))]
+        # the rows joined by a field "\n", which no token holds, and cut at
+        # commas: each row has as many fields as the header when those n - 1
+        # fields fall every len(header) + 1 places
+        stride = len(header) + 1
+        fields = ",\n,".join(rows).split(",") if rows else []
+        whole = not rows or (len(fields) == stride * len(rows) - 1
+                             and fields[stride - 1::stride].count("\n") == len(rows) - 1)
     else:
-        sizes = list(map(len, rows))
+        stride = len(header)
+        fields = list(chain.from_iterable(rows))
+        whole = set(map(len, rows)) <= {stride}
     width = len(header)
-    if set(sizes) - {width}:
+    if not whole:
+        sizes = ([commas + 1 for commas in map(str.count, rows, repeat(","))] if split
+                 else list(map(len, rows)))
         i = next(i for i, size in enumerate(sizes) if size != width)
         raise _line_error(path, kept, i, f"{sizes[i]} fields, the header has {width}")
-    if split:
-        return header, ",".join(rows).split(",") if rows else [], kept
-    return header, list(chain.from_iterable(rows)), kept
+    return header, [fields[j::stride] for j in range(width)], kept
+
+
+# white space that str.strip removes from ASCII text split at its line breaks
+_ASCII_PADDING = " \t\v\f\x1c\x1d\x1e\x1f"
 
 
 def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
@@ -455,11 +470,12 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
                                      f"{read_as[header_name]} and {role}")
         read_as[header_name] = role
     text = read_text(path)
-    # quoted fields need a real parser
-    header, fields, kept = _tokenize(text, path, split='"' not in text and "\0" not in text)
+    split = '"' not in text and "\0" not in text  # quoted fields need a real parser
+    # strip is the identity on every token of such a text
+    bare = split and text.isascii() and not any(map(text.__contains__, _ASCII_PADDING))
+    header, column_tokens, kept = _tokenize(text, path, split)
     header = [cell.strip() for cell in header]
     del text
-    width = len(header)  # the tokens of column j are fields[j::width]
 
     def fail(i: int, message: str):
         raise _line_error(path, kept, i, message) from None
@@ -472,13 +488,13 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
         if count > 1:
             raise DatasetFormatError(
                 f"{path}: column {header_name!r} appears {count} times in the header")
-        return fields[header.index(header_name)::width]
+        return column_tokens[header.index(header_name)]
 
-    def converted(name: str, tokens: list[str], convert) -> list:
-        """The tokens of column `name` converted one by one; a token that
-        does not convert is reported with its line and column."""
+    def converted(name: str, tokens: list[str], convert, dtype=float) -> np.ndarray:
+        """The tokens of column `name` converted one by one into an array; a
+        token that does not convert is reported with its line and column."""
         try:
-            return list(map(convert, tokens))
+            return np.fromiter(map(convert, tokens), dtype, len(tokens))
         except ValueError:
             for i, token in enumerate(tokens):
                 try:
@@ -487,21 +503,35 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
                     fail(i, f"column {columns.get(name, name)!r}: {exc}")
             raise
 
-    missing = ("", schema.missing_token)
+    def tabled(name: str, tokens: list[str], convert, dtype=float) -> np.ndarray:
+        """`converted` for a column of few distinct tokens, each converted once."""
+        try:
+            table = {token: convert(token) for token in set(tokens)}
+        except ValueError:
+            converted(name, tokens, convert)  # names the first row that fails
+            raise
+        return np.fromiter(map(table.__getitem__, tokens), dtype, len(tokens))
 
-    def optional(name: str) -> list:
-        """The stripped tokens of an M or Y column, None for a missing one
-        in a categorical column and NaN in a numeric one."""
-        stripped = list(map(str.strip, tokens(name)))
+    missing = dict.fromkeys(("", schema.missing_token), "nan")
+
+    def optional(name: str) -> np.ndarray:
+        """An M or Y column from its stripped tokens: NaN for a missing one,
+        else the number or, for categorical M, the code of its level."""
+        raw = tokens(name)
         if name == "m" and schema.m_kind == "categorical":
-            labels = {**{level: level for level in schema.m_levels}, **dict.fromkeys(missing)}
-            if not labels.keys() >= set(stripped):
-                i = next(i for i, token in enumerate(stripped) if token not in labels)
-                fail(i, f"unknown M level {stripped[i]!r}; the levels are "
+            codes = {**{level: float(i) for i, level in enumerate(schema.m_levels)},
+                     **dict.fromkeys(missing, math.nan)}
+            table = {token: codes.get(token.strip()) for token in set(raw)}
+            if None in table.values():
+                i = next(i for i, token in enumerate(raw) if table[token] is None)
+                fail(i, f"unknown M level {raw[i].strip()!r}; the levels are "
                         f"{', '.join(schema.m_levels)}")
-            return list(map(labels.__getitem__, stripped))
-        marked = list(map(dict.fromkeys(missing, "nan").get, stripped, stripped))
-        return converted(name, marked, float)
+            return np.fromiter(map(table.__getitem__, raw), float, len(raw))
+        if name == "y" and schema.y_kind == "binary":
+            return tabled(name, raw, lambda token: float(missing.get(token.strip(),
+                                                                     token.strip())))
+        stripped = raw if bare else list(map(str.strip, raw))
+        return converted(name, list(map(missing.get, stripped, stripped)), float)
 
     raw = tokens("domain")
     tags = {token: int(tag) for token, tag in domains.items()}
@@ -509,11 +539,12 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
     if None in tag_of.values():
         i = next(i for i, token in enumerate(raw) if tag_of[token] is None)
         fail(i, f"unknown domain value {raw[i]!r}")
-    g = list(map(tag_of.__getitem__, raw))
-    r = converted("r", tokens("r"), int)
-    x = np.empty((len(g), schema.n_covariates))
+    n = len(raw)
+    g = np.fromiter(map(tag_of.__getitem__, raw), np.int64, n)
+    r = tabled("r", tokens("r"), int, np.int64)
+    x = np.empty((n, schema.n_covariates))
     for j, name in enumerate(schema.covariate_names):
         x[:, j] = converted(name, tokens(name), float)
     m = optional("m")
-    y = optional("y") if "y" in columns or "y" in header else [None] * len(g)
-    return PooledDataset.from_columns(schema, g, x, m, y, r)
+    y = optional("y") if "y" in columns or "y" in header else np.full(n, np.nan)
+    return PooledDataset(schema, g=g, x=x, m=m, y=y, r=r)

@@ -82,10 +82,11 @@ class _Counted:
 
 def _gauss_newton_steps(jac, r):
     """Least-squares solutions of jac[k] step = -r[k]; NaN and flagged where
-    the solve fails."""
+    the solve fails.  A non-finite jac[k] fails without reaching LAPACK,
+    which would print an error of its own."""
     step = np.full((len(jac), jac.shape[2]), np.nan)
-    failed = np.zeros(len(jac), dtype=bool)
-    for k in range(len(jac)):
+    failed = ~np.isfinite(jac).all(axis=(1, 2))
+    for k in np.flatnonzero(~failed):
         try:
             step[k] = np.linalg.lstsq(jac[k], -r[k], rcond=None)[0]
         except np.linalg.LinAlgError:

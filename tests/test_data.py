@@ -1,6 +1,7 @@
 """Dataset schema, validation, and CSV round-trip tests."""
 
 import csv
+import itertools
 import os
 import re
 import tempfile
@@ -233,7 +234,10 @@ AB = VariableSchema(covariate_names=("x1",), m_kind="categorical", m_levels=("a"
      "got 0.5"),
     (AB, [1, 2], [1.0, 2.0], "row 1: categorical M must be NaN or a level's code 0 to 1, "
      "got 2.0"),
-], ids=["tag-3", "tag-0", "code-negative", "code-fraction", "code-past-the-levels"])
+    (AB, [1, 2], [-0.0, np.inf], "row 1: categorical M must be NaN or a level's code 0 to 1, "
+     "got inf"),
+], ids=["tag-3", "tag-0", "code-negative", "code-fraction", "code-past-the-levels",
+        "code-infinite"])
 def test_a_dataset_rejects_a_tag_or_code_it_cannot_hold(schema, g, m, message):
     # every fit splits the rows by tag and expands the codes into level
     # indicators, so such a row would be dropped or read as the first level
@@ -251,12 +255,15 @@ def test_m_features_numeric_passthrough():
 
 def test_read_csv_names_the_line_of_an_unknown_level(tmp_path):
     # a categorical M code is the index of its level in the schema's list,
-    # so a token outside the list is a read error, as an unknown domain is
+    # so a token outside the list is a read error, as an unknown domain is;
+    # the level is named stripped, whether or not the file holds padding
     path = tmp_path / "cat.csv"
-    path.write_text("domain,r,x1,m,y\n1,1,0.0,A,1.0\n2,0,0.0,?,?\n2,1,0.0, D ,?\n")
-    with pytest.raises(DatasetFormatError,
-                       match=r"line 4: unknown M level 'D'; the levels are A, B, C"):
-        read_csv(str(path), CAT)
+    for token in ("D", " D ", "\tD", "D\xa0"):
+        path.write_text(f"domain,r,x1,m,y\n1,1,0.0,A,1.0\n2,0,0.0,?,?\n2,1,0.0,{token},?\n",
+                        encoding="utf-8")
+        with pytest.raises(DatasetFormatError,
+                           match=r"line 4: unknown M level 'D'; the levels are A, B, C"):
+            read_csv(str(path), CAT)
 
 
 def test_csv_round_trip(tmp_path):
@@ -281,6 +288,11 @@ def test_read_csv_names_bad_line(tmp_path):
         read_csv(str(path), SCHEMA)
 
 
+# a binary Y, read through a table of its distinct tokens as R is, with a
+# missing token that parses as a number
+BINARY = VariableSchema(covariate_names=("x1",), y_kind="binary", missing_token="-999")
+
+
 @pytest.mark.parametrize("column, row", [
     ("r", "1,one,0.0,1.0,2.0"),
     ("x1", "1,1,zero,1.0,2.0"),
@@ -288,14 +300,31 @@ def test_read_csv_names_bad_line(tmp_path):
     ("y", "1,1,0.0,1.0,two"),
 ])
 def test_a_token_that_does_not_convert_names_its_column(tmp_path, column, row):
-    # the column is named by its header in the file, which a map may rename
+    # the column is named by its header in the file, which a map may rename,
+    # whether the tokens are padded or not and whether the column converts
+    # token by token or through a table (R, and Y under BINARY)
     path = tmp_path / "bad.csv"
-    for columns in ({}, {column: "renamed"}):
+    for schema, pad, columns in itertools.product(
+            (SCHEMA, BINARY), ("", " "), ({}, {column: "renamed"})):
         header = ",".join(columns.get(name, name) for name in ("domain", "r", "x1", "m", "y"))
-        path.write_text(f"{header}\n1,1,0.0,1.0,2.0\n{row}\n")
+        padded = ",".join(pad + token + pad for token in row.split(","))
+        path.write_text(f"{header}\n1,1,0.0,1.0,2.0\n{padded}\n")
         with pytest.raises(DatasetFormatError,
                            match=f"line 3: column '{columns.get(column, column)}': "):
-            read_csv(str(path), SCHEMA, columns)
+            read_csv(str(path), schema, columns)
+
+
+@pytest.mark.parametrize("column", ["r", "y"])
+def test_a_column_of_few_tokens_names_its_first_bad_row(tmp_path, column):
+    # R and binary Y convert each distinct token once, in no set order; the
+    # error still names the first row in the file whose token does not convert
+    bad = ["b", "a", "e", "d", "c"]
+    path = tmp_path / "bad.csv"
+    path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,1\n" + "".join(
+        f"1,{token if column == 'r' else 1},0.0,1.0,{token if column == 'y' else 1}\n"
+        for token in bad))
+    with pytest.raises(DatasetFormatError, match=f"line 3: column '{column}': .*'b'"):
+        read_csv(str(path), BINARY)
 
 
 def test_a_mapped_y_must_be_in_the_header(tmp_path):
@@ -317,6 +346,13 @@ def test_read_csv_names_the_line_after_a_blank_one(tmp_path, bad_row):
     path = tmp_path / "bad.csv"
     path.write_text(f"domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n\n{bad_row}\n")
     with pytest.raises(DatasetFormatError, match="line 4"):
+        read_csv(str(path), SCHEMA)
+
+
+def test_a_short_row_is_named_when_a_long_one_makes_up_its_fields(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n1,1,0.0,1.0\n1,1,0.0,1.0,2.0,7\n")
+    with pytest.raises(DatasetFormatError, match="line 3: 4 fields, the header has 5"):
         read_csv(str(path), SCHEMA)
 
 
@@ -354,6 +390,59 @@ def test_read_csv_strips_padded_header_cells(tmp_path):
     np.savetxt(plain, table, fmt, ",", header="domain,r,x1,m,y", comments="")
     assert read_csv(str(padded), SCHEMA) == read_csv(str(plain), SCHEMA)
     assert len(read_csv(str(padded), SCHEMA)) == 2
+
+
+# the native text of a numeric, a categorical-M and a binary-Y file, each
+# with a missing and an empty M and Y token; BINARY's missing token parses
+# as a number
+NATIVE = [
+    (SCHEMA, "domain,r,x1,m,y\n1,1,0.25,-1.5,3.75\n1,0,1.0,?,\n2,1,-2.0,0.125,?\n2,0,0.5,,?\n"),
+    (CAT, "domain,r,x1,m,y\n1,1,0.25,A,1.0\n1,0,1.0,?,\n2,1,-2.0,C,?\n2,0,0.5,,?\n"),
+    (BINARY, "domain,r,x1,m,y\n1,1,0.25,-1.5,1\n1,0,1.0,-999,-999\n2,1,-2.0,0.125,\n"
+             "2,0,0.5,,-999\n"),
+]
+KINDS = ["numeric", "categorical", "binary"]
+
+
+def _read_csv_text(tmp_path, text, schema):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return read_csv(str(path), schema)
+
+
+def _native(tmp_path, schema, native):
+    dataset = _read_csv_text(tmp_path, native, schema)
+    assert (np.isnan(dataset.m).sum(), np.isnan(dataset.y).sum()) == (2, 3)
+    return dataset
+
+
+@pytest.mark.parametrize("pad", [" ", "\t", "\v", "\xa0", " \t\xa0"],
+                         ids=["space", "tab", "vt", "nbsp", "mixed"])
+@pytest.mark.parametrize("schema, native", NATIVE, ids=KINDS)
+def test_a_padded_file_reads_as_its_native_form(tmp_path, schema, native, pad):
+    # a token is stripped unless the text is ASCII with no white space, so
+    # the padded file is stripped and the native one is not
+    padded = "".join(",".join(pad + cell + pad for cell in line.split(",")) + "\n"
+                     for line in native.splitlines())
+    assert _read_csv_text(tmp_path, padded, schema) == _native(tmp_path, schema, native)
+
+
+@pytest.mark.parametrize("inside", ["", "\x0c", "\u2028"], ids=["plain", "ff", "ls"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("schema, native", NATIVE, ids=KINDS)
+def test_line_ends_and_line_breaks_csv_keeps_in_a_token(tmp_path, schema, native, end, inside):
+    # str.splitlines breaks a line at \x0c and \u2028 as well, which csv.reader
+    # keeps inside a token and strip then removes
+    text = "".join(",".join(cell + inside for cell in line.split(",")) + end
+                   for line in native.splitlines())
+    assert _read_csv_text(tmp_path, text, schema) == _native(tmp_path, schema, native)
+
+
+@pytest.mark.parametrize("inside", ["\v", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_a_line_break_csv_keeps_in_a_token_is_not_a_line(tmp_path, inside):
+    with pytest.raises(DatasetFormatError, match="line 3: column 'x1': "):
+        _read_csv_text(tmp_path, f"domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n1,1,0.{inside}5,1.0,2.0\n"
+                             "2,1,0.0,1.0,?\n", SCHEMA)
 
 
 def test_read_csv_rejects_a_repeated_mapped_header(tmp_path):
@@ -417,22 +506,41 @@ def test_split_tokenizer_matches_csv_reader(text):
 
 
 def test_read_csv_strips_a_padded_missing_token(tmp_path):
+    # in a numeric, a categorical and a binary-Y column alike
+    binary = VariableSchema(covariate_names=("x1",), m_kind="categorical",
+                            m_levels=("a", "b"), y_kind="binary", missing_token="NA")
     path = tmp_path / "padded.csv"
-    path.write_text("domain,r,x1,m,y\n1,0,0.5, ? ,  \n2,1,0.5, 1.5 ,?\n")
+    for schema, m, missing in [(SCHEMA, " 1.5 ", " ? "), (CAT, " B ", " ? "),
+                               (CAT, "\xa0B", "?\t"), (binary, "\tb ", " NA ")]:
+        path.write_text(f"domain,r,x1,m,y\n1,0,0.5,{missing},  \n2,1,0.5,{m},{missing}\n"
+                        f"1,0,0.5,{missing},{missing}\n", encoding="utf-8")
+        ds = read_csv(str(path), schema)
+        np.testing.assert_array_equal(ds.m, [np.nan, 1.5 if schema is SCHEMA else 1.0, np.nan])
+        np.testing.assert_array_equal(ds.y, [np.nan] * 3)
+
+
+def test_a_unit_separator_alone_pads_a_token(tmp_path):
+    # str.strip removes \x1f, which float() rejects, from an ASCII text with
+    # no other white space
+    path = tmp_path / "padded.csv"
+    path.write_text("domain,r,x1,m,y\n1,0,0.5,?\x1f,\x1f?\n2,1,0.5,\x1f1.5,?\n")
     ds = read_csv(str(path), SCHEMA)
     np.testing.assert_array_equal(ds.m, [np.nan, 1.5])
     np.testing.assert_array_equal(ds.y, [np.nan, np.nan])
 
 
 def test_read_csv_numeric_missing_token_stays_missing(tmp_path):
+    # a padded missing token is missing too, though it parses as a number
     schema = VariableSchema(covariate_names=("x1",), missing_token="-1")
     path = tmp_path / "minus_one.csv"
-    path.write_text("domain,r,x1,m,y\n1,0,0.5,-1, -1\n1,1,0.5,-1.0,2\n2,1,-1,3,-1\n")
-    ds = read_csv(str(path), schema)
-    np.testing.assert_array_equal(ds.m, [np.nan, -1.0, 3.0])
-    np.testing.assert_array_equal(ds.y, [np.nan, 2.0, np.nan])
-    np.testing.assert_array_equal(ds.x[:, 0], [0.5, 0.5, -1.0])  # a covariate is never missing
-    assert validate(ds) == []
+    for pad in ("", " ", "\t"):
+        path.write_text(f"domain,r,x1,m,y\n1,0,0.5,-1{pad},{pad}-1\n1,1,0.5,-1.0,2\n"
+                        f"2,1,-1,3,{pad}-1\n")
+        ds = read_csv(str(path), schema)
+        np.testing.assert_array_equal(ds.m, [np.nan, -1.0, 3.0])
+        np.testing.assert_array_equal(ds.y, [np.nan, 2.0, np.nan])
+        np.testing.assert_array_equal(ds.x[:, 0], [0.5, 0.5, -1.0])  # a covariate is never missing
+        assert validate(ds) == []
 
 
 def test_categorical_labels_needing_quotes_round_trip(tmp_path):

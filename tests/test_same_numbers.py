@@ -7,10 +7,15 @@ interval and the four IPW replicate panels) were recorded again from that
 code solved to tol=1e-13, that is, at the roots.  The oracle fits, on
 draws from discrete laws, were recorded from the code that drew them by
 unravelling each unit's cell index.  A change to the estimators or to the
-sampler that keeps the numbers keeps each value within 1e-10."""
+sampler that keeps the numbers keeps each value within 1e-10.  The columns
+that `read_csv` returns for three generated CSVs are pinned by their
+sha256, recorded from the reader that stripped every M and Y token: a
+change to the reader keeps them bit for bit."""
 
 import argparse
+import hashlib
 
+import numpy as np
 import pytest
 
 from mnarfuse import cli, oracle
@@ -129,6 +134,32 @@ FIXTURE_FITS = {
     3: "0x1.24e9148bc0e39p-1",
 }
 
+# CLI arguments -> sha256 of the dtype, shape and bytes of each column
+# (g, r, x, m, y) that read_csv returns for the CSV they write, at n = 3000
+READS = {
+    ("simulate", "--model", "1", "--seed", "11"): (
+        "552841a244157cc3716475b4680afd0db08dee1a12fd3d083cfd2bb6e626cd17",
+        "f3265eb5f8ad118ef909bf15f6a1f3d0e943a5587fc04b5b23f58d315345ef81",
+        "b4eec6a0bdf0198de794a1babd2a434bc2eceacc3f892c9fbe5fb249a4791c43",
+        "5dbc3cdf0836be2b6c855d2c7ef247d679427a5d3e530fd5b3fff5d2aa0fc25e",
+        "62827304fbb1441039d9d8abf7c48edc04011ea5bf1dbbd7df1f7fd85813efa7",
+    ),
+    ("simulate", "--model", "2", "--seed", "12"): (
+        "0407dd9364baff98e497a072917afc852b084830d115c3eeacb7336ad0a4f350",
+        "9be0602517f8a0be69de3891048771744f31e3753e5a25d48087c163610feced",
+        "54e372a74ff3b20c520fa8d77a07da90222edb3d93d651a00542cbbff20976ee",
+        "0ac5d3bd2a43b36e6062ff942652760607b6141b1b1e85660bbe19c8a9d84fd6",
+        "0fa3e47c7ecbe3a79c625f4e3d865a141536de67483ad3749e5474efcc25a551",
+    ),
+    ("make-fixture", "--seed", "13"): (
+        "1eea9a074fa34a2a360c4759e98efdac80c8ddb4a0a06b947a4a915faaa4518e",
+        "d1da3cd41d7c73d70d1270fa073510630ee8a48b2be6ef54549f805a87c7356c",
+        "139788440c7d15472e2e85244c8744a9f297a3550644eac979c19924a6a1629c",
+        "085093c1223e4be12de74654870ac09125861fefae8b2af825402d0d2feb4cce",
+        "ccbc749cdd61949e872bf81b755d2e6cdb2b47394c54667020f96890b0b8f3f1",
+    ),
+}
+
 
 def _close(value: float, recorded: str) -> bool:
     return abs(value - float.fromhex(recorded)) <= TOL
@@ -204,3 +235,23 @@ def test_replication_keeps_its_estimates(model, setting):
             assert len(values) == len(recorded)
             assert all(_close(v, r) for v, r in zip(values, recorded)), \
                 (name, [v.hex() for v in values])
+
+
+def _digest(column: np.ndarray) -> str:
+    column = np.ascontiguousarray(column)
+    return hashlib.sha256(f"{column.dtype.str}{column.shape}".encode()
+                          + column.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(READS), ids=lambda c: "-".join(a for a in c if not a.startswith("--")))
+def test_a_read_keeps_its_columns(tmp_path, command):
+    prefix = str(tmp_path / "d")
+    if command[0] == "simulate":
+        out, config = ["--out", prefix + ".csv"], []
+    else:
+        out, config = ["--out-prefix", prefix], ["--config", prefix + ".ini"]
+    assert cli.main([*command, "--n", "3000", *out]) == 0
+    dataset = cli._load_dataset(
+        cli.build_parser().parse_args(["validate", "--data", prefix + ".csv", *config]))
+    digests = tuple(_digest(getattr(dataset, name)) for name in ("g", "r", "x", "m", "y"))
+    assert digests == READS[command], digests

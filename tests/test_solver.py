@@ -160,14 +160,16 @@ def test_counts_of_the_one_attempt():
 
 
 
-def test_a_gauss_newton_step_that_cannot_be_solved_is_singular():
-    # a finite residual with a NaN Jacobian: lstsq raises LinAlgError
+def test_a_gauss_newton_step_that_cannot_be_solved_is_singular(capfd):
+    # a finite residual with a NaN Jacobian, which never reaches lstsq:
+    # LAPACK would print an error to the process's output
     [fit] = newton_stack(lambda theta, members: np.ones((len(members), 2)),
                          lambda theta, members: np.full((len(members), 2, 1), np.nan),
                          np.zeros((1, 1)))
     assert (fit.status, fit.iterations) == ("singular", 0)
     np.testing.assert_array_equal(fit.theta_hat, [0.0])
     assert (fit.residual_evals, fit.jacobian_evals) == (1, 1)
+    assert capfd.readouterr() == ("", "")
 
 
 def _cbrt_jacobian(t):
