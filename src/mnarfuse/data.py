@@ -510,7 +510,16 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
         except ValueError:
             converted(name, tokens, convert)  # names the first row that fails
             raise
-        return np.fromiter(map(table.__getitem__, tokens), dtype, len(tokens))
+        try:
+            return np.fromiter(map(table.__getitem__, tokens), dtype, len(tokens))
+        except OverflowError:  # an int token beyond the range of an int64
+            for i, token in enumerate(tokens):
+                try:
+                    np.array(table[token], dtype)
+                except OverflowError:
+                    fail(i, f"column {columns.get(name, name)!r}: {token.strip()!r} "
+                            f"is out of range for {np.dtype(dtype)}")
+            raise
 
     missing = dict.fromkeys(("", schema.missing_token), "nan")
 

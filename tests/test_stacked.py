@@ -4,6 +4,7 @@ blocks the same numbers as fitting each replicate dataset on its own."""
 
 import argparse
 import functools
+import multiprocessing
 import os
 import signal
 import time
@@ -662,6 +663,116 @@ def test_estimates_do_not_depend_on_the_worker_count_over_two_rounds(two_blocks)
         for key, values in runs[0].estimates.items():
             assert values.tobytes() == run.estimates[key].tobytes()
         assert run.fits == runs[0].fits
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="no CPU affinity on this platform")
+_affinity = getattr(os, "sched_getaffinity", None)  # the real one, where a test patches it
+
+
+def _drop_kept_pool():
+    if inference._pool is not None:
+        inference._drop_pool()
+
+
+@pytest.fixture
+def fresh_pool():
+    """No kept pool when the test starts, so that it starts its own, and
+    none left when it ends."""
+    _drop_kept_pool()
+    try:
+        yield
+    finally:
+        _drop_kept_pool()
+
+
+def _see_cpus(monkeypatch, cpus):
+    """Make a new pool see `cpus` as the CPUs this process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def _worker_cpus(pool) -> list:
+    """The sorted CPUs of the pool's workers, once each is bound to a single
+    CPU; fails after 30 s."""
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        sets = [_affinity(pid) for pid in pool._processes]
+        if all(len(cpus) == 1 for cpus in sets):
+            return sorted(cpu for cpus in sets for cpu in cpus)
+        time.sleep(0.01)
+    raise AssertionError(f"workers not bound within 30 s: {sets}")
+
+
+@needs_affinity
+@pytest.mark.parametrize("extra", [0, 1], ids=["one-per-cpu", "one-more"])
+def test_a_pool_as_large_as_the_cpu_set_binds_its_workers_round_robin(
+        two_blocks, fresh_pool, monkeypatch, extra):
+    # at most 3 of this machine's CPUs, so that the pool stays small on a
+    # large machine, and at least 2 workers; one more worker than CPUs
+    # shares the first CPU, and the estimates stay those of the serial run
+    cpus = sorted(_affinity(0))[:3]
+    _see_cpus(monkeypatch, cpus)
+    size = max(2, len(cpus)) + extra
+    serial = two_blocks(1, n_reps=2 * size)
+    pooled = two_blocks(size, n_reps=2 * size)
+    assert inference._pool[1] == size
+    workers = len(_kept_pool()._processes)
+    assert _worker_cpus(_kept_pool()) == sorted(cpus[i % len(cpus)] for i in range(workers))
+    for key, values in serial.estimates.items():
+        assert values.tobytes() == pooled.estimates[key].tobytes()
+    assert pooled.fits == serial.fits
+
+
+@needs_affinity
+def test_a_pool_smaller_than_the_cpu_set_stays_unbound(two_blocks, fresh_pool, monkeypatch):
+    # several small jobs on a large machine would pile onto its first CPUs
+    real = _affinity(0)
+    _see_cpus(monkeypatch, real | {max(real) + 1, max(real) + 2})
+    two_blocks(2)
+    assert inference._pool[1] == 2
+    assert [_affinity(pid) for pid in _kept_pool()._processes] == [real, real]
+
+
+def test_a_worker_that_cannot_be_bound_runs_unbound(monkeypatch):
+    bound = []
+
+    def bind(pid, cpus):
+        bound.append(cpus)
+        raise OSError(22, "Invalid argument")
+    monkeypatch.setattr(os, "sched_setaffinity", bind, raising=False)
+    started = multiprocessing.Value("i", 0)
+    for _ in range(3):
+        inference._bind_worker([4, 6], started)
+    assert bound == [{4}, {6}, {4}] and started.value == 3
+    monkeypatch.delattr(os, "sched_setaffinity")
+    inference._bind_worker([4, 6], started)
+    assert started.value == 4
+
+
+@pytest.fixture(params=["fork", "forkserver", "spawn"])
+def start_method(request, fresh_pool):
+    """Pools start their workers by this method for the test's length."""
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    try:
+        yield request.param
+    finally:
+        _drop_kept_pool()
+        multiprocessing.set_start_method(before, force=True)
+
+
+def test_replication_does_not_depend_on_the_start_method(two_blocks, start_method,
+                                                         monkeypatch):
+    # the workers are bound where the platform allows it, so the binding's
+    # arguments reach the workers under each method
+    if _affinity is not None:
+        _see_cpus(monkeypatch, sorted(_affinity(0))[:2])
+    serial, pooled = two_blocks(1), two_blocks(2)
+    for key, values in serial.estimates.items():
+        assert values.tobytes() == pooled.estimates[key].tobytes()
+    assert pooled.summaries == serial.summaries and pooled.fits == serial.fits
+    if _affinity is not None:
+        assert len(_worker_cpus(_kept_pool())) == 2
 
 
 def test_blocks_depend_on_the_design_and_the_replicate_count_alone():
