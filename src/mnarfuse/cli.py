@@ -61,8 +61,9 @@ def _out_path(path: str) -> str:
 # schema-map config for external CSV files
 # ---------------------------------------------------------------------------
 
-_SCHEMA_OPTIONS = ("covariates", "m_kind", "m_levels", "y_kind", "missing_token",
-                   "domain_primary", "domain_auxiliary")
+# each [schema] option and its value when neither its flag nor the config sets it
+_SCHEMA_DEFAULTS = {"covariates": "x1", "m_kind": "numeric", "m_levels": "", "y_kind": "numeric",
+                    "missing_token": "?", "domain_primary": "1", "domain_auxiliary": "2"}
 
 
 def _load_schema_map(args) -> tuple[VariableSchema, dict, dict]:
@@ -94,33 +95,27 @@ def _load_schema_map(args) -> tuple[VariableSchema, dict, dict]:
             if len(cfg_schema) < len(items):
                 raise DatasetFormatError(
                     f"config file {args.config}: an option of [schema] appears twice")
-            _known(args.config, "[schema] option", cfg_schema, _SCHEMA_OPTIONS)
+            _known(args.config, "[schema] option", cfg_schema, _SCHEMA_DEFAULTS)
         if parser.has_section("columns"):
             columns = dict(parser.items("columns"))
 
-    covariates = getattr(args, "covariates", None) or cfg_schema.get("covariates", "x1")
-    if not _names(covariates):
+    option = {name: getattr(args, name, None) or cfg_schema.get(name, default)
+              for name, default in _SCHEMA_DEFAULTS.items()}
+    covariates = _names(option["covariates"])
+    if not covariates:
         raise DatasetFormatError(f"config file {args.config}: covariates names no column")
-    m_levels = getattr(args, "m_levels", None) or cfg_schema.get("m_levels", "")
-    schema = VariableSchema(
-        covariate_names=_names(covariates),
-        m_kind=getattr(args, "m_kind", None) or cfg_schema.get("m_kind", "numeric"),
-        m_levels=_names(m_levels),
-        y_kind=getattr(args, "y_kind", None) or cfg_schema.get("y_kind", "numeric"),
-        missing_token=getattr(args, "missing_token", None)
-        or cfg_schema.get("missing_token", "?"),
-    )
+    schema = VariableSchema(covariates, m_kind=option["m_kind"], m_levels=_names(option["m_levels"]),
+                            y_kind=option["y_kind"], missing_token=option["missing_token"])
     _known(args.config, "[columns] name", columns, ("domain", "r", "m", "y",
                                                    *schema.covariate_names))
-    primary = cfg_schema.get("domain_primary", "1")
-    auxiliary = cfg_schema.get("domain_auxiliary", "2")
+    primary, auxiliary = option["domain_primary"], option["domain_auxiliary"]
     if primary == auxiliary:
         raise DatasetFormatError(
             f"domain_primary and domain_auxiliary are both {primary!r}")
     return schema, columns, {primary: DomainTag.PRIMARY, auxiliary: DomainTag.AUXILIARY}
 
 
-def _known(path: str, kind: str, names, known: tuple) -> None:
+def _known(path: str, kind: str, names, known) -> None:
     """Raise DatasetFormatError naming the first of names that is not known."""
     unknown = [name for name in names if name not in known]
     if unknown:

@@ -47,6 +47,14 @@ class VariableSchema:
     def __post_init__(self):
         if len(set(self.covariate_names)) != len(self.covariate_names):
             raise ValueError("covariate names must be distinct")
+        # the reader strips each header cell and token, and reads an empty M as missing
+        for field, texts in [("covariate_names", self.covariate_names),
+                             ("m_levels", self.m_levels), ("missing_token", [self.missing_token])]:
+            for text in texts:
+                if text != text.strip():
+                    raise ValueError(f"{field}: {text!r} is padded, and the reader strips it")
+        if "" in self.m_levels:
+            raise ValueError("m_levels: an empty level reads back as a missing M")
         if self.m_kind not in ("numeric", "categorical"):
             raise ValueError(f"unknown m_kind {self.m_kind!r}")
         if self.y_kind not in ("numeric", "binary"):
@@ -490,35 +498,29 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
                 f"{path}: column {header_name!r} appears {count} times in the header")
         return column_tokens[header.index(header_name)]
 
-    def converted(name: str, tokens: list[str], convert, dtype=float) -> np.ndarray:
-        """The tokens of column `name` converted one by one into an array; a
-        token that does not convert is reported with its line and column."""
+    def converted(name: str, tokens: list[str], convert, dtype=float, few: bool = False,
+                  unknown: Optional[Callable] = None) -> np.ndarray:
+        """The tokens of column `name` converted into an array, one by one or,
+        for a column of `few` distinct tokens, each distinct token once.  The
+        first token that does not convert is reported with its line: one that
+        `convert` has no key for as `unknown(token)`, any other with its column."""
         try:
+            if few:
+                table = {token: convert(token) for token in set(tokens)}
+                return np.fromiter(map(table.__getitem__, tokens), dtype, len(tokens))
             return np.fromiter(map(convert, tokens), dtype, len(tokens))
-        except ValueError:
+        except (KeyError, ValueError, OverflowError):
+            header_name = columns.get(name, name)
             for i, token in enumerate(tokens):
                 try:
-                    convert(token)
+                    np.array(convert(token), dtype)
+                except KeyError:
+                    fail(i, unknown(token))
                 except ValueError as exc:
-                    fail(i, f"column {columns.get(name, name)!r}: {exc}")
-            raise
-
-    def tabled(name: str, tokens: list[str], convert, dtype=float) -> np.ndarray:
-        """`converted` for a column of few distinct tokens, each converted once."""
-        try:
-            table = {token: convert(token) for token in set(tokens)}
-        except ValueError:
-            converted(name, tokens, convert)  # names the first row that fails
-            raise
-        try:
-            return np.fromiter(map(table.__getitem__, tokens), dtype, len(tokens))
-        except OverflowError:  # an int token beyond the range of an int64
-            for i, token in enumerate(tokens):
-                try:
-                    np.array(table[token], dtype)
-                except OverflowError:
-                    fail(i, f"column {columns.get(name, name)!r}: {token.strip()!r} "
-                            f"is out of range for {np.dtype(dtype)}")
+                    fail(i, f"column {header_name!r}: {exc}")
+                except OverflowError:  # an int token beyond the range of an int64
+                    fail(i, f"column {header_name!r}: {token.strip()!r} "
+                            "is out of range for int64")
             raise
 
     missing = dict.fromkeys(("", schema.missing_token), "nan")
@@ -530,27 +532,20 @@ def read_csv(path: str, schema: VariableSchema, columns: Optional[dict] = None,
         if name == "m" and schema.m_kind == "categorical":
             codes = {**{level: float(i) for i, level in enumerate(schema.m_levels)},
                      **dict.fromkeys(missing, math.nan)}
-            table = {token: codes.get(token.strip()) for token in set(raw)}
-            if None in table.values():
-                i = next(i for i, token in enumerate(raw) if table[token] is None)
-                fail(i, f"unknown M level {raw[i].strip()!r}; the levels are "
-                        f"{', '.join(schema.m_levels)}")
-            return np.fromiter(map(table.__getitem__, raw), float, len(raw))
+            return converted(name, raw, lambda token: codes[token.strip()], few=True,
+                             unknown=lambda token: f"unknown M level {token.strip()!r}; the "
+                                                   f"levels are {', '.join(schema.m_levels)}")
         if name == "y" and schema.y_kind == "binary":
-            return tabled(name, raw, lambda token: float(missing.get(token.strip(),
-                                                                     token.strip())))
+            return converted(name, raw, lambda token: float(missing.get(token.strip(),
+                                                                        token.strip())), few=True)
         stripped = raw if bare else list(map(str.strip, raw))
         return converted(name, list(map(missing.get, stripped, stripped)), float)
 
-    raw = tokens("domain")
     tags = {token: int(tag) for token, tag in domains.items()}
-    tag_of = {token: tags.get(token.strip()) for token in set(raw)}
-    if None in tag_of.values():
-        i = next(i for i, token in enumerate(raw) if tag_of[token] is None)
-        fail(i, f"unknown domain value {raw[i]!r}")
-    n = len(raw)
-    g = np.fromiter(map(tag_of.__getitem__, raw), np.int64, n)
-    r = tabled("r", tokens("r"), int, np.int64)
+    g = converted("domain", tokens("domain"), lambda token: tags[token.strip()], np.int64,
+                  few=True, unknown=lambda token: f"unknown domain value {token!r}")
+    n = len(g)
+    r = converted("r", tokens("r"), int, np.int64, few=True)
     x = np.empty((n, schema.n_covariates))
     for j, name in enumerate(schema.covariate_names):
         x[:, j] = converted(name, tokens(name), float)

@@ -187,6 +187,15 @@ def test_a_level_that_is_the_missing_token_is_a_one_line_error(tmp_path, capsys)
         "error: missing token 'NA' is also a categorical M level\n")
 
 
+def test_a_padded_missing_token_is_a_one_line_error(tmp_path, capsys):
+    # the reader strips every token, so a padded missing token would never match
+    path = tmp_path / "na.csv"
+    path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n2,0,0.5,NA,NA\n")
+    assert run(["validate", "--data", str(path), "--missing-token", " NA"]) == 1
+    assert capsys.readouterr().err == (
+        "error: missing_token: ' NA' is padded, and the reader strips it\n")
+
+
 def test_an_r_beyond_int64_is_a_one_line_error(tmp_path, capsys):
     path = tmp_path / "big.csv"
     path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n1,99999999999999999999,0.0,1.0,2.0\n")

@@ -87,10 +87,19 @@ def test_a_categorical_level_cannot_be_the_missing_token():
     ({"y_kind": "count"}, "unknown y_kind 'count'"),
     ({"m_kind": "categorical", "m_levels": ("a", "b", "a")},
      "categorical M levels must be distinct"),
-], ids=["m-kind", "y-kind", "repeated-level"])
+    # the reader strips each header cell and token, and reads an empty M as missing
+    ({"m_kind": "categorical", "m_levels": ("", "b")},
+     "m_levels: an empty level reads back as a missing M"),
+    ({"m_kind": "categorical", "m_levels": (" a", "b")},
+     "m_levels: ' a' is padded, and the reader strips it"),
+    ({"covariate_names": (" age",)}, "covariate_names: ' age' is padded, and the reader strips it"),
+    ({"missing_token": " ?"}, "missing_token: ' ?' is padded, and the reader strips it"),
+    ({"missing_token": "\xa0?"}, "missing_token: '\\xa0?' is padded, and the reader strips it"),
+], ids=["m-kind", "y-kind", "repeated-level", "empty-level", "padded-level",
+        "padded-covariate", "padded-missing-token", "nbsp-missing-token"])
 def test_a_schema_rejects_a_kind_or_levels_it_cannot_read(kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        VariableSchema(covariate_names=("x1",), **kwargs)
+        VariableSchema(**{"covariate_names": ("x1",), **kwargs})
 
 
 @pytest.mark.parametrize("x, m, message", [
@@ -315,17 +324,24 @@ def test_a_token_that_does_not_convert_names_its_column(tmp_path, column, row):
             read_csv(str(path), schema, columns)
 
 
-@pytest.mark.parametrize("column", ["r", "y"])
-def test_a_column_of_few_tokens_names_its_first_bad_row(tmp_path, column):
-    # R and binary Y convert each distinct token once, in no set order; the
-    # error still names the first row in the file whose token does not convert
+@pytest.mark.parametrize("column, schema, message", [
+    ("r", BINARY, "column 'r': .*'b'"),
+    ("y", BINARY, "column 'y': .*'b'"),
+    ("domain", BINARY, "unknown domain value 'b'"),
+    ("m", CAT, "unknown M level 'b'; the levels are A, B, C"),
+], ids=["r", "y", "domain", "m"])
+def test_a_column_of_few_tokens_names_its_first_bad_row(tmp_path, column, schema, message):
+    # the domain, R, categorical M and binary Y convert each distinct token
+    # once, in no set order; the error still names the first row in the file
+    # whose token does not convert
     bad = ["b", "a", "e", "d", "c"]
+    good = {"domain": "1", "r": "1", "x1": "0.0", "m": "A" if schema is CAT else "1.0", "y": "1"}
     path = tmp_path / "bad.csv"
-    path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,1\n" + "".join(
-        f"1,{token if column == 'r' else 1},0.0,1.0,{token if column == 'y' else 1}\n"
-        for token in bad))
-    with pytest.raises(DatasetFormatError, match=f"line 3: column '{column}': .*'b'"):
-        read_csv(str(path), BINARY)
+    path.write_text("domain,r,x1,m,y\n" + "".join(
+        ",".join(token if name == column else value for name, value in good.items()) + "\n"
+        for token in [good[column], *bad]))
+    with pytest.raises(DatasetFormatError, match=f"line 3: {message}"):
+        read_csv(str(path), schema)
 
 
 def test_a_mapped_y_must_be_in_the_header(tmp_path):
@@ -504,6 +520,76 @@ def _tokenized(text, split):
 @given(quote_free_csv())
 def test_split_tokenizer_matches_csv_reader(text):
     assert _tokenized(text, split=True) == _tokenized(text, split=False)
+
+
+# the padding of a cell, and the cores of each kind of column's cells: those
+# that read or are missing, and those that do not convert or name no domain
+# or level; BINARY's missing token is -999, so its "?" does not convert
+_PADS = [" ", "\t", "\xa0", "\v"]
+_CORES = {
+    "domain": (["1", "2"], ["3", "x"]),
+    "r": (["0", "1"], ["x", ""]),
+    "x": (["1", "0.5", "-1e3", "nan", "inf"], ["x", "?", ""]),
+    "number": (["1", "0.5", "-1e3", "nan", "inf", "?", ""], ["x"]),
+    "level": (["A", "B", "C", "?", ""], ["D", "x"]),
+    "binary": (["0", "1", "-999", ""], ["?", "x"]),
+}
+# the kind of each column, domain, r, x1, m and y, for each schema
+_COLUMN_KINDS = {"numeric": ("domain", "r", "x", "number", "number"),
+                 "categorical": ("domain", "r", "x", "level", "number"),
+                 "binary": ("domain", "r", "x", "number", "binary")}
+
+
+@st.composite
+def native_rows(draw):
+    """A schema's kind and the rows of a native file.  Each column's cells
+    are drawn from some of its good cores, and one column's may also be
+    drawn from its bad ones; a file is padded with some of _PADS, so that it
+    may be bare ASCII, padded, or hold a vertical tab, which csv.reader
+    keeps in a token."""
+    kind = draw(st.sampled_from(KINDS))
+    pad = st.sampled_from(["", *draw(st.lists(st.sampled_from(_PADS), unique=True))])
+    bad = draw(st.sampled_from([None, *range(5)]))
+    cells = []
+    for j, column in enumerate(_COLUMN_KINDS[kind]):
+        good, wrong = _CORES[column]
+        cores = draw(st.lists(st.sampled_from(good), min_size=1, unique=True))
+        cells.append(st.tuples(pad, st.sampled_from(cores + wrong * (j == bad)),
+                               pad).map("".join))
+    return kind, draw(st.lists(st.tuples(*cells).map(list), min_size=1, max_size=6))
+
+
+def _columns_or_error(path, text, schema):
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        dataset = read_csv(str(path), schema)
+    except DatasetFormatError as exc:
+        return str(exc)
+    return [getattr(dataset, name).tobytes() for name in ("g", "r", "x", "m", "y")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=native_rows())
+@example(case=("numeric", [["1", "1", "0.5", "-1e3", ""], ["2", "0", "1", "?", "?"]]))
+@example(case=("numeric", [[" 1", "1", "0.5", "1", "1"], ["2\t", "0 ", "1", " ", "\t"]]))
+@example(case=("categorical", [["\xa01", "1", "0.5", "A\xa0", "1"], ["2", "0", "1", "?", "?"]]))
+@example(case=("binary", [["1", "1", "\v0.5", "", "0"], ["2", "0", "1", "", "-999"]]))
+@example(case=("numeric", [["1", "1", "nan", "inf", "-1e3"], ["2", "1", "-inf", "1", ""]]))
+@example(case=("numeric", [["1", "1", "1", "1", "1"], ["3", "1", "1", "1", "1"]]))
+@example(case=("numeric", [["1", "1", "1", "1", "1"], ["2", " x", "1", "1", "1"]]))
+@example(case=("numeric", [["1", "1", "1", "1", "1"], ["2", "1", "x\t", "1", "1"]]))
+@example(case=("categorical", [["1", "1", "1", "A", "1"], ["2", "1", "1", " D", "?"]]))
+@example(case=("binary", [["1", "1", "1", "1", "1"], ["1", "1", "1", "1", "?"]]))
+def test_the_split_path_reads_the_columns_csv_reader_reads(tmp_path_factory, case):
+    # quoting the header cell domain sends the text through csv.reader and
+    # strips every token; the split path, stripping only when a token can be
+    # padded, must give the same bits or the same error
+    kind, rows = case
+    schema = dict(zip(KINDS, NATIVE))[kind][0]
+    body = "".join(",".join(row) + "\n" for row in rows)
+    path = tmp_path_factory.mktemp("native") / "d.csv"
+    assert (_columns_or_error(path, "domain,r,x1,m,y\n" + body, schema)
+            == _columns_or_error(path, '"domain",r,x1,m,y\n' + body, schema))
 
 
 def test_read_csv_strips_a_padded_missing_token(tmp_path):
