@@ -20,7 +20,6 @@ import enum
 import io
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -55,6 +54,13 @@ class VariableSchema:
                     raise ValueError(f"{field}: {text!r} is padded, and the reader strips it")
         if "" in self.m_levels:
             raise ValueError("m_levels: an empty level reads back as a missing M")
+        try:  # a present M or Y written as the token would read back as missing
+            written = repr(float(self.missing_token))
+        except ValueError:
+            written = None
+        if written == self.missing_token != "nan":
+            raise ValueError(f"missing_token: {written!r} is how write_csv writes "
+                             f"the number {written}")
         if self.m_kind not in ("numeric", "categorical"):
             raise ValueError(f"unknown m_kind {self.m_kind!r}")
         if self.y_kind not in ("numeric", "binary"):
@@ -289,8 +295,9 @@ _BLOCK_ROWS = 8192  # rows formatted at a time, which bounds the text in memory
 
 
 class _Format(NamedTuple):
-    """How a column becomes CSV fields: `convert` maps a list of values to
-    their fields, each the repr of a number or one of `texts`."""
+    """How a column becomes CSV fields: `convert` maps a 1-D array of values
+    to the list of their fields, each the repr of a number, the str of an
+    integer or one of `texts`."""
     convert: Callable
     texts: tuple = ()
 
@@ -300,48 +307,67 @@ def _write_columns(path: str, header: Sequence[str], columns: Sequence[tuple]) -
     by column in blocks of _BLOCK_ROWS rows.
 
     `columns` holds one (values, _Format) pair per header field: values is a
-    1-D array, formatted a block at a time as a Python list.  When a text of
-    a format needs quoting, the rows go through csv.writer.
+    1-D array, formatted a block at a time.  A block's fields and separators
+    are slice-assigned into one list, joined once.  When a text of a format
+    needs quoting, the rows go through csv.writer.
     """
     quote = len(columns) == 1 or any(  # csv.writer also quotes a lone empty field
         char in text for _, fmt in columns for text in fmt.texts for char in ',"\r\n')
     n = len(columns[0][0])
+    row = [None, ","] * len(columns)  # each field and the separator after it
+    row[-1] = "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for start in range(0, n, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            rows = zip(*(fmt.convert(values[block].tolist()) for values, fmt in columns))
+            fields = [fmt.convert(values[block]) for values, fmt in columns]
             if quote:
-                writer.writerows(rows)
-            else:
-                fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+                writer.writerows(zip(*fields))
+                continue
+            line = row * len(fields[0])
+            for j, texts in enumerate(fields):
+                line[2 * j::len(row)] = texts
+            fh.write("".join(line))
 
 
-_ints = _Format(partial(map, str))
-_floats = _Format(partial(map, repr))
+def _int_texts(values: np.ndarray) -> list:
+    """The str of each integer, made once per distinct value."""
+    distinct, codes = np.unique(values, return_inverse=True)
+    return np.array(list(map(str, distinct.tolist())), dtype=object)[codes].tolist()
 
 
 def _floats_or(missing: str) -> _Format:
     """The format of a float column: the repr of each value, `missing` for NaN."""
-    table = {"nan": missing}
-
-    def convert(values: list):
-        text = list(map(repr, values))
-        return map(table.get, text, text)
+    def convert(values: np.ndarray) -> list:
+        present = ~np.isnan(values)
+        texts = np.full(len(values), missing, dtype=object)
+        texts[present] = np.fromiter(map(repr, values[present].tolist()), object)
+        return texts.tolist()
     return _Format(convert, (missing,))
+
+
+_ints = _Format(_int_texts)
+_floats = _floats_or("nan")  # the repr of NaN
 
 
 def _lookup(texts: Sequence[str]) -> _Format:
     """The format of integer codes: texts[code] for each code, so that -1 is
     the last text."""
     texts = tuple(texts)
-    return _Format(partial(map, texts.__getitem__), texts)
+    table = np.array(texts, dtype=object)
+    return _Format(lambda codes: table[codes].tolist(), texts)
 
 
 def write_csv(dataset: PooledDataset, path: str) -> None:
-    """Write the canonical CSV form: domain, r, covariates, m, y."""
+    """Write the canonical CSV form: domain, r, covariates, m, y.  A covariate
+    named domain, r, m or y raises ValueError before the file is opened,
+    since read_csv cannot read that header back."""
     schema = dataset.schema
+    for name in schema.covariate_names:
+        if name in ("domain", "r", "m", "y"):
+            raise ValueError(f"covariate {name!r} would share its header with the "
+                             f"{name} column")
     missing = schema.missing_token
     if schema.m_kind == "categorical":
         codes = np.where(np.isnan(dataset.m), -1, dataset.m).astype(np.int64)

@@ -196,6 +196,15 @@ def test_a_padded_missing_token_is_a_one_line_error(tmp_path, capsys):
         "error: missing_token: ' NA' is padded, and the reader strips it\n")
 
 
+def test_a_missing_token_that_is_a_written_number_is_a_one_line_error(tmp_path, capsys):
+    # write_csv writes a present M or Y of 1.0 as 1.0, which would read back as missing
+    path = tmp_path / "na.csv"
+    path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n2,0,0.5,NA,NA\n")
+    assert run(["validate", "--data", str(path), "--missing-token", "1.0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: missing_token: '1.0' is how write_csv writes the number 1.0\n")
+
+
 def test_an_r_beyond_int64_is_a_one_line_error(tmp_path, capsys):
     path = tmp_path / "big.csv"
     path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n1,99999999999999999999,0.0,1.0,2.0\n")
@@ -519,21 +528,32 @@ def test_an_unknown_level_is_a_read_error_naming_its_line(tmp_path, capsys):
                                        "'extreme'; the levels are none, mild, severe\n")
 
 
-# sha256 of the files the CLI writes at n=3000, seed 7: the bytes of every
+# sha256 of the files the CLI writes at seed 7, at n=3000 (one block of the
+# writer) and n=16385 (two full blocks and one row): the bytes of every
 # writer are part of the interface.
 SIMULATE_SHA256 = {
-    ("1", "T"): ("1c864dbfe15dab18811bb3d21f4661580485e8a7065597b2c6d8c7d94be9a010",
-                 "8108c7af1f9c0813e9b1fca92f376b29820a1b395378916f15872c269572398c"),
-    ("1", "F"): ("1624191236180134cde3095e12b924cf944f60d5a27174a8beb32574229e877a",
-                 "b19d8524fe5c0df42eb39a2b3e5cf8b59d5241e847af2e85984b556a6f65d595"),
-    ("2", "T"): ("039e9a8638d28f2e91ff90a09ce1871dabaa8d2f7d9d2d0f8e6efa888ad964b4",
-                 "a51d1324b42173d3f97703d554a34ef0a9003ad20f18fa39bc5a71576743be3c"),
-    ("2", "F"): ("388260c5e891ea0584bd5db1bbc810db8fc7ab15e148e939d8599db7e7c4fd86",
-                 "444ac7551bee5a1b133d57f626b1fdf53c1461053445e6a0ae03d4bb2b8b781a"),
+    ("1", "T"): {3000: ("1c864dbfe15dab18811bb3d21f4661580485e8a7065597b2c6d8c7d94be9a010",
+                        "8108c7af1f9c0813e9b1fca92f376b29820a1b395378916f15872c269572398c"),
+                 16385: ("ce027acd718ba9e2418f8d2f5bcd943281b06b96209de7a5cc10c94a9c49aaed",
+                         "8defb9405dc701df5bda333a0425f917d56d4419aac09cbbafdabf2a0033ff3d")},
+    ("1", "F"): {3000: ("1624191236180134cde3095e12b924cf944f60d5a27174a8beb32574229e877a",
+                        "b19d8524fe5c0df42eb39a2b3e5cf8b59d5241e847af2e85984b556a6f65d595"),
+                 16385: ("95fcccf0e998793891ad9c0480cd62f7a35593bfb48673a0f4abd5625bed87a0",
+                         "50ef900af85c8fbd778a803d00d60b6e3f88af9559fc831943907f828bca459d")},
+    ("2", "T"): {3000: ("039e9a8638d28f2e91ff90a09ce1871dabaa8d2f7d9d2d0f8e6efa888ad964b4",
+                        "a51d1324b42173d3f97703d554a34ef0a9003ad20f18fa39bc5a71576743be3c"),
+                 16385: ("af78a60aa8c660b03172cca56f2671a343adbc270c90c345b6b3858a2de3ef3a",
+                         "8aeee8632c88f7e15c50ce91d4daad567f4c79a64e3b231a6123cdfeaa33077c")},
+    ("2", "F"): {3000: ("388260c5e891ea0584bd5db1bbc810db8fc7ab15e148e939d8599db7e7c4fd86",
+                        "444ac7551bee5a1b133d57f626b1fdf53c1461053445e6a0ae03d4bb2b8b781a"),
+                 16385: ("fbb13751570910a68cb3264ad587a5608f456f84a6d0ab5cdaf6ca2dcb4cd50c",
+                         "9f7ae052ca20d84c9e12a9116fa797c8a95236dd89aeb0caa6d4fcf3601fc751")},
 }
 FIXTURE_SHA256 = {
-    ".csv": "daf03a9b49459abaa8ffa8ec0d4ba4479adcd1ad2a65bc23197be8ed4cdcc964",
-    ".ini": "702ea15da9d6c6cf7957e9ceee0a58324264897850b00c63917b3795f9d2f7d6",
+    3000: {".csv": "daf03a9b49459abaa8ffa8ec0d4ba4479adcd1ad2a65bc23197be8ed4cdcc964",
+           ".ini": "702ea15da9d6c6cf7957e9ceee0a58324264897850b00c63917b3795f9d2f7d6"},
+    16385: {".csv": "61525fe5e25c509022e109df06c88ef2c87720b0141dd077576c61b99849a0bc",
+            ".ini": "702ea15da9d6c6cf7957e9ceee0a58324264897850b00c63917b3795f9d2f7d6"},
 }
 
 
@@ -543,19 +563,20 @@ def _sha256(path):
 
 @pytest.mark.parametrize("model,setting", sorted(SIMULATE_SHA256))
 def test_simulate_output_bytes_are_pinned(tmp_path, capsys, model, setting):
-    out = tmp_path / "d.csv"
-    assert run(["simulate", "--model", model, "--setting", setting, "--n", "3000",
-                "--seed", "7", "--out", str(out)]) == 0
-    assert (_sha256(out), _sha256(tmp_path / "d.csv.truth.csv")) \
-        == SIMULATE_SHA256[model, setting]
+    for n, digests in SIMULATE_SHA256[model, setting].items():
+        out = tmp_path / f"d{n}.csv"
+        assert run(["simulate", "--model", model, "--setting", setting, "--n", str(n),
+                    "--seed", "7", "--out", str(out)]) == 0
+        assert (_sha256(out), _sha256(tmp_path / f"d{n}.csv.truth.csv")) == digests
 
 
 def test_make_fixture_output_bytes_are_pinned(tmp_path, capsys):
-    prefix = tmp_path / "fixture"
-    assert run(["make-fixture", "--n", "3000", "--seed", "7",
-                "--out-prefix", str(prefix)]) == 0
-    for suffix, digest in FIXTURE_SHA256.items():
-        assert _sha256(tmp_path / f"fixture{suffix}") == digest
+    for n, digests in FIXTURE_SHA256.items():
+        prefix = tmp_path / f"fixture{n}"
+        assert run(["make-fixture", "--n", str(n), "--seed", "7",
+                    "--out-prefix", str(prefix)]) == 0
+        for suffix, digest in digests.items():
+            assert _sha256(tmp_path / f"fixture{n}{suffix}") == digest
 
 
 def test_back_to_back_calls_do_not_share_arguments(tmp_path, capsys):

@@ -95,11 +95,39 @@ def test_a_categorical_level_cannot_be_the_missing_token():
     ({"covariate_names": (" age",)}, "covariate_names: ' age' is padded, and the reader strips it"),
     ({"missing_token": " ?"}, "missing_token: ' ?' is padded, and the reader strips it"),
     ({"missing_token": "\xa0?"}, "missing_token: '\\xa0?' is padded, and the reader strips it"),
+    # write_csv writes a present M or Y as its repr, which would read back as missing
+    ({"missing_token": "1.0"}, "missing_token: '1.0' is how write_csv writes the number 1.0"),
+    ({"missing_token": "-99.0"}, "missing_token: '-99.0' is how write_csv writes the number -99.0"),
+    ({"missing_token": "inf"}, "missing_token: 'inf' is how write_csv writes the number inf"),
+    ({"missing_token": "1e+16"}, "missing_token: '1e+16' is how write_csv writes the number 1e+16"),
 ], ids=["m-kind", "y-kind", "repeated-level", "empty-level", "padded-level",
-        "padded-covariate", "padded-missing-token", "nbsp-missing-token"])
+        "padded-covariate", "padded-missing-token", "nbsp-missing-token", "number-missing-token",
+        "negative-number-missing-token", "inf-missing-token", "exponent-missing-token"])
 def test_a_schema_rejects_a_kind_or_levels_it_cannot_read(kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         VariableSchema(**{"covariate_names": ("x1",), **kwargs})
+
+
+@pytest.mark.parametrize("missing", ["nan", "-99", "NA", "?", ""])
+def test_a_missing_token_that_is_no_written_number_round_trips(tmp_path, missing):
+    schema = VariableSchema(covariate_names=("x1",), missing_token=missing)
+    ds = PooledDataset(records=(rec(m=-99.0, y=1.0), rec(r=0, m=None, y=None),
+                                rec(g=DomainTag.AUXILIARY, m=1.0, y=None)), schema=schema)
+    path = tmp_path / "d.csv"
+    write_csv(ds, str(path))
+    assert read_csv(str(path), schema) == ds
+
+
+@pytest.mark.parametrize("name", ["domain", "r", "m", "y"])
+def test_write_csv_refuses_a_covariate_named_as_a_native_column(tmp_path, name):
+    # the header would hold the name twice, and read_csv reads no such file;
+    # a mapped read may still hold a covariate of that name
+    ds = PooledDataset(records=(rec(),), schema=VariableSchema(covariate_names=(name,)))
+    path = tmp_path / "d.csv"
+    with pytest.raises(ValueError, match=re.escape(
+            f"covariate {name!r} would share its header with the {name} column")):
+        write_csv(ds, str(path))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("x, m, message", [
@@ -666,6 +694,14 @@ def _block_datasets():
                                 m_levels=levels, missing_token="NA")
         yield PooledDataset(schema, numeric.g, numeric.x, codes, numeric.y, numeric.r)
     yield numeric
+    # any int64 R, and floats whose repr is short, long, signed zero or inf
+    rows = np.arange(8193)
+    r = np.array([-2**63, -1, 0, 1, 5, 2**62])[rows % 6]
+    edges = np.array([np.nan, np.inf, -0.0, 5e-324, 1e16, -2.5, 0.1])
+    x, m, y = edges[rows % 7, None], edges[rows // 7 % 7], edges[rows // 49 % 7]
+    for missing in ("?", "", "NA"):
+        schema = VariableSchema(covariate_names=("x1",), missing_token=missing)
+        yield PooledDataset(schema, numeric.g, x, m, y, r)
 
 
 @pytest.mark.parametrize("n", [0, 8192, 8193])
