@@ -147,10 +147,12 @@ def _design(args) -> Design:
 def _cmd_simulate(args) -> int:
     design = _design(args)
     generate = generate_model1 if design.model == 1 else generate_model2
-    dataset, sidecar = generate(design, args.seed)
     out = _out_path(args.out)
-    write_csv(dataset, out)
     truth_out = _out_path(args.truth_out) if args.truth_out else out + ".truth.csv"
+    if os.path.realpath(truth_out) == os.path.realpath(out):  # it would overwrite the data
+        raise ValueError(f"--truth-out and --out name the same file {out}")
+    dataset, sidecar = generate(design, args.seed)
+    write_csv(dataset, out)
     write_truth_csv(sidecar, truth_out)
     print(f"wrote {len(dataset)} rows to {out} (truth sidecar: {truth_out})")
     return 0
@@ -165,6 +167,10 @@ _ESTIMATORS = {
 
 
 def _cmd_estimate(args) -> int:
+    if args.json:  # the report would overwrite an input
+        for flag, path in (("--data", args.data), ("--config", args.config)):
+            if path and os.path.realpath(path) == os.path.realpath(_out_path(args.json)):
+                raise ValueError(f"--json and {flag} name the same file {path}")
     dataset = _load_dataset(args)
     violations = validate(dataset)
     if violations:

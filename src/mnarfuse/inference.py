@@ -8,7 +8,6 @@ number of worker processes.
 
 from __future__ import annotations
 
-import csv
 import math
 import multiprocessing
 import os
@@ -22,7 +21,8 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .baselines import mar_estimate, mcar_estimate
-from .data import DomainTag, PooledDataset
+from .data import (DomainTag, PooledDataset, _floats, _floats_or, _ints, _lookup,
+                   _write_columns)
 from .model1 import EstimationError, estimate_model1
 from .model2 import estimate_model2
 from .models import RankDeficientError
@@ -250,31 +250,30 @@ class ReplicationReport:
         return "\n".join(lines)
 
     def write_summary_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["design", "n", "n_reps", "beta_true", "estimator",
-                 "bias", "pct_bias", "mse", "variance", "n_ok", "n_failed"]
-            )
-            for s in self.summaries:
-                writer.writerow(
-                    [self.design_label, self.n, self.n_reps,
-                     repr(self.beta_true.value), s.name, repr(s.bias),
-                     repr(s.pct_bias), repr(s.mse), repr(s.variance),
-                     s.n_ok, s.n_failed]
-                )
+        k = len(self.summaries)
+        stats = [np.array([getattr(s, name) for s in self.summaries])
+                 for name in ("bias", "pct_bias", "mse", "variance", "n_ok", "n_failed")]
+        _write_columns(
+            path,
+            ["design", "n", "n_reps", "beta_true", "estimator",
+             "bias", "pct_bias", "mse", "variance", "n_ok", "n_failed"],
+            [(np.zeros(k, int), _lookup((self.design_label,))), (np.full(k, self.n), _ints),
+             (np.full(k, self.n_reps), _ints), (np.full(k, self.beta_true.value), _floats),
+             (np.arange(k), _lookup([s.name for s in self.summaries])),
+             *zip(stats, [_floats] * 4 + [_ints] * 2)],
+        )
 
     def write_replicates_csv(self, path: str) -> None:
         """Long-format replicate-level estimates (empty cell on failure)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["replicate", "estimator", "beta_hat"])
-            for rep in range(self.n_reps):
-                for name, values in self.estimates.items():
-                    v = values[rep]
-                    writer.writerow(
-                        [rep, name, "" if np.isnan(v) else repr(float(v))]
-                    )
+        k = len(self.estimates)
+        _write_columns(
+            path,
+            ["replicate", "estimator", "beta_hat"],
+            [(np.repeat(np.arange(self.n_reps), k), _ints),
+             (np.tile(np.arange(k), self.n_reps), _lookup(list(self.estimates))),
+             (np.array(list(self.estimates.values()), dtype=float).T.ravel(),
+              _floats_or(""))],
+        )
 
 
 # A block of replicates of a design of n rows holds at most _BLOCK_ROWS // n

@@ -205,6 +205,36 @@ def test_a_missing_token_that_is_a_written_number_is_a_one_line_error(tmp_path, 
         "error: missing_token: '1.0' is how write_csv writes the number 1.0\n")
 
 
+def test_levels_for_a_numeric_m_are_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n2,0,0.5,?,?\n")
+    assert run(["validate", "--data", str(path), "--m-levels", "a,b"]) == 1
+    assert capsys.readouterr().err == "error: m_levels: a numeric M has no levels\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "1", "--n", "10", "--out", "a.csv", "--truth-out", "a.csv"],
+    ["simulate", "--model", "1", "--n", "10", "--out", "a.csv", "--truth-out", "b/../a.csv"],
+    ["estimate", "--model", "mcar", "--data", "out/a.csv", "--json", "a.csv"],
+    ["estimate", "--model", "mcar", "--data", "out/b.csv", "--config", "out/a.csv",
+     "--json", "a.csv"],
+], ids=["simulate", "simulate-other-spelling", "estimate", "estimate-config"])
+def test_a_command_refuses_to_overwrite_a_file_it_needs(tmp_path, monkeypatch, capsys, argv):
+    # outputs go under $MNARFUSE_OUT_DIR, and the input path is taken as given
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MNARFUSE_OUT_DIR", str(tmp_path / "out"))
+    (tmp_path / "out").mkdir()
+    assert run(["simulate", "--model", "1", "--n", "10", "--out", "a.csv"]) == 0
+    target = tmp_path / "out" / "a.csv"
+    before = target.read_bytes()
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {argv[-2]} and {argv[-4]} name the same file ")
+    assert target.read_bytes() == before
+
+
 def test_an_r_beyond_int64_is_a_one_line_error(tmp_path, capsys):
     path = tmp_path / "big.csv"
     path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n1,99999999999999999999,0.0,1.0,2.0\n")

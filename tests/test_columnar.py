@@ -2,6 +2,7 @@
 resampling reproduce the per-row representation, and the estimators do not
 depend on row order or on duplicating the whole dataset."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -88,6 +89,19 @@ def test_renamed_headers_read_back_through_the_column_map(tmp_path_factory, sche
     expected = read_csv(str(native), schema)
     assert expected == ds
     assert read_csv(str(renamed), schema, columns) == expected
+
+
+@pytest.mark.parametrize("schema", [NUMERIC, CATEGORICAL, VariableSchema(())],
+                         ids=["numeric", "categorical", "no-covariates"])
+@pytest.mark.parametrize("n", [0, 1, 30])
+def test_records_rebuild_a_dataset_built_from_columns(schema, n):
+    rng = make_rng(n)
+    g, r = rng.integers(1, 3, n), rng.integers(0, 2, n)
+    m = rng.integers(0, 3, n) if schema.m_kind == "categorical" else rng.normal(size=n)
+    ds = PooledDataset(schema, g=g, x=rng.normal(size=(n, schema.n_covariates)),
+                       m=np.where(r == 1, m, np.nan),
+                       y=np.where((r == 1) & (g == 1), rng.normal(size=n), np.nan), r=r)
+    assert PooledDataset(records=ds.records, schema=schema) == ds
 
 
 def test_a_record_outside_the_levels_is_rejected():

@@ -100,9 +100,12 @@ def test_a_categorical_level_cannot_be_the_missing_token():
     ({"missing_token": "-99.0"}, "missing_token: '-99.0' is how write_csv writes the number -99.0"),
     ({"missing_token": "inf"}, "missing_token: 'inf' is how write_csv writes the number inf"),
     ({"missing_token": "1e+16"}, "missing_token: '1e+16' is how write_csv writes the number 1e+16"),
+    # a numeric M would drop them unread
+    ({"m_levels": ("a", "b")}, "m_levels: a numeric M has no levels"),
 ], ids=["m-kind", "y-kind", "repeated-level", "empty-level", "padded-level",
         "padded-covariate", "padded-missing-token", "nbsp-missing-token", "number-missing-token",
-        "negative-number-missing-token", "inf-missing-token", "exponent-missing-token"])
+        "negative-number-missing-token", "inf-missing-token", "exponent-missing-token",
+        "numeric-m-levels"])
 def test_a_schema_rejects_a_kind_or_levels_it_cannot_read(kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         VariableSchema(**{"covariate_names": ("x1",), **kwargs})
@@ -699,7 +702,7 @@ def _block_datasets():
     r = np.array([-2**63, -1, 0, 1, 5, 2**62])[rows % 6]
     edges = np.array([np.nan, np.inf, -0.0, 5e-324, 1e16, -2.5, 0.1])
     x, m, y = edges[rows % 7, None], edges[rows // 7 % 7], edges[rows // 49 % 7]
-    for missing in ("?", "", "NA"):
+    for missing in ("?", "", "NA", 'n,"a'):  # the last is written quoted
         schema = VariableSchema(covariate_names=("x1",), missing_token=missing)
         yield PooledDataset(schema, numeric.g, x, m, y, r)
 
@@ -725,8 +728,8 @@ def test_write_csv_matches_csv_writer_across_blocks(tmp_path, n):
 @example([[""]])
 @example([["a", "b"]] * 3 + [["a,b", "c"]])  # only the second block needs quoting
 def test_write_columns_quotes_any_text_as_csv_writer_does(rows):
-    """Whatever the texts hold, the bytes are csv.writer's: a block with a
-    field that needs quoting goes through csv.writer, the others are joined."""
+    """Whatever the texts hold, the bytes are csv.writer's: each text is
+    quoted in its table, and a lone empty field is written as \"\"."""
     width = len(rows[0]) if rows else 1
     header = [f"c{j}" for j in range(width)]
     texts = [tuple(column) for column in zip(*rows)] or [()]

@@ -1,5 +1,7 @@
 """Bootstrap and replication harness tests."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,52 @@ def test_report_emission(tmp_path, monkeypatch):
     report.write_replicates_csv(str(long_path))
     assert summary_path.read_text().count("\n") == 2
     assert long_path.read_text().count("\n") == 4  # header + 3 replicates
+
+
+def _replicate_csvs_by_rows(report, summary_path, long_path):
+    """Reference: both replicate CSVs written row by row through csv.writer."""
+    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["design", "n", "n_reps", "beta_true", "estimator",
+                         "bias", "pct_bias", "mse", "variance", "n_ok", "n_failed"])
+        for s in report.summaries:
+            writer.writerow([report.design_label, report.n, report.n_reps,
+                             repr(report.beta_true.value), s.name, repr(s.bias),
+                             repr(s.pct_bias), repr(s.mse), repr(s.variance),
+                             s.n_ok, s.n_failed])
+    with open(long_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["replicate", "estimator", "beta_hat"])
+        for rep in range(report.n_reps):
+            for name, values in report.estimates.items():
+                v = values[rep]
+                writer.writerow([rep, name, "" if np.isnan(v) else repr(float(v))])
+
+
+@pytest.mark.parametrize("case", ["failing", "zero-truth", "no-replicates"])
+def test_replicate_csvs_are_the_bytes_csv_writer_writes(tmp_path, monkeypatch, case):
+    def failing(dataset):
+        raise EstimationError("boom")
+
+    n_reps = 0 if case == "no-replicates" else 3
+    if case == "zero-truth":  # pct_bias is written nan
+        monkeypatch.setattr(inference, "true_beta", lambda design: TrueBeta(0.0, "zero"))
+    # names that need quoting, and one that is not ASCII
+    _use_bank(monkeypatch, **{'a,"bad"': failing, "mcar": mcar_estimate,
+                              "β\r\nmcar": mcar_estimate})
+    report = replicate(Model1Design(n=300), n_reps=n_reps, seed=1)
+    assert np.isnan(report.estimates['a,"bad"']).all()
+    report.write_summary_csv(str(tmp_path / "s.csv"))
+    report.write_replicates_csv(str(tmp_path / "l.csv"))
+    _replicate_csvs_by_rows(report, tmp_path / "s_rows.csv", tmp_path / "l_rows.csv")
+    for name in ("s", "l"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}_rows.csv").read_bytes()
+    # the failing estimator's cells are empty, and a zero truth has no % bias
+    assert (tmp_path / "l.csv").read_bytes().count(b'"a,""bad""",\r\n') == n_reps
+    if case == "zero-truth":
+        with open(tmp_path / "s.csv", newline="", encoding="utf-8") as fh:
+            assert [row[6] for row in csv.reader(fh) if row[4] == "mcar"] == ["nan"]
 
 
 def test_bootstrap_failures_counted_by_reason(monkeypatch):
