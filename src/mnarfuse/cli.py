@@ -57,6 +57,15 @@ def _out_path(path: str) -> str:
     return path
 
 
+def _refuse_same_file(flags: str, path: str, other: str) -> None:
+    """Raise ValueError("<flags> name the same file <path>") where the two
+    paths name one file: they resolve to one path, or both exist and are
+    links to one file, as two hard links are."""
+    if os.path.realpath(path) == os.path.realpath(other) or (
+            os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)):
+        raise ValueError(f"{flags} name the same file {path}")
+
+
 # ---------------------------------------------------------------------------
 # schema-map config for external CSV files
 # ---------------------------------------------------------------------------
@@ -149,8 +158,7 @@ def _cmd_simulate(args) -> int:
     generate = generate_model1 if design.model == 1 else generate_model2
     out = _out_path(args.out)
     truth_out = _out_path(args.truth_out) if args.truth_out else out + ".truth.csv"
-    if os.path.realpath(truth_out) == os.path.realpath(out):  # it would overwrite the data
-        raise ValueError(f"--truth-out and --out name the same file {out}")
+    _refuse_same_file("--truth-out and --out", out, truth_out)  # it would overwrite the data
     dataset, sidecar = generate(design, args.seed)
     write_csv(dataset, out)
     write_truth_csv(sidecar, truth_out)
@@ -169,8 +177,8 @@ _ESTIMATORS = {
 def _cmd_estimate(args) -> int:
     if args.json:  # the report would overwrite an input
         for flag, path in (("--data", args.data), ("--config", args.config)):
-            if path and os.path.realpath(path) == os.path.realpath(_out_path(args.json)):
-                raise ValueError(f"--json and {flag} name the same file {path}")
+            if path:
+                _refuse_same_file(f"--json and {flag}", path, _out_path(args.json))
     dataset = _load_dataset(args)
     violations = validate(dataset)
     if violations:

@@ -55,22 +55,13 @@ class BootstrapConfig:
             raise ValueError(f"bootstrap k must be at least 1, got {self.k}")
 
 
-_DOMAINS = (DomainTag.PRIMARY, DomainTag.AUXILIARY)
-
-
-def _domain_draws(dataset: PooledDataset, rng: np.random.Generator) -> tuple:
-    """One resample, as the positions of its rows within each domain
-    (primary, auxiliary), drawn with replacement there."""
-    sizes = [domain_arrays(dataset, tag).n for tag in _DOMAINS]
-    return tuple(rng.integers(0, n, size=n) if n else np.empty(0, dtype=np.intp)
-                 for n in sizes)
-
-
-def _rows(dataset: PooledDataset, draw: tuple) -> np.ndarray:
-    """The dataset's rows of a resample given by its positions within each
-    domain (primary first)."""
-    return np.concatenate([domain_arrays(dataset, tag).rows[positions]
-                           for tag, positions in zip(_DOMAINS, draw)])
+def _draw(dataset: PooledDataset, rng: np.random.Generator) -> np.ndarray:
+    """One resample, as the dataset's rows it holds: each domain's rows
+    drawn with replacement there, primary first."""
+    domains = [domain_arrays(dataset, tag).rows
+               for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY)]
+    return np.concatenate([rows[rng.integers(0, len(rows), size=len(rows))] if len(rows) else rows
+                           for rows in domains])
 
 
 # A block of bootstrap refits of a dataset of n rows holds _REFIT_ROWS // n
@@ -83,27 +74,28 @@ _REFIT_ROWS = (1 << 22) // 24
 def bootstrap_ci(
     dataset: PooledDataset,
     estimator: Estimator,
-    config: Optional[BootstrapConfig] = None,
+    config: BootstrapConfig,
     point: Optional[EstimateReport] = None,
 ) -> ConfidenceInterval:
     """Percentile bootstrap interval for the point estimator.
 
     Resampling is with replacement within each domain (domain sizes are fixed
-    design quantities, not random); resample b draws from make_rng(seed, b).
-    Resamples where the estimator raises one of FIT_ERRORS or returns a
-    non-finite value are dropped and counted by reason (the exception class
-    name, or "non-finite"); more than MAX_FAILURE_FRACTION * k failures is
-    an error rather than a silently narrower interval.  Refits whose solver
-    stopped without converging are kept in the interval and counted by
-    solver status.
+    design quantities, not random); resample b draws from make_rng(seed, b)
+    and is the dataset's rows it holds (`_draw`).  Resamples where the
+    estimator raises one of FIT_ERRORS or returns a non-finite value are
+    dropped and counted by reason (the exception class name, or
+    "non-finite"); more than MAX_FAILURE_FRACTION * k failures is an error
+    rather than a silently narrower interval.  Refits whose solver stopped
+    without converging are kept in the interval and counted by solver
+    status.
 
     An estimator with a `stacked_fits` attribute (the IPW estimators with
     their defaults, and MAR) refits a block of resamples at a time through
     it, as stacked_fits(FitRows.of_resamples(dataset, draws), start); a
     resample it returns no fit for is refitted by calling the estimator on
-    it, as every resample is for any other estimator.  A block
-    holds max(1, _REFIT_ROWS // n) resamples of a dataset of n rows.  start
-    is the theta of `point`, the estimator's report on the dataset, when its
+    dataset.take(rows), as every resample is for any other estimator.  A
+    block holds max(1, _REFIT_ROWS // n) resamples of a dataset of n rows.
+    start is the theta of `point`, the estimator's report on the dataset, when its
     solver converged, else None.  Pass `point` when it is at hand, as
     `estimate --bootstrap` does: fitting it again costs about a tenth of an
     `estimate --bootstrap 20` call at n=2000.  Without `point` the point is
@@ -112,8 +104,6 @@ def bootstrap_ci(
     every converged fit to its root, so the start moves no estimate beyond
     ~1e-12; a refit that fails from it is refitted on its own.
     """
-    if config is None:
-        config = BootstrapConfig()
     stacked = getattr(estimator, "stacked_fits", None)
     start = None
     if stacked is not None:
@@ -124,12 +114,11 @@ def bootstrap_ci(
     estimates = []
     refits, failures, nonconverged = Counter(), Counter(), Counter()
     for first in range(0, config.k, block_size):
-        draws = [_domain_draws(dataset, make_rng(config.seed, b))
+        draws = [_draw(dataset, make_rng(config.seed, b))
                  for b in range(first, min(first + block_size, config.k))]
         fits = ([None] * len(draws) if stacked is None
                 else stacked(FitRows.of_resamples(dataset, draws), start))
-        estimates += _fit_each(estimator, fits, draws,
-                               lambda draw: dataset.take(_rows(dataset, draw)),
+        estimates += _fit_each(estimator, fits, draws, dataset.take,
                                refits, failures, nonconverged)
     n_failed = sum(failures.values())
     if n_failed > MAX_FAILURE_FRACTION * config.k:

@@ -120,9 +120,9 @@ class FitRows:
     by its domain's index straight from the dataset's columns.  A stack of
     members carries each member's (K, n) counts of every set, and its
     members share one dataset's rows, FitRows.of_resamples(dataset, draws),
-    or each has its own, FitRows.of_block(datasets), whose sets are
-    (K, n, ...) stacks of their members' rows, padded with zeros after each
-    member's rows; `take` cuts a stack to some of its members.  Each carries
+    each draw the dataset's rows a resample holds, or each has its own,
+    FitRows.of_block(datasets), whose sets are (K, n, ...) stacks of their
+    members' rows, padded with zeros after each member's rows; `take` cuts a stack to some of its members.  Each carries
     its rows' `schema`.  The fits evaluate their bases straight into those
     stacks, so bench/tracing.py finds those calls where it patches them."""
 
@@ -138,17 +138,24 @@ class FitRows:
     @classmethod
     def of_resamples(cls, dataset: PooledDataset, draws: list) -> "FitRows":
         """The rows of a dataset, shared by K resamples of it, each given by
-        the positions of its rows within each domain, (primary positions,
-        auxiliary positions), and counting each row as often as it was
+        the dataset's rows it holds, counting each row as often as it was
         drawn: a frequency-weighted fit of the dataset's rows is the fit of
-        the resample up to the order of float sums."""
+        the resample up to the order of float sums.  The counts are floats
+        in Fortran order, which fixes the order of the fits' float sums and
+        so their last bits, read from one (K, n) buffer: glibc's malloc
+        raises its mmap and trim thresholds to the largest mapped block
+        freed, and freeing one this large keeps the Newton stack's (K, n_cc)
+        temporaries on its heap.  A buffer per domain took 3.4 times the
+        page faults of a k=1000 bootstrap at n=2000, and the stack's exp and
+        weight kernels ran 2-2.5 times slower."""
+        counts = np.empty((len(draws), len(dataset)), dtype=np.intp)
+        for k, rows in enumerate(draws):
+            counts[k] = np.bincount(rows, minlength=len(dataset))
+        counts = np.asfortranarray(counts, dtype=float)
         primary = domain_arrays(dataset, DomainTag.PRIMARY)
-        auxiliary = domain_arrays(dataset, DomainTag.AUXILIARY)
-        in_primary, in_auxiliary = _counts(draws, primary.n, auxiliary.n)
         stack = cls(dataset)
-        stack._counts = {"primary": in_primary,
-                         "cc": in_primary[:, np.searchsorted(primary.rows, primary.cc)],
-                         "aux_cc": in_auxiliary[:, np.searchsorted(auxiliary.rows, auxiliary.cc)]}
+        stack._counts = {"primary": counts[:, primary.rows], "cc": counts[:, primary.cc],
+                         "aux_cc": counts[:, domain_arrays(dataset, DomainTag.AUXILIARY).cc]}
         return stack
 
     @classmethod
@@ -189,21 +196,3 @@ class FitRows:
             part._sets = {name: tuple(a[members] for a in sets)
                           for name, sets in self._sets.items()}
         return part
-
-
-def _counts(draws: list, n_primary: int, n_auxiliary: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, n) times each position of each domain appears in K draws of
-    (primary positions, auxiliary positions), as floats in Fortran order:
-    the layout fixes the order of the fits' float sums, and so their last
-    bits.  Both domains are counted in one (K, n_primary + n_auxiliary)
-    buffer: glibc's malloc raises its mmap and trim thresholds to the
-    largest mapped block freed, and freeing one this large keeps the
-    Newton stack's (K, n_cc) temporaries on its heap.  A buffer per domain
-    took 3.4 times the page faults of a k=1000 bootstrap at n=2000, and
-    the stack's exp and weight kernels ran 2-2.5 times slower."""
-    counts = np.empty((len(draws), n_primary + n_auxiliary), dtype=np.intp)
-    for k, (primary, auxiliary) in enumerate(draws):
-        counts[k, :n_primary] = np.bincount(primary, minlength=n_primary)
-        counts[k, n_primary:] = np.bincount(auxiliary, minlength=n_auxiliary)
-    return (np.asfortranarray(counts[:, :n_primary], dtype=float),
-            np.asfortranarray(counts[:, n_primary:], dtype=float))

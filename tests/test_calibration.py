@@ -36,13 +36,6 @@ def _categorical_dataset(n=600, seed=0):
                          y=np.where((g == 1) & (r == 1), y, np.nan), r=r)
 
 
-def _each_row_once(dataset):
-    """The one resample that draws each row of the dataset once, as
-    FitRows.of_resamples takes it: the positions within each domain."""
-    return [tuple(np.arange(domain_arrays(dataset, tag).n)
-                  for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY))]
-
-
 def _model2_spec(n_or_params):
     return Model2Spec(baseline_basis=BasisSpec.parse("1,x1"),
                       h_basis=BasisSpec.parse("1,x1,m,x1^2"),
@@ -181,7 +174,7 @@ def test_converged_beta_hat_is_invariant_under_row_order_and_start(
     assert permuted.beta_hat == pytest.approx(report.beta_hat, abs=1e-12, rel=0)
     # nor on where the solve starts: the dataset's rows, counted once each,
     # solved from a start off the point fit's theta
-    [fit] = estimate.stacked_fits(FitRows.of_resamples(dataset, _each_row_once(dataset)),
+    [fit] = estimate.stacked_fits(FitRows.of_resamples(dataset, [np.arange(len(dataset))]),
                                   report.solver.theta_hat + shift)
     assume(fit is not None)
     assert fit[0] == pytest.approx(report.beta_hat, abs=1e-12, rel=0)
@@ -206,7 +199,7 @@ def test_a_model2_equation_with_two_roots(monkeypatch):
     assert report.beta_hat == pytest.approx(-1.1963142, abs=1e-7)
     np.testing.assert_allclose(point.theta_hat, [3.954, -1.096, 1.729], atol=1e-3)
     [(beta_hat, refit)] = estimate_model2.stacked_fits(
-        FitRows.of_resamples(dataset, _each_row_once(dataset)), point.theta_hat + 0.25)
+        FitRows.of_resamples(dataset, [np.arange(len(dataset))]), point.theta_hat + 0.25)
     assert refit.converged and refit.iterations == 9
     assert beta_hat == pytest.approx(-1.2471433, abs=1e-7)
     np.testing.assert_allclose(refit.theta_hat, [4.881, -1.346, 2.023], atol=1e-3)

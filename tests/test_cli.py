@@ -212,20 +212,29 @@ def test_levels_for_a_numeric_m_are_a_one_line_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: m_levels: a numeric M has no levels\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--model", "1", "--n", "10", "--out", "a.csv", "--truth-out", "a.csv"],
-    ["simulate", "--model", "1", "--n", "10", "--out", "a.csv", "--truth-out", "b/../a.csv"],
-    ["estimate", "--model", "mcar", "--data", "out/a.csv", "--json", "a.csv"],
-    ["estimate", "--model", "mcar", "--data", "out/b.csv", "--config", "out/a.csv",
-     "--json", "a.csv"],
-], ids=["simulate", "simulate-other-spelling", "estimate", "estimate-config"])
-def test_a_command_refuses_to_overwrite_a_file_it_needs(tmp_path, monkeypatch, capsys, argv):
-    # outputs go under $MNARFUSE_OUT_DIR, and the input path is taken as given
+@pytest.mark.parametrize("argv, link", [
+    (["simulate", "--model", "1", "--n", "10", "--out", "a.csv", "--truth-out", "a.csv"], None),
+    (["simulate", "--model", "1", "--n", "10", "--out", "a.csv", "--truth-out", "b/../a.csv"],
+     None),
+    (["estimate", "--model", "mcar", "--data", "out/a.csv", "--json", "a.csv"], None),
+    (["estimate", "--model", "mcar", "--data", "out/b.csv", "--config", "out/a.csv",
+      "--json", "a.csv"], None),
+    (["simulate", "--model", "1", "--n", "10", "--out", "a.csv", "--truth-out", "h.csv"],
+     "h.csv"),
+    (["estimate", "--model", "mcar", "--data", "out/a.csv", "--json", "h.csv"], "h.csv"),
+], ids=["simulate", "simulate-other-spelling", "estimate", "estimate-config",
+        "simulate-hard-link", "estimate-hard-link"])
+def test_a_command_refuses_to_overwrite_a_file_it_needs(tmp_path, monkeypatch, capsys, argv,
+                                                        link):
+    # outputs go under $MNARFUSE_OUT_DIR, and the input path is taken as given;
+    # a hard link to the file it needs, out/<link>, names that file too
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("MNARFUSE_OUT_DIR", str(tmp_path / "out"))
     (tmp_path / "out").mkdir()
     assert run(["simulate", "--model", "1", "--n", "10", "--out", "a.csv"]) == 0
     target = tmp_path / "out" / "a.csv"
+    if link:
+        os.link(target, tmp_path / "out" / link)
     before = target.read_bytes()
     capsys.readouterr()
     assert run(argv) == 1

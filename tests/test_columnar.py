@@ -16,7 +16,7 @@ from mnarfuse.data import (
     read_csv,
     write_csv,
 )
-from mnarfuse.inference import _domain_draws, _rows
+from mnarfuse.inference import _draw
 from mnarfuse.model1 import estimate_model1
 from mnarfuse.model2 import estimate_model2
 from mnarfuse.simulate import (
@@ -131,7 +131,7 @@ def _old_resample(dataset, rng):
 def test_resample_matches_the_record_construction(data, seed):
     ds = data.draw(datasets(CATEGORICAL))
     expected = _old_resample(ds, make_rng(seed, 1))
-    assert ds.take(_rows(ds, _domain_draws(ds, make_rng(seed, 1)))).records == expected
+    assert ds.take(_draw(ds, make_rng(seed, 1))).records == expected
 
 
 def _shuffled(ds, rng):

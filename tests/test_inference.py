@@ -11,8 +11,7 @@ from mnarfuse.inference import (
     CI_LEVEL,
     BootstrapConfig,
     BootstrapError,
-    _domain_draws,
-    _rows,
+    _draw,
     bootstrap_ci,
     replicate,
 )
@@ -56,7 +55,7 @@ def test_stratified_resampling_preserves_domain_counts():
     ds, _ = generate_model1(Model1Design(n=999), seed=2)
     counts = {tag: sum(rec.g == tag for rec in ds.records)
               for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY)}
-    resampled = ds.take(_rows(ds, _domain_draws(ds, make_rng(0, 0))))
+    resampled = ds.take(_draw(ds, make_rng(0, 0)))
     for tag, n in counts.items():
         assert sum(rec.g == tag for rec in resampled.records) == n
 
@@ -267,7 +266,7 @@ def test_nonconverged_refits_are_kept_and_counted():
     config = BootstrapConfig(k=4, seed=0)
     ci = bootstrap_ci(ds, estimate_model1, config)
     assert ci.nonconverged == {"max_iter": 3, "stalled": 1} and ci.n_failed == 0
-    refits = [estimate_model1(ds.take(_rows(ds, _domain_draws(ds, make_rng(0, b))))).beta_hat
+    refits = [estimate_model1(ds.take(_draw(ds, make_rng(0, b)))).beta_hat
               for b in range(config.k)]
     tail = 0.5 * (1.0 - CI_LEVEL)
     assert (ci.lo, ci.hi) == tuple(np.quantile(refits, [tail, 1.0 - tail]))

@@ -12,16 +12,15 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mnarfuse import baselines, cli, model1, model2, models
-from mnarfuse.data import DomainTag, PooledDataset, read_csv
+from mnarfuse.data import DomainTag, PooledDataset, VariableSchema, read_csv
 from mnarfuse import inference
 from mnarfuse.inference import (
     BootstrapConfig,
-    _domain_draws,
-    _rows,
+    _draw,
     bootstrap_ci,
     default_estimators,
     replicate,
@@ -79,24 +78,10 @@ def _per_refit(estimator):
     return lambda dataset: estimator(dataset)
 
 
-def _by_domain(dataset, rows):
-    """A resample given by its rows, as FitRows.of_resamples takes it: the
-    positions of its rows within each domain, (primary, auxiliary)."""
-    return tuple(np.searchsorted(domain_arrays(dataset, tag).rows, rows[dataset.g[rows] == tag])
-                 for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY))
-
-
 def _refits(estimator, dataset, draws, start=None):
     """The estimator's stacked fits of the resamples of dataset given by
     their rows, draws, started at start."""
-    rows = FitRows.of_resamples(dataset, [_by_domain(dataset, draw) for draw in draws])
-    return estimator.stacked_fits(rows, start)
-
-
-def _stratified_draw(dataset, rng):
-    """The rows of bootstrap_ci's resample: drawn with replacement within
-    each domain (primary first)."""
-    return _rows(dataset, _domain_draws(dataset, rng))
+    return estimator.stacked_fits(FitRows.of_resamples(dataset, draws), start)
 
 
 def _pooled_draw(dataset, rng):
@@ -113,7 +98,7 @@ def test_stacked_refits_match_refits_on_the_resamples(panel, name, draw):
     # and draws over the whole dataset
     ds, estimator = panel[name]
     k, seed = 12, 7
-    draw_rows = {"stratified": _stratified_draw, "pooled": _pooled_draw}[draw]
+    draw_rows = {"stratified": _draw, "pooled": _pooled_draw}[draw]
     draws = [draw_rows(ds, make_rng(seed, b)) for b in range(k)]
     cold = _refits(estimator, ds, draws)
     point = estimator(ds).solver
@@ -138,17 +123,11 @@ def test_stacked_refits_match_refits_on_the_resamples(panel, name, draw):
 
 @pytest.mark.parametrize("name", ["fixture", "tiny-auxiliary"])
 def test_resample_counts_are_the_bincounts_of_their_rows(panel, name):
-    # bootstrap_ci draws each resample's positions within each domain, the
-    # positions of _stratified_draw's rows, and the stack counts them per
-    # domain: the same counts as a bincount of the resample's rows, in the
-    # same (Fortran) layout
+    # bootstrap_ci's resamples are the rows they hold, and the stack counts
+    # each row set as the bincount of a resample's rows, in Fortran layout
     ds, _ = panel[name]
-    positions = [_domain_draws(ds, make_rng(3, b)) for b in range(5)]
-    draws = [_stratified_draw(ds, make_rng(3, b)) for b in range(5)]
-    for position, draw in zip(positions, draws):
-        for got, want in zip(position, _by_domain(ds, draw)):
-            np.testing.assert_array_equal(got, want)
-    stack = FitRows.of_resamples(ds, positions)
+    draws = [_draw(ds, make_rng(3, b)) for b in range(5)]
+    stack = FitRows.of_resamples(ds, draws)
     counts = np.array([np.bincount(draw, minlength=len(ds)) for draw in draws], dtype=float)
     for row_set, tag in (("primary", DomainTag.PRIMARY), ("cc", DomainTag.PRIMARY),
                          ("aux_cc", DomainTag.AUXILIARY)):
@@ -158,6 +137,35 @@ def test_resample_counts_are_the_bincounts_of_their_rows(panel, name):
         np.testing.assert_array_equal(stack.counts(row_set), want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(units=st.lists(st.tuples(st.sampled_from([1, 2]), st.sampled_from([0, 1])),
+                      min_size=1, max_size=25),
+       seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4),
+       draw=st.sampled_from(["stratified", "pooled"]))
+@example(units=[(1, 1), (1, 0), (1, 1)], seed=0, k=3, draw="stratified")  # no auxiliary rows
+@example(units=[(2, 1), (2, 0), (2, 1)], seed=0, k=3, draw="pooled")  # no primary rows
+def test_resample_counts_are_the_bincounts_of_any_draw_of_rows(units, seed, k, draw):
+    # any draw of a dataset's rows, within each domain or over the whole
+    # dataset, of a dataset with or without rows in each domain: each row
+    # set's counts are the bincounts of the draws' rows at that set's rows,
+    # in Fortran layout
+    g, r = np.array(units).T
+    n = len(units)
+    ds = PooledDataset(VariableSchema(covariate_names=("x1",)), g=g, x=np.zeros((n, 1)),
+                       m=np.where(r == 1, 0.0, np.nan),
+                       y=np.where((g == 1) & (r == 1), 0.0, np.nan), r=r)
+    draw_rows = {"stratified": _draw, "pooled": _pooled_draw}[draw]
+    draws = [draw_rows(ds, make_rng(seed, b)) for b in range(k)]
+    stack = FitRows.of_resamples(ds, draws)
+    counts = np.array([np.bincount(rows, minlength=n) for rows in draws], dtype=float)
+    primary, auxiliary = (domain_arrays(ds, tag)
+                          for tag in (DomainTag.PRIMARY, DomainTag.AUXILIARY))
+    for row_set, rows in (("primary", primary.rows), ("cc", primary.cc),
+                          ("aux_cc", auxiliary.cc)):
+        assert stack.counts(row_set).flags.f_contiguous
+        np.testing.assert_array_equal(stack.counts(row_set), counts[:, rows])
+
+
 def test_warm_refits_take_no_more_iterations_over_the_panel(panel):
     # some refits, and the refits of some datasets, take more steps from
     # the point fit's theta than from theta = 0; the panel's refits
@@ -165,7 +173,7 @@ def test_warm_refits_take_no_more_iterations_over_the_panel(panel):
     cold_iterations = warm_iterations = 0
     for ds, estimator in panel.values():
         point = estimator(ds).solver
-        draws = [_stratified_draw(ds, make_rng(7, b)) for b in range(12)]
+        draws = [_draw(ds, make_rng(7, b)) for b in range(12)]
         cold = _refits(estimator, ds, draws)
         warm = _refits(estimator, ds, draws, point.theta_hat)
         for fit, warm_fit in zip(cold, warm):
@@ -804,7 +812,7 @@ def test_a_block_pads_each_row_set_into_its_stack():
 
 def test_a_take_of_resamples_cuts_their_counts_and_shares_the_rows():
     ds = generate_model1(Model1Design(n=300), 1)[0]
-    draws = [_domain_draws(ds, make_rng(3, b)) for b in range(5)]
+    draws = [_draw(ds, make_rng(3, b)) for b in range(5)]
     stack = FitRows.of_resamples(ds, draws)
     assert stack.take(np.arange(5)) is stack
     part, alone = stack.take(np.array([1, 3])), FitRows.of_resamples(ds, [draws[1], draws[3]])
@@ -846,7 +854,7 @@ _OWN_ROW_TABLES = {(1, "T"): 4, (1, "F"): 8, (2, "T"): 4, (2, "F"): 4}
 def test_a_stack_of_shared_rows_builds_one_jacobian_table(design, setting):
     estimator = default_estimators(design(n=2000, setting=setting))["ipw"]
     ds = inference.generate_for(design(n=2000, setting=setting), 7)
-    shared = FitRows.of_resamples(ds, [_domain_draws(ds, make_rng(1, b)) for b in range(40)])
+    shared = FitRows.of_resamples(ds, [_draw(ds, make_rng(1, b)) for b in range(40)])
     own = FitRows.of_block([inference.generate_for(design(n=500, setting=setting), seed)
                             for seed in range(8)])
     tables = []
