@@ -22,6 +22,7 @@ from .baselines import mar_estimate, mcar_estimate
 from .data import (
     DatasetFormatError,
     DomainTag,
+    InvalidRowsError,
     PooledDataset,
     VariableSchema,
     _floats,
@@ -145,6 +146,15 @@ def _load_dataset(args) -> PooledDataset:
     return read_csv(args.data, *_load_schema_map(args))
 
 
+def _checked_dataset(args) -> tuple[PooledDataset | None, list[str]]:
+    """The dataset of --data, or None, and its invalid rows or else the domains it lacks."""
+    try:
+        dataset = _load_dataset(args)
+    except InvalidRowsError as exc:
+        return None, exc.violations
+    return dataset, validate(dataset)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -179,11 +189,9 @@ def _cmd_estimate(args) -> int:
         for flag, path in (("--data", args.data), ("--config", args.config)):
             if path:
                 _refuse_same_file(f"--json and {flag}", path, _out_path(args.json))
-    dataset = _load_dataset(args)
-    violations = validate(dataset)
+    dataset, violations = _checked_dataset(args)
     if violations:
-        for v in violations:
-            print(f"invalid dataset: {v}", file=sys.stderr)
+        print(*(f"invalid dataset: {v}" for v in violations), sep="\n", file=sys.stderr)
         return CHECK_FAILED
     estimator = _ESTIMATORS[args.model]
     report = estimator(dataset)
@@ -215,14 +223,9 @@ def _cmd_replicate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    dataset = _load_dataset(args)
-    violations = validate(dataset)
-    for v in violations:
-        print(v)
-    if violations:
-        return CHECK_FAILED
-    print(f"ok: {len(dataset)} rows")
-    return 0
+    dataset, violations = _checked_dataset(args)
+    print("\n".join(violations) if violations else f"ok: {len(dataset)} rows")
+    return CHECK_FAILED if violations else 0
 
 
 _INJECTED_SEED = 424242
@@ -336,8 +339,9 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _worker_count(text: str) -> int:
-    """At least 1, and no more than the machine has processors."""
-    return min(_positive_int(text), os.cpu_count() or 1)
+    """At least 1, and no more than the CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(_positive_int(text), cpus or 1)
 
 
 def _name_list(text: str) -> str:

@@ -97,11 +97,53 @@ def _column(values, dtype) -> np.ndarray:
     return view
 
 
-def _reject_first(bad: np.ndarray, column: np.ndarray, rule: str) -> None:
-    """Raise ValueError naming the first row flagged in `bad` and its value."""
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(f"row {i}: {rule}, got {column[i]}")
+class DatasetFormatError(ValueError):
+    """Raised when input cannot be made into a valid dataset."""
+
+
+class InvalidRowsError(DatasetFormatError):
+    """Raised when rows of a dataset break a row rule: `violations` lists
+    each as "row i: ...", and the message is the first."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__(violations)
+        self.violations = violations
+
+    def __str__(self) -> str:
+        return self.violations[0]
+
+
+def _row_violations(schema: VariableSchema, g, x, m, y, r) -> list[str]:
+    """The row rules: a "row i: ..." message for each rule each row breaks,
+    by row and then in the order checked here, one rule's mask at a time."""
+    has_m, has_y = m == m, y == y  # NaN marks a missing value
+    primary, auxiliary, r0, r1 = g == 1, g == 2, r == 0, r == 1
+    found = []  # (row, rule, the column whose value the message gives or None), rule by rule
+
+    def check(bad: np.ndarray, rule: str, column: Optional[np.ndarray] = None) -> None:
+        found.extend((i, rule, column) for i in bad.nonzero()[0].tolist())
+
+    check(~(primary | auxiliary), "domain tag must be 1 or 2", g)
+    check(~(r0 | r1), "R must be 0 or 1", r)
+    for name, column in zip(schema.covariate_names, x.T):
+        check(~np.isfinite(column), f"covariate {name} must be finite", column)
+    if schema.m_kind == "categorical":
+        top = len(schema.m_levels) - 1
+        code = (m >= 0) & (m <= top) & (np.trunc(m) == m)
+        check(has_m & ~code, f"categorical M must be NaN or a level's code 0 to {top}", m)
+    else:
+        check(np.isinf(m), "M must be finite", m)
+    check(np.isinf(y), "Y must be finite", y)
+    check(r1 & ~has_m, "R=1 but M absent")
+    check(r0 & has_m, "R=0 but M present")
+    check(primary & r1 & ~has_y, "primary-domain R=1 but Y absent")
+    check(primary & r0 & has_y, "primary-domain R=0 but Y present")
+    check(auxiliary & (r0 | r1) & has_y, "Y present in auxiliary domain")
+    if schema.y_kind == "binary":
+        check(has_y & (y != 0) & (y != 1), "binary Y must be 0 or 1", y)
+    # a stable sort by row: each row's messages keep the order of the rules
+    return [f"row {i}: {rule}" if column is None else f"row {i}: {rule}, got {column[i].item()}"
+            for i, rule, column in sorted(found, key=lambda violation: violation[0])]
 
 
 class PooledDataset:
@@ -118,8 +160,9 @@ class PooledDataset:
     records; `records` derives them back.  The columns are read-only views
     of the arrays given, which must not change once the dataset is in use:
     `memo` keeps what is derived from them, such as each domain's row index.
-    A domain tag other than 1 or 2, or a categorical M that is neither NaN
-    nor a level's code, raises ValueError naming its row.
+    Every dataset is built here, and a built dataset keeps every row rule
+    (README "Data model"): rows that break one raise InvalidRowsError,
+    which lists each violation and names the first.
     """
 
     __slots__ = ("schema", "g", "x", "m", "y", "r", "_memo")
@@ -147,19 +190,13 @@ class PooledDataset:
         self._memo = {}
         n = self.g.shape[0]
         if self.x.shape != (n, schema.n_covariates):
-            raise ValueError(
-                f"x has shape {self.x.shape}, expected ({n}, {schema.n_covariates})"
-            )
+            raise ValueError(f"x has shape {self.x.shape}, expected ({n}, {schema.n_covariates})")
         for name in ("g", "m", "y", "r"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"column {name} does not have length {n}")
-        _reject_first((self.g != 1) & (self.g != 2), self.g, "domain tag must be 1 or 2")
-        if schema.m_kind == "categorical":
-            top = len(schema.m_levels) - 1
-            m = self.m
-            code = (m >= 0) & (m <= top) & (np.trunc(m) == m)
-            _reject_first(~(code | np.isnan(m)), m,
-                          f"categorical M must be NaN or a level's code 0 to {top}")
+        violations = _row_violations(schema, self.g, self.x, self.m, self.y, self.r)
+        if violations:
+            raise InvalidRowsError(violations)
 
     @classmethod
     def of_draws(cls, schema: VariableSchema, g: np.ndarray, x: np.ndarray, m: np.ndarray,
@@ -221,42 +258,11 @@ class PooledDataset:
 
 
 def validate(dataset: PooledDataset) -> list[str]:
-    """Return one message per invariant violation; empty list means clean.
-    A covariate must be finite, and M and Y finite where present (a
-    missing one is NaN)."""
-    g, m, y, r = dataset.g, dataset.m, dataset.y, dataset.r
-    has_m = ~np.isnan(m)
-    has_y = ~np.isnan(y)
-    primary = g == DomainTag.PRIMARY
-    r1 = r == 1
-    r0 = r == 0
-    r_valid = r0 | r1
-    # (rows, message) in the order the checks of one row are reported
-    checks = [
-        (~r_valid, lambda i: f"R must be 0 or 1, got {r[i]}"),
-        *((~np.isfinite(x), lambda i, name=name, x=x: f"covariate {name} must be finite, "
-           f"got {float(x[i])}")
-          for name, x in zip(dataset.schema.covariate_names, dataset.x.T)),
-        (np.isinf(m), lambda i: f"M must be finite, got {float(m[i])}"),
-        (np.isinf(y), lambda i: f"Y must be finite, got {float(y[i])}"),
-        (r1 & ~has_m, lambda i: "R=1 but M absent"),
-        (r0 & has_m, lambda i: "R=0 but M present"),
-        (primary & r1 & ~has_y, lambda i: "primary-domain R=1 but Y absent"),
-        (primary & r0 & has_y, lambda i: "primary-domain R=0 but Y present"),
-        (r_valid & ~primary & has_y, lambda i: "Y present in auxiliary domain"),
-    ]
-    if dataset.schema.y_kind == "binary":
-        not_binary = has_y & (y != 0) & (y != 1)
-        checks.append((not_binary, lambda i: f"binary Y must be 0 or 1, got {float(y[i])}"))
-    found = sorted(
-        (i, k) for k, (rows, _) in enumerate(checks) for i in np.flatnonzero(rows).tolist()
-    )
-    violations = [f"row {i}: {checks[k][1](i)}" for i, k in found]
-    if not primary.any():
-        violations.append("dataset has no primary-domain records")
-    if primary.all():
-        violations.append("dataset has no auxiliary-domain records")
-    return violations
+    """A message for each domain the dataset lacks; a fit needs both.  Its
+    rows need no check: the constructor admits only valid ones."""
+    primary = dataset.g == DomainTag.PRIMARY
+    lacks = {"primary": not primary.any(), "auxiliary": primary.all()}
+    return [f"dataset has no {domain}-domain records" for domain in lacks if lacks[domain]]
 
 
 def m_features(m: np.ndarray, schema: VariableSchema) -> np.ndarray:
@@ -363,10 +369,6 @@ def write_csv(dataset: PooledDataset, path: str) -> None:
         [(dataset.g, _ints), (dataset.r, _ints), *((x, _floats) for x in dataset.x.T),
          m_column, (dataset.y, _floats_or(missing))],
     )
-
-
-class DatasetFormatError(ValueError):
-    """Raised when a CSV file cannot be parsed into a valid dataset."""
 
 
 NATIVE_DOMAINS = {"1": DomainTag.PRIMARY, "2": DomainTag.AUXILIARY}

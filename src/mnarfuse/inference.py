@@ -53,6 +53,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"bootstrap k must be at least 1, got {self.k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 def _draw(dataset: PooledDataset, rng: np.random.Generator) -> np.ndarray:
@@ -380,6 +382,8 @@ def replicate(design: Design, n_reps: int, seed: int = 0,
         raise ValueError(f"n_reps must be at least 0, got {n_reps}")
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     beta_true = true_beta(design)
 
     blocks = _blocks(design, n_reps)

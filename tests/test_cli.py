@@ -383,14 +383,18 @@ def test_a_column_read_as_two_names_is_an_error(tmp_path, monkeypatch, capsys, a
     assert captured.err == f"error: d.csv: column 'r' is read as both r and covariate {covariate}\n"
 
 
-def test_workers_clamped_to_cpu_count():
-    # parsing only: no pool is started
-    args = build_parser().parse_args(
-        ["replicate", "--model", "1", "--n", "100", "--reps", "2", "--workers", "100000"])
-    assert args.workers == (os.cpu_count() or 1)
-    args = build_parser().parse_args(
-        ["replicate", "--model", "1", "--n", "100", "--reps", "2", "--workers", "1"])
-    assert args.workers == 1
+def test_workers_clamped_to_cpu_count(monkeypatch):
+    # parsing only: no pool is started; the clamp is the CPUs this process
+    # may run on, which the pool binds its workers to, not the machine's count
+    def workers(count):
+        return build_parser().parse_args(
+            ["replicate", "--model", "1", "--n", "100", "--reps", "2", "--workers", count]).workers
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert workers("100000") == (cpus or 1)
+    assert workers("1") == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert workers("8") == 1
 
 
 def test_bootstrap_failure_is_a_one_line_error(tmp_path, capsys):

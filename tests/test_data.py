@@ -2,7 +2,9 @@
 
 import csv
 import itertools
+import math
 import os
+import pickle
 import re
 import tempfile
 from unittest import mock
@@ -16,9 +18,13 @@ from mnarfuse import data
 from mnarfuse.data import (
     DatasetFormatError,
     DomainTag,
+    InvalidRowsError,
     PooledDataset,
     UnitRecord,
     VariableSchema,
+    _floats,
+    _floats_or,
+    _ints,
     _lookup,
     _tokenize,
     _write_columns,
@@ -38,20 +44,17 @@ def rec(g=DomainTag.PRIMARY, x=(0.0,), m=1.0, y=2.0, r=1):
 
 
 def test_validate_rejects_auxiliary_y():
-    ds = PooledDataset(
-        records=(rec(), rec(g=DomainTag.AUXILIARY, y=2.0)),
-        schema=SCHEMA,
-    )
-    msgs = [v for v in validate(ds) if "auxiliary" in v.lower()]
-    assert len(msgs) == 1
+    # the row rules are the constructor's: no dataset holds such a row
+    with pytest.raises(InvalidRowsError) as caught:
+        PooledDataset(records=(rec(), rec(g=DomainTag.AUXILIARY, y=2.0)), schema=SCHEMA)
+    assert caught.value.violations == ["row 1: Y present in auxiliary domain"]
 
 
 def test_validate_rejects_m_present_when_r0():
-    ds = PooledDataset(
-        records=(rec(r=0, m=1.0, y=None), rec(g=DomainTag.AUXILIARY, y=None)),
-        schema=SCHEMA,
-    )
-    assert any("R=0 but M present" in v for v in validate(ds))
+    with pytest.raises(InvalidRowsError) as caught:
+        PooledDataset(records=(rec(r=0, m=1.0, y=None), rec(g=DomainTag.AUXILIARY, y=None)),
+                      schema=SCHEMA)
+    assert caught.value.violations == ["row 0: R=0 but M present"]
 
 
 def test_validate_clean_dataset():
@@ -280,12 +283,155 @@ AB = VariableSchema(covariate_names=("x1",), m_kind="categorical", m_levels=("a"
         "code-infinite"])
 def test_a_dataset_rejects_a_tag_or_code_it_cannot_hold(schema, g, m, message):
     # every fit splits the rows by tag and expands the codes into level
-    # indicators, so such a row would be dropped or read as the first level
+    # indicators, so such a row would be dropped or read as the first level;
+    # R marks M, and Y is present on the primary R=1 rows, so that the tag
+    # or code rule is the only one a row breaks
     n = len(g)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        PooledDataset(schema, g=g, x=np.zeros((n, 1)), m=m, y=[np.nan] * n, r=[1] * n)
-    PooledDataset(schema, g=[1, 2], x=np.zeros((2, 1)), m=[1.0, np.nan], y=[np.nan] * 2,
+    r = (~np.isnan(m)).astype(int)
+    y = np.where((np.array(g) == 1) & (r == 1), 0.0, np.nan)
+    with pytest.raises(ValueError, match=re.escape(message)) as caught:
+        PooledDataset(schema, g=g, x=np.zeros((n, 1)), m=m, y=y, r=r)
+    assert str(caught.value) == message
+    PooledDataset(schema, g=[1, 2], x=np.zeros((2, 1)), m=[1.0, np.nan], y=[0.0, np.nan],
                   r=[1, 0])
+
+
+def _model1_columns():
+    """Writable copies of the columns of a Model 1 T dataset (n=300, seed 1),
+    its first primary R=1 row and its first auxiliary row."""
+    ds, _ = generate_model1(Model1Design(n=300), seed=1)
+    columns = {name: np.array(getattr(ds, name)) for name in ("g", "x", "m", "y", "r")}
+    rows = {"primary": int(np.flatnonzero((ds.g == 1) & (ds.r == 1))[0]),
+            "auxiliary": int(np.flatnonzero(ds.g == 2)[0])}
+    return ds.schema, columns, rows
+
+
+# one edit of one row: (column, which row, value, the rule it breaks)
+_EDITS = {
+    "primary-y-absent": ("y", "primary", np.nan, "primary-domain R=1 but Y absent"),
+    "primary-m-absent": ("m", "primary", np.nan, "R=1 but M absent"),
+    "r-2": ("r", "primary", 2, "R must be 0 or 1, got 2"),
+    "auxiliary-y": ("y", "auxiliary", 1.0, "Y present in auxiliary domain"),
+    "infinite-covariate": ("x", "primary", np.inf, "covariate x1 must be finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("edit", list(_EDITS))
+def test_a_dataset_that_breaks_a_row_rule_is_never_built(edit):
+    # each of these rows once reached a fit: Model 1 gave a NaN beta_hat
+    # marked converged, the IPW fits raised at theta = 0, every estimator
+    # fitted an R of 2 or an auxiliary Y, and an infinite covariate was
+    # reported as a rank-deficient intercept
+    name, which, value, rule = _EDITS[edit]
+    schema, columns, rows = _model1_columns()
+    message = f"row {rows[which]}: {rule}"
+    valid = PooledDataset(schema, **columns)  # its columns are views of the arrays
+    columns[name][rows[which]] = value
+    builds = {"constructor": lambda: PooledDataset(schema, **columns),
+              "of_draws": lambda: PooledDataset.of_draws(schema, **columns),
+              "take": lambda: valid.take(np.arange(len(valid)))}
+    if edit == "auxiliary-y":  # of_draws records Y in the primary domain only
+        assert np.isnan(builds.pop("of_draws")().y[rows[which]])
+    for how, build in builds.items():
+        with pytest.raises(InvalidRowsError) as caught:
+            build()
+        assert caught.value.violations == [message], how
+        assert str(caught.value) == message, how
+    # as a process pool sends it back from a worker
+    copy = pickle.loads(pickle.dumps(caught.value))
+    assert (str(copy), copy.violations) == (message, [message])
+
+
+_RULE_SCHEMAS = {(m_kind, y_kind): VariableSchema(
+    covariate_names=("x1", "x2"), m_kind=m_kind,
+    m_levels=("a", "b", "c") if m_kind == "categorical" else (), y_kind=y_kind)
+    for m_kind in ("numeric", "categorical") for y_kind in ("numeric", "binary")}
+NUMERIC, CODES = _RULE_SCHEMAS["numeric", "numeric"], _RULE_SCHEMAS["categorical", "binary"]
+nan, inf = float("nan"), float("inf")
+
+# a valid row [g, x1, x2, m, y, r]: M recorded where R = 1, and Y too in the
+# primary domain; a valid M is a code of CODES and a valid Y is binary
+_valid_rows = st.builds(
+    lambda g, r, x1, x2, m, y: [g, x1, x2, m if r else nan, y if r and g == 1 else nan, r],
+    st.sampled_from([1, 2]), st.sampled_from([0, 1]), st.floats(-3, 3), st.floats(-3, 3),
+    st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 1.0]))
+# the values a perturbation sets each field of a row to: a bad tag or R, NaN
+# or inf, an R that disagrees with M and Y, a Y where none is recorded, a bad code
+_PERTURBED = [[0, 3, -1], [nan, inf, -inf], [nan, inf, -inf], [nan, inf, -inf, -1.0, 0.5, 1.0, 3.0],
+              [nan, inf, -inf, 0.5, 1.0, 2.0], [-1, 0, 1, 2]]
+
+
+@st.composite
+def _perturbed_rows(draw):
+    rows = draw(st.lists(_valid_rows, max_size=12))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 5))
+        rows[i][j] = draw(st.sampled_from(_PERTURBED[j]))
+    return rows
+
+
+def _broken_rules(schema, rows):
+    """README's row rules, checked row by row in plain Python: "row i: ..."
+    for each rule row i breaks, in the order README lists them."""
+    found = []
+    for i, (g, x1, x2, m, y, r) in enumerate(rows):
+        has_m, has_y = not math.isnan(m), not math.isnan(y)
+        if schema.m_kind == "categorical":
+            m_rule = (has_m and m not in (0, 1, 2),
+                      f"categorical M must be NaN or a level's code 0 to 2, got {m}")
+        else:
+            m_rule = (math.isinf(m), f"M must be finite, got {m}")
+        rules = [
+            (g not in (1, 2), f"domain tag must be 1 or 2, got {g}"),
+            (r not in (0, 1), f"R must be 0 or 1, got {r}"),
+            (not math.isfinite(x1), f"covariate x1 must be finite, got {x1}"),
+            (not math.isfinite(x2), f"covariate x2 must be finite, got {x2}"),
+            m_rule,
+            (math.isinf(y), f"Y must be finite, got {y}"),
+            (r == 1 and not has_m, "R=1 but M absent"),
+            (r == 0 and has_m, "R=0 but M present"),
+            (g == 1 and r == 1 and not has_y, "primary-domain R=1 but Y absent"),
+            (g == 1 and r == 0 and has_y, "primary-domain R=0 but Y present"),
+            (g == 2 and r in (0, 1) and has_y, "Y present in auxiliary domain"),
+            (schema.y_kind == "binary" and has_y and y not in (0, 1),
+             f"binary Y must be 0 or 1, got {y}"),
+        ]
+        found += [f"row {i}: {text}" for broken, text in rules if broken]
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(schema=st.sampled_from(list(_RULE_SCHEMAS.values())), rows=_perturbed_rows())
+@example(schema=NUMERIC, rows=[])
+@example(schema=CODES, rows=[[1, 0.0, 0.0, 1.0, 1.0, 1], [2, 0.0, 0.0, nan, nan, 0]])
+@example(schema=NUMERIC, rows=[[3, 0.0, 0.0, nan, nan, 0]])  # tag
+@example(schema=NUMERIC, rows=[[1, 0.0, 0.0, 1.0, 1.0, 2]])  # R
+@example(schema=NUMERIC, rows=[[2, 0.0, inf, nan, nan, 0]])  # covariate
+@example(schema=NUMERIC, rows=[[2, 0.0, 0.0, -inf, nan, 1]])  # numeric M
+@example(schema=CODES, rows=[[2, 0.0, 0.0, 0.5, nan, 1]])  # categorical M
+@example(schema=NUMERIC, rows=[[1, 0.0, 0.0, 1.0, inf, 1]])  # Y
+@example(schema=NUMERIC, rows=[[2, 0.0, 0.0, nan, nan, 1]])  # R=1, M absent
+@example(schema=NUMERIC, rows=[[2, 0.0, 0.0, 1.0, nan, 0]])  # R=0, M present
+@example(schema=NUMERIC, rows=[[1, 0.0, 0.0, 1.0, nan, 1]])  # primary R=1, Y absent
+@example(schema=NUMERIC, rows=[[1, 0.0, 0.0, nan, 1.0, 0]])  # primary R=0, Y present
+@example(schema=NUMERIC, rows=[[2, 0.0, 0.0, 1.0, 1.0, 1]])  # auxiliary Y
+@example(schema=NUMERIC, rows=[[2, 0.0, 0.0, nan, 1.0, 2]])  # ... only where R is 0 or 1
+@example(schema=CODES, rows=[[1, 0.0, 0.0, 1.0, 0.5, 1]])  # binary Y
+@example(schema=CODES, rows=[[1, 0.0, 0.0, 0.0, 1.0, 1], [3, nan, 0.0, inf, inf, 2]])  # order
+def test_a_dataset_is_built_exactly_when_its_rows_keep_the_rules(schema, rows):
+    expected = _broken_rules(schema, rows)
+    columns = np.array(rows, dtype=float).reshape(len(rows), 6)
+    g, r = columns[:, 0].astype(np.int64), columns[:, 5].astype(np.int64)
+
+    def build():
+        return PooledDataset(schema, g=g, x=columns[:, 1:3], m=columns[:, 3], y=columns[:, 4], r=r)
+    if not expected:
+        build()
+        return
+    with pytest.raises(InvalidRowsError) as caught:
+        build()
+    assert caught.value.violations == expected
+    assert str(caught.value) == expected[0]
 
 
 def test_m_features_numeric_passthrough():
@@ -689,6 +835,10 @@ def _write_csv_by_rows(dataset, path):
                              missing if record.y is None else repr(record.y)])
 
 
+_EDGES = np.array([np.nan, np.inf, -0.0, 5e-324, 1e16, -2.5, 0.1])  # NaN, inf and reprs
+_MISSING_TOKENS = ("?", "", "NA", 'n,"a')  # the last is written quoted
+
+
 def _block_datasets():
     numeric, _ = generate_model1(Model1Design(n=8193), seed=3)
     codes = np.where(numeric.r == 1, np.arange(8193) % 3, np.nan)
@@ -697,14 +847,16 @@ def _block_datasets():
                                 m_levels=levels, missing_token="NA")
         yield PooledDataset(schema, numeric.g, numeric.x, codes, numeric.y, numeric.r)
     yield numeric
-    # any int64 R, and floats whose repr is short, long, signed zero or inf
+    # floats whose repr is short, long or signed zero, where a value is present
     rows = np.arange(8193)
-    r = np.array([-2**63, -1, 0, 1, 5, 2**62])[rows % 6]
-    edges = np.array([np.nan, np.inf, -0.0, 5e-324, 1e16, -2.5, 0.1])
-    x, m, y = edges[rows % 7, None], edges[rows // 7 % 7], edges[rows // 49 % 7]
-    for missing in ("?", "", "NA", 'n,"a'):  # the last is written quoted
+    finite = _EDGES[2:]
+    recorded = numeric.r == 1
+    x = finite[rows % 5, None]
+    m = np.where(recorded, finite[rows // 5 % 5], np.nan)
+    y = np.where(recorded & (numeric.g == 1), finite[rows // 25 % 5], np.nan)
+    for missing in _MISSING_TOKENS:
         schema = VariableSchema(covariate_names=("x1",), missing_token=missing)
-        yield PooledDataset(schema, numeric.g, x, m, y, r)
+        yield PooledDataset(schema, numeric.g, x, m, y, numeric.r)
 
 
 @pytest.mark.parametrize("n", [0, 8192, 8193])
@@ -714,6 +866,21 @@ def test_write_csv_matches_csv_writer_across_blocks(tmp_path, n):
         by_blocks, by_rows = tmp_path / f"blocks{k}.csv", tmp_path / f"rows{k}.csv"
         write_csv(part, str(by_blocks))
         _write_csv_by_rows(part, str(by_rows))
+        assert by_blocks.read_bytes() == by_rows.read_bytes()
+    # values no dataset holds, written by the columns write_csv formats them
+    # with: any int64, and NaN or inf in a covariate, an M or a Y column
+    rows = np.arange(n)
+    r = np.array([-2**63, -1, 0, 1, 5, 2**62])[rows % 6]
+    x, m, y = _EDGES[rows % 7], _EDGES[rows // 7 % 7], _EDGES[rows // 49 % 7]
+    for k, missing in enumerate(_MISSING_TOKENS):
+        by_blocks, by_rows = tmp_path / f"blocks-any{k}.csv", tmp_path / f"rows-any{k}.csv"
+        header = ["r", "x1", "m", "y"]
+        _write_columns(str(by_blocks), header, [(r, _ints), (x, _floats),
+                                                (m, _floats_or(missing)), (y, _floats_or(missing))])
+        with open(by_rows, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *(
+                [r_i, repr(x_i), *(missing if v != v else repr(v) for v in (m_i, y_i))]
+                for r_i, x_i, m_i, y_i in zip(r.tolist(), x.tolist(), m.tolist(), y.tolist()))])
         assert by_blocks.read_bytes() == by_rows.read_bytes()
 
 

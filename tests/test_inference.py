@@ -93,13 +93,16 @@ def test_replicate_zero_reps_empty_report(monkeypatch):
     assert report.summaries[0].n_ok == 0
 
 
-@pytest.mark.parametrize("n_reps,n_workers,message", [
-    (-2, 1, "n_reps must be at least 0, got -2"),
-    (3, 0, "n_workers must be at least 1, got 0"),
+@pytest.mark.parametrize("n_reps,n_workers,seed,message", [
+    (-2, 1, 0, "n_reps must be at least 0, got -2"),
+    (3, 0, 0, "n_workers must be at least 1, got 0"),
+    # numpy would reject it only when the first replicate's stream is made
+    (3, 1, -1, "seed must be at least 0, got -1"),
+    (3, 1, -2**63, f"seed must be at least 0, got {-2**63}"),
 ])
-def test_replicate_rejects_bad_counts(n_reps, n_workers, message):
+def test_replicate_rejects_bad_counts(n_reps, n_workers, seed, message):
     with pytest.raises(ValueError, match=message):
-        replicate(Model1Design(n=100), n_reps=n_reps, n_workers=n_workers)
+        replicate(Model1Design(n=100), n_reps=n_reps, seed=seed, n_workers=n_workers)
 
 
 def test_replicate_worker_count_invariance(monkeypatch):
@@ -236,9 +239,11 @@ def test_programming_errors_propagate_out_of_bootstrap_and_replicate(monkeypatch
 
 @pytest.mark.parametrize("kwargs", [
     {"k": 0}, {"k": -1}, {"k": -2}, {"k": 0.5}, {"k": -1000}, {"k": -2**63},
+    {"k": 5, "seed": -1},
 ])
 def test_bootstrap_config_rejects_out_of_range(kwargs):
-    with pytest.raises(ValueError):
+    # a negative seed would reach numpy only at the first resample
+    with pytest.raises(ValueError, match="must be at least"):
         BootstrapConfig(**kwargs)
 
 
