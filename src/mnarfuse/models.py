@@ -265,23 +265,6 @@ def weighted_cross_products(a: np.ndarray, b: np.ndarray):
     return lambda weights: (weights @ products).reshape(-1, q, p)
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a[k] x[k] = b[k] for each member of a stack, a (K, p, p) and
-    b (K, p).  A member whose matrix is singular gets NaN and is flagged in
-    the returned mask, without failing the others."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0], np.zeros(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        x = np.full(b.shape, np.nan)
-        singular = np.zeros(len(a), dtype=bool)
-        for k in range(len(a)):
-            try:
-                x[k] = np.linalg.solve(a[k], b[k])
-            except np.linalg.LinAlgError:
-                singular[k] = True
-        return x, singular
-
-
 def _qr_solve(design: np.ndarray, rhs: np.ndarray, weights: Optional[np.ndarray],
               names: Optional[list[str]] = None) -> np.ndarray:
     """solve_least_squares by a QR of each member's weighted design: the

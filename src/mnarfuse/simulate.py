@@ -24,8 +24,14 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based generator (Philox) keyed by the seed and a stream path.
 
     Derived streams (per replicate, per bootstrap resample) use the same
-    construction, so parallel and serial runs see identical draws.
+    construction, so parallel and serial runs see identical draws.  The seed
+    and each stream component must be at least 0.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
+    for i, part in enumerate(stream):
+        if part < 0:
+            raise ValueError(f"stream component {i} must be at least 0, got {part}")
     return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence([seed, *stream])))
 
 

@@ -2,19 +2,21 @@
 
 Just-identified systems are solved by Newton iteration with a halving line
 search on ||r||; overdetermined systems by damped Gauss-Newton on
-0.5*||r||^2, each with the Jacobian the system supplies.  Each system gets
+0.5*||r||^2, each with the Jacobian the system supplies, in one iteration
+whose step solve and stopping check depend on the kind.  Each system gets
 one attempt from its initial point; an attempt that does not converge is
-returned as it stopped.  The stopping rule is fixed: max|r| (just-identified)
-or ||J^T r|| (overdetermined) below _TOL within _MAX_ITER iterations.
+returned as it stopped.  The stopping rule is fixed: max|r|
+(just-identified) or ||J^T r|| (overdetermined) below _TOL within _MAX_ITER
+iterations.
 
-A just-identified system that meets max|r| < _TOL takes one more full Newton
-step, the polish step, and keeps it unless it makes ||r|| grow.  Newton
-converges quadratically, so the root is then met to about machine precision
-rather than to _TOL, and the solution no longer depends on the path to it:
-two starts, or two orders of the same rows, give the same theta to ~1e-13.
-The polish step counts as an iteration, with its Jacobian and its one
-residual; a system that meets the criterion only after _MAX_ITER iterations
-is not polished.
+A just-identified system that meets max|r| < _TOL takes that iteration's
+full Newton step, the polish step, and keeps it unless it makes ||r|| grow.
+Newton converges quadratically, so the root is then met to about machine
+precision rather than to _TOL, and the solution no longer depends on the
+path to it: two starts, or two orders of the same rows, give the same theta
+to ~1e-13.  The polish step counts as an iteration, with its Jacobian and
+its one residual; a system that meets the criterion only after _MAX_ITER
+iterations is not polished.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from .models import solve_linear
 
 _TOL = 1e-8
 _MAX_ITER = 100
@@ -80,33 +80,27 @@ class _Counted:
         return np.asarray(self._jacobian(theta, members), dtype=float)
 
 
-def _gauss_newton_steps(jac, r):
-    """Least-squares solutions of jac[k] step = -r[k]; NaN and flagged where
-    the solve fails.  A non-finite jac[k] fails without reaching LAPACK,
-    which would print an error of its own."""
-    step = np.full((len(jac), jac.shape[2]), np.nan)
+def _steps(jac, r):
+    """The steps of a stack: jac[k] step = -r[k] solved exactly for a square
+    jac, in least squares for an overdetermined one; NaN and flagged where
+    the solve fails or gives a non-finite step.  A non-finite jac[k] fails
+    without reaching LAPACK, which would print an error of its own."""
+    square = jac.shape[1] == jac.shape[2]
     failed = ~np.isfinite(jac).all(axis=(1, 2))
+    if square and not failed.any():
+        try:  # one batched solve, unless a member is singular
+            step = np.linalg.solve(jac, -r[..., None])[..., 0]
+            return step, ~np.isfinite(step.sum(axis=1))
+        except np.linalg.LinAlgError:
+            pass
+    step = np.full((len(jac), jac.shape[2]), np.nan)
     for k in np.flatnonzero(~failed):
         try:
-            step[k] = np.linalg.lstsq(jac[k], -r[k], rcond=None)[0]
+            step[k] = (np.linalg.solve(jac[k], -r[k]) if square
+                       else np.linalg.lstsq(jac[k], -r[k], rcond=None)[0])
         except np.linalg.LinAlgError:
             failed[k] = True
-    return step, failed
-
-
-def _polish(counted: _Counted, theta, r, members):
-    """One full Newton step of the given members of a just-identified stack,
-    kept in theta (K, p) and r (K, p) where it does not make ||r|| grow."""
-    th, res = theta[members], r[members]
-    step, singular = solve_linear(counted.jacobian(th, members), -res)
-    ok = np.flatnonzero(~singular & np.isfinite(step.sum(axis=1)))
-    if ok.size:
-        candidate = th[ok] + step[ok]
-        r_new = counted.residual(candidate, members[ok])
-        # a non-finite trial residual compares False: the step is dropped
-        better = (r_new * r_new).sum(axis=1) <= (res[ok] * res[ok]).sum(axis=1)
-        kept = members[ok[better]]
-        theta[kept], r[kept] = candidate[better], r_new[better]
+    return step, failed | ~np.isfinite(step.sum(axis=1))
 
 
 def _criterion(r, jac):
@@ -122,10 +116,12 @@ def _iterate(counted: _Counted, theta, r, active: np.ndarray):
     updated in place.  Each member stops on its own criterion, singular step
     or stalled line search.  Returns each member's status and iteration count.
 
-    A just-identified member's criterion is checked before its Jacobian is
-    built; met within _MAX_ITER iterations, it is followed by the polish step
-    (see the module docstring) as one more iteration.  A non-finite trial
-    residual in the line search counts as no decrease.
+    Each iteration builds every active member's Jacobian once, then checks
+    the criterion.  A just-identified member that meets it takes the polish
+    step (see the module docstring) with that Jacobian, and the iteration
+    counts as its last; a Gauss-Newton member that meets it stops without a
+    step, and the iteration does not count.  A non-finite trial residual, in
+    the polish or the line search, counts as no decrease.
     """
     just_identified = r.shape[1] == theta.shape[1]
     status = np.full(len(theta), "max_iter", dtype=object)
@@ -133,32 +129,29 @@ def _iterate(counted: _Counted, theta, r, active: np.ndarray):
     for it in range(1, _MAX_ITER + 1):
         if active.size == 0:
             break
-        res = r[active]
-        jac = None if just_identified else counted.jacobian(theta[active], active)
-        done = _criterion(res, jac) < _TOL
+        jac = counted.jacobian(theta[active], active)
+        done = _criterion(r[active], None if just_identified else jac) < _TOL
         if done.any():
-            gone, keep = active[done], ~done
-            if just_identified:
-                _polish(counted, theta, r, gone)
-                status[gone], iters[gone] = "converged", it
-            else:
-                status[gone], iters[gone] = "converged", it - 1
-                jac = jac[keep]
-            active, res = active[keep], res[keep]
-            if active.size == 0:
-                break
-        th = theta[active]
-        if just_identified:
-            step, singular = solve_linear(counted.jacobian(th, active), -res)
-        else:
-            step, singular = _gauss_newton_steps(jac, res)
-        singular |= ~np.isfinite(step.sum(axis=1))
-        if singular.any():
-            gone, keep = active[singular], ~singular
+            status[active[done]] = "converged"
+            iters[active[done]] = it if just_identified else it - 1
+            if not just_identified:  # a converged Gauss-Newton member takes no step
+                active, jac, done = active[~done], jac[~done], done[~done]
+        th, res = theta[active], r[active]
+        step, singular = _steps(jac, res)
+        stop = done | singular
+        if stop.any():
+            polish = np.flatnonzero(done & ~singular)
+            if polish.size:
+                candidate = th[polish] + step[polish]
+                r_new = counted.residual(candidate, active[polish])
+                better = (r_new * r_new).sum(axis=1) <= (res[polish] * res[polish]).sum(axis=1)
+                kept = active[polish[better]]
+                theta[kept], r[kept] = candidate[better], r_new[better]
+            gone = active[singular & ~done]
             status[gone], iters[gone] = "singular", it - 1
-            active, th, res, step = active[keep], th[keep], res[keep], step[keep]
-            if active.size == 0:
-                break
+            active, th, res, step = active[~stop], th[~stop], res[~stop], step[~stop]
+        if active.size == 0:
+            break
 
         # halving line search on each member's residual norm; the members
         # still searching have all been halved the same number of times
@@ -184,17 +177,6 @@ def _iterate(counted: _Counted, theta, r, active: np.ndarray):
         jac = None if just_identified else counted.jacobian(theta[active], active)
         status[active[_criterion(r[active], jac) < _TOL]] = "converged"
     return status, iters
-
-
-def _result(counted: _Counted, k: int, theta, r, status, iters) -> SolverResult:
-    return SolverResult(
-        theta_hat=theta[k],
-        status=str(status[k]),
-        final_residual_norm=float(np.linalg.norm(r[k])),
-        iterations=int(iters[k]),
-        residual_evals=int(counted.residual_evals[k]),
-        jacobian_evals=int(counted.jacobian_evals[k]),
-    )
 
 
 def solve(system: MomentSystem) -> SolverResult:
@@ -230,5 +212,8 @@ def newton_stack(residual, jacobian, init: np.ndarray) -> list[Optional[SolverRe
     finite = np.all(np.isfinite(r), axis=1)
     theta = np.array(init, dtype=float)
     status, iters = _iterate(counted, theta, r, np.flatnonzero(finite))
-    return [_result(counted, k, theta, r, status, iters) if finite[k] else None
-            for k in range(size)]
+    return [SolverResult(theta_hat=theta[k], status=str(status[k]),
+                         final_residual_norm=float(np.linalg.norm(r[k])), iterations=int(iters[k]),
+                         residual_evals=int(counted.residual_evals[k]),
+                         jacobian_evals=int(counted.jacobian_evals[k]))
+            if finite[k] else None for k in range(size)]

@@ -4,6 +4,7 @@ conditionals, and reproducibility."""
 import numpy as np
 import pytest
 
+from mnarfuse import oracle
 from mnarfuse.data import DomainTag, write_csv
 from mnarfuse.simulate import (
     Model1Design,
@@ -143,3 +144,24 @@ def test_a_design_carries_its_model_and_label(cls, model):
         cls(n=10, setting="X")
     with pytest.raises(ValueError):
         cls(n=0)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: generate_model1(Model1Design(n=300), seed=-3),
+    lambda: generate_model2(Model2Design(n=300), seed=-3),
+    lambda: oracle.sample_law(oracle.random_model2_law(make_rng(6))[0], 100, seed=-3),
+    lambda: oracle.run_battery(2, seed=-3),
+    lambda: make_rng(-3, 1),
+], ids=["generate_model1", "generate_model2", "sample_law", "run_battery", "make_rng"])
+def test_a_negative_seed_is_named(draw):
+    # every draw is made through make_rng, which names the seed before numpy
+    # sees it
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -3$"):
+        draw()
+
+
+@pytest.mark.parametrize("stream, position", [((-2,), 0), ((0, -5), 1)])
+def test_a_negative_stream_component_is_named(stream, position):
+    with pytest.raises(ValueError, match=rf"^stream component {position} must be at least 0, "
+                                         rf"got {stream[position]}$"):
+        make_rng(1, *stream)

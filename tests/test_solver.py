@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mnarfuse.models import logistic
 from mnarfuse.solver import MomentSystem, ResidualError, newton_stack, solve
@@ -188,6 +190,12 @@ _JUST_IDENTIFIED = {
     "stalled": ((lambda t: np.ones(1), lambda t: np.ones((1, 1))), 0.0, ("stalled", 1)),
     "singular": ((lambda t: t ** 3 - 8.0, lambda t: 3.0 * t[None] ** 2), 0.0, ("singular", 0)),
     "non-finite-start": ((lambda t: np.full(1, np.nan), lambda t: np.eye(1)), 0.0, None),
+    # r = 0 at the start meets the criterion, and the polish step's
+    # Jacobian there is singular: no step, no trial residual
+    "converged-with-a-singular-polish": ((lambda t: t ** 3, lambda t: 3.0 * t[None] ** 2),
+                                         0.0, ("converged", 1)),
+    "non-finite-jacobian": ((lambda t: np.ones(1), lambda t: np.full((1, 1), np.nan)),
+                            0.0, ("singular", 0)),
 }
 _OVERDETERMINED = {
     "linear": ((lambda t: np.array([t[0] - 1.0, t[0] - 3.0]), lambda t: np.ones((2, 1))),
@@ -197,6 +205,8 @@ _OVERDETERMINED = {
     "stalled": ((lambda t: np.ones(2), lambda t: np.ones((2, 1))), 0.0, ("stalled", 1)),
     "non-finite-start": ((lambda t: np.array([np.nan, 0.0]), lambda t: np.ones((2, 1))),
                          0.0, None),
+    "non-finite-jacobian": ((lambda t: np.ones(2), lambda t: np.full((2, 1), np.nan)),
+                            0.0, ("singular", 0)),
 }
 
 
@@ -227,3 +237,135 @@ def test_each_member_of_a_stack_is_solved_as_if_alone(stack):
         assert ((fit.status, fit.iterations, fit.residual_evals, fit.jacobian_evals)
                 == (alone.status, alone.iterations, alone.residual_evals,
                     alone.jacobian_evals)), name
+
+
+@pytest.mark.parametrize("stack, name", [
+    (_JUST_IDENTIFIED, "converged-with-a-singular-polish"),
+    (_JUST_IDENTIFIED, "non-finite-jacobian"),
+    (_OVERDETERMINED, "non-finite-jacobian"),
+], ids=["newton-singular-polish", "newton-non-finite-jacobian",
+        "gauss-newton-non-finite-jacobian"])
+def test_counts_of_a_member_that_stops_in_its_first_iteration(stack, name):
+    # the start's residual and one Jacobian, and theta stays at the start
+    (res, jac), start, expected = stack[name]
+    fit = solve(_system(residual=res, jacobian=jac, init=np.array([start])))
+    assert (fit.status, fit.iterations) == expected
+    assert (fit.residual_evals, fit.jacobian_evals) == (1, 1)
+    np.testing.assert_array_equal(fit.theta_hat, [start])
+
+
+def _stack_fits(members):
+    """newton_stack on members given as ((residual, jacobian), start), each
+    residual(theta) -> (q,) and jacobian(theta) -> (q, p) of one system."""
+    systems = [system for system, _ in members]
+
+    def residual(theta, positions):
+        return np.array([systems[k][0](t) for k, t in zip(positions.tolist(), theta)])
+
+    def jacobian(theta, positions):
+        return np.array([systems[k][1](t) for k, t in zip(positions.tolist(), theta)])
+
+    return newton_stack(residual, jacobian, np.array([[start] for _, start in members]))
+
+
+def test_members_that_stop_together_each_stop_as_if_alone():
+    # in the first iteration one member meets the criterion with a singular
+    # polish step, one meets it and keeps its polish step, one turns
+    # singular; the fourth goes on to converge in its second iteration
+    members = [
+        (_JUST_IDENTIFIED["converged-with-a-singular-polish"][0], 0.0),
+        ((lambda t: t - 3.0, lambda t: np.eye(1)), 3.0 + 1e-9),
+        (_JUST_IDENTIFIED["singular"][0], 0.0),
+        (_JUST_IDENTIFIED["polished"][0], 0.0),
+    ]
+    fits = _stack_fits(members)
+    assert ([(f.status, f.iterations, f.residual_evals, f.jacobian_evals) for f in fits]
+            == [("converged", 1, 1, 1), ("converged", 1, 2, 1), ("singular", 0, 1, 1),
+                ("converged", 2, 3, 2)])
+    assert [f.theta_hat.tolist() for f in fits] == [[0.0], [3.0], [0.0], [3.0]]
+    for ((res, jac), start), fit in zip(members, fits):
+        alone = solve(_system(residual=res, jacobian=jac, init=np.array([start])))
+        assert fit.theta_hat.tobytes() == alone.theta_hat.tobytes()
+        assert ((fit.status, fit.iterations, fit.residual_evals, fit.jacobian_evals)
+                == (alone.status, alone.iterations, alone.residual_evals,
+                    alone.jacobian_evals))
+
+
+# Starts and constants on a grid of quarters: 0 included, and no tiny
+# nonzero value whose Newton step would overflow a cube
+_QUARTERS = st.integers(-40, 40).map(lambda i: i / 4)
+
+
+def _linear(slope, root):
+    return (lambda t: slope * t - root, lambda t: np.full((1, 1), slope))
+
+
+def _shifted_cubic(shift):
+    return (lambda t: t ** 3 - shift, lambda t: 3.0 * t[None] ** 2)
+
+
+def _linear_pair(slope, first, second):
+    return (lambda t: np.array([slope * t[0] - first, slope * t[0] - second]),
+            lambda t: np.full((2, 1), slope))
+
+
+def _exp_moments(level, root):
+    return (lambda t: np.array([np.exp(t[0]) - level, t[0] - root]),
+            lambda t: np.array([[np.exp(t[0])], [1.0]]))
+
+
+def _member(system, start=_QUARTERS):
+    return st.tuples(system, start)
+
+
+_SQUARE_MEMBERS = st.one_of(
+    _member(st.builds(_linear, _QUARTERS, _QUARTERS)),
+    _member(st.builds(_shifted_cubic, _QUARTERS)),
+    # cbrt from a nonzero start: its iterates halve |theta| and never reach
+    # 0, where its Jacobian is infinite
+    _member(st.just((np.cbrt, _cbrt_jacobian)),
+            st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(-3, 12)).map(
+                lambda sign_power: sign_power[0] * 10.0 ** sign_power[1])),
+    _member(st.just(_JUST_IDENTIFIED["stalled"][0])),
+    _member(st.just(_JUST_IDENTIFIED["non-finite-start"][0])),
+    _member(st.just(_JUST_IDENTIFIED["non-finite-jacobian"][0])),
+)
+_OVERDETERMINED_MEMBERS = st.one_of(
+    _member(st.builds(_linear_pair, _QUARTERS, _QUARTERS, _QUARTERS)),
+    # exp(theta) stays finite from a start within [-5, 5]
+    _member(st.builds(_exp_moments, st.integers(1, 20).map(lambda i: i / 4), _QUARTERS),
+            st.integers(-20, 20).map(lambda i: i / 4)),
+    _member(st.just(_OVERDETERMINED["stalled"][0])),
+    _member(st.just(_OVERDETERMINED["non-finite-start"][0])),
+    _member(st.just(_OVERDETERMINED["non-finite-jacobian"][0])),
+)
+
+
+def _table_examples(test):
+    """Each case of both stack tables as a one-member example, and each
+    table as one stack."""
+    for table in (_JUST_IDENTIFIED, _OVERDETERMINED):
+        members = [(system, start) for system, start, _ in table.values()]
+        for member in members:
+            test = example(members=[member])(test)
+        test = example(members=members)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(members=st.sampled_from([_SQUARE_MEMBERS, _OVERDETERMINED_MEMBERS]).flatmap(
+    lambda kind: st.lists(kind, min_size=1, max_size=8)))
+@_table_examples
+def test_a_member_is_fitted_the_same_whatever_its_stack_mates(members):
+    for ((res, jac), start), fit in zip(members, _stack_fits(members)):
+        system = _system(residual=res, jacobian=jac, init=np.array([start]))
+        if fit is None:
+            with pytest.raises(ResidualError):
+                solve(system)
+            continue
+        alone = solve(system)
+        assert fit.theta_hat.tobytes() == alone.theta_hat.tobytes()
+        assert fit.final_residual_norm == alone.final_residual_norm
+        assert ((fit.status, fit.iterations, fit.residual_evals, fit.jacobian_evals)
+                == (alone.status, alone.iterations, alone.residual_evals,
+                    alone.jacobian_evals))
