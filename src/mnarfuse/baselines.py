@@ -33,20 +33,34 @@ def mcar_estimate(dataset: PooledDataset) -> EstimateReport:
     )
 
 
+def _mar_fit(rows: FitRows) -> tuple:
+    """The MAR fit of the FitRows `rows`: the regression of Y on 1, x1, ...,
+    xd over the primary complete cases, averaged over all primary-domain X.
+    On one dataset's rows it returns (beta_hat, coefficients (p,)), and a
+    rank deficient design raises RankDeficientError naming its term; on a
+    stack, each member weighted by its counts, (K,) and (K, p), NaN where it
+    is rank deficient."""
+    x_basis = polynomial_basis(rows.schema.n_covariates)
+    x_cc, _, y_cc = rows["cc"]
+    coef = solve_least_squares(evaluate_basis_matrix(x_basis, x_cc), y_cc,
+                               x_basis.column_names(rows.schema.covariate_names),
+                               weights=rows.counts("cc"))
+    # a padding row holds the basis at 0, whose prediction is the intercept
+    at_primary = evaluate_basis_matrix(x_basis, *rows["primary"])
+    primary = rows.counts("primary")
+    if primary is None:
+        return float((at_primary @ coef).mean()), coef
+    return (linear_predictor(at_primary, coef) * primary).sum(axis=1) / primary.sum(axis=1), coef
+
+
 def mar_estimate(dataset: PooledDataset) -> EstimateReport:
-    """Regression of Y on X over primary complete cases, averaged over all
-    primary-domain X (targets the whole-domain outcome mean).  The basis is
-    1, x1, ..., xd."""
-    x_basis = polynomial_basis(dataset.schema.n_covariates)
+    """`_mar_fit` of the dataset (targets the whole-domain outcome mean)."""
     primary = domain_arrays(dataset, DomainTag.PRIMARY)
     if len(primary.cc) == 0:
         raise EstimationError("no complete cases in the primary domain")
-    design = evaluate_basis_matrix(x_basis, dataset.x[primary.cc])
-    coef = solve_least_squares(design, dataset.y[primary.cc],
-                               x_basis.column_names(dataset.schema.covariate_names))
-    preds = evaluate_basis_matrix(x_basis, dataset.x[primary.rows]) @ coef
+    beta_hat, coef = _mar_fit(FitRows(dataset))
     return EstimateReport(
-        beta_hat=float(preds.mean()),
+        beta_hat=beta_hat,
         estimator="mar",
         nuisance={"outcome_regression": coef.tolist()},
         diagnostics={
@@ -58,24 +72,15 @@ def mar_estimate(dataset: PooledDataset) -> EstimateReport:
 
 def _stacked_mar(rows: FitRows,
                  start: Optional[np.ndarray] = None) -> list[Optional[tuple[float, None]]]:
-    """`mar_estimate` on the members of the FitRows stack `rows`, as one
-    least squares: (beta_hat, None) of each member, or None where it has no
-    complete case, a rank deficient design or a non-finite beta_hat, to be
-    fitted on its own.  The fit has no solver, so start is not used."""
+    """`_mar_fit` of the live members of the FitRows stack `rows`, those with
+    a complete case: (beta_hat, None) of each member, or None where it is not
+    live, is rank deficient or has a non-finite beta_hat, to be fitted on its
+    own.  The fit has no solver, so start is not used."""
     out: list[Optional[tuple[float, None]]] = [None] * len(rows.counts("primary"))
     live = np.flatnonzero(rows.counts("cc").sum(axis=1) > 0)
     if live.size == 0:
         return out
-    rows = rows.take(live)
-    primary = rows.counts("primary")
-    x_basis = polynomial_basis(rows.schema.n_covariates)
-    x_cc, _, y_cc = rows["cc"]
-    coef = solve_least_squares(evaluate_basis_matrix(x_basis, x_cc), y_cc,
-                               weights=rows.counts("cc"))
-    # a padding row holds the basis at 0, whose prediction is the intercept
-    at_primary = evaluate_basis_matrix(x_basis, *rows["primary"])
-    betas = (linear_predictor(at_primary, coef) * primary).sum(axis=1) / primary.sum(axis=1)
-    for k, beta in zip(live.tolist(), betas.tolist()):
+    for k, beta in zip(live.tolist(), _mar_fit(rows.take(live))[0].tolist()):
         if math.isfinite(beta):
             out[k] = (beta, None)
     return out

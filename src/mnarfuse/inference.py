@@ -28,7 +28,7 @@ from .model2 import estimate_model2
 from .models import RankDeficientError
 from .report import ConfidenceInterval, EstimateReport, FitRows, RefitCounts, domain_arrays
 from .simulate import Design, TrueBeta, generate_model1, generate_model2, make_rng, true_beta
-from .solver import ResidualError, SolverResult
+from .solver import ResidualError
 
 Estimator = Callable[[PooledDataset], EstimateReport]
 
@@ -104,14 +104,22 @@ def bootstrap_ci(
     fitted here, and a point fit that raises one of FIT_ERRORS or does not
     converge leaves every refit to start at theta = 0.  The solver polishes
     every converged fit to its root, so the start moves no estimate beyond
-    ~1e-12; a refit that fails from it is refitted on its own.
+    ~1e-12; a refit that fails from it is refitted on its own.  A point
+    fitted here checks the attribute, which a functools.wraps wrapper copies
+    whatever it fits: unless its fit of the dataset's rows, each once,
+    from that start is the point's (`_reproduces`), every resample is
+    refitted by calling the estimator.
     """
     stacked = getattr(estimator, "stacked_fits", None)
     start = None
     if stacked is not None:
-        point_fit = _point_fit(dataset, estimator) if point is None else point.solver
-        if point_fit is not None and point_fit.converged:
-            start = point_fit.theta_hat
+        report = _point_fit(dataset, estimator) if point is None else point
+        solver = None if report is None else report.solver
+        if solver is not None and solver.converged:
+            start = solver.theta_hat
+        if point is None and report is not None and not _reproduces(
+                report, stacked(FitRows.of_resamples(dataset, [np.arange(len(dataset))]), start)[0]):
+            stacked = None  # the hook fits another estimator: say, a wrapper's defaults
     block_size = max(1, _REFIT_ROWS // max(1, len(dataset)))
     estimates = []
     refits, failures, nonconverged = Counter(), Counter(), Counter()
@@ -134,13 +142,22 @@ def bootstrap_ci(
                               nonconverged=dict(nonconverged), refits=RefitCounts(**refits))
 
 
-def _point_fit(dataset: PooledDataset, estimator: Estimator) -> Optional[SolverResult]:
-    """The solver result of the estimator's fit of the dataset, or None
-    where that fit raises one of FIT_ERRORS."""
+def _point_fit(dataset: PooledDataset, estimator: Estimator) -> Optional[EstimateReport]:
+    """The estimator's report on the dataset, or None where its fit raises
+    one of FIT_ERRORS."""
     try:
-        return estimator(dataset).solver
+        return estimator(dataset)
     except FIT_ERRORS:
         return None
+
+
+def _reproduces(point: EstimateReport, fit: Optional[tuple]) -> bool:
+    """Whether `fit`, a stacked fit of the point's own dataset, is the
+    point's fit: none where the point's solver did not converge, else a
+    beta_hat within 1e-9 relative of the point's."""
+    if point.solver is not None and not point.solver.converged:
+        return fit is None
+    return fit is not None and math.isclose(fit[0], point.beta_hat, rel_tol=1e-9)
 
 
 def _fit_each(estimator: Estimator, fits: list, items: list, dataset_of: Callable,
@@ -372,8 +389,8 @@ def replicate(design: Design, n_reps: int, seed: int = 0,
     worker; bound, the benchmark's two-worker rate rose from a median 800
     to 1169 replicates/s.  Binding changes no estimate.  A worker receives
     the design, the seed and a block's replicates, and builds the bank
-    itself.  A call
-    whose pool broke (a worker died) drops it and raises BrokenProcessPool.
+    itself.  A call whose pool broke (a worker died) drops it and raises
+    BrokenProcessPool.
     With the fork start method the workers are forked when the pool starts,
     so they see module state as it was then: a monkeypatch made after that
     does not reach them.  Else the blocks run in this process.

@@ -74,26 +74,34 @@ def _require_domains(dataset: PooledDataset) -> tuple[DomainArrays, DomainArrays
     return primary, auxiliary
 
 
-def _aux_regression_matrices(rows: FitRows, h_basis: BasisSpec,
-                             aux_regression_basis: BasisSpec):
-    """h over the auxiliary complete cases, the X-only regression basis
-    there, and that basis at every primary-domain X; as rows lays them out."""
+def _aux_targets(rows: FitRows, h_basis: BasisSpec,
+                 aux_regression_basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The calibration target of the FitRows `rows` and its regression
+    coefficients: each column of h(X, M) regressed on the X-only basis over
+    the auxiliary complete cases, predicted at the primary rows and averaged
+    there.  On one dataset's rows, the target (q,) is the regressions at the
+    primary mean of the basis, the coefficients are (a, q), and a rank
+    deficient design raises RankDeficientError naming its term.  On a stack
+    each member is weighted by its counts, giving (K, q) and (K, a, q), NaN
+    where it is rank deficient.  Its matrices are freed on return."""
     x, m = rows["aux_cc"]
-    return (evaluate_basis_matrix(h_basis, x, m), evaluate_basis_matrix(aux_regression_basis, x),
-            evaluate_basis_matrix(aux_regression_basis, *rows["primary"]))
+    h = evaluate_basis_matrix(h_basis, x, m)
+    design = evaluate_basis_matrix(aux_regression_basis, x)
+    at_primary = evaluate_basis_matrix(aux_regression_basis, *rows["primary"])
+    primary = rows.counts("primary")
+    coefs = solve_least_squares(design, h, aux_regression_basis.column_names(
+        rows.schema.covariate_names), weights=rows.counts("aux_cc"))
+    if primary is None:
+        return at_primary.mean(axis=0) @ coefs, coefs
+    return np.einsum("ka,kaq->kq", member_sums(primary, at_primary),
+                     coefs) / primary.sum(axis=1)[:, None], coefs
 
 
 def _fit_targets(dataset: PooledDataset, rows: FitRows, h_basis: BasisSpec,
                  aux_regression_basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The calibration target, read from the dataset's FitRows `rows`: each
-    h-component's auxiliary-domain regression, averaged over the primary
-    domain.
-
-    Each column of h(X, M) is regressed on the X-only basis over auxiliary
-    complete cases, and the fitted regressions are evaluated at the
-    primary-domain mean of that basis.  Returns (target with shape (dim_h,),
-    coefficient matrix with shape (dim_aux_basis, dim_h)).
-    """
+    """`_aux_targets` of the dataset's FitRows `rows`, once the auxiliary
+    domain has complete cases enough for the regression: (target with shape
+    (dim_h,), coefficient matrix with shape (dim_aux_basis, dim_h))."""
     n_cc = len(_require_domains(dataset)[1].cc)
     if n_cc == 0:
         raise EstimationError("no complete cases in the auxiliary domain")
@@ -102,10 +110,7 @@ def _fit_targets(dataset: PooledDataset, rows: FitRows, h_basis: BasisSpec,
             f"only {n_cc} auxiliary complete cases for "
             f"{len(aux_regression_basis.terms)} regression terms"
         )
-    h_cc, design, design_primary = _aux_regression_matrices(rows, h_basis, aux_regression_basis)
-    coefs = solve_least_squares(design, h_cc, aux_regression_basis.column_names(
-        dataset.schema.covariate_names))
-    return design_primary.mean(axis=0) @ coefs, coefs
+    return _aux_targets(rows, h_basis, aux_regression_basis)
 
 
 class _Calibration:
@@ -248,18 +253,6 @@ def calibrate(dataset: PooledDataset, basis: BasisSpec, h_basis: BasisSpec,
     )
 
 
-def _aux_targets(rows: FitRows, h_basis: BasisSpec, aux_regression_basis: BasisSpec) -> np.ndarray:
-    """The (K, q) calibration targets of the stack `rows`: each member's
-    regression of h on the X-only basis over the auxiliary complete cases,
-    weighted by its counts, predicted at its primary rows and averaged
-    there; NaN where it is rank deficient.  Its matrices are freed on return."""
-    h, design, at_primary = _aux_regression_matrices(rows, h_basis, aux_regression_basis)
-    primary = rows.counts("primary")
-    coefs = solve_least_squares(design, h, weights=rows.counts("aux_cc"))
-    return np.einsum("ka,kaq->kq", member_sums(primary, at_primary),
-                     coefs) / primary.sum(axis=1)[:, None]
-
-
 def _fit_stack(spec, rows: FitRows, start: Optional[np.ndarray] = None,
                ) -> list[Optional[tuple[float, SolverResult]]]:
     """`calibrate` with the bases of spec.default(rows.schema), the default
@@ -289,7 +282,7 @@ def _fit_stack(spec, rows: FitRows, start: Optional[np.ndarray] = None,
     # the targets' regression matrices are freed before the calibration's
     # are built, which bounds the memory of a stack
     equation = _Calibration(rows, basis, h_basis,
-                            _aux_targets(rows, h_basis, aux_regression_basis))
+                            _aux_targets(rows, h_basis, aux_regression_basis)[0])
     if start is None or start.shape != equation.design.shape[-1:]:
         init = equation.init(rows)
     else:
@@ -317,5 +310,5 @@ def estimate_model1(dataset: PooledDataset,
 
 
 # the stacked fit of the defaults, through which bootstrap_ci and replicate fit
-# stacks; functools.wraps copies this attribute
+# stacks
 estimate_model1.stacked_fits = functools.partial(_fit_stack, Model1Spec)

@@ -122,9 +122,10 @@ class FitRows:
     members share one dataset's rows, FitRows.of_resamples(dataset, draws),
     each draw the dataset's rows a resample holds, or each has its own,
     FitRows.of_block(datasets), whose sets are (K, n, ...) stacks of their
-    members' rows, padded with zeros after each member's rows; `take` cuts a stack to some of its members.  Each carries
-    its rows' `schema`.  The fits evaluate their bases straight into those
-    stacks, so bench/tracing.py finds those calls where it patches them."""
+    members' rows, padded with zeros after each member's rows; `take` cuts
+    a stack to some of its members.  Each carries its rows' `schema`.  The
+    fits evaluate their bases straight into those stacks, so
+    bench/tracing.py finds those calls where it patches them."""
 
     def __init__(self, dataset: PooledDataset):
         primary = domain_arrays(dataset, DomainTag.PRIMARY)

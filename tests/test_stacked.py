@@ -6,6 +6,7 @@ import argparse
 import functools
 import multiprocessing
 import os
+import re
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -313,10 +314,11 @@ def test_no_fit_runs_a_logistic_regression(panel, monkeypatch):
     assert ci.refits.stacked == 6
 
 
-def _constant_primary_x(dataset):
-    """The dataset with every primary-domain X set to 0.5."""
+def _constant_x(dataset, tag=DomainTag.PRIMARY):
+    """The dataset with every X of domain `tag`, the primary one by default,
+    set to 0.5."""
     x = dataset.x.copy()
-    x[dataset.g == DomainTag.PRIMARY] = 0.5
+    x[dataset.g == tag] = 0.5
     return PooledDataset(dataset.schema, g=dataset.g, x=x, m=dataset.m, y=dataset.y,
                          r=dataset.r)
 
@@ -327,7 +329,7 @@ def _constant_primary_x(dataset):
 def test_a_constant_primary_x_is_a_rank_deficient_failure(design, estimate, monkeypatch):
     # the X-only part of the propensity basis, (1, x1), has rank 1 over the
     # primary rows: the point fit raises, and a stack member falls back to it
-    flat = _constant_primary_x(inference.generate_for(design, 3))
+    flat = _constant_x(inference.generate_for(design, 3))
     with pytest.raises(RankDeficientError) as err:
         estimate(flat)
     assert str(err.value) == "design matrix is rank deficient at column 1 (x1)"
@@ -337,7 +339,7 @@ def test_a_constant_primary_x_is_a_rank_deficient_failure(design, estimate, monk
 
     def every_other_flat(design, seed):
         made.append(generate(design, seed))
-        return _constant_primary_x(made[-1]) if len(made) % 2 else made[-1]
+        return _constant_x(made[-1]) if len(made) % 2 else made[-1]
 
     monkeypatch.setattr(inference, "generate_for", every_other_flat)
     report = replicate(design, n_reps=4, seed=1)
@@ -356,6 +358,120 @@ def test_the_stacked_path_survives_wraps_and_skips_partials(panel):
     assert bootstrap_ci(ds, traced, config).refits.stacked == 6
     partial = functools.partial(estimate_model1, spec=None)
     assert bootstrap_ci(ds, partial, config).refits.stacked == 0
+
+
+def _own_spec_wrapper(*bases):
+    """A functools.wraps wrapper of estimate_model1 that fits its own spec,
+    and so copies a hook that fits the default one."""
+    spec = model1.Model1Spec(*map(models.BasisSpec.parse, bases))
+    return functools.wraps(estimate_model1)(lambda dataset: estimate_model1(dataset, spec))
+
+
+@pytest.mark.parametrize("bases,status", [
+    (("1,x1,m", "1,x1,m,x1^2", "1,x1", "1,x1"), "max_iter"),
+    (("1,x1,m", "1,x1,m", "1,x1", "1,x1"), "converged"),
+], ids=["nonconverged", "converged"])
+def test_a_wrapper_of_another_spec_gets_its_own_refits(bases, status):
+    ds = generate_model1(Model1Design(n=1000), 3)[0]
+    mine = _own_spec_wrapper(*bases)
+    assert mine.stacked_fits is estimate_model1.stacked_fits
+    assert mine(ds).solver.status == status
+    config = BootstrapConfig(k=50, seed=1)
+    wrapped = bootstrap_ci(ds, mine, config)
+    _same_refits(wrapped, bootstrap_ci(ds, _per_refit(mine), config))
+    assert wrapped.refits.per_refit == 50
+
+
+@pytest.mark.parametrize("name,estimator", [
+    ("model1-T", estimate_model1), ("model2-F", estimate_model2),
+    ("fixture", baselines.mar_estimate),
+], ids=["model1", "model2", "mar"])
+def test_an_estimator_whose_hook_reproduces_its_point_keeps_its_stacked_refits(
+        panel, name, estimator):
+    # a pass-through wrapper: test_the_stacked_path_survives_wraps_and_skips_partials
+    ds = panel[name][0]
+    assert bootstrap_ci(ds, estimator, BootstrapConfig(k=6, seed=1)).refits.stacked == 6
+
+
+def _every_row_once(ds):
+    return FitRows.of_resamples(ds, [np.arange(len(ds))])
+
+
+@pytest.mark.parametrize("name", ["model1-T", "model1-F", "model2-T", "model2-F", "fixture"])
+def test_the_target_and_the_mar_fit_of_a_dataset_are_their_one_member_stack(panel, name):
+    ds, estimator = panel[name]
+    spec = model1.Model1Spec if estimator is estimate_model1 else model2.Model2Spec
+    _, h_basis, aux_basis = spec.default(ds.schema).bases
+    target, coefs = model1._aux_targets(FitRows(ds), h_basis, aux_basis)
+    targets, stacked_coefs = model1._aux_targets(_every_row_once(ds), h_basis, aux_basis)
+    assert (targets.shape, stacked_coefs.shape) == ((1,) + target.shape, (1,) + coefs.shape)
+    np.testing.assert_allclose(targets[0], target, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stacked_coefs[0], coefs, rtol=0, atol=1e-12)
+    beta, coef = baselines._mar_fit(FitRows(ds))
+    betas, stacked_coef = baselines._mar_fit(_every_row_once(ds))
+    assert betas.shape == (1,) and stacked_coef.shape == (1,) + coef.shape
+    assert betas[0] == pytest.approx(beta, abs=1e-12, rel=0)
+    np.testing.assert_allclose(stacked_coef[0], coef, rtol=0, atol=1e-12)
+    assert baselines.mar_estimate(ds).beta_hat == beta
+
+
+@pytest.mark.parametrize("tag", [DomainTag.AUXILIARY, DomainTag.PRIMARY], ids=["ipw", "mar"])
+def test_a_rank_deficient_regression_raises_on_a_dataset_and_is_nan_in_a_stack(panel, tag):
+    # a constant auxiliary x1 leaves the target regression's (1, x1, x1^2)
+    # of rank 1, a constant primary x1 the MAR regression's (1, x1)
+    ds = panel["model1-T"][0]
+    flat = _constant_x(ds, tag)
+    block = FitRows.of_block([flat, ds])
+    message = re.escape("design matrix is rank deficient at column 1 (x1)")
+    if tag == DomainTag.AUXILIARY:
+        _, h_basis, aux_basis = model1.Model1Spec.default(ds.schema).bases
+        with pytest.raises(RankDeficientError, match=message):
+            model1._aux_targets(FitRows(flat), h_basis, aux_basis)
+        fitted = model1._aux_targets(block, h_basis, aux_basis)
+        estimate = estimate_model1
+    else:
+        with pytest.raises(RankDeficientError, match=message):
+            baselines._mar_fit(FitRows(flat))
+        fitted = baselines._mar_fit(block)
+        estimate = baselines.mar_estimate
+    for values in fitted:
+        assert np.isnan(values[0]).all() and np.isfinite(values[1]).all()
+    with pytest.raises(RankDeficientError, match=message):
+        estimate(flat)
+    fits = estimate.stacked_fits(block)
+    assert fits[0] is None
+    assert fits[1][0] == pytest.approx(estimate(ds).beta_hat, abs=1e-12, rel=0)
+
+
+def _count_site_calls(monkeypatch) -> dict:
+    """Count each call of the regressions' lookup sites that the benchmark's
+    tracer patches, model1's and baselines' evaluate_basis_matrix and
+    solve_least_squares, by function name."""
+    calls = {"evaluate_basis_matrix": 0, "solve_least_squares": 0}
+    for module in (model1, baselines):
+        for name in calls:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fit,expected", [
+    (lambda ds1, ds2, draws: estimate_model1(ds1), (5, 1)),
+    (lambda ds1, ds2, draws: estimate_model2(ds2), (6, 1)),
+    (lambda ds1, ds2, draws: baselines.mar_estimate(ds1), (2, 1)),
+    (lambda ds1, ds2, draws: _refits(estimate_model1, ds1, draws), (5, 1)),
+    (lambda ds1, ds2, draws: _refits(baselines.mar_estimate, ds1, draws), (2, 1)),
+], ids=["model1", "model2", "mar", "model1-stack", "mar-stack"])
+def test_every_fit_keeps_its_calls_at_the_lookup_sites(monkeypatch, fit, expected):
+    # a regression moved off a patched site would zero its traced layer
+    ds1 = generate_model1(Model1Design(n=500, setting="T"), 1)[0]
+    ds2 = generate_model2(Model2Design(n=500, setting="T"), 1)[0]
+    draws = [_draw(ds1, make_rng(1, b)) for b in range(5)]
+    calls = _count_site_calls(monkeypatch)
+    fit(ds1, ds2, draws)
+    assert (calls["evaluate_basis_matrix"], calls["solve_least_squares"]) == expected
 
 
 def test_count_weighted_fits_equal_fits_on_duplicated_rows():
