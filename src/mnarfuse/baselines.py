@@ -89,3 +89,4 @@ def _stacked_mar(rows: FitRows,
 # bootstrap_ci and replicate fit a stack of resamples or datasets through
 # this; see model1.
 mar_estimate.stacked_fits = _stacked_mar
+_stacked_mar.owner = mar_estimate

@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -65,6 +66,18 @@ def _refuse_same_file(flags: str, path: str, other: str) -> None:
     if os.path.realpath(path) == os.path.realpath(other) or (
             os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)):
         raise ValueError(f"{flags} name the same file {path}")
+
+
+def _check_outputs(*outputs: tuple[str, str]) -> None:
+    """Raise ValueError naming the flag of the first (flag, path) of outputs
+    whose path is a directory or lies in a directory that does not exist, so
+    that a command fails before it prints or writes anything."""
+    for flag, path in outputs:
+        directory = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path} is a directory, not a file")
+        if not os.path.isdir(directory):
+            raise ValueError(f"{flag} {path}: no such directory {directory}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +182,7 @@ def _cmd_simulate(args) -> int:
     out = _out_path(args.out)
     truth_out = _out_path(args.truth_out) if args.truth_out else out + ".truth.csv"
     _refuse_same_file("--truth-out and --out", out, truth_out)  # it would overwrite the data
+    _check_outputs(("--out", out), ("--truth-out" if args.truth_out else "--out", truth_out))
     dataset, sidecar = generate(design, args.seed)
     write_csv(dataset, out)
     write_truth_csv(sidecar, truth_out)
@@ -185,10 +199,12 @@ _ESTIMATORS = {
 
 
 def _cmd_estimate(args) -> int:
-    if args.json:  # the report would overwrite an input
+    json_out = _out_path(args.json) if args.json else None
+    if json_out:  # the report would overwrite an input
         for flag, path in (("--data", args.data), ("--config", args.config)):
             if path:
-                _refuse_same_file(f"--json and {flag}", path, _out_path(args.json))
+                _refuse_same_file(f"--json and {flag}", path, json_out)
+        _check_outputs(("--json", json_out))
     dataset, violations = _checked_dataset(args)
     if violations:
         print(*(f"invalid dataset: {v}" for v in violations), sep="\n", file=sys.stderr)
@@ -203,20 +219,38 @@ def _cmd_estimate(args) -> int:
     if report.ci is not None:
         line += f"  {CI_LEVEL:.0%} CI [{report.ci.lo:.6f}, {report.ci.hi:.6f}]"
     print(line)
-    for w in report.warnings:
+    for w in report.warnings + _ci_warnings(report.ci, args.bootstrap):
         print(f"warning: {w}", file=sys.stderr)
-    if args.json:
-        with open(_out_path(args.json), "w") as fh:
+    if json_out:
+        with open(json_out, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)
     return 0
 
 
+def _ci_warnings(ci, k: int) -> list[str]:
+    """One line for the bootstrap refits of ci kept without converging, by
+    solver status, and one for those dropped as failed, by reason, each
+    with its count out of k; none for a missing ci or an empty count."""
+    if ci is None:
+        return []
+    lines = []
+    for counts, what in ((ci.nonconverged, "kept without converging"),
+                         (ci.failures, "failed and dropped")):
+        if counts:
+            by = ", ".join(f"{name}: {count}" for name, count in Counter(counts).most_common())
+            lines.append(f"{sum(counts.values())} of {k} bootstrap refits {what} ({by})")
+    return lines
+
+
 def _cmd_replicate(args) -> int:
+    prefix = _out_path(args.out_prefix) if args.out_prefix else None
+    if prefix:
+        _check_outputs(("--out-prefix", prefix + "_summary.csv"),
+                       ("--out-prefix", prefix + "_replicates.csv"))
     report = replicate(_design(args), n_reps=args.reps, seed=args.seed,
                        n_workers=args.workers)
     print(report.to_text())
-    if args.out_prefix:
-        prefix = _out_path(args.out_prefix)
+    if prefix:
         report.write_summary_csv(prefix + "_summary.csv")
         report.write_replicates_csv(prefix + "_replicates.csv")
     return 0
@@ -275,6 +309,8 @@ def _cmd_make_fixture(args) -> int:
     """Synthetic observational fixture: binary outcome, three-level severity
     marker, one bounded risk score, with renamed columns and a matching
     schema-map config."""
+    out = _out_path(args.out_prefix)
+    _check_outputs(("--out-prefix", out + ".csv"), ("--out-prefix", out + ".ini"))
     rng = make_rng(args.seed)
     n = args.n
     g = np.where(rng.random(n) < 0.5, 1, 2)
@@ -291,7 +327,6 @@ def _cmd_make_fixture(args) -> int:
     )
     r = (rng.random(n) < p_r).astype(int)
 
-    out = _out_path(args.out_prefix)
     observed = r == 1
     _write_columns(
         out + ".csv",

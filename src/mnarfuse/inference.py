@@ -104,21 +104,26 @@ def bootstrap_ci(
     fitted here, and a point fit that raises one of FIT_ERRORS or does not
     converge leaves every refit to start at theta = 0.  The solver polishes
     every converged fit to its root, so the start moves no estimate beyond
-    ~1e-12; a refit that fails from it is refitted on its own.  A point
-    fitted here checks the attribute, which a functools.wraps wrapper copies
-    whatever it fits: unless its fit of the dataset's rows, each once,
-    from that start is the point's (`_reproduces`), every resample is
-    refitted by calling the estimator.
+    ~1e-12; a refit that fails from it is refitted on its own.  The hook's
+    `owner` uses it as it is, as `replicate` uses its bank's hooks; another
+    estimator that carries it (a functools.wraps wrapper copies it) uses it
+    only if its fit of the dataset's rows, each once, from that start is the
+    point's (`_reproduces`), passed or fitted here, or the point fit raised;
+    else every resample is refitted by calling the estimator.
     """
     stacked = getattr(estimator, "stacked_fits", None)
     start = None
     if stacked is not None:
-        report = _point_fit(dataset, estimator) if point is None else point
-        solver = None if report is None else report.solver
-        if solver is not None and solver.converged:
-            start = solver.theta_hat
-        if point is None and report is not None and not _reproduces(
-                report, stacked(FitRows.of_resamples(dataset, [np.arange(len(dataset))]), start)[0]):
+        if point is None:
+            try:
+                point = estimator(dataset)
+            except FIT_ERRORS:
+                pass  # no point to start from or to check
+        if point is not None and point.solver is not None and point.solver.converged:
+            start = point.solver.theta_hat
+        if getattr(stacked, "owner", None) is not estimator and point is not None and not (
+                _reproduces(point, stacked(FitRows.of_resamples(
+                    dataset, [np.arange(len(dataset))]), start)[0])):
             stacked = None  # the hook fits another estimator: say, a wrapper's defaults
     block_size = max(1, _REFIT_ROWS // max(1, len(dataset)))
     estimates = []
@@ -140,15 +145,6 @@ def bootstrap_ci(
     lo, hi = np.quantile([v for v in estimates if math.isfinite(v)], [tail, 1.0 - tail])
     return ConfidenceInterval(lo=float(lo), hi=float(hi), failures=dict(failures),
                               nonconverged=dict(nonconverged), refits=RefitCounts(**refits))
-
-
-def _point_fit(dataset: PooledDataset, estimator: Estimator) -> Optional[EstimateReport]:
-    """The estimator's report on the dataset, or None where its fit raises
-    one of FIT_ERRORS."""
-    try:
-        return estimator(dataset)
-    except FIT_ERRORS:
-        return None
 
 
 def _reproduces(point: EstimateReport, fit: Optional[tuple]) -> bool:

@@ -312,3 +312,4 @@ def estimate_model1(dataset: PooledDataset,
 # the stacked fit of the defaults, through which bootstrap_ci and replicate fit
 # stacks
 estimate_model1.stacked_fits = functools.partial(_fit_stack, Model1Spec)
+estimate_model1.stacked_fits.owner = estimate_model1

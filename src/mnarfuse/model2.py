@@ -84,3 +84,4 @@ def estimate_model2(dataset: PooledDataset,
 
 
 estimate_model2.stacked_fits = functools.partial(_fit_stack, Model2Spec)
+estimate_model2.stacked_fits.owner = estimate_model2

@@ -244,6 +244,65 @@ def test_a_command_refuses_to_overwrite_a_file_it_needs(tmp_path, monkeypatch, c
     assert target.read_bytes() == before
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--model", "1", "--n", "20", "--out", "ok.csv", "--truth-out", "no/t.csv"],
+     "--truth-out"),
+    (["simulate", "--model", "1", "--n", "20", "--out", "dir"], "--out"),
+    (["estimate", "--data", "d.csv", "--model", "1", "--json", "no/x.json"], "--json"),
+    (["estimate", "--data", "d.csv", "--model", "1", "--bootstrap", "5", "--json", "dir"],
+     "--json"),
+    (["replicate", "--model", "1", "--n", "200", "--reps", "3", "--out-prefix", "no/p"],
+     "--out-prefix"),
+    (["make-fixture", "--n", "50", "--out-prefix", "no/f"], "--out-prefix"),
+    (["make-fixture", "--n", "50", "--out-prefix", "f"], "--out-prefix"),
+], ids=["simulate", "simulate-into-a-directory", "estimate", "estimate-into-a-directory",
+        "replicate", "make-fixture", "make-fixture-second-file"])
+def test_an_unwritable_output_fails_before_any_output(argv, flag, tmp_path, monkeypatch,
+                                                       capsys):
+    # a path in a directory that does not exist, or that is a directory
+    # (dir, and f.ini beside make-fixture's f.csv), is refused before the
+    # command prints or writes anything
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--model", "1", "--n", "300", "--seed", "1", "--out", "d.csv"]) == 0
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "f.ini").mkdir()
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ") and captured.err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+# three of ten primary rows complete: a resample without one fails
+_THIN_ROWS = ([[1, 1, 0.0, 0.0, float(i)] for i in range(3)] + [[1, 0, 0.0, "?", "?"]] * 7
+              + [[2, 1, 0.0, 0.0, "?"]])
+
+
+@pytest.mark.parametrize("simulate, warnings", [
+    (["--model", "1", "--n", "50", "--seed", "1"],
+     ["130 of 200 bootstrap refits kept without converging "
+      "(stalled: 111, max_iter: 14, singular: 5)"]),
+    (["--model", "1", "--n", "2000", "--seed", "1"], []),
+    (None, ["3 of 200 bootstrap refits failed and dropped (EstimationError: 3)"]),
+], ids=["nonconverged", "clean", "failed"])
+def test_bootstrap_refits_that_did_not_converge_or_failed_are_warned_of(
+        tmp_path, capsys, simulate, warnings):
+    path = tmp_path / "sim.csv"
+    if simulate:
+        _simulated_lines(tmp_path, *simulate)
+    else:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["domain", "r", "x1", "m", "y"], *_THIN_ROWS])
+    capsys.readouterr()
+    assert run(["estimate", "--data", str(path), "--model", "1" if simulate else "mcar",
+                "--bootstrap", "200", "--seed", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("beta_hat = ") and captured.out.count("\n") == 1
+    assert captured.err == "".join(f"warning: {w}\n" for w in warnings)
+
+
 def test_an_r_beyond_int64_is_a_one_line_error(tmp_path, capsys):
     path = tmp_path / "big.csv"
     path.write_text("domain,r,x1,m,y\n1,1,0.0,1.0,2.0\n1,99999999999999999999,0.0,1.0,2.0\n")

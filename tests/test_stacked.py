@@ -367,19 +367,91 @@ def _own_spec_wrapper(*bases):
     return functools.wraps(estimate_model1)(lambda dataset: estimate_model1(dataset, spec))
 
 
+def _trimmed(dataset):
+    """estimate_model1 of the dataset without its primary rows of x1 > 2.5."""
+    return estimate_model1(dataset.take(np.flatnonzero(
+        ~((dataset.g == DomainTag.PRIMARY) & (dataset.x[:, 0] > 2.5)))))
+
+
+def _copied_hook(dataset):
+    """_trimmed as a plain function, with estimate_model1's hook set by hand."""
+    return _trimmed(dataset)
+
+
+_copied_hook.stacked_fits = estimate_model1.stacked_fits
+
+# name -> (estimator, whether bootstrap_ci keeps its stacked refits)
+_TRUST_GRID = {
+    "owner": (estimate_model1, True),
+    "pass-through": (functools.wraps(estimate_model1)(lambda dataset: estimate_model1(dataset)),
+                     True),
+    "trimming": (functools.wraps(estimate_model1)(lambda dataset: _trimmed(dataset)), False),
+    "copied-hook": (_copied_hook, False),
+}
+
+
+@pytest.fixture(scope="module")
+def trust_dataset():
+    return generate_model1(Model1Design(n=1000), 3)[0]
+
+
 @pytest.mark.parametrize("bases,status", [
     (("1,x1,m", "1,x1,m,x1^2", "1,x1", "1,x1"), "max_iter"),
     (("1,x1,m", "1,x1,m", "1,x1", "1,x1"), "converged"),
 ], ids=["nonconverged", "converged"])
-def test_a_wrapper_of_another_spec_gets_its_own_refits(bases, status):
-    ds = generate_model1(Model1Design(n=1000), 3)[0]
+def test_a_wrapper_of_another_spec_gets_its_own_refits(trust_dataset, bases, status):
+    # the nonconverged wrapper's point does not converge, and the hook's does
+    ds = trust_dataset
     mine = _own_spec_wrapper(*bases)
     assert mine.stacked_fits is estimate_model1.stacked_fits
-    assert mine(ds).solver.status == status
+    point = mine(ds)
+    assert point.solver.status == status
     config = BootstrapConfig(k=50, seed=1)
-    wrapped = bootstrap_ci(ds, mine, config)
-    _same_refits(wrapped, bootstrap_ci(ds, _per_refit(mine), config))
-    assert wrapped.refits.per_refit == 50
+    reference = bootstrap_ci(ds, _per_refit(mine), config)
+    for passed in (None, point):
+        wrapped = bootstrap_ci(ds, mine, config, passed)
+        _same_refits(wrapped, reference)
+        assert wrapped.refits.per_refit == 50
+
+
+@pytest.mark.parametrize("passed", [True, False], ids=["point-passed", "point-fitted"])
+@pytest.mark.parametrize("name", list(_TRUST_GRID))
+def test_a_hook_is_used_as_is_by_its_owner_and_else_only_if_it_reproduces_the_point(
+        trust_dataset, name, passed):
+    # a hook that fits another estimator than the one carrying it gives the
+    # per-refit interval, whether the point was passed or fitted here
+    ds = trust_dataset
+    estimator, keeps_stacked = _TRUST_GRID[name]
+    assert estimator.stacked_fits is estimate_model1.stacked_fits
+    config = BootstrapConfig(k=50, seed=1)
+    ci = bootstrap_ci(ds, estimator, config, estimator(ds) if passed else None)
+    if keeps_stacked:
+        assert ci.refits.stacked == config.k
+    else:
+        _same_refits(ci, bootstrap_ci(ds, _per_refit(estimator), config))
+        assert ci.refits.per_refit == config.k
+
+
+@pytest.mark.parametrize("estimator,fit", [(estimate_model1, "newton_stack"),
+                                           (baselines.mar_estimate, "_mar_fit")],
+                         ids=["model1", "mar"])
+def test_an_owner_without_a_point_fits_each_block_once(trust_dataset, monkeypatch, estimator,
+                                                        fit):
+    # two blocks of 25 resamples: model1's stacked solves are the blocks'
+    # alone, and MAR fits the point and then each block
+    module = model1 if fit == "newton_stack" else baselines
+    calls = []
+    real = getattr(module, fit)
+
+    def counted(*args, **kwargs):
+        calls.append(fit)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, fit, counted)
+    monkeypatch.setattr(inference, "_REFIT_ROWS", 25 * len(trust_dataset))
+    ci = bootstrap_ci(trust_dataset, estimator, BootstrapConfig(k=50, seed=1))
+    assert ci.refits.stacked == 50
+    assert len(calls) == (2 if fit == "newton_stack" else 3)
 
 
 @pytest.mark.parametrize("name,estimator", [
